@@ -7,7 +7,10 @@ budget and prints the certificate on success; ``derive`` prints the atoms
 of a bounded saturation run.
 
 Exit codes: 0 success/verified, 1 the check refuted the structure (or an
-oracle cross-check failed), 2 unknown or budget exhausted, 3 input error.
+oracle cross-check failed), 2 unknown or budget exhausted, 3 input error,
+4 internal error (an unexpected exception; a bug, never a verdict).
+
+Run as ``countermodel`` or ``python -m countermodel``.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,6 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CountermodelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash must never pass for a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,21 +9,23 @@ templates (filtered for carrier closure) and the same predicate menu.
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
 attached to the last slot interpreting one of its symbols and is used to
-prune partial assignments (by exhaustive evaluation on finite carriers,
-by integer grid sampling on rays).  Every complete candidate is re-checked
-through the verifier, so no unverified structure is ever returned;
-obligations are evaluated before theory clauses since they are usually the
-cheapest refuters.
+prune partial assignments.  Each such check is compiled once per search
+into a Python function that evaluates it at every valuation over a grid
+of points (the whole finite carrier, or the first integers of a ray),
+calling the candidates' callables directly.  Every complete candidate is
+re-checked through the verifier, so no unverified structure is ever
+returned; obligations are evaluated before theory clauses since they are
+usually the cheapest refuters.
 """
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .checker import Certificate, VERIFIED, verify
-from .logic import Atom, HornClause, Theory, sort_of_predicate
+from .logic import Atom, Theory, sort_of_predicate
 from .queries import Obligation
 from .structures import (
     AffineForm,
@@ -34,7 +36,7 @@ from .structures import (
     Structure,
     SymbolicStructure,
 )
-from .terms import App, BUILTIN_PREDICATES, Signature, Term, Var
+from .terms import App, BUILTIN_PREDICATES, Signature, Term, Var, term_vars
 
 
 @dataclass(frozen=True)
@@ -89,26 +91,42 @@ class _Slot:
 @dataclass
 class _State:
     budget: SearchBudget
-    started: float = field(default_factory=time.monotonic)
+    deadline: float  # time.monotonic() value at which the search stops
     nodes: int = 0
+
+    @classmethod
+    def start(cls, budget: SearchBudget, deadline: float | None) -> "_State":
+        if deadline is None:
+            deadline = time.monotonic() + budget.time_limit
+        return cls(budget, deadline)
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise _Stop("budget exhausted: candidate cap")
-        if self.nodes % 256 == 0 and time.monotonic() - self.started > self.budget.time_limit:
+        # Node 1 is checked too, so a search begun past its deadline stops at once.
+        if self.nodes % 256 == 1 and time.monotonic() > self.deadline:
             raise _Stop("budget exhausted: time cap")
 
 
 def find_model(
-    theory: Theory, obligations: Iterable[Obligation], budget: SearchBudget | None = None
+    theory: Theory,
+    obligations: Iterable[Obligation],
+    budget: SearchBudget | None = None,
+    *,
+    deadline: float | None = None,
 ) -> FindOutcome:
-    """Search interval carriers for a verified finite structure."""
+    """Search interval carriers for a verified finite structure.
+
+    The search stops at ``deadline`` (a ``time.monotonic()`` value), by
+    default ``budget.time_limit`` seconds from now.
+    """
     budget = budget or SearchBudget()
     obligations = tuple(obligations)
     sig = theory.signature
     predicates = _needed_predicates(theory, obligations)
-    state = _State(budget)
+    checks = _compile_checks(theory, obligations)
+    state = _State.start(budget, deadline)
     try:
         for lo, hi in budget.carriers:
             carrier = tuple(range(lo, hi + 1))
@@ -121,8 +139,7 @@ def find_model(
                 slots = _finite_slots(sig, predicates, carrier, budget, stage)
                 found = _search(
                     slots,
-                    theory,
-                    obligations,
+                    checks,
                     state,
                     points=carrier,
                     finish=lambda assignment: _finish_finite(
@@ -137,22 +154,26 @@ def find_model(
 
 
 def find_symbolic_model(
-    theory: Theory, obligations: Iterable[Obligation], budget: SearchBudget | None = None
+    theory: Theory,
+    obligations: Iterable[Obligation],
+    budget: SearchBudget | None = None,
+    *,
+    deadline: float | None = None,
 ) -> FindOutcome:
-    """Search ray carriers for a verified symbolic structure."""
+    """Search ray carriers for a verified symbolic structure (``deadline`` as in find_model)."""
     budget = budget or SearchBudget()
     obligations = tuple(obligations)
     sig = theory.signature
     predicates = _needed_predicates(theory, obligations)
-    state = _State(budget)
+    checks = _compile_checks(theory, obligations)
+    state = _State.start(budget, deadline)
     try:
         for lo in budget.ray_carriers:
             slots = _symbolic_slots(sig, predicates, lo, budget)
             grid = tuple(range(lo, lo + 4))
             found = _search(
                 slots,
-                theory,
-                obligations,
+                checks,
                 state,
                 points=grid,
                 finish=lambda assignment: _finish_symbolic(
@@ -347,36 +368,53 @@ def _affine_candidates(arity: int, lo: int, budget: SearchBudget) -> list[_Candi
             params = tuple(f"x{i + 1}" for i in range(arity))
             form = AffineForm.make(dict(zip(params, coeffs)), b)
             interp = PiecewiseFunction.affine(params, form)
-            out.append(
-                _Candidate(
-                    interp,
-                    lambda *args, cs=coeffs, b=b: sum(a * x for a, x in zip(cs, args)) + b,
-                )
-            )
+            out.append(_Candidate(interp, _affine_fast(coeffs, b)))
     return out
+
+
+def _affine_fast(coeffs: tuple[int, ...], b: int) -> Callable[..., int]:
+    """``sum(a * x) + b`` as a callable, with fixed arity for the common cases."""
+    if len(coeffs) == 1:
+        (a,) = coeffs
+        return lambda x: a * x + b
+    if len(coeffs) == 2:
+        a1, a2 = coeffs
+        return lambda x, y: a1 * x + a2 * y + b
+    return lambda *args: sum(a * x for a, x in zip(coeffs, args)) + b
 
 
 # -- staged depth-first search ----------------------------------------------------
 
+# A compiled check: refuted(env, points) is true when some valuation over the
+# grid makes the body true and the head false under the slot values in env.
+_Refuter = Callable[[Mapping[str, object], tuple[int, ...]], bool]
+
+
+def _compile_checks(
+    theory: Theory, obligations: tuple[Obligation, ...]
+) -> list[tuple[set[str], _Refuter]]:
+    """Each check with the symbols it mentions, obligations first."""
+    checks = [(ob.variables, ob.atoms, None) for ob in obligations]
+    checks += [(clause.variables, clause.body, clause.head) for clause in theory.clauses]
+    return [
+        (_check_symbols((*body, *(() if head is None else (head,)))), _compile_check(v, body, head))
+        for v, body, head in checks
+    ]
+
 
 def _search(
     slots: list[_Slot],
-    theory: Theory,
-    obligations: tuple[Obligation, ...],
+    checks: list[tuple[set[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
     finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
-    checks_by_slot: list[list[tuple[str, object]]] = [[] for _ in slots]
-    for ob in obligations:
-        index = _latest_slot(position, _obligation_symbols(ob))
+    checks_by_slot: list[list[_Refuter]] = [[] for _ in slots]
+    for symbols, refuted in checks:
+        index = _latest_slot(position, symbols)
         if index is not None:
-            checks_by_slot[index].append(("obligation", ob))
-    for clause in theory.clauses:
-        index = _latest_slot(position, _clause_symbols(clause))
-        if index is not None:
-            checks_by_slot[index].append(("clause", clause))
+            checks_by_slot[index].append(refuted)
 
     env: dict[str, object] = {}
     interps: dict[str, object] = {}
@@ -386,14 +424,15 @@ def _search(
             state.tick()
             return finish(interps)
         slot = slots[index]
+        attached = checks_by_slot[index]
         for candidate in slot.candidates:
             state.tick()
             env[slot.name] = candidate.fast
             interps[slot.name] = candidate.interp
-            if all(
-                not _refuted(env, points, kind, payload)
-                for kind, payload in checks_by_slot[index]
-            ):
+            for refuted in attached:
+                if refuted(env, points):
+                    break
+            else:
                 result = descend(index + 1)
                 if result is not None:
                     return result
@@ -404,19 +443,9 @@ def _search(
     return descend(0)
 
 
-def _clause_symbols(clause: HornClause) -> set[str]:
+def _check_symbols(atoms: tuple[Atom, ...]) -> set[str]:
     symbols: set[str] = set()
-    for atom in (*clause.body, clause.head):
-        if sort_of_predicate(atom.predicate) is None:
-            symbols.add(atom.predicate)
-        for arg in atom.args:
-            _term_symbols(arg, symbols)
-    return symbols
-
-
-def _obligation_symbols(ob: Obligation) -> set[str]:
-    symbols: set[str] = set()
-    for atom in ob.atoms:
+    for atom in atoms:
         if sort_of_predicate(atom.predicate) is None:
             symbols.add(atom.predicate)
         for arg in atom.args:
@@ -438,40 +467,112 @@ def _latest_slot(position: Mapping[str, int], symbols: set[str]) -> int | None:
     return max(indices) if indices else None
 
 
-def _refuted(
-    env: Mapping[str, object], points: tuple[int, ...], kind: str, payload
-) -> bool:
-    """Exact grid falsification; sort atoms hold by construction of candidates."""
-    if kind == "obligation":
-        variables, body, head = payload.variables, payload.atoms, None
-    else:
-        variables, body, head = payload.variables, payload.body, payload.head
-    names = [v.name for v in variables]
-    for values in itertools.product(points, repeat=len(names)):
-        valuation = dict(zip(names, values))
-        if not all(_atom_true(env, valuation, atom) for atom in body):
-            continue
-        if head is None or not _atom_true(env, valuation, head):
-            return True
+# Python rejects more than 20 statically nested blocks, so variables past
+# this many share one ``product`` loop.
+_OWN_LOOPS = 16
+
+
+def _never_refuted(env: Mapping[str, object], points: tuple[int, ...]) -> bool:
     return False
 
 
-def _atom_true(env: Mapping[str, object], valuation: Mapping[str, int], atom: Atom) -> bool:
-    if sort_of_predicate(atom.predicate) is not None:
-        return True
-    test = env[atom.predicate]
-    args = tuple(_eval_fast(env, valuation, a) for a in atom.args)
-    return test(*args)  # type: ignore[operator]
+def _compile_check(
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
+) -> _Refuter:
+    """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
+
+    The result decides exact grid falsification: whether some valuation of
+    the variables over ``points`` makes every body atom true and the head
+    false.  Sort atoms hold by construction of the candidates, so they are
+    dropped, and a clause with a sort head is never refuted.
+    """
+    if head is not None and sort_of_predicate(head.predicate) is not None:
+        return _never_refuted
+    namespace: dict[str, object] = {"product": itertools.product}
+    exec(compile(_check_source(variables, body, head), "<finder check>", "exec"), namespace)
+    return namespace["refuted"]  # type: ignore[return-value]
 
 
-def _eval_fast(env: Mapping[str, object], valuation: Mapping[str, int], term: Term) -> int:
-    if isinstance(term, Var):
-        return valuation[term.name]
-    interp = env[term.symbol]
-    if not term.args:
-        return interp  # type: ignore[return-value]
-    args = tuple(_eval_fast(env, valuation, a) for a in term.args)
-    return interp(*args)  # type: ignore[operator]
+def _atom_vars(atom: Atom) -> set[str]:
+    return {v.name for arg in atom.args for v in term_vars(arg)}
+
+
+def _check_source(variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None) -> str:
+    """Source of ``refuted(env, points)`` for :func:`_compile_check`.
+
+    Symbol names appear only as string literals (``s0 = env['f']``); the
+    identifiers are generated: ``sK`` slot values, ``vK`` variables, ``tK``
+    subterms.  Each distinct subterm is computed once, and each atom is
+    tested, in the innermost loop binding its last variable; ground ones
+    before any loop.  Terms become temporaries, never nested calls, so depth
+    is not limited by the parser.
+    """
+    atoms = [a for a in body if sort_of_predicate(a.predicate) is None]
+    tested = [*atoms, *(() if head is None else (head,))]
+    occurring = {name for atom in tested for name in _atom_vars(atom)}
+    names = list(dict.fromkeys(v.name for v in variables))
+    loop_names = [name for name in names if name in occurring]
+    level = {name: min(i, _OWN_LOOPS) + 1 for i, name in enumerate(loop_names)}
+    local = {name: f"v{i}" for i, name in enumerate(loop_names)}
+    depth = min(len(loop_names), _OWN_LOOPS + 1)
+    lines: list[list[str]] = [[] for _ in range(depth + 1)]  # 0 is before any loop
+    slots: dict[str, str] = {}
+    temps: dict[str, tuple[str, int]] = {}  # call text -> (temporary, level)
+
+    def slot(symbol: str) -> str:
+        return slots.setdefault(symbol, f"s{len(slots)}")
+
+    def call(symbol: str, values: list[tuple[str, int]]) -> tuple[str, int]:
+        text = f"{slot(symbol)}({', '.join(name for name, _ in values)})"
+        return text, max((lvl for _, lvl in values), default=0)
+
+    def value(term: Term) -> tuple[str, int]:
+        """(expression, level) of a term, walked without recursion so depth is unbounded."""
+        done: list[tuple[str, int]] = []
+        todo: list[tuple[Term, bool]] = [(term, False)]
+        while todo:
+            t, expanded = todo.pop()
+            if isinstance(t, Var):
+                done.append((local[t.name], level[t.name]))
+            elif not t.args:
+                done.append((slot(t.symbol), 0))
+            elif not expanded:
+                todo.append((t, True))
+                todo.extend((a, False) for a in reversed(t.args))
+            else:
+                text, lvl = call(t.symbol, done[-len(t.args):])
+                del done[-len(t.args):]
+                if text not in temps:
+                    temps[text] = (f"t{len(temps)}", lvl)
+                    lines[lvl].append(f"{temps[text][0]} = {text}")
+                done.append(temps[text])
+        return done[0]
+
+    # Lower-level atoms first, so they prune before deeper subterms are computed.
+    for atom in sorted(atoms, key=lambda atom: max(map(level.get, _atom_vars(atom)), default=0)):
+        text, lvl = call(atom.predicate, [value(a) for a in atom.args])
+        lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
+    if head is None:
+        lines[depth].append("return True")
+    else:
+        text, _ = call(head.predicate, [value(a) for a in head.args])
+        lines[depth].append(f"if not {text}: return True")
+
+    source = ["def refuted(env, points):"]
+    source += [f"    {name} = env[{symbol!r}]" for symbol, name in slots.items()]
+    if len(loop_names) < len(names):
+        source.append("    if not points: return False")  # an unused variable has no value
+    source += [f"    {line}" for line in lines[0]]
+    for k in range(1, depth + 1):
+        bound = [local[name] for name in loop_names if level[name] == k]
+        if len(bound) == 1:
+            header = f"for {bound[0]} in points:"
+        else:
+            header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
+        source.append("    " * k + header)
+        source += ["    " * (k + 1) + line for line in lines[k]]
+    source.append("    return False")
+    return "\n".join(source) + "\n"
 
 
 # -- candidate completion -----------------------------------------------------------

@@ -10,6 +10,7 @@ i.e. for actual rewriting.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .checker import Certificate, VERIFIED, verify
@@ -78,17 +79,23 @@ def disprove(
     with_subterm: bool = False,
     with_root: bool = False,
 ) -> Disproof:
-    """Search for a verified countermodel of the query, finite first."""
+    """Search for a verified countermodel of the query, finite first.
+
+    Both backends share one deadline, ``budget.time_limit`` seconds from
+    the start of the call.
+    """
+    budget = budget or SearchBudget()
+    deadline = time.monotonic() + budget.time_limit
     theory = theory_for_query(ctrs, query, with_subterm=with_subterm, with_root=with_root)
     obligations = negate_to_obligations(query)
     reasons = []
     if backend in (FINITE, BOTH):
-        outcome = find_model(theory, obligations, budget)
+        outcome = find_model(theory, obligations, budget, deadline=deadline)
         if outcome.found:
             return Disproof(outcome.certificate, FINITE, ())
         reasons.append(f"finite: {outcome.reason}")
     if backend in (SYMBOLIC, BOTH):
-        outcome = find_symbolic_model(theory, obligations, budget)
+        outcome = find_symbolic_model(theory, obligations, budget, deadline=deadline)
         if outcome.found:
             return Disproof(outcome.certificate, SYMBOLIC, ())
         reasons.append(f"symbolic: {outcome.reason}")

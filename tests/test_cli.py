@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from countermodel.cli import main
+from countermodel import cli
+from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, main
 from paperdata import CORPUS
 
 
@@ -180,3 +184,37 @@ def test_disprove_pipeline_certificate_recheck(tmp_path, capsys):
 def test_sorted_flag_rejects_unsorted_input(capsys):
     code = main(["compile", corpus("intro.trs"), "--sorted"])
     assert code == 3
+
+
+def test_deeply_nested_query_never_exits_refuted(capsys):
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    code = main(["disprove", corpus("root_f.trs"), "--query", f"REACHABLE({deep}, a)"])
+    err = capsys.readouterr().err
+    assert code != EXIT_REFUTED
+    assert code in (EXIT_INPUT, EXIT_INTERNAL)
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_unexpected_exception_exits_internal(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_compile", crash)
+    code = main(["compile", corpus("intro.trs")])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    root = CORPUS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "countermodel", "compile", "corpus/intro.trs"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "[Rf]" in done.stdout

@@ -1,11 +1,30 @@
 from __future__ import annotations
 
+import ast
+import functools
+import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countermodel.checker import VERIFIED, verify
-from countermodel.finder import SearchBudget, find_model, find_symbolic_model
+from countermodel.finder import (
+    SearchBudget,
+    _affine_candidates,
+    _Candidate,
+    _check_source,
+    _compile_check,
+    _menu_predicates_finite,
+    _menu_predicates_symbolic,
+    _raw_predicates,
+    _raw_tables,
+    _template_tables,
+    find_model,
+    find_symbolic_model,
+)
+from countermodel.logic import Atom, sort_of_predicate
 from countermodel.pipeline import build_theory, theory_for_query
 from countermodel.queries import negate_to_obligations
 from countermodel.query_format import parse_query
@@ -142,3 +161,188 @@ def test_fuzzed_searches_never_return_unverified_structures(seed):
     )
     if symbolic.found:
         assert verify(theory, obligations, symbolic.structure).overall == VERIFIED
+
+
+# -- compiled checks against the tree-walking reference -------------------------------
+
+
+def _reference_refuted(env, points, variables, body, head):
+    """The evaluator the compiled checks replace: walk every term at every valuation."""
+    names = [v.name for v in variables]
+    for values in itertools.product(points, repeat=len(names)):
+        valuation = dict(zip(names, values))
+        if not all(_reference_atom(env, valuation, atom) for atom in body):
+            continue
+        if head is None or not _reference_atom(env, valuation, head):
+            return True
+    return False
+
+
+def _reference_atom(env, valuation, atom):
+    if sort_of_predicate(atom.predicate) is not None:
+        return True
+    return env[atom.predicate](*(_reference_term(env, valuation, a) for a in atom.args))
+
+
+def _reference_term(env, valuation, term):
+    if isinstance(term, Var):
+        return valuation[term.name]
+    if not term.args:
+        return env[term.symbol]
+    return env[term.symbol](*(_reference_term(env, valuation, a) for a in term.args))
+
+
+_ARITIES = {"a": 0, "b": 0, "f": 1, "g": 2}
+_VARS = (Var("x"), Var("y"), Var("z"))
+_BUDGET = SearchBudget()
+
+
+@functools.cache
+def _menus(kind, param):
+    """(points, predicate, constant and per-arity function candidates) of one finder menu."""
+    if kind == "symbolic":
+        points = tuple(range(param, param + 4))
+        consts = [_Candidate(v, v) for v in range(max(_BUDGET.coeff_min, param), _BUDGET.coeff_max + 1)]
+        preds = _menu_predicates_symbolic(_BUDGET)
+        funcs = {n: _affine_candidates(n, param, _BUDGET) for n in (1, 2)}
+    else:
+        points = tuple(range(param[0], param[1] + 1))
+        consts = [_Candidate(v, v) for v in points]
+        if kind == "template":
+            preds = _menu_predicates_finite(points, _BUDGET)
+            funcs = {n: _template_tables(n, points, _BUDGET) for n in (1, 2)}
+        else:
+            preds = _raw_predicates(points)
+            funcs = {n: _raw_tables(n, points) for n in (1, 2)}
+    return points, preds, consts, funcs
+
+
+_MENUS = [("template", c) for c in ((0, 1), (0, 2), (-1, 1))] + [
+    ("raw", (0, 1)),
+    *(("symbolic", lo) for lo in (0, -1, 1)),
+]
+
+
+@st.composite
+def _grid_envs(draw):
+    points, preds, consts, funcs = _menus(*draw(st.sampled_from(_MENUS)))
+    env = {p: draw(st.sampled_from(preds)).fast for p in ("->", "->*")}
+    for name, arity in _ARITIES.items():
+        env[name] = draw(st.sampled_from(funcs[arity] if arity else consts)).fast
+    return env, points
+
+
+_terms = st.recursive(
+    st.sampled_from((*_VARS, App("a"), App("b"))),
+    lambda inner: st.one_of(
+        st.builds(lambda t: App("f", (t,)), inner),
+        st.builds(lambda s, t: App("g", (s, t)), inner, inner),
+    ),
+    max_leaves=5,
+)
+_atoms = st.one_of(
+    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from(("->", "->*")), _terms, _terms),
+    st.builds(lambda t: Atom("S_s", (t,)), _terms),
+)
+
+
+@st.composite
+def _checks(draw):
+    """(variables, body, head): head None is an obligation; variables may include an unused one."""
+    body = tuple(draw(st.lists(_atoms, max_size=3)))
+    head = draw(st.one_of(st.none(), _atoms))
+    occurring = {v for atom in (*body, *([head] if head else [])) for v in atom.variables()}
+    extra = [Var("w")] if draw(st.booleans()) else []
+    variables = draw(st.permutations([v for v in _VARS if v in occurring] + extra))
+    return tuple(variables), body, head
+
+
+@settings(max_examples=400, deadline=None)
+@given(_checks(), _grid_envs())
+def test_compiled_check_matches_reference(check, grid):
+    variables, body, head = check
+    env, points = grid
+    assert _compile_check(variables, body, head)(env, points) == _reference_refuted(
+        env, points, variables, body, head
+    )
+
+
+def _generated_identifiers(source):
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    return names
+
+
+def test_symbol_names_enter_generated_source_only_as_literals():
+    x, y = Var("x"), Var("y")
+    body = (Atom("->", (App("f'", (x,)), App("a''"))),)
+    head = Atom("->*", (App("f'", (App("f'", (x,)),)), y))
+    source = _check_source((x, y), body, head)
+    identifiers = _generated_identifiers(source)
+    assert all(re.fullmatch(r"[stv]\d+|env|points|product|refuted", n) for n in identifiers)
+    literals = {
+        node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)
+    }
+    assert {"f'", "a''", "->", "->*"} <= literals
+    env = {"f'": lambda v: min(v + 1, 2), "a''": 1, "->": lambda s, t: s <= t, "->*": lambda s, t: s == t}
+    for points in ((0, 1, 2), (0,), ()):
+        assert _compile_check((x, y), body, head)(env, points) == _reference_refuted(
+            env, points, (x, y), body, head
+        )
+
+
+def test_25_variable_clause_compiles_and_evaluates():
+    xs = tuple(Var(f"x{i}") for i in range(25))
+    body = tuple(Atom("->", (xs[i], xs[i + 1])) for i in range(24))
+    head = Atom("->*", (xs[0], xs[-1]))
+    refuted = _compile_check(xs, body, head)
+    le = lambda s, t: s <= t  # noqa: E731
+    lt = lambda s, t: s < t  # noqa: E731
+    eq = lambda s, t: s == t  # noqa: E731
+    # a non-decreasing chain from 0 to 1 breaks x0 = x24
+    assert refuted({"->": le, "->*": eq}, (0, 1))
+    # every non-decreasing chain keeps x0 <= x24
+    assert not refuted({"->": le, "->*": le}, (0, 1))
+    # no strictly increasing chain of 24 steps over three points
+    assert not refuted({"->": lt, "->*": eq}, (0, 1, 2))
+    # obligation over the same chain; the reference is feasible on a single point
+    assert _compile_check(xs, body, None)({"->": le}, (0, 1))
+    env = {"->": le, "->*": lt}
+    assert _reference_refuted(env, (5,), xs, body, head)
+    assert refuted(env, (5,))
+
+
+def test_250_deep_term_compiles_and_evaluates():
+    x, y = Var("x"), Var("y")
+    deep = x
+    for _ in range(250):
+        deep = App("f", (deep,))
+    body = (Atom("->", (deep, y)),)
+    head = Atom("->*", (x, y))
+    for step in (lambda v: v, lambda v: min(v + 1, 3), lambda v: max(v - 1, 0)):
+        env = {"f": step, "->": lambda s, t: s == t, "->*": lambda s, t: s <= t}
+        for points in ((0, 1, 2, 3), (2,)):
+            assert _compile_check((x, y), body, head)(env, points) == _reference_refuted(
+                env, points, (x, y), body, head
+            )
+
+
+def test_ground_and_sort_headed_checks():
+    x = Var("x")
+    env = {"a": 0, "b": 1, "f": lambda v: 1 - v, "->": lambda s, t: s < t, "->*": lambda s, t: s <= t}
+    ground = ((), (Atom("->", (App("a"), App("b"))),), Atom("->*", (App("f", (App("a"),)), App("b"))))
+    unused = ((x,), *ground[1:])
+    sort_head = ((x,), (Atom("->", (x, App("b"))),), Atom("S_s", (App("f", (x,)),)))
+    false_ground = ((), (Atom("->", (App("b"), App("a"))),), Atom("->*", (App("b"), App("a"))))
+    refuted_ground = ((), (), Atom("->", (App("b"), App("a"))))
+    refuted_unused = ((x,), *refuted_ground[1:])  # no valuation at all over no points
+    checks = (ground, unused, sort_head, false_ground, refuted_ground, refuted_unused)
+    for variables, body, head in checks:
+        for points in ((0, 1), ()):
+            assert _compile_check(variables, body, head)(env, points) == _reference_refuted(
+                env, points, variables, body, head
+            )
+    assert _compile_check(*refuted_ground)(env, (0, 1))
+    assert not _compile_check(*sort_head)(env, (0, 1))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from countermodel.checker import VERIFIED
@@ -16,7 +18,7 @@ from countermodel.pipeline import (
 from countermodel.query_format import parse_query
 from countermodel.terms import ARROW, MANY_STEPS
 from countermodel.trs_format import parse_ctrs_document
-from paperdata import system
+from paperdata import query_text, system
 
 
 def test_query_mentioning_subterm_pulls_in_subterm_theory():
@@ -137,3 +139,16 @@ def test_check_structure_matches_direct_verify():
         ),
     )
     assert cert.overall == VERIFIED
+
+
+def test_disprove_backends_share_one_deadline():
+    # division-ccp has no countermodel within the default menus, so each
+    # backend runs until the clock stops it; together they get one limit.
+    document = system("division.trs")
+    query = parse_query(query_text("division_ccp.q"), document.ctrs.signature, document.var_sorts)
+    start = time.monotonic()
+    result = disprove(document.ctrs, query, SearchBudget(time_limit=1.0))
+    elapsed = time.monotonic() - start
+    assert not result.succeeded
+    assert any("time cap" in reason for reason in result.reasons)
+    assert elapsed < 2.0
