@@ -1,14 +1,18 @@
 """Decide whether a structure models a theory and satisfies all obligations.
 
-Finite structures are checked by exhaustive valuation enumeration in
-lexicographic order over the sorted carriers, so a failing clause comes
-with the first counterexample valuation.  Symbolic structures are checked
-through the linear engine: a clause holds when, for every combination of
-function guard cases and every inequality of the head predicate, the
-system "carrier bounds and body constraints and negated head inequality"
-is infeasible.  Rational-only witnesses that cannot be confirmed at an
-integer point yield the verdict "unknown" rather than "fails": the checker
-never overclaims in either direction.
+An obligation is a headless clause ``body => false`` (the negation of one
+disjunct of an existential positive query), so clauses and obligations go
+through one check, ``_check(structure, variables, body, head)`` with
+``head=None`` for an obligation.  Finite structures are checked by
+exhaustive valuation enumeration in lexicographic order over the sorted
+carriers, so a failing check comes with the first counterexample
+valuation.  Symbolic structures are checked through the linear engine: a
+check holds when, for every combination of function guard cases and every
+goal, the system "carrier bounds and body constraints and goal" is
+infeasible; a clause has one goal per negated inequality of its head
+predicate, an obligation the single empty goal.  Rational-only witnesses
+that cannot be confirmed at an integer point yield the verdict "unknown"
+rather than "fails": the checker never overclaims in either direction.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
 from .linear import ConstraintSystem, LinearConstraint, integer_tighten, solve
-from .logic import HornClause, Theory, format_clause
+from .logic import Atom, HornClause, Theory, format_clause
 from .queries import Obligation
 from .structures import (
     ClauseLowering,
@@ -108,7 +112,24 @@ def verify(
     )
 
 
-# -- finite backend -------------------------------------------------------------
+# -- one check for clauses and obligations (head=None) ------------------------------
+
+
+def check_clause(structure: Structure, clause: HornClause) -> Verdict:
+    return _check(structure, clause.variables, clause.body, clause.head)
+
+
+def check_obligation(structure: Structure, obligation: Obligation) -> Verdict:
+    return _check(structure, obligation.variables, obligation.atoms, None)
+
+
+def _refutes(
+    structure: Structure, valuation: Mapping[str, int], body: tuple[Atom, ...], head: Atom | None
+) -> bool:
+    """Whether the valuation makes every body atom true and the head (if any) false."""
+    return all(eval_atom(structure, valuation, a) for a in body) and (
+        head is None or not eval_atom(structure, valuation, head)
+    )
 
 
 def _valuations(
@@ -119,24 +140,14 @@ def _valuations(
         yield dict(zip((v.name for v in variables), values))
 
 
-def check_clause(structure: Structure, clause: HornClause) -> Verdict:
-    if isinstance(structure, FiniteStructure):
-        return _check_clause_finite(structure, clause)
-    return _check_clause_symbolic(structure, clause)
-
-
-def check_obligation(structure: Structure, obligation: Obligation) -> Verdict:
-    if isinstance(structure, FiniteStructure):
-        return _check_obligation_finite(structure, obligation)
-    return _check_obligation_symbolic(structure, obligation)
-
-
-def _check_clause_finite(structure: FiniteStructure, clause: HornClause) -> Verdict:
+def _check(
+    structure: Structure, variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
+) -> Verdict:
+    if not isinstance(structure, FiniteStructure):
+        return _check_symbolic(structure, variables, body, head)
     try:
-        for valuation in _valuations(structure, clause.variables):
-            if all(eval_atom(structure, valuation, a) for a in clause.body) and not eval_atom(
-                structure, valuation, clause.head
-            ):
+        for valuation in _valuations(structure, variables):
+            if _refutes(structure, valuation, body, head):
                 return Verdict(FAILS, witness=tuple(valuation.items()))
     except ModelError as exc:
         # A table can be silent on kind-level terms outside its rank domain.
@@ -144,32 +155,34 @@ def _check_clause_finite(structure: FiniteStructure, clause: HornClause) -> Verd
     return Verdict(HOLDS)
 
 
-def _check_obligation_finite(structure: FiniteStructure, obligation: Obligation) -> Verdict:
-    try:
-        for valuation in _valuations(structure, obligation.variables):
-            if all(eval_atom(structure, valuation, a) for a in obligation.atoms):
-                return Verdict(FAILS, witness=tuple(valuation.items()))
-    except ModelError as exc:
-        return Verdict(UNKNOWN, reason=str(exc))
-    return Verdict(HOLDS)
-
-
 # -- symbolic backend ------------------------------------------------------------
 
 
-def _check_clause_symbolic(structure: SymbolicStructure, clause: HornClause) -> Verdict:
-    lowering = ClauseLowering(structure, clause.variables)
-    body_constraints: list[LinearConstraint] = []
-    for atom in clause.body:
-        body_constraints.extend(lowering.atom_constraints(atom))
-    head_constraints = lowering.atom_constraints(clause.head)
-    if not head_constraints:
-        return Verdict(HOLDS)  # head is the trivially true relation
+def _check_symbolic(
+    structure: SymbolicStructure,
+    variables: tuple[Var, ...],
+    body: tuple[Atom, ...],
+    head: Atom | None,
+) -> Verdict:
+    """One system per guard-case choice and goal; the check holds when all are infeasible.
+
+    An obligation has one empty goal; a clause has one goal per negated head
+    inequality.  The body is lowered before the head, which fixes the names of
+    the intermediate variables and so the order of the systems.
+    """
+    lowering = ClauseLowering(structure, variables)
+    body_constraints = [c for atom in body for c in lowering.atom_constraints(atom)]
+    goals: list[list[LinearConstraint]] = [[]]
+    if head is not None:
+        head_constraints = lowering.atom_constraints(head)
+        if not head_constraints:
+            return Verdict(HOLDS)  # head is the trivially true relation
+        goals = [[negate_constraint(c)] for c in head_constraints]
     unknown: Verdict | None = None
     for choice in lowering.choices():
-        for negated in map(negate_constraint, head_constraints):
-            system = lowering.system(choice, body_constraints + [negated])
-            verdict = _refutation_verdict(structure, clause.variables, system, clause=clause)
+        for goal in goals:
+            system = lowering.system(choice, body_constraints + goal)
+            verdict = _refutation_verdict(structure, variables, system, body, head)
             if verdict is None:
                 continue
             if verdict.status == FAILS:
@@ -178,31 +191,12 @@ def _check_clause_symbolic(structure: SymbolicStructure, clause: HornClause) -> 
     return unknown or Verdict(HOLDS)
 
 
-def _check_obligation_symbolic(
-    structure: SymbolicStructure, obligation: Obligation
-) -> Verdict:
-    lowering = ClauseLowering(structure, obligation.variables)
-    constraints: list[LinearConstraint] = []
-    for atom in obligation.atoms:
-        constraints.extend(lowering.atom_constraints(atom))
-    unknown: Verdict | None = None
-    for choice in lowering.choices():
-        system = lowering.system(choice, constraints)
-        verdict = _refutation_verdict(structure, obligation.variables, system, obligation=obligation)
-        if verdict is None:
-            continue
-        if verdict.status == FAILS:
-            return verdict
-        unknown = unknown or verdict
-    return unknown or Verdict(HOLDS)
-
-
 def _refutation_verdict(
     structure: SymbolicStructure,
     variables: tuple[Var, ...],
     system: ConstraintSystem,
-    clause: HornClause | None = None,
-    obligation: Obligation | None = None,
+    body: tuple[Atom, ...],
+    head: Atom | None,
 ) -> Verdict | None:
     """None when the system is infeasible; otherwise a fails/unknown verdict.
 
@@ -216,7 +210,7 @@ def _refutation_verdict(
         return None
     if outcome.status == "unknown":
         return Verdict(UNKNOWN, reason=outcome.reason)
-    witness = _integer_witness(structure, variables, outcome.witness, clause, obligation)
+    witness = _integer_witness(structure, variables, outcome.witness, body, head)
     if witness is not None:
         return Verdict(FAILS, witness=tuple(sorted(witness.items())))
     return Verdict(UNKNOWN, reason="rational witness only; integer status undecided")
@@ -226,10 +220,9 @@ def _integer_witness(
     structure: SymbolicStructure,
     variables: tuple[Var, ...],
     rational: Mapping[str, Fraction],
-    clause: HornClause | None,
-    obligation: Obligation | None,
+    body: tuple[Atom, ...],
+    head: Atom | None,
 ) -> dict[str, int] | None:
-    candidates: list[tuple[int, ...]] = []
     pools = []
     for v in variables:
         value = rational.get(v.name, Fraction(0))
@@ -241,18 +234,10 @@ def _integer_witness(
             pool = [carrier.lo]
         pools.append(pool)
     for point in itertools.islice(itertools.product(*pools), 4096):
-        candidates.append(point)
-    for point in candidates:
         valuation = dict(zip((v.name for v in variables), point))
         try:
-            if clause is not None:
-                if all(
-                    eval_atom(structure, valuation, a) for a in clause.body
-                ) and not eval_atom(structure, valuation, clause.head):
-                    return valuation
-            elif obligation is not None:
-                if all(eval_atom(structure, valuation, a) for a in obligation.atoms):
-                    return valuation
+            if _refutes(structure, valuation, body, head):
+                return valuation
         except ModelError:
             continue  # e.g. a guard gap outside the declared carriers
     return None

@@ -6,7 +6,12 @@ congruence clause (C)(f,i) per function symbol and argument position in
 declaration order, and one rule clause (Rp)(i) per rewrite rule in rule
 order.  Rule conditions always compile to ``->*`` premises; joinability
 conditions are first desugared into two reachability premises sharing a
-fresh variable.
+fresh variable by :func:`oriented_conditions`, the one desugaring that the
+bounded saturation of the oracle uses too.
+
+The theory is only half of what a structure is checked against: the
+negated query contributes obligations, which are headless clauses
+``body => false`` and go through the same checks as the clauses here.
 
 The subterm theory and the root-step theory are generated separately and
 appended by callers that need them.  Sort relativization turns sorted
@@ -14,6 +19,9 @@ quantifiers into explicit membership atoms and adds the membership clauses
 induced by subsort pairs and function ranks.
 """
 from __future__ import annotations
+
+import itertools
+from typing import Iterable
 
 from .errors import EmptySortError
 from .logic import Atom, HornClause, Theory, sort_predicate
@@ -62,64 +70,57 @@ def congruence_clauses(sig: Signature) -> list[HornClause]:
     clauses = []
     for name, (arg_sorts, _result) in sig.functions.items():
         arity = len(arg_sorts)
-        if arity == 0:
-            continue
+        xs = _parameters(arg_sorts)
         for i in range(arity):
-            xs = tuple(Var(f"x{j + 1}" if arity > 1 else "x", arg_sorts[j]) for j in range(arity))
             yi = Var(f"y{i + 1}" if arity > 1 else "y", arg_sorts[i])
-            lhs_args: tuple[Term, ...] = xs
             rhs_args = tuple(yi if j == i else xs[j] for j in range(arity))
             clauses.append(
                 HornClause(
                     (*xs, yi),
                     (Atom(ARROW, (xs[i], yi)),),
-                    Atom(ARROW, (App(name, lhs_args), App(name, rhs_args))),
+                    Atom(ARROW, (App(name, xs), App(name, rhs_args))),
                     tag=f"C({name},{i + 1})",
                 )
             )
     return clauses
 
 
+def _parameters(arg_sorts: tuple[str, ...]) -> tuple[Var, ...]:
+    """Parameter variables of a function symbol: ``x`` if unary, else ``x1 .. xn``."""
+    arity = len(arg_sorts)
+    return tuple(Var(f"x{j + 1}" if arity > 1 else "x", s) for j, s in enumerate(arg_sorts))
+
+
 def rule_clause(sig: Signature, rule: ConditionalRule, head_predicate: str, tag: str) -> HornClause:
-    """The clause ``s1 ->* t1 /\\ ... /\\ sn ->* tn => lhs -> rhs`` for one rule.
-
-    Joinability conditions become two reachability premises with a fresh
-    shared variable; fresh variables are named w1, w2, ... deterministically,
-    skipping names already used by the rule.
-    """
-    taken = {v.name for v in rule.variables()}
-    fresh_index = 0
-
-    def fresh(sort: str) -> Var:
-        nonlocal fresh_index
-        while True:
-            fresh_index += 1
-            name = f"w{fresh_index}"
-            if name not in taken:
-                taken.add(name)
-                return Var(name, sort)
-
-    body: list[Atom] = []
-    for s, t in rule.conditions:
-        if rule.condition_semantics == JOIN:
-            sort = _common_sort(sig, s, t)
-            w = fresh(sort)
-            body.append(Atom(MANY_STEPS, (s, w)))
-            body.append(Atom(MANY_STEPS, (t, w)))
-        else:
-            body.append(Atom(MANY_STEPS, (s, t)))
+    """The clause ``s1 ->* t1 /\\ ... /\\ sn ->* tn => lhs -> rhs`` for one rule."""
+    body = tuple(Atom(MANY_STEPS, pair) for pair in oriented_conditions(sig, rule))
     head = Atom(head_predicate, (rule.lhs, rule.rhs))
-    variables: dict[Var, None] = {}
+    # Quantify in rule-reading order: lhs, rhs, then conditions.
+    ordered: dict[Var, None] = dict.fromkeys(rule.variables())
     for atom in (*body, head):
         for v in atom.variables():
-            variables.setdefault(v)
-    # Quantify in rule-reading order: lhs, rhs, then conditions.
-    ordered: dict[Var, None] = {}
-    for v in rule.variables():
-        ordered.setdefault(v)
-    for v in variables:
-        ordered.setdefault(v)
-    return HornClause(tuple(ordered), tuple(body), head, tag=tag)
+            ordered.setdefault(v)
+    return HornClause(tuple(ordered), body, head, tag=tag)
+
+
+def oriented_conditions(sig: Signature, rule: ConditionalRule) -> tuple[tuple[Term, Term], ...]:
+    """The rule's conditions as reachability pairs ``s ->* t``.
+
+    A joinability condition ``s == t`` becomes ``s ->* w`` and ``t ->* w``
+    with a fresh variable ``w`` at the least upper bound of both sides'
+    sorts (EmptySortError when there is no unique one); fresh variables are
+    named w1, w2, ... deterministically, skipping names already used by the
+    rule.
+    """
+    if rule.condition_semantics != JOIN:
+        return rule.conditions
+    taken = {v.name for v in rule.variables()}
+    fresh = (f"w{i}" for i in itertools.count(1) if f"w{i}" not in taken)
+    pairs: list[tuple[Term, Term]] = []
+    for s, t in rule.conditions:
+        w = Var(next(fresh), _common_sort(sig, s, t))
+        pairs += [(s, w), (t, w)]
+    return tuple(pairs)
 
 
 def _common_sort(sig: Signature, s: Term, t: Term) -> str:
@@ -141,33 +142,19 @@ def rewrite_closure_sorts(ctrs: CTRS) -> tuple[str, ...]:
     if sig.single_sorted:
         return sig.sorts
     if not ctrs.rules:
-        out: list[str] = []
-        for sort in sig.sorts:
-            for m in sig.maximal_sorts(sig.kind_of(sort)):
-                if m not in out:
-                    out.append(m)
-        return tuple(out)
-    components: list[frozenset[str]] = []
-    for rule in ctrs.rules:
-        comp = sig.kind_of(term_sort(sig, rule.lhs))
-        if comp not in components:
-            components.append(comp)
-    out = []
-    for comp in components:
-        for m in sig.maximal_sorts(comp):
-            if m not in out:
-                out.append(m)
-    return tuple(out)
+        return _maximal_sorts(sig, sig.sorts)
+    return _maximal_sorts(sig, (term_sort(sig, rule.lhs) for rule in ctrs.rules))
+
+
+def _maximal_sorts(sig: Signature, sorts: Iterable[str]) -> tuple[str, ...]:
+    """Maximal sorts of the components of ``sorts``, in first-seen order, without repeats."""
+    return tuple(dict.fromkeys(m for sort in sorts for m in sig.maximal_sorts(sig.kind_of(sort))))
 
 
 def subterm_theory(sig: Signature) -> tuple[HornClause, ...]:
     """Reflexivity, transitivity, and per-argument projections for ``|>``."""
     clauses: list[HornClause] = []
-    sorts: list[str] = []
-    for sort in sig.sorts:
-        for m in sig.maximal_sorts(sig.kind_of(sort)):
-            if m not in sorts:
-                sorts.append(m)
+    sorts = _maximal_sorts(sig, sig.sorts)
     for sort in sorts:
         x = Var("x", sort)
         clauses.append(HornClause((x,), (), Atom(SUBTERM, (x, x)), tag="Subterm"))
@@ -182,11 +169,8 @@ def subterm_theory(sig: Signature) -> tuple[HornClause, ...]:
             )
         )
     for name, (arg_sorts, _result) in sig.functions.items():
-        arity = len(arg_sorts)
-        if arity == 0:
-            continue
-        xs = tuple(Var(f"x{j + 1}" if arity > 1 else "x", arg_sorts[j]) for j in range(arity))
-        for i in range(arity):
+        xs = _parameters(arg_sorts)
+        for i in range(len(arg_sorts)):
             clauses.append(
                 HornClause(xs, (), Atom(SUBTERM, (App(name, xs), xs[i])), tag="Subterm")
             )
@@ -233,8 +217,7 @@ def relativize_sorts(theory: Theory) -> Theory:
             )
         )
     for name, (arg_sorts, result) in sig.functions.items():
-        arity = len(arg_sorts)
-        xs = tuple(Var(f"x{j + 1}" if arity > 1 else "x", arg_sorts[j]) for j in range(arity))
+        xs = _parameters(arg_sorts)
         body = tuple(Atom(sort_predicate(s), (x,)) for x, s in zip(xs, arg_sorts))
         clauses.append(
             HornClause(

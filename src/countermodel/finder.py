@@ -1,32 +1,38 @@
 """Search for structures satisfying a theory and all obligations.
 
-The finite finder enumerates interval carriers, interpreting constants as
-carrier elements, functions as carrier-clamped affine templates, and
-predicates from a template menu, with a raw-table fallback on tiny domains.
-The symbolic finder enumerates ray carriers with unclamped affine function
-templates (filtered for carrier closure) and the same predicate menu.
+Both backends run one driver, ``_find``, and differ only in the stages they
+yield.  A stage fixes the candidate menu of every slot, the grid the
+pruning checks run on, the structure class and the carrier every sort
+gets.  The finite finder's stages are interval carriers, interpreting
+constants as carrier elements, functions as carrier-clamped affine
+templates, and predicates from a template menu, with a raw-table stage
+after it on tiny domains.  The symbolic finder's stages are ray carriers
+with unclamped affine function templates (filtered for carrier closure)
+and the same predicate menu.  Each candidate carries its interpretation in
+the structure, so completing a candidate needs no backend branch.
 
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
 attached to the last slot interpreting one of its symbols and is used to
-prune partial assignments.  Each such check is compiled once per search
-into a Python function that evaluates it at every valuation over a grid
-of points (the whole finite carrier, or the first integers of a ray),
-calling the candidates' callables directly.  Every complete candidate is
-re-checked through the verifier, so no unverified structure is ever
-returned; obligations are evaluated before theory clauses since they are
-usually the cheapest refuters.
+prune partial assignments.  An obligation is a headless clause, so both
+are compiled by one function, once per search, into a Python function that
+evaluates the check at every valuation over the stage's grid (the whole
+finite carrier, or the first integers of a ray), calling the candidates'
+callables directly.  Every complete candidate is re-checked through the
+verifier, so no unverified structure is ever returned; obligations are
+evaluated before theory clauses since they are usually the cheapest
+refuters.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .checker import Certificate, VERIFIED, verify
 from .logic import Atom, Theory, sort_of_predicate
-from .queries import Obligation
+from .queries import Obligation, required_predicates
 from .structures import (
     AffineForm,
     FiniteStructure,
@@ -83,7 +89,6 @@ class _Candidate:
 
 @dataclass
 class _Slot:
-    kind: str  # "pred" | "const" | "func"
     name: str
     candidates: list[_Candidate]
 
@@ -121,36 +126,7 @@ def find_model(
     The search stops at ``deadline`` (a ``time.monotonic()`` value), by
     default ``budget.time_limit`` seconds from now.
     """
-    budget = budget or SearchBudget()
-    obligations = tuple(obligations)
-    sig = theory.signature
-    predicates = _needed_predicates(theory, obligations)
-    checks = _compile_checks(theory, obligations)
-    state = _State.start(budget, deadline)
-    try:
-        for lo, hi in budget.carriers:
-            carrier = tuple(range(lo, hi + 1))
-            stages = ["template"]
-            if len(carrier) <= budget.raw_table_max_size and all(
-                len(args) <= budget.raw_table_max_arity for args, _ in sig.functions.values()
-            ):
-                stages.append("raw")
-            for stage in stages:
-                slots = _finite_slots(sig, predicates, carrier, budget, stage)
-                found = _search(
-                    slots,
-                    checks,
-                    state,
-                    points=carrier,
-                    finish=lambda assignment: _finish_finite(
-                        sig, carrier, assignment, theory, obligations
-                    ),
-                )
-                if found is not None:
-                    return FindOutcome(found[0], found[1], None, state.nodes)
-    except _Stop as stop:
-        return FindOutcome(None, None, stop.reason, state.nodes)
-    return FindOutcome(None, None, "budget exhausted: search space", state.nodes)
+    return _find(theory, obligations, budget or SearchBudget(), deadline, _finite_stages)
 
 
 def find_symbolic_model(
@@ -161,24 +137,40 @@ def find_symbolic_model(
     deadline: float | None = None,
 ) -> FindOutcome:
     """Search ray carriers for a verified symbolic structure (``deadline`` as in find_model)."""
-    budget = budget or SearchBudget()
+    return _find(theory, obligations, budget or SearchBudget(), deadline, _symbolic_stages)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One search over fixed menus: every sort gets ``carrier``, pruning checks run on ``grid``."""
+
+    slots: list[_Slot]
+    grid: tuple[int, ...]
+    structure_class: type
+    carrier: object
+
+
+def _find(
+    theory: Theory,
+    obligations: Iterable[Obligation],
+    budget: SearchBudget,
+    deadline: float | None,
+    stages: Callable[[Signature, tuple[str, ...], SearchBudget], Iterator[_Stage]],
+) -> FindOutcome:
+    """Run the search over each stage in turn until one yields a verified structure."""
     obligations = tuple(obligations)
     sig = theory.signature
-    predicates = _needed_predicates(theory, obligations)
+    predicates = required_predicates(theory, obligations)
     checks = _compile_checks(theory, obligations)
     state = _State.start(budget, deadline)
     try:
-        for lo in budget.ray_carriers:
-            slots = _symbolic_slots(sig, predicates, lo, budget)
-            grid = tuple(range(lo, lo + 4))
+        for stage in stages(sig, predicates, budget):
             found = _search(
-                slots,
+                stage.slots,
                 checks,
                 state,
-                points=grid,
-                finish=lambda assignment: _finish_symbolic(
-                    sig, lo, assignment, theory, obligations
-                ),
+                points=stage.grid,
+                finish=lambda interps: _finish(stage, sig, interps, theory, obligations),
             )
             if found is not None:
                 return FindOutcome(found[0], found[1], None, state.nodes)
@@ -187,64 +179,68 @@ def find_symbolic_model(
     return FindOutcome(None, None, "budget exhausted: search space", state.nodes)
 
 
-def _needed_predicates(theory: Theory, obligations: tuple[Obligation, ...]) -> tuple[str, ...]:
-    used = {
-        atom.predicate
-        for clause in theory.clauses
-        for atom in (*clause.body, clause.head)
-    }
-    used.update(atom.predicate for ob in obligations for atom in ob.atoms)
-    return tuple(p for p in BUILTIN_PREDICATES if p in used)
+# -- stages and slot construction -------------------------------------------------
 
 
-# -- slot construction ----------------------------------------------------------
+def _finite_stages(
+    sig: Signature, predicates: tuple[str, ...], budget: SearchBudget
+) -> Iterator[_Stage]:
+    """Per interval carrier: the template menus, then raw tables on tiny carriers."""
+    for lo, hi in budget.carriers:
+        carrier = tuple(range(lo, hi + 1))
+        constants = [_Candidate({(): v}, v) for v in carrier]
+        slots = _slots(
+            sig,
+            predicates,
+            _menu_predicates_finite(carrier, budget),
+            constants,
+            lambda arity: _template_tables(arity, carrier, budget),
+        )
+        yield _Stage(slots, carrier, FiniteStructure, carrier)
+        if len(carrier) <= budget.raw_table_max_size and all(
+            len(args) <= budget.raw_table_max_arity for args, _ in sig.functions.values()
+        ):
+            slots = _slots(
+                sig,
+                predicates,
+                _raw_predicates(carrier),
+                constants,
+                lambda arity: _raw_tables(arity, carrier),
+            )
+            yield _Stage(slots, carrier, FiniteStructure, carrier)
 
 
-def _finite_slots(
+def _symbolic_stages(
+    sig: Signature, predicates: tuple[str, ...], budget: SearchBudget
+) -> Iterator[_Stage]:
+    """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
+    for lo in budget.ray_carriers:
+        constants = [
+            _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
+            for v in range(max(budget.coeff_min, lo), budget.coeff_max + 1)
+        ]
+        slots = _slots(
+            sig,
+            predicates,
+            _menu_predicates_symbolic(budget),
+            constants,
+            lambda arity: _affine_candidates(arity, lo, budget),
+        )
+        yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Ray(lo))
+
+
+def _slots(
     sig: Signature,
     predicates: tuple[str, ...],
-    carrier: tuple[int, ...],
-    budget: SearchBudget,
-    stage: str,
+    predicate_candidates: list[_Candidate],
+    constant_candidates: list[_Candidate],
+    function_candidates: Callable[[int], list[_Candidate]],
 ) -> list[_Slot]:
-    slots: list[_Slot] = []
-    if stage == "template":
-        pred_candidates = _menu_predicates_finite(carrier, budget)
-    else:
-        pred_candidates = _raw_predicates(carrier)
-    for name in predicates:
-        slots.append(_Slot("pred", name, pred_candidates))
-    const_candidates = [_Candidate(v, v) for v in carrier]
-    for name, (args, _result) in sig.functions.items():
-        if not args:
-            slots.append(_Slot("const", name, const_candidates))
-    for name, (args, _result) in sig.functions.items():
-        if args:
-            if stage == "template":
-                candidates = _template_tables(len(args), carrier, budget)
-            else:
-                candidates = _raw_tables(len(args), carrier)
-            slots.append(_Slot("func", name, candidates))
-    return slots
-
-
-def _symbolic_slots(
-    sig: Signature, predicates: tuple[str, ...], lo: int, budget: SearchBudget
-) -> list[_Slot]:
-    slots: list[_Slot] = []
-    pred_candidates = _menu_predicates_symbolic(budget)
-    for name in predicates:
-        slots.append(_Slot("pred", name, pred_candidates))
-    const_candidates = [
-        _Candidate(v, v)
-        for v in range(max(budget.coeff_min, lo), budget.coeff_max + 1)
-    ]
-    for name, (args, _result) in sig.functions.items():
-        if not args:
-            slots.append(_Slot("const", name, const_candidates))
-    for name, (args, _result) in sig.functions.items():
-        if args:
-            slots.append(_Slot("func", name, _affine_candidates(len(args), lo, budget)))
+    """Slots in search order: predicates, then constants, then functions."""
+    functions = sig.functions.items()
+    slots = [_Slot(name, predicate_candidates) for name in predicates]
+    slots += [_Slot(name, constant_candidates) for name, (args, _) in functions if not args]
+    slots += [_Slot(name, function_candidates(len(args))) for name, (args, _) in functions if args]
     return slots
 
 
@@ -578,52 +574,20 @@ def _check_source(variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom
 # -- candidate completion -----------------------------------------------------------
 
 
-def _finish_finite(
+def _finish(
+    stage: _Stage,
     sig: Signature,
-    carrier: tuple[int, ...],
     interps: Mapping[str, object],
     theory: Theory,
     obligations: tuple[Obligation, ...],
 ) -> tuple[Structure, Certificate] | None:
-    carriers = {sort: carrier for sort in sig.sorts}
-    functions: dict[str, Mapping[tuple[int, ...], int]] = {}
-    for name, (args, _result) in sig.functions.items():
-        if args:
-            functions[name] = interps[name]  # type: ignore[assignment]
-        else:
-            functions[name] = {(): interps[name]}  # type: ignore[dict-item]
-    predicates = {
-        name: interp
-        for name, interp in interps.items()
-        if name in BUILTIN_PREDICATES
-    }
-    structure = FiniteStructure(sig, carriers, functions, predicates)
-    certificate = verify(theory, obligations, structure)
-    if certificate.overall == VERIFIED:
-        return structure, certificate
-    return None
-
-
-def _finish_symbolic(
-    sig: Signature,
-    lo: int,
-    interps: Mapping[str, object],
-    theory: Theory,
-    obligations: tuple[Obligation, ...],
-) -> tuple[Structure, Certificate] | None:
-    carriers = {sort: Ray(lo) for sort in sig.sorts}
-    functions: dict[str, PiecewiseFunction] = {}
-    for name, (args, _result) in sig.functions.items():
-        if args:
-            functions[name] = interps[name]  # type: ignore[assignment]
-        else:
-            functions[name] = PiecewiseFunction.affine((), AffineForm.const(interps[name]))  # type: ignore[arg-type]
-    predicates = {
-        name: interp
-        for name, interp in interps.items()
-        if name in BUILTIN_PREDICATES
-    }
-    structure = SymbolicStructure(sig, carriers, functions, predicates)
+    """The complete candidate as a structure, if the verifier accepts it."""
+    structure = stage.structure_class(
+        sig,
+        {sort: stage.carrier for sort in sig.sorts},
+        {name: interps[name] for name in sig.functions},
+        {name: interp for name, interp in interps.items() if name in BUILTIN_PREDICATES},
+    )
     certificate = verify(theory, obligations, structure)
     if certificate.overall == VERIFIED:
         return structure, certificate

@@ -5,6 +5,12 @@ from dataclasses import dataclass
 
 from .errors import ParseError, SourceSpan
 
+# Deepest parenthesis nesting the parsers accept.  The parsers and the term
+# walkers downstream (printing, evaluation, lowering) recurse once or a few
+# times per level, so the cap keeps every input well inside Python's
+# recursion limit: deeper input is an input error, never a crash.
+MAX_NESTING = 256
+
 # Longest match first.
 _OPERATORS = (
     "->*",
@@ -52,6 +58,7 @@ class Token:
 def tokenize(text: str, file: str | None = None) -> list[Token]:
     tokens: list[Token] = []
     line, column = 1, 1
+    nesting = 0
     i = 0
     n = len(text)
     while i < n:
@@ -87,6 +94,12 @@ def tokenize(text: str, file: str | None = None) -> list[Token]:
             continue
         for op in _OPERATORS:
             if text.startswith(op, i):
+                nesting += (op == "(") - (op == ")")
+                if nesting > MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nested deeper than {MAX_NESTING} levels",
+                        SourceSpan(file, line, column, line, column + 1),
+                    )
                 tokens.append(Token(op, op, line, column))
                 column += len(op)
                 i += len(op)

@@ -52,6 +52,12 @@ SYMBOLIC = "symbolic"
 
 DEFAULT_REQUIRED_PREDICATES = (ARROW, MANY_STEPS)
 
+# Most values a finite structure's carriers may hold, per sort and together.
+# A finite structure tabulates every function over its carriers and every
+# binary predicate over the universe squared, so 1,000 values keep a binary
+# extension at or below 10**6 pairs; larger carriers need the symbolic backend.
+MAX_FINITE_CARRIER = 1000
+
 
 # -- document form -------------------------------------------------------------
 
@@ -476,11 +482,22 @@ def _assemble_finite(
             raise ParseError(
                 f"sort '{sort}' has an infinite carrier; use the symbolic backend"
             )
+        size = domain.hi - domain.lo + 1 if domain.kind == "interval" else len(domain.values)
+        if size > MAX_FINITE_CARRIER:
+            raise ParseError(
+                f"sort '{sort}' has {size} carrier values, more than the finite backend's "
+                f"{MAX_FINITE_CARRIER}; use --backend symbolic"
+            )
         if domain.kind == "interval":
             carriers[sort] = tuple(range(domain.lo, domain.hi + 1))
         else:
             carriers[sort] = domain.values
     universe = sorted({v for vs in carriers.values() for v in vs})
+    if len(universe) > MAX_FINITE_CARRIER:
+        raise ParseError(
+            f"the carriers of sorts {', '.join(carriers)} hold {len(universe)} values together, "
+            f"more than the finite backend's {MAX_FINITE_CARRIER}; use --backend symbolic"
+        )
     functions: dict[str, dict[tuple[int, ...], int]] = {}
     for name, fun in funs.items():
         arg_sorts, result = sig.functions[name]

@@ -15,12 +15,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .logic import Atom
-from .oracle_util import substitution_candidates
+from .compiler import oriented_conditions
+from .logic import Atom, format_term
 from .terms import (
     ARROW,
     CTRS,
-    JOIN,
     MANY_STEPS,
     ROOT_STEP,
     SUBTERM,
@@ -83,13 +82,14 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
         for s in subterms(t):
             add(Atom(SUBTERM, (t, s)), 1)
 
-    rules = _desugared_rules(sig, ctrs.rules)
+    # Joinability conditions read as reachability into a fresh shared variable.
+    rules = [ConditionalRule(r.lhs, r.rhs, oriented_conditions(sig, r)) for r in ctrs.rules]
     changed = True
     while changed:
         changed = False
         # (Rp): rule instances whose instantiated conditions are derived.
         for rule in rules:
-            for subst in substitution_candidates(sig, rule, terms, size_bound):
+            for subst in _substitution_candidates(sig, rule, terms, size_bound):
                 condition_depths = []
                 feasible = True
                 for s, t in rule.conditions:
@@ -139,31 +139,67 @@ def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool
     return atom in saturate(ctrs, size_bound, depth_bound)
 
 
-def _desugared_rules(
-    sig: Signature, rules: tuple[ConditionalRule, ...]
-) -> tuple[ConditionalRule, ...]:
-    """Joinability conditions replaced by reachability into a fresh variable."""
-    out = []
-    for rule in rules:
-        if rule.condition_semantics != JOIN or not rule.conditions:
-            out.append(rule)
-            continue
-        taken = {v.name for v in rule.variables()}
-        conditions: list[tuple[Term, Term]] = []
-        counter = 0
-        for s, t in rule.conditions:
-            while True:
-                counter += 1
-                name = f"w{counter}"
-                if name not in taken:
-                    taken.add(name)
-                    break
-            sort = sig.lub(term_sort(sig, s), term_sort(sig, t)) or term_sort(sig, s)
-            w = Var(name, sort)
-            conditions.append((s, w))
-            conditions.append((t, w))
-        out.append(ConditionalRule(rule.lhs, rule.rhs, tuple(conditions)))
-    return tuple(out)
+def _substitution_candidates(
+    sig: Signature, rule: ConditionalRule, terms: set[Term], size_bound: int
+) -> Iterator[dict[Var, Term]]:
+    """Ground substitutions under which every term of the rule fits the bound.
+
+    Variables are assigned depth-first; a partial assignment is abandoned as
+    soon as some instantiated template cannot stay within the size bound
+    even with every remaining variable mapped to a size-1 term.
+    """
+    variables = rule.variables()
+    templates = rule.terms()
+    occurrences: list[dict[Var, int]] = []
+    bases: list[int] = []
+    for template in templates:
+        counts: dict[Var, int] = {}
+        _count(template, counts)
+        occurrences.append(counts)
+        bases.append(term_size(template))
+    pools: dict[Var, list[Term]] = {}
+    for v in variables:
+        pool = [t for t in terms if sig.le(term_sort(sig, t), v.sort)]
+        pool.sort(key=lambda t: (term_size(t), format_term(t)))
+        pools[v] = pool
+    if any(not pools[v] for v in variables):
+        return
+
+    extra = [0] * len(templates)  # accumulated size beyond the template's base
+
+    def feasible() -> bool:
+        return all(b + e <= size_bound for b, e in zip(bases, extra))
+
+    assignment: dict[Var, Term] = {}
+
+    def assign(index: int) -> Iterator[dict[Var, Term]]:
+        if index == len(variables):
+            yield dict(assignment)
+            return
+        v = variables[index]
+        for candidate in pools[v]:
+            growth = term_size(candidate) - 1
+            for i, counts in enumerate(occurrences):
+                extra[i] += counts.get(v, 0) * growth
+            ok = feasible()
+            if ok:
+                assignment[v] = candidate
+                yield from assign(index + 1)
+                del assignment[v]
+            for i, counts in enumerate(occurrences):
+                extra[i] -= counts.get(v, 0) * growth
+            if not ok:
+                # pool is sorted by size, so every later candidate also overflows
+                break
+    yield from assign(0)
+
+
+def _count(term: Term, counts: dict[Var, int]) -> None:
+    if isinstance(term, Var):
+        counts[term] = counts.get(term, 0) + 1
+    else:
+        for a in term.args:
+            _count(a, counts)
 
 
 def _one_hole_contexts(

@@ -18,9 +18,9 @@ from .compiler import compile_ctrs, relativize_sorts, root_theory, subterm_theor
 from .finder import SearchBudget, find_model, find_symbolic_model
 from .logic import Theory
 from .oracle import AtomSet, saturate
-from .queries import Obligation, Query, negate_to_obligations
+from .queries import Query, negate_to_obligations, required_predicates  # noqa: F401 (re-exported)
 from .structures import Structure, eval_atom
-from .terms import BUILTIN_PREDICATES, CTRS, ROOT_STEP, SUBTERM
+from .terms import CTRS, ROOT_STEP, SUBTERM
 
 FINITE = "finite"
 SYMBOLIC = "symbolic"
@@ -51,12 +51,6 @@ def theory_for_query(
         with_subterm=with_subterm or SUBTERM in predicates,
         with_root=with_root or ROOT_STEP in predicates,
     )
-
-
-def required_predicates(theory: Theory, obligations: tuple[Obligation, ...]) -> tuple[str, ...]:
-    used = set(theory.predicates())
-    used.update(a.predicate for ob in obligations for a in ob.atoms)
-    return tuple(p for p in BUILTIN_PREDICATES if p in used)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import QueryError
-from .logic import Atom
+from .logic import Atom, Theory
 from .terms import (
     ARROW,
+    BUILTIN_PREDICATES,
     MANY_STEPS,
     SUBTERM,
     Signature,
@@ -90,6 +91,13 @@ def negate_to_obligations(query: Query) -> tuple[Obligation, ...]:
         variables = tuple(v for v in query.variables if v in occurring)
         obligations.append(Obligation(variables, disjunct))
     return tuple(obligations)
+
+
+def required_predicates(theory: Theory, obligations: tuple[Obligation, ...]) -> tuple[str, ...]:
+    """The rewriting predicates a structure must interpret, in canonical order."""
+    used = set(theory.predicates())
+    used.update(a.predicate for ob in obligations for a in ob.atoms)
+    return tuple(p for p in BUILTIN_PREDICATES if p in used)
 
 
 def template(sig: Signature, kind: str, *args) -> Query:

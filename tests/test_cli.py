@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from countermodel import cli
 from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, main
+from countermodel.lexer import MAX_NESTING
 from paperdata import CORPUS
 
 
@@ -193,6 +195,64 @@ def test_deeply_nested_query_never_exits_refuted(capsys):
     assert code != EXIT_REFUTED
     assert code in (EXIT_INPUT, EXIT_INTERNAL)
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _nested(depth: int, inner: str = "a") -> str:
+    return "f(" * depth + inner + ")" * depth
+
+
+def test_deeply_nested_query_exits_input_error(capsys):
+    code = main(["disprove", corpus("root_f.trs"), "--query", f"REACHABLE({_nested(3000)}, a)"])
+    assert code == EXIT_INPUT
+    assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
+
+
+def _nested_rule_system(tmp_path, depth: int) -> str:
+    # "(RULES" opens one level, so the rule's left side adds depth - 1 more.
+    path = tmp_path / "deep.trs"
+    path.write_text(f"(VAR x) (RULES a -> a  {_nested(depth - 1, 'x')} -> x)")
+    return str(path)
+
+
+def _nested_query_runs(depth: int) -> dict[str, list[str]]:
+    query = ["--query", f"{_nested(depth)} ->* a", "--output", os.devnull]
+    model = ["--model", corpus("models/root_irred.model")]
+    return {
+        "check": ["check", corpus("root_f.trs"), *model, *query],
+        "disprove": ["disprove", corpus("root_f.trs"), *query],
+    }
+
+
+def test_nesting_one_past_the_cap_is_an_input_error(tmp_path, capsys):
+    assert main(["compile", _nested_rule_system(tmp_path, MAX_NESTING + 1)]) == EXIT_INPUT
+    for command, argv in _nested_query_runs(MAX_NESTING + 1).items():
+        assert main(argv) == EXIT_INPUT, command
+    assert capsys.readouterr().err.count(f"nested deeper than {MAX_NESTING}") == 3
+
+
+def test_nesting_at_the_cap_never_exits_internal(tmp_path, capsys):
+    assert main(["compile", _nested_rule_system(tmp_path, MAX_NESTING)]) == 0
+    for command, argv in _nested_query_runs(MAX_NESTING).items():
+        assert main(argv) not in (EXIT_INPUT, EXIT_INTERNAL), command
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_huge_finite_carrier_exits_input_error(tmp_path, capsys):
+    model = tmp_path / "huge.model"
+    model.write_text(
+        (CORPUS / "models" / "intro_restricted.model")
+        .read_text()
+        .replace("(DOMAIN {1, 2})", "(DOMAIN [0, 1000000000])")
+    )
+    argv = ["check", corpus("intro.trs"), "--query", "a -> b", "--model", str(model)]
+    started = time.monotonic()
+    assert main(argv) == EXIT_INPUT
+    assert time.monotonic() - started < 1.0
+    assert "--backend symbolic" in capsys.readouterr().err
+    assert main([*argv, "--backend", "symbolic", "--output", os.devnull]) not in (
+        EXIT_INPUT,
+        EXIT_INTERNAL,
+    )
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from countermodel.errors import CountermodelError, ParseError
-from countermodel.model_format import parse_model, serialize_model
+from countermodel.model_format import MAX_FINITE_CARRIER, parse_model, serialize_model
 from countermodel.structures import FiniteStructure, Interval, Ray, SymbolicStructure
 from paperdata import PAPER_CHECKS, model_text, paper_instance, system
 
@@ -123,6 +123,31 @@ def test_ray_carrier_rejected_for_finite():
     loop_sig = system("loop_cb.trs").ctrs.signature
     with pytest.raises(ParseError):
         parse_model(model_text("loop_noncycl.model"), loop_sig, "finite")
+
+
+def test_finite_carrier_past_the_cap_rejected_before_tabulation():
+    root_sig = system("root_f.trs").ctrs.signature
+    required = ("->", "->*", "->^")
+    for hi in (MAX_FINITE_CARRIER, 10**9):
+        text = model_text("root_irred.model").replace("[-1, 1]", f"[0, {hi}]")
+        with pytest.raises(ParseError) as info:
+            parse_model(text, root_sig, "finite", required)
+        assert "sort 'term'" in str(info.value) and "--backend symbolic" in str(info.value)
+        assert parse_model(text, root_sig, "symbolic", required).carrier("term") == Interval(0, hi)
+
+
+def test_finite_carriers_past_the_cap_together_rejected():
+    web = system("website.trs").ctrs.signature
+    text = (
+        model_text("website.model")
+        .replace("(DOMAIN User >= -1)", "(DOMAIN User [-1, 600])")
+        .replace("(DOMAIN WebPage [-1, -1])", "(DOMAIN WebPage [601, 1000])")
+    )
+    with pytest.raises(ParseError) as info:
+        parse_model(text, web, "finite")
+    assert f"1002 values together, more than the finite backend's {MAX_FINITE_CARRIER}" in str(
+        info.value
+    )
 
 
 @pytest.mark.parametrize("check", PAPER_CHECKS, ids=lambda c: c.name)

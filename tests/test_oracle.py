@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from countermodel.cli import EXIT_INPUT, main
+from countermodel.compiler import compile_ctrs
+from countermodel.errors import EmptySortError
 from countermodel.logic import Atom
 from countermodel.oracle import derivable, saturate
 from countermodel.structures import eval_atom
@@ -15,6 +18,7 @@ from countermodel.terms import (
     App,
     Signature,
 )
+from countermodel.trs_format import parse_ctrs
 from paperdata import paper_certificate, system
 
 A, B, C = App("a"), App("b"), App("c")
@@ -120,6 +124,26 @@ def test_join_conditions_need_a_common_reduct():
     d, e = App("d"), App("e")
     assert derivable(join, Atom(ARROW, (d, e)), 1, 6)
     assert not derivable(oriented, Atom(ARROW, (d, e)), 1, 6)
+
+
+NO_LUB_JOIN = """
+(SORTS A B)
+(SIG a : -> A  b : -> B  d : -> A  e : -> A)
+(CONDITIONTYPE JOIN)
+(RULES d -> e | a == b)
+"""
+
+
+def test_join_condition_without_lub_is_rejected_as_by_the_compiler(tmp_path, capsys):
+    ctrs = parse_ctrs(NO_LUB_JOIN)
+    with pytest.raises(EmptySortError, match="unrelated sorts 'A' and 'B'"):
+        compile_ctrs(ctrs)
+    with pytest.raises(EmptySortError, match="unrelated sorts 'A' and 'B'"):
+        saturate(ctrs, 1, 3)
+    path = tmp_path / "no_lub.trs"
+    path.write_text(NO_LUB_JOIN)
+    assert main(["derive", str(path), "--size", "1", "--depth", "3"]) == EXIT_INPUT
+    assert "unrelated sorts" in capsys.readouterr().err
 
 
 def test_depth_accounts_for_condition_subproofs():
