@@ -126,7 +126,7 @@ def find_model(
     The search stops at ``deadline`` (a ``time.monotonic()`` value), by
     default ``budget.time_limit`` seconds from now.
     """
-    return _find(theory, obligations, budget or SearchBudget(), deadline, _finite_stages)
+    return _find(theory, obligations, budget, deadline, _finite_stages)
 
 
 def find_symbolic_model(
@@ -137,7 +137,7 @@ def find_symbolic_model(
     deadline: float | None = None,
 ) -> FindOutcome:
     """Search ray carriers for a verified symbolic structure (``deadline`` as in find_model)."""
-    return _find(theory, obligations, budget or SearchBudget(), deadline, _symbolic_stages)
+    return _find(theory, obligations, budget, deadline, _symbolic_stages)
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,12 @@ class _Stage:
 def _find(
     theory: Theory,
     obligations: Iterable[Obligation],
-    budget: SearchBudget,
+    budget: SearchBudget | None,
     deadline: float | None,
     stages: Callable[[Signature, tuple[str, ...], SearchBudget], Iterator[_Stage]],
 ) -> FindOutcome:
     """Run the search over each stage in turn until one yields a verified structure."""
+    budget = budget or SearchBudget()
     obligations = tuple(obligations)
     sig = theory.signature
     predicates = required_predicates(theory, obligations)
