@@ -8,27 +8,33 @@ result an under-approximation of the actual rewrite relations: anything
 derived here genuinely holds, while absence proves nothing.  That is the
 right direction for cross-checking disproofs, where a derived atom would
 contradict a claimed countermodel.
+
+Evaluation is semi-naive and stratified by depth (Bancilhon 1986;
+Abiteboul, Hull and Vianu, *Foundations of Databases*, ch. 13): round ``k``
+joins only premises of depth at most ``k - 1``, at least one of them of
+depth exactly ``k - 1``, so it derives exactly the atoms of minimal depth
+``k``.  An atom's first depth is final, no round revisits an old atom, and
+there are at most ``depth_bound`` rounds.
 """
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .compiler import oriented_conditions
-from .logic import Atom, format_term
+from .logic import Atom
 from .terms import (
     ARROW,
     CTRS,
     MANY_STEPS,
     ROOT_STEP,
     SUBTERM,
-    App,
     ConditionalRule,
     Signature,
     Term,
     Var,
-    apply_substitution,
     ground_terms,
     subterms,
     term_size,
@@ -38,7 +44,11 @@ from .terms import (
 
 @dataclass(frozen=True)
 class AtomSet:
-    """Derived ground atoms with the minimal derivation depth of each."""
+    """Derived ground atoms with the minimal derivation depth of each.
+
+    Holds every atom whose terms fit ``size_bound`` and whose minimal
+    derivation depth is at most ``depth_bound``.
+    """
 
     atoms: Mapping[Atom, int]
     size_bound: int
@@ -58,81 +68,104 @@ class AtomSet:
 
 
 def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
-    """Fixpoint of the conditional-rewriting inference rules within bounds."""
+    """Atoms of the conditional-rewriting inference rules within bounds."""
     if size_bound < 1 or depth_bound < 1:
         raise ValueError("size and depth bounds must be >= 1")
     sig = ctrs.signature
-    terms: set[Term] = set()
+    found: set[Term] = set()
     for sort in sig.sorts:
-        terms.update(ground_terms(sig, sort, size_bound))
-    atoms: dict[Atom, int] = {}
+        found.update(ground_terms(sig, sort, size_bound))
+    # Ground terms are numbered once, in order of size; an atom is a pair of
+    # numbers until the end.
+    terms = sorted(found, key=term_size)
+    ids = {t: i for i, t in enumerate(terms)}
+    sizes = [term_size(t) for t in terms]
+    sorts = [term_sort(sig, t) for t in terms]
+    apps = {(t.symbol, tuple(ids[a] for a in t.args)): i for t, i in ids.items()}
+    fits = {sort: [i for i, s in enumerate(sorts) if sig.le(s, sort)] for sort in sig.sorts}
 
-    def add(atom: Atom, depth: int) -> bool:
-        if depth > depth_bound:
-            return False
-        best = atoms.get(atom)
-        if best is None or depth < best:
-            atoms[atom] = depth
-            return True
-        return False
+    steps: dict[tuple[int, int], int] = {}  # ->
+    root_steps: dict[tuple[int, int], int] = {}  # ->^
+    many: dict[tuple[int, int], int] = {}  # ->*
+    steps_to: dict[int, list[int]] = defaultdict(list)  # target -> sources of ->
+    many_from: dict[int, list[int]] = defaultdict(list)  # source -> targets of ->*
 
-    # Reflexivity of ->* and the subterm relation are depth-1 facts.
-    for t in terms:
-        add(Atom(MANY_STEPS, (t, t)), 1)
-        for s in subterms(t):
-            add(Atom(SUBTERM, (t, s)), 1)
+    # (Rp): each rule instance is built once and fires in the round after its
+    # last missing ->* condition is derived; unconditional ones fire at depth 1.
+    heads: list[tuple[int, int]] = []
+    missing: list[int] = []
+    waiting: dict[tuple[int, int], list[int]] = defaultdict(list)
+    fired: set[tuple[int, int]] = set()
+    for rule in ctrs.rules:
+        # Joinability conditions read as reachability into a fresh shared variable.
+        rule = ConditionalRule(rule.lhs, rule.rhs, oriented_conditions(sig, rule))
+        for assignment in _substitution_candidates(rule, fits, sizes, size_bound):
+            head = (_instance(rule.lhs, assignment, apps), _instance(rule.rhs, assignment, apps))
+            conditions = {
+                (_instance(s, assignment, apps), _instance(t, assignment, apps))
+                for s, t in rule.conditions
+            }
+            if not conditions:
+                fired.add(head)
+                continue
+            for condition in conditions:
+                waiting[condition].append(len(heads))
+            heads.append(head)
+            missing.append(len(conditions))
 
-    # Joinability conditions read as reachability into a fresh shared variable.
-    rules = [ConditionalRule(r.lhs, r.rhs, oriented_conditions(sig, r)) for r in ctrs.rules]
-    changed = True
-    while changed:
-        changed = False
-        # (Rp): rule instances whose instantiated conditions are derived.
-        for rule in rules:
-            for subst in _substitution_candidates(sig, rule, terms, size_bound):
-                condition_depths = []
-                feasible = True
-                for s, t in rule.conditions:
-                    atom = Atom(
-                        MANY_STEPS,
-                        (apply_substitution(subst, s), apply_substitution(subst, t)),
-                    )
-                    depth = atoms.get(atom)
-                    if depth is None:
-                        feasible = False
-                        break
-                    condition_depths.append(depth)
-                if not feasible:
-                    continue
-                depth = 1 + max(condition_depths, default=0)
-                lhs = apply_substitution(subst, rule.lhs)
-                rhs = apply_substitution(subst, rule.rhs)
-                changed |= add(Atom(ARROW, (lhs, rhs)), depth)
-                changed |= add(Atom(ROOT_STEP, (lhs, rhs)), depth)
+    # Depth 1: unconditional rule instances and reflexivity of ->*.
+    new_steps, new_roots, new_many = fired, fired, {(i, i) for i in range(len(terms))}
+    frames: dict[tuple[str, str, int], list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
+    depth = 1
+    while True:
+        for pair in new_steps:
+            steps[pair] = depth
+            steps_to[pair[1]].append(pair[0])
+        for pair in new_roots:
+            root_steps[pair] = depth
+        for pair in new_many:
+            many[pair] = depth
+            many_from[pair[0]].append(pair[1])
+        if depth == depth_bound or not (new_steps or new_many):
+            break
+        depth += 1
+        delta_steps, delta_many = new_steps, new_many
+        new_steps, new_roots, new_many = set(), set(), set()
+        # (Rp)
+        for condition in delta_many:
+            for index in waiting.pop(condition, ()):
+                missing[index] -= 1
+                if not missing[index]:
+                    head = heads[index]
+                    if head not in steps:
+                        new_steps.add(head)
+                    if head not in root_steps:
+                        new_roots.add(head)
         # (C): one-step rewriting closed under contexts one argument at a time;
         # both the redex side and the contractum side must fit the size bound.
-        for atom, depth in list(atoms.items()):
-            if atom.predicate != ARROW:
-                continue
-            s, t = atom.args
-            for context, hole in _one_hole_contexts(sig, terms, s, size_bound):
-                name, index = hole
-                if not sig.le(term_sort(sig, t), sig.functions[name][0][index]):
-                    continue
-                plugged = _plug(hole, context, s, t)
-                if term_size(plugged) > size_bound:
-                    continue
-                changed |= add(Atom(ARROW, (context, plugged)), depth + 1)
+        for s, t in delta_steps:
+            key = (sorts[s], sorts[t], size_bound - 1 - max(sizes[s], sizes[t]))
+            if key not in frames:
+                frames[key] = list(_frames(sig, fits, sizes, *key))
+            for symbol, before, after in frames[key]:
+                pair = (apps[symbol, before + (s,) + after], apps[symbol, before + (t,) + after])
+                if pair not in steps:
+                    new_steps.add(pair)
         # (T): s ->* u from s -> t and t ->* u.
-        steps = [(a.args, d) for a, d in atoms.items() if a.predicate == ARROW]
-        many = [(a.args, d) for a, d in atoms.items() if a.predicate == MANY_STEPS]
-        by_source: dict[Term, list[tuple[Term, int]]] = {}
-        for (t, u), d in many:
-            by_source.setdefault(t, []).append((u, d))
-        for (s, t), d1 in steps:
-            for u, d2 in by_source.get(t, ()):
-                changed |= add(Atom(MANY_STEPS, (s, u)), 1 + max(d1, d2))
-    return AtomSet(dict(atoms), size_bound, depth_bound)
+        for s, t in delta_steps:
+            for u in many_from[t]:
+                if (s, u) not in many:
+                    new_many.add((s, u))
+        for t, u in delta_many:
+            for s in steps_to[t]:
+                if (s, u) not in many:
+                    new_many.add((s, u))
+
+    # The subterm relation is a depth-1 fact, and no rule has it as a premise.
+    atoms = {Atom(SUBTERM, (t, s)): 1 for t in terms for s in subterms(t)}
+    for predicate, table in ((ARROW, steps), (ROOT_STEP, root_steps), (MANY_STEPS, many)):
+        atoms.update((Atom(predicate, (terms[i], terms[j])), d) for (i, j), d in table.items())
+    return AtomSet(atoms, size_bound, depth_bound)
 
 
 def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool:
@@ -140,13 +173,15 @@ def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool
 
 
 def _substitution_candidates(
-    sig: Signature, rule: ConditionalRule, terms: set[Term], size_bound: int
-) -> Iterator[dict[Var, Term]]:
+    rule: ConditionalRule, fits: Mapping[str, list[int]], sizes: list[int], size_bound: int
+) -> Iterator[dict[Var, int]]:
     """Ground substitutions under which every term of the rule fits the bound.
 
-    Variables are assigned depth-first; a partial assignment is abandoned as
-    soon as some instantiated template cannot stay within the size bound
-    even with every remaining variable mapped to a size-1 term.
+    Variables are mapped to numbered ground terms, ``fits[sort]`` listing
+    those of each sort in order of size.  They are assigned depth-first; a
+    partial assignment is abandoned as soon as some instantiated template
+    cannot stay within the size bound even with every remaining variable
+    mapped to a size-1 term.
     """
     variables = rule.variables()
     templates = rule.terms()
@@ -157,12 +192,7 @@ def _substitution_candidates(
         _count(template, counts)
         occurrences.append(counts)
         bases.append(term_size(template))
-    pools: dict[Var, list[Term]] = {}
-    for v in variables:
-        pool = [t for t in terms if sig.le(term_sort(sig, t), v.sort)]
-        pool.sort(key=lambda t: (term_size(t), format_term(t)))
-        pools[v] = pool
-    if any(not pools[v] for v in variables):
+    if any(b > size_bound for b in bases) or any(not fits[v.sort] for v in variables):
         return
 
     extra = [0] * len(templates)  # accumulated size beyond the template's base
@@ -170,15 +200,15 @@ def _substitution_candidates(
     def feasible() -> bool:
         return all(b + e <= size_bound for b, e in zip(bases, extra))
 
-    assignment: dict[Var, Term] = {}
+    assignment: dict[Var, int] = {}
 
-    def assign(index: int) -> Iterator[dict[Var, Term]]:
+    def assign(index: int) -> Iterator[dict[Var, int]]:
         if index == len(variables):
             yield dict(assignment)
             return
         v = variables[index]
-        for candidate in pools[v]:
-            growth = term_size(candidate) - 1
+        for candidate in fits[v.sort]:
+            growth = sizes[candidate] - 1
             for i, counts in enumerate(occurrences):
                 extra[i] += counts.get(v, 0) * growth
             ok = feasible()
@@ -202,48 +232,35 @@ def _count(term: Term, counts: dict[Var, int]) -> None:
             _count(a, counts)
 
 
-def _one_hole_contexts(
-    sig: Signature, terms: set[Term], s: Term, size_bound: int
-) -> Iterator[tuple[Term, tuple[str, int]]]:
-    """Terms of the form ``f(..., s, ...)`` within the size bound.
+def _instance(
+    template: Term, assignment: Mapping[Var, int], apps: Mapping[tuple[str, tuple[int, ...]], int]
+) -> int:
+    """The number of the template's ground instance under the assignment."""
+    if isinstance(template, Var):
+        return assignment[template]
+    return apps[template.symbol, tuple(_instance(a, assignment, apps) for a in template.args)]
 
-    Yields the context applied to ``s`` together with the symbol and
-    argument index of the hole, so the rewritten side can be rebuilt.
+
+def _frames(
+    sig: Signature,
+    fits: Mapping[str, list[int]],
+    sizes: list[int],
+    redex_sort: str,
+    contractum_sort: str,
+    room: int,
+) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    """Contexts ``f(before, [], after)`` whose other arguments' sizes sum to at most ``room``.
+
+    The hole's argument sort must admit both the redex and the contractum sort.
     """
-    s_size = term_size(s)
-    s_sort = term_sort(sig, s)
     for name, (arg_sorts, _result) in sig.functions.items():
-        arity = len(arg_sorts)
-        if arity == 0:
-            continue
-        for i in range(arity):
-            if not sig.le(s_sort, arg_sorts[i]):
+        for i, hole in enumerate(arg_sorts):
+            if not (sig.le(redex_sort, hole) and sig.le(contractum_sort, hole)):
                 continue
-            other_indices = [j for j in range(arity) if j != i]
-            pools = []
-            for j in other_indices:
-                pools.append(
-                    [
-                        t
-                        for t in terms
-                        if sig.le(term_sort(sig, t), arg_sorts[j])
-                    ]
-                )
+            pools = [
+                [j for j in fits[sort] if sizes[j] <= room]
+                for sort in arg_sorts[:i] + arg_sorts[i + 1 :]
+            ]
             for others in itertools.product(*pools):
-                args: list[Term] = [None] * arity  # type: ignore[list-item]
-                for j, t in zip(other_indices, others):
-                    args[j] = t
-                args[i] = s
-                total = 1 + s_size + sum(term_size(t) for t in others)
-                if total > size_bound:
-                    continue
-                yield App(name, tuple(args)), (name, i)
-
-
-def _plug(hole: tuple[str, int], context: Term, s: Term, t: Term) -> Term:
-    """The context with ``t`` at the hole position instead of ``s``."""
-    assert isinstance(context, App)
-    _name, index = hole
-    args = list(context.args)
-    args[index] = t
-    return App(context.symbol, tuple(args))
+                if sum(sizes[j] for j in others) <= room:
+                    yield name, others[:i], others[i:]

@@ -26,7 +26,7 @@ FINITE = "finite"
 SYMBOLIC = "symbolic"
 BOTH = "both"
 
-ORACLE_SIZE_BOUND = 3
+ORACLE_SIZE_BOUND = 4
 ORACLE_DEPTH_BOUND = 5
 
 

@@ -89,6 +89,11 @@ def test_disprove_certificate_bytes(case):
             "7e3837a9d1930bf4c73ea5e75a314e524469729b39f997e8d4f3e0e8f44999fd",
             id="division-3",
         ),
+        pytest.param(
+            lambda: system("division.trs").ctrs, 5, 5, 3475,
+            "175ecdb65cf888291084f9f8e3064aeb1926fb7ff537252e63b65d3d5ee4e29a",
+            id="division-5",
+        ),
     ],
 )
 def test_saturation_atom_depths(ctrs, size, depth, count, digest):

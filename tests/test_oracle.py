@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive_oracle
 from countermodel.cli import EXIT_INPUT, main
 from countermodel.compiler import compile_ctrs
 from countermodel.errors import EmptySortError
@@ -12,14 +14,19 @@ from countermodel.terms import (
     ARROW,
     CTRS,
     DEFAULT_SORT,
+    JOIN,
     MANY_STEPS,
+    ORIENTED,
     ROOT_STEP,
     SUBTERM,
     App,
+    ConditionalRule,
     Signature,
+    Var,
+    term_size,
 )
 from countermodel.trs_format import parse_ctrs
-from paperdata import paper_certificate, system
+from paperdata import CORPUS, paper_certificate, system
 
 A, B, C = App("a"), App("b"), App("c")
 
@@ -173,3 +180,115 @@ def _ctrs_for(name: str):
 
     check = next(c for c in PAPER_CHECKS if c.name == name)
     return system(check.system).ctrs
+
+
+@pytest.mark.parametrize("name", ["fig3.trs", "loop_cb.trs"])
+def test_ground_rules_respect_the_size_bound(name, capsys):
+    # fig3 has the ground rule f(a) -> b, loop_cb has a -> c(b) and b -> c(b).
+    atoms = saturate(system(name).ctrs, 1, 5)
+    assert all(term_size(t) == 1 for atom in atoms.atoms for t in atom.args)
+    assert main(["derive", str(CORPUS / name), "--size", "1"]) == 0
+    # every term of size 1 is a constant, printed without parentheses
+    assert "(" not in capsys.readouterr().out
+
+
+def test_root_step_found_after_its_congruence_step_keeps_its_own_depth():
+    # f(a) -> f(b) follows from a -> b under f at depth 2; the root step
+    # needs the rule, whose condition a ->* b has depth 2, so it comes at 3.
+    ctrs = parse_ctrs("(VAR x) (RULES a -> b  f(x) -> f(b) | x == b)")
+    atoms = saturate(ctrs, 2, 5)
+    fa, fb = App("f", (A,)), App("f", (B,))
+    assert atoms.depth(Atom(ARROW, (fa, fb))) == 2
+    assert atoms.depth(Atom(ROOT_STEP, (fa, fb))) == 3
+
+
+SUPERSORT_CONTRACTUM = """
+(SORTS N I)
+(SUBSORTS N < I)
+(SIG z : -> N  m : -> I  s : N -> N  p : I -> I)
+(RULES z -> m)
+"""
+
+
+def test_contexts_admit_the_contractum_sort_only_where_declared():
+    # z -> m rewrites into the supersort: p(z) -> p(m) is well-sorted, while
+    # s(m) is not a term, so s(z) has no step below s.
+    atoms = saturate(parse_ctrs(SUPERSORT_CONTRACTUM), 2, 5)
+    z, m = App("z"), App("m")
+    assert Atom(ARROW, (App("p", (z,)), App("p", (m,)))) in atoms
+    assert not [a for a in atoms.with_predicate(ARROW) if a.args[0] == App("s", (z,))]
+
+
+# -- the semi-naive evaluation against the naive fixpoint it replaced ---------
+
+
+def _assert_same_as_naive(ctrs, size: int, depth: int) -> None:
+    assert dict(saturate(ctrs, size, depth).atoms) == dict(
+        naive_oracle.saturate(ctrs, size, depth).atoms
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.trs")))
+def test_corpus_depths_equal_the_naive_fixpoint(name, size):
+    _assert_same_as_naive(system(name).ctrs, size, 5)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_join_depths_equal_the_naive_fixpoint(size):
+    _assert_same_as_naive(
+        parse_ctrs("(CONDITIONTYPE JOIN) (RULES a -> c  b -> c  d -> e | a == b)"), size, 6
+    )
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_depth_cutoff_equals_the_naive_fixpoint(depth):
+    _assert_same_as_naive(system("division.trs").ctrs, 3, depth)
+
+
+_SIG = Signature(
+    functions={
+        "a": ((), DEFAULT_SORT),
+        "b": ((), DEFAULT_SORT),
+        "f": ((DEFAULT_SORT,), DEFAULT_SORT),
+        "g": ((DEFAULT_SORT, DEFAULT_SORT), DEFAULT_SORT),
+    }
+)
+
+
+def _terms(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            st.builds(lambda t: App("f", (t,)), sub),
+            st.builds(lambda s, t: App("g", (s, t)), sub, sub),
+        ),
+        max_leaves=3,
+    )
+
+
+_CONSTANTS = [App("a"), App("b")]
+_LHS_VARIABLES = [Var("x"), Var("y")]
+# z occurs only right of the left-hand side: a fresh variable
+_ANY_VARIABLES = _LHS_VARIABLES + [Var("z")]
+
+_RULES = st.builds(
+    ConditionalRule,
+    _terms(_CONSTANTS + _LHS_VARIABLES).filter(lambda t: isinstance(t, App)),
+    _terms(_CONSTANTS + _ANY_VARIABLES),
+    st.lists(
+        st.tuples(_terms(_CONSTANTS + _ANY_VARIABLES), _terms(_CONSTANTS + _ANY_VARIABLES)),
+        max_size=2,
+    ).map(tuple),
+    st.sampled_from([ORIENTED, JOIN]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rules=st.lists(_RULES, min_size=1, max_size=3),
+    size=st.integers(1, 3),
+    depth=st.integers(1, 5),
+)
+def test_random_systems_equal_the_naive_fixpoint(rules, size, depth):
+    _assert_same_as_naive(CTRS(_SIG, tuple(rules)), size, depth)

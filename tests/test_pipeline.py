@@ -108,6 +108,24 @@ def test_oracle_cross_check_flags_fabricated_certificates():
     assert any("witnessed by the oracle" in v for v in violations)
 
 
+def test_default_cross_check_sees_size_four_terms():
+    # The ground rule's right side has size 4: the default bound derives
+    # a -> f(f(f(b))), which is false where f increases and -> decreases.
+    from countermodel.checker import Certificate
+    from countermodel.model_format import parse_model
+
+    ctrs = parse_ctrs_document("(RULES a -> f(f(f(b))))").ctrs
+    structure = parse_model(
+        "(DOMAIN >= 0) (FUN a = 0) (FUN b = 0) (FUN f(x) = x + 1)"
+        " (PRED -> (x, y) = x > y) (PRED ->* (x, y) = x >= y)",
+        ctrs.signature,
+    )
+    forged = Certificate(build_theory(ctrs), (), structure, (), (), (), VERIFIED)
+    violations = oracle_cross_check(ctrs, forged)
+    assert "derived atom a -> f(f(f(b))) is false in the structure" in violations
+    assert oracle_cross_check(ctrs, forged, size_bound=3) == ()
+
+
 def test_sorted_disprove_runs_cleanly():
     document = system("website.trs")
     query = parse_query(
