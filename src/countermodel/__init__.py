@@ -27,6 +27,7 @@ from .errors import (
 )
 from .finder import FindOutcome, SearchBudget, find_model, find_symbolic_model
 from .linear import (
+    AffineForm,
     ConstraintSystem,
     Feasibility,
     LinearConstraint,
@@ -49,7 +50,6 @@ from .pipeline import (
 from .queries import Obligation, Query, negate_to_obligations, template
 from .query_format import parse_query
 from .structures import (
-    AffineForm,
     ClosureViolation,
     FiniteStructure,
     Interval,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import floor
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
@@ -34,7 +34,6 @@ from .structures import (
     carrier_contains,
     closure_check,
     eval_atom,
-    negate_constraint,
 )
 from .terms import Var
 
@@ -177,7 +176,7 @@ def _check_symbolic(
         head_constraints = lowering.atom_constraints(head)
         if not head_constraints:
             return Verdict(HOLDS)  # head is the trivially true relation
-        goals = [[negate_constraint(c)] for c in head_constraints]
+        goals = [[c.negate()] for c in head_constraints]
     unknown: Verdict | None = None
     for choice in lowering.choices():
         for goal in goals:
@@ -219,15 +218,14 @@ def _refutation_verdict(
 def _integer_witness(
     structure: SymbolicStructure,
     variables: tuple[Var, ...],
-    rational: Mapping[str, Fraction],
+    rational: Mapping[str, object],
     body: tuple[Atom, ...],
     head: Atom | None,
 ) -> dict[str, int] | None:
     pools = []
     for v in variables:
-        value = rational.get(v.name, Fraction(0))
+        lo = floor(rational.get(v.name, 0))
         carrier = structure.carrier(v.sort)
-        lo = value.numerator // value.denominator  # floor
         near = [lo - 1, lo, lo + 1, lo + 2]
         pool = sorted({n for n in near if carrier_contains(carrier, n)})
         if not pool:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .checker import Certificate, VERIFIED, verify
+from .linear import LinearConstraint, compare
 from .logic import Atom, Theory, sort_of_predicate
 from .queries import Obligation, required_predicates
 from .structures import (
@@ -272,26 +273,12 @@ def _relation_test(rel: str, payload: tuple[int, int, int] | None) -> Callable[[
 
 
 def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> PredicateInterp:
-    from .linear import LinearConstraint
-
-    x, y = "x", "y"
-    if rel == "=":
-        constraints = (
-            LinearConstraint.make({x: 1, y: -1}, 0),
-            LinearConstraint.make({x: -1, y: 1}, 0),
-        )
-    elif rel == "<=":
-        constraints = (LinearConstraint.make({x: 1, y: -1}, 0),)
-    elif rel == ">=":
-        constraints = (LinearConstraint.make({x: -1, y: 1}, 0),)
-    elif rel == "<":
-        constraints = (LinearConstraint.make({x: 1, y: -1}, 0, strict=True),)
-    elif rel == ">":
-        constraints = (LinearConstraint.make({x: -1, y: 1}, 0, strict=True),)
+    if payload is None:
+        constraints = compare(AffineForm.variable("x"), rel, AffineForm.variable("y"))
     else:
-        a, b, c = payload  # type: ignore[misc]
-        constraints = (LinearConstraint.make({x: a, y: b}, c),)
-    return PredicateInterp((x, y), constraints)
+        a, b, c = payload
+        constraints = (LinearConstraint.make({"x": a, "y": b}, c),)
+    return PredicateInterp(("x", "y"), constraints)
 
 
 def _menu_predicates_finite(carrier: tuple[int, ...], budget: SearchBudget) -> list[_Candidate]:

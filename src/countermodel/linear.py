@@ -1,13 +1,20 @@
-"""Exact rational linear arithmetic via Fourier-Motzkin elimination.
+"""Exact rational affine arithmetic and Fourier-Motzkin elimination.
 
-Constraints are of the form ``sum(coeff_i * x_i) <= bound`` or ``< bound``
-with exact rational coefficients; equalities are stored as two opposite
-``<=`` constraints at construction time.  Feasibility is decided over the
-rationals: an "infeasible" answer is sound for any subset of the rationals
-(in particular for the integer carriers used elsewhere), while a "feasible"
-answer comes with an exact rational witness.  A constraint budget guards
-against the doubly exponential blowup of elimination; exhausting it yields
-"unknown", never "infeasible".
+This module is the one owner of affine arithmetic.  ``AffineForm`` is a
+term ``sum(c * x) + constant``; ``LinearConstraint`` is
+``sum(coeff_i * x_i) <= bound`` or ``< bound`` with exact rational
+coefficients, kept in one canonical integral form.  Turning a comparison of
+two forms into constraints (``compare``, ``AffineForm.le``), negating
+(``LinearConstraint.negate``), substituting forms for variables (``subst``)
+and printing (``format_affine``, ``format_constraint``) live here, so the
+rest of the package never reads coefficients itself.  An equality is stored
+as two opposite ``<=`` constraints.
+
+Feasibility is decided over the rationals: an "infeasible" answer is sound
+for any subset of the rationals (in particular for the integer carriers
+used elsewhere), while a "feasible" answer comes with an exact rational
+witness.  A constraint budget guards against the doubly exponential blowup
+of elimination; exhausting it yields "unknown", never "infeasible".
 
 ``integer_tighten`` scales constraints to integer coefficients and turns
 strict inequalities into non-strict ones (``a.x < b`` becomes
@@ -20,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Mapping
+
+from .errors import ModelError
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -71,22 +80,72 @@ class LinearConstraint:
         total = sum((Fraction(assignment[v]) * c for v, c in self.terms), Fraction(0))
         return total < self.bound if self.strict else total <= self.bound
 
+    def negate(self) -> "LinearConstraint":
+        """Complement of ``t <= b`` is ``-t < -b``; of ``t < b`` is ``-t <= -b``."""
+        coeffs = {v: -c for v, c in self.terms}
+        return LinearConstraint.make(coeffs, -self.bound, strict=not self.strict)
+
+    def subst(self, mapping: Mapping[str, "AffineForm"]) -> "LinearConstraint":
+        """Substitute affine forms for the constraint's variables."""
+        coeffs, shift = _substitute(self.terms, mapping)
+        return LinearConstraint.make(coeffs, self.bound - shift, self.strict)
+
     def __str__(self) -> str:
-        if not self.terms:
-            lhs = "0"
-        else:
-            parts = []
-            for v, c in self.terms:
-                if c == 1:
-                    piece = v
-                elif c == -1:
-                    piece = f"-{v}"
-                else:
-                    piece = f"{c}*{v}"
-                parts.append(piece if not parts else (f"+ {piece}" if c > 0 else f"- {piece.lstrip('-')}"))
-            lhs = " ".join(parts)
-        rel = "<" if self.strict else "<="
-        return f"{lhs} {rel} {self.bound}"
+        return format_constraint(self)
+
+
+@dataclass(frozen=True)
+class AffineForm:
+    """``sum(c * v) + constant`` with exact rational coefficients."""
+
+    coeffs: tuple[tuple[str, Fraction], ...]
+    constant: Fraction
+
+    @staticmethod
+    def make(coeffs: Mapping[str, Fraction | int], constant: Fraction | int = 0) -> "AffineForm":
+        cleaned = tuple(
+            sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0)
+        )
+        return AffineForm(cleaned, Fraction(constant))
+
+    @staticmethod
+    def variable(name: str) -> "AffineForm":
+        return AffineForm(((name, Fraction(1)),), Fraction(0))
+
+    @staticmethod
+    def const(value: Fraction | int) -> "AffineForm":
+        return AffineForm((), Fraction(value))
+
+    def negate(self) -> "AffineForm":
+        return AffineForm(tuple((v, -c) for v, c in self.coeffs), -self.constant)
+
+    def subst(self, mapping: Mapping[str, "AffineForm"]) -> "AffineForm":
+        coeffs, shift = _substitute(self.coeffs, mapping)
+        return AffineForm.make(coeffs, self.constant + shift)
+
+    def le(self, bound: Fraction | int, strict: bool = False) -> LinearConstraint:
+        """``self <= bound`` (``<`` when strict) as a canonical constraint."""
+        return LinearConstraint.make(dict(self.coeffs), bound - self.constant, strict)
+
+    def eval_int(self, assignment: Mapping[str, int]) -> int:
+        value = sum((c * assignment[v] for v, c in self.coeffs), self.constant)
+        if value.denominator != 1:
+            raise ModelError(f"affine form evaluates to non-integer {value}")
+        return int(value)
+
+
+def _substitute(
+    terms: tuple[tuple[str, Fraction], ...], mapping: Mapping[str, AffineForm]
+) -> tuple[dict[str, Fraction], Fraction]:
+    """``sum(c * mapping[v])`` as its coefficients and its constant."""
+    coeffs: dict[str, Fraction] = {}
+    shift = Fraction(0)
+    for v, c in terms:
+        image = mapping[v]
+        shift += c * image.constant
+        for u, d in image.coeffs:
+            coeffs[u] = coeffs.get(u, Fraction(0)) + c * d
+    return coeffs, shift
 
 
 def equality(coeffs: Mapping[str, Fraction | int], bound: Fraction | int) -> tuple[LinearConstraint, LinearConstraint]:
@@ -94,6 +153,67 @@ def equality(coeffs: Mapping[str, Fraction | int], bound: Fraction | int) -> tup
     le = LinearConstraint.make(coeffs, bound)
     ge = LinearConstraint.make({v: -c for v, c in coeffs.items()}, -Fraction(bound))
     return le, ge
+
+
+RELATIONS = ("<=", "<", ">=", ">", "=")
+
+
+def compare(left: AffineForm, relation: str, right: AffineForm) -> tuple[LinearConstraint, ...]:
+    """``left REL right``, REL one of ``RELATIONS``, as canonical constraints."""
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation '{relation}'")
+    if relation in (">=", ">"):
+        left, right = right, left
+        relation = "<=" if relation == ">=" else "<"
+    diff = dict(left.coeffs)
+    for v, c in right.coeffs:
+        diff[v] = diff.get(v, Fraction(0)) - c
+    bound = right.constant - left.constant
+    if relation == "=":
+        return equality(diff, bound)
+    return (LinearConstraint.make(diff, bound, strict=relation == "<"),)
+
+
+def format_affine(form: AffineForm) -> str:
+    """The form in model-file syntax, e.g. ``2*x - y + 1``; integers only."""
+    parts: list[str] = []
+    for v, c in form.coeffs:
+        if c.denominator != 1:
+            raise ModelError(f"cannot serialize non-integer coefficient {c}")
+        c = int(c)
+        if not parts:
+            if c == 1:
+                parts.append(v)
+            elif c == -1:
+                parts.append(f"-{v}")
+            else:
+                parts.append(f"{c}*{v}")
+        else:
+            sign = "+" if c > 0 else "-"
+            magnitude = abs(c)
+            parts.append(f"{sign} {v}" if magnitude == 1 else f"{sign} {magnitude}*{v}")
+    constant = form.constant
+    if constant.denominator != 1:
+        raise ModelError(f"cannot serialize non-integer constant {constant}")
+    constant = int(constant)
+    if not parts:
+        return str(constant)
+    if constant > 0:
+        parts.append(f"+ {constant}")
+    elif constant < 0:
+        parts.append(f"- {-constant}")
+    return " ".join(parts)
+
+
+def format_constraint(constraint: LinearConstraint) -> str:
+    """The constraint in model-file syntax, e.g. ``x - y <= 0``."""
+    # Scale away a fractional bound so the printed form stays integer-only;
+    # parsing normalizes back to the same canonical constraint.
+    scale = constraint.bound.denominator
+    terms = tuple((v, c * scale) for v, c in constraint.terms)
+    lhs = format_affine(AffineForm(terms, Fraction(0)))
+    relation = "<" if constraint.strict else "<="
+    return f"{lhs} {relation} {int(constraint.bound * scale)}"
 
 
 @dataclass(frozen=True)

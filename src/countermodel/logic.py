@@ -2,10 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .terms import (
-    App,
     BUILTIN_PREDICATES,
     Signature,
     Term,
@@ -172,14 +170,3 @@ def format_theory(theory: Theory) -> str:
         tag = f"  [{clause.tag}]" if clause.tag else ""
         lines.append(f"{format_clause(clause)}{tag}")
     return "\n".join(lines)
-
-
-def substitute_atom(atom: Atom, mapping: Mapping[Var, Term]) -> Atom:
-    from .terms import apply_substitution
-
-    return Atom(atom.predicate, tuple(apply_substitution(mapping, a) for a in atom.args))
-
-
-def constant(name: str) -> Term:
-    """Convenience constructor for a nullary application."""
-    return App(name)

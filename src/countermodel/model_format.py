@@ -14,6 +14,8 @@ function symbol, and one PRED block per predicate::
     (PRED -> (x, y) = x < y)
     (PRED ->* = pairs (0, 0) (1, 1))
 
+Every predicate is binary: a PRED takes two parameters and lists pairs.
+Parameter names are distinct and table keys do not repeat.
 Expressions are affine with integer literals only.  ``otherwise`` stands
 for the complement of the previous guards and is accepted only when that
 complement is itself a single conjunction (every previous guard must be a
@@ -23,16 +25,20 @@ and the backend can also be requested explicitly.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ModelError, ParseError
 from .lexer import TokenStream, tokenize
-from .linear import LinearConstraint
-from .structures import (
+from .linear import (
+    RELATIONS,
     AffineForm,
+    LinearConstraint,
+    compare,
+    format_affine,
+    format_constraint,
+)
+from .structures import (
     Carrier,
     FiniteStructure,
     Interval,
@@ -42,7 +48,7 @@ from .structures import (
     Ray,
     Structure,
     SymbolicStructure,
-    negate_constraint,
+    tabulate,
 )
 from .terms import ARROW, BUILTIN_PREDICATES, MANY_STEPS, Signature
 
@@ -166,12 +172,9 @@ def _parse_domain(stream: TokenStream, sig: Signature) -> _Domain:
     if stream.at("ident"):
         sort = stream.expect_ident().text
     if stream.at("{"):
-        stream.expect("{")
-        values = [_parse_int(stream)]
-        while stream.at(","):
-            stream.expect(",")
-            values.append(_parse_int(stream))
-        stream.expect("}")
+        values = _parse_list(stream, _parse_int, "{", "}")
+        if not values:
+            raise stream.error("empty DOMAIN set")
         return _Domain(sort, "set", values=tuple(sorted(set(values))))
     if stream.at("["):
         stream.expect("[")
@@ -194,15 +197,7 @@ def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
     name = name_token.text
     if name not in sig.functions:
         raise ParseError(f"unknown function symbol '{name}'", name_token.span(stream.file))
-    params: list[str] = []
-    if stream.at("("):
-        stream.expect("(")
-        if not stream.at(")"):
-            params.append(stream.expect_ident().text)
-            while stream.at(","):
-                stream.expect(",")
-                params.append(stream.expect_ident().text)
-        stream.expect(")")
+    params = _parse_params(stream, name) or []
     arity = len(sig.functions[name][0])
     if params and len(params) != arity:
         raise ParseError(
@@ -216,19 +211,14 @@ def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
         stream.expect_ident("table")
         table: dict[tuple[int, ...], int] = {}
         while True:
-            stream.expect("(")
-            key: list[int] = []
-            if not stream.at(")"):
-                key.append(_parse_int(stream))
-                while stream.at(","):
-                    stream.expect(",")
-                    key.append(_parse_int(stream))
-            stream.expect(")")
+            key = tuple(_parse_list(stream, _parse_int))
             stream.expect("->")
             value = _parse_int(stream)
             if len(key) != arity:
                 raise stream.error(f"table key arity mismatch for '{name}'")
-            table[tuple(key)] = value
+            if key in table:
+                raise stream.error(f"table of '{name}' repeats the key {key}")
+            table[key] = value
             if stream.at("|"):
                 stream.expect("|")
             else:
@@ -276,37 +266,52 @@ def _parse_pred(stream: TokenStream) -> _Pred:
         raise stream.error("expected a predicate name")
     stream.next()
     name = token.text
-    params: list[str] = []
-    if stream.at("("):
-        stream.expect("(")
-        params.append(stream.expect_ident().text)
-        while stream.at(","):
-            stream.expect(",")
-            params.append(stream.expect_ident().text)
-        stream.expect(")")
+    params = _parse_params(stream, name)
+    if params is None:
+        params = ["x", "y"]
+    elif len(params) != 2:
+        raise stream.error(f"predicate '{name}' takes 2 parameters, got {len(params)}")
     stream.expect("=")
     if stream.at_ident("pairs") or stream.at_ident("empty"):
         if stream.at_ident("empty"):
             stream.expect_ident("empty")
-            return _Pred(name, tuple(params) or ("x", "y"), pairs=frozenset())
+            return _Pred(name, tuple(params), pairs=frozenset())
         stream.expect_ident("pairs")
         pairs: set[tuple[int, ...]] = set()
         while stream.at("("):
-            stream.expect("(")
-            tup = [_parse_int(stream)]
-            while stream.at(","):
-                stream.expect(",")
-                tup.append(_parse_int(stream))
-            stream.expect(")")
-            pairs.add(tuple(tup))
-        return _Pred(name, tuple(params) or ("x", "y"), pairs=frozenset(pairs))
-    if not params:
-        params = ["x", "y"]
+            pair = tuple(_parse_list(stream, _parse_int))
+            if len(pair) != 2:
+                raise stream.error(f"predicate '{name}' holds pairs, got {pair}")
+            pairs.add(pair)
+        return _Pred(name, tuple(params), pairs=frozenset(pairs))
     constraints = tuple(_parse_constraints(stream, params))
     return _Pred(name, tuple(params), constraints=constraints)
 
 
+def _parse_params(stream: TokenStream, name: str) -> list[str] | None:
+    """A parenthesized list of distinct parameter names; None when absent."""
+    if not stream.at("("):
+        return None
+    params = _parse_list(stream, lambda s: s.expect_ident().text)
+    if len(set(params)) != len(params):
+        raise stream.error(f"'{name}' repeats a parameter name in {tuple(params)}")
+    return params
+
+
 # -- expression and constraint parsing ------------------------------------------
+
+
+def _parse_list(stream: TokenStream, item: Callable, open_: str = "(", close: str = ")") -> list:
+    """``open_ item, ..., item close``, possibly empty."""
+    stream.expect(open_)
+    items = []
+    if not stream.at(close):
+        items.append(item(stream))
+        while stream.at(","):
+            stream.expect(",")
+            items.append(item(stream))
+    stream.expect(close)
+    return items
 
 
 def _parse_int(stream: TokenStream) -> int:
@@ -320,8 +325,8 @@ def _parse_int(stream: TokenStream) -> int:
 
 def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
     allowed = set(params)
-    coeffs: dict[str, Fraction] = {}
-    constant = Fraction(0)
+    coeffs: dict[str, int] = {}
+    constant = 0
     sign = 1
     first = True
     while True:
@@ -342,7 +347,7 @@ def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
                 name = stream.expect_ident().text
                 if name not in allowed:
                     raise stream.error(f"unknown parameter '{name}' (non-affine expressions are rejected)")
-                coeffs[name] = coeffs.get(name, Fraction(0)) + sign * value
+                coeffs[name] = coeffs.get(name, 0) + sign * value
             else:
                 constant += sign * value
         elif stream.at("ident"):
@@ -351,7 +356,7 @@ def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
                 raise stream.error(f"unknown parameter '{name}' (non-affine expressions are rejected)")
             if stream.at("*"):
                 raise stream.error("non-affine expression: variable products are not supported")
-            coeffs[name] = coeffs.get(name, Fraction(0)) + sign
+            coeffs[name] = coeffs.get(name, 0) + sign
         else:
             raise stream.error("expected an affine expression")
         first = False
@@ -362,41 +367,22 @@ def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
     return AffineForm.make(coeffs, constant)
 
 
-_RELATIONS = ("<=", "<", ">=", ">", "=")
-
-
 def _parse_constraints(stream: TokenStream, params: Iterable[str]) -> list[LinearConstraint]:
     params = list(params)
     out: list[LinearConstraint] = []
     while True:
         left = _parse_affine(stream, params)
         token = stream.peek()
-        if token is None or token.kind not in _RELATIONS:
+        if token is None or token.kind not in RELATIONS:
             raise stream.error("expected a comparison operator")
         stream.next()
         right = _parse_affine(stream, params)
-        out.extend(_comparison(left, token.kind, right))
+        out.extend(compare(left, token.kind, right))
         if stream.at("/\\"):
             stream.expect("/\\")
         else:
             break
     return out
-
-
-def _comparison(left: AffineForm, relation: str, right: AffineForm) -> list[LinearConstraint]:
-    """``left REL right`` as constraints ``sum <= / < bound``."""
-    if relation in (">=", ">"):
-        left, right = right, left
-        relation = "<=" if relation == ">=" else "<"
-    diff_coeffs: dict[str, Fraction] = dict(left.coeffs)
-    for v, c in right.coeffs:
-        diff_coeffs[v] = diff_coeffs.get(v, Fraction(0)) - c
-    bound = right.constant - left.constant
-    if relation == "=":
-        first = LinearConstraint.make(diff_coeffs, bound)
-        second = LinearConstraint.make({v: -c for v, c in diff_coeffs.items()}, -bound)
-        return [first, second]
-    return [LinearConstraint.make(diff_coeffs, bound, strict=(relation == "<"))]
 
 
 # -- assembly --------------------------------------------------------------------
@@ -414,7 +400,7 @@ def _resolve_cases(fun: _Fun, params: tuple[str, ...]) -> tuple[PiecewiseCase, .
                         f"'otherwise' in '{fun.name}' needs every previous guard to be "
                         "a single inequality"
                     )
-            guard = tuple(negate_constraint(g[0]) for g in previous)
+            guard = tuple(g[0].negate() for g in previous)
         else:
             guard = case.guard
             previous.append(guard)
@@ -499,6 +485,7 @@ def _assemble_finite(
             f"more than the finite backend's {MAX_FINITE_CARRIER}; use --backend symbolic"
         )
     functions: dict[str, dict[tuple[int, ...], int]] = {}
+    piecewise: dict[str, PiecewiseFunction] = {}
     for name, fun in funs.items():
         arg_sorts, result = sig.functions[name]
         if fun.table is not None:
@@ -514,28 +501,18 @@ def _assemble_finite(
                     )
             functions[name] = dict(fun.table)
             continue
-        piecewise = PiecewiseFunction(fun.params, _resolve_cases(fun, fun.params))
-        table = {}
-        for point in itertools.product(*(carriers[s] for s in arg_sorts)):
-            try:
-                table[point] = piecewise.eval(point)
-            except ModelError as exc:
-                raise ParseError(f"'{name}': {exc}") from exc
-        functions[name] = table
-    predicates: dict[str, frozenset[tuple[int, ...]]] = {}
-    for name, pred in preds.items():
-        if pred.pairs is not None:
-            predicates[name] = pred.pairs
-            continue
-        assert pred.constraints is not None
-        interp = PredicateInterp(pred.params, pred.constraints)
-        arity = len(pred.params)
-        predicates[name] = frozenset(
-            point
-            for point in itertools.product(universe, repeat=arity)
-            if interp.holds(point)
-        )
-    return FiniteStructure(sig, carriers, functions, predicates)
+        piecewise[name] = PiecewiseFunction(fun.params, _resolve_cases(fun, fun.params))
+    predicates = {name: pred.pairs for name, pred in preds.items() if pred.pairs is not None}
+    linear = {
+        name: PredicateInterp(pred.params, pred.constraints)
+        for name, pred in preds.items()
+        if pred.constraints is not None
+    }
+    try:
+        tables, extensions = tabulate(sig, carriers, piecewise, linear)
+    except ModelError as exc:
+        raise ParseError(str(exc)) from exc
+    return FiniteStructure(sig, carriers, functions | tables, predicates | extensions)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -607,46 +584,6 @@ def _domain_line(sig: Signature, sort: str, spec: str) -> str:
     if sig.single_sorted:
         return f"(DOMAIN {spec})"
     return f"(DOMAIN {sort} {spec})"
-
-
-def format_affine(form: AffineForm) -> str:
-    parts: list[str] = []
-    for v, c in form.coeffs:
-        if c.denominator != 1:
-            raise ModelError(f"cannot serialize non-integer coefficient {c}")
-        c = int(c)
-        if not parts:
-            if c == 1:
-                parts.append(v)
-            elif c == -1:
-                parts.append(f"-{v}")
-            else:
-                parts.append(f"{c}*{v}")
-        else:
-            sign = "+" if c > 0 else "-"
-            magnitude = abs(c)
-            parts.append(f"{sign} {v}" if magnitude == 1 else f"{sign} {magnitude}*{v}")
-    constant = form.constant
-    if constant.denominator != 1:
-        raise ModelError(f"cannot serialize non-integer constant {constant}")
-    constant = int(constant)
-    if not parts:
-        return str(constant)
-    if constant > 0:
-        parts.append(f"+ {constant}")
-    elif constant < 0:
-        parts.append(f"- {-constant}")
-    return " ".join(parts)
-
-
-def format_constraint(constraint: LinearConstraint) -> str:
-    # Scale away a fractional bound so the printed form stays integer-only;
-    # parsing normalizes back to the same canonical constraint.
-    scale = constraint.bound.denominator
-    terms = tuple((v, c * scale) for v, c in constraint.terms)
-    lhs = format_affine(AffineForm(terms, Fraction(0)))
-    relation = "<" if constraint.strict else "<="
-    return f"{lhs} {relation} {int(constraint.bound * scale)}"
 
 
 def _format_guard(constraints: tuple[LinearConstraint, ...]) -> str:

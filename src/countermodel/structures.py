@@ -10,17 +10,18 @@ over the argument positions.
 
 Evaluation follows structural recursion; for symbolic backends the module
 also lowers atoms into exact linear constraint systems, choosing one guard
-case per function application, so the linear engine can decide them.
+case per function application, so the linear engine can decide them.  The
+affine arithmetic itself (``AffineForm``, comparisons, negation,
+substitution) belongs to ``linear``; ``AffineForm`` is re-exported here.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
-from .linear import ConstraintSystem, LinearConstraint, equality, integer_tighten, solve
+from .linear import AffineForm, ConstraintSystem, LinearConstraint, compare, integer_tighten, solve
 from .logic import Atom, sort_of_predicate
 from .terms import App, Signature, Term, Var
 
@@ -69,89 +70,15 @@ def carrier_subset(inner: Carrier, outer: Carrier) -> bool:
     return inner.lo >= outer.lo and inner.hi <= outer.hi
 
 
-def carrier_constraints(carrier: Carrier, form: "AffineForm") -> list[LinearConstraint]:
+def carrier_constraints(carrier: Carrier, form: AffineForm) -> list[LinearConstraint]:
     """Linear constraints stating that the affine form lies in the carrier."""
-    out = [_form_le(form.negate(), Fraction(-carrier.lo))]
+    out = [form.negate().le(-carrier.lo)]
     if isinstance(carrier, Interval):
-        out.append(_form_le(form, Fraction(carrier.hi)))
+        out.append(form.le(carrier.hi))
     return out
 
 
-# -- affine forms and interpretations -----------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    """``sum(c * v) + constant`` with exact rational coefficients."""
-
-    coeffs: tuple[tuple[str, Fraction], ...]
-    constant: Fraction
-
-    @staticmethod
-    def make(coeffs: Mapping[str, Fraction | int], constant: Fraction | int = 0) -> "AffineForm":
-        cleaned = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0)
-        )
-        return AffineForm(cleaned, Fraction(constant))
-
-    @staticmethod
-    def variable(name: str) -> "AffineForm":
-        return AffineForm(((name, Fraction(1)),), Fraction(0))
-
-    @staticmethod
-    def const(value: Fraction | int) -> "AffineForm":
-        return AffineForm((), Fraction(value))
-
-    def negate(self) -> "AffineForm":
-        return AffineForm(tuple((v, -c) for v, c in self.coeffs), -self.constant)
-
-    def subst(self, mapping: Mapping[str, "AffineForm"]) -> "AffineForm":
-        coeffs: dict[str, Fraction] = {}
-        constant = self.constant
-        for v, c in self.coeffs:
-            image = mapping[v]
-            constant += c * image.constant
-            for u, d in image.coeffs:
-                coeffs[u] = coeffs.get(u, Fraction(0)) + c * d
-        return AffineForm.make(coeffs, constant)
-
-    def eval(self, assignment: Mapping[str, int]) -> Fraction:
-        return sum(
-            (c * assignment[v] for v, c in self.coeffs), Fraction(0)
-        ) + self.constant
-
-    def eval_int(self, assignment: Mapping[str, int]) -> int:
-        value = self.eval(assignment)
-        if value.denominator != 1:
-            raise ModelError(f"affine form evaluates to non-integer {value}")
-        return int(value)
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-
-def _form_le(form: AffineForm, bound: Fraction, strict: bool = False) -> LinearConstraint:
-    return LinearConstraint.make(dict(form.coeffs), bound - form.constant, strict)
-
-
-def instantiate_constraint(
-    constraint: LinearConstraint, mapping: Mapping[str, AffineForm]
-) -> LinearConstraint:
-    """Substitute affine forms for the constraint's variables."""
-    coeffs: dict[str, Fraction] = {}
-    shift = Fraction(0)
-    for v, c in constraint.terms:
-        image = mapping[v]
-        shift += c * image.constant
-        for u, d in image.coeffs:
-            coeffs[u] = coeffs.get(u, Fraction(0)) + c * d
-    return LinearConstraint.make(coeffs, constraint.bound - shift, constraint.strict)
-
-
-def negate_constraint(constraint: LinearConstraint) -> LinearConstraint:
-    """Complement of ``t <= b`` is ``-t < -b``; of ``t < b`` is ``-t <= -b``."""
-    coeffs = {v: -c for v, c in constraint.terms}
-    return LinearConstraint.make(coeffs, -constraint.bound, strict=not constraint.strict)
+# -- interpretations -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -182,10 +109,10 @@ class PiecewiseFunction:
         """``clamp(form, lo, hi)`` expanded into three affine guard cases."""
         if lo > hi:
             raise ModelError(f"clamp interval [{lo}, {hi}] is empty")
-        below = _form_le(form, Fraction(lo), strict=True)
-        at_least_lo = _form_le(form.negate(), Fraction(-lo))
-        at_most_hi = _form_le(form, Fraction(hi))
-        above = _form_le(form.negate(), Fraction(-hi), strict=True)
+        below = form.le(lo, strict=True)
+        at_least_lo = form.negate().le(-lo)
+        at_most_hi = form.le(hi)
+        above = form.negate().le(-hi, strict=True)
         cases = (
             PiecewiseCase((below,), AffineForm.const(lo)),
             PiecewiseCase((at_least_lo, at_most_hi), form),
@@ -363,60 +290,49 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
             violations.append(ClosureViolation(name, "missing interpretation"))
             continue
         params = interp.params
-        bounds: list[LinearConstraint] = []
-        for p, s in zip(params, arg_sorts):
-            bounds.extend(carrier_constraints(structure.carrier(s), AffineForm.variable(p)))
-        result_carrier = structure.carrier(result)
+        bounds = tuple(
+            c
+            for p, s in zip(params, arg_sorts)
+            for c in carrier_constraints(structure.carrier(s), AffineForm.variable(p))
+        )
+
+        def probe(extra, detail, unknown_prefix="", at_point=True) -> tuple[ClosureViolation, ...]:
+            """A violation when the bounds and ``extra`` hold at an integer point, or may."""
+            outcome = solve(integer_tighten(ConstraintSystem(params, bounds + extra)))
+            if outcome.status == "feasible":
+                point = tuple(int(outcome.witness.get(p, 0)) for p in params)
+                return (ClosureViolation(name, detail, point if at_point else None),)
+            if outcome.status == "unknown":
+                return (ClosureViolation(name, f"{unknown_prefix}{outcome.reason}", certain=False),)
+            return ()
+
         # Each case's value must lie in the result carrier over its guard.
         for index, case in enumerate(interp.cases):
-            for requirement in carrier_constraints(result_carrier, case.value):
-                system = ConstraintSystem(
-                    params,
-                    tuple(bounds) + case.guard + (negate_constraint(requirement),),
+            for requirement in carrier_constraints(structure.carrier(result), case.value):
+                violations.extend(
+                    probe(
+                        case.guard + (requirement.negate(),),
+                        f"case {index + 1} can leave the carrier of '{result}'",
+                        f"case {index + 1}: ",
+                    )
                 )
-                outcome = solve(integer_tighten(system))
-                if outcome.status == "feasible":
-                    point = tuple(
-                        int(outcome.witness.get(p, Fraction(0))) for p in params
-                    )
-                    violations.append(
-                        ClosureViolation(
-                            name, f"case {index + 1} can leave the carrier of '{result}'", point
-                        )
-                    )
-                elif outcome.status == "unknown":
-                    violations.append(
-                        ClosureViolation(name, f"case {index + 1}: {outcome.reason}", certain=False)
-                    )
         # Pairwise disjointness of guards.
         for i, j in itertools.combinations(range(len(interp.cases)), 2):
-            system = ConstraintSystem(
-                params,
-                tuple(bounds) + interp.cases[i].guard + interp.cases[j].guard,
-            )
-            outcome = solve(integer_tighten(system))
-            if outcome.status == "feasible":
-                violations.append(
-                    ClosureViolation(name, f"guards of cases {i + 1} and {j + 1} overlap")
+            violations.extend(
+                probe(
+                    interp.cases[i].guard + interp.cases[j].guard,
+                    f"guards of cases {i + 1} and {j + 1} overlap",
+                    at_point=False,
                 )
-            elif outcome.status == "unknown":
-                violations.append(ClosureViolation(name, str(outcome.reason), certain=False))
+            )
         # Coverage: no point of the carrier product may escape every guard.
         # A case with an empty guard covers everything, making the product
         # below empty, so the loop is skipped.
         for chosen in itertools.product(*(range(len(c.guard)) for c in interp.cases)):
-            negated = tuple(
-                negate_constraint(case.guard[pick])
-                for case, pick in zip(interp.cases, chosen)
-            )
-            system = ConstraintSystem(params, tuple(bounds) + negated)
-            outcome = solve(integer_tighten(system))
-            if outcome.status == "feasible":
-                point = tuple(int(outcome.witness.get(p, Fraction(0))) for p in params)
-                violations.append(ClosureViolation(name, "guards do not cover the carrier", point))
-                break
-            if outcome.status == "unknown":
-                violations.append(ClosureViolation(name, str(outcome.reason), certain=False))
+            negated = tuple(case.guard[pick].negate() for case, pick in zip(interp.cases, chosen))
+            found = probe(negated, "guards do not cover the carrier")
+            violations.extend(found)
+            if found:
                 break
     return tuple(violations)
 
@@ -424,26 +340,39 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
 def materialize(structure: SymbolicStructure) -> FiniteStructure:
     """Evaluate a symbolic structure with finite interval carriers pointwise."""
     sig = structure.signature
-    carriers: dict[str, tuple[int, ...]] = {}
-    for sort in sig.sorts:
-        carriers[sort] = carrier_values(structure.carrier(sort))
+    carriers = {sort: carrier_values(structure.carrier(sort)) for sort in sig.sorts}
+    functions, predicates = tabulate(sig, carriers, structure.functions, structure.predicates)
+    return FiniteStructure(sig, carriers, functions, predicates)
+
+
+def tabulate(
+    sig: Signature,
+    carriers: Mapping[str, tuple[int, ...]],
+    functions: Mapping[str, PiecewiseFunction],
+    predicates: Mapping[str, PredicateInterp],
+) -> tuple[dict[str, dict[tuple[int, ...], int]], dict[str, frozenset[tuple[int, ...]]]]:
+    """Tables of the functions over their argument carriers, and extensions
+    of the predicates over the union of the carriers to their arity.
+
+    A point that no guard case covers raises a ``ModelError`` naming the function.
+    """
     universe = sorted({v for vs in carriers.values() for v in vs})
-    functions: dict[str, dict[tuple[int, ...], int]] = {}
-    for name, (arg_sorts, _result) in sig.functions.items():
-        interp = structure.functions[name]
-        table: dict[tuple[int, ...], int] = {}
-        for point in itertools.product(*(carriers[s] for s in arg_sorts)):
-            table[point] = interp.eval(point)
-        functions[name] = table
-    predicates: dict[str, frozenset[tuple[int, ...]]] = {}
-    for name, interp in structure.predicates.items():
-        arity = len(interp.params)
-        predicates[name] = frozenset(
+    tables: dict[str, dict[tuple[int, ...], int]] = {}
+    for name, interp in functions.items():
+        points = itertools.product(*(carriers[s] for s in sig.functions[name][0]))
+        try:
+            tables[name] = {point: interp.eval(point) for point in points}
+        except ModelError as exc:
+            raise ModelError(f"'{name}': {exc}") from exc
+    extensions = {
+        name: frozenset(
             point
-            for point in itertools.product(universe, repeat=arity)
+            for point in itertools.product(universe, repeat=len(interp.params))
             if interp.holds(point)
         )
-    return FiniteStructure(sig, carriers, functions, predicates)
+        for name, interp in predicates.items()
+    }
+    return tables, extensions
 
 
 # -- lowering atoms to constraint systems ---------------------------------------
@@ -497,7 +426,7 @@ class ClauseLowering:
         if interp is None:
             raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
         mapping = dict(zip(interp.params, (self.form(a) for a in atom.args)))
-        return [instantiate_constraint(c, mapping) for c in interp.constraints]
+        return [c.subst(mapping) for c in interp.constraints]
 
     def case_counts(self) -> tuple[int, ...]:
         return tuple(len(interp.cases) for _, interp, _, _ in self.slots)
@@ -510,12 +439,8 @@ class ClauseLowering:
         for (term, interp, name, args), pick in zip(self.slots, choice):
             case = interp.cases[pick]
             mapping = dict(zip(interp.params, args))
-            for g in case.guard:
-                out.append(instantiate_constraint(g, mapping))
-            value = case.value.subst(mapping)
-            coeffs = dict(value.coeffs)
-            coeffs[name] = coeffs.get(name, Fraction(0)) - 1
-            out.extend(equality(coeffs, -value.constant))
+            out.extend(g.subst(mapping) for g in case.guard)
+            out.extend(compare(case.value.subst(mapping), "=", AffineForm.variable(name)))
         return out
 
     def engine_variables(self) -> tuple[str, ...]:

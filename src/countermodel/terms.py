@@ -158,10 +158,6 @@ class Signature:
                             changed = True
         return frozenset(inhabited)
 
-    def constants(self) -> tuple[str, ...]:
-        return tuple(name for name, (args, _) in self.functions.items() if not args)
-
-
 # -- term utilities ---------------------------------------------------------
 
 

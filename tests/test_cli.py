@@ -255,6 +255,19 @@ def test_huge_finite_carrier_exits_input_error(tmp_path, capsys):
     )
 
 
+def test_wrongly_shaped_model_exits_input_error(tmp_path, capsys):
+    model = tmp_path / "unary.model"
+    model.write_text(
+        (CORPUS / "models" / "fab_nonjoin.model")
+        .read_text()
+        .replace("(PRED -> (x, y) = x = y)", "(PRED -> (x) = x < 1)")
+    )
+    argv = ["check", corpus("fab.trs"), "--query", "a -> b", "--model", str(model)]
+    for backend in ("finite", "symbolic"):
+        assert main([*argv, "--backend", backend]) == EXIT_INPUT
+        assert "predicate '->' takes 2 parameters" in capsys.readouterr().err
+
+
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")

@@ -1,0 +1,59 @@
+"""``linear.py`` is the one owner of affine arithmetic.
+
+No other module of the package reads the coefficients of a constraint
+(``.terms``) or of an affine form (``.coeffs``), or does rational arithmetic
+itself (``fractions``); they go through ``compare``, ``AffineForm.le``,
+``LinearConstraint.negate``/``subst`` and the printers instead.  A change to
+how constraints store their coefficients then touches ``linear.py`` only.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "countermodel"
+OWNER = "linear.py"
+COEFFICIENT_FIELDS = {"terms", "coeffs"}
+
+
+def layering_breaches(source: str) -> list[str]:
+    """Coefficient reads and ``fractions`` imports in a module's source."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    breaches = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in COEFFICIENT_FIELDS
+            and id(node) not in called
+        ):
+            breaches.append(f"line {node.lineno}: reads .{node.attr}")
+        elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            breaches.append(f"line {node.lineno}: imports fractions")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            breaches.append(f"line {node.lineno}: imports fractions")
+    return breaches
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in PACKAGE.glob("*.py") if p.name != OWNER),
+)
+def test_only_linear_reads_coefficients(module):
+    assert layering_breaches((PACKAGE / module).read_text()) == []
+
+
+def test_the_owner_itself_would_be_flagged():
+    assert layering_breaches((PACKAGE / OWNER).read_text())
+
+
+def test_method_calls_named_terms_are_not_reads():
+    assert layering_breaches("rule.terms()\nform.coeffs()\n") == []
+    assert layering_breaches("c.terms\n") == ["line 1: reads .terms"]
+    assert layering_breaches("x = form.coeffs[0]\n") == ["line 1: reads .coeffs"]
+    assert layering_breaches("import fractions\n") == ["line 1: imports fractions"]
+    assert layering_breaches("from fractions import Fraction\n") == [
+        "line 1: imports fractions"
+    ]

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from countermodel.linear import (
+    AffineForm,
     ConstraintSystem,
     LinearConstraint,
+    compare,
     equality,
     integer_tighten,
     is_infeasible,
@@ -168,3 +170,28 @@ def test_unbounded_variable_gets_integer_witness():
     outcome = solve(system("x", le({"x": -1}, -3)))  # x >= 3
     assert outcome.status == "feasible"
     assert outcome.witness["x"] == 3
+
+
+def test_compare_gives_the_canonical_constraints_of_each_relation():
+    x, y = AffineForm.variable("x"), AffineForm.variable("y")
+    assert compare(x, "=", y) == equality({"x": 1, "y": -1}, 0)
+    assert compare(x, "<=", y) == (le({"x": 1, "y": -1}, 0),)
+    assert compare(x, ">=", y) == (le({"x": -1, "y": 1}, 0),)
+    assert compare(x, "<", y) == (lt({"x": 1, "y": -1}, 0),)
+    assert compare(x, ">", y) == (lt({"x": -1, "y": 1}, 0),)
+    # 2x + 1 <= y - 3  is  2x - y <= -4
+    two_x = AffineForm.make({"x": 2}, 1)
+    assert compare(two_x, "<=", AffineForm.make({"y": 1}, -3)) == (le({"x": 2, "y": -1}, -4),)
+    with pytest.raises(ValueError):
+        compare(x, "!=", y)
+
+
+def test_negate_subst_and_le_stay_canonical():
+    c = le({"x": 2, "y": -2}, 3)  # x - y <= 3/2
+    assert c.negate() == lt({"x": -1, "y": 1}, Fraction(-3, 2))
+    assert c.negate().negate() == c
+    # x := 2u + 1, y := u  gives  u <= 1/2
+    mapping = {"x": AffineForm.make({"u": 2}, 1), "y": AffineForm.variable("u")}
+    assert c.subst(mapping) == le({"u": 1}, Fraction(1, 2))
+    assert AffineForm.make({"x": 2}, 1).le(5, strict=True) == lt({"x": 1}, 2)
+    assert str(c) == "2*x - 2*y <= 3"

@@ -107,6 +107,48 @@ def test_otherwise_requires_single_inequality_guards():
     assert "otherwise" in str(info.value)
 
 
+_WELL_SHAPED = (
+    "(DOMAIN [0, 1]) (FUN a = 0) (FUN b = 1) (FUN f(x, y) = x) (FUN g(x) = x) "
+    "(PRED -> (x, y) = x = y) (PRED ->* (x, y) = x = y)"
+)
+_BOTH = ("finite", "symbolic")
+
+
+@pytest.mark.parametrize(
+    "block, replacement, symbol, backends",
+    [
+        ("(PRED -> (x, y) = x = y)", "(PRED -> (x) = x < 1)", "->", _BOTH),
+        ("(PRED -> (x, y) = x = y)", "(PRED -> (x, y, z) = x < y)", "->", _BOTH),
+        ("(PRED -> (x, y) = x = y)", "(PRED -> (x, x) = x < x)", "->", _BOTH),
+        ("(FUN f(x, y) = x)", "(FUN f(x, x) = x)", "f", _BOTH),
+        ("(PRED -> (x, y) = x = y)", "(PRED -> = pairs (0, 1, 1))", "->", ("finite",)),
+        ("(PRED ->* (x, y) = x = y)", "(PRED ->* = pairs (0, 0) (1))", "->*", ("finite",)),
+        ("(PRED -> (x, y) = x = y)", "(PRED -> (x) = empty)", "->", ("finite",)),
+        ("(FUN g(x) = x)", "(FUN g = table (0) -> 0 | (0) -> 1 | (1) -> 1)", "g", ("finite",)),
+    ],
+    ids=[
+        "unary-pred",
+        "ternary-pred",
+        "repeated-pred-param",
+        "repeated-fun-param",
+        "triple-in-pairs",
+        "single-in-pairs",
+        "unary-empty-pred",
+        "repeated-table-key",
+    ],
+)
+def test_wrongly_shaped_interpretations_rejected(block, replacement, symbol, backends):
+    # A unary '->' used to parse: the finite backend tabulated 1-tuples and
+    # the symbolic one zip-truncated pairs, so the two read one file differently.
+    sig = system("pair_gf.trs").ctrs.signature
+    assert block in _WELL_SHAPED
+    parse_model(_WELL_SHAPED, sig, backends[0])
+    for backend in backends:
+        with pytest.raises(ParseError) as info:
+            parse_model(_WELL_SHAPED.replace(block, replacement), sig, backend)
+        assert f"'{symbol}'" in str(info.value)
+
+
 def test_non_contiguous_carrier_rejected_for_symbolic():
     text = """
     (DOMAIN {0, 2})
