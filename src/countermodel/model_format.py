@@ -26,7 +26,7 @@ and the backend can also be requested explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ModelError, ParseError
 from .lexer import TokenStream, tokenize
@@ -138,46 +138,39 @@ def _parse_document(text: str, sig: Signature, file: str | None):
     domains: dict[str, _Domain] = {}
     funs: dict[str, _Fun] = {}
     preds: dict[str, _Pred] = {}
-    while not stream.done():
-        stream.expect("(")
-        keyword = stream.expect_ident().text.upper()
+    for keyword in stream.blocks():
         if keyword == "DOMAIN":
-            domain = _parse_domain(stream, sig)
+            domain = _parse_domain(stream)
             sort = domain.sort if domain.sort is not None else sig.sorts[0]
             if sort not in sig.sorts:
                 raise stream.error(f"unknown sort '{sort}'")
             if sort in domains:
                 raise stream.error(f"duplicate DOMAIN for sort '{sort}'")
             domains[sort] = domain
-            stream.expect(")")
         elif keyword == "FUN":
             fun = _parse_fun(stream, sig)
             if fun.name in funs:
                 raise stream.error(f"duplicate interpretation of '{fun.name}'")
             funs[fun.name] = fun
-            stream.expect(")")
         elif keyword == "PRED":
             pred = _parse_pred(stream)
             if pred.name in preds:
                 raise stream.error(f"duplicate interpretation of '{pred.name}'")
             preds[pred.name] = pred
-            stream.expect(")")
         else:
             raise stream.error(f"unknown block '{keyword}'")
     return domains, funs, preds
 
 
-def _parse_domain(stream: TokenStream, sig: Signature) -> _Domain:
-    sort: str | None = None
-    if stream.at("ident"):
-        sort = stream.expect_ident().text
+def _parse_domain(stream: TokenStream) -> _Domain:
+    token = stream.accept("ident")
+    sort = token.text if token else None
     if stream.at("{"):
-        values = _parse_list(stream, _parse_int, "{", "}")
+        values = stream.items(_parse_int, "{", "}")
         if not values:
             raise stream.error("empty DOMAIN set")
         return _Domain(sort, "set", values=tuple(sorted(set(values))))
-    if stream.at("["):
-        stream.expect("[")
+    if stream.accept("["):
         lo = _parse_int(stream)
         stream.expect(",")
         hi = _parse_int(stream)
@@ -185,10 +178,8 @@ def _parse_domain(stream: TokenStream, sig: Signature) -> _Domain:
         if lo > hi:
             raise stream.error(f"empty interval [{lo}, {hi}]")
         return _Domain(sort, "interval", lo=lo, hi=hi)
-    if stream.at(">="):
-        stream.expect(">=")
-        lo = _parse_int(stream)
-        return _Domain(sort, "ray", lo=lo)
+    if stream.accept(">="):
+        return _Domain(sort, "ray", lo=_parse_int(stream))
     raise stream.error("expected '{', '[', or '>=' in DOMAIN")
 
 
@@ -207,11 +198,11 @@ def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
     if not params:
         params = [f"x{i + 1}" for i in range(arity)]
     stream.expect("=")
-    if stream.at_ident("table"):
-        stream.expect_ident("table")
+    if stream.accept("ident", "table"):
         table: dict[tuple[int, ...], int] = {}
-        while True:
-            key = tuple(_parse_list(stream, _parse_int))
+
+        def entry(stream: TokenStream) -> None:
+            key = tuple(stream.items(_parse_int))
             stream.expect("->")
             value = _parse_int(stream)
             if len(key) != arity:
@@ -219,27 +210,18 @@ def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
             if key in table:
                 raise stream.error(f"table of '{name}' repeats the key {key}")
             table[key] = value
-            if stream.at("|"):
-                stream.expect("|")
-            else:
-                break
+
+        stream.separated(entry, "|")
         return _Fun(name, tuple(params), table=table)
-    if stream.at_ident("cases"):
-        stream.expect_ident("cases")
-        cases: list[_Case] = []
-        while True:
-            if stream.at_ident("otherwise"):
-                stream.expect_ident("otherwise")
-                guard = None
-            else:
-                guard = tuple(_parse_constraints(stream, params))
+    if stream.accept("ident", "cases"):
+
+        def case(stream: TokenStream) -> _Case:
+            otherwise = stream.accept("ident", "otherwise")
+            guard = None if otherwise else tuple(_parse_constraints(stream, params))
             stream.expect("->")
-            cases.append(_parse_case_value(stream, params, guard))
-            if stream.at("|"):
-                stream.expect("|")
-            else:
-                break
-        return _Fun(name, tuple(params), cases=cases)
+            return _parse_case_value(stream, params, guard)
+
+        return _Fun(name, tuple(params), cases=stream.separated(case, "|"))
     case = _parse_case_value(stream, params, guard=())
     return _Fun(name, tuple(params), cases=[case])
 
@@ -247,8 +229,7 @@ def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
 def _parse_case_value(
     stream: TokenStream, params: list[str], guard: tuple[LinearConstraint, ...] | None
 ) -> _Case:
-    if stream.at_ident("clamp"):
-        stream.expect_ident("clamp")
+    if stream.accept("ident", "clamp"):
         stream.expect("(")
         form = _parse_affine(stream, params)
         stream.expect(",")
@@ -272,14 +253,12 @@ def _parse_pred(stream: TokenStream) -> _Pred:
     elif len(params) != 2:
         raise stream.error(f"predicate '{name}' takes 2 parameters, got {len(params)}")
     stream.expect("=")
-    if stream.at_ident("pairs") or stream.at_ident("empty"):
-        if stream.at_ident("empty"):
-            stream.expect_ident("empty")
-            return _Pred(name, tuple(params), pairs=frozenset())
-        stream.expect_ident("pairs")
+    if stream.accept("ident", "empty"):
+        return _Pred(name, tuple(params), pairs=frozenset())
+    if stream.accept("ident", "pairs"):
         pairs: set[tuple[int, ...]] = set()
         while stream.at("("):
-            pair = tuple(_parse_list(stream, _parse_int))
+            pair = tuple(stream.items(_parse_int))
             if len(pair) != 2:
                 raise stream.error(f"predicate '{name}' holds pairs, got {pair}")
             pairs.add(pair)
@@ -292,7 +271,7 @@ def _parse_params(stream: TokenStream, name: str) -> list[str] | None:
     """A parenthesized list of distinct parameter names; None when absent."""
     if not stream.at("("):
         return None
-    params = _parse_list(stream, lambda s: s.expect_ident().text)
+    params = stream.items(lambda s: s.expect_ident().text)
     if len(set(params)) != len(params):
         raise stream.error(f"'{name}' repeats a parameter name in {tuple(params)}")
     return params
@@ -301,88 +280,51 @@ def _parse_params(stream: TokenStream, name: str) -> list[str] | None:
 # -- expression and constraint parsing ------------------------------------------
 
 
-def _parse_list(stream: TokenStream, item: Callable, open_: str = "(", close: str = ")") -> list:
-    """``open_ item, ..., item close``, possibly empty."""
-    stream.expect(open_)
-    items = []
-    if not stream.at(close):
-        items.append(item(stream))
-        while stream.at(","):
-            stream.expect(",")
-            items.append(item(stream))
-    stream.expect(close)
-    return items
-
-
 def _parse_int(stream: TokenStream) -> int:
-    sign = 1
-    if stream.at("-"):
-        stream.expect("-")
-        sign = -1
-    token = stream.expect("int")
-    return sign * int(token.text)
+    sign = -1 if stream.accept("-") else 1
+    return sign * int(stream.expect("int").text)
 
 
 def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
+    """Terms ``n``, ``x`` or ``n*x`` joined by '+' and '-'; a run of signs multiplies."""
+    if stream.at("+"):
+        raise stream.error("expression cannot start with '+'")
     allowed = set(params)
     coeffs: dict[str, int] = {}
     constant = 0
-    sign = 1
-    first = True
-    while True:
-        if stream.at("-"):
-            stream.expect("-")
-            sign = -sign
-            first = False
-            continue
-        if stream.at("+"):
-            if first:
-                raise stream.error("expression cannot start with '+'")
-            stream.expect("+")
-            continue
-        if stream.at("int"):
-            value = int(stream.expect("int").text)
-            if stream.at("*"):
-                stream.expect("*")
-                name = stream.expect_ident().text
-                if name not in allowed:
-                    raise stream.error(f"unknown parameter '{name}' (non-affine expressions are rejected)")
-                coeffs[name] = coeffs.get(name, 0) + sign * value
-            else:
-                constant += sign * value
-        elif stream.at("ident"):
+    more = True
+    while more:
+        sign = 1
+        while sign_token := stream.accept("-") or stream.accept("+"):
+            sign = -sign if sign_token.kind == "-" else sign
+        number = stream.accept("int")
+        if number and not stream.accept("*"):
+            constant += sign * int(number.text)
+        elif number or stream.at("ident"):
             name = stream.expect_ident().text
             if name not in allowed:
                 raise stream.error(f"unknown parameter '{name}' (non-affine expressions are rejected)")
-            if stream.at("*"):
+            if not number and stream.at("*"):
                 raise stream.error("non-affine expression: variable products are not supported")
-            coeffs[name] = coeffs.get(name, 0) + sign
+            coeffs[name] = coeffs.get(name, 0) + sign * (int(number.text) if number else 1)
         else:
             raise stream.error("expected an affine expression")
-        first = False
-        sign = 1
-        token = stream.peek()
-        if token is None or token.kind not in ("+", "-"):
-            break
+        more = stream.at("+") or stream.at("-")
     return AffineForm.make(coeffs, constant)
 
 
 def _parse_constraints(stream: TokenStream, params: Iterable[str]) -> list[LinearConstraint]:
-    params = list(params)
-    out: list[LinearConstraint] = []
-    while True:
+    """``left REL right /\\ ...``, each comparison lowered to canonical constraints."""
+
+    def comparison(stream: TokenStream) -> list[LinearConstraint]:
         left = _parse_affine(stream, params)
         token = stream.peek()
         if token is None or token.kind not in RELATIONS:
             raise stream.error("expected a comparison operator")
         stream.next()
-        right = _parse_affine(stream, params)
-        out.extend(compare(left, token.kind, right))
-        if stream.at("/\\"):
-            stream.expect("/\\")
-        else:
-            break
-    return out
+        return compare(left, token.kind, _parse_affine(stream, params))
+
+    return [c for part in stream.separated(comparison, "/\\") for c in part]
 
 
 # -- assembly --------------------------------------------------------------------

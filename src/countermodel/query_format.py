@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import ParseError, QueryError, UnsupportedFragmentError
-from .lexer import TokenStream, tokenize
+from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
 from .logic import Atom
 from .queries import (
     CONVERTIBLE,
@@ -97,31 +97,16 @@ def parse_query(
 
 def _parse_template(stream: TokenStream, sig: Signature, declared: dict[str, str]) -> Query:
     name = stream.expect_ident().text.upper()
-    stream.expect("(")
     scope = _Scope(sig, declared, bound=None)
     try:
         if name == "FEASIBLE":
-            conditions = []
+            stream.expect("(")
             if stream.at(")"):
                 raise stream.error("FEASIBLE needs at least one condition")
-            while True:
-                s = _parse_term(stream, scope)
-                stream.expect("==")
-                t = _parse_term(stream, scope)
-                conditions.append((s, t))
-                if stream.at(","):
-                    stream.expect(",")
-                else:
-                    break
+            conditions = read_conditions(stream, scope.term)
             stream.expect(")")
             return template(sig, FEAS, conditions)
-        args: list[Term] = []
-        if not stream.at(")"):
-            args.append(_parse_term(stream, scope))
-            while stream.at(","):
-                stream.expect(",")
-                args.append(_parse_term(stream, scope))
-        stream.expect(")")
+        args = stream.items(scope.term)
         if name == "CYCLING":
             return template(sig, CYCLING_TERM if args else CYCLING_SYSTEM, *args)
         if name == "LOOPING":
@@ -134,52 +119,30 @@ def _parse_template(stream: TokenStream, sig: Signature, declared: dict[str, str
 def _parse_exists(stream: TokenStream, sig: Signature, declared: dict[str, str]) -> Query:
     bound: dict[str, str] = {}
     order: list[Var] = []
-    if stream.at_ident("EXISTS"):
-        stream.expect_ident("EXISTS")
-        while not stream.at("."):
+    if stream.accept("ident", "EXISTS"):
+        while not stream.accept("."):
             name = stream.expect_ident().text
-            sort = sig.sorts[0] if sig.single_sorted else None
-            if stream.at(":"):
-                stream.expect(":")
+            if stream.accept(":"):
                 sort = stream.expect_ident().text
             elif name in declared:
                 sort = declared[name]
+            else:
+                sort = sig.sorts[0] if sig.single_sorted else None
             if sort is None:
                 raise stream.error(f"variable '{name}' needs a sort annotation")
             bound[name] = sort
             order.append(Var(name, sort))
-        stream.expect(".")
     scope = _Scope(sig, declared, bound)
-    disjuncts: list[tuple[Atom, ...]] = []
-    while True:
-        atoms = [_parse_atom(stream, scope)]
-        while stream.at("/\\"):
-            stream.expect("/\\")
-            atoms.append(_parse_atom(stream, scope))
-        disjuncts.append(tuple(atoms))
-        if stream.at("\\/"):
-            stream.expect("\\/")
-        else:
-            break
+
+    def conjunction(stream: TokenStream) -> tuple[Atom, ...]:
+        return tuple(stream.separated(scope.atom, "/\\"))
+
+    disjuncts = stream.separated(conjunction, "\\/")
     variables = tuple(order) if order else tuple(scope.seen.values())
     try:
         return Query(variables, tuple(disjuncts))
     except QueryError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _parse_atom(stream: TokenStream, scope: "_Scope") -> Atom:
-    if stream.at_ident("EXISTS"):
-        raise UnsupportedFragmentError(
-            "unsupported fragment: nested quantifiers are not allowed", stream.span_here()
-        )
-    left = _parse_term(stream, scope)
-    token = stream.peek()
-    if token is None or token.kind not in _ATOM_OPERATORS:
-        raise stream.error("expected one of '->', '->*', '->^', '|>' in atom")
-    stream.next()
-    right = _parse_term(stream, scope)
-    return Atom(token.kind, (left, right))
 
 
 class _Scope:
@@ -193,20 +156,43 @@ class _Scope:
         self.bound = bound  # None, as in templates, means variables bind implicitly
         self.seen: dict[str, Var] = {}
 
-    def resolve(self, name: str, inline_sort: str | None) -> Term | None:
-        if inline_sort is not None:
-            return self._variable(name, inline_sort)
+    def atom(self, stream: TokenStream) -> Atom:
+        if stream.at_ident("EXISTS"):
+            raise UnsupportedFragmentError(
+                "unsupported fragment: nested quantifiers are not allowed", stream.span_here()
+            )
+        left = self.term(stream)
+        token = stream.peek()
+        if token is None or token.kind not in _ATOM_OPERATORS:
+            raise stream.error("expected one of '->', '->*', '->^', '|>' in atom")
+        stream.next()
+        return Atom(token.kind, (left, self.term(stream)))
+
+    def term(self, stream: TokenStream) -> Term:
+        return read_term(stream, self._resolve, self._application)
+
+    def _resolve(self, stream: TokenStream, token: Token) -> Var | None:
+        """The variable ``token`` names, or None for a signature symbol."""
+        name = token.text
+        if stream.accept(":"):
+            return self._variable(name, stream.expect_ident().text)
         if self.bound is not None and name in self.bound:
             return self._variable(name, self.bound[name])
         if self.bound is None and name in self.declared:
             return self._variable(name, self.declared[name])
         if name in self.sig.functions:
-            return None  # a symbol; the caller parses it as an application
-        if self.bound is None:
-            sort = self.declared.get(name, self.sig.sorts[0] if self.sig.single_sorted else None)
-            if sort is not None:
-                return self._variable(name, sort)
-        return None
+            return None
+        if self.bound is None and self.sig.single_sorted:
+            return self._variable(name, self.sig.sorts[0])
+        raise ParseError(f"unknown symbol '{name}'", token.span(stream.file))
+
+    def _application(self, stream: TokenStream, token: Token, args: list[Term]) -> App:
+        term = App(token.text, tuple(args))
+        try:
+            check_term(self.sig, term, strict=False)
+        except Exception as exc:
+            raise ParseError(str(exc), token.span(stream.file)) from exc
+        return term
 
     def _variable(self, name: str, sort: str) -> Var:
         var = Var(name, sort)
@@ -215,32 +201,3 @@ class _Scope:
             raise QueryError(f"variable '{name}' used with two sorts")
         self.seen[name] = var
         return var
-
-
-def _parse_term(stream: TokenStream, scope: _Scope) -> Term:
-    token = stream.expect_ident()
-    name = token.text
-    inline_sort: str | None = None
-    if stream.at(":"):
-        stream.expect(":")
-        inline_sort = stream.expect_ident().text
-    resolved = scope.resolve(name, inline_sort)
-    if isinstance(resolved, Var):
-        return resolved
-    if name not in scope.sig.functions:
-        raise ParseError(f"unknown symbol '{name}'", token.span(stream.file))
-    args: list[Term] = []
-    if stream.at("("):
-        stream.expect("(")
-        if not stream.at(")"):
-            args.append(_parse_term(stream, scope))
-            while stream.at(","):
-                stream.expect(",")
-                args.append(_parse_term(stream, scope))
-        stream.expect(")")
-    term = App(name, tuple(args))
-    try:
-        check_term(scope.sig, term, strict=False)
-    except Exception as exc:
-        raise ParseError(str(exc), token.span(stream.file)) from exc
-    return term

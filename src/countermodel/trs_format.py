@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError, TermError
-from .lexer import Token, TokenStream, tokenize
+from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
 from .terms import (
     CTRS,
     DEFAULT_SORT,
@@ -56,32 +56,26 @@ def parse_ctrs_document(text: str, file: str | None = None) -> CTRSDocument:
     var_sorts: dict[str, str] = {}
     rule_blocks: list[list[Token]] = []
 
-    while not stream.done():
-        stream.expect("(")
-        keyword = stream.expect_ident().text.upper()
+    for keyword in stream.blocks():
         if keyword == "SORTS":
             sorts = []
             while not stream.at(")"):
                 sorts.append(stream.expect_ident().text)
-            stream.expect(")")
         elif keyword == "SUBSORTS":
             while not stream.at(")"):
                 lhs = [stream.expect_ident().text]
-                while not stream.at("<"):
+                while not stream.accept("<"):
                     lhs.append(stream.expect_ident().text)
-                stream.expect("<")
                 sup = stream.expect_ident().text
                 subsorts.extend((sub, sup) for sub in lhs)
-            stream.expect(")")
         elif keyword == "SIG":
             declared_functions = {}
             while not stream.at(")"):
                 name_token = stream.expect_ident()
                 stream.expect(":")
                 arg_sorts: list[str] = []
-                while not stream.at("->"):
+                while not stream.accept("->"):
                     arg_sorts.append(stream.expect_ident().text)
-                stream.expect("->")
                 result = stream.expect_ident().text
                 if name_token.text in declared_functions:
                     raise ParseError(
@@ -89,7 +83,6 @@ def parse_ctrs_document(text: str, file: str | None = None) -> CTRSDocument:
                         name_token.span(file),
                     )
                 declared_functions[name_token.text] = (tuple(arg_sorts), result)
-            stream.expect(")")
         elif keyword == "CONDITIONTYPE":
             token = stream.expect_ident()
             kind = token.text.upper()
@@ -99,42 +92,20 @@ def parse_ctrs_document(text: str, file: str | None = None) -> CTRSDocument:
                 condition_type = JOIN
             else:
                 raise ParseError(f"unknown condition type '{token.text}'", token.span(file))
-            stream.expect(")")
         elif keyword == "VAR":
             while not stream.at(")"):
                 name = stream.expect_ident().text
-                if stream.at(":"):
-                    stream.expect(":")
-                    var_sorts[name] = stream.expect_ident().text
-                else:
-                    var_sorts[name] = DEFAULT_SORT
-            stream.expect(")")
+                var_sorts[name] = stream.expect_ident().text if stream.accept(":") else DEFAULT_SORT
         elif keyword == "RULES":
-            depth = 1
-            body: list[Token] = []
-            while depth > 0:
-                token = stream.next()
-                if token.kind == "(":
-                    depth += 1
-                elif token.kind == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                body.append(token)
-            rule_blocks.append(body)
+            rule_blocks.append(stream.balanced())
         elif keyword == "COMMENT":
-            depth = 1
-            while depth > 0:
-                token = stream.next()
-                if token.kind == "(":
-                    depth += 1
-                elif token.kind == ")":
-                    depth -= 1
+            stream.balanced()
         else:
             raise ParseError(f"unknown block '{keyword}'", stream.span_here())
 
-    typed = sorts is not None or declared_functions is not None
-    if typed:
+    signature: Signature | None = None
+    inferred: dict[str, int] | None = None
+    if sorts is not None or declared_functions is not None:
         if declared_functions is None:
             raise ParseError("a SORTS block requires a SIG block")
         if sorts is None:
@@ -143,14 +114,14 @@ def parse_ctrs_document(text: str, file: str | None = None) -> CTRSDocument:
             if sort == DEFAULT_SORT:
                 raise ParseError(f"variable '{name}' needs a sort annotation in sorted input")
         signature = Signature(tuple(sorts), tuple(subsorts), declared_functions)
-        rules = []
-        for body in rule_blocks:
-            rules.extend(_parse_rules(body, file, var_sorts, signature, None, condition_type))
     else:
-        inferred: dict[str, int] = {}
-        rules = []
-        for body in rule_blocks:
-            rules.extend(_parse_rules(body, file, var_sorts, None, inferred, condition_type))
+        inferred = {}
+    rules = [
+        rule
+        for body in rule_blocks
+        for rule in _parse_rules(body, file, var_sorts, signature, inferred, condition_type)
+    ]
+    if signature is None:
         signature = Signature(
             (DEFAULT_SORT,),
             (),
@@ -172,25 +143,46 @@ def _parse_rules(
     inferred: dict[str, int] | None,
     condition_type: str,
 ) -> list[ConditionalRule]:
+    """Rules ``l -> r`` or ``l -> r | s1 == t1, ...``, over declared or inferred symbols."""
+
+    def variable(stream: TokenStream, token: Token) -> Var | None:
+        if token.text not in var_sorts:
+            return None
+        if stream.at("("):
+            raise ParseError(f"variable '{token.text}' cannot take arguments", token.span(file))
+        return Var(token.text, var_sorts[token.text])
+
+    def application(stream: TokenStream, token: Token, args: list[Term]) -> App:
+        name = token.text
+        if signature is not None:
+            if name not in signature.functions:
+                raise ParseError(f"undeclared symbol '{name}'", token.span(file))
+            declared = len(signature.functions[name][0])
+            if declared != len(args):
+                raise ParseError(
+                    f"'{name}' is declared with {declared} argument(s), used with {len(args)}",
+                    token.span(file),
+                )
+        else:
+            arity = inferred.setdefault(name, len(args))
+            if arity != len(args):
+                raise ParseError(
+                    f"'{name}' was first used with {arity} argument(s), now {len(args)}",
+                    token.span(file),
+                )
+        return App(name, tuple(args))
+
+    def term(stream: TokenStream) -> Term:
+        return read_term(stream, variable, application)
+
     stream = TokenStream(body, file)
     rules: list[ConditionalRule] = []
     while not stream.done():
         start = stream.peek()
-        lhs = _parse_term(stream, var_sorts, signature, inferred)
+        lhs = term(stream)
         stream.expect("->")
-        rhs = _parse_term(stream, var_sorts, signature, inferred)
-        conditions: list[tuple[Term, Term]] = []
-        if stream.at("|"):
-            stream.expect("|")
-            while True:
-                s = _parse_term(stream, var_sorts, signature, inferred)
-                stream.expect("==")
-                t = _parse_term(stream, var_sorts, signature, inferred)
-                conditions.append((s, t))
-                if stream.at(","):
-                    stream.expect(",")
-                else:
-                    break
+        rhs = term(stream)
+        conditions = read_conditions(stream, term) if stream.accept("|") else []
         span = start.span(file) if start else None
         try:
             rules.append(
@@ -199,44 +191,3 @@ def _parse_rules(
         except Exception as exc:
             raise ParseError(str(exc), span) from exc
     return rules
-
-
-def _parse_term(
-    stream: TokenStream,
-    var_sorts: dict[str, str],
-    signature: Signature | None,
-    inferred: dict[str, int] | None,
-) -> Term:
-    token = stream.expect_ident()
-    name = token.text
-    if name in var_sorts:
-        if stream.at("("):
-            raise ParseError(f"variable '{name}' cannot take arguments", token.span(stream.file))
-        return Var(name, var_sorts[name])
-    args: list[Term] = []
-    if stream.at("("):
-        stream.expect("(")
-        if not stream.at(")"):
-            args.append(_parse_term(stream, var_sorts, signature, inferred))
-            while stream.at(","):
-                stream.expect(",")
-                args.append(_parse_term(stream, var_sorts, signature, inferred))
-        stream.expect(")")
-    if signature is not None:
-        if name not in signature.functions:
-            raise ParseError(f"undeclared symbol '{name}'", token.span(stream.file))
-        declared = len(signature.functions[name][0])
-        if declared != len(args):
-            raise ParseError(
-                f"'{name}' is declared with {declared} argument(s), used with {len(args)}",
-                token.span(stream.file),
-            )
-    else:
-        assert inferred is not None
-        arity = inferred.setdefault(name, len(args))
-        if arity != len(args):
-            raise ParseError(
-                f"'{name}' was first used with {arity} argument(s), now {len(args)}",
-                token.span(stream.file),
-            )
-    return App(name, tuple(args))

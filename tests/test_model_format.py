@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from countermodel.errors import CountermodelError, ParseError
 from countermodel.model_format import MAX_FINITE_CARRIER, parse_model, serialize_model
@@ -217,8 +217,17 @@ def test_sorted_domains_require_sort_names():
     assert structure.carrier("User") == Ray(-1)
 
 
+def test_non_decimal_digit_is_a_spanned_parse_error():
+    # '²' passes str.isdigit() but int() rejects it: it must not reach int().
+    with pytest.raises(ParseError) as info:
+        parse_model("(DOMAIN [0, ²])", SIG)
+    assert str(info.value) == "<input>:1:13-1:14: unexpected character '²'"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=60))
+@example("(DOMAIN [0, ²])")
+@example("(FUN a = ½)")
 def test_model_parsing_is_total(text):
     try:
         parse_model(text, SIG)

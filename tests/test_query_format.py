@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from countermodel.errors import CountermodelError, ParseError, UnsupportedFragmentError
 from countermodel.logic import Atom
@@ -125,6 +125,8 @@ def test_trailing_input_rejected():
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=50))
+@example("f(²) -> a")
+@example("½")
 def test_query_parsing_is_total(text):
     try:
         parse_query(text, SIG)

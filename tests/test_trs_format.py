@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from countermodel.errors import CountermodelError, ParseError
 from countermodel.terms import App, JOIN, ORIENTED, Var
@@ -137,6 +137,8 @@ def test_rule_spans_attached():
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=60))
+@example("(RULES ² -> a)")
+@example("(VAR x½)")
 def test_parsing_is_total(text):
     try:
         parse_ctrs(text)
