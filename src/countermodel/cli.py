@@ -26,7 +26,7 @@ from .logic import format_theory
 from .model_format import parse_model
 from .oracle import saturate
 from .pipeline import (
-    BOTH,
+    build_theory,
     disprove,
     oracle_cross_check,
     required_predicates,
@@ -151,9 +151,9 @@ def _load_system(args):
 def _load_query(args, document):
     source = None
     origin = None
-    if getattr(args, "query", None):
+    if args.query:
         source, origin = args.query, "<query>"
-    elif getattr(args, "query_file", None):
+    elif args.query_file:
         source, origin = Path(args.query_file).read_text(encoding="utf-8").strip(), args.query_file
     if source is None:
         return None
@@ -162,8 +162,6 @@ def _load_query(args, document):
 
 def _run_compile(args) -> int:
     document = _load_system(args)
-    from .pipeline import build_theory
-
     theory = build_theory(
         document.ctrs,
         with_subterm=args.with_subterm_theory,
@@ -177,19 +175,12 @@ def _run_check(args) -> int:
     document = _load_system(args)
     query = _load_query(args, document)
     ctrs = document.ctrs
-    theory = theory_for_query(
-        ctrs,
-        query,
-        with_subterm=args.with_subterm_theory,
-        with_root=args.with_root_theory,
-    ) if query is not None else None
-    if theory is None:
-        from .pipeline import build_theory
-
-        theory = build_theory(
-            ctrs, with_subterm=args.with_subterm_theory, with_root=args.with_root_theory
-        )
-    obligations = negate_to_obligations(query) if query is not None else ()
+    extensions = dict(with_subterm=args.with_subterm_theory, with_root=args.with_root_theory)
+    if query is None:
+        theory, obligations = build_theory(ctrs, **extensions), ()
+    else:
+        theory = theory_for_query(ctrs, query, **extensions)
+        obligations = negate_to_obligations(query)
     required = required_predicates(theory, tuple(obligations))
     model_text = Path(args.model).read_text(encoding="utf-8")
     backend = args.backend
@@ -208,7 +199,7 @@ def _run_check(args) -> int:
     else:
         structure = parse_model(model_text, ctrs.signature, backend, required, file=args.model)
         cert = verify(theory, obligations, structure)
-    return _emit_certificate(cert, getattr(args, "output", None))
+    return _emit_certificate(cert, args.output)
 
 
 def _run_disprove(args) -> int:
@@ -221,7 +212,7 @@ def _run_disprove(args) -> int:
         document.ctrs,
         query,
         budget,
-        backend=args.backend if args.backend else BOTH,
+        backend=args.backend,
         with_subterm=args.with_subterm_theory,
         with_root=args.with_root_theory,
     )
@@ -232,7 +223,7 @@ def _run_disprove(args) -> int:
     certificate = result.certificate
     obligations_ground = all(not ob.variables for ob in certificate.obligations)
     run_oracle = args.oracle_check or (obligations_ground and not args.no_oracle_check)
-    code = _emit_certificate(certificate, getattr(args, "output", None))
+    code = _emit_certificate(certificate, args.output)
     if run_oracle:
         violations = oracle_cross_check(document.ctrs, certificate)
         if violations:
@@ -268,18 +259,26 @@ def _emit_certificate(cert, output: str | None) -> int:
 def _budget_from_args(args) -> SearchBudget:
     kwargs = {}
     if args.carriers:
-        intervals = []
-        for piece in args.carriers.split(","):
-            lo, hi = piece.split(":")
-            intervals.append((int(lo), int(hi)))
-        kwargs["carriers"] = tuple(intervals)
+        kwargs["carriers"] = tuple(
+            _ints("--carriers", piece, ":", 2) for piece in args.carriers.split(",")
+        )
     if args.ray_carriers:
-        kwargs["ray_carriers"] = tuple(int(x) for x in args.ray_carriers.split(","))
+        kwargs["ray_carriers"] = _ints("--ray-carriers", args.ray_carriers, ",")
     if args.coeff_range:
-        lo, hi = args.coeff_range.split(":")
-        kwargs["coeff_min"], kwargs["coeff_max"] = int(lo), int(hi)
+        kwargs["coeff_min"], kwargs["coeff_max"] = _ints("--coeff-range", args.coeff_range, ":", 2)
     if args.timeout is not None:
         kwargs["time_limit"] = args.timeout
     if args.raw_table_max is not None:
         kwargs["raw_table_max_size"] = args.raw_table_max
     return SearchBudget(**kwargs)
+
+
+def _ints(flag: str, text: str, sep: str, count: int | None = None) -> tuple[int, ...]:
+    """The integers ``text`` lists between ``sep``; an error naming ``flag`` otherwise."""
+    try:
+        values = tuple(int(part) for part in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise ValueError(f"{flag}: cannot read {text!r}")
+    return values

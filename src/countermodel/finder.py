@@ -64,6 +64,16 @@ class SearchBudget:
     time_limit: float = 60.0
     max_nodes: int = 2_000_000
 
+    def __post_init__(self) -> None:
+        # An inverted carrier or coefficient range silently empties every
+        # menu built from it.  The pair ranges stay free: an empty pair range
+        # is how a caller switches the pair templates off.
+        for lo, hi in self.carriers:
+            if lo > hi:
+                raise ValueError(f"carriers: interval {lo}:{hi} is empty")
+        if self.coeff_min > self.coeff_max:
+            raise ValueError(f"coeff_min {self.coeff_min} exceeds coeff_max {self.coeff_max}")
+
 
 @dataclass(frozen=True)
 class FindOutcome:

@@ -297,10 +297,24 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
         )
 
         def probe(extra, detail, unknown_prefix="", at_point=True) -> tuple[ClosureViolation, ...]:
-            """A violation when the bounds and ``extra`` hold at an integer point, or may."""
-            outcome = solve(integer_tighten(ConstraintSystem(params, bounds + extra)))
+            """A violation when the bounds and ``extra`` hold at an integer point, or may.
+
+            The violation is certain only when the rounded witness satisfies
+            the untightened system: a rational witness proves nothing about
+            the integer carriers.
+            """
+            system = ConstraintSystem(params, bounds + extra)
+            outcome = solve(integer_tighten(system))
             if outcome.status == "feasible":
                 point = tuple(int(outcome.witness.get(p, 0)) for p in params)
+                if not system.satisfied_by(dict(zip(params, point))):
+                    return (
+                        ClosureViolation(
+                            name,
+                            f"{detail} (rational witness only; integer status undecided)",
+                            certain=False,
+                        ),
+                    )
                 return (ClosureViolation(name, detail, point if at_point else None),)
             if outcome.status == "unknown":
                 return (ClosureViolation(name, f"{unknown_prefix}{outcome.reason}", certain=False),)

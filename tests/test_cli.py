@@ -268,6 +268,23 @@ def test_wrongly_shaped_model_exits_input_error(tmp_path, capsys):
         assert "predicate '->' takes 2 parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--carriers", "3:1"], "carriers: interval 3:1 is empty"),
+        (["--carriers", "0:1,2:-2"], "carriers: interval 2:-2 is empty"),
+        (["--coeff-range", "2:-2"], "coeff_min 2 exceeds coeff_max -2"),
+        (["--carriers", "0:1:2"], "--carriers: cannot read '0:1:2'"),
+        (["--ray-carriers", "0,x"], "--ray-carriers: cannot read '0,x'"),
+        (["--coeff-range", "1"], "--coeff-range: cannot read '1'"),
+    ],
+)
+def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):
+    code = main(["disprove", corpus("intro.trs"), "--query", "REACHABLE(a, b)", *flags])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")

@@ -124,6 +124,27 @@ def test_closure_catches_printed_pair_gf_model():
     assert any(v.symbol == "f" and v.point == (1, 0) for v in violations)
 
 
+def test_closure_symbolic_needs_an_integer_point_to_refute():
+    # The first guard holds at rational points (x = 3/8, y = 2) but at no
+    # integer one, so its value 9 never leaves [0, 5]; the four guards cover
+    # the carrier without overlapping on the integers.
+    from countermodel.model_format import parse_model
+    from paperdata import system
+
+    text = """
+    (DOMAIN [0, 5]) (FUN a = 0) (FUN b = 1) (FUN g(x) = 0)
+    (FUN f(x, y) = cases 4*x + y <= 4 /\\ -4*x + y <= 1 /\\ -2*x - 3*y <= -6 -> 9
+                       | 4*x + y >= 5 -> 0
+                       | 4*x + y <= 4 /\\ -4*x + y >= 2 -> 0
+                       | 4*x + y <= 4 /\\ -4*x + y <= 1 /\\ -2*x - 3*y >= -5 -> 0)
+    (PRED -> (x, y) = x - y <= 0 /\\ y - x <= 0) (PRED ->* (x, y) = x - y <= 0 /\\ y - x <= 0)
+    """
+    sig = system("pair_gf.trs").ctrs.signature
+    assert closure_check(parse_model(text, sig, "finite")) == ()
+    violations = closure_check(parse_model(text, sig, "symbolic"))
+    assert not any(v.certain for v in violations)
+
+
 def test_closure_symbolic_ray_doubling_is_closed():
     _doc, _theory, _ob, s = paper_instance("non-cycling")
     assert closure_check(s) == ()  # 2x + 2 >= -1 whenever x >= -1
