@@ -277,8 +277,8 @@ def _ints(flag: str, text: str, sep: str, count: int | None = None) -> tuple[int
     """The integers ``text`` lists between ``sep``; an error naming ``flag`` otherwise."""
     try:
         values = tuple(int(part) for part in text.split(sep))
+        if count is None or len(values) == count:
+            return values
     except ValueError:
-        values = None
-    if values is None or (count is not None and len(values) != count):
-        raise ValueError(f"{flag}: cannot read {text!r}")
-    return values
+        pass
+    raise ValueError(f"{flag}: cannot read {text!r}")

@@ -16,6 +16,8 @@ from typing import Callable, Iterator, TypeVar
 
 from .errors import ParseError, SourceSpan
 
+T = TypeVar("T")
+
 # Deepest parenthesis nesting the parsers accept.  The parsers and the term
 # walkers downstream (printing, evaluation, lowering) recurse once or a few
 # times per level, so the cap keeps every input well inside Python's
@@ -104,9 +106,6 @@ def tokenize(text: str, file: str | None = None) -> list[Token]:
             )
         tokens.append(Token(kind, value, line, column))
     return tokens
-
-
-T = TypeVar("T")
 
 
 class TokenStream:

@@ -10,9 +10,11 @@ LOOPING(), LOOPING(t).  Anything outside the existential positive fragment
 (negation, universal quantification, implication, nested quantifiers) is
 rejected with an unsupported-fragment error.
 
-Identifiers resolve to variables when bound in the prefix, annotated inline
-(``x:Sort``), or listed in the caller's variable declarations; otherwise
-they must be signature symbols.
+Terms and lists are read with the shared reader in ``lexer``; this module
+decides what a name stands for.  Identifiers resolve to variables when bound
+in the prefix, annotated inline (``x:Sort``), or listed in the caller's
+variable declarations; otherwise they must be signature symbols, and each
+application is checked against the signature as it is read.
 """
 from __future__ import annotations
 

@@ -307,15 +307,10 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
             outcome = solve(integer_tighten(system))
             if outcome.status == "feasible":
                 point = tuple(int(outcome.witness.get(p, 0)) for p in params)
-                if not system.satisfied_by(dict(zip(params, point))):
-                    return (
-                        ClosureViolation(
-                            name,
-                            f"{detail} (rational witness only; integer status undecided)",
-                            certain=False,
-                        ),
-                    )
-                return (ClosureViolation(name, detail, point if at_point else None),)
+                if system.satisfied_by(dict(zip(params, point))):
+                    return (ClosureViolation(name, detail, point if at_point else None),)
+                uncertain = f"{detail} (rational witness only; integer status undecided)"
+                return (ClosureViolation(name, uncertain, certain=False),)
             if outcome.status == "unknown":
                 return (ClosureViolation(name, f"{unknown_prefix}{outcome.reason}", certain=False),)
             return ()

@@ -11,9 +11,12 @@ databases::
     (RULES l -> r | s1 == t1, s2 == t2 ...)
     (COMMENT ...)
 
-Untyped input uses the single default sort, with arities inferred from the
-first use of each symbol; later uses at a different arity are rejected with
-the offending span.
+Blocks, lists and terms are read with the shared reader in ``lexer``; this
+module decides what a name in a rule stands for.  A name declared in VAR is
+a variable.  Any other name is a function symbol, checked against SIG in
+sorted input.  Untyped input uses the single default sort, with arities
+inferred from the first use of each symbol; later uses at a different arity
+are rejected with the offending span.
 """
 from __future__ import annotations
 
