@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import ParseError, QueryError, UnsupportedFragmentError
+from .errors import ParseError, QueryError, SourceSpan, UnsupportedFragmentError
 from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
 from .logic import Atom
 from .queries import (
@@ -123,9 +123,10 @@ def _parse_exists(stream: TokenStream, sig: Signature, declared: dict[str, str])
     order: list[Var] = []
     if stream.accept("ident", "EXISTS"):
         while not stream.accept("."):
-            name = stream.expect_ident().text
+            token = stream.expect_ident()
+            name = token.text
             if stream.accept(":"):
-                sort = stream.expect_ident().text
+                sort, _ = _annotation(stream, sig, token)
             elif name in declared:
                 sort = declared[name]
             else:
@@ -145,6 +146,15 @@ def _parse_exists(stream: TokenStream, sig: Signature, declared: dict[str, str])
         return Query(variables, tuple(disjuncts))
     except QueryError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _annotation(stream: TokenStream, sig: Signature, name: Token) -> tuple[str, SourceSpan]:
+    """The declared sort after ``name:``, and the span of ``name:Sort``."""
+    sort = stream.expect_ident()
+    span = SourceSpan(stream.file, name.line, name.column, sort.line, sort.column + len(sort.text))
+    if sort.text not in sig.sorts:
+        raise ParseError(f"variable '{name.text}' has undeclared sort '{sort.text}'", span)
+    return sort.text, span
 
 
 class _Scope:
@@ -177,16 +187,17 @@ class _Scope:
         """The variable ``token`` names, or None for a signature symbol."""
         name = token.text
         if stream.accept(":"):
-            return self._variable(name, stream.expect_ident().text)
+            return self._variable(name, *_annotation(stream, self.sig, token))
+        span = token.span(stream.file)
         if self.bound is not None and name in self.bound:
-            return self._variable(name, self.bound[name])
+            return self._variable(name, self.bound[name], span)
         if self.bound is None and name in self.declared:
-            return self._variable(name, self.declared[name])
+            return self._variable(name, self.declared[name], span)
         if name in self.sig.functions:
             return None
         if self.bound is None and self.sig.single_sorted:
-            return self._variable(name, self.sig.sorts[0])
-        raise ParseError(f"unknown symbol '{name}'", token.span(stream.file))
+            return self._variable(name, self.sig.sorts[0], span)
+        raise ParseError(f"unknown symbol '{name}'", span)
 
     def _application(self, stream: TokenStream, token: Token, args: list[Term]) -> App:
         term = App(token.text, tuple(args))
@@ -196,10 +207,11 @@ class _Scope:
             raise ParseError(str(exc), token.span(stream.file)) from exc
         return term
 
-    def _variable(self, name: str, sort: str) -> Var:
+    def _variable(self, name: str, sort: str, span: SourceSpan) -> Var:
+        """The variable ``name`` of ``sort``, occurring at ``span``."""
         var = Var(name, sort)
         previous = self.seen.get(name)
         if previous is not None and previous.sort != sort:
-            raise QueryError(f"variable '{name}' used with two sorts")
+            raise ParseError(f"variable '{name}' used with two sorts", span)
         self.seen[name] = var
         return var

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from countermodel.errors import ModelError
 from countermodel.linear import LinearConstraint
@@ -84,7 +83,7 @@ def _mutate_symbolic(structure: SymbolicStructure, rng: random.Random) -> Symbol
         if param is None:
             value = type(case.value).make(coeffs, case.value.constant + delta)
         else:
-            coeffs[param] = coeffs.get(param, Fraction(0)) + delta
+            coeffs[param] = coeffs.get(param, 0) + delta
             value = type(case.value).make(coeffs, case.value.constant)
         cases[index] = PiecewiseCase(case.guard, value)
         functions[name] = PiecewiseFunction(interp.params, tuple(cases))
@@ -98,7 +97,7 @@ def _mutate_symbolic(structure: SymbolicStructure, rng: random.Random) -> Symbol
     if param is None:
         bound += delta
     else:
-        coeffs[param] = coeffs.get(param, Fraction(0)) + delta
+        coeffs[param] = coeffs.get(param, 0) + delta
     constraints[index] = LinearConstraint.make(coeffs, bound, constraint.strict)
     predicates[name] = PredicateInterp(interp.params, tuple(constraints))
     return SymbolicStructure(structure.signature, structure.carriers, structure.functions, predicates)

@@ -147,6 +147,22 @@ def test_unsupported_fragment_exit_three(capsys):
     assert "unsupported fragment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "system, model, query, expected",
+    [
+        ("fab.trs", "fab_nonjoin", "EXISTS x:Foo . x -> a", "1:8-1:13: variable 'x' has undeclared sort 'Foo'"),
+        ("fab.trs", "fab_nonjoin", "x:Foo -> a", "1:1-1:6: variable 'x' has undeclared sort 'Foo'"),
+        ("website.trs", "website", "EXISTS v . login(v:User) -> login(v:RegUser)", "1:35-1:44: variable 'v' used with two sorts"),
+        ("website.trs", "website", "FEASIBLE(login(v:User) == login(v:RegUser))", "1:33-1:42: variable 'v' used with two sorts"),
+    ],
+    ids=["undeclared-prefix", "undeclared-inline", "two-sorts-exists", "two-sorts-template"],
+)
+def test_query_sort_errors_exit_three_with_the_annotation_span(system, model, query, expected, capsys):
+    code = main(["check", corpus(system), "--model", corpus(f"models/{model}.model"), "--query", query])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: <query>:{expected}\n"
+
+
 def test_derive_prints_sorted_atoms(capsys):
     code = main(["derive", corpus("intro.trs"), "--size", "1", "--depth", "5"])
     captured = capsys.readouterr()

@@ -5,6 +5,10 @@ No other module of the package reads the coefficients of a constraint
 itself (``fractions``); they go through ``compare``, ``AffineForm.le``,
 ``LinearConstraint.negate``/``subst`` and the printers instead.  A change to
 how constraints store their coefficients then touches ``linear.py`` only.
+
+Inside ``linear.py`` coefficients and bounds are ints: ``Fraction`` is
+called only where a rational witness is built, in ``_back_substitute`` and
+``_pick``.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "countermodel"
 OWNER = "linear.py"
 COEFFICIENT_FIELDS = {"terms", "coeffs"}
+RATIONAL_WITNESS_BUILDERS = {"_back_substitute", "_pick"}
 
 
 def layering_breaches(source: str) -> list[str]:
@@ -57,3 +62,35 @@ def test_method_calls_named_terms_are_not_reads():
     assert layering_breaches("from fractions import Fraction\n") == [
         "line 1: imports fractions"
     ]
+
+
+def fraction_calls_outside(source: str, allowed: set[str]) -> list[str]:
+    """``Fraction(...)`` calls that lie outside every function named in ``allowed``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name in allowed
+        for node in ast.walk(function)
+    }
+    return [
+        f"line {node.lineno}: calls Fraction"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and id(node) not in inside
+    ]
+
+
+def test_linear_calls_fraction_only_to_build_witnesses():
+    source = (PACKAGE / OWNER).read_text()
+    assert fraction_calls_outside(source, RATIONAL_WITNESS_BUILDERS) == []
+
+
+def test_fraction_calls_elsewhere_would_be_flagged():
+    source = "def _pick():\n    return Fraction(0)\n\ndef make():\n    return Fraction(1)\n"
+    assert fraction_calls_outside(source, RATIONAL_WITNESS_BUILDERS) == ["line 5: calls Fraction"]
+    # the rational kernel that integer rows replaced
+    reference = (Path(__file__).parent / "reference_linear.py").read_text()
+    assert fraction_calls_outside(reference, RATIONAL_WITNESS_BUILDERS)

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_linear
+from countermodel import linear
 from countermodel.linear import (
+    DEFAULT_CONSTRAINT_BUDGET,
     AffineForm,
     ConstraintSystem,
     LinearConstraint,
@@ -82,8 +85,8 @@ def test_feasible_witness_satisfies_every_constraint():
 def test_equality_stored_as_two_inequalities():
     first, second = equality({"x": 1}, 3)
     assert not first.strict and not second.strict
-    assert first.terms == (("x", Fraction(1)),) and first.bound == 3
-    assert second.terms == (("x", Fraction(-1)),) and second.bound == -3
+    assert first.terms == (("x", 1),) and first.bound == 3
+    assert second.terms == (("x", -1),) and second.bound == -3
 
 
 def test_tighten_strict_integer():
@@ -93,12 +96,12 @@ def test_tighten_strict_integer():
 
 
 def test_tighten_scales_fractional_coefficients():
-    sys_ = system("x", lt({"x": Fraction(1, 2)}, 1))
+    sys_ = system("x", lt({"x": 2}, 3))
     (c,) = integer_tighten(sys_).constraints
-    # x/2 < 1 scales to x < 2 and tightens to x <= 1
-    assert c.terms == (("x", Fraction(1)),) and c.bound == 1 and not c.strict
+    # 2x < 3 is x < 3/2 and tightens to x <= 1
+    assert c.terms == (("x", 1),) and c.bound == 1 and not c.strict
     for x in range(-5, 6):
-        assert (Fraction(x, 2) < 1) == (x <= 1)
+        assert (2 * x < 3) == (x <= 1)
 
 
 def test_tighten_keeps_nonstrict_systems_unchanged():
@@ -188,10 +191,69 @@ def test_compare_gives_the_canonical_constraints_of_each_relation():
 
 def test_negate_subst_and_le_stay_canonical():
     c = le({"x": 2, "y": -2}, 3)  # x - y <= 3/2
-    assert c.negate() == lt({"x": -1, "y": 1}, Fraction(-3, 2))
+    assert c.negate() == lt({"x": -2, "y": 2}, -3)
     assert c.negate().negate() == c
-    # x := 2u + 1, y := u  gives  u <= 1/2
+    # x := 2u + 1, y := u  gives  2u <= 1
     mapping = {"x": AffineForm.make({"u": 2}, 1), "y": AffineForm.variable("u")}
-    assert c.subst(mapping) == le({"u": 1}, Fraction(1, 2))
+    assert c.subst(mapping) == le({"u": 2}, 1)
     assert AffineForm.make({"x": 2}, 1).le(5, strict=True) == lt({"x": 1}, 2)
     assert str(c) == "2*x - 2*y <= 3"
+
+
+def test_canonical_form_divides_coefficients_and_bound_by_their_gcd():
+    assert le({"x": 4, "y": -6}, 8) == le({"x": 2, "y": -3}, 4)
+    c = le({"x": 4, "y": -6}, 3)
+    assert c.terms == (("x", 4), ("y", -6)) and c.bound == 3
+    assert le({}, -4).bound == -4  # a constant row keeps its bound
+    form = AffineForm.make({"x": 2, "y": 0}, -1)
+    assert form.coeffs == (("x", 2),) and form.eval_int({"x": 3}) == 5
+    numbers = [a for _, a in c.terms + form.coeffs] + [c.bound, form.constant]
+    assert all(type(n) is int for n in numbers)
+
+
+# Small coefficients over few variables, so that rows of one direction but
+# different scale, bound and strictness meet in elimination.
+_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        st.integers(1, 3),  # a factor the row's coefficients share
+        st.integers(-6, 6),
+        st.sampled_from(("<=", "<", "=")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+# x >= 1, 2x <= 2 and x < 1, in both orders: of two rows that bound x by 1,
+# the strict one must be kept, whatever their scale.
+_TIE = [([-1, 0, 0], 1, -1, "<="), ([1, 0, 0], 2, 2, "<="), ([1, 0, 0], 1, 1, "<")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), _ROWS, st.sampled_from((8, 30, DEFAULT_CONSTRAINT_BUDGET)), st.booleans())
+@example(1, _TIE, DEFAULT_CONSTRAINT_BUDGET, False)
+@example(1, _TIE[::-1], DEFAULT_CONSTRAINT_BUDGET, False)
+def test_integer_kernel_matches_the_rational_reference(k, rows, budget, tighten):
+    variables = tuple(f"x{i}" for i in range(k))
+    built = {}
+    for kernel in (linear, reference_linear):
+        constraints = []
+        for coeffs, factor, bound, relation in rows:
+            coeffs = {v: factor * c for v, c in zip(variables, coeffs)}
+            if relation == "=":
+                constraints.extend(kernel.equality(coeffs, bound))
+            else:
+                constraints.append(kernel.LinearConstraint.make(coeffs, bound, relation == "<"))
+        system_ = kernel.ConstraintSystem(variables, tuple(constraints))
+        if tighten:
+            system_ = kernel.integer_tighten(system_)
+        outcome = kernel.solve(system_, max_constraints=budget)
+        built[kernel] = (
+            [str(c) for c in system_.constraints],
+            outcome.status,
+            outcome.witness,
+            outcome.reason,
+        )
+    ours, reference = built.values()
+    assert ours == reference

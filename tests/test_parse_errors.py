@@ -62,7 +62,10 @@ CASES = [
     ("query-trailing-input", "query", "a -> b extra", "<input>:1:8-1:13: trailing input after query"),
     ("query-feasible-empty", "query", "FEASIBLE()", "<input>:1:10-1:11: FEASIBLE needs at least one condition"),
     ("query-template-error", "query", "REACHABLE(a)", "template Reach takes 2 term(s)"),
-    ("query-template-two-sorts", "web-query", "FEASIBLE(login(v:User) == login(v:RegUser))", "variable 'v' used with two sorts"),
+    ("query-template-two-sorts", "web-query", "FEASIBLE(login(v:User) == login(v:RegUser))", "<input>:1:33-1:42: variable 'v' used with two sorts"),
+    ("query-exists-two-sorts", "web-query", "EXISTS v:User . login(v:User) -> login(v:RegUser)", "<input>:1:40-1:49: variable 'v' used with two sorts"),
+    ("query-undeclared-sort-prefix", "query", "EXISTS x:Foo . x -> a", "<input>:1:8-1:13: variable 'x' has undeclared sort 'Foo'"),
+    ("query-undeclared-sort-inline", "query", "x:Foo -> a", "<input>:1:1-1:6: variable 'x' has undeclared sort 'Foo'"),
     ("query-needs-sort", "web-query", "EXISTS x . login(x) -> x", "<input>:1:10-1:11: variable 'x' needs a sort annotation"),
     ("query-unbound", "query", "EXISTS x . y:term -> a", "variable 'y' is not existentially bound"),
     ("query-empty-disjunct", "query", "a -> b \\/ ", "<input>:1:8-1:10: expected identifier, got 'end of input'"),
