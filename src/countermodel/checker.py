@@ -166,21 +166,22 @@ def _check_symbolic(
     """One system per guard-case choice and goal; the check holds when all are infeasible.
 
     An obligation has one empty goal; a clause has one goal per negated head
-    inequality.  The body is lowered before the head, which fixes the names of
-    the intermediate variables and so the order of the systems.
+    inequality.  The body is lowered before the head, which numbers the
+    applications and so fixes the order of the choices; the systems follow
+    in that order, goal by goal within a choice.
     """
-    lowering = ClauseLowering(structure, variables)
-    body_constraints = [c for atom in body for c in lowering.atom_constraints(atom)]
-    goals: list[list[LinearConstraint]] = [[]]
-    if head is not None:
-        head_constraints = lowering.atom_constraints(head)
-        if not head_constraints:
-            return Verdict(HOLDS)  # head is the trivially true relation
-        goals = [[c.negate()] for c in head_constraints]
+    lowering = ClauseLowering(structure, variables, body if head is None else (*body, head))
     unknown: Verdict | None = None
     for choice in lowering.choices():
+        forms, guards = lowering.lower(choice)
+        body_constraints = guards + [
+            c for atom in body for c in lowering.atom_constraints(atom, forms)
+        ]
+        goals: list[list[LinearConstraint]] = [[]]
+        if head is not None:  # no goal at all when the head is the trivially true relation
+            goals = [[c.negate()] for c in lowering.atom_constraints(head, forms)]
         for goal in goals:
-            system = lowering.system(choice, body_constraints + goal)
+            system = lowering.system(body_constraints + goal)
             verdict = _refutation_verdict(structure, variables, system, body, head)
             if verdict is None:
                 continue
@@ -224,7 +225,7 @@ def _integer_witness(
 ) -> dict[str, int] | None:
     pools = []
     for v in variables:
-        lo = floor(rational.get(v.name, 0))
+        lo = floor(rational[v.name])
         carrier = structure.carrier(v.sort)
         near = [lo - 1, lo, lo + 1, lo + 2]
         pool = sorted({n for n in near if carrier_contains(carrier, n)})

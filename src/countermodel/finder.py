@@ -226,17 +226,14 @@ def _symbolic_stages(
     sig: Signature, predicates: tuple[str, ...], budget: SearchBudget
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
+    menu = _menu_predicates_symbolic(budget)  # the same for every carrier
     for lo in budget.ray_carriers:
         constants = [
             _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
             for v in range(max(budget.coeff_min, lo), budget.coeff_max + 1)
         ]
         slots = _slots(
-            sig,
-            predicates,
-            _menu_predicates_symbolic(budget),
-            constants,
-            lambda arity: _affine_candidates(arity, lo, budget),
+            sig, predicates, menu, constants, lambda arity: _affine_candidates(arity, lo, budget)
         )
         yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Ray(lo))
 

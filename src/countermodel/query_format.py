@@ -125,12 +125,15 @@ def _parse_exists(stream: TokenStream, sig: Signature, declared: dict[str, str])
         while not stream.accept("."):
             token = stream.expect_ident()
             name = token.text
+            sort, span = None, token.span(stream.file)
             if stream.accept(":"):
-                sort, _ = _annotation(stream, sig, token)
+                sort, span = _annotation(stream, sig, token)
             elif name in declared:
                 sort = declared[name]
-            else:
-                sort = sig.sorts[0] if sig.single_sorted else None
+            elif sig.single_sorted:
+                sort = sig.sorts[0]
+            if name in bound:
+                raise ParseError(f"variable '{name}' is bound twice", span)
             if sort is None:
                 raise stream.error(f"variable '{name}' needs a sort annotation")
             bound[name] = sort

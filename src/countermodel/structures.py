@@ -9,8 +9,9 @@ construction time), and predicates as conjunctions of linear inequalities
 over the argument positions.
 
 Evaluation follows structural recursion; for symbolic backends the module
-also lowers atoms into exact linear constraint systems, choosing one guard
-case per function application, so the linear engine can decide them.  The
+also lowers atoms into exact linear constraint systems over the clause
+variables, choosing one guard case per function application and
+substituting its value, so the linear engine can decide them.  The
 affine arithmetic itself (``AffineForm``, comparisons, negation,
 substitution) belongs to ``linear``; ``AffineForm`` is re-exported here.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
-from .linear import AffineForm, ConstraintSystem, LinearConstraint, compare, integer_tighten, solve
+from .linear import AffineForm, ConstraintSystem, LinearConstraint, integer_tighten, solve
 from .logic import Atom, sort_of_predicate
 from .terms import App, Signature, Term, Var
 
@@ -388,82 +389,78 @@ def tabulate(
 
 
 class ClauseLowering:
-    """Translate the atoms of one clause into linear constraint systems.
+    """Translate the atoms of one clause into linear systems over its variables.
 
-    Each distinct application of a function with several guard cases becomes
-    a fresh intermediate variable (a "slot") whose defining constraints
-    depend on the chosen case; single-case applications of non-constant
-    functions become slots with one choice, and constants are inlined.  All
-    other constraints are independent of the case choice.
+    A choice picks one guard case for each distinct application of a
+    non-constant function in ``atoms``, numbered in post-order as first met,
+    the last varying fastest.  Under a choice an application's form is the
+    chosen case's value with the argument forms substituted, and the chosen
+    guard, substituted the same way, joins the system.  Constants are
+    inlined, so every system ranges over the clause variables only.
     """
 
-    def __init__(self, structure: SymbolicStructure, variables: tuple[Var, ...]):
+    def __init__(
+        self, structure: SymbolicStructure, variables: tuple[Var, ...], atoms: Iterable[Atom]
+    ):
         self.structure = structure
-        self.variables = variables
-        self.slots: list[tuple[Term, PiecewiseFunction, str, tuple[AffineForm, ...]]] = []
-        self._forms: dict[Term, AffineForm] = {}
+        self.variables = tuple(v.name for v in variables)
+        self.applications: dict[App, PiecewiseFunction] = {}
+        self._fixed: dict[Term, AffineForm] = {}
         self._base: list[LinearConstraint] = []
         for v in variables:
-            self._forms[v] = AffineForm.variable(v.name)
-            self._base.extend(
-                carrier_constraints(structure.carrier(v.sort), AffineForm.variable(v.name))
-            )
+            self._fixed[v] = AffineForm.variable(v.name)
+            self._base.extend(carrier_constraints(structure.carrier(v.sort), self._fixed[v]))
+        for atom in atoms:
+            for arg in atom.args:
+                self._collect(arg)
 
-    def form(self, term: Term) -> AffineForm:
-        if term in self._forms:
-            return self._forms[term]
+    def _collect(self, term: Term) -> None:
+        if term in self._fixed or term in self.applications:
+            return
         assert isinstance(term, App)
-        args = tuple(self.form(a) for a in term.args)
+        for arg in term.args:
+            self._collect(arg)
         interp = self.structure.functions.get(term.symbol)
         if interp is None:
             raise ModelError(f"structure does not interpret function '{term.symbol}'")
-        if not term.args:
-            form = AffineForm.const(interp.eval(()))
+        if term.args:
+            self.applications[term] = interp
         else:
-            name = f"@t{len(self.slots)}"
-            self.slots.append((term, interp, name, args))
-            form = AffineForm.variable(name)
-        self._forms[term] = form
-        return form
+            self._fixed[term] = AffineForm.const(interp.eval(()))
 
-    def atom_constraints(self, atom: Atom) -> list[LinearConstraint]:
-        """Constraints stating that the atom holds (independent of case choice)."""
+    def choices(self) -> Iterator[tuple[int, ...]]:
+        counts = (len(interp.cases) for interp in self.applications.values())
+        return itertools.product(*(range(n) for n in counts))
+
+    def lower(
+        self, choice: tuple[int, ...]
+    ) -> tuple[dict[Term, AffineForm], list[LinearConstraint]]:
+        """The form of every term under the choice, and the chosen guards."""
+        forms = dict(self._fixed)
+        guards: list[LinearConstraint] = []
+        for (term, interp), pick in zip(self.applications.items(), choice):
+            case = interp.cases[pick]
+            mapping = dict(zip(interp.params, (forms[a] for a in term.args)))
+            guards.extend(g.subst(mapping) for g in case.guard)
+            forms[term] = case.value.subst(mapping)
+        return forms, guards
+
+    def atom_constraints(
+        self, atom: Atom, forms: Mapping[Term, AffineForm]
+    ) -> list[LinearConstraint]:
+        """Constraints stating that the atom holds at the given term forms."""
         sort = sort_of_predicate(atom.predicate)
         if sort is not None:
-            return carrier_constraints(self.structure.carrier(sort), self.form(atom.args[0]))
+            return carrier_constraints(self.structure.carrier(sort), forms[atom.args[0]])
         interp = self.structure.predicates.get(atom.predicate)
         if interp is None:
             raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
-        mapping = dict(zip(interp.params, (self.form(a) for a in atom.args)))
+        mapping = dict(zip(interp.params, (forms[a] for a in atom.args)))
         return [c.subst(mapping) for c in interp.constraints]
 
-    def case_counts(self) -> tuple[int, ...]:
-        return tuple(len(interp.cases) for _, interp, _, _ in self.slots)
-
-    def choices(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(n) for n in self.case_counts()))
-
-    def choice_constraints(self, choice: tuple[int, ...]) -> list[LinearConstraint]:
-        out: list[LinearConstraint] = []
-        for (term, interp, name, args), pick in zip(self.slots, choice):
-            case = interp.cases[pick]
-            mapping = dict(zip(interp.params, args))
-            out.extend(g.subst(mapping) for g in case.guard)
-            out.extend(compare(case.value.subst(mapping), "=", AffineForm.variable(name)))
-        return out
-
-    def engine_variables(self) -> tuple[str, ...]:
-        return tuple(name for _, _, name, _ in self.slots) + tuple(
-            v.name for v in self.variables
-        )
-
-    def system(
-        self, choice: tuple[int, ...], extra: Iterable[LinearConstraint]
-    ) -> ConstraintSystem:
-        constraints = (
-            tuple(self._base) + tuple(self.choice_constraints(choice)) + tuple(extra)
-        )
-        return ConstraintSystem(self.engine_variables(), constraints)
+    def system(self, constraints: Iterable[LinearConstraint]) -> ConstraintSystem:
+        """The carrier bounds of the variables conjoined with ``constraints``."""
+        return ConstraintSystem(self.variables, tuple(self._base) + tuple(constraints))
 
 
 def symbolic_atom_constraints(
@@ -471,15 +468,14 @@ def symbolic_atom_constraints(
 ) -> ConstraintSystem:
     """Constraint system for one atom under a chosen guard case per application.
 
-    The system conjoins the carrier bounds of the atom's variables, the
-    chosen guards and defining equations of intermediate values, and the
-    predicate's inequalities instantiated at the evaluated argument forms.
+    The system ranges over the atom's variables: it conjoins their carrier
+    bounds, the chosen guards and the predicate's inequalities, each at the
+    argument forms the choice gives.
     """
-    lowering = ClauseLowering(structure, atom.variables())
-    atom_cs = lowering.atom_constraints(atom)
-    counts = lowering.case_counts()
-    if not case_choice:
-        case_choice = tuple(0 for _ in counts)
-    if len(case_choice) != len(counts):
-        raise ValueError(f"expected {len(counts)} case choices, got {len(case_choice)}")
-    return lowering.system(case_choice, atom_cs)
+    lowering = ClauseLowering(structure, atom.variables(), (atom,))
+    count = len(lowering.applications)
+    case_choice = case_choice or (0,) * count
+    if len(case_choice) != count:
+        raise ValueError(f"expected {count} case choices, got {len(case_choice)}")
+    forms, guards = lowering.lower(case_choice)
+    return lowering.system(guards + lowering.atom_constraints(atom, forms))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import countermodel.checker as checker_module
 
 from countermodel.checker import (
     FAILS,
@@ -12,9 +15,19 @@ from countermodel.checker import (
     check_obligation,
     verify,
 )
+from countermodel.linear import AffineForm, LinearConstraint
 from countermodel.logic import Atom, HornClause, Theory
 from countermodel.queries import Obligation
-from countermodel.structures import FiniteStructure
+from countermodel.structures import (
+    FiniteStructure,
+    Interval,
+    PiecewiseCase,
+    PiecewiseFunction,
+    PredicateInterp,
+    SymbolicStructure,
+    eval_atom,
+    materialize,
+)
 from countermodel.terms import (
     ARROW,
     DEFAULT_SORT,
@@ -166,3 +179,121 @@ def test_unknown_overall_when_any_check_unknown():
     ):
         cert = checker_module.verify(theory, obligations, s)
     assert cert.overall == UNKNOWN
+
+
+@pytest.mark.parametrize("name", ["division-ccp", "website-security"])
+def test_symbolic_systems_range_over_the_clause_variables_only(name, monkeypatch):
+    # No lowering step may add a variable: every system the checker solves
+    # declares exactly the variables of the clause or obligation it checks.
+    _doc, theory, obligations, s = paper_instance(name)
+    checked: list[tuple[str, ...]] = []
+    declared: list[tuple[str, ...]] = []
+    check_symbolic, solve = checker_module._check_symbolic, checker_module.solve
+
+    def recording_check(structure, variables, body, head):
+        checked.append(tuple(v.name for v in variables))
+        return check_symbolic(structure, variables, body, head)
+
+    def recording_solve(system, **kwargs):
+        declared.append(system.variables)
+        assert system.variables == checked[-1]
+        return solve(system, **kwargs)
+
+    monkeypatch.setattr(checker_module, "_check_symbolic", recording_check)
+    monkeypatch.setattr(checker_module, "solve", recording_solve)
+    assert verify(theory, obligations, s).overall == VERIFIED
+    assert len(checked) == len(theory.clauses) + len(obligations)
+    assert declared
+
+
+# -- symbolic checks against the same check on the materialized structure ---------
+
+_SIG = Signature(
+    functions={
+        "a": ((), DEFAULT_SORT),
+        "b": ((), DEFAULT_SORT),
+        "f": ((DEFAULT_SORT,), DEFAULT_SORT),
+        "g": ((DEFAULT_SORT, DEFAULT_SORT), DEFAULT_SORT),
+    }
+)
+_PARAMS = {"a": (), "b": (), "f": ("p",), "g": ("p", "q")}
+_coefficients = st.integers(-2, 2)
+
+
+def _affine(draw, params):
+    return AffineForm.make({p: draw(_coefficients) for p in params}, draw(_coefficients))
+
+
+@st.composite
+def _piecewise(draw, params, lo, hi):
+    """A closed interpretation with 2 or 3 cases: a clamp, or a split at a threshold."""
+    form = _affine(draw, params)
+    if draw(st.booleans()):
+        return PiecewiseFunction.clamped(params, form, lo, hi)
+    threshold = draw(st.integers(-3, 3))
+    values = st.sampled_from(
+        [AffineForm.const(v) for v in range(lo, hi + 1)]
+        + [AffineForm.variable(p) for p in params]
+    )
+    below = PiecewiseCase((form.le(threshold),), draw(values))
+    above = PiecewiseCase((form.negate().le(-threshold, strict=True),), draw(values))
+    return PiecewiseFunction(params, (below, above))
+
+
+@st.composite
+def _relation(draw):
+    constraints = tuple(
+        LinearConstraint.make(
+            {"x": draw(_coefficients), "y": draw(_coefficients)},
+            draw(st.integers(-3, 3)),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return PredicateInterp(("x", "y"), constraints)
+
+
+@st.composite
+def _symbolic_structures(draw):
+    lo = draw(st.integers(-1, 0))
+    hi = lo + draw(st.integers(1, 3))
+    functions = {}
+    for name, params in _PARAMS.items():
+        if params:
+            functions[name] = draw(_piecewise(params, lo, hi))
+        else:
+            functions[name] = PiecewiseFunction.affine((), AffineForm.const(draw(st.integers(lo, hi))))
+    predicates = {p: draw(_relation()) for p in (ARROW, MANY_STEPS)}
+    return SymbolicStructure(_SIG, {DEFAULT_SORT: Interval(lo, hi)}, functions, predicates)
+
+
+_terms = st.recursive(
+    st.sampled_from((X, Y, A, B)),
+    lambda inner: st.one_of(
+        st.builds(lambda t: App("f", (t,)), inner),
+        st.builds(lambda s, t: App("g", (s, t)), inner, inner),
+    ),
+    max_leaves=4,
+)
+_atoms = st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from((ARROW, MANY_STEPS)), _terms, _terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbolic_structures(), st.lists(_atoms, max_size=2), st.one_of(st.none(), _atoms))
+def test_symbolic_verdicts_agree_with_the_materialized_structure(structure, body, head):
+    body = tuple(body)
+    atoms = (*body, *([head] if head else []))
+    variables = tuple(v for v in (X, Y) if any(v in atom.variables() for atom in atoms))
+    if head is None:
+        check, item = check_obligation, Obligation(variables, body)
+    else:
+        check, item = check_clause, HornClause(variables, body, head)
+    finite = materialize(structure)
+    symbolic, expected = check(structure, item), check(finite, item)
+    if symbolic.status == HOLDS:
+        assert expected.status == HOLDS
+    if symbolic.status == FAILS:
+        assert expected.status == FAILS
+        valuation = dict(symbolic.witness)
+        assert all(eval_atom(finite, valuation, a) for a in body)
+        assert head is None or not eval_atom(finite, valuation, head)

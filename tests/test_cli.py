@@ -154,8 +154,17 @@ def test_unsupported_fragment_exit_three(capsys):
         ("fab.trs", "fab_nonjoin", "x:Foo -> a", "1:1-1:6: variable 'x' has undeclared sort 'Foo'"),
         ("website.trs", "website", "EXISTS v . login(v:User) -> login(v:RegUser)", "1:35-1:44: variable 'v' used with two sorts"),
         ("website.trs", "website", "FEASIBLE(login(v:User) == login(v:RegUser))", "1:33-1:42: variable 'v' used with two sorts"),
+        ("website.trs", "website", "EXISTS v:User v:RegUser . login(v) -> v", "1:15-1:24: variable 'v' is bound twice"),
+        ("fab.trs", "fab_nonjoin", "EXISTS x x . x -> a", "1:10-1:11: variable 'x' is bound twice"),
     ],
-    ids=["undeclared-prefix", "undeclared-inline", "two-sorts-exists", "two-sorts-template"],
+    ids=[
+        "undeclared-prefix",
+        "undeclared-inline",
+        "two-sorts-exists",
+        "two-sorts-template",
+        "bound-twice-annotated",
+        "bound-twice-unannotated",
+    ],
 )
 def test_query_sort_errors_exit_three_with_the_annotation_span(system, model, query, expected, capsys):
     code = main(["check", corpus(system), "--model", corpus(f"models/{model}.model"), "--query", query])
@@ -251,6 +260,17 @@ def test_nesting_at_the_cap_never_exits_internal(tmp_path, capsys):
     for command, argv in _nested_query_runs(MAX_NESTING).items():
         assert main(argv) not in (EXIT_INPUT, EXIT_INTERNAL), command
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_symbolic_check_at_the_nesting_cap_is_decided(capsys):
+    # Each application's form is substituted into its context, so every
+    # system ranges over the query's variables (none here), however deep.
+    query = f"{_nested(MAX_NESTING)} ->* a"
+    model = corpus("models/fig3_feas.model")
+    assert main(["check", corpus("fig3.trs"), "--model", model, "--query", query]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["overall"] == "verified"
+    assert [v["status"] for v in payload["obligation_verdicts"]] == ["holds"]
 
 
 def test_huge_finite_carrier_exits_input_error(tmp_path, capsys):

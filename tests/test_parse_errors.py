@@ -66,6 +66,8 @@ CASES = [
     ("query-exists-two-sorts", "web-query", "EXISTS v:User . login(v:User) -> login(v:RegUser)", "<input>:1:40-1:49: variable 'v' used with two sorts"),
     ("query-undeclared-sort-prefix", "query", "EXISTS x:Foo . x -> a", "<input>:1:8-1:13: variable 'x' has undeclared sort 'Foo'"),
     ("query-undeclared-sort-inline", "query", "x:Foo -> a", "<input>:1:1-1:6: variable 'x' has undeclared sort 'Foo'"),
+    ("query-bound-twice", "web-query", "EXISTS v:User v:RegUser . login(v) -> v", "<input>:1:15-1:24: variable 'v' is bound twice"),
+    ("query-bound-twice-unannotated", "query", "EXISTS x x . x -> a", "<input>:1:10-1:11: variable 'x' is bound twice"),
     ("query-needs-sort", "web-query", "EXISTS x . login(x) -> x", "<input>:1:10-1:11: variable 'x' needs a sort annotation"),
     ("query-unbound", "query", "EXISTS x . y:term -> a", "variable 'y' is not existentially bound"),
     ("query-empty-disjunct", "query", "a -> b \\/ ", "<input>:1:8-1:10: expected identifier, got 'end of input'"),

@@ -48,7 +48,7 @@ def test_eval_atom_on_restricted_intro_model():
 def test_symbolic_atom_constraints_doubling():
     _doc, _theory, _ob, s = paper_instance("non-cycling")
     system = symbolic_atom_constraints(s, Atom(MANY_STEPS, (App("c", (X,)), X)))
-    # {v = 2x + 2, v <= x, x >= -1} has no solution
+    # c(x) lowers to 2x + 2 in place: {2x + 2 <= x, x >= -1} has no solution
     assert solve(integer_tighten(system)).status == "infeasible"
 
 
@@ -84,7 +84,7 @@ def test_symbolic_atom_constraints_root_step():
         required_predicates=("->", "->*", "->^"),
     )
     system = symbolic_atom_constraints(s, Atom(ROOT_STEP, (App("f", (X,)), Y)))
-    # {v = 1, 5v + y <= 1, -1 <= x,y <= 1} has no solution
+    # f(x) lowers to 1 in place: {5 + y <= 1, -1 <= x,y <= 1} has no solution
     assert solve(integer_tighten(system)).status == "infeasible"
 
 
