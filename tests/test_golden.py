@@ -4,7 +4,8 @@ Refactors of the checker, finder, compiler and oracle must keep every
 serialized certificate byte and every atom->depth map.  The digests below
 are SHA-256 of the serialized certificate (for each displayed paper
 structure and each finder case's ``disprove``) and of the sorted
-``"atom\\tdepth"`` lines of a saturation.
+``"atom\\tdepth"`` lines of a saturation.  The finder's node counts are
+pinned too: a search change may make nodes cheaper, not more numerous.
 """
 from __future__ import annotations
 
@@ -12,12 +13,14 @@ import hashlib
 
 import pytest
 
+from countermodel import pipeline
 from countermodel.certificates import serialize_certificate
+from countermodel.finder import SearchBudget
 from countermodel.oracle import saturate
 from countermodel.pipeline import disprove
 from countermodel.query_format import parse_query
 from countermodel.trs_format import parse_ctrs
-from paperdata import FINDER_CASES, PAPER_CHECKS, paper_certificate, system
+from paperdata import FINDER_CASES, PAPER_CHECKS, paper_certificate, query_text, system
 
 CHECK_DIGESTS = {
     "intro-restricted": "2529aa7fe7d8e44c7a92df4b0030d54bf23f2e4e8ccd87865a785ee6c06017dd",
@@ -44,6 +47,28 @@ DISPROVE_DIGESTS = {
     "non-cycling": "a4477a342f2bceccdca3ee9b315b28db7ff1b2d8151161e6c63f39e669e7931c",
 }
 
+# Nodes that ``pipeline.disprove`` spends over both backends (finite first)
+# with the default budget, and on each flagship at a 1,000-node cap, where
+# both backends end "candidate cap" after 1,001 ticks each.
+DISPROVE_NODES = {
+    "intro-one-step": 49,
+    "intro-reachability": 49,
+    "pair-gf-infeasible": 71,
+    "hg-infeasible": 22,
+    "fab-nonjoinable": 10,
+    "fab-infeasible": 10,
+    "non-looping-a": 789,
+    "increasing-f": 91_830,
+    "non-cycling": 34_526,
+    "division-ccp": 2_002,
+    "website-security": 2_002,
+}
+FLAGSHIPS = {
+    "division-ccp": ("division.trs", "division_ccp.q"),
+    "website-security": ("website.trs", "website.q"),
+}
+FLAGSHIP_MAX_NODES = 1000
+
 JOIN_SYSTEM = "(CONDITIONTYPE JOIN) (RULES a -> c  b -> c  d -> e | a == b)"
 
 
@@ -58,6 +83,7 @@ def _saturation_digest(atoms) -> str:
 def test_digest_tables_cover_every_instance():
     assert set(CHECK_DIGESTS) == {c.name for c in PAPER_CHECKS}
     assert set(DISPROVE_DIGESTS) == {c.name for c in FINDER_CASES}
+    assert set(DISPROVE_NODES) == set(DISPROVE_DIGESTS) | set(FLAGSHIPS)
 
 
 @pytest.mark.parametrize("check", PAPER_CHECKS, ids=lambda c: c.name)
@@ -74,6 +100,35 @@ def test_disprove_certificate_bytes(case):
     assert result.succeeded, result.reasons
     assert result.backend == case.backend
     assert _sha256(serialize_certificate(result.certificate)) == DISPROVE_DIGESTS[case.name]
+
+
+@pytest.mark.parametrize("name", DISPROVE_NODES)
+def test_disprove_node_totals(name, monkeypatch):
+    nodes = []
+
+    def counted(find):
+        def run(*args, **kwargs):
+            outcome = find(*args, **kwargs)
+            nodes.append(outcome.nodes)
+            return outcome
+
+        return run
+
+    monkeypatch.setattr(pipeline, "find_model", counted(pipeline.find_model))
+    monkeypatch.setattr(pipeline, "find_symbolic_model", counted(pipeline.find_symbolic_model))
+    if name in FLAGSHIPS:
+        source, query_file = FLAGSHIPS[name]
+        document = system(source)
+        query = parse_query(query_text(query_file), document.ctrs.signature, document.var_sorts)
+        budget = SearchBudget(max_nodes=FLAGSHIP_MAX_NODES)
+    else:
+        case = next(c for c in FINDER_CASES if c.name == name)
+        document = system(case.system)
+        query = parse_query(case.query, document.ctrs.signature, document.var_sorts)
+        budget = None
+    result = pipeline.disprove(document.ctrs, query, budget)
+    assert result.succeeded == (name not in FLAGSHIPS), result.reasons
+    assert sum(nodes) == DISPROVE_NODES[name]
 
 
 @pytest.mark.parametrize(
