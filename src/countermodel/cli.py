@@ -267,6 +267,8 @@ def _budget_from_args(args) -> SearchBudget:
     if args.coeff_range:
         kwargs["coeff_min"], kwargs["coeff_max"] = _ints("--coeff-range", args.coeff_range, ":", 2)
     if args.timeout is not None:
+        if not args.timeout >= 0:  # NaN too
+            raise ValueError(f"--timeout: {args.timeout} is not a number of seconds >= 0")
         kwargs["time_limit"] = args.timeout
     if args.raw_table_max is not None:
         kwargs["raw_table_max_size"] = args.raw_table_max

@@ -19,12 +19,22 @@ are compiled by one function, once per search, into a Python function that
 evaluates the check at every valuation over the stage's grid (the whole
 finite carrier, or the first integers of a ray), calling the candidates'
 callables directly.  Every complete candidate is re-checked through the
-verifier, so no unverified structure is ever returned; obligations are
-evaluated before theory clauses since they are usually the cheapest
-refuters.
+verifier, so no unverified structure is ever returned.
+
+A check's verdict depends only on the slots it reads, so the search keeps
+it, per check, keyed by the candidate index at the check's own slot.  The
+memo stays valid while every earlier slot the check reads keeps its value;
+those values change only when the search re-enters the slot just after
+the latest of them, so that is where the memo is cleared (a check reading
+no earlier slot, such as reflexivity of ``->*``, is computed once per
+stage).  Each slot tries its checks longest-kept memo first, and within
+one reset level obligations before theory clauses, since they are usually
+the cheapest refuters.  The order cannot change which candidates survive,
+so nodes and results are those of a search that re-runs every check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -73,6 +83,11 @@ class SearchBudget:
                 raise ValueError(f"carriers: interval {lo}:{hi} is empty")
         if self.coeff_min > self.coeff_max:
             raise ValueError(f"coeff_min {self.coeff_min} exceeds coeff_max {self.coeff_max}")
+        # A NaN time limit would make a deadline that never passes.
+        if not self.time_limit >= 0:
+            raise ValueError(f"time_limit {self.time_limit} is not a number of seconds >= 0")
+        if self.max_nodes < 0:
+            raise ValueError(f"max_nodes {self.max_nodes} is negative")
 
 
 @dataclass(frozen=True)
@@ -212,6 +227,14 @@ def _finite_stages(
         if len(carrier) <= budget.raw_table_max_size and all(
             len(args) <= budget.raw_table_max_arity for args, _ in sig.functions.values()
         ):
+            # A menu larger than the node cap could never be searched through,
+            # and building it could exhaust memory first.
+            n = len(carrier)
+            sizes = [n ** (n ** len(args)) for args, _ in sig.functions.values()]
+            if predicates:
+                sizes.append(2 ** (n * n))
+            if max(sizes, default=0) > budget.max_nodes:
+                raise _Stop("budget exhausted: candidate cap")
             slots = _slots(
                 sig,
                 predicates,
@@ -246,6 +269,7 @@ def _slots(
     function_candidates: Callable[[int], list[_Candidate]],
 ) -> list[_Slot]:
     """Slots in search order: predicates, then constants, then functions."""
+    function_candidates = functools.cache(function_candidates)  # one menu per arity
     functions = sig.functions.items()
     slots = [_Slot(name, predicate_candidates) for name in predicates]
     slots += [_Slot(name, constant_candidates) for name, (args, _) in functions if not args]
@@ -401,11 +425,23 @@ def _search(
     finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
-    checks_by_slot: list[list[_Refuter]] = [[] for _ in slots]
+    # A check's memo maps a candidate index at its own slot to its verdict; it
+    # is cleared on entering ``level``, the slot after the latest earlier slot
+    # the check reads (see the module docstring).
+    attached: list[list[tuple[int, dict[int, bool], _Refuter]]] = [[] for _ in slots]
+    resets: list[list[dict[int, bool]]] = [[] for _ in slots]
     for symbols, refuted in checks:
         index = _latest_slot(position, symbols)
         if index is not None:
-            checks_by_slot[index].append(refuted)
+            level = max((position[s] + 1 for s in symbols if position[s] < index), default=0)
+            memo: dict[int, bool] = {}
+            attached[index].append((level, memo, refuted))
+            resets[level].append(memo)
+    # Longest-kept memos first; the sort is stable, so obligations stay first within a level.
+    checks_by_slot = [
+        [(memo, refuted) for _, memo, refuted in sorted(here, key=lambda c: c[0])]
+        for here in attached
+    ]
 
     env: dict[str, object] = {}
     interps: dict[str, object] = {}
@@ -414,21 +450,24 @@ def _search(
         if index == len(slots):
             state.tick()
             return finish(interps)
+        for memo in resets[index]:
+            memo.clear()
         slot = slots[index]
-        attached = checks_by_slot[index]
-        for candidate in slot.candidates:
+        here = checks_by_slot[index]
+        for k, candidate in enumerate(slot.candidates):
             state.tick()
             env[slot.name] = candidate.fast
-            interps[slot.name] = candidate.interp
-            for refuted in attached:
-                if refuted(env, points):
+            for memo, refuted in here:
+                verdict = memo.get(k)
+                if verdict is None:
+                    verdict = memo[k] = refuted(env, points)
+                if verdict:
                     break
             else:
+                interps[slot.name] = candidate.interp
                 result = descend(index + 1)
                 if result is not None:
                     return result
-        env.pop(slot.name, None)
-        interps.pop(slot.name, None)
         return None
 
     return descend(0)

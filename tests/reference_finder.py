@@ -1,0 +1,56 @@
+"""Depth-first finder search without verdict memos, kept as the reference for ``finder``.
+
+This is the ``_search`` that the memoizing search of
+``countermodel.finder`` replaced, kept verbatim apart from this docstring
+and absolute imports.  It re-runs every attached check on every
+candidate.  Run in its place, it must give the same nodes, reasons and
+certificate bytes.
+"""
+from __future__ import annotations
+
+from typing import Callable
+
+from countermodel.checker import Certificate
+from countermodel.finder import _latest_slot, _Refuter, _Slot, _State
+from countermodel.structures import Structure
+
+
+def _search(
+    slots: list[_Slot],
+    checks: list[tuple[set[str], _Refuter]],
+    state: _State,
+    points: tuple[int, ...],
+    finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
+) -> tuple[Structure, Certificate] | None:
+    position = {slot.name: index for index, slot in enumerate(slots)}
+    checks_by_slot: list[list[_Refuter]] = [[] for _ in slots]
+    for symbols, refuted in checks:
+        index = _latest_slot(position, symbols)
+        if index is not None:
+            checks_by_slot[index].append(refuted)
+
+    env: dict[str, object] = {}
+    interps: dict[str, object] = {}
+
+    def descend(index: int) -> tuple[Structure, Certificate] | None:
+        if index == len(slots):
+            state.tick()
+            return finish(interps)
+        slot = slots[index]
+        attached = checks_by_slot[index]
+        for candidate in slot.candidates:
+            state.tick()
+            env[slot.name] = candidate.fast
+            interps[slot.name] = candidate.interp
+            for refuted in attached:
+                if refuted(env, points):
+                    break
+            else:
+                result = descend(index + 1)
+                if result is not None:
+                    return result
+        env.pop(slot.name, None)
+        interps.pop(slot.name, None)
+        return None
+
+    return descend(0)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from countermodel import cli
-from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, main
+from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, main
 from countermodel.lexer import MAX_NESTING
 from paperdata import CORPUS
 
@@ -313,12 +313,39 @@ def test_wrongly_shaped_model_exits_input_error(tmp_path, capsys):
         (["--carriers", "0:1:2"], "--carriers: cannot read '0:1:2'"),
         (["--ray-carriers", "0,x"], "--ray-carriers: cannot read '0,x'"),
         (["--coeff-range", "1"], "--coeff-range: cannot read '1'"),
+        (["--timeout", "nan"], "--timeout: nan is not a number of seconds >= 0"),
+        (["--timeout", "-1"], "--timeout: -1.0 is not a number of seconds >= 0"),
     ],
 )
 def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):
     code = main(["disprove", corpus("intro.trs"), "--query", "REACHABLE(a, b)", *flags])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_raw_table_menu_past_the_node_cap_ends_within_the_timeout(capsys):
+    # On the carrier 0..3 the raw arity-2 menu holds 4 ** 16 tables, far past
+    # the node cap: the search must stop before building it.
+    started = time.monotonic()
+    code = main(
+        [
+            "disprove",
+            corpus("pair_gf.trs"),
+            "--query",
+            "FEASIBLE(g(x) == g(x))",
+            "--carriers",
+            "0:3",
+            "--raw-table-max",
+            "4",
+            "--timeout",
+            "2",
+            "--backend",
+            "finite",
+        ]
+    )
+    assert code == EXIT_UNKNOWN
+    assert time.monotonic() - started < 2.5
+    assert capsys.readouterr().err == "no countermodel: finite: budget exhausted: candidate cap\n"
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):

@@ -6,9 +6,14 @@ import itertools
 import random
 import re
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_finder
+from countermodel import finder
+from countermodel.certificates import serialize_certificate
 from countermodel.checker import VERIFIED, verify
 from countermodel.finder import (
     SearchBudget,
@@ -20,6 +25,9 @@ from countermodel.finder import (
     _menu_predicates_symbolic,
     _raw_predicates,
     _raw_tables,
+    _search,
+    _Slot,
+    _State,
     _template_tables,
     find_model,
     find_symbolic_model,
@@ -31,9 +39,16 @@ from countermodel.query_format import parse_query
 from countermodel.structures import FiniteStructure
 from countermodel.terms import CTRS, DEFAULT_SORT, App, ConditionalRule, Signature, Var
 from countermodel.trs_format import parse_ctrs
-from paperdata import FINDER_CASES, system
+from paperdata import FINDER_CASES, FinderCase, query_text, system
 
 
+FLAGSHIPS = (
+    FinderCase("division-ccp", "division.trs", query_text("division_ccp.q"), "symbolic"),
+    FinderCase("website-security", "website.trs", query_text("website.q"), "symbolic"),
+)
+
+
+@functools.cache
 def _setup(case):
     document = system(case.system)
     query = parse_query(case.query, document.ctrs.signature, document.var_sorts)
@@ -99,6 +114,50 @@ def test_candidate_cap_reports_reason():
     outcome = find_model(theory, obligations, SearchBudget(max_nodes=3))
     assert not outcome.found
     assert outcome.reason == "budget exhausted: candidate cap"
+
+
+@pytest.mark.parametrize(
+    "field, budget",
+    [
+        ("time_limit", dict(time_limit=float("nan"))),
+        ("time_limit", dict(time_limit=-1.0)),
+        ("max_nodes", dict(max_nodes=-1)),
+    ],
+)
+def test_budget_rejects_nan_or_negative_limits(field, budget):
+    with pytest.raises(ValueError, match=field):
+        SearchBudget(**budget)
+
+
+def test_raw_menu_past_the_node_cap_stops_before_it_is_built(monkeypatch):
+    # As in the raw-table fallback below, no template fits; on three points
+    # the raw menu of the binary f holds 3 ** 9 tables, one past the cap.
+    monkeypatch.setattr(finder, "_raw_tables", None)  # building it would fail loudly
+    ctrs = parse_ctrs("(RULES a -> b  b -> a  f(a, b) -> a)")
+    query = parse_query("EXISTS . a -> a \\/ b -> b", ctrs.signature)
+    budget = SearchBudget(carriers=((0, 2),), raw_table_max_size=3, max_nodes=3**9 - 1)
+    outcome = find_model(build_theory(ctrs), negate_to_obligations(query), budget)
+    assert outcome.reason == "budget exhausted: candidate cap"
+    assert outcome.nodes < budget.max_nodes
+
+
+def test_function_menus_are_built_once_per_stage_and_arity(monkeypatch):
+    calls = []
+
+    def counted(build):
+        def run(arity, *args):
+            calls.append((build.__name__, arity, *args))
+            return build(arity, *args)
+
+        return run
+
+    for name in ("_template_tables", "_affine_candidates"):
+        monkeypatch.setattr(finder, name, counted(getattr(finder, name)))
+    theory, obligations = _setup(FLAGSHIPS[0])  # division: three functions of arity 2
+    find_model(theory, obligations, SearchBudget(max_nodes=20_000))
+    find_symbolic_model(theory, obligations, SearchBudget(max_nodes=20_000))
+    assert {name for name, *_ in calls} == {"_template_tables", "_affine_candidates"}
+    assert len(calls) == len(set(calls))
 
 
 def test_raw_table_fallback_finds_non_convex_relation():
@@ -346,3 +405,72 @@ def test_ground_and_sort_headed_checks():
             )
     assert _compile_check(*refuted_ground)(env, (0, 1))
     assert not _compile_check(*sort_head)(env, (0, 1))
+
+
+# -- the memoizing search against the replaced one ------------------------------------
+
+def _search_outcome(search, case, backend, budget):
+    """(certificate bytes, reason, nodes) of one finder call with ``search`` as its ``_search``."""
+    theory, obligations = _setup(case)
+    find = find_model if backend == "finite" else find_symbolic_model
+    with mock.patch.object(finder, "_search", search):
+        outcome = find(theory, obligations, budget)
+    found = outcome.certificate and serialize_certificate(outcome.certificate)
+    return found, outcome.reason, outcome.nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FINDER_CASES + FLAGSHIPS),
+    st.sampled_from(("finite", "symbolic")),
+    st.integers(1, 5_000),
+)
+def test_memoized_search_matches_the_reference_under_node_caps(case, backend, max_nodes):
+    budget = SearchBudget(max_nodes=max_nodes, time_limit=3600.0)
+    assert _search_outcome(_search, case, backend, budget) == _search_outcome(
+        reference_finder._search, case, backend, budget
+    )
+
+
+@pytest.mark.parametrize("backend", ("finite", "symbolic"))
+@pytest.mark.parametrize("case", FINDER_CASES, ids=lambda c: c.name)
+def test_memoized_search_matches_the_reference_on_whole_searches(case, backend):
+    # Every search here ends within 100,000 nodes, but the symbolic
+    # non-looping-a, which would run on to the default cap of 2,000,000.
+    budget = SearchBudget(max_nodes=100_000, time_limit=3600.0)
+    assert _search_outcome(_search, case, backend, budget) == _search_outcome(
+        reference_finder._search, case, backend, budget
+    )
+
+
+def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
+    # Slots a, b, c.  One check reads a and c: its latest earlier slot is
+    # two back, so its verdicts hold while b varies and must be recomputed
+    # once a changes.  The other reads c only and is computed once.
+    slots = [_Slot(name, [_Candidate(v, v) for v in range(size)]) for name, size in (("a", 3), ("b", 2), ("c", 3))]
+    calls = []
+
+    def a_plus_c(env, points):
+        calls.append(("a+c", env["a"], env["c"]))
+        return (env["a"] + env["c"]) % 3 == 0
+
+    def c_only(env, points):
+        calls.append(("c", env["c"]))
+        return False
+
+    checks = [({"a", "c"}, a_plus_c), ({"c"}, c_only)]
+
+    def run(search):
+        calls.clear()
+        complete = []
+        state = _State.start(SearchBudget(), None)
+        search(slots, checks, state, (), lambda interps: complete.append(dict(interps)))
+        return complete, state.nodes, list(calls)
+
+    complete, nodes, memo_calls = run(_search)
+    assert (complete, nodes) == run(reference_finder._search)[:2]
+    assert len(complete) == 3 * 2 * 2
+    # each (a, c) verdict once, and the c-only check once per candidate of c
+    assert sorted(memo_calls) == sorted(
+        [("a+c", a, c) for a in range(3) for c in range(3)] + [("c", c) for c in range(3)]
+    )
