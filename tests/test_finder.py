@@ -5,7 +5,6 @@ import functools
 import itertools
 import random
 import re
-
 from unittest import mock
 
 import pytest
@@ -409,6 +408,7 @@ def test_ground_and_sort_headed_checks():
 
 # -- the memoizing search against the replaced one ------------------------------------
 
+
 def _search_outcome(search, case, backend, budget):
     """(certificate bytes, reason, nodes) of one finder call with ``search`` as its ``_search``."""
     theory, obligations = _setup(case)
@@ -447,7 +447,10 @@ def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
     # Slots a, b, c.  One check reads a and c: its latest earlier slot is
     # two back, so its verdicts hold while b varies and must be recomputed
     # once a changes.  The other reads c only and is computed once.
-    slots = [_Slot(name, [_Candidate(v, v) for v in range(size)]) for name, size in (("a", 3), ("b", 2), ("c", 3))]
+    slots = [
+        _Slot(name, [_Candidate(v, v) for v in range(size)])
+        for name, size in (("a", 3), ("b", 2), ("c", 3))
+    ]
     calls = []
 
     def a_plus_c(env, points):
