@@ -10,19 +10,22 @@ valuation.  Symbolic structures are checked through the linear engine: a
 check holds when, for every combination of function guard cases and every
 goal, the system "carrier bounds and body constraints and goal" is
 infeasible; a clause has one goal per negated inequality of its head
-predicate, an obligation the single empty goal.  Rational-only witnesses
-that cannot be confirmed at an integer point yield the verdict "unknown"
-rather than "fails": the checker never overclaims in either direction.
+predicate, an obligation the single empty goal.  One rule decides every
+symbolic refutation: a feasible system refutes the check only at the
+linear kernel's own witness, only when that witness is an integer point
+(``Feasibility.point``), and only after direct evaluation confirms it.
+Any other feasible system yields "unknown" rather than "fails"; no points
+near the witness are searched.  The checker never overclaims in either
+direction.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import floor
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
-from .linear import ConstraintSystem, LinearConstraint, integer_tighten, solve
+from .linear import LinearConstraint, integer_tighten, solve
 from .logic import Atom, HornClause, Theory, format_clause
 from .queries import Obligation
 from .structures import (
@@ -31,7 +34,6 @@ from .structures import (
     FiniteStructure,
     Structure,
     SymbolicStructure,
-    carrier_contains,
     closure_check,
     eval_atom,
 )
@@ -168,7 +170,10 @@ def _check_symbolic(
     An obligation has one empty goal; a clause has one goal per negated head
     inequality.  The body is lowered before the head, which numbers the
     applications and so fixes the order of the choices; the systems follow
-    in that order, goal by goal within a choice.
+    in that order, goal by goal within a choice.  A feasible system fails
+    the check at the kernel's integer witness once ``_refutes`` confirms
+    it there; a fractional witness, or one that evaluation cannot confirm,
+    leaves the check "unknown".
     """
     lowering = ClauseLowering(structure, variables, body if head is None else (*body, head))
     unknown: Verdict | None = None
@@ -181,62 +186,18 @@ def _check_symbolic(
         if head is not None:  # no goal at all when the head is the trivially true relation
             goals = [[c.negate()] for c in lowering.atom_constraints(head, forms)]
         for goal in goals:
-            system = lowering.system(body_constraints + goal)
-            verdict = _refutation_verdict(structure, variables, system, body, head)
-            if verdict is None:
+            outcome = solve(integer_tighten(lowering.system(body_constraints + goal)))
+            if outcome.status == "infeasible":
                 continue
-            if verdict.status == FAILS:
-                return verdict
-            unknown = unknown or verdict
+            if outcome.status == "unknown":
+                unknown = unknown or Verdict(UNKNOWN, reason=outcome.reason)
+                continue
+            point = outcome.point
+            try:
+                if point is not None and _refutes(structure, point, body, head):
+                    return Verdict(FAILS, witness=tuple(sorted(point.items())))
+            except ModelError:
+                pass  # e.g. a guard gap outside the declared carriers: not confirmed
+            undecided = "rational witness only; integer status undecided"
+            unknown = unknown or Verdict(UNKNOWN, reason=undecided)
     return unknown or Verdict(HOLDS)
-
-
-def _refutation_verdict(
-    structure: SymbolicStructure,
-    variables: tuple[Var, ...],
-    system: ConstraintSystem,
-    body: tuple[Atom, ...],
-    head: Atom | None,
-) -> Verdict | None:
-    """None when the system is infeasible; otherwise a fails/unknown verdict.
-
-    A rational witness is only reported as a failure after an integer point
-    near it has been confirmed by direct evaluation; otherwise the verdict
-    is "unknown" (the rational relaxation is satisfiable but the integer
-    carriers may not be).
-    """
-    outcome = solve(integer_tighten(system))
-    if outcome.status == "infeasible":
-        return None
-    if outcome.status == "unknown":
-        return Verdict(UNKNOWN, reason=outcome.reason)
-    witness = _integer_witness(structure, variables, outcome.witness, body, head)
-    if witness is not None:
-        return Verdict(FAILS, witness=tuple(sorted(witness.items())))
-    return Verdict(UNKNOWN, reason="rational witness only; integer status undecided")
-
-
-def _integer_witness(
-    structure: SymbolicStructure,
-    variables: tuple[Var, ...],
-    rational: Mapping[str, object],
-    body: tuple[Atom, ...],
-    head: Atom | None,
-) -> dict[str, int] | None:
-    pools = []
-    for v in variables:
-        lo = floor(rational[v.name])
-        carrier = structure.carrier(v.sort)
-        near = [lo - 1, lo, lo + 1, lo + 2]
-        pool = sorted({n for n in near if carrier_contains(carrier, n)})
-        if not pool:
-            pool = [carrier.lo]
-        pools.append(pool)
-    for point in itertools.islice(itertools.product(*pools), 4096):
-        valuation = dict(zip((v.name for v in variables), point))
-        try:
-            if _refutes(structure, valuation, body, head):
-                return valuation
-        except ModelError:
-            continue  # e.g. a guard gap outside the declared carriers
-    return None

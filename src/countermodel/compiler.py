@@ -44,26 +44,27 @@ from .terms import (
 def compile_ctrs(ctrs: CTRS) -> Theory:
     """Compile a CTRS into its Horn theory over ``->`` and ``->*``."""
     sig = ctrs.signature
-    clauses: list[HornClause] = []
-    closure_sorts = rewrite_closure_sorts(ctrs)
-    for sort in closure_sorts:
-        x = Var("x", sort)
-        clauses.append(HornClause((x,), (), Atom(MANY_STEPS, (x, x)), tag="Rf"))
-    for sort in closure_sorts:
-        x, y, z = Var("x", sort), Var("y", sort), Var("z", sort)
-        clauses.append(
-            HornClause(
-                (x, y, z),
-                (Atom(ARROW, (x, y)), Atom(MANY_STEPS, (y, z))),
-                Atom(MANY_STEPS, (x, z)),
-                tag="T",
-            )
-        )
+    clauses = _closure_clauses(rewrite_closure_sorts(ctrs), ARROW, MANY_STEPS, "Rf", "T")
     clauses.extend(congruence_clauses(sig))
     for index, rule in enumerate(ctrs.rules, start=1):
         clauses.append(rule_clause(sig, rule, ARROW, tag=f"Rp({index})"))
     _check_quantified_sorts(sig, clauses)
     return Theory(sig, tuple(clauses))
+
+
+def _closure_clauses(
+    sorts: tuple[str, ...], step: str, closure: str, reflexive_tag: str, transitive_tag: str
+) -> list[HornClause]:
+    """``x closure x`` for every sort, then ``x step y /\\ y closure z => x closure z``."""
+    clauses = []
+    for sort in sorts:
+        x = Var("x", sort)
+        clauses.append(HornClause((x,), (), Atom(closure, (x, x)), tag=reflexive_tag))
+    for sort in sorts:
+        x, y, z = Var("x", sort), Var("y", sort), Var("z", sort)
+        body = (Atom(step, (x, y)), Atom(closure, (y, z)))
+        clauses.append(HornClause((x, y, z), body, Atom(closure, (x, z)), tag=transitive_tag))
+    return clauses
 
 
 def congruence_clauses(sig: Signature) -> list[HornClause]:
@@ -153,21 +154,8 @@ def _maximal_sorts(sig: Signature, sorts: Iterable[str]) -> tuple[str, ...]:
 
 def subterm_theory(sig: Signature) -> tuple[HornClause, ...]:
     """Reflexivity, transitivity, and per-argument projections for ``|>``."""
-    clauses: list[HornClause] = []
     sorts = _maximal_sorts(sig, sig.sorts)
-    for sort in sorts:
-        x = Var("x", sort)
-        clauses.append(HornClause((x,), (), Atom(SUBTERM, (x, x)), tag="Subterm"))
-    for sort in sorts:
-        x, y, z = Var("x", sort), Var("y", sort), Var("z", sort)
-        clauses.append(
-            HornClause(
-                (x, y, z),
-                (Atom(SUBTERM, (x, y)), Atom(SUBTERM, (y, z))),
-                Atom(SUBTERM, (x, z)),
-                tag="Subterm",
-            )
-        )
+    clauses = _closure_clauses(sorts, SUBTERM, SUBTERM, "Subterm", "Subterm")
     for name, (arg_sorts, _result) in sig.functions.items():
         xs = _parameters(arg_sorts)
         for i in range(len(arg_sorts)):

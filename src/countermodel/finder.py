@@ -56,6 +56,15 @@ from .structures import (
 from .terms import App, BUILTIN_PREDICATES, Signature, Term, Var, term_vars
 
 
+# The predicate menu: the five comparisons, then every pair template
+# ``a*x + b*y <= c`` with ``a`` and ``b`` in PAIR_COEFFS and ``c`` in PAIR_CONSTS.
+BASE_RELATIONS = ("=", "<=", ">=", "<", ">")
+PAIR_COEFFS = range(-5, 6)
+PAIR_CONSTS = range(-2, 3)
+# Raw tables are tried only when every function has at most this many arguments.
+RAW_TABLE_MAX_ARITY = 2
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Knobs of the model search; the defaults cover the bundled corpus."""
@@ -63,21 +72,14 @@ class SearchBudget:
     carriers: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (-1, 1))
     coeff_min: int = -2
     coeff_max: int = 2
-    base_relations: tuple[str, ...] = ("=", "<=", ">=", "<", ">")
-    pair_coeff_min: int = -5
-    pair_coeff_max: int = 5
-    pair_const_min: int = -2
-    pair_const_max: int = 2
     raw_table_max_size: int = 2
-    raw_table_max_arity: int = 2
     ray_carriers: tuple[int, ...] = (0, -1, 1)
     time_limit: float = 60.0
     max_nodes: int = 2_000_000
 
     def __post_init__(self) -> None:
         # An inverted carrier or coefficient range silently empties every
-        # menu built from it.  The pair ranges stay free: an empty pair range
-        # is how a caller switches the pair templates off.
+        # menu built from it.
         for lo, hi in self.carriers:
             if lo > hi:
                 raise ValueError(f"carriers: interval {lo}:{hi} is empty")
@@ -225,7 +227,7 @@ def _finite_stages(
         )
         yield _Stage(slots, carrier, FiniteStructure, carrier)
         if len(carrier) <= budget.raw_table_max_size and all(
-            len(args) <= budget.raw_table_max_arity for args, _ in sig.functions.values()
+            len(args) <= RAW_TABLE_MAX_ARITY for args, _ in sig.functions.values()
         ):
             # A menu larger than the node cap could never be searched through,
             # and building it could exhaust memory first.
@@ -277,15 +279,9 @@ def _slots(
     return slots
 
 
-def _menu_relations(budget: SearchBudget) -> list[tuple[str, tuple[int, int, int] | None]]:
-    menu: list[tuple[str, tuple[int, int, int] | None]] = [
-        (rel, None) for rel in budget.base_relations
-    ]
-    for a in range(budget.pair_coeff_min, budget.pair_coeff_max + 1):
-        for b in range(budget.pair_coeff_min, budget.pair_coeff_max + 1):
-            for c in range(budget.pair_const_min, budget.pair_const_max + 1):
-                menu.append(("pair", (a, b, c)))
-    return menu
+def _menu_relations() -> list[tuple[str, tuple[int, int, int] | None]]:
+    pairs = itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)
+    return [(rel, None) for rel in BASE_RELATIONS] + [("pair", p) for p in pairs]
 
 
 def _relation_test(rel: str, payload: tuple[int, int, int] | None) -> Callable[[int, int], bool]:
@@ -315,7 +311,7 @@ def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> Predicat
 def _menu_predicates_finite(carrier: tuple[int, ...], budget: SearchBudget) -> list[_Candidate]:
     seen: set[frozenset[tuple[int, int]]] = set()
     out: list[_Candidate] = []
-    for rel, payload in _menu_relations(budget):
+    for rel, payload in _menu_relations():
         test = _relation_test(rel, payload)
         extension = frozenset(
             (x, y) for x in carrier for y in carrier if test(x, y)
@@ -329,7 +325,7 @@ def _menu_predicates_finite(carrier: tuple[int, ...], budget: SearchBudget) -> l
 
 def _menu_predicates_symbolic(budget: SearchBudget) -> list[_Candidate]:
     out = []
-    for rel, payload in _menu_relations(budget):
+    for rel, payload in _menu_relations():
         out.append(_Candidate(_relation_interp(rel, payload), _relation_test(rel, payload)))
     return out
 

@@ -15,7 +15,10 @@ Feasibility is decided over the rationals, by elimination on integer rows:
 an "infeasible" answer is sound for any subset of the rationals (in
 particular for the integer carriers used elsewhere), while a "feasible"
 answer comes with an exact rational witness, the one place a ``Fraction``
-appears.  A constraint budget guards against the doubly exponential blowup
+appears.  ``Feasibility.point`` gives that witness as ints when every
+coordinate is an integer and ``None`` otherwise, so rationals never leave
+this module: a caller refutes only at the kernel's own integer point.
+A constraint budget guards against the doubly exponential blowup
 of elimination; exhausting it yields "unknown", never "infeasible".
 
 ``integer_tighten`` divides each constraint by the gcd of its coefficients,
@@ -218,6 +221,13 @@ class Feasibility:
     @property
     def is_infeasible(self) -> bool:
         return self.status == INFEASIBLE
+
+    @property
+    def point(self) -> dict[str, int] | None:
+        """The witness as ints when every coordinate is an integer, else None."""
+        if self.witness is None or any(q.denominator != 1 for q in self.witness.values()):
+            return None
+        return {v: int(q) for v, q in self.witness.items()}
 
 
 def is_infeasible(system: ConstraintSystem, **kwargs) -> bool:

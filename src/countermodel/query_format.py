@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import ParseError, QueryError, SourceSpan, UnsupportedFragmentError
+from .errors import ParseError, QueryError, SourceSpan, TermError, UnsupportedFragmentError
 from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
 from .logic import Atom
 from .queries import (
@@ -206,7 +206,7 @@ class _Scope:
         term = App(token.text, tuple(args))
         try:
             check_term(self.sig, term, strict=False)
-        except Exception as exc:
+        except TermError as exc:
             raise ParseError(str(exc), token.span(stream.file)) from exc
         return term
 

@@ -300,16 +300,15 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
         def probe(extra, detail, unknown_prefix="", at_point=True) -> tuple[ClosureViolation, ...]:
             """A violation when the bounds and ``extra`` hold at an integer point, or may.
 
-            The violation is certain only when the rounded witness satisfies
-            the untightened system: a rational witness proves nothing about
-            the integer carriers.
+            The violation is certain only at the kernel's integer witness: a
+            fractional witness proves nothing about the integer carriers.
             """
-            system = ConstraintSystem(params, bounds + extra)
-            outcome = solve(integer_tighten(system))
+            outcome = solve(integer_tighten(ConstraintSystem(params, bounds + extra)))
+            point = outcome.point
+            if point is not None:
+                at = tuple(point[p] for p in params) if at_point else None
+                return (ClosureViolation(name, detail, at),)
             if outcome.status == "feasible":
-                point = tuple(int(outcome.witness.get(p, 0)) for p in params)
-                if system.satisfied_by(dict(zip(params, point))):
-                    return (ClosureViolation(name, detail, point if at_point else None),)
                 uncertain = f"{detail} (rational witness only; integer status undecided)"
                 return (ClosureViolation(name, uncertain, certain=False),)
             if outcome.status == "unknown":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError, TermError
+from .errors import ParseError, RuleError, TermError
 from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
 from .terms import (
     CTRS,
@@ -191,6 +191,6 @@ def _parse_rules(
             rules.append(
                 ConditionalRule(lhs, rhs, tuple(conditions), condition_type, span=span)
             )
-        except Exception as exc:
+        except RuleError as exc:
             raise ParseError(str(exc), span) from exc
     return rules

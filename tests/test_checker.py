@@ -206,6 +206,47 @@ def test_symbolic_systems_range_over_the_clause_variables_only(name, monkeypatch
     assert declared
 
 
+def _one_relation_structure(*constraints: LinearConstraint) -> SymbolicStructure:
+    """``->`` as the given constraints over ``(x, y)``, on the carrier [0, 5]."""
+    sig = Signature(functions={"a": ((), DEFAULT_SORT)})
+    return SymbolicStructure(
+        sig,
+        {DEFAULT_SORT: Interval(0, 5)},
+        {"a": PiecewiseFunction.affine((), AffineForm.const(0))},
+        {ARROW: PredicateInterp(("x", "y"), constraints)},
+    )
+
+
+_EXISTS_STEP = Obligation((X, Y), (Atom(ARROW, (X, Y)),))
+
+
+def test_a_fractional_witness_leaves_the_check_unknown():
+    # The pair_gf triangle holds at x = 3/8 but at no integer point.
+    triangle = _one_relation_structure(
+        LinearConstraint.make({"x": 4, "y": 1}, 4),
+        LinearConstraint.make({"x": -4, "y": 1}, 1),
+        LinearConstraint.make({"x": -2, "y": -3}, -6),
+    )
+    verdict = check_obligation(triangle, _EXISTS_STEP)
+    assert str(verdict) == "unknown (rational witness only; integer status undecided)"
+
+
+def test_a_symbolic_failure_is_reported_at_the_kernel_point(monkeypatch):
+    outcomes = []
+    solve = checker_module.solve
+
+    def recording_solve(system, **kwargs):
+        outcomes.append(solve(system, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(checker_module, "solve", recording_solve)
+    structure = _one_relation_structure(LinearConstraint.make({"x": -1, "y": -1}, -3))
+    verdict = check_obligation(structure, _EXISTS_STEP)
+    assert verdict.status == FAILS
+    assert outcomes[-1].point is not None
+    assert verdict.witness == tuple(sorted(outcomes[-1].point.items()))
+
+
 # -- symbolic checks against the same check on the materialized structure ---------
 
 _SIG = Signature(

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from countermodel import cli
+from countermodel import cli, query_format, trs_format
 from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, main
 from countermodel.lexer import MAX_NESTING
 from paperdata import CORPUS
@@ -355,6 +355,27 @@ def test_unexpected_exception_exits_internal(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_run_compile", crash)
     code = main(["compile", corpus("intro.trs")])
     assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "module, name, command",
+    [
+        (
+            query_format,
+            "check_term",
+            ["disprove", corpus("intro.trs"), "--query", "REACHABLE(a, b)"],
+        ),
+        (trs_format, "ConditionalRule", ["compile", corpus("intro.trs")]),
+    ],
+)
+def test_a_crash_inside_a_parse_step_exits_internal(module, name, command, monkeypatch, capsys):
+    # Only the errors these callees document are input errors; a bug in one is not.
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(module, name, crash)
+    assert main(command) == EXIT_INTERNAL
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 

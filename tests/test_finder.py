@@ -89,20 +89,15 @@ def test_budget_enlargement_keeps_success():
     big = find_model(
         theory,
         obligations,
-        SearchBudget(coeff_min=-3, coeff_max=3, pair_coeff_min=-6, pair_coeff_max=6),
+        SearchBudget(coeff_min=-3, coeff_max=3),
     )
     assert small.found and big.found
 
 
 def test_exhausted_budget_reports_reason():
-    # No predicate templates at all and raw tables disabled: nothing to try.
+    # No carrier to search and raw tables disabled: nothing to try.
     theory, obligations = _setup(FINDER_CASES[0])
-    starved = SearchBudget(
-        base_relations=(),
-        pair_coeff_min=0,
-        pair_coeff_max=-1,
-        raw_table_max_size=0,
-    )
+    starved = SearchBudget(carriers=(), raw_table_max_size=0)
     outcome = find_model(theory, obligations, starved)
     assert not outcome.found
     assert "budget exhausted" in outcome.reason

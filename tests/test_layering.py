@@ -5,6 +5,9 @@ No other module of the package reads the coefficients of a constraint
 itself (``fractions``); they go through ``compare``, ``AffineForm.le``,
 ``LinearConstraint.negate``/``subst`` and the printers instead.  A change to
 how constraints store their coefficients then touches ``linear.py`` only.
+Nor does any other module round (``floor``, ``ceil``) or read a
+``.denominator``: whether a witness is an integer point is decided by
+``Feasibility.point`` alone.
 
 Inside ``linear.py`` coefficients and bounds are ints: ``Fraction`` is
 called only where a rational witness is built, in ``_back_substitute`` and
@@ -20,11 +23,12 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "countermodel"
 OWNER = "linear.py"
 COEFFICIENT_FIELDS = {"terms", "coeffs"}
+ROUNDING = {"floor", "ceil", "denominator"}
 RATIONAL_WITNESS_BUILDERS = {"_back_substitute", "_pick"}
 
 
 def layering_breaches(source: str) -> list[str]:
-    """Coefficient reads and ``fractions`` imports in a module's source."""
+    """Coefficient reads, ``fractions`` imports and rounding in a module's source."""
     tree = ast.parse(source)
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     breaches = []
@@ -39,6 +43,12 @@ def layering_breaches(source: str) -> list[str]:
             breaches.append(f"line {node.lineno}: imports fractions")
         elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
             breaches.append(f"line {node.lineno}: imports fractions")
+        elif isinstance(node, ast.ImportFrom) and any(a.name in ROUNDING for a in node.names):
+            breaches.append(f"line {node.lineno}: imports a rounding function")
+        elif isinstance(node, ast.Attribute) and node.attr in ROUNDING:
+            breaches.append(f"line {node.lineno}: uses .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in ROUNDING:
+            breaches.append(f"line {node.lineno}: uses {node.id}")
     return breaches
 
 
@@ -62,6 +72,15 @@ def test_method_calls_named_terms_are_not_reads():
     assert layering_breaches("from fractions import Fraction\n") == [
         "line 1: imports fractions"
     ]
+
+
+def test_rounding_outside_the_owner_would_be_flagged():
+    assert layering_breaches("from math import floor\n") == [
+        "line 1: imports a rounding function"
+    ]
+    assert layering_breaches("n = floor(q)\n") == ["line 1: uses floor"]
+    assert layering_breaches("n = math.ceil(q)\n") == ["line 1: uses .ceil"]
+    assert layering_breaches("whole = q.denominator == 1\n") == ["line 1: uses .denominator"]
 
 
 def fraction_calls_outside(source: str, allowed: set[str]) -> list[str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -173,6 +174,19 @@ def test_unbounded_variable_gets_integer_witness():
     outcome = solve(system("x", le({"x": -1}, -3)))  # x >= 3
     assert outcome.status == "feasible"
     assert outcome.witness["x"] == 3
+
+
+def test_point_is_the_witness_as_ints_only_when_it_is_integral():
+    above_three = system("xy", le({"x": -1}, -3), le({"x": 1, "y": -1}, 0))  # 3 <= x <= y
+    integral = solve(above_three)
+    assert integral.point == {"x": 3, "y": 3}
+    assert all(type(value) is int for value in integral.point.values())
+    fractional = solve(system("x", le({"x": 2}, 1), le({"x": -2}, -1)))  # 2x = 1
+    assert fractional.witness == {"x": Fraction(1, 2)} and fractional.point is None
+    infeasible = solve(system("x", lt({"x": 1}, 0), le({"x": -1}, 0)))
+    assert infeasible.status == "infeasible" and infeasible.point is None
+    unknown = solve(above_three, max_constraints=1)
+    assert unknown.status == "unknown" and unknown.point is None
 
 
 def test_compare_gives_the_canonical_constraints_of_each_relation():
