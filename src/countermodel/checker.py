@@ -11,12 +11,10 @@ check holds when, for every combination of function guard cases and every
 goal, the system "carrier bounds and body constraints and goal" is
 infeasible; a clause has one goal per negated inequality of its head
 predicate, an obligation the single empty goal.  One rule decides every
-symbolic refutation: a feasible system refutes the check only at the
-linear kernel's own witness, only when that witness is an integer point
-(``Feasibility.point``), and only after direct evaluation confirms it.
-Any other feasible system yields "unknown" rather than "fails"; no points
-near the witness are searched.  The checker never overclaims in either
-direction.
+symbolic refutation: a feasible system refutes the check at the linear
+kernel's own integer witness, once direct evaluation confirms it there; a
+witness that evaluation cannot confirm yields "unknown" rather than
+"fails".  The checker never overclaims in either direction.
 """
 from __future__ import annotations
 
@@ -172,8 +170,8 @@ def _check_symbolic(
     applications and so fixes the order of the choices; the systems follow
     in that order, goal by goal within a choice.  A feasible system fails
     the check at the kernel's integer witness once ``_refutes`` confirms
-    it there; a fractional witness, or one that evaluation cannot confirm,
-    leaves the check "unknown".
+    it there; a witness that evaluation cannot confirm leaves the check
+    "unknown".
     """
     lowering = ClauseLowering(structure, variables, body if head is None else (*body, head))
     unknown: Verdict | None = None
@@ -192,12 +190,11 @@ def _check_symbolic(
             if outcome.status == "unknown":
                 unknown = unknown or Verdict(UNKNOWN, reason=outcome.reason)
                 continue
-            point = outcome.point
             try:
-                if point is not None and _refutes(structure, point, body, head):
-                    return Verdict(FAILS, witness=tuple(sorted(point.items())))
+                if _refutes(structure, outcome.witness, body, head):
+                    return Verdict(FAILS, witness=tuple(sorted(outcome.witness.items())))
             except ModelError:
                 pass  # e.g. a guard gap outside the declared carriers: not confirmed
-            undecided = "rational witness only; integer status undecided"
-            unknown = unknown or Verdict(UNKNOWN, reason=undecided)
+            unconfirmed = "kernel witness not confirmed by evaluation"
+            unknown = unknown or Verdict(UNKNOWN, reason=unconfirmed)
     return unknown or Verdict(HOLDS)

@@ -221,7 +221,7 @@ def _finite_stages(
         slots = _slots(
             sig,
             predicates,
-            _menu_predicates_finite(carrier, budget),
+            _menu_predicates_finite(carrier),
             constants,
             lambda arity: _template_tables(arity, carrier, budget),
         )
@@ -251,7 +251,7 @@ def _symbolic_stages(
     sig: Signature, predicates: tuple[str, ...], budget: SearchBudget
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
-    menu = _menu_predicates_symbolic(budget)  # the same for every carrier
+    menu = _menu_predicates_symbolic()  # the same for every carrier
     for lo in budget.ray_carriers:
         constants = [
             _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
@@ -308,7 +308,7 @@ def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> Predicat
     return PredicateInterp(("x", "y"), constraints)
 
 
-def _menu_predicates_finite(carrier: tuple[int, ...], budget: SearchBudget) -> list[_Candidate]:
+def _menu_predicates_finite(carrier: tuple[int, ...]) -> list[_Candidate]:
     seen: set[frozenset[tuple[int, int]]] = set()
     out: list[_Candidate] = []
     for rel, payload in _menu_relations():
@@ -323,7 +323,7 @@ def _menu_predicates_finite(carrier: tuple[int, ...], budget: SearchBudget) -> l
     return out
 
 
-def _menu_predicates_symbolic(budget: SearchBudget) -> list[_Candidate]:
+def _menu_predicates_symbolic() -> list[_Candidate]:
     out = []
     for rel, payload in _menu_relations():
         out.append(_Candidate(_relation_interp(rel, payload), _relation_test(rel, payload)))

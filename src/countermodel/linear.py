@@ -11,15 +11,16 @@ negating (``LinearConstraint.negate``), substituting forms for variables
 here, so the rest of the package never reads coefficients itself.  An
 equality is stored as two opposite ``<=`` constraints.
 
-Feasibility is decided over the rationals, by elimination on integer rows:
-an "infeasible" answer is sound for any subset of the rationals (in
-particular for the integer carriers used elsewhere), while a "feasible"
-answer comes with an exact rational witness, the one place a ``Fraction``
-appears.  ``Feasibility.point`` gives that witness as ints when every
-coordinate is an integer and ``None`` otherwise, so rationals never leave
-this module: a caller refutes only at the kernel's own integer point.
-A constraint budget guards against the doubly exponential blowup
-of elimination; exhausting it yields "unknown", never "infeasible".
+Feasibility is decided over the integers, the carriers of every structure
+here.  Elimination on integer rows projects the system one variable at a
+time; an empty projection proves that there is no rational, hence no
+integer, solution.  Integer back-substitution then searches the
+projections for an integer point, backtracking out of empty ranges, so a
+"feasible" answer always comes with an integer witness and an exhausted
+search is "infeasible".  Two budgets guard the work: a constraint budget
+against the doubly exponential blowup of elimination, and ``MAX_TRIES``
+against an unbounded search; exhausting either yields "unknown", never
+"infeasible".
 
 ``integer_tighten`` divides each constraint by the gcd of its coefficients,
 flooring the bound, and turns strict inequalities into non-strict ones
@@ -28,16 +29,17 @@ integers and at least as constrained over the rationals.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import Iterable, Mapping
+from math import gcd
+from typing import Iterable, Iterator, Mapping
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
 DEFAULT_CONSTRAINT_BUDGET = 50_000
+MAX_TRIES = 10_000  # candidate values tried by integer back-substitution
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class LinearConstraint:
                 return c
         return 0
 
-    def satisfied_by(self, assignment: Mapping[str, Fraction | int]) -> bool:
+    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         total = sum(assignment[v] * c for v, c in self.terms)
         return total < self.bound if self.strict else total <= self.bound
 
@@ -208,69 +210,42 @@ class ConstraintSystem:
                 if v not in declared:
                     raise ValueError(f"constraint mentions undeclared variable '{v}'")
 
-    def satisfied_by(self, assignment: Mapping[str, Fraction | int]) -> bool:
+    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         return all(c.satisfied_by(assignment) for c in self.constraints)
 
 
 @dataclass(frozen=True)
 class Feasibility:
     status: str
-    witness: dict[str, Fraction] | None = None
+    witness: dict[str, int] | None = None
     reason: str | None = None
 
     @property
     def is_infeasible(self) -> bool:
         return self.status == INFEASIBLE
 
-    @property
-    def point(self) -> dict[str, int] | None:
-        """The witness as ints when every coordinate is an integer, else None."""
-        if self.witness is None or any(q.denominator != 1 for q in self.witness.values()):
-            return None
-        return {v: int(q) for v, q in self.witness.items()}
-
 
 def is_infeasible(system: ConstraintSystem, **kwargs) -> bool:
-    """True only when the system provably has no rational solution."""
+    """True only when the system provably has no integer solution."""
     return solve(system, **kwargs).is_infeasible
 
 
-def solve(
-    system: ConstraintSystem,
-    *,
-    elimination_order: Iterable[str] | None = None,
-    max_constraints: int = DEFAULT_CONSTRAINT_BUDGET,
-) -> Feasibility:
-    """Decide rational feasibility by Fourier-Motzkin elimination.
+def solve(system: ConstraintSystem, *, max_constraints: int = DEFAULT_CONSTRAINT_BUDGET) -> Feasibility:
+    """Decide integer feasibility by Fourier-Motzkin elimination and integer back-substitution.
 
-    The verdict is independent of the elimination order.  By default each
-    step eliminates the remaining variable with the fewest lower-times-upper
-    bound combinations (a standard blowup heuristic, still deterministic);
-    an explicit order can be forced.  The witness is the deterministic
-    back-substitution result for the order actually used.
+    Each step eliminates the remaining variable with the fewest
+    lower-times-upper bound combinations (a standard blowup heuristic),
+    the first declared on a tie, so the run is deterministic.
     """
-    forced = tuple(elimination_order) if elimination_order is not None else None
-    if forced is not None and (
-        set(forced) != set(system.variables) or len(forced) != len(system.variables)
-    ):
-        raise ValueError("elimination order must be a permutation of the system's variables")
-
     constraints = _dedupe(system.constraints)
     if constraints is None:
         return Feasibility(INFEASIBLE)
     generated = len(constraints)
     frames: list[tuple[str, tuple[LinearConstraint, ...]]] = []
-    remaining = list(forced if forced is not None else system.variables)
-    for step in range(len(remaining)):
-        if forced is not None:
-            var = remaining[step]
-        else:
-            var = min(
-                remaining[step:],
-                key=lambda v: (_combination_count(constraints, v), remaining.index(v)),
-            )
-            remaining.remove(var)
-            remaining.insert(step, var)
+    remaining = list(system.variables)
+    while remaining:
+        var = min(remaining, key=lambda v: _combination_count(constraints, v))
+        remaining.remove(var)
         lowers, uppers, rest = [], [], []
         for c in constraints:
             a = c.coefficient(var)
@@ -291,9 +266,9 @@ def solve(
         constraints = _dedupe(new)
         if constraints is None:
             return Feasibility(INFEASIBLE)
-    witness = _back_substitute(frames)
-    assert system.satisfied_by(witness), "internal error: witness does not satisfy system"
-    return Feasibility(FEASIBLE, witness=witness)
+    outcome = _back_substitute(frames)
+    assert outcome.witness is None or system.satisfied_by(outcome.witness), "internal error"
+    return outcome
 
 
 def _combination_count(constraints: tuple[LinearConstraint, ...], var: str) -> int:
@@ -353,45 +328,78 @@ def _primitive(terms: tuple[tuple[str, int], ...]) -> tuple[tuple[tuple[str, int
     return (terms if g == 1 else tuple((v, c // g) for v, c in terms)), g
 
 
-def _back_substitute(frames: list[tuple[str, tuple[LinearConstraint, ...]]]) -> dict[str, Fraction]:
-    values: dict[str, Fraction] = {}
-    for var, constraints in reversed(frames):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        lo_strict = hi_strict = False
-        for c in constraints:
-            a = c.coefficient(var)
-            rest = sum(
-                (values[v] * coeff for v, coeff in c.terms if v != var), Fraction(0)
-            )
-            limit = (c.bound - rest) / a
-            if a > 0:
-                if hi is None or limit < hi or (limit == hi and c.strict):
-                    hi, hi_strict = limit, c.strict
-            else:
-                if lo is None or limit > lo or (limit == lo and c.strict):
-                    lo, lo_strict = limit, c.strict
-        values[var] = _pick(lo, lo_strict, hi, hi_strict)
-    return values
+def _back_substitute(frames: list[tuple[str, tuple[LinearConstraint, ...]]]) -> Feasibility:
+    """Search integer values for the eliminated variables, last eliminated first.
+
+    A variable ranges over the integers its frame's rows allow, given the
+    values already chosen, and tries them nearest 0 first; an empty range
+    backtracks to the previous variable's next candidate (Land & Doig
+    1960).  The search runs in rounds of growing radius, each variable
+    trying only the integers within the radius of its first candidate, so
+    that no unbounded range hides a point behind it (iterative deepening).
+    Every integer solution lies within some radius, so a round that cut no
+    range short and found none proves "infeasible"; more than
+    ``MAX_TRIES`` candidates in all end "unknown".
+    """
+    order = frames[::-1]
+    tries = radius = 0
+    while True:
+        values: dict[str, int] = {}
+        chosen: list[tuple[str, Iterator[int]]] = []  # assigned variables, candidates left
+        cut = False
+        while len(chosen) < len(order):
+            var, rows = order[len(chosen)]
+            candidates, narrowed = _candidates(*_integer_range(var, rows, values), radius)
+            cut = cut or narrowed
+            chosen.append((var, candidates))
+            while chosen and (value := next(chosen[-1][1], None)) is None:
+                chosen.pop()
+            if not chosen:
+                break
+            tries += 1
+            if tries > MAX_TRIES:
+                return Feasibility(UNKNOWN, reason=f"integer search budget exceeded ({MAX_TRIES} tries)")
+            values[chosen[-1][0]] = value
+        else:
+            return Feasibility(FEASIBLE, witness=values)
+        if not cut:
+            return Feasibility(INFEASIBLE)
+        radius = 2 * radius + 1
 
 
-def _pick(lo: Fraction | None, lo_strict: bool, hi: Fraction | None, hi_strict: bool) -> Fraction:
-    """A deterministic rational in the interval, preferring small integers."""
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        top = floor(hi) if not (hi_strict and hi.denominator == 1) else int(hi) - 1
-        return Fraction(min(0, top))
-    if hi is None:
-        bottom = ceil(lo) if not (lo_strict and lo.denominator == 1) else int(lo) + 1
-        return Fraction(max(0, bottom))
-    int_lo = ceil(lo) if not (lo_strict and lo.denominator == 1) else int(lo) + 1
-    int_hi = floor(hi) if not (hi_strict and hi.denominator == 1) else int(hi) - 1
-    if int_lo <= int_hi:
-        if int_lo <= 0 <= int_hi:
-            return Fraction(0)
-        return Fraction(int_lo if int_lo > 0 else int_hi)
-    return (lo + hi) / 2
+def _integer_range(
+    var: str, rows: tuple[LinearConstraint, ...], values: Mapping[str, int]
+) -> tuple[int | None, int | None]:
+    """The least and greatest integer ``var`` may take; ``None`` where unbounded."""
+    lo = hi = None
+    for c in rows:
+        a = c.coefficient(var)
+        slack = c.bound - c.strict - sum(values[v] * k for v, k in c.terms if v != var)
+        if a > 0:
+            top = slack // a
+            hi = top if hi is None else min(hi, top)
+        else:
+            bottom = -(slack // -a)
+            lo = bottom if lo is None else max(lo, bottom)
+    return lo, hi
+
+
+def _candidates(lo: int | None, hi: int | None, radius: int) -> tuple[Iterator[int], bool]:
+    """The integers of ``[lo, hi]`` within ``radius`` of its integer nearest 0; whether any are cut.
+
+    ``None`` leaves a side unbounded.  The candidates come nearest 0 first,
+    the greater first on a tie.
+    """
+    if lo is not None and hi is not None and lo > hi:
+        return iter(()), False
+    start = 0 if lo is None else max(0, lo)
+    if hi is not None:
+        start = min(start, hi)
+    low = start - radius if lo is None else max(lo, start - radius)
+    high = start + radius if hi is None else min(hi, start + radius)
+    offsets = itertools.chain.from_iterable((d, -d) for d in range(1, radius + 1))
+    values = itertools.chain((start,), (start + d for d in offsets if low <= start + d <= high))
+    return values, (low, high) != (lo, hi)
 
 
 def integer_tighten(system: ConstraintSystem) -> ConstraintSystem:

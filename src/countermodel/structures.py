@@ -298,19 +298,14 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
         )
 
         def probe(extra, detail, unknown_prefix="", at_point=True) -> tuple[ClosureViolation, ...]:
-            """A violation when the bounds and ``extra`` hold at an integer point, or may.
+            """A certain violation at the kernel's integer witness of the bounds and ``extra``.
 
-            The violation is certain only at the kernel's integer witness: a
-            fractional witness proves nothing about the integer carriers.
+            An "unknown" system gives an uncertain violation naming the reason.
             """
             outcome = solve(integer_tighten(ConstraintSystem(params, bounds + extra)))
-            point = outcome.point
-            if point is not None:
-                at = tuple(point[p] for p in params) if at_point else None
-                return (ClosureViolation(name, detail, at),)
             if outcome.status == "feasible":
-                uncertain = f"{detail} (rational witness only; integer status undecided)"
-                return (ClosureViolation(name, uncertain, certain=False),)
+                at = tuple(outcome.witness[p] for p in params) if at_point else None
+                return (ClosureViolation(name, detail, at),)
             if outcome.status == "unknown":
                 return (ClosureViolation(name, f"{unknown_prefix}{outcome.reason}", certain=False),)
             return ()

@@ -220,7 +220,7 @@ def _one_relation_structure(*constraints: LinearConstraint) -> SymbolicStructure
 _EXISTS_STEP = Obligation((X, Y), (Atom(ARROW, (X, Y)),))
 
 
-def test_a_fractional_witness_leaves_the_check_unknown():
+def test_a_triangle_with_no_integer_point_holds():
     # The pair_gf triangle holds at x = 3/8 but at no integer point.
     triangle = _one_relation_structure(
         LinearConstraint.make({"x": 4, "y": 1}, 4),
@@ -228,7 +228,7 @@ def test_a_fractional_witness_leaves_the_check_unknown():
         LinearConstraint.make({"x": -2, "y": -3}, -6),
     )
     verdict = check_obligation(triangle, _EXISTS_STEP)
-    assert str(verdict) == "unknown (rational witness only; integer status undecided)"
+    assert str(verdict) == "holds"
 
 
 def test_a_symbolic_failure_is_reported_at_the_kernel_point(monkeypatch):
@@ -243,8 +243,8 @@ def test_a_symbolic_failure_is_reported_at_the_kernel_point(monkeypatch):
     structure = _one_relation_structure(LinearConstraint.make({"x": -1, "y": -1}, -3))
     verdict = check_obligation(structure, _EXISTS_STEP)
     assert verdict.status == FAILS
-    assert outcomes[-1].point is not None
-    assert verdict.witness == tuple(sorted(outcomes[-1].point.items()))
+    assert outcomes[-1].witness is not None
+    assert verdict.witness == tuple(sorted(outcomes[-1].witness.items()))
 
 
 # -- symbolic checks against the same check on the materialized structure ---------

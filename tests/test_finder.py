@@ -256,13 +256,13 @@ def _menus(kind, param):
     if kind == "symbolic":
         points = tuple(range(param, param + 4))
         consts = [_Candidate(v, v) for v in range(max(_BUDGET.coeff_min, param), _BUDGET.coeff_max + 1)]
-        preds = _menu_predicates_symbolic(_BUDGET)
+        preds = _menu_predicates_symbolic()
         funcs = {n: _affine_candidates(n, param, _BUDGET) for n in (1, 2)}
     else:
         points = tuple(range(param[0], param[1] + 1))
         consts = [_Candidate(v, v) for v in points]
         if kind == "template":
-            preds = _menu_predicates_finite(points, _BUDGET)
+            preds = _menu_predicates_finite(points)
             funcs = {n: _template_tables(n, points, _BUDGET) for n in (1, 2)}
         else:
             preds = _raw_predicates(points)

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import boxcheck
 import reference_linear
 from countermodel import linear
 from countermodel.linear import (
@@ -158,9 +158,9 @@ def test_infeasible_verdicts_confirmed_on_integer_box(seed):
 def test_verdict_independent_of_elimination_order(seed):
     rng = random.Random(20_000 + seed)
     sys_ = random_system(rng)
-    forward = solve(sys_, elimination_order=sys_.variables)
-    backward = solve(sys_, elimination_order=tuple(reversed(sys_.variables)))
-    assert forward.status == backward.status
+    # The same constraints declared in reverse break the heuristic's ties the other way.
+    backward = ConstraintSystem(tuple(reversed(sys_.variables)), sys_.constraints)
+    assert solve(sys_).status == solve(backward).status
 
 
 def test_trivially_false_constant_constraint():
@@ -179,14 +179,22 @@ def test_unbounded_variable_gets_integer_witness():
 def test_point_is_the_witness_as_ints_only_when_it_is_integral():
     above_three = system("xy", le({"x": -1}, -3), le({"x": 1, "y": -1}, 0))  # 3 <= x <= y
     integral = solve(above_three)
-    assert integral.point == {"x": 3, "y": 3}
-    assert all(type(value) is int for value in integral.point.values())
+    assert integral.witness == {"x": 3, "y": 3}
+    assert all(type(value) is int for value in integral.witness.values())
     fractional = solve(system("x", le({"x": 2}, 1), le({"x": -2}, -1)))  # 2x = 1
-    assert fractional.witness == {"x": Fraction(1, 2)} and fractional.point is None
+    assert fractional.status == "infeasible" and fractional.witness is None
     infeasible = solve(system("x", lt({"x": 1}, 0), le({"x": -1}, 0)))
-    assert infeasible.status == "infeasible" and infeasible.point is None
+    assert infeasible.status == "infeasible" and infeasible.witness is None
     unknown = solve(above_three, max_constraints=1)
-    assert unknown.status == "unknown" and unknown.point is None
+    assert unknown.status == "unknown" and unknown.witness is None
+
+
+def test_an_unbounded_system_without_integer_points_runs_out_of_tries():
+    # x >= 0 and 2y - 2x = 1: every projection is rationally non-empty, no x
+    # leaves an integer y, and x is unbounded, so the search cannot end.
+    outcome = solve(system("xy", le({"x": -1}, 0), equality({"x": -2, "y": 2}, 1)))
+    assert outcome.status == "unknown"
+    assert outcome.reason == f"integer search budget exceeded ({linear.MAX_TRIES} tries)"
 
 
 def test_compare_gives_the_canonical_constraints_of_each_relation():
@@ -252,22 +260,44 @@ def test_integer_kernel_matches_the_rational_reference(k, rows, budget, tighten)
     variables = tuple(f"x{i}" for i in range(k))
     built = {}
     for kernel in (linear, reference_linear):
-        constraints = []
-        for coeffs, factor, bound, relation in rows:
-            coeffs = {v: factor * c for v, c in zip(variables, coeffs)}
-            if relation == "=":
-                constraints.extend(kernel.equality(coeffs, bound))
-            else:
-                constraints.append(kernel.LinearConstraint.make(coeffs, bound, relation == "<"))
-        system_ = kernel.ConstraintSystem(variables, tuple(constraints))
+        system_ = _built(kernel, variables, rows)
         if tighten:
             system_ = kernel.integer_tighten(system_)
-        outcome = kernel.solve(system_, max_constraints=budget)
-        built[kernel] = (
-            [str(c) for c in system_.constraints],
-            outcome.status,
-            outcome.witness,
-            outcome.reason,
-        )
-    ours, reference = built.values()
-    assert ours == reference
+        built[kernel] = (system_, kernel.solve(system_, max_constraints=budget))
+    (ours_system, ours), (reference_system, reference) = built.values()
+    assert [str(c) for c in ours_system.constraints] == [str(c) for c in reference_system.constraints]
+    if reference.status == "infeasible":
+        assert ours.status == "infeasible"
+    elif reference.status == "unknown":
+        assert (ours.status, ours.reason) == (reference.status, reference.reason)
+    elif all(q.denominator == 1 for q in reference.witness.values()):
+        assert ours.status == "feasible" and ours.witness == reference.witness
+    if ours.status == "feasible":
+        assert all(type(value) is int for value in ours.witness.values())
+        assert ours_system.satisfied_by(ours.witness)
+
+
+def _built(kernel, variables, rows):
+    """The system of ``rows`` (see ``_ROWS``) over ``variables``, in ``kernel``'s types."""
+    constraints = []
+    for coeffs, factor, bound, relation in rows:
+        coeffs = {v: factor * c for v, c in zip(variables, coeffs)}
+        if relation == "=":
+            constraints.extend(kernel.equality(coeffs, bound))
+        else:
+            constraints.append(kernel.LinearConstraint.make(coeffs, bound, relation == "<"))
+    return kernel.ConstraintSystem(variables, tuple(constraints))
+
+
+_BOX = 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), _ROWS)
+def test_boxed_systems_are_decided_exactly_on_the_integers(k, rows):
+    variables = tuple(f"x{i}" for i in range(k))
+    box = tuple(c for v in variables for c in (le({v: 1}, _BOX), le({v: -1}, _BOX)))
+    boxed = ConstraintSystem(variables, _built(linear, variables, rows).constraints + box)
+    outcome = solve(boxed)
+    assert outcome.status != "unknown"
+    assert (outcome.status == "feasible") == boxcheck.box_has_integer_point(boxed, -_BOX, _BOX)
