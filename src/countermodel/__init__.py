@@ -63,7 +63,6 @@ from .structures import (
     eval_atom,
     eval_term,
     materialize,
-    symbolic_atom_constraints,
 )
 from .terms import (
     CTRS,

@@ -456,20 +456,3 @@ class ClauseLowering:
         """The carrier bounds of the variables conjoined with ``constraints``."""
         return ConstraintSystem(self.variables, tuple(self._base) + tuple(constraints))
 
-
-def symbolic_atom_constraints(
-    structure: SymbolicStructure, atom: Atom, case_choice: tuple[int, ...] = ()
-) -> ConstraintSystem:
-    """Constraint system for one atom under a chosen guard case per application.
-
-    The system ranges over the atom's variables: it conjoins their carrier
-    bounds, the chosen guards and the predicate's inequalities, each at the
-    argument forms the choice gives.
-    """
-    lowering = ClauseLowering(structure, atom.variables(), (atom,))
-    count = len(lowering.applications)
-    case_choice = case_choice or (0,) * count
-    if len(case_choice) != count:
-        raise ValueError(f"expected {count} case choices, got {len(case_choice)}")
-    forms, guards = lowering.lower(case_choice)
-    return lowering.system(guards + lowering.atom_constraints(atom, forms))

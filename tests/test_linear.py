@@ -107,7 +107,9 @@ def test_tighten_scales_fractional_coefficients():
 
 def test_tighten_keeps_nonstrict_systems_unchanged():
     sys_ = system("xy", le({"x": 1, "y": 1}, 2), le({"x": -1}, 0))
-    assert integer_tighten(sys_) == sys_
+    tightened = integer_tighten(sys_)
+    assert tightened == sys_
+    assert all(a is b for a, b in zip(tightened.constraints, sys_.constraints))  # no new rows
 
 
 def test_budget_exhaustion_reports_unknown_never_infeasible():
@@ -190,11 +192,39 @@ def test_point_is_the_witness_as_ints_only_when_it_is_integral():
 
 
 def test_an_unbounded_system_without_integer_points_runs_out_of_tries():
-    # x >= 0 and 2y - 2x = 1: every projection is rationally non-empty, no x
-    # leaves an integer y, and x is unbounded, so the search cannot end.
-    outcome = solve(system("xy", le({"x": -1}, 0), equality({"x": -2, "y": 2}, 1)))
+    # x - 2y = -1 and x - 2z = 0: x must be odd and even.  Every tight
+    # projection is non-empty, no x leaves integers y and z, and x is
+    # unbounded, so the search cannot end.
+    parity = system("xyz", equality({"x": 1, "y": -2}, -1), equality({"x": 1, "z": -2}, 0))
+    outcome = solve(parity)
     assert outcome.status == "unknown"
     assert outcome.reason == f"integer search budget exceeded ({linear.MAX_TRIES} tries)"
+
+
+def test_an_even_sum_equal_to_an_odd_bound_is_infeasible():
+    # x >= 0 and 2y - 2x = 1 tighten to y - x <= 0 and x - y <= -1.
+    outcome = solve(system("xy", le({"x": -1}, 0), equality({"x": -2, "y": 2}, 1)))
+    assert outcome.status == "infeasible"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.none() | st.integers(-8, 8), st.none() | st.integers(-8, 8), st.integers(0, 8))
+def test_candidates_are_the_window_around_the_integer_nearest_zero(lo, hi, radius):
+    inside = [v for v in range(-20, 21) if (lo is None or lo <= v) and (hi is None or v <= hi)]
+    if not inside:
+        expected, cut = [], False
+    else:
+        start = min(inside, key=lambda v: (abs(v), -v))
+        window = (v for v in inside if abs(v - start) <= radius)
+        expected = sorted(window, key=lambda v: (abs(v), -v))
+        cut = lo is None or hi is None or any(abs(v - start) > radius for v in inside)
+    values, narrowed = linear._candidates(lo, hi, radius)
+    assert (list(values), narrowed) == (expected, cut)
+
+
+def test_candidates_of_a_narrow_range_ignore_a_huge_radius():
+    values, narrowed = linear._candidates(0, 2, 10**12)
+    assert (list(values), narrowed) == ([0, 1, 2], False)
 
 
 def test_compare_gives_the_canonical_constraints_of_each_relation():
@@ -247,8 +277,9 @@ _ROWS = st.lists(
 )
 
 
-# x >= 1, 2x <= 2 and x < 1, in both orders: of two rows that bound x by 1,
-# the strict one must be kept, whatever their scale.
+# x >= 1, 2x <= 2 and x < 1, in both orders: rows of one direction at two
+# scales, one strict, meet on entry.  Tight, they read x <= 1 and x <= 0,
+# and the lesser bound is kept, whatever the order.
 _TIE = [([-1, 0, 0], 1, -1, "<="), ([1, 0, 0], 2, 2, "<="), ([1, 0, 0], 1, 1, "<")]
 
 
@@ -256,6 +287,7 @@ _TIE = [([-1, 0, 0], 1, -1, "<="), ([1, 0, 0], 2, 2, "<="), ([1, 0, 0], 1, 1, "<
 @given(st.integers(1, 3), _ROWS, st.sampled_from((8, 30, DEFAULT_CONSTRAINT_BUDGET)), st.booleans())
 @example(1, _TIE, DEFAULT_CONSTRAINT_BUDGET, False)
 @example(1, _TIE[::-1], DEFAULT_CONSTRAINT_BUDGET, False)
+@example(2, [([1, 1, 0], 2, 1, "="), ([1, -1, 0], 1, 0, "=")], 8, False)
 def test_integer_kernel_matches_the_rational_reference(k, rows, budget, tighten):
     variables = tuple(f"x{i}" for i in range(k))
     built = {}
@@ -269,7 +301,9 @@ def test_integer_kernel_matches_the_rational_reference(k, rows, budget, tighten)
     if reference.status == "infeasible":
         assert ours.status == "infeasible"
     elif reference.status == "unknown":
-        assert (ours.status, ours.reason) == (reference.status, reference.reason)
+        # Tight combinations can prove a system infeasible before the budget runs out.
+        same = (ours.status, ours.reason) == (reference.status, reference.reason)
+        assert same or ours.status == "infeasible"
     elif all(q.denominator == 1 for q in reference.witness.values()):
         assert ours.status == "feasible" and ours.witness == reference.witness
     if ours.status == "feasible":
@@ -287,6 +321,15 @@ def _built(kernel, variables, rows):
         else:
             constraints.append(kernel.LinearConstraint.make(coeffs, bound, relation == "<"))
     return kernel.ConstraintSystem(variables, tuple(constraints))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), _ROWS)
+def test_solve_decides_as_it_does_on_the_integer_tightened_system(k, rows):
+    system_ = _built(linear, tuple(f"x{i}" for i in range(k)), rows)
+    for budget in (8, 30, DEFAULT_CONSTRAINT_BUDGET):
+        tightened = integer_tighten(system_)
+        assert solve(system_, max_constraints=budget) == solve(tightened, max_constraints=budget)
 
 
 _BOX = 6

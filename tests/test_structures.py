@@ -9,6 +9,7 @@ from countermodel.linear import solve, integer_tighten
 from countermodel.logic import Atom
 from countermodel.structures import (
     AffineForm,
+    ClauseLowering,
     FiniteStructure,
     Interval,
     PiecewiseFunction,
@@ -16,7 +17,6 @@ from countermodel.structures import (
     eval_atom,
     eval_term,
     materialize,
-    symbolic_atom_constraints,
 )
 from countermodel.terms import ARROW, MANY_STEPS, ROOT_STEP, App, Var
 from paperdata import paper_instance
@@ -45,16 +45,26 @@ def test_eval_atom_on_restricted_intro_model():
         assert eval_atom(s, {"x": value}, Atom(MANY_STEPS, (X, X)))
 
 
+def lowered_systems(structure, atom):
+    """The system of ``atom`` holding, one per guard-case choice in ``choices`` order."""
+    lowering = ClauseLowering(structure, atom.variables(), (atom,))
+    systems = []
+    for choice in lowering.choices():
+        forms, guards = lowering.lower(choice)
+        systems.append(lowering.system(guards + lowering.atom_constraints(atom, forms)))
+    return systems
+
+
 def test_symbolic_atom_constraints_doubling():
     _doc, _theory, _ob, s = paper_instance("non-cycling")
-    system = symbolic_atom_constraints(s, Atom(MANY_STEPS, (App("c", (X,)), X)))
+    (system,) = lowered_systems(s, Atom(MANY_STEPS, (App("c", (X,)), X)))
     # c(x) lowers to 2x + 2 in place: {2x + 2 <= x, x >= -1} has no solution
     assert solve(integer_tighten(system)).status == "infeasible"
 
 
 def test_symbolic_atom_constraints_ground_false_atom():
     _doc, _theory, _ob, s = paper_instance("non-cycling")
-    system = symbolic_atom_constraints(s, Atom(ARROW, (B, A)))  # -1 < -1
+    (system,) = lowered_systems(s, Atom(ARROW, (B, A)))  # -1 < -1
     assert solve(system).status == "infeasible"
 
 
@@ -66,8 +76,7 @@ def test_symbolic_atom_constraints_respects_case_choice():
     # holds, so the system is satisfiable; under the "otherwise" case le
     # yields 0 and 0 >= 1 makes it infeasible.
     atom = Atom(MS, (App("le", (X, Var("w"))), App("true")))
-    first = symbolic_atom_constraints(s, atom, (0,))
-    second = symbolic_atom_constraints(s, atom, (1,))
+    first, second = lowered_systems(s, atom)
     assert solve(integer_tighten(first)).status == "feasible"
     assert solve(integer_tighten(second)).status == "infeasible"
 
@@ -83,7 +92,7 @@ def test_symbolic_atom_constraints_root_step():
         backend="symbolic",
         required_predicates=("->", "->*", "->^"),
     )
-    system = symbolic_atom_constraints(s, Atom(ROOT_STEP, (App("f", (X,)), Y)))
+    (system,) = lowered_systems(s, Atom(ROOT_STEP, (App("f", (X,)), Y)))
     # f(x) lowers to 1 in place: {5 + y <= 1, -1 <= x,y <= 1} has no solution
     assert solve(integer_tighten(system)).status == "infeasible"
 
