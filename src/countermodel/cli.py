@@ -23,9 +23,10 @@ from .checker import REFUTED, VERIFIED, verify
 from .errors import CountermodelError
 from .finder import SearchBudget
 from .logic import format_theory
-from .model_format import parse_model
+from .model_format import AUTO, FINITE, SYMBOLIC, parse_model
 from .oracle import saturate
 from .pipeline import (
+    BOTH,
     build_theory,
     disprove,
     oracle_cross_check,
@@ -72,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check_cmd.add_argument("--model", required=True, help="structure file to verify")
     check_cmd.add_argument(
         "--backend",
-        choices=("auto", "finite", "symbolic", "both"),
-        default="auto",
+        choices=(AUTO, FINITE, SYMBOLIC, BOTH),
+        default=AUTO,
         help="how to interpret the structure file",
     )
     check_cmd.add_argument("--output", "-o", help="also write the certificate to this file")
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     disprove_cmd = commands.add_parser("disprove", help="search for a countermodel")
     _common_inputs(disprove_cmd)
     disprove_cmd.add_argument(
-        "--backend", choices=("finite", "symbolic", "both"), default="both"
+        "--backend", choices=(FINITE, SYMBOLIC, BOTH), default=BOTH
     )
     disprove_cmd.add_argument(
         "--carriers",
@@ -184,9 +185,9 @@ def _run_check(args) -> int:
     required = required_predicates(theory, tuple(obligations))
     model_text = Path(args.model).read_text(encoding="utf-8")
     backend = args.backend
-    if backend == "both":
-        finite = parse_model(model_text, ctrs.signature, "finite", required, file=args.model)
-        symbolic = parse_model(model_text, ctrs.signature, "symbolic", required, file=args.model)
+    if backend == BOTH:
+        finite = parse_model(model_text, ctrs.signature, FINITE, required, file=args.model)
+        symbolic = parse_model(model_text, ctrs.signature, SYMBOLIC, required, file=args.model)
         cert = verify(theory, obligations, finite)
         cert_symbolic = verify(theory, obligations, symbolic)
         if cert.overall != cert_symbolic.overall:
@@ -258,13 +259,13 @@ def _emit_certificate(cert, output: str | None) -> int:
 
 def _budget_from_args(args) -> SearchBudget:
     kwargs = {}
-    if args.carriers:
+    if args.carriers is not None:
         kwargs["carriers"] = tuple(
             _ints("--carriers", piece, ":", 2) for piece in args.carriers.split(",")
         )
-    if args.ray_carriers:
+    if args.ray_carriers is not None:
         kwargs["ray_carriers"] = _ints("--ray-carriers", args.ray_carriers, ",")
-    if args.coeff_range:
+    if args.coeff_range is not None:
         kwargs["coeff_min"], kwargs["coeff_max"] = _ints("--coeff-range", args.coeff_range, ":", 2)
     if args.timeout is not None:
         if not args.timeout >= 0:  # NaN too

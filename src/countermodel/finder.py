@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -284,17 +285,14 @@ def _menu_relations() -> list[tuple[str, tuple[int, int, int] | None]]:
     return [(rel, None) for rel in BASE_RELATIONS] + [("pair", p) for p in pairs]
 
 
+_COMPARISONS = {
+    "=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt
+}
+
+
 def _relation_test(rel: str, payload: tuple[int, int, int] | None) -> Callable[[int, int], bool]:
-    if rel == "=":
-        return lambda x, y: x == y
-    if rel == "<=":
-        return lambda x, y: x <= y
-    if rel == ">=":
-        return lambda x, y: x >= y
-    if rel == "<":
-        return lambda x, y: x < y
-    if rel == ">":
-        return lambda x, y: x > y
+    if rel in _COMPARISONS:
+        return _COMPARISONS[rel]
     a, b, c = payload  # type: ignore[misc]
     return lambda x, y: a * x + b * y <= c
 

@@ -19,13 +19,19 @@ Parameter names are distinct and table keys do not repeat.
 Expressions are affine with integer literals only.  ``otherwise`` stands
 for the complement of the previous guards and is accepted only when that
 complement is itself a single conjunction (every previous guard must be a
-single inequality).  Documents whose carriers are all finite parse to a
-finite structure by default; any ray carrier forces the symbolic backend,
-and the backend can also be requested explicitly.
+single inequality).
+
+Each block is read straight into its interpretation: a DOMAIN into a
+``Ray``, an ``Interval`` or the sorted values of a set; a FUN into a table
+or a ``PiecewiseFunction`` (``clamp`` expanded into three guard cases,
+``otherwise`` resolved as the cases are read); a PRED into a set of pairs
+or a ``PredicateInterp``.  The backend, unless requested, is chosen once
+the document is read: symbolic when a carrier is a ray, finite otherwise.
+The finite backend rejects rays and tabulates the piecewise parts; the
+symbolic one rejects tables, pair sets and non-contiguous sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ModelError, ParseError
@@ -48,6 +54,7 @@ from .structures import (
     Ray,
     Structure,
     SymbolicStructure,
+    carrier_values,
     tabulate,
 )
 from .terms import ARROW, BUILTIN_PREDICATES, MANY_STEPS, Signature
@@ -65,41 +72,6 @@ DEFAULT_REQUIRED_PREDICATES = (ARROW, MANY_STEPS)
 MAX_FINITE_CARRIER = 1000
 
 
-# -- document form -------------------------------------------------------------
-
-
-@dataclass
-class _Domain:
-    sort: str | None
-    kind: str  # "set" | "interval" | "ray"
-    values: tuple[int, ...] = ()
-    lo: int = 0
-    hi: int = 0
-
-
-@dataclass
-class _Case:
-    guard: tuple[LinearConstraint, ...] | None  # None means "otherwise"
-    value: AffineForm | None = None
-    clamp: tuple[AffineForm, int, int] | None = None
-
-
-@dataclass
-class _Fun:
-    name: str
-    params: tuple[str, ...]
-    cases: list[_Case] | None = None
-    table: dict[tuple[int, ...], int] | None = None
-
-
-@dataclass
-class _Pred:
-    name: str
-    params: tuple[str, ...]
-    constraints: tuple[LinearConstraint, ...] | None = None
-    pairs: frozenset[tuple[int, ...]] | None = None
-
-
 def parse_model(
     text: str,
     sig: Signature,
@@ -112,64 +84,65 @@ def parse_model(
     Every function symbol of the signature and every required predicate
     must receive exactly one interpretation entry.
     """
-    domains, funs, preds = _parse_document(text, sig, file)
+    carriers, functions, predicates = _parse_document(text, sig, file)
     if backend not in (AUTO, FINITE, SYMBOLIC):
         raise ValueError(f"unknown backend '{backend}'")
     if backend == AUTO:
-        backend = SYMBOLIC if any(d.kind == "ray" for d in domains.values()) else FINITE
+        backend = SYMBOLIC if any(isinstance(c, Ray) for c in carriers.values()) else FINITE
 
     for name in sig.functions:
-        if name not in funs:
+        if name not in functions:
             raise ParseError(f"missing interpretation of function '{name}'")
     for name in required_predicates:
-        if name not in preds:
+        if name not in predicates:
             raise ParseError(f"missing interpretation of predicate '{name}'")
     for sort in sig.sorts:
-        if sort not in domains:
+        if sort not in carriers:
             raise ParseError(f"missing DOMAIN for sort '{sort}'")
 
     if backend == FINITE:
-        return _assemble_finite(sig, domains, funs, preds)
-    return _assemble_symbolic(sig, domains, funs, preds)
+        return _assemble_finite(sig, carriers, functions, predicates)
+    return _assemble_symbolic(sig, carriers, functions, predicates)
 
 
 def _parse_document(text: str, sig: Signature, file: str | None):
     stream = TokenStream(tokenize(text, file), file)
-    domains: dict[str, _Domain] = {}
-    funs: dict[str, _Fun] = {}
-    preds: dict[str, _Pred] = {}
+    carriers: dict[str, Ray | Interval | tuple[int, ...]] = {}
+    functions: dict[str, dict[tuple[int, ...], int] | PiecewiseFunction] = {}
+    predicates: dict[str, frozenset[tuple[int, ...]] | PredicateInterp] = {}
     for keyword in stream.blocks():
         if keyword == "DOMAIN":
-            domain = _parse_domain(stream)
-            sort = domain.sort if domain.sort is not None else sig.sorts[0]
+            sort, carrier = _parse_domain(stream)
+            sort = sort if sort is not None else sig.sorts[0]
             if sort not in sig.sorts:
                 raise stream.error(f"unknown sort '{sort}'")
-            if sort in domains:
+            if sort in carriers:
                 raise stream.error(f"duplicate DOMAIN for sort '{sort}'")
-            domains[sort] = domain
+            carriers[sort] = carrier
         elif keyword == "FUN":
-            fun = _parse_fun(stream, sig)
-            if fun.name in funs:
-                raise stream.error(f"duplicate interpretation of '{fun.name}'")
-            funs[fun.name] = fun
+            name, function = _parse_fun(stream, sig)
+            if name in functions:
+                raise stream.error(f"duplicate interpretation of '{name}'")
+            functions[name] = function
         elif keyword == "PRED":
-            pred = _parse_pred(stream)
-            if pred.name in preds:
-                raise stream.error(f"duplicate interpretation of '{pred.name}'")
-            preds[pred.name] = pred
+            name, predicate = _parse_pred(stream)
+            if name in predicates:
+                raise stream.error(f"duplicate interpretation of '{name}'")
+            predicates[name] = predicate
         else:
             raise stream.error(f"unknown block '{keyword}'")
-    return domains, funs, preds
+    return carriers, functions, predicates
 
 
-def _parse_domain(stream: TokenStream) -> _Domain:
+def _parse_domain(stream: TokenStream) -> tuple[str | None, Ray | Interval | tuple[int, ...]]:
+    """The sort name, if given, and a ray, an interval or the sorted values of a set."""
     token = stream.accept("ident")
     sort = token.text if token else None
     if stream.at("{"):
         values = stream.items(_parse_int, "{", "}")
         if not values:
             raise stream.error("empty DOMAIN set")
-        return _Domain(sort, "set", values=tuple(sorted(set(values))))
+        return sort, tuple(sorted(set(values)))
     if stream.accept("["):
         lo = _parse_int(stream)
         stream.expect(",")
@@ -177,13 +150,15 @@ def _parse_domain(stream: TokenStream) -> _Domain:
         stream.expect("]")
         if lo > hi:
             raise stream.error(f"empty interval [{lo}, {hi}]")
-        return _Domain(sort, "interval", lo=lo, hi=hi)
+        return sort, Interval(lo, hi)
     if stream.accept(">="):
-        return _Domain(sort, "ray", lo=_parse_int(stream))
+        return sort, Ray(_parse_int(stream))
     raise stream.error("expected '{', '[', or '>=' in DOMAIN")
 
 
-def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
+def _parse_fun(
+    stream: TokenStream, sig: Signature
+) -> tuple[str, dict[tuple[int, ...], int] | PiecewiseFunction]:
     name_token = stream.expect_ident()
     name = name_token.text
     if name not in sig.functions:
@@ -212,36 +187,50 @@ def _parse_fun(stream: TokenStream, sig: Signature) -> _Fun:
             table[key] = value
 
         stream.separated(entry, "|")
-        return _Fun(name, tuple(params), table=table)
-    if stream.accept("ident", "cases"):
+        return name, table
+    if not stream.accept("ident", "cases"):
+        return name, PiecewiseFunction(tuple(params), _parse_case_value(stream, params, ()))
+    previous: list[tuple[LinearConstraint, ...]] = []
 
-        def case(stream: TokenStream) -> _Case:
-            otherwise = stream.accept("ident", "otherwise")
-            guard = None if otherwise else tuple(_parse_constraints(stream, params))
-            stream.expect("->")
-            return _parse_case_value(stream, params, guard)
+    def case(stream: TokenStream) -> tuple[PiecewiseCase, ...]:
+        if stream.accept("ident", "otherwise"):
+            if any(len(g) != 1 for g in previous):
+                raise ParseError(
+                    f"'otherwise' in '{name}' needs every previous guard to be "
+                    "a single inequality"
+                )
+            guard = tuple(g[0].negate() for g in previous)
+        else:
+            guard = tuple(_parse_constraints(stream, params))
+            previous.append(guard)
+        stream.expect("->")
+        return _parse_case_value(stream, params, guard)
 
-        return _Fun(name, tuple(params), cases=stream.separated(case, "|"))
-    case = _parse_case_value(stream, params, guard=())
-    return _Fun(name, tuple(params), cases=[case])
+    cases = stream.separated(case, "|")
+    return name, PiecewiseFunction(tuple(params), tuple(c for part in cases for c in part))
 
 
 def _parse_case_value(
-    stream: TokenStream, params: list[str], guard: tuple[LinearConstraint, ...] | None
-) -> _Case:
-    if stream.accept("ident", "clamp"):
-        stream.expect("(")
-        form = _parse_affine(stream, params)
-        stream.expect(",")
-        lo = _parse_int(stream)
-        stream.expect(",")
-        hi = _parse_int(stream)
-        stream.expect(")")
-        return _Case(guard, clamp=(form, lo, hi))
-    return _Case(guard, value=_parse_affine(stream, params))
+    stream: TokenStream, params: list[str], guard: tuple[LinearConstraint, ...]
+) -> tuple[PiecewiseCase, ...]:
+    """The cases of one value under ``guard``: three for a clamp, one otherwise."""
+    if not stream.accept("ident", "clamp"):
+        return (PiecewiseCase(guard, _parse_affine(stream, params)),)
+    stream.expect("(")
+    form = _parse_affine(stream, params)
+    stream.expect(",")
+    lo = _parse_int(stream)
+    stream.expect(",")
+    hi = _parse_int(stream)
+    stream.expect(")")
+    try:
+        clamped = PiecewiseFunction.clamped(params, form, lo, hi)
+    except ModelError as exc:
+        raise ParseError(str(exc)) from exc
+    return tuple(PiecewiseCase(guard + sub.guard, sub.value) for sub in clamped.cases)
 
 
-def _parse_pred(stream: TokenStream) -> _Pred:
+def _parse_pred(stream: TokenStream) -> tuple[str, frozenset[tuple[int, ...]] | PredicateInterp]:
     token = stream.peek()
     if token is None or not (token.kind == "ident" or token.kind in BUILTIN_PREDICATES):
         raise stream.error("expected a predicate name")
@@ -254,7 +243,7 @@ def _parse_pred(stream: TokenStream) -> _Pred:
         raise stream.error(f"predicate '{name}' takes 2 parameters, got {len(params)}")
     stream.expect("=")
     if stream.accept("ident", "empty"):
-        return _Pred(name, tuple(params), pairs=frozenset())
+        return name, frozenset()
     if stream.accept("ident", "pairs"):
         pairs: set[tuple[int, ...]] = set()
         while stream.at("("):
@@ -262,9 +251,8 @@ def _parse_pred(stream: TokenStream) -> _Pred:
             if len(pair) != 2:
                 raise stream.error(f"predicate '{name}' holds pairs, got {pair}")
             pairs.add(pair)
-        return _Pred(name, tuple(params), pairs=frozenset(pairs))
-    constraints = tuple(_parse_constraints(stream, params))
-    return _Pred(name, tuple(params), constraints=constraints)
+        return name, frozenset(pairs)
+    return name, PredicateInterp(tuple(params), tuple(_parse_constraints(stream, params)))
 
 
 def _parse_params(stream: TokenStream, name: str) -> list[str] | None:
@@ -330,131 +318,80 @@ def _parse_constraints(stream: TokenStream, params: Iterable[str]) -> list[Linea
 # -- assembly --------------------------------------------------------------------
 
 
-def _resolve_cases(fun: _Fun, params: tuple[str, ...]) -> tuple[PiecewiseCase, ...]:
-    assert fun.cases is not None
-    resolved: list[PiecewiseCase] = []
-    previous: list[tuple[LinearConstraint, ...]] = []
-    for case in fun.cases:
-        if case.guard is None:
-            for g in previous:
-                if len(g) != 1:
-                    raise ParseError(
-                        f"'otherwise' in '{fun.name}' needs every previous guard to be "
-                        "a single inequality"
-                    )
-            guard = tuple(g[0].negate() for g in previous)
-        else:
-            guard = case.guard
-            previous.append(guard)
-        if case.clamp is not None:
-            form, lo, hi = case.clamp
-            try:
-                clamped = PiecewiseFunction.clamped(params, form, lo, hi)
-            except ModelError as exc:
-                raise ParseError(str(exc)) from exc
-            for sub in clamped.cases:
-                resolved.append(PiecewiseCase(guard + sub.guard, sub.value))
-        else:
-            assert case.value is not None
-            resolved.append(PiecewiseCase(guard, case.value))
-    return tuple(resolved)
-
-
-def _carrier_of(domain: _Domain) -> Carrier:
-    if domain.kind == "ray":
-        return Ray(domain.lo)
-    if domain.kind == "interval":
-        return Interval(domain.lo, domain.hi)
-    values = domain.values
-    if values == tuple(range(values[0], values[-1] + 1)):
-        return Interval(values[0], values[-1])
-    raise ParseError(
-        "an explicit carrier must be a contiguous integer range for the symbolic backend"
-    )
-
-
 def _assemble_symbolic(
     sig: Signature,
-    domains: dict[str, _Domain],
-    funs: dict[str, _Fun],
-    preds: dict[str, _Pred],
+    carriers: Mapping[str, Ray | Interval | tuple[int, ...]],
+    functions: Mapping[str, dict[tuple[int, ...], int] | PiecewiseFunction],
+    predicates: Mapping[str, frozenset[tuple[int, ...]] | PredicateInterp],
 ) -> SymbolicStructure:
-    carriers = {sort: _carrier_of(domain) for sort, domain in domains.items()}
-    functions: dict[str, PiecewiseFunction] = {}
-    for name, fun in funs.items():
-        if fun.table is not None:
+    ranges: dict[str, Carrier] = {}
+    for sort, carrier in carriers.items():
+        if isinstance(carrier, tuple):
+            if carrier != tuple(range(carrier[0], carrier[-1] + 1)):
+                raise ParseError(
+                    "an explicit carrier must be a contiguous integer range for the "
+                    "symbolic backend"
+                )
+            carrier = Interval(carrier[0], carrier[-1])
+        ranges[sort] = carrier
+    for name, function in functions.items():
+        if isinstance(function, dict):
             raise ParseError(
                 f"'{name}': explicit tables are not supported by the symbolic backend"
             )
-        functions[name] = PiecewiseFunction(fun.params, _resolve_cases(fun, fun.params))
-    predicates: dict[str, PredicateInterp] = {}
-    for name, pred in preds.items():
-        if pred.pairs is not None:
+    for name, predicate in predicates.items():
+        if isinstance(predicate, frozenset):
             raise ParseError(
                 f"'{name}': explicit pair sets are not supported by the symbolic backend"
             )
-        assert pred.constraints is not None
-        predicates[name] = PredicateInterp(pred.params, pred.constraints)
-    return SymbolicStructure(sig, carriers, functions, predicates)
+    return SymbolicStructure(sig, ranges, functions, predicates)
 
 
 def _assemble_finite(
     sig: Signature,
-    domains: dict[str, _Domain],
-    funs: dict[str, _Fun],
-    preds: dict[str, _Pred],
+    carriers: Mapping[str, Ray | Interval | tuple[int, ...]],
+    functions: Mapping[str, dict[tuple[int, ...], int] | PiecewiseFunction],
+    predicates: Mapping[str, frozenset[tuple[int, ...]] | PredicateInterp],
 ) -> FiniteStructure:
-    carriers: dict[str, tuple[int, ...]] = {}
-    for sort, domain in domains.items():
-        if domain.kind == "ray":
-            raise ParseError(
-                f"sort '{sort}' has an infinite carrier; use the symbolic backend"
-            )
-        size = domain.hi - domain.lo + 1 if domain.kind == "interval" else len(domain.values)
+    values: dict[str, tuple[int, ...]] = {}
+    for sort, carrier in carriers.items():
+        if isinstance(carrier, Ray):
+            raise ParseError(f"sort '{sort}' has an infinite carrier; use the symbolic backend")
+        size = carrier.hi - carrier.lo + 1 if isinstance(carrier, Interval) else len(carrier)
         if size > MAX_FINITE_CARRIER:
             raise ParseError(
                 f"sort '{sort}' has {size} carrier values, more than the finite backend's "
                 f"{MAX_FINITE_CARRIER}; use --backend symbolic"
             )
-        if domain.kind == "interval":
-            carriers[sort] = tuple(range(domain.lo, domain.hi + 1))
-        else:
-            carriers[sort] = domain.values
-    universe = sorted({v for vs in carriers.values() for v in vs})
+        values[sort] = carrier_values(carrier) if isinstance(carrier, Interval) else carrier
+    universe = sorted({v for vs in values.values() for v in vs})
     if len(universe) > MAX_FINITE_CARRIER:
         raise ParseError(
-            f"the carriers of sorts {', '.join(carriers)} hold {len(universe)} values together, "
+            f"the carriers of sorts {', '.join(values)} hold {len(universe)} values together, "
             f"more than the finite backend's {MAX_FINITE_CARRIER}; use --backend symbolic"
         )
-    functions: dict[str, dict[tuple[int, ...], int]] = {}
-    piecewise: dict[str, PiecewiseFunction] = {}
-    for name, fun in funs.items():
-        arg_sorts, result = sig.functions[name]
-        if fun.table is not None:
-            for key, value in fun.table.items():
-                for v, s in zip(key, arg_sorts):
-                    if v not in carriers[s]:
-                        raise ParseError(
-                            f"table key {key} of '{name}' is outside the declared carrier"
-                        )
-                if value not in carriers[result]:
-                    raise ParseError(
-                        f"table value {value} of '{name}' is outside the declared carrier"
-                    )
-            functions[name] = dict(fun.table)
+    tables: dict[str, dict[tuple[int, ...], int]] = {}
+    for name, function in functions.items():
+        if isinstance(function, PiecewiseFunction):
             continue
-        piecewise[name] = PiecewiseFunction(fun.params, _resolve_cases(fun, fun.params))
-    predicates = {name: pred.pairs for name, pred in preds.items() if pred.pairs is not None}
-    linear = {
-        name: PredicateInterp(pred.params, pred.constraints)
-        for name, pred in preds.items()
-        if pred.constraints is not None
-    }
+        arg_sorts, result = sig.functions[name]
+        for key, value in function.items():
+            for v, s in zip(key, arg_sorts):
+                if v not in values[s]:
+                    raise ParseError(
+                        f"table key {key} of '{name}' is outside the declared carrier"
+                    )
+            if value not in values[result]:
+                raise ParseError(f"table value {value} of '{name}' is outside the declared carrier")
+        tables[name] = function
+    pairs = {n: p for n, p in predicates.items() if isinstance(p, frozenset)}
+    piecewise = {n: f for n, f in functions.items() if isinstance(f, PiecewiseFunction)}
+    linear = {n: p for n, p in predicates.items() if isinstance(p, PredicateInterp)}
     try:
-        tables, extensions = tabulate(sig, carriers, piecewise, linear)
+        tabulated, extensions = tabulate(sig, values, piecewise, linear)
     except ModelError as exc:
         raise ParseError(str(exc)) from exc
-    return FiniteStructure(sig, carriers, functions | tables, predicates | extensions)
+    return FiniteStructure(sig, values, tables | tabulated, pairs | extensions)
 
 
 # -- serialization ----------------------------------------------------------------

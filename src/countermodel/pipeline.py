@@ -17,13 +17,12 @@ from .checker import Certificate, VERIFIED, verify
 from .compiler import compile_ctrs, relativize_sorts, root_theory, subterm_theory
 from .finder import SearchBudget, find_model, find_symbolic_model
 from .logic import Theory
+from .model_format import FINITE, SYMBOLIC
 from .oracle import AtomSet, saturate
 from .queries import Query, negate_to_obligations, required_predicates  # noqa: F401 (re-exported)
 from .structures import Structure, eval_atom
 from .terms import CTRS, ROOT_STEP, SUBTERM
 
-FINITE = "finite"
-SYMBOLIC = "symbolic"
 BOTH = "both"
 
 ORACLE_SIZE_BOUND = 4

@@ -182,7 +182,7 @@ def _join_sort(sig: Signature, s: Term, t: Term) -> str:
 def _system_sort(sig: Signature) -> str:
     if sig.single_sorted:
         return sig.sorts[0]
-    tops = [s for s in sig.sorts if not any(t != s and sig.le(s, t) for t in sig.sorts)]
+    tops = sig.maximal_sorts(frozenset(sig.sorts))
     if len(tops) == 1:
         return tops[0]
     raise QueryError(

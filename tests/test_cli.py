@@ -315,6 +315,9 @@ def test_wrongly_shaped_model_exits_input_error(tmp_path, capsys):
         (["--coeff-range", "1"], "--coeff-range: cannot read '1'"),
         (["--timeout", "nan"], "--timeout: nan is not a number of seconds >= 0"),
         (["--timeout", "-1"], "--timeout: -1.0 is not a number of seconds >= 0"),
+        (["--carriers="], "--carriers: cannot read ''"),
+        (["--ray-carriers="], "--ray-carriers: cannot read ''"),
+        (["--coeff-range="], "--coeff-range: cannot read ''"),
     ],
 )
 def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):

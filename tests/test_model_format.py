@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from countermodel.errors import CountermodelError, ParseError
 from countermodel.model_format import MAX_FINITE_CARRIER, parse_model, serialize_model
 from countermodel.structures import FiniteStructure, Interval, Ray, SymbolicStructure
+from countermodel.trs_format import parse_ctrs_document
 from paperdata import PAPER_CHECKS, model_text, paper_instance, system
 
 SIG = system("fab.trs").ctrs.signature
@@ -233,3 +234,33 @@ def test_model_parsing_is_total(text):
         parse_model(text, SIG)
     except CountermodelError:
         pass
+
+
+_CLAMP_SIG = parse_ctrs_document("(VAR x) (RULES g(x) -> h(x))").ctrs.signature
+_CLAMPED = (
+    "(FUN g(x) = clamp(x - 1, 0, 1)) "
+    "(FUN h(x) = cases x <= 0 -> 0 | otherwise -> clamp(2*x, 0, 3)) "
+    "(PRED -> (x, y) = x = y) (PRED ->* (x, y) = x = y)"
+)
+
+
+@pytest.mark.parametrize(
+    "domain, backend, points",
+    [
+        ("(DOMAIN [-2, 4])", "finite", range(-2, 5)),
+        ("(DOMAIN [-2, 4])", "symbolic", range(-2, 5)),
+        ("(DOMAIN >= -2)", "symbolic", range(-2, 12)),
+    ],
+)
+def test_clamp_and_otherwise_read_from_a_model_file(domain, backend, points):
+    structure = parse_model(f"{domain} {_CLAMPED}", _CLAMP_SIG, backend)
+    for x in points:
+        if isinstance(structure, FiniteStructure):
+            g, h = structure.functions["g"][(x,)], structure.functions["h"][(x,)]
+        else:
+            g, h = structure.functions["g"].eval((x,)), structure.functions["h"].eval((x,))
+        assert g == min(max(x - 1, 0), 1)
+        assert h == (0 if x <= 0 else min(max(2 * x, 0), 3))
+    text = serialize_model(structure)
+    assert parse_model(text, _CLAMP_SIG, backend) == structure
+    assert serialize_model(parse_model(text, _CLAMP_SIG, backend)) == text
