@@ -149,6 +149,11 @@ def test_disprove_node_totals(name, monkeypatch):
             "175ecdb65cf888291084f9f8e3064aeb1926fb7ff537252e63b65d3d5ee4e29a",
             id="division-5",
         ),
+        pytest.param(
+            lambda: system("division.trs").ctrs, 6, 5, 18303,
+            "cc11ee1ce03ab85e55b7d3b20855120af071ac30e3e9e4608bca6119845664a0",
+            id="division-6",
+        ),
     ],
 )
 def test_saturation_atom_depths(ctrs, size, depth, count, digest):
