@@ -193,12 +193,13 @@ def _parse_fun(
     previous: list[tuple[LinearConstraint, ...]] = []
 
     def case(stream: TokenStream) -> tuple[PiecewiseCase, ...]:
-        if stream.accept("ident", "otherwise"):
+        if stream.at_ident("otherwise"):
             if any(len(g) != 1 for g in previous):
-                raise ParseError(
+                raise stream.error(
                     f"'otherwise' in '{name}' needs every previous guard to be "
                     "a single inequality"
                 )
+            stream.next()
             guard = tuple(g[0].negate() for g in previous)
         else:
             guard = tuple(_parse_constraints(stream, params))
@@ -222,11 +223,11 @@ def _parse_case_value(
     lo = _parse_int(stream)
     stream.expect(",")
     hi = _parse_int(stream)
-    stream.expect(")")
     try:
         clamped = PiecewiseFunction.clamped(params, form, lo, hi)
     except ModelError as exc:
-        raise ParseError(str(exc)) from exc
+        raise stream.error(str(exc)) from exc
+    stream.expect(")")
     return tuple(PiecewiseCase(guard + sub.guard, sub.value) for sub in clamped.cases)
 
 

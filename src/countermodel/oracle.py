@@ -15,13 +15,26 @@ joins only premises of depth at most ``k - 1``, at least one of them of
 depth exactly ``k - 1``, so it derives exactly the atoms of minimal depth
 ``k``.  An atom's first depth is final, no round revisits an old atom, and
 there are at most ``depth_bound`` rounds.
+
+The work is done on numbered terms (``_Numbering``).  The ground terms
+within the bound are numbered once, in order of size, as they are
+enumerated; a term's number is looked up from its symbol and its
+arguments' numbers, its subterms are its own number plus its arguments'
+subterms, and an atom is a pair of numbers until the result is built.
+Each rule is compiled once into a ``_Template``, as a Datalog engine
+compiles its rules (Soufflé; Jordan et al. 2016): its variables become
+register slots, each distinct subterm a register filled by one table
+lookup as soon as the last slot it reads is assigned, and its instances
+are enumerated slot by slot over terms grouped by size, so that the size
+bound prunes whole groups.
 """
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .compiler import oriented_conditions
 from .logic import Atom
@@ -35,10 +48,8 @@ from .terms import (
     Signature,
     Term,
     Var,
-    ground_terms,
-    subterms,
+    _ground_terms_by_size,
     term_size,
-    term_sort,
 )
 
 
@@ -72,17 +83,8 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     if size_bound < 1 or depth_bound < 1:
         raise ValueError("size and depth bounds must be >= 1")
     sig = ctrs.signature
-    found: set[Term] = set()
-    for sort in sig.sorts:
-        found.update(ground_terms(sig, sort, size_bound))
-    # Ground terms are numbered once, in order of size; an atom is a pair of
-    # numbers until the end.
-    terms = sorted(found, key=term_size)
-    ids = {t: i for i, t in enumerate(terms)}
-    sizes = [term_size(t) for t in terms]
-    sorts = [term_sort(sig, t) for t in terms]
-    apps = {(t.symbol, tuple(ids[a] for a in t.args)): i for t, i in ids.items()}
-    fits = {sort: [i for i, s in enumerate(sorts) if sig.le(s, sort)] for sort in sig.sorts}
+    numbering = _number(sig, size_bound)
+    sizes, sorts, tables = numbering.sizes, numbering.sorts, numbering.tables
 
     steps: dict[tuple[int, int], int] = {}  # ->
     root_steps: dict[tuple[int, int], int] = {}  # ->^
@@ -90,32 +92,38 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     steps_to: dict[int, list[int]] = defaultdict(list)  # target -> sources of ->
     many_from: dict[int, list[int]] = defaultdict(list)  # source -> targets of ->*
 
-    # (Rp): each rule instance is built once and fires in the round after its
-    # last missing ->* condition is derived; unconditional ones fire at depth 1.
-    heads: list[tuple[int, int]] = []
-    missing: list[int] = []
-    waiting: dict[tuple[int, int], list[int]] = defaultdict(list)
+    # (Rp): a rule's instances come in batches (``_Template.instances``): the
+    # heads of one assignment of the variables its head shares with its
+    # conditions, with one group of ->* conditions per assignment of the
+    # variables only its conditions read.  The batch fires in the round after
+    # its first group is complete; unconditional heads fire at depth 1.
+    pending: list[list[tuple[int, int]] | None] = []  # batch -> heads, until fired
+    batch_of: list[int] = []  # group -> batch
+    missing: list[int] = []  # group -> conditions not yet derived
+    waiting: dict[tuple[int, int], list[int]] = defaultdict(list)  # condition -> groups
     fired: set[tuple[int, int]] = set()
+
+    def batch(heads: list[tuple[int, int]], groups: list[set[tuple[int, int]]]) -> None:
+        if not groups[0]:
+            fired.update(heads)
+            return
+        for conditions in groups:
+            for condition in conditions:
+                waiting[condition].append(len(missing))
+            batch_of.append(len(pending))
+            missing.append(len(conditions))
+        pending.append(heads)
+
     for rule in ctrs.rules:
         # Joinability conditions read as reachability into a fresh shared variable.
         rule = ConditionalRule(rule.lhs, rule.rhs, oriented_conditions(sig, rule))
-        for assignment in _substitution_candidates(rule, fits, sizes, size_bound):
-            head = (_instance(rule.lhs, assignment, apps), _instance(rule.rhs, assignment, apps))
-            conditions = {
-                (_instance(s, assignment, apps), _instance(t, assignment, apps))
-                for s, t in rule.conditions
-            }
-            if not conditions:
-                fired.add(head)
-                continue
-            for condition in conditions:
-                waiting[condition].append(len(heads))
-            heads.append(head)
-            missing.append(len(conditions))
+        template = _compile(rule, tables, size_bound)
+        if template is not None:
+            template.instances(numbering.pools, batch)
 
     # Depth 1: unconditional rule instances and reflexivity of ->*.
-    new_steps, new_roots, new_many = fired, fired, {(i, i) for i in range(len(terms))}
-    frames: dict[tuple[str, str, int], list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
+    new_steps, new_roots, new_many = fired, fired, {(i, i) for i in range(len(sizes))}
+    frames: dict[tuple[str, str, int], list[tuple[dict, tuple[int, ...], tuple[int, ...]]]] = {}
     depth = 1
     while True:
         for pair in new_steps:
@@ -133,22 +141,26 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
         new_steps, new_roots, new_many = set(), set(), set()
         # (Rp)
         for condition in delta_many:
-            for index in waiting.pop(condition, ()):
-                missing[index] -= 1
-                if not missing[index]:
-                    head = heads[index]
-                    if head not in steps:
-                        new_steps.add(head)
-                    if head not in root_steps:
-                        new_roots.add(head)
+            for group in waiting.pop(condition, ()):
+                missing[group] -= 1
+                if not missing[group] and pending[batch_of[group]] is not None:
+                    for head in pending[batch_of[group]]:
+                        if head not in steps:
+                            new_steps.add(head)
+                        if head not in root_steps:
+                            new_roots.add(head)
+                    pending[batch_of[group]] = None
         # (C): one-step rewriting closed under contexts one argument at a time;
         # both the redex side and the contractum side must fit the size bound.
         for s, t in delta_steps:
             key = (sorts[s], sorts[t], size_bound - 1 - max(sizes[s], sizes[t]))
             if key not in frames:
-                frames[key] = list(_frames(sig, fits, sizes, *key))
-            for symbol, before, after in frames[key]:
-                pair = (apps[symbol, before + (s,) + after], apps[symbol, before + (t,) + after])
+                frames[key] = list(_frames(sig, numbering, *key))
+            for table, before, after in frames[key]:
+                if before or after:
+                    pair = (table[before + (s,) + after], table[before + (t,) + after])
+                else:
+                    pair = (table[s], table[t])
                 if pair not in steps:
                     new_steps.add(pair)
         # (T): s ->* u from s -> t and t ->* u.
@@ -162,9 +174,14 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
                     new_many.add((s, u))
 
     # The subterm relation is a depth-1 fact, and no rule has it as a premise.
-    atoms = {Atom(SUBTERM, (t, s)): 1 for t in terms for s in subterms(t)}
+    ground = numbering.ground
+    atoms = {
+        Atom(SUBTERM, (ground[i], ground[j])): 1
+        for i, below in enumerate(numbering.below)
+        for j in below
+    }
     for predicate, table in ((ARROW, steps), (ROOT_STEP, root_steps), (MANY_STEPS, many)):
-        atoms.update((Atom(predicate, (terms[i], terms[j])), d) for (i, j), d in table.items())
+        atoms.update((Atom(predicate, (ground[i], ground[j])), d) for (i, j), d in table.items())
     return AtomSet(atoms, size_bound, depth_bound)
 
 
@@ -172,56 +189,204 @@ def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool
     return atom in saturate(ctrs, size_bound, depth_bound)
 
 
-def _substitution_candidates(
-    rule: ConditionalRule, fits: Mapping[str, list[int]], sizes: list[int], size_bound: int
-) -> Iterator[dict[Var, int]]:
-    """Ground substitutions under which every term of the rule fits the bound.
+@dataclass(frozen=True)
+class _Numbering:
+    """The ground terms within a size bound, numbered in order of size.
 
-    Variables are mapped to numbered ground terms, ``fits[sort]`` listing
-    those of each sort in order of size.  They are assigned depth-first; a
-    partial assignment is abandoned as soon as some instantiated template
-    cannot stay within the size bound even with every remaining variable
-    mapped to a size-1 term.
+    ``ground[i]`` is the term numbered ``i``, of size ``sizes[i]`` and
+    declared sort ``sorts[i]``; ``tables[f]`` maps the numbers of ``f``'s arguments to the number of the
+    application, keyed as ``_key`` shapes them; ``pools[sort][k]`` lists the
+    terms of size ``k`` whose sort is at most ``sort``; ``below[i]`` holds the
+    numbers of term ``i``'s subterms, ``i`` included.
     """
-    variables = rule.variables()
-    templates = rule.terms()
-    occurrences: list[dict[Var, int]] = []
-    bases: list[int] = []
-    for template in templates:
-        counts: dict[Var, int] = {}
-        _count(template, counts)
-        occurrences.append(counts)
-        bases.append(term_size(template))
-    if any(b > size_bound for b in bases) or any(not fits[v.sort] for v in variables):
-        return
 
-    extra = [0] * len(templates)  # accumulated size beyond the template's base
+    ground: list[Term]
+    sizes: list[int]
+    sorts: list[str]
+    tables: dict[str, dict[Hashable, int]]
+    pools: dict[str, list[list[int]]]
+    below: list[set[int]]
 
-    def feasible() -> bool:
-        return all(b + e <= size_bound for b, e in zip(bases, extra))
 
-    assignment: dict[Var, int] = {}
+def _key(args: tuple[int, ...]) -> Hashable:
+    """A table key: the one argument's number alone, else the tuple of them.
 
-    def assign(index: int) -> Iterator[dict[Var, int]]:
-        if index == len(variables):
-            yield dict(assignment)
-            return
-        v = variables[index]
-        for candidate in fits[v.sort]:
-            growth = sizes[candidate] - 1
-            for i, counts in enumerate(occurrences):
-                extra[i] += counts.get(v, 0) * growth
-            ok = feasible()
-            if ok:
-                assignment[v] = candidate
-                yield from assign(index + 1)
-                del assignment[v]
-            for i, counts in enumerate(occurrences):
-                extra[i] -= counts.get(v, 0) * growth
-            if not ok:
-                # pool is sorted by size, so every later candidate also overflows
-                break
-    yield from assign(0)
+    This is the shape ``itemgetter`` returns for one index and for several.
+    """
+    return args[0] if len(args) == 1 else args
+
+
+def _number(sig: Signature, size_bound: int) -> _Numbering:
+    ground: list[Term] = []
+    sizes: list[int] = []
+    sorts: list[str] = []
+    below: list[set[int]] = []
+    tables: dict[str, dict[Hashable, int]] = {name: {} for name in sig.functions}
+    numbers: dict[Term, int] = {}
+    for size, by_sort in enumerate(_ground_terms_by_size(sig, size_bound)):
+        for sort, group in by_sort.items():
+            for t in group:
+                i = numbers[t] = len(ground)
+                args = tuple(numbers[a] for a in t.args)
+                tables[t.symbol][_key(args)] = i
+                below.append({i}.union(*(below[a] for a in args)))
+                ground.append(t)
+                sizes.append(size)
+                sorts.append(sort)
+    pools = {sort: [[] for _ in range(size_bound + 1)] for sort in sig.sorts}
+    uppers = {sort: [up for up in sig.sorts if sig.le(sort, up)] for sort in sig.sorts}
+    for i, (size, sort) in enumerate(zip(sizes, sorts)):
+        for up in uppers[sort]:
+            pools[up][size].append(i)
+    return _Numbering(ground, sizes, sorts, tables, pools, below)
+
+
+@dataclass(frozen=True)
+class _Template:
+    """A rule compiled over numbered terms.
+
+    Slot ``k`` holds the number of the rule's ``k``-th variable, taken in
+    three runs: the variables both the head and the conditions read (up to
+    ``shared``), those only the conditions read (up to ``conditional``),
+    and those only the head reads.  Every register past the slots holds the
+    number of one distinct subterm of the rule: a ground one from the start,
+    any other one filled by one of ``steps[k]`` (register, table, key getter)
+    once slot ``k``, the last slot it reads, is assigned.  ``room`` is how
+    much each term of the rule (left side, right side, then both sides of
+    each condition) may grow past its size with every variable of size 1;
+    ``uses[k]`` lists the terms that slot ``k`` occurs in, with its number
+    of occurrences.
+    """
+
+    sorts: tuple[str, ...]
+    shared: int
+    conditional: int
+    room: tuple[int, ...]
+    uses: tuple[tuple[tuple[int, int], ...], ...]
+    registers: tuple[int, ...]
+    steps: tuple[tuple[tuple[int, dict[Hashable, int], Callable], ...], ...]
+    head: Callable[[list[int]], tuple[int, int]]
+    conditions: tuple[Callable[[list[int]], tuple[int, int]], ...]
+
+    def instances(
+        self,
+        pools: Mapping[str, list[list[int]]],
+        emit: Callable[[list[tuple[int, int]], list[set[tuple[int, int]]]], None],
+    ) -> None:
+        """Call ``emit(heads, groups)`` for each assignment of the shared slots.
+
+        ``heads`` are the rule's heads under each assignment of the head-only
+        slots, ``groups`` its condition sets under each assignment of the
+        condition-only slots; no term of the rule reads slots of both kinds,
+        so every head and group pair is an instance within the bound, and a
+        head holds as soon as one group does.  An assignment with no heads or
+        no groups is not emitted.
+
+        Slots are assigned depth-first, each to the terms of its sort one
+        size at a time, smallest first; a slot stops at the first size that
+        would make some term of the rule overflow, which every larger size
+        would too.
+        """
+        registers = list(self.registers)
+        room = list(self.room)
+
+        def assign(k: int, end: int, found: Callable[[], None]) -> None:
+            """Assign slots ``k`` to ``end - 1`` every way, calling ``found`` after each."""
+            if k == end:
+                found()
+                return
+            uses, steps, pool = self.uses[k], self.steps[k], pools[self.sorts[k]]
+            growth_bound = min(room[i] // count for i, count in uses)
+            for growth in range(growth_bound + 1):
+                group = pool[growth + 1]
+                if not group:
+                    continue
+                for i, count in uses:
+                    room[i] -= count * growth
+                for term in group:
+                    registers[k] = term
+                    for register, table, key in steps:
+                        registers[register] = table[key(registers)]
+                    if k + 1 == end:
+                        found()
+                    else:
+                        assign(k + 1, end, found)
+                for i, count in uses:
+                    room[i] += count * growth
+
+        def batch() -> None:
+            groups: list[set[tuple[int, int]]] = []
+            assign(
+                self.shared,
+                self.conditional,
+                lambda: groups.append({condition(registers) for condition in self.conditions}),
+            )
+            if groups:
+                heads: list[tuple[int, int]] = []
+                assign(self.conditional, len(self.sorts), lambda: heads.append(self.head(registers)))
+                if heads:
+                    emit(heads, groups)
+
+        assign(0, self.shared, batch)
+
+
+def _compile(
+    rule: ConditionalRule, tables: Mapping[str, Mapping[Hashable, int]], size_bound: int
+) -> _Template | None:
+    """The rule's template, or None when some term of it cannot fit the bound."""
+    rule_terms = rule.terms()
+    room = tuple(size_bound - term_size(t) for t in rule_terms)
+    if min(room) < 0:
+        return None
+    occurrences: list[dict[Var, int]] = [{} for _ in rule_terms]
+    for t, counts in zip(rule_terms, occurrences):
+        _count(t, counts)
+    head_vars = occurrences[0].keys() | occurrences[1].keys()
+    condition_vars = set().union(*occurrences[2:])
+    variables = sorted(
+        rule.variables(), key=lambda v: (v not in condition_vars, v not in head_vars)
+    )
+    slots = {v: k for k, v in enumerate(variables)}
+    uses: list[list[tuple[int, int]]] = [[] for _ in slots]
+    for i, counts in enumerate(occurrences):
+        for v, count in counts.items():
+            uses[slots[v]].append((i, count))
+    registers = [0] * len(slots)
+    steps: list[list[tuple[int, Mapping[Hashable, int], Callable]]] = [[] for _ in slots]
+    known: dict[Term, tuple[int, int]] = {}
+
+    def place(t: Term) -> tuple[int, int]:
+        """The register of ``t``'s number, and the last slot it reads (-1 if ground)."""
+        if isinstance(t, Var):
+            return slots[t], slots[t]
+        if t not in known:
+            args = [place(a) for a in t.args]
+            refs = [register for register, _ in args]
+            level = max((slot for _, slot in args), default=-1)
+            table = tables[t.symbol]
+            if level < 0:
+                registers.append(table[_key(tuple(registers[r] for r in refs))])
+            else:
+                steps[level].append((len(registers), table, itemgetter(*refs)))
+                registers.append(0)
+            known[t] = (len(registers) - 1, level)
+        return known[t]
+
+    placed = [place(t)[0] for t in rule_terms]
+    shared = len(head_vars & condition_vars)
+    return _Template(
+        sorts=tuple(v.sort for v in variables),
+        shared=shared,
+        conditional=shared + len(condition_vars - head_vars),
+        room=room,
+        uses=tuple(map(tuple, uses)),
+        registers=tuple(registers),
+        steps=tuple(map(tuple, steps)),
+        head=itemgetter(placed[0], placed[1]),
+        conditions=tuple(
+            itemgetter(placed[i], placed[i + 1]) for i in range(2, len(placed), 2)
+        ),
+    )
 
 
 def _count(term: Term, counts: dict[Var, int]) -> None:
@@ -232,35 +397,23 @@ def _count(term: Term, counts: dict[Var, int]) -> None:
             _count(a, counts)
 
 
-def _instance(
-    template: Term, assignment: Mapping[Var, int], apps: Mapping[tuple[str, tuple[int, ...]], int]
-) -> int:
-    """The number of the template's ground instance under the assignment."""
-    if isinstance(template, Var):
-        return assignment[template]
-    return apps[template.symbol, tuple(_instance(a, assignment, apps) for a in template.args)]
-
-
 def _frames(
-    sig: Signature,
-    fits: Mapping[str, list[int]],
-    sizes: list[int],
-    redex_sort: str,
-    contractum_sort: str,
-    room: int,
-) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    sig: Signature, numbering: _Numbering, redex_sort: str, contractum_sort: str, room: int
+) -> Iterator[tuple[dict[Hashable, int], tuple[int, ...], tuple[int, ...]]]:
     """Contexts ``f(before, [], after)`` whose other arguments' sizes sum to at most ``room``.
 
+    Each comes as ``f``'s table with the numbers before and after the hole.
     The hole's argument sort must admit both the redex and the contractum sort.
     """
+    pools, sizes = numbering.pools, numbering.sizes
     for name, (arg_sorts, _result) in sig.functions.items():
         for i, hole in enumerate(arg_sorts):
             if not (sig.le(redex_sort, hole) and sig.le(contractum_sort, hole)):
                 continue
-            pools = [
-                [j for j in fits[sort] if sizes[j] <= room]
+            others = [
+                [j for size in range(1, room + 1) for j in pools[sort][size]]
                 for sort in arg_sorts[:i] + arg_sorts[i + 1 :]
             ]
-            for others in itertools.product(*pools):
-                if sum(sizes[j] for j in others) <= room:
-                    yield name, others[:i], others[i:]
+            for combination in itertools.product(*others):
+                if sum(sizes[j] for j in combination) <= room:
+                    yield numbering.tables[name], combination[:i], combination[i:]

@@ -40,8 +40,29 @@ class Var:
 
 @dataclass(frozen=True)
 class App:
+    """A function symbol applied to argument terms.
+
+    The hash is computed on first use and kept on the object, the cached
+    hash of hash-consing (Filliâtre & Conchon 2006) without its shared
+    table: a term is immutable, so its hash never goes stale, and hashing a
+    term whose arguments were hashed before costs one tuple hash.  The
+    cache is no field, so ``fields``, ``repr`` and ``==`` see ``symbol`` and
+    ``args`` only, and ``__reduce__`` leaves it out of copies and pickles,
+    because string hashes differ between processes.
+    """
+
     symbol: str
     args: tuple["Term", ...] = ()
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.symbol, self.args))
+        return h
+
+    def __reduce__(self) -> tuple[type["App"], tuple[str, tuple["Term", ...]]]:
+        return App, (self.symbol, self.args)
 
 
 Term = Var | App

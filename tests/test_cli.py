@@ -305,6 +305,30 @@ def test_wrongly_shaped_model_exits_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("clamp(x, 0, -1)", "4:27-4:28: clamp interval [0, -1] is empty"),
+        (
+            "cases x >= 0 /\\ x <= 1 -> x | otherwise -> 0",
+            "4:43-4:52: 'otherwise' in 'f' needs every previous guard to be a single inequality",
+        ),
+    ],
+    ids=["empty-clamp", "bad-otherwise"],
+)
+def test_bad_piecewise_value_exits_input_error_with_its_span(value, expected, tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    model.write_text(
+        (CORPUS / "models" / "fab_infeas.model")
+        .read_text()
+        .replace("(FUN f(x) = x)", f"(FUN f(x) = {value})")
+    )
+    query = "FEASIBLE(x == a, x == b)"
+    argv = ["check", corpus("fab.trs"), "--query", query, "--model", str(model)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {model}:{expected}\n"
+
+
+@pytest.mark.parametrize(
     "flags, named",
     [
         (["--carriers", "3:1"], "carriers: interval 3:1 is empty"),

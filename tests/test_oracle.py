@@ -292,3 +292,61 @@ _RULES = st.builds(
 )
 def test_random_systems_equal_the_naive_fixpoint(rules, size, depth):
     _assert_same_as_naive(CTRS(_SIG, tuple(rules)), size, depth)
+
+
+# Order-sorted: N < I, with symbols ranked over both sorts and variables of each.
+_SORTED_SIG = Signature(
+    sorts=("N", "I"),
+    subsort_pairs=(("N", "I"),),
+    functions={
+        "z": ((), "N"),
+        "m": ((), "I"),
+        "s": (("N",), "N"),
+        "p": (("I",), "I"),
+        "g": (("N", "I"), "I"),
+    },
+)
+
+
+def _sorted_terms(variables):
+    """Well-sorted terms of sort N and of sort I (which takes every N term too)."""
+    n_terms = st.recursive(
+        st.sampled_from([App("z")] + [v for v in variables if v.sort == "N"]),
+        lambda sub: st.builds(lambda t: App("s", (t,)), sub),
+        max_leaves=3,
+    )
+    i_terms = st.recursive(
+        st.one_of(st.sampled_from([App("m")] + [v for v in variables if v.sort == "I"]), n_terms),
+        lambda sub: st.one_of(
+            st.builds(lambda t: App("p", (t,)), sub),
+            st.builds(lambda s, t: App("g", (s, t)), n_terms, sub),
+        ),
+        max_leaves=3,
+    )
+    return st.one_of(n_terms, i_terms)
+
+
+_SORTED_LHS_VARIABLES = [Var("x", "N"), Var("y", "I")]
+# v and w occur only right of the left-hand side: fresh variables
+_SORTED_ANY_VARIABLES = _SORTED_LHS_VARIABLES + [Var("v", "N"), Var("w", "I")]
+
+_SORTED_RULES = st.builds(
+    ConditionalRule,
+    _sorted_terms(_SORTED_LHS_VARIABLES).filter(lambda t: isinstance(t, App)),
+    _sorted_terms(_SORTED_ANY_VARIABLES),
+    st.lists(
+        st.tuples(_sorted_terms(_SORTED_ANY_VARIABLES), _sorted_terms(_SORTED_ANY_VARIABLES)),
+        max_size=2,
+    ).map(tuple),
+    st.sampled_from([ORIENTED, JOIN]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rules=st.lists(_SORTED_RULES, min_size=1, max_size=3),
+    size=st.integers(1, 3),
+    depth=st.integers(1, 5),
+)
+def test_random_order_sorted_systems_equal_the_naive_fixpoint(rules, size, depth):
+    _assert_same_as_naive(CTRS(_SORTED_SIG, tuple(rules)), size, depth)

@@ -101,8 +101,8 @@ CASES = [
     ("model-variable-product", "model", "(FUN f(x) = x * x)", "<input>:1:15-1:16: non-affine expression: variable products are not supported"),
     ("model-not-affine", "model", "(FUN f(x) = x + (1))", "<input>:1:17-1:18: expected an affine expression"),
     ("model-comparison", "model", "(FUN f(x) = cases x 0 -> 0)", "<input>:1:21-1:22: expected a comparison operator"),
-    ("model-otherwise", "model", DOMAIN + "(FUN f(x) = cases x >= 0 /\\ x <= 0 -> 0 | otherwise -> 1) " + PREDS, "'otherwise' in 'f' needs every previous guard to be a single inequality"),
-    ("model-clamp", "model", DOMAIN + "(FUN f(x) = clamp(x, 1, 0)) " + PREDS, "clamp interval [1, 0] is empty"),
+    ("model-otherwise", "model", DOMAIN + "(FUN f(x) = cases x >= 0 /\\ x <= 0 -> 0 | otherwise -> 1) " + PREDS, "<input>:1:83-1:92: 'otherwise' in 'f' needs every previous guard to be a single inequality"),
+    ("model-clamp", "model", DOMAIN + "(FUN f(x) = clamp(x, 1, 0)) " + PREDS, "<input>:1:66-1:67: clamp interval [1, 0] is empty"),
     ("model-noncontiguous", "symbolic", "(DOMAIN {0, 2}) (FUN a = 0) (FUN b = 2) (FUN f(x) = x) " + PREDS, "an explicit carrier must be a contiguous integer range for the symbolic backend"),
     ("model-symbolic-table", "symbolic", DOMAIN + "(FUN f = table (0) -> 0 | (1) -> 1) " + PREDS, "'f': explicit tables are not supported by the symbolic backend"),
     ("model-symbolic-pairs", "symbolic", DOMAIN + "(FUN f(x) = x) (PRED -> = pairs (0, 0)) (PRED ->* (x, y) = x <= y)", "'->': explicit pair sets are not supported by the symbolic backend"),

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from countermodel.errors import RuleError, SignatureError, SubstitutionError
+from countermodel.lexer import MAX_NESTING
 from countermodel.terms import (
     App,
     ConditionalRule,
@@ -173,3 +181,64 @@ def test_sorted_ground_terms_respect_subsorts():
 def test_term_vars_first_occurrence_order():
     term = App("f", (Y, App("g", (X,)), Y))
     assert term_vars(term) == (Y, X)
+
+
+# -- the cached hash of App -----------------------------------------------------
+
+
+def _nested(depth: int) -> App:
+    term = A
+    for _ in range(depth):
+        term = App("f", (term,))
+    return term
+
+
+def test_separately_built_equal_terms_are_equal_and_hash_equal():
+    first = App("g", (App("f", (A,)), B))
+    hash(first)  # cached on the first, not yet on the second
+    second = App("g", (App("f", (A,)), B))
+    assert first == second and first is not second
+    assert hash(first) == hash(second) == hash(first)
+    assert len({first, second, App("g", (App("f", (A,)), B))}) == 1
+    assert first != App("g", (B, App("f", (A,))))
+
+
+def test_the_cached_hash_is_no_field_and_not_in_the_repr():
+    term = App("f", (A,))
+    hash(term)
+    assert [f.name for f in dataclasses.fields(App)] == ["symbol", "args"]
+    assert repr(term) == "App(symbol='f', args=(App(symbol='a', args=()),))"
+    assert dataclasses.asdict(term) == {"symbol": "f", "args": ({"symbol": "a", "args": ()},)}
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+def test_copies_and_pickles_stay_equal_and_hash_equal(clone):
+    term = App("g", (App("f", (X,)), B))
+    hash(term)
+    cloned = clone(term)
+    assert cloned == term and hash(cloned) == hash(term)
+
+
+def test_a_pickled_term_hashes_afresh_in_another_process():
+    # String hashes differ between processes, so a hash cached here must not
+    # travel with the pickle.
+    term = App("g", (App("f", (A,)), B))
+    hash(term)
+    script = (
+        "import pickle, sys\n"
+        "from countermodel.terms import App\n"
+        "term = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = App('g', (App('f', (App('a'),)), App('b')))\n"
+        "print(hash(term) == hash(fresh), {term: 1}.get(fresh))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(term), env=env, capture_output=True, check=True
+    )
+    assert run.stdout.decode().split() == ["True", "1"]
+
+
+def test_a_term_at_the_nesting_cap_hashes_without_recursion_error():
+    deep = _nested(MAX_NESTING)
+    assert hash(deep) == hash(_nested(MAX_NESTING)) == hash(deep)
+    assert {deep: 1}[deep] == 1
