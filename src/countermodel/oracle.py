@@ -21,12 +21,19 @@ within the bound are numbered once, in order of size, as they are
 enumerated; a term's number is looked up from its symbol and its
 arguments' numbers, its subterms are its own number plus its arguments'
 subterms, and an atom is a pair of numbers until the result is built.
+
 Each rule is compiled once into a ``_Template``, as a Datalog engine
-compiles its rules (Soufflé; Jordan et al. 2016): its variables become
-register slots, each distinct subterm a register filled by one table
-lookup as soon as the last slot it reads is assigned, and its instances
-are enumerated slot by slot over terms grouped by size, so that the size
-bound prunes whole groups.
+compiles its rules (Soufflé; Jordan et al. 2016).  Its variables become
+register slots and each distinct subterm a register, filled by one table
+lookup as soon as the last slot it reads is assigned.  Instances are
+enumerated slot by slot over the terms of each size, so that the size
+bound cuts off all larger sizes at once.  They come in batches: for each
+assignment of the variables that the head and the conditions share, the
+heads under every assignment of the head-only variables, and one group of
+conditions per assignment of the condition-only variables.  No term reads
+variables of both kinds, so each head pairs with each group, and a batch
+fires as soon as one of its groups is derived: the size of the work is
+their sum, not their product.
 """
 from __future__ import annotations
 
@@ -48,7 +55,7 @@ from .terms import (
     Signature,
     Term,
     Var,
-    _ground_terms_by_size,
+    ground_terms_by_size,
     term_size,
 )
 
@@ -143,13 +150,13 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
         for condition in delta_many:
             for group in waiting.pop(condition, ()):
                 missing[group] -= 1
-                if not missing[group] and pending[batch_of[group]] is not None:
-                    for head in pending[batch_of[group]]:
+                if not missing[group]:
+                    heads, pending[batch_of[group]] = pending[batch_of[group]], None
+                    for head in heads or ():
                         if head not in steps:
                             new_steps.add(head)
                         if head not in root_steps:
                             new_roots.add(head)
-                    pending[batch_of[group]] = None
         # (C): one-step rewriting closed under contexts one argument at a time;
         # both the redex side and the contractum side must fit the size bound.
         for s, t in delta_steps:
@@ -194,10 +201,11 @@ class _Numbering:
     """The ground terms within a size bound, numbered in order of size.
 
     ``ground[i]`` is the term numbered ``i``, of size ``sizes[i]`` and
-    declared sort ``sorts[i]``; ``tables[f]`` maps the numbers of ``f``'s arguments to the number of the
-    application, keyed as ``_key`` shapes them; ``pools[sort][k]`` lists the
-    terms of size ``k`` whose sort is at most ``sort``; ``below[i]`` holds the
-    numbers of term ``i``'s subterms, ``i`` included.
+    declared sort ``sorts[i]``; ``tables[f]`` maps the numbers of ``f``'s
+    arguments to the number of the application, keyed as ``_key`` shapes
+    them; ``pools[sort][k]`` lists the terms of size ``k`` whose sort is at
+    most ``sort``; ``below[i]`` holds the numbers of term ``i``'s subterms,
+    ``i`` included.
     """
 
     ground: list[Term]
@@ -223,7 +231,7 @@ def _number(sig: Signature, size_bound: int) -> _Numbering:
     below: list[set[int]] = []
     tables: dict[str, dict[Hashable, int]] = {name: {} for name in sig.functions}
     numbers: dict[Term, int] = {}
-    for size, by_sort in enumerate(_ground_terms_by_size(sig, size_bound)):
+    for size, by_sort in enumerate(ground_terms_by_size(sig, size_bound)):
         for sort, group in by_sort.items():
             for t in group:
                 i = numbers[t] = len(ground)
@@ -283,9 +291,8 @@ class _Template:
         no groups is not emitted.
 
         Slots are assigned depth-first, each to the terms of its sort one
-        size at a time, smallest first; a slot stops at the first size that
-        would make some term of the rule overflow, which every larger size
-        would too.
+        size at a time, smallest first, up to the largest size that keeps
+        every term of the rule within the bound.
         """
         registers = list(self.registers)
         room = list(self.room)
@@ -298,12 +305,12 @@ class _Template:
             uses, steps, pool = self.uses[k], self.steps[k], pools[self.sorts[k]]
             growth_bound = min(room[i] // count for i, count in uses)
             for growth in range(growth_bound + 1):
-                group = pool[growth + 1]
-                if not group:
+                same_size = pool[growth + 1]
+                if not same_size:
                     continue
                 for i, count in uses:
                     room[i] -= count * growth
-                for term in group:
+                for term in same_size:
                     registers[k] = term
                     for register, table, key in steps:
                         registers[register] = table[key(registers)]
@@ -316,14 +323,17 @@ class _Template:
 
         def batch() -> None:
             groups: list[set[tuple[int, int]]] = []
-            assign(
-                self.shared,
-                self.conditional,
-                lambda: groups.append({condition(registers) for condition in self.conditions}),
-            )
+            heads: list[tuple[int, int]] = []
+
+            def group() -> None:
+                groups.append({condition(registers) for condition in self.conditions})
+
+            def head() -> None:
+                heads.append(self.head(registers))
+
+            assign(self.shared, self.conditional, group)
             if groups:
-                heads: list[tuple[int, int]] = []
-                assign(self.conditional, len(self.sorts), lambda: heads.append(self.head(registers)))
+                assign(self.conditional, len(self.sorts), head)
                 if heads:
                     emit(heads, groups)
 

@@ -290,7 +290,7 @@ def ground_terms(sig: Signature, sort: str, size_bound: int) -> frozenset[Term]:
     """All ground terms of the sort (or any subsort) with at most ``size_bound`` nodes."""
     if size_bound < 1:
         raise ValueError("size_bound must be >= 1")
-    by_size = _ground_terms_by_size(sig, size_bound)
+    by_size = ground_terms_by_size(sig, size_bound)
     out: set[Term] = set()
     for k in range(1, size_bound + 1):
         for s, terms in by_size[k].items():
@@ -299,8 +299,11 @@ def ground_terms(sig: Signature, sort: str, size_bound: int) -> frozenset[Term]:
     return frozenset(out)
 
 
-def _ground_terms_by_size(sig: Signature, bound: int) -> list[dict[str, list[Term]]]:
-    # by_size[k][s] = ground terms of exact size k whose declared sort is s
+def ground_terms_by_size(sig: Signature, bound: int) -> list[dict[str, list[Term]]]:
+    """``by_size[k][s]``: the ground terms of ``k`` nodes whose declared sort is ``s``, each once.
+
+    ``k`` runs up to ``bound``; ``by_size[0]`` is empty.
+    """
     by_size: list[dict[str, list[Term]]] = [dict() for _ in range(bound + 1)]
 
     def terms_le(sort: str, size: int) -> list[Term]:
