@@ -363,15 +363,17 @@ def _compile(
             uses[slots[v]].append((i, count))
     registers = [0] * len(slots)
     steps: list[list[tuple[int, Mapping[Hashable, int], Callable]]] = [[] for _ in slots]
-    known: dict[Term, tuple[int, int]] = {}
+    # Equal subterms share a register.  They are keyed by symbol and argument
+    # registers, never by the term, so that no two deep terms are compared.
+    known: dict[tuple[str, tuple[int, ...]], tuple[int, int]] = {}
 
     def place(t: Term) -> tuple[int, int]:
         """The register of ``t``'s number, and the last slot it reads (-1 if ground)."""
         if isinstance(t, Var):
             return slots[t], slots[t]
-        if t not in known:
-            args = [place(a) for a in t.args]
-            refs = [register for register, _ in args]
+        args = [place(a) for a in t.args]
+        refs = tuple(register for register, _ in args)
+        if (t.symbol, refs) not in known:
             level = max((slot for _, slot in args), default=-1)
             table = tables[t.symbol]
             if level < 0:
@@ -379,8 +381,8 @@ def _compile(
             else:
                 steps[level].append((len(registers), table, itemgetter(*refs)))
                 registers.append(0)
-            known[t] = (len(registers) - 1, level)
-        return known[t]
+            known[t.symbol, refs] = (len(registers) - 1, level)
+        return known[t.symbol, refs]
 
     placed = [place(t)[0] for t in rule_terms]
     shared = len(head_vars & condition_vars)

@@ -46,9 +46,9 @@ class App:
     hash of hash-consing (Filliâtre & Conchon 2006) without its shared
     table: a term is immutable, so its hash never goes stale, and hashing a
     term whose arguments were hashed before costs one tuple hash.  The
-    cache is no field, so ``fields``, ``repr`` and ``==`` see ``symbol`` and
-    ``args`` only, and ``__reduce__`` leaves it out of copies and pickles,
-    because string hashes differ between processes.
+    cache is not a field, so ``fields``, ``repr`` and ``==`` see ``symbol``
+    and ``args`` only, and ``__reduce__`` leaves it out of copies and
+    pickles, because string hashes differ between processes.
     """
 
     symbol: str

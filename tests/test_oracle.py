@@ -350,3 +350,20 @@ _SORTED_RULES = st.builds(
 )
 def test_random_order_sorted_systems_equal_the_naive_fixpoint(rules, size, depth):
     _assert_same_as_naive(CTRS(_SORTED_SIG, tuple(rules)), size, depth)
+
+
+def _f_nested(depth: int, inner) -> App:
+    for _ in range(depth):
+        inner = App("f", (inner,))
+    return inner
+
+
+def test_rule_terms_at_the_nesting_cap_compile_without_recursion_error():
+    # The rule's two sides hold separately built equal subterms 254 deep,
+    # which compiling must not compare structurally.
+    sig = Signature(functions={"a": ((), DEFAULT_SORT), "f": ((DEFAULT_SORT,), DEFAULT_SORT)})
+    x = Var("x")
+    rule = ConditionalRule(_f_nested(255, x), _f_nested(254, x))
+    atoms = saturate(CTRS(sig, (rule,)), 256, 2)
+    assert [tuple(map(term_size, a.args)) for a in atoms.with_predicate(ARROW)] == [(256, 255)]
+    assert len(atoms.with_predicate(SUBTERM)) == 256 * 257 // 2
