@@ -22,7 +22,7 @@ enumerated; a term's number is looked up from its symbol and its
 arguments' numbers, its subterms are its own number plus its arguments'
 subterms, and an atom is a pair of numbers until the result is built.
 
-Each rule is compiled once into a ``_Template``, as a Datalog engine
+Each rule is compiled once (``_compile``), as a Datalog engine
 compiles its rules (Soufflé; Jordan et al. 2016).  Its variables become
 register slots and each distinct subterm a register, filled by one table
 lookup as soon as the last slot it reads is assigned.  Instances are
@@ -90,7 +90,7 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     if size_bound < 1 or depth_bound < 1:
         raise ValueError("size and depth bounds must be >= 1")
     sig = ctrs.signature
-    numbering = _number(sig, size_bound)
+    numbering = _Numbering(sig, size_bound)
     sizes, sorts, tables = numbering.sizes, numbering.sorts, numbering.tables
 
     steps: dict[tuple[int, int], int] = {}  # ->
@@ -99,7 +99,7 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     steps_to: dict[int, list[int]] = defaultdict(list)  # target -> sources of ->
     many_from: dict[int, list[int]] = defaultdict(list)  # source -> targets of ->*
 
-    # (Rp): a rule's instances come in batches (``_Template.instances``): the
+    # (Rp): a rule's instances come in batches (see ``_compile``): the
     # heads of one assignment of the variables its head shares with its
     # conditions, with one group of ->* conditions per assignment of the
     # variables only its conditions read.  The batch fires in the round after
@@ -124,9 +124,9 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     for rule in ctrs.rules:
         # Joinability conditions read as reachability into a fresh shared variable.
         rule = ConditionalRule(rule.lhs, rule.rhs, oriented_conditions(sig, rule))
-        template = _compile(rule, tables, size_bound)
-        if template is not None:
-            template.instances(numbering.pools, batch)
+        instances = _compile(rule, tables, size_bound)
+        if instances is not None:
+            instances(numbering.pools, batch)
 
     # Depth 1: unconditional rule instances and reflexivity of ->*.
     new_steps, new_roots, new_many = fired, fired, {(i, i) for i in range(len(sizes))}
@@ -196,7 +196,14 @@ def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool
     return atom in saturate(ctrs, size_bound, depth_bound)
 
 
-@dataclass(frozen=True)
+def _key(args: tuple[int, ...]) -> Hashable:
+    """A table key: the one argument's number alone, else the tuple of them.
+
+    This is the shape ``itemgetter`` returns for one index and for several.
+    """
+    return args[0] if len(args) == 1 else args
+
+
 class _Numbering:
     """The ground terms within a size bound, numbered in order of size.
 
@@ -208,50 +215,42 @@ class _Numbering:
     ``i`` included.
     """
 
-    ground: list[Term]
-    sizes: list[int]
-    sorts: list[str]
-    tables: dict[str, dict[Hashable, int]]
-    pools: dict[str, list[list[int]]]
-    below: list[set[int]]
+    __slots__ = ("ground", "sizes", "sorts", "tables", "pools", "below")
+
+    def __init__(self, sig: Signature, size_bound: int):
+        self.ground: list[Term] = []
+        self.sizes: list[int] = []
+        self.sorts: list[str] = []
+        self.below: list[set[int]] = []
+        self.tables: dict[str, dict[Hashable, int]] = {name: {} for name in sig.functions}
+        numbers: dict[Term, int] = {}
+        for size, by_sort in enumerate(ground_terms_by_size(sig, size_bound)):
+            for sort, group in by_sort.items():
+                for t in group:
+                    i = numbers[t] = len(self.ground)
+                    args = tuple(numbers[a] for a in t.args)
+                    self.tables[t.symbol][_key(args)] = i
+                    self.below.append({i}.union(*(self.below[a] for a in args)))
+                    self.ground.append(t)
+                    self.sizes.append(size)
+                    self.sorts.append(sort)
+        self.pools: dict[str, list[list[int]]] = {
+            sort: [[] for _ in range(size_bound + 1)] for sort in sig.sorts
+        }
+        uppers = {sort: [up for up in sig.sorts if sig.le(sort, up)] for sort in sig.sorts}
+        for i, (size, sort) in enumerate(zip(self.sizes, self.sorts)):
+            for up in uppers[sort]:
+                self.pools[up][size].append(i)
 
 
-def _key(args: tuple[int, ...]) -> Hashable:
-    """A table key: the one argument's number alone, else the tuple of them.
-
-    This is the shape ``itemgetter`` returns for one index and for several.
-    """
-    return args[0] if len(args) == 1 else args
+_Pools = Mapping[str, list[list[int]]]
+_Emit = Callable[[list[tuple[int, int]], list[set[tuple[int, int]]]], None]
 
 
-def _number(sig: Signature, size_bound: int) -> _Numbering:
-    ground: list[Term] = []
-    sizes: list[int] = []
-    sorts: list[str] = []
-    below: list[set[int]] = []
-    tables: dict[str, dict[Hashable, int]] = {name: {} for name in sig.functions}
-    numbers: dict[Term, int] = {}
-    for size, by_sort in enumerate(ground_terms_by_size(sig, size_bound)):
-        for sort, group in by_sort.items():
-            for t in group:
-                i = numbers[t] = len(ground)
-                args = tuple(numbers[a] for a in t.args)
-                tables[t.symbol][_key(args)] = i
-                below.append({i}.union(*(below[a] for a in args)))
-                ground.append(t)
-                sizes.append(size)
-                sorts.append(sort)
-    pools = {sort: [[] for _ in range(size_bound + 1)] for sort in sig.sorts}
-    uppers = {sort: [up for up in sig.sorts if sig.le(sort, up)] for sort in sig.sorts}
-    for i, (size, sort) in enumerate(zip(sizes, sorts)):
-        for up in uppers[sort]:
-            pools[up][size].append(i)
-    return _Numbering(ground, sizes, sorts, tables, pools, below)
-
-
-@dataclass(frozen=True)
-class _Template:
-    """A rule compiled over numbered terms.
+def _compile(
+    rule: ConditionalRule, tables: Mapping[str, Mapping[Hashable, int]], size_bound: int
+) -> Callable[[_Pools, _Emit], None] | None:
+    """The rule compiled over numbered terms, or None when a term of it cannot fit the bound.
 
     Slot ``k`` holds the number of the rule's ``k``-th variable, taken in
     three runs: the variables both the head and the conditions read (up to
@@ -264,88 +263,20 @@ class _Template:
     each condition) may grow past its size with every variable of size 1;
     ``uses[k]`` lists the terms that slot ``k`` occurs in, with its number
     of occurrences.
+
+    The compiled rule, ``instances(pools, emit)``, calls ``emit(heads,
+    groups)`` for each assignment of the shared slots: ``heads`` are the
+    rule's heads under each assignment of the head-only slots, ``groups`` its
+    condition sets under each assignment of the condition-only slots.  No
+    term of the rule reads slots of both kinds, so every head and group pair
+    is an instance within the bound, and a head holds as soon as one group
+    does.  An assignment with no heads or no groups is not emitted.  Slots
+    are assigned depth-first, each to the terms of its sort one size at a
+    time, smallest first, up to the largest size that keeps every term of
+    the rule within the bound.
     """
-
-    sorts: tuple[str, ...]
-    shared: int
-    conditional: int
-    room: tuple[int, ...]
-    uses: tuple[tuple[tuple[int, int], ...], ...]
-    registers: tuple[int, ...]
-    steps: tuple[tuple[tuple[int, dict[Hashable, int], Callable], ...], ...]
-    head: Callable[[list[int]], tuple[int, int]]
-    conditions: tuple[Callable[[list[int]], tuple[int, int]], ...]
-
-    def instances(
-        self,
-        pools: Mapping[str, list[list[int]]],
-        emit: Callable[[list[tuple[int, int]], list[set[tuple[int, int]]]], None],
-    ) -> None:
-        """Call ``emit(heads, groups)`` for each assignment of the shared slots.
-
-        ``heads`` are the rule's heads under each assignment of the head-only
-        slots, ``groups`` its condition sets under each assignment of the
-        condition-only slots; no term of the rule reads slots of both kinds,
-        so every head and group pair is an instance within the bound, and a
-        head holds as soon as one group does.  An assignment with no heads or
-        no groups is not emitted.
-
-        Slots are assigned depth-first, each to the terms of its sort one
-        size at a time, smallest first, up to the largest size that keeps
-        every term of the rule within the bound.
-        """
-        registers = list(self.registers)
-        room = list(self.room)
-
-        def assign(k: int, end: int, found: Callable[[], None]) -> None:
-            """Assign slots ``k`` to ``end - 1`` every way, calling ``found`` after each."""
-            if k == end:
-                found()
-                return
-            uses, steps, pool = self.uses[k], self.steps[k], pools[self.sorts[k]]
-            growth_bound = min(room[i] // count for i, count in uses)
-            for growth in range(growth_bound + 1):
-                same_size = pool[growth + 1]
-                if not same_size:
-                    continue
-                for i, count in uses:
-                    room[i] -= count * growth
-                for term in same_size:
-                    registers[k] = term
-                    for register, table, key in steps:
-                        registers[register] = table[key(registers)]
-                    if k + 1 == end:
-                        found()
-                    else:
-                        assign(k + 1, end, found)
-                for i, count in uses:
-                    room[i] += count * growth
-
-        def batch() -> None:
-            groups: list[set[tuple[int, int]]] = []
-            heads: list[tuple[int, int]] = []
-
-            def group() -> None:
-                groups.append({condition(registers) for condition in self.conditions})
-
-            def head() -> None:
-                heads.append(self.head(registers))
-
-            assign(self.shared, self.conditional, group)
-            if groups:
-                assign(self.conditional, len(self.sorts), head)
-                if heads:
-                    emit(heads, groups)
-
-        assign(0, self.shared, batch)
-
-
-def _compile(
-    rule: ConditionalRule, tables: Mapping[str, Mapping[Hashable, int]], size_bound: int
-) -> _Template | None:
-    """The rule's template, or None when some term of it cannot fit the bound."""
     rule_terms = rule.terms()
-    room = tuple(size_bound - term_size(t) for t in rule_terms)
+    room = [size_bound - term_size(t) for t in rule_terms]
     if min(room) < 0:
         return None
     occurrences: list[dict[Var, int]] = [{} for _ in rule_terms]
@@ -357,6 +288,8 @@ def _compile(
         rule.variables(), key=lambda v: (v not in condition_vars, v not in head_vars)
     )
     slots = {v: k for k, v in enumerate(variables)}
+    shared = len(head_vars & condition_vars)
+    conditional = shared + len(condition_vars - head_vars)
     uses: list[list[tuple[int, int]]] = [[] for _ in slots]
     for i, counts in enumerate(occurrences):
         for v, count in counts.items():
@@ -385,20 +318,54 @@ def _compile(
         return known[t.symbol, refs]
 
     placed = [place(t)[0] for t in rule_terms]
-    shared = len(head_vars & condition_vars)
-    return _Template(
-        sorts=tuple(v.sort for v in variables),
-        shared=shared,
-        conditional=shared + len(condition_vars - head_vars),
-        room=room,
-        uses=tuple(map(tuple, uses)),
-        registers=tuple(registers),
-        steps=tuple(map(tuple, steps)),
-        head=itemgetter(placed[0], placed[1]),
-        conditions=tuple(
-            itemgetter(placed[i], placed[i + 1]) for i in range(2, len(placed), 2)
-        ),
-    )
+    head = itemgetter(placed[0], placed[1])
+    conditions = [itemgetter(placed[i], placed[i + 1]) for i in range(2, len(placed), 2)]
+    sorts = [v.sort for v in variables]
+
+    def instances(pools: _Pools, emit: _Emit) -> None:
+        def assign(k: int, end: int, found: Callable[[], None]) -> None:
+            """Assign slots ``k`` to ``end - 1`` every way, calling ``found`` after each."""
+            if k == end:
+                found()
+                return
+            pool = pools[sorts[k]]
+            growth_bound = min(room[i] // count for i, count in uses[k])
+            for growth in range(growth_bound + 1):
+                same_size = pool[growth + 1]
+                if not same_size:
+                    continue
+                for i, count in uses[k]:
+                    room[i] -= count * growth
+                for term in same_size:
+                    registers[k] = term
+                    for register, table, key in steps[k]:
+                        registers[register] = table[key(registers)]
+                    if k + 1 == end:
+                        found()
+                    else:
+                        assign(k + 1, end, found)
+                for i, count in uses[k]:
+                    room[i] += count * growth
+
+        def batch() -> None:
+            groups: list[set[tuple[int, int]]] = []
+            heads: list[tuple[int, int]] = []
+
+            def group() -> None:
+                groups.append({condition(registers) for condition in conditions})
+
+            def one_head() -> None:
+                heads.append(head(registers))
+
+            assign(shared, conditional, group)
+            if groups:
+                assign(conditional, len(sorts), one_head)
+                if heads:
+                    emit(heads, groups)
+
+        assign(0, shared, batch)
+
+    return instances
 
 
 def _count(term: Term, counts: dict[Var, int]) -> None:
