@@ -228,6 +228,31 @@ def _assert_same_as_naive(ctrs, size: int, depth: int) -> None:
     )
 
 
+TERNARY = """
+(SORTS N I)
+(SUBSORTS N < I)
+(SIG z : -> N  m : -> I  s : N -> N  p : I -> I  h : I N I -> I)
+(VAR x:N y:I)
+(RULES s(x) -> z  z -> m  p(y) -> s(z))
+"""
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_ternary_contexts_equal_the_naive_fixpoint(size):
+    # h's middle argument admits only N: a step into I is not closed under it,
+    # while the outer holes take both sorts.
+    ctrs = parse_ctrs(TERNARY)
+    _assert_same_as_naive(ctrs, size, 4)
+    if size == 5:
+        atoms = saturate(ctrs, size, 4)
+        z, m = App("z"), App("m")
+        assert Atom(ARROW, (App("h", (m, App("s", (z,)), m)), App("h", (m, z, m)))) in atoms
+        assert Atom(ARROW, (App("h", (z, z, m)), App("h", (m, z, m)))) in atoms
+        assert not [
+            a for a in atoms.with_predicate(ARROW) if a.args[0] == App("h", (m, z, m))
+        ]
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.trs")))
 def test_corpus_depths_equal_the_naive_fixpoint(name, size):
