@@ -91,6 +91,8 @@ class SearchBudget:
             raise ValueError(f"time_limit {self.time_limit} is not a number of seconds >= 0")
         if self.max_nodes < 0:
             raise ValueError(f"max_nodes {self.max_nodes} is negative")
+        if self.raw_table_max_size < 0:
+            raise ValueError(f"raw_table_max_size {self.raw_table_max_size} is negative")
 
 
 @dataclass(frozen=True)

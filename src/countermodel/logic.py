@@ -88,11 +88,10 @@ class HornClause:
         return format_clause(self)
 
 
-def format_clause(clause: HornClause, *, show_sorts: bool | None = None) -> str:
-    if show_sorts is None:
-        show_sorts = any(v.sort != clause.variables[0].sort for v in clause.variables) or any(
-            sort_of_predicate(a.predicate) for a in (*clause.body, clause.head)
-        )
+def format_clause(clause: HornClause) -> str:
+    show_sorts = any(v.sort != clause.variables[0].sort for v in clause.variables) or any(
+        sort_of_predicate(a.predicate) for a in (*clause.body, clause.head)
+    )
     parts = []
     if clause.variables:
         names = ", ".join(

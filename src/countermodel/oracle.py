@@ -21,6 +21,10 @@ within the bound are numbered once, in order of size, as they are
 enumerated; a term's number is looked up from its symbol and its
 arguments' numbers, its subterms are its own number plus its arguments'
 subterms, and an atom is a pair of numbers until the result is built.
+A term fits the size bound and the sorts exactly when it has a number.
+Each term keeps a use list, the applications that take it as an argument
+(Downey, Sethi and Tarjan 1980): a step ``s -> t`` is closed under
+contexts by putting ``t`` in place of ``s`` in each and looking it up.
 
 Each rule is compiled once (``_compile``), as a Datalog engine
 compiles its rules (Soufflé; Jordan et al. 2016).  Its variables become
@@ -37,11 +41,10 @@ their sum, not their product.
 """
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Mapping
 
 from .compiler import oriented_conditions
 from .logic import Atom
@@ -57,6 +60,7 @@ from .terms import (
     Var,
     ground_terms_by_size,
     term_size,
+    term_vars,
 )
 
 
@@ -91,7 +95,6 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
         raise ValueError("size and depth bounds must be >= 1")
     sig = ctrs.signature
     numbering = _Numbering(sig, size_bound)
-    sizes, sorts, tables = numbering.sizes, numbering.sorts, numbering.tables
 
     steps: dict[tuple[int, int], int] = {}  # ->
     root_steps: dict[tuple[int, int], int] = {}  # ->^
@@ -103,11 +106,9 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     # heads of one assignment of the variables its head shares with its
     # conditions, with one group of ->* conditions per assignment of the
     # variables only its conditions read.  The batch fires in the round after
-    # its first group is complete; unconditional heads fire at depth 1.
-    pending: list[list[tuple[int, int]] | None] = []  # batch -> heads, until fired
-    batch_of: list[int] = []  # group -> batch
-    missing: list[int] = []  # group -> conditions not yet derived
-    waiting: dict[tuple[int, int], list[int]] = defaultdict(list)  # condition -> groups
+    # its first group is complete; unconditional heads fire at depth 1.  A
+    # group is [conditions not yet derived, the batch's heads until fired].
+    waiting: dict[tuple[int, int], list[list]] = defaultdict(list)  # condition -> groups
     fired: set[tuple[int, int]] = set()
 
     def batch(heads: list[tuple[int, int]], groups: list[set[tuple[int, int]]]) -> None:
@@ -115,22 +116,19 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
             fired.update(heads)
             return
         for conditions in groups:
+            group = [len(conditions), heads]
             for condition in conditions:
-                waiting[condition].append(len(missing))
-            batch_of.append(len(pending))
-            missing.append(len(conditions))
-        pending.append(heads)
+                waiting[condition].append(group)
 
     for rule in ctrs.rules:
         # Joinability conditions read as reachability into a fresh shared variable.
         rule = ConditionalRule(rule.lhs, rule.rhs, oriented_conditions(sig, rule))
-        instances = _compile(rule, tables, size_bound)
+        instances = _compile(rule, numbering, size_bound)
         if instances is not None:
-            instances(numbering.pools, batch)
+            instances(batch)
 
     # Depth 1: unconditional rule instances and reflexivity of ->*.
-    new_steps, new_roots, new_many = fired, fired, {(i, i) for i in range(len(sizes))}
-    frames: dict[tuple[str, str, int], list[tuple[dict, tuple[int, ...], tuple[int, ...]]]] = {}
+    new_steps, new_roots, new_many = fired, fired, {(i, i) for i in range(len(numbering.ground))}
     depth = 1
     while True:
         for pair in new_steps:
@@ -149,27 +147,22 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
         # (Rp)
         for condition in delta_many:
             for group in waiting.pop(condition, ()):
-                missing[group] -= 1
-                if not missing[group]:
-                    heads, pending[batch_of[group]] = pending[batch_of[group]], None
-                    for head in heads or ():
+                group[0] -= 1
+                if not group[0]:
+                    for head in group[1]:
                         if head not in steps:
                             new_steps.add(head)
                         if head not in root_steps:
                             new_roots.add(head)
-        # (C): one-step rewriting closed under contexts one argument at a time;
-        # both the redex side and the contractum side must fit the size bound.
+                    group[1].clear()
+        # (C): one-step rewriting closed under the contexts that take the
+        # redex, one argument at a time; a miss is a context that overflows
+        # the bound or a hole that does not admit the contractum's sort.
         for s, t in delta_steps:
-            key = (sorts[s], sorts[t], size_bound - 1 - max(sizes[s], sizes[t]))
-            if key not in frames:
-                frames[key] = list(_frames(sig, numbering, *key))
-            for table, before, after in frames[key]:
-                if before or after:
-                    pair = (table[before + (s,) + after], table[before + (t,) + after])
-                else:
-                    pair = (table[s], table[t])
-                if pair not in steps:
-                    new_steps.add(pair)
+            for i, table, before, after in numbering.uses[s]:
+                j = table.get(before + (t,) + after if before or after else t)
+                if j is not None and (i, j) not in steps:
+                    new_steps.add((i, j))
         # (T): s ->* u from s -> t and t ->* u.
         for s, t in delta_steps:
             for u in many_from[t]:
@@ -197,59 +190,58 @@ def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool
 
 
 def _key(args: tuple[int, ...]) -> Hashable:
-    """A table key: the one argument's number alone, else the tuple of them.
-
-    This is the shape ``itemgetter`` returns for one index and for several.
-    """
+    """A table key: one argument's number alone, else their tuple, as ``itemgetter`` gives."""
     return args[0] if len(args) == 1 else args
 
 
 class _Numbering:
     """The ground terms within a size bound, numbered in order of size.
 
-    ``ground[i]`` is the term numbered ``i``, of size ``sizes[i]`` and
-    declared sort ``sorts[i]``; ``tables[f]`` maps the numbers of ``f``'s
-    arguments to the number of the application, keyed as ``_key`` shapes
-    them; ``pools[sort][k]`` lists the terms of size ``k`` whose sort is at
-    most ``sort``; ``below[i]`` holds the numbers of term ``i``'s subterms,
-    ``i`` included.
+    ``ground[i]`` is the term numbered ``i``; ``tables[f]`` maps the
+    numbers of ``f``'s arguments to the number of the application, keyed as
+    ``_key`` shapes them, so a lookup misses exactly when the application is
+    ill-sorted or over the bound; ``pools[sort][k]`` lists the terms of
+    size ``k`` whose sort is at most ``sort``; ``below[i]`` holds the
+    numbers of term ``i``'s subterms, ``i`` included; ``uses[i]`` lists the
+    applications that take term ``i`` as an argument, each as its number,
+    its symbol's table and the argument numbers before and after ``i``.
     """
 
-    __slots__ = ("ground", "sizes", "sorts", "tables", "pools", "below")
+    __slots__ = ("ground", "tables", "pools", "below", "uses")
 
     def __init__(self, sig: Signature, size_bound: int):
         self.ground: list[Term] = []
-        self.sizes: list[int] = []
-        self.sorts: list[str] = []
         self.below: list[set[int]] = []
+        self.uses: list[list[tuple[int, dict[Hashable, int], tuple, tuple]]] = []
         self.tables: dict[str, dict[Hashable, int]] = {name: {} for name in sig.functions}
-        numbers: dict[Term, int] = {}
-        for size, by_sort in enumerate(ground_terms_by_size(sig, size_bound)):
-            for sort, group in by_sort.items():
-                for t in group:
-                    i = numbers[t] = len(self.ground)
-                    args = tuple(numbers[a] for a in t.args)
-                    self.tables[t.symbol][_key(args)] = i
-                    self.below.append({i}.union(*(self.below[a] for a in args)))
-                    self.ground.append(t)
-                    self.sizes.append(size)
-                    self.sorts.append(sort)
         self.pools: dict[str, list[list[int]]] = {
             sort: [[] for _ in range(size_bound + 1)] for sort in sig.sorts
         }
         uppers = {sort: [up for up in sig.sorts if sig.le(sort, up)] for sort in sig.sorts}
-        for i, (size, sort) in enumerate(zip(self.sizes, self.sorts)):
-            for up in uppers[sort]:
-                self.pools[up][size].append(i)
+        numbers: dict[Term, int] = {}
+        for size, by_sort in enumerate(ground_terms_by_size(sig, size_bound)):
+            for sort, group in by_sort.items():
+                pools = [self.pools[up][size] for up in uppers[sort]]
+                for t in group:
+                    i = numbers[t] = len(self.ground)
+                    args = tuple(numbers[a] for a in t.args)
+                    table = self.tables[t.symbol]
+                    table[_key(args)] = i
+                    for k, a in enumerate(args):
+                        self.uses[a].append((i, table, args[:k], args[k + 1 :]))
+                    self.below.append({i}.union(*(self.below[a] for a in args)))
+                    self.uses.append([])
+                    self.ground.append(t)
+                    for pool in pools:
+                        pool.append(i)
 
 
-_Pools = Mapping[str, list[list[int]]]
 _Emit = Callable[[list[tuple[int, int]], list[set[tuple[int, int]]]], None]
 
 
 def _compile(
-    rule: ConditionalRule, tables: Mapping[str, Mapping[Hashable, int]], size_bound: int
-) -> Callable[[_Pools, _Emit], None] | None:
+    rule: ConditionalRule, numbering: _Numbering, size_bound: int
+) -> Callable[[_Emit], None] | None:
     """The rule compiled over numbered terms, or None when a term of it cannot fit the bound.
 
     Slot ``k`` holds the number of the rule's ``k``-th variable, taken in
@@ -264,9 +256,9 @@ def _compile(
     ``uses[k]`` lists the terms that slot ``k`` occurs in, with its number
     of occurrences.
 
-    The compiled rule, ``instances(pools, emit)``, calls ``emit(heads,
-    groups)`` for each assignment of the shared slots: ``heads`` are the
-    rule's heads under each assignment of the head-only slots, ``groups`` its
+    The compiled rule, ``instances(emit)``, calls ``emit(heads, groups)``
+    for each assignment of the shared slots: ``heads`` are the rule's
+    heads under each assignment of the head-only slots, ``groups`` its
     condition sets under each assignment of the condition-only slots.  No
     term of the rule reads slots of both kinds, so every head and group pair
     is an instance within the bound, and a head holds as soon as one group
@@ -279,11 +271,8 @@ def _compile(
     room = [size_bound - term_size(t) for t in rule_terms]
     if min(room) < 0:
         return None
-    occurrences: list[dict[Var, int]] = [{} for _ in rule_terms]
-    for t, counts in zip(rule_terms, occurrences):
-        _count(t, counts)
-    head_vars = occurrences[0].keys() | occurrences[1].keys()
-    condition_vars = set().union(*occurrences[2:])
+    head_vars = {*term_vars(rule.lhs), *term_vars(rule.rhs)}
+    condition_vars = {v for t in rule_terms[2:] for v in term_vars(t)}
     variables = sorted(
         rule.variables(), key=lambda v: (v not in condition_vars, v not in head_vars)
     )
@@ -291,24 +280,25 @@ def _compile(
     shared = len(head_vars & condition_vars)
     conditional = shared + len(condition_vars - head_vars)
     uses: list[list[tuple[int, int]]] = [[] for _ in slots]
-    for i, counts in enumerate(occurrences):
-        for v, count in counts.items():
-            uses[slots[v]].append((i, count))
     registers = [0] * len(slots)
     steps: list[list[tuple[int, Mapping[Hashable, int], Callable]]] = [[] for _ in slots]
     # Equal subterms share a register.  They are keyed by symbol and argument
     # registers, never by the term, so that no two deep terms are compared.
     known: dict[tuple[str, tuple[int, ...]], tuple[int, int]] = {}
 
-    def place(t: Term) -> tuple[int, int]:
-        """The register of ``t``'s number, and the last slot it reads (-1 if ground)."""
+    def place(t: Term, counts: dict[int, int]) -> tuple[int, int]:
+        """The register of ``t``'s number, and the last slot it reads (-1 if ground).
+
+        ``counts`` gains the occurrences of each slot in ``t``.
+        """
         if isinstance(t, Var):
+            counts[slots[t]] = counts.get(slots[t], 0) + 1
             return slots[t], slots[t]
-        args = [place(a) for a in t.args]
+        args = [place(a, counts) for a in t.args]
         refs = tuple(register for register, _ in args)
         if (t.symbol, refs) not in known:
             level = max((slot for _, slot in args), default=-1)
-            table = tables[t.symbol]
+            table = numbering.tables[t.symbol]
             if level < 0:
                 registers.append(table[_key(tuple(registers[r] for r in refs))])
             else:
@@ -317,18 +307,23 @@ def _compile(
             known[t.symbol, refs] = (len(registers) - 1, level)
         return known[t.symbol, refs]
 
-    placed = [place(t)[0] for t in rule_terms]
+    placed = []
+    for i, t in enumerate(rule_terms):
+        counts: dict[int, int] = {}
+        placed.append(place(t, counts)[0])
+        for k, count in counts.items():
+            uses[k].append((i, count))
     head = itemgetter(placed[0], placed[1])
     conditions = [itemgetter(placed[i], placed[i + 1]) for i in range(2, len(placed), 2)]
     sorts = [v.sort for v in variables]
 
-    def instances(pools: _Pools, emit: _Emit) -> None:
+    def instances(emit: _Emit) -> None:
         def assign(k: int, end: int, found: Callable[[], None]) -> None:
             """Assign slots ``k`` to ``end - 1`` every way, calling ``found`` after each."""
             if k == end:
                 found()
                 return
-            pool = pools[sorts[k]]
+            pool = numbering.pools[sorts[k]]
             growth_bound = min(room[i] // count for i, count in uses[k])
             for growth in range(growth_bound + 1):
                 same_size = pool[growth + 1]
@@ -351,48 +346,12 @@ def _compile(
             groups: list[set[tuple[int, int]]] = []
             heads: list[tuple[int, int]] = []
 
-            def group() -> None:
-                groups.append({condition(registers) for condition in conditions})
-
-            def one_head() -> None:
-                heads.append(head(registers))
-
-            assign(shared, conditional, group)
+            assign(shared, conditional, lambda: groups.append({c(registers) for c in conditions}))
             if groups:
-                assign(conditional, len(sorts), one_head)
+                assign(conditional, len(sorts), lambda: heads.append(head(registers)))
                 if heads:
                     emit(heads, groups)
 
         assign(0, shared, batch)
 
     return instances
-
-
-def _count(term: Term, counts: dict[Var, int]) -> None:
-    if isinstance(term, Var):
-        counts[term] = counts.get(term, 0) + 1
-    else:
-        for a in term.args:
-            _count(a, counts)
-
-
-def _frames(
-    sig: Signature, numbering: _Numbering, redex_sort: str, contractum_sort: str, room: int
-) -> Iterator[tuple[dict[Hashable, int], tuple[int, ...], tuple[int, ...]]]:
-    """Contexts ``f(before, [], after)`` whose other arguments' sizes sum to at most ``room``.
-
-    Each comes as ``f``'s table with the numbers before and after the hole.
-    The hole's argument sort must admit both the redex and the contractum sort.
-    """
-    pools, sizes = numbering.pools, numbering.sizes
-    for name, (arg_sorts, _result) in sig.functions.items():
-        for i, hole in enumerate(arg_sorts):
-            if not (sig.le(redex_sort, hole) and sig.le(contractum_sort, hole)):
-                continue
-            others = [
-                [j for size in range(1, room + 1) for j in pools[sort][size]]
-                for sort in arg_sorts[:i] + arg_sorts[i + 1 :]
-            ]
-            for combination in itertools.product(*others):
-                if sum(sizes[j] for j in combination) <= room:
-                    yield numbering.tables[name], combination[:i], combination[i:]

@@ -48,7 +48,8 @@ class App:
     term whose arguments were hashed before costs one tuple hash.  The
     cache is not a field, so ``fields``, ``repr`` and ``==`` see ``symbol``
     and ``args`` only, and ``__reduce__`` leaves it out of copies and
-    pickles, because string hashes differ between processes.
+    pickles, because string hashes differ between processes.  ``==`` also
+    compares the hashes, which unequal terms rarely share.
     """
 
     symbol: str
@@ -60,6 +61,26 @@ class App:
         if h is None:
             h = self.__dict__["_hash"] = hash((self.symbol, self.args))
         return h
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, walked with a stack so that deep terms need no recursion."""
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            s, t = pairs.pop()
+            if s is t:
+                continue
+            if s.__class__ is not App or t.__class__ is not App:
+                if s != t:
+                    return False
+            elif s.symbol != t.symbol or len(s.args) != len(t.args) or hash(s) != hash(t):
+                return False
+            else:
+                pairs.extend(zip(s.args, t.args))
+        return True
 
     def __reduce__(self) -> tuple[type["App"], tuple[str, tuple["Term", ...]]]:
         return App, (self.symbol, self.args)

@@ -273,6 +273,16 @@ def test_symbolic_check_at_the_nesting_cap_is_decided(capsys):
     assert [v["status"] for v in payload["obligation_verdicts"]] == ["holds"]
 
 
+def test_reflexive_query_on_separately_parsed_deep_terms_is_refuted(capsys):
+    # The two sides are equal terms 256 levels deep, built apart, so checking
+    # the obligation compares them structurally.
+    deep = _nested(MAX_NESTING - 1)
+    model = corpus("models/fig3_feas.model")
+    argv = ["check", corpus("fig3.trs"), "--model", model, "--query", f"{deep} ->* {deep}"]
+    assert main([*argv, "--output", os.devnull]) == EXIT_REFUTED
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_huge_finite_carrier_exits_input_error(tmp_path, capsys):
     model = tmp_path / "huge.model"
     model.write_text(
@@ -342,6 +352,7 @@ def test_bad_piecewise_value_exits_input_error_with_its_span(value, expected, tm
         (["--carriers="], "--carriers: cannot read ''"),
         (["--ray-carriers="], "--ray-carriers: cannot read ''"),
         (["--coeff-range="], "--coeff-range: cannot read ''"),
+        (["--raw-table-max", "-1"], "raw_table_max_size -1 is negative"),
     ],
 )
 def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):

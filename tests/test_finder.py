@@ -116,6 +116,7 @@ def test_candidate_cap_reports_reason():
         ("time_limit", dict(time_limit=float("nan"))),
         ("time_limit", dict(time_limit=-1.0)),
         ("max_nodes", dict(max_nodes=-1)),
+        ("raw_table_max_size", dict(raw_table_max_size=-1)),
     ],
 )
 def test_budget_rejects_nan_or_negative_limits(field, budget):

@@ -186,8 +186,7 @@ def test_term_vars_first_occurrence_order():
 # -- the cached hash of App -----------------------------------------------------
 
 
-def _nested(depth: int) -> App:
-    term = A
+def _nested(depth: int, term: App = A) -> App:
     for _ in range(depth):
         term = App("f", (term,))
     return term
@@ -242,3 +241,8 @@ def test_a_term_at_the_nesting_cap_hashes_without_recursion_error():
     deep = _nested(MAX_NESTING)
     assert hash(deep) == hash(_nested(MAX_NESTING)) == hash(deep)
     assert {deep: 1}[deep] == 1
+
+
+def test_separately_built_terms_at_the_nesting_cap_compare_without_recursion_error():
+    assert _nested(MAX_NESTING) == _nested(MAX_NESTING)
+    assert _nested(MAX_NESTING) != _nested(MAX_NESTING, B)
