@@ -13,7 +13,7 @@ from pathlib import Path
 
 from countermodel import parse_model, parse_query, verify
 from countermodel.logic import Atom
-from countermodel.oracle import derivable
+from countermodel.oracle import saturate
 from countermodel.pipeline import required_predicates, theory_for_query
 from countermodel.queries import negate_to_obligations
 from countermodel.terms import MANY_STEPS, App
@@ -61,5 +61,5 @@ print(f"    {bad_cert.first_failure()}")
 
 smith = App("smith")
 breach = Atom(MANY_STEPS, (App("wwv05", (smith,)), App("submit", (smith,))))
-witnessed = derivable(insecure.ctrs, breach, size_bound=3, depth_bound=10)
+witnessed = breach in saturate(insecure.ctrs, size_bound=3, depth_bound=10)
 print(f"  and the oracle derives the breach {breach}: {witnessed}")

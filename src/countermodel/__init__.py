@@ -10,18 +10,18 @@ is preserved along the homomorphism from the least Herbrand model into any
 model of the theory.
 """
 from .checker import Certificate, Verdict, check_clause, check_obligation, verify
-from .certificates import certificate_structure, serialize_certificate
+from .certificates import serialize_certificate
 from .compiler import compile_ctrs, relativize_sorts, root_theory, subterm_theory
 from .errors import (
     CountermodelError,
     EmptySortError,
     ModelError,
+    OptionError,
     ParseError,
     QueryError,
     RuleError,
     SignatureError,
     SourceSpan,
-    SubstitutionError,
     TermError,
     UnsupportedFragmentError,
 )
@@ -33,16 +33,14 @@ from .linear import (
     LinearConstraint,
     equality,
     integer_tighten,
-    is_infeasible,
     solve,
 )
 from .logic import Atom, HornClause, Theory, format_clause, format_theory
 from .model_format import parse_model, serialize_model
-from .oracle import AtomSet, derivable, saturate
+from .oracle import AtomSet, saturate
 from .pipeline import (
     Disproof,
     build_theory,
-    check_structure,
     disprove,
     oracle_cross_check,
     theory_for_query,
@@ -62,7 +60,6 @@ from .structures import (
     closure_check,
     eval_atom,
     eval_term,
-    materialize,
 )
 from .terms import (
     CTRS,
@@ -71,9 +68,6 @@ from .terms import (
     Signature,
     Term,
     Var,
-    apply_substitution,
-    ground_terms,
-    subterms,
 )
 from .trs_format import CTRSDocument, parse_ctrs, parse_ctrs_document
 

@@ -14,9 +14,7 @@ from typing import Any
 
 from .checker import Certificate
 from .logic import format_clause
-from .model_format import parse_model, serialize_model
-from .structures import Structure
-from .terms import Signature
+from .model_format import serialize_model
 
 FORMAT = "countermodel-certificate/1"
 
@@ -45,13 +43,6 @@ def serialize_certificate(cert: Certificate) -> str:
         "first_failure": cert.first_failure(),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def certificate_structure(document: str, sig: Signature, backend: str = "auto") -> Structure:
-    """Re-parse the structure section of a serialized certificate."""
-    payload = json.loads(document)
-    required: set[str] = set()
-    return parse_model(payload["structure"], sig, backend=backend, required_predicates=required)
 
 
 def _verdict_json(verdict) -> dict[str, Any]:

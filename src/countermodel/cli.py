@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .certificates import serialize_certificate
 from .checker import REFUTED, VERIFIED, verify
-from .errors import CountermodelError
+from .errors import CountermodelError, OptionError
 from .finder import SearchBudget
 from .logic import format_theory
 from .model_format import AUTO, FINITE, SYMBOLIC, parse_model
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (CountermodelError, OSError, ValueError) as exc:
+    except (CountermodelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a crash must never pass for a verdict
@@ -57,8 +57,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit as input errors, not with argparse's 2 ("unknown")."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="countermodel",
         description="Disprove rewriting properties by checking or synthesizing countermodels.",
     )
@@ -269,7 +277,7 @@ def _budget_from_args(args) -> SearchBudget:
         kwargs["coeff_min"], kwargs["coeff_max"] = _ints("--coeff-range", args.coeff_range, ":", 2)
     if args.timeout is not None:
         if not args.timeout >= 0:  # NaN too
-            raise ValueError(f"--timeout: {args.timeout} is not a number of seconds >= 0")
+            raise OptionError(f"--timeout: {args.timeout} is not a number of seconds >= 0")
         kwargs["time_limit"] = args.timeout
     if args.raw_table_max is not None:
         kwargs["raw_table_max_size"] = args.raw_table_max
@@ -284,4 +292,4 @@ def _ints(flag: str, text: str, sep: str, count: int | None = None) -> tuple[int
             return values
     except ValueError:
         pass
-    raise ValueError(f"{flag}: cannot read {text!r}")
+    raise OptionError(f"{flag}: cannot read {text!r}")

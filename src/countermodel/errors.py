@@ -25,16 +25,16 @@ class CountermodelError(Exception):
     """Base class for every error raised by this package."""
 
 
+class OptionError(CountermodelError, ValueError):
+    """An option or bound is unreadable or out of its range (a search budget, a size bound)."""
+
+
 class SignatureError(CountermodelError):
     """A signature is internally inconsistent (duplicate sorts, subsort cycles, bad ranks)."""
 
 
 class TermError(CountermodelError):
     """A term violates the arity or sort discipline of its signature."""
-
-
-class SubstitutionError(TermError):
-    """A substitution maps a variable to a term of an incompatible sort."""
 
 
 class RuleError(CountermodelError):

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .checker import Certificate, VERIFIED, verify
+from .errors import OptionError
 from .linear import LinearConstraint, compare
 from .logic import Atom, Theory, sort_of_predicate
 from .queries import Obligation, required_predicates
@@ -83,16 +84,16 @@ class SearchBudget:
         # menu built from it.
         for lo, hi in self.carriers:
             if lo > hi:
-                raise ValueError(f"carriers: interval {lo}:{hi} is empty")
+                raise OptionError(f"carriers: interval {lo}:{hi} is empty")
         if self.coeff_min > self.coeff_max:
-            raise ValueError(f"coeff_min {self.coeff_min} exceeds coeff_max {self.coeff_max}")
+            raise OptionError(f"coeff_min {self.coeff_min} exceeds coeff_max {self.coeff_max}")
         # A NaN time limit would make a deadline that never passes.
         if not self.time_limit >= 0:
-            raise ValueError(f"time_limit {self.time_limit} is not a number of seconds >= 0")
+            raise OptionError(f"time_limit {self.time_limit} is not a number of seconds >= 0")
         if self.max_nodes < 0:
-            raise ValueError(f"max_nodes {self.max_nodes} is negative")
+            raise OptionError(f"max_nodes {self.max_nodes} is negative")
         if self.raw_table_max_size < 0:
-            raise ValueError(f"raw_table_max_size {self.raw_table_max_size} is negative")
+            raise OptionError(f"raw_table_max_size {self.raw_table_max_size} is negative")
 
 
 @dataclass(frozen=True)

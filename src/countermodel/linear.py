@@ -221,15 +221,6 @@ class Feasibility:
     witness: dict[str, int] | None = None
     reason: str | None = None
 
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status == INFEASIBLE
-
-
-def is_infeasible(system: ConstraintSystem, **kwargs) -> bool:
-    """True only when the system provably has no integer solution."""
-    return solve(system, **kwargs).is_infeasible
-
 
 def solve(system: ConstraintSystem, *, max_constraints: int = DEFAULT_CONSTRAINT_BUDGET) -> Feasibility:
     """Decide integer feasibility by Fourier-Motzkin elimination and integer back-substitution.

@@ -105,43 +105,6 @@ def format_clause(clause: HornClause) -> str:
     return " ".join(parts)
 
 
-def alpha_key(clause: HornClause) -> tuple:
-    """Structural key identifying a clause up to renaming of its variables.
-
-    Variables are numbered by first occurrence scanning the body atoms and
-    then the head; unused prefix variables follow in prefix order.  Sorts
-    are preserved.
-    """
-    numbering: dict[Var, int] = {}
-
-    def visit(t: Term) -> None:
-        if isinstance(t, Var):
-            numbering.setdefault(t, len(numbering))
-        else:
-            for a in t.args:
-                visit(a)
-
-    for atom in (*clause.body, clause.head):
-        for arg in atom.args:
-            visit(arg)
-    for v in clause.variables:
-        numbering.setdefault(v, len(numbering))
-
-    def key_term(t: Term) -> tuple:
-        if isinstance(t, Var):
-            return ("v", numbering[t], t.sort)
-        return ("f", t.symbol, tuple(key_term(a) for a in t.args))
-
-    def key_atom(a: Atom) -> tuple:
-        return (a.predicate, tuple(key_term(arg) for arg in a.args))
-
-    return (
-        tuple(sorted((numbering[v], v.sort) for v in clause.variables)),
-        tuple(key_atom(a) for a in clause.body),
-        key_atom(clause.head),
-    )
-
-
 @dataclass(frozen=True)
 class Theory:
     """An ordered list of Horn clauses over a signature.

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import ModelError, ParseError
-from .lexer import TokenStream, tokenize
+from .lexer import Token, TokenStream, tokenize
 from .linear import (
     RELATIONS,
     AffineForm,
@@ -271,7 +271,17 @@ def _parse_params(stream: TokenStream, name: str) -> list[str] | None:
 
 def _parse_int(stream: TokenStream) -> int:
     sign = -1 if stream.accept("-") else 1
-    return sign * int(stream.expect("int").text)
+    return sign * _int(stream, stream.expect("int"))
+
+
+def _int(stream: TokenStream, token: Token) -> int:
+    """The value of an ``int`` token, or a spanned error past Python's digit limit."""
+    try:
+        return int(token.text)
+    except ValueError as exc:  # more digits than ``int`` converts
+        raise ParseError(
+            f"integer literal of {len(token.text)} digits is too long", token.span(stream.file)
+        ) from exc
 
 
 def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
@@ -288,14 +298,14 @@ def _parse_affine(stream: TokenStream, params: Iterable[str]) -> AffineForm:
             sign = -sign if sign_token.kind == "-" else sign
         number = stream.accept("int")
         if number and not stream.accept("*"):
-            constant += sign * int(number.text)
+            constant += sign * _int(stream, number)
         elif number or stream.at("ident"):
             name = stream.expect_ident().text
             if name not in allowed:
                 raise stream.error(f"unknown parameter '{name}' (non-affine expressions are rejected)")
             if not number and stream.at("*"):
                 raise stream.error("non-affine expression: variable products are not supported")
-            coeffs[name] = coeffs.get(name, 0) + sign * (int(number.text) if number else 1)
+            coeffs[name] = coeffs.get(name, 0) + sign * (_int(stream, number) if number else 1)
         else:
             raise stream.error("expected an affine expression")
         more = stream.at("+") or stream.at("-")

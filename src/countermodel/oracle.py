@@ -47,6 +47,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Mapping
 
 from .compiler import oriented_conditions
+from .errors import OptionError
 from .logic import Atom
 from .terms import (
     ARROW,
@@ -66,24 +67,12 @@ from .terms import (
 
 @dataclass(frozen=True)
 class AtomSet:
-    """Derived ground atoms with the minimal derivation depth of each.
-
-    Holds every atom whose terms fit ``size_bound`` and whose minimal
-    derivation depth is at most ``depth_bound``.
-    """
+    """Derived ground atoms with the minimal derivation depth of each."""
 
     atoms: Mapping[Atom, int]
-    size_bound: int
-    depth_bound: int
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
-
-    def depth(self, atom: Atom) -> int | None:
-        return self.atoms.get(atom)
-
-    def with_predicate(self, predicate: str) -> tuple[Atom, ...]:
-        return tuple(a for a in self.atoms if a.predicate == predicate)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -92,7 +81,7 @@ class AtomSet:
 def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     """Atoms of the conditional-rewriting inference rules within bounds."""
     if size_bound < 1 or depth_bound < 1:
-        raise ValueError("size and depth bounds must be >= 1")
+        raise OptionError("size and depth bounds must be >= 1")
     sig = ctrs.signature
     numbering = _Numbering(sig, size_bound)
 
@@ -182,11 +171,7 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
     }
     for predicate, table in ((ARROW, steps), (ROOT_STEP, root_steps), (MANY_STEPS, many)):
         atoms.update((Atom(predicate, (ground[i], ground[j])), d) for (i, j), d in table.items())
-    return AtomSet(atoms, size_bound, depth_bound)
-
-
-def derivable(ctrs: CTRS, atom: Atom, size_bound: int, depth_bound: int) -> bool:
-    return atom in saturate(ctrs, size_bound, depth_bound)
+    return AtomSet(atoms)
 
 
 def _key(args: tuple[int, ...]) -> Hashable:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .checker import Certificate, VERIFIED, verify
+from .checker import Certificate, VERIFIED
 from .compiler import compile_ctrs, relativize_sorts, root_theory, subterm_theory
 from .finder import SearchBudget, find_model, find_symbolic_model
 from .logic import Theory
 from .model_format import FINITE, SYMBOLIC
 from .oracle import AtomSet, saturate
 from .queries import Query, negate_to_obligations, required_predicates  # noqa: F401 (re-exported)
-from .structures import Structure, eval_atom
+from .structures import eval_atom
 from .terms import CTRS, ROOT_STEP, SUBTERM
 
 BOTH = "both"
@@ -93,19 +93,6 @@ def disprove(
             return Disproof(outcome.certificate, SYMBOLIC, ())
         reasons.append(f"symbolic: {outcome.reason}")
     return Disproof(None, None, tuple(reasons))
-
-
-def check_structure(
-    ctrs: CTRS,
-    query: Query,
-    structure: Structure,
-    *,
-    with_subterm: bool = False,
-    with_root: bool = False,
-) -> Certificate:
-    """Verify a given structure against the query's theory and obligations."""
-    theory = theory_for_query(ctrs, query, with_subterm=with_subterm, with_root=with_root)
-    return verify(theory, negate_to_obligations(query), structure)
 
 
 def oracle_cross_check(

@@ -341,14 +341,6 @@ def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, .
     return tuple(violations)
 
 
-def materialize(structure: SymbolicStructure) -> FiniteStructure:
-    """Evaluate a symbolic structure with finite interval carriers pointwise."""
-    sig = structure.signature
-    carriers = {sort: carrier_values(structure.carrier(sort)) for sort in sig.sorts}
-    functions, predicates = tabulate(sig, carriers, structure.functions, structure.predicates)
-    return FiniteStructure(sig, carriers, functions, predicates)
-
-
 def tabulate(
     sig: Signature,
     carriers: Mapping[str, tuple[int, ...]],

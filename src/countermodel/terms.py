@@ -1,4 +1,4 @@
-"""Many-sorted signatures, terms, substitutions, rules, and rewrite systems.
+"""Many-sorted signatures, terms, rules, and rewrite systems.
 
 The unsorted case is represented by a signature with the single sort
 ``DEFAULT_SORT`` and no subsort pairs, so every other module has exactly one
@@ -10,13 +10,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .errors import (
-    RuleError,
-    SignatureError,
-    SourceSpan,
-    SubstitutionError,
-    TermError,
-)
+from .errors import RuleError, SignatureError, SourceSpan, TermError
 
 DEFAULT_SORT = "term"
 
@@ -269,55 +263,6 @@ def check_term(sig: Signature, t: Term, *, strict: bool = True) -> None:
                 f"argument of '{t.symbol}' has sort '{actual}', "
                 f"unrelated to declared '{declared}'"
             )
-
-
-def subterms(t: Term) -> frozenset[Term]:
-    """Reflexive-transitive subterm set."""
-    acc: set[Term] = set()
-
-    def walk(u: Term) -> None:
-        acc.add(u)
-        if isinstance(u, App):
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return frozenset(acc)
-
-
-def apply_substitution(subst: Mapping[Var, Term], t: Term, sig: Signature | None = None) -> Term:
-    """Simultaneous, capture-free replacement of variables.
-
-    Variables outside the substitution's domain are unchanged.  When a
-    signature is given, each image's sort must be <= its variable's sort.
-    """
-    if sig is not None:
-        for var, image in subst.items():
-            if not sig.le(term_sort(sig, image), var.sort):
-                raise SubstitutionError(
-                    f"cannot substitute a '{term_sort(sig, image)}' term "
-                    f"for variable '{var.name}:{var.sort}'"
-                )
-    return _subst(subst, t)
-
-
-def _subst(subst: Mapping[Var, Term], t: Term) -> Term:
-    if isinstance(t, Var):
-        return subst.get(t, t)
-    return App(t.symbol, tuple(_subst(subst, a) for a in t.args))
-
-
-def ground_terms(sig: Signature, sort: str, size_bound: int) -> frozenset[Term]:
-    """All ground terms of the sort (or any subsort) with at most ``size_bound`` nodes."""
-    if size_bound < 1:
-        raise ValueError("size_bound must be >= 1")
-    by_size = ground_terms_by_size(sig, size_bound)
-    out: set[Term] = set()
-    for k in range(1, size_bound + 1):
-        for s, terms in by_size[k].items():
-            if sig.le(s, sort):
-                out.update(terms)
-    return frozenset(out)
 
 
 def ground_terms_by_size(sig: Signature, bound: int) -> list[dict[str, list[Term]]]:

@@ -1,0 +1,58 @@
+"""Views that tests compare the package's results through.
+
+``alpha_key`` identifies a clause up to renaming of its variables, so the
+compiler's output can be compared with clauses written out by hand.
+``materialize`` evaluates a symbolic structure pointwise into a finite one,
+so the symbolic checks can be compared with the finite checks of the same
+structure.
+"""
+from __future__ import annotations
+
+from countermodel.logic import Atom, HornClause
+from countermodel.structures import FiniteStructure, SymbolicStructure, carrier_values, tabulate
+from countermodel.terms import Term, Var
+
+
+def alpha_key(clause: HornClause) -> tuple:
+    """Structural key identifying a clause up to renaming of its variables.
+
+    Variables are numbered by first occurrence scanning the body atoms and
+    then the head; unused prefix variables follow in prefix order.  Sorts
+    are preserved.
+    """
+    numbering: dict[Var, int] = {}
+
+    def visit(t: Term) -> None:
+        if isinstance(t, Var):
+            numbering.setdefault(t, len(numbering))
+        else:
+            for a in t.args:
+                visit(a)
+
+    for atom in (*clause.body, clause.head):
+        for arg in atom.args:
+            visit(arg)
+    for v in clause.variables:
+        numbering.setdefault(v, len(numbering))
+
+    def key_term(t: Term) -> tuple:
+        if isinstance(t, Var):
+            return ("v", numbering[t], t.sort)
+        return ("f", t.symbol, tuple(key_term(a) for a in t.args))
+
+    def key_atom(a: Atom) -> tuple:
+        return (a.predicate, tuple(key_term(arg) for arg in a.args))
+
+    return (
+        tuple(sorted((numbering[v], v.sort) for v in clause.variables)),
+        tuple(key_atom(a) for a in clause.body),
+        key_atom(clause.head),
+    )
+
+
+def materialize(structure: SymbolicStructure) -> FiniteStructure:
+    """Evaluate a symbolic structure with finite interval carriers pointwise."""
+    sig = structure.signature
+    carriers = {sort: carrier_values(structure.carrier(sort)) for sort in sig.sorts}
+    functions, predicates = tabulate(sig, carriers, structure.functions, structure.predicates)
+    return FiniteStructure(sig, carriers, functions, predicates)

@@ -7,11 +7,16 @@ whenever a shallower derivation turns up, until nothing changes.  Its
 atom->depth maps are the contract the semi-naive evaluation must meet.
 The only change from the replaced code is the size check of ground rules
 in ``_substitution_candidates``.
+
+The term helpers below are the reference's own: ``ground_terms``
+enumerates by a recursion on the size budget, not through the oracle's
+``ground_terms_by_size``, so a fault in that enumeration cannot show up
+on both sides of a comparison.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from countermodel.compiler import oriented_conditions
 from countermodel.logic import Atom, format_term
@@ -27,9 +32,6 @@ from countermodel.terms import (
     Signature,
     Term,
     Var,
-    apply_substitution,
-    ground_terms,
-    subterms,
     term_size,
     term_sort,
 )
@@ -110,7 +112,7 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
         for (s, t), d1 in steps:
             for u, d2 in by_source.get(t, ()):
                 changed |= add(Atom(MANY_STEPS, (s, u)), 1 + max(d1, d2))
-    return AtomSet(dict(atoms), size_bound, depth_bound)
+    return AtomSet(dict(atoms))
 
 
 def _substitution_candidates(
@@ -221,3 +223,64 @@ def _plug(hole: tuple[str, int], context: Term, s: Term, t: Term) -> Term:
     args = list(context.args)
     args[index] = t
     return App(context.symbol, tuple(args))
+
+
+# -- term helpers -----------------------------------------------------------
+
+
+def ground_terms(sig: Signature, sort: str, size_bound: int) -> frozenset[Term]:
+    """All ground terms of the sort (or any subsort) with at most ``size_bound`` nodes.
+
+    ``up_to(s, budget)`` holds the terms of sort at most ``s`` with at most
+    ``budget`` nodes: an application of a symbol whose result sort is at
+    most ``s``, to arguments that fit the budget left after the root.
+    """
+    if size_bound < 1:
+        raise ValueError("size_bound must be >= 1")
+    memo: dict[tuple[str, int], frozenset[Term]] = {}
+
+    def up_to(s: str, budget: int) -> frozenset[Term]:
+        if budget < 1:
+            return frozenset()
+        if (s, budget) not in memo:
+            memo[s, budget] = frozenset(
+                App(name, args)
+                for name, (arg_sorts, result) in sig.functions.items()
+                if sig.le(result, s)
+                for args in arguments(arg_sorts, budget - 1)
+            )
+        return memo[s, budget]
+
+    def arguments(arg_sorts: tuple[str, ...], budget: int) -> Iterator[tuple[Term, ...]]:
+        if not arg_sorts:
+            yield ()
+            return
+        for first in up_to(arg_sorts[0], budget - len(arg_sorts) + 1):
+            for rest in arguments(arg_sorts[1:], budget - term_size(first)):
+                yield (first, *rest)
+
+    return up_to(sort, size_bound)
+
+
+def subterms(t: Term) -> frozenset[Term]:
+    """Reflexive-transitive subterm set."""
+    acc: set[Term] = set()
+
+    def walk(u: Term) -> None:
+        acc.add(u)
+        if isinstance(u, App):
+            for a in u.args:
+                walk(a)
+
+    walk(t)
+    return frozenset(acc)
+
+
+def apply_substitution(subst: Mapping[Var, Term], t: Term) -> Term:
+    """Simultaneous, capture-free replacement of variables.
+
+    Variables outside the substitution's domain are unchanged.
+    """
+    if isinstance(t, Var):
+        return subst.get(t, t)
+    return App(t.symbol, tuple(apply_substitution(subst, a) for a in t.args))

@@ -15,7 +15,7 @@ from countermodel.compiler import compile_ctrs
 from countermodel.errors import UnsupportedFragmentError
 from countermodel.finder import find_model, find_symbolic_model
 from countermodel.linear import ConstraintSystem, LinearConstraint, equality, solve
-from countermodel.logic import Atom, HornClause, alpha_key
+from countermodel.logic import Atom, HornClause
 from countermodel.model_format import parse_model
 from countermodel.oracle import saturate
 from countermodel.pipeline import theory_for_query
@@ -24,6 +24,7 @@ from countermodel.query_format import parse_query
 from countermodel.structures import eval_atom
 from countermodel.terms import ARROW, MANY_STEPS, App, Var
 from boxcheck import box_has_integer_point
+from comparisons import alpha_key
 from mutate import mutate, sampled_violation
 from paperdata import (
     FINDER_CASES,

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import json
 
-from countermodel.certificates import certificate_structure, serialize_certificate
+from countermodel.certificates import serialize_certificate
 from countermodel.checker import verify
 from countermodel.logic import Theory
+from countermodel.model_format import parse_model
 from countermodel.structures import FiniteStructure
 from countermodel.terms import DEFAULT_SORT, Signature
 from paperdata import paper_certificate, paper_instance
@@ -13,14 +14,24 @@ from paperdata import paper_certificate, paper_instance
 def test_structure_section_round_trips():
     cert = paper_certificate("intro-restricted")
     document = serialize_certificate(cert)
-    again = certificate_structure(document, cert.theory.signature, backend="finite")
+    again = parse_model(
+        json.loads(document)["structure"],
+        cert.theory.signature,
+        backend="finite",
+        required_predicates=set(),
+    )
     assert again == cert.structure
 
 
 def test_symbolic_structure_section_round_trips():
     cert = paper_certificate("non-cycling")
     document = serialize_certificate(cert)
-    again = certificate_structure(document, cert.theory.signature, backend="symbolic")
+    again = parse_model(
+        json.loads(document)["structure"],
+        cert.theory.signature,
+        backend="symbolic",
+        required_predicates=set(),
+    )
     assert again == cert.structure
 
 

@@ -26,7 +26,6 @@ from countermodel.structures import (
     PredicateInterp,
     SymbolicStructure,
     eval_atom,
-    materialize,
 )
 from countermodel.terms import (
     ARROW,
@@ -36,6 +35,7 @@ from countermodel.terms import (
     Signature,
     Var,
 )
+from comparisons import materialize
 from paperdata import paper_instance, paper_certificate
 
 A, B, C = App("a"), App("b"), App("c")

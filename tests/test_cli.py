@@ -417,6 +417,80 @@ def test_a_crash_inside_a_parse_step_exits_internal(module, name, command, monke
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
+def test_a_value_error_inside_a_callee_exits_internal(monkeypatch, capsys):
+    # A ValueError is an invariant breach, not bad input, unless it is an OptionError.
+    def crash(*args, **kwargs):
+        raise ValueError("constraint mentions undeclared variable 'x'")
+
+    monkeypatch.setattr(cli, "build_theory", crash)
+    assert main(["compile", corpus("intro.trs")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: ValueError: constraint mentions undeclared variable 'x'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["disprove", corpus("intro.trs"), "--query", "REACHABLE(a, b)", "--bogus"],
+            "countermodel: error: unrecognized arguments: --bogus",
+        ),
+        (
+            ["disprove", corpus("intro.trs"), "--query", "REACHABLE(a, b)", "--timeout", "abc"],
+            "countermodel disprove: error: argument --timeout: invalid float value: 'abc'",
+        ),
+        (
+            ["derive", corpus("intro.trs"), "--size", "abc"],
+            "countermodel derive: error: argument --size: invalid int value: 'abc'",
+        ),
+        (
+            ["check", corpus("intro.trs")],
+            "countermodel check: error: the following arguments are required: --model",
+        ),
+        (["bogus"], "countermodel: error: argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["unknown-flag", "bad-timeout", "bad-size", "missing-model", "unknown-command"],
+)
+def test_a_malformed_command_line_exits_input_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: countermodel")
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["derive", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: countermodel derive")
+
+
+@pytest.mark.parametrize("flag", ["--size", "--depth"])
+def test_a_zero_saturation_bound_exits_input_error(flag, capsys):
+    assert main(["derive", corpus("intro.trs"), flag, "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: size and depth bounds must be >= 1\n"
+
+
+def test_a_system_file_that_is_not_utf8_exits_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.trs"
+    path.write_bytes(b"\xff\xfe(RULES a -> b)")
+    assert main(["compile", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_an_integer_past_the_conversion_limit_exits_input_error_with_its_span(tmp_path, capsys):
+    path = tmp_path / "huge.model"
+    path.write_text(f"(DOMAIN [0, {'9' * 5000}])")
+    code = main(["check", corpus("intro.trs"), "--model", str(path)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:1:13-1:5013: integer literal of 5000 digits is too long\n"
+    )
+
+
 def test_python_dash_m_runs_the_cli():
     root = CORPUS.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}

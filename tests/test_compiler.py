@@ -4,7 +4,7 @@ import pytest
 
 from countermodel.compiler import compile_ctrs, relativize_sorts, root_theory, subterm_theory
 from countermodel.errors import EmptySortError
-from countermodel.logic import Atom, HornClause, alpha_key, sort_predicate
+from countermodel.logic import Atom, HornClause, sort_predicate
 from countermodel.terms import (
     ARROW,
     CTRS,
@@ -18,6 +18,7 @@ from countermodel.terms import (
     Signature,
     Var,
 )
+from comparisons import alpha_key
 from paperdata import system
 
 X, Y, Z = Var("x"), Var("y"), Var("z")

@@ -9,6 +9,11 @@ coefficients then touches ``linear.py`` only.
 No module, ``linear.py`` included, does rational arithmetic (``fractions``),
 rounds (``floor``, ``ceil``) or reads a ``.denominator``: coefficients,
 bounds and witnesses are ints throughout.
+
+Every function, class and method the package defines is run by a command,
+a demo or a benchmark workload: each is named somewhere in the package
+itself (outside ``__init__.py``), in ``demos/`` or in ``bench/``.  A helper
+only tests use belongs next to those tests.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "countermodel"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "countermodel"
 OWNER = "linear.py"
 COEFFICIENT_FIELDS = {"terms", "coeffs"}
 ROUNDING = {"floor", "ceil", "denominator"}
@@ -91,3 +97,69 @@ def test_rounding_outside_the_owner_would_be_flagged():
     ]
     assert layering_breaches("n = floor(q)\n", owner=True) == ["line 1: uses floor"]
     assert layering_breaches("c.terms\n", owner=True) == []
+
+
+# -- no test-only code in the package ----------------------------------------
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and the methods not named ``__x__``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a source reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def unreferenced(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` for each definition of ``modules`` that no user source names."""
+    used = set().union(*map(referenced_names, users))
+    return [
+        f"{module}.{name}"
+        for module, source in sorted(modules.items())
+        for name in definitions(source)
+        if name.rpartition(".")[2] not in used
+    ]
+
+
+def test_every_definition_is_run_outside_the_tests():
+    package = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = {p.stem: p.read_text() for p in package if p.name != "__main__.py"}
+    users = package + sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    assert unreferenced(modules, [p.read_text() for p in users]) == []
+
+
+def test_a_definition_only_exports_or_tests_name_would_be_flagged():
+    module = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "    def __eq__(self, other): pass\n"
+    )
+    assert definitions(module) == ["used", "unused", "C", "C.method"]
+    assert unreferenced({"m": module}, ["from m import used\nm.C()\n"]) == [
+        "m.unused",
+        "m.C.method",
+    ]
+    assert unreferenced({"m": module}, ["used(); unused; C().method()\n"]) == []

@@ -8,7 +8,7 @@ from countermodel.cli import EXIT_INPUT, main
 from countermodel.compiler import compile_ctrs
 from countermodel.errors import EmptySortError
 from countermodel.logic import Atom
-from countermodel.oracle import derivable, saturate
+from countermodel.oracle import saturate
 from countermodel.structures import eval_atom
 from countermodel.terms import (
     ARROW,
@@ -23,6 +23,7 @@ from countermodel.terms import (
     ConditionalRule,
     Signature,
     Var,
+    ground_terms_by_size,
     term_size,
 )
 from countermodel.trs_format import parse_ctrs
@@ -71,9 +72,9 @@ def test_zero_rule_system_yields_only_reflexive_atoms():
 
 def test_derivable_examples():
     ctrs = system("intro.trs").ctrs
-    assert derivable(ctrs, Atom(ARROW, (B, A)), 1, 2)
-    assert not derivable(ctrs, Atom(ARROW, (A, B)), 1, 50)
-    assert derivable(ctrs, Atom(MANY_STEPS, (C, C)), 1, 1)
+    assert Atom(ARROW, (B, A)) in saturate(ctrs, 1, 2)
+    assert Atom(ARROW, (A, B)) not in saturate(ctrs, 1, 50)
+    assert Atom(MANY_STEPS, (C, C)) in saturate(ctrs, 1, 1)
 
 
 def test_root_steps_are_not_context_closed():
@@ -129,8 +130,8 @@ def test_join_conditions_need_a_common_reduct():
     )
     oriented = parse_ctrs("(RULES a -> c  b -> c  d -> e | a == b)")
     d, e = App("d"), App("e")
-    assert derivable(join, Atom(ARROW, (d, e)), 1, 6)
-    assert not derivable(oriented, Atom(ARROW, (d, e)), 1, 6)
+    assert Atom(ARROW, (d, e)) in saturate(join, 1, 6)
+    assert Atom(ARROW, (d, e)) not in saturate(oriented, 1, 6)
 
 
 NO_LUB_JOIN = """
@@ -159,8 +160,8 @@ def test_depth_accounts_for_condition_subproofs():
     ctrs = system("hg.trs").ctrs
     atoms = saturate(ctrs, 2, 6)
     ha = App("h", (A,))
-    assert atoms.depth(Atom(ARROW, (ha, A))) == 1
-    assert atoms.depth(Atom(MANY_STEPS, (ha, A))) == 2
+    assert atoms.atoms.get(Atom(ARROW, (ha, A))) == 1
+    assert atoms.atoms.get(Atom(MANY_STEPS, (ha, A))) == 2
 
 
 def test_derived_atoms_hold_in_verified_structures():
@@ -198,8 +199,8 @@ def test_root_step_found_after_its_congruence_step_keeps_its_own_depth():
     ctrs = parse_ctrs("(VAR x) (RULES a -> b  f(x) -> f(b) | x == b)")
     atoms = saturate(ctrs, 2, 5)
     fa, fb = App("f", (A,)), App("f", (B,))
-    assert atoms.depth(Atom(ARROW, (fa, fb))) == 2
-    assert atoms.depth(Atom(ROOT_STEP, (fa, fb))) == 3
+    assert atoms.atoms.get(Atom(ARROW, (fa, fb))) == 2
+    assert atoms.atoms.get(Atom(ROOT_STEP, (fa, fb))) == 3
 
 
 SUPERSORT_CONTRACTUM = """
@@ -216,7 +217,7 @@ def test_contexts_admit_the_contractum_sort_only_where_declared():
     atoms = saturate(parse_ctrs(SUPERSORT_CONTRACTUM), 2, 5)
     z, m = App("z"), App("m")
     assert Atom(ARROW, (App("p", (z,)), App("p", (m,)))) in atoms
-    assert not [a for a in atoms.with_predicate(ARROW) if a.args[0] == App("s", (z,))]
+    assert not [a for a in atoms.atoms if a.predicate == ARROW and a.args[0] == App("s", (z,))]
 
 
 # -- the semi-naive evaluation against the naive fixpoint it replaced ---------
@@ -238,6 +239,25 @@ TERNARY = """
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["ternary", *sorted(p.name for p in CORPUS.glob("*.trs"))])
+def test_the_naive_enumeration_equals_the_numbered_one(name, size):
+    # The reference enumerates on its own; a term of sort s is one whose
+    # declared sort is at most s.
+    sig = (parse_ctrs(TERNARY) if name == "ternary" else system(name).ctrs).signature
+    by_size = ground_terms_by_size(sig, size)
+    for sort in sig.sorts:
+        numbered = [
+            t
+            for group in by_size
+            for declared, terms in group.items()
+            if sig.le(declared, sort)
+            for t in terms
+        ]
+        assert len(set(numbered)) == len(numbered)
+        assert naive_oracle.ground_terms(sig, sort, size) == set(numbered)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_ternary_contexts_equal_the_naive_fixpoint(size):
     # h's middle argument admits only N: a step into I is not closed under it,
     # while the outer holes take both sorts.
@@ -249,7 +269,9 @@ def test_ternary_contexts_equal_the_naive_fixpoint(size):
         assert Atom(ARROW, (App("h", (m, App("s", (z,)), m)), App("h", (m, z, m)))) in atoms
         assert Atom(ARROW, (App("h", (z, z, m)), App("h", (m, z, m)))) in atoms
         assert not [
-            a for a in atoms.with_predicate(ARROW) if a.args[0] == App("h", (m, z, m))
+            a
+            for a in atoms.atoms
+            if a.predicate == ARROW and a.args[0] == App("h", (m, z, m))
         ]
 
 
@@ -390,5 +412,5 @@ def test_rule_terms_at_the_nesting_cap_compile_without_recursion_error():
     x = Var("x")
     rule = ConditionalRule(_f_nested(255, x), _f_nested(254, x))
     atoms = saturate(CTRS(sig, (rule,)), 256, 2)
-    assert [tuple(map(term_size, a.args)) for a in atoms.with_predicate(ARROW)] == [(256, 255)]
-    assert len(atoms.with_predicate(SUBTERM)) == 256 * 257 // 2
+    assert [tuple(map(term_size, a.args)) for a in atoms.atoms if a.predicate == ARROW] == [(256, 255)]
+    assert len([a for a in atoms.atoms if a.predicate == SUBTERM]) == 256 * 257 // 2

@@ -7,10 +7,8 @@ import pytest
 from countermodel.checker import VERIFIED
 from countermodel.finder import SearchBudget
 from countermodel.logic import Atom
-from countermodel.oracle import derivable
 from countermodel.pipeline import (
     build_theory,
-    check_structure,
     disprove,
     oracle_cross_check,
     theory_for_query,
@@ -137,26 +135,6 @@ def test_sorted_disprove_runs_cleanly():
     # the search must terminate and any success must be verified.
     if result.succeeded:
         assert result.certificate.overall == VERIFIED
-
-
-def test_check_structure_matches_direct_verify():
-    from countermodel.model_format import parse_model
-    from countermodel.pipeline import required_predicates
-    from countermodel.queries import negate_to_obligations
-    from paperdata import model_text
-
-    document = system("hg.trs")
-    query = parse_query("FEASIBLE(h(x) == b)", document.ctrs.signature)
-    cert = check_structure(
-        document.ctrs,
-        query,
-        parse_model(
-            model_text("hg_feas.model"),
-            document.ctrs.signature,
-            required_predicates=("->", "->*"),
-        ),
-    )
-    assert cert.overall == VERIFIED
 
 
 def test_disprove_backends_share_one_deadline():

@@ -16,9 +16,9 @@ from countermodel.structures import (
     closure_check,
     eval_atom,
     eval_term,
-    materialize,
 )
 from countermodel.terms import ARROW, MANY_STEPS, ROOT_STEP, App, Var
+from comparisons import materialize
 from paperdata import paper_instance
 
 A, B, C = App("a"), App("b"), App("c")
