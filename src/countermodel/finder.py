@@ -29,8 +29,23 @@ the latest of them, so that is where the memo is cleared (a check reading
 no earlier slot, such as reflexivity of ``->*``, is computed once per
 stage).  Each slot tries its checks longest-kept memo first, and within
 one reset level obligations before theory clauses, since they are usually
-the cheapest refuters.  The order cannot change which candidates survive,
-so nodes and results are those of a search that re-runs every check.
+the cheapest refuters.  The order cannot change which candidates survive.
+
+The search backjumps (conflict-directed backjumping, Prosser 1993).  When
+every candidate of a slot fails, the slot's conflict set names earlier
+slots whose values alone make it fail: the earlier slots read by each
+check that rejected a candidate, and the conflict set of each failed
+subtree below it, minus the slot itself.  A complete candidate that the
+verifier rejects conflicts with every slot.  The search returns to the
+latest slot in the set, merges the rest of the set into that slot's own,
+and tries its next candidate; the slots in between are left untried, since
+no value of theirs can undo the failure (an empty set ends the stage).
+So the skipped subtrees hold no complete candidate: the verifier sees the
+same complete candidates in the same order as in a chronological search,
+so the first verified model and its certificate are the same, reached in
+at most as many nodes; under a node cap the search can only get further.
+The walk keeps an explicit stack, so a search of more slots than Python's
+recursion limit runs like any other.
 """
 from __future__ import annotations
 
@@ -310,13 +325,16 @@ def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> Predicat
 
 
 def _menu_predicates_finite(carrier: tuple[int, ...]) -> list[_Candidate]:
+    """The extensions of the menu relations over ``carrier``, in menu order, each once."""
+    points = [(x, y) for x in carrier for y in carrier]
+    extensions = [frozenset(p for p in points if _COMPARISONS[rel](*p)) for rel in BASE_RELATIONS]
+    for a, b in itertools.product(PAIR_COEFFS, repeat=2):
+        # Each point's value of a*x + b*y once, thresholded for every c.
+        values = [(a * x + b * y, (x, y)) for x, y in points]
+        extensions += [frozenset(p for v, p in values if v <= c) for c in PAIR_CONSTS]
     seen: set[frozenset[tuple[int, int]]] = set()
     out: list[_Candidate] = []
-    for rel, payload in _menu_relations():
-        test = _relation_test(rel, payload)
-        extension = frozenset(
-            (x, y) for x in carrier for y in carrier if test(x, y)
-        )
+    for extension in extensions:
         if extension in seen:
             continue
         seen.add(extension)
@@ -424,50 +442,80 @@ def _search(
     position = {slot.name: index for index, slot in enumerate(slots)}
     # A check's memo maps a candidate index at its own slot to its verdict; it
     # is cleared on entering ``level``, the slot after the latest earlier slot
-    # the check reads (see the module docstring).
-    attached: list[list[tuple[int, dict[int, bool], _Refuter]]] = [[] for _ in slots]
+    # the check reads.  ``reads`` is the bit set of those earlier slots: the
+    # conflict a rejection by the check adds (see the module docstring).
+    attached: list[list[tuple[int, dict[int, bool], _Refuter, int]]] = [[] for _ in slots]
     resets: list[list[dict[int, bool]]] = [[] for _ in slots]
     for symbols, refuted in checks:
         index = _latest_slot(position, symbols)
         if index is not None:
-            level = max((position[s] + 1 for s in symbols if position[s] < index), default=0)
+            earlier = {position[s] for s in symbols} - {index}
+            level = max(earlier, default=-1) + 1
             memo: dict[int, bool] = {}
-            attached[index].append((level, memo, refuted))
+            attached[index].append((level, memo, refuted, sum(1 << i for i in earlier)))
             resets[level].append(memo)
     # Longest-kept memos first; the sort is stable, so obligations stay first within a level.
     checks_by_slot = [
-        [(memo, refuted) for _, memo, refuted in sorted(here, key=lambda c: c[0])]
+        [(memo, refuted, reads) for _, memo, refuted, reads in sorted(here, key=lambda c: c[0])]
         for here in attached
     ]
 
     env: dict[str, object] = {}
     interps: dict[str, object] = {}
+    # The walk keeps, per slot on the current path, its candidate iterator
+    # and the conflict set gathered from its rejected candidates so far.
+    remaining: list[Iterator[tuple[int, _Candidate]]] = [iter(())] * len(slots)
+    conflicts = [0] * len(slots)
+    every = (1 << len(slots)) - 1
 
-    def descend(index: int) -> tuple[Structure, Certificate] | None:
-        if index == len(slots):
-            state.tick()
-            return finish(interps)
+    def enter(index: int) -> None:
         for memo in resets[index]:
             memo.clear()
-        slot = slots[index]
-        here = checks_by_slot[index]
-        for k, candidate in enumerate(slot.candidates):
-            state.tick()
-            env[slot.name] = candidate.fast
-            for memo, refuted in here:
-                verdict = memo.get(k)
-                if verdict is None:
-                    verdict = memo[k] = refuted(env, points)
-                if verdict:
-                    break
-            else:
-                interps[slot.name] = candidate.interp
-                result = descend(index + 1)
-                if result is not None:
-                    return result
-        return None
+        remaining[index] = enumerate(slots[index].candidates)
+        conflicts[index] = 0
 
-    return descend(0)
+    index = 0
+    if slots:
+        enter(0)
+    while True:
+        if index == len(slots):
+            state.tick()
+            found = finish(interps)
+            if found is not None:
+                return found
+            failed = every  # a rejected complete candidate conflicts with every slot
+        else:
+            name = slots[index].name
+            here = checks_by_slot[index]
+            gathered = conflicts[index]
+            passed = None
+            for k, candidate in remaining[index]:
+                state.tick()
+                env[name] = candidate.fast
+                for memo, refuted, reads in here:
+                    verdict = memo.get(k)
+                    if verdict is None:
+                        verdict = memo[k] = refuted(env, points)
+                    if verdict:
+                        gathered |= reads
+                        break
+                else:
+                    passed = candidate
+                    break
+            conflicts[index] = gathered
+            if passed is not None:
+                interps[name] = passed.interp
+                index += 1
+                if index < len(slots):
+                    enter(index)
+                continue
+            failed = gathered  # every candidate of the slot is rejected
+        # Back to the latest slot in the conflict set: no value of the slots
+        # after it can undo the failure.  Nothing in the set: the stage fails.
+        index = failed.bit_length() - 1
+        if index < 0:
+            return None
+        conflicts[index] |= failed ^ (1 << index)
 
 
 def _check_symbols(atoms: tuple[Atom, ...]) -> set[str]:

@@ -262,6 +262,16 @@ def test_nesting_at_the_cap_never_exits_internal(tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_a_system_with_more_symbols_than_the_recursion_limit_is_disproved(tmp_path, capsys):
+    # The finder has one slot per symbol and walks them without recursion.
+    chain = "  ".join(f"c{i} -> c{i + 1}" for i in range(1200))
+    path = tmp_path / "chain.trs"
+    path.write_text(f"(RULES a -> a  {chain})")
+    code = main(["disprove", str(path), "--query", "c0 -> a", "--output", os.devnull])
+    assert "internal error" not in capsys.readouterr().err
+    assert code == 0
+
+
 def test_symbolic_check_at_the_nesting_cap_is_decided(capsys):
     # Each application's form is substituted into its context, so every
     # system ranges over the query's variables (none here), however deep.

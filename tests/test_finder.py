@@ -22,8 +22,10 @@ from countermodel.finder import (
     _compile_check,
     _menu_predicates_finite,
     _menu_predicates_symbolic,
+    _menu_relations,
     _raw_predicates,
     _raw_tables,
+    _relation_test,
     _search,
     _Slot,
     _State,
@@ -177,6 +179,26 @@ def test_found_structures_interpret_only_needed_predicates():
     theory, obligations = _setup(FINDER_CASES[0])
     outcome = find_model(theory, obligations)
     assert set(outcome.structure.predicates) == {"->", "->*"}
+
+
+def _reference_menu_extensions(carrier):
+    """The construction ``_menu_predicates_finite`` replaced: each relation's test at each point."""
+    extensions = []
+    for rel, payload in _menu_relations():
+        test = _relation_test(rel, payload)
+        extension = frozenset((x, y) for x in carrier for y in carrier if test(x, y))
+        if extension not in extensions:
+            extensions.append(extension)
+    return extensions
+
+
+@pytest.mark.parametrize("carrier", SearchBudget().carriers)
+def test_finite_predicate_menu_matches_the_pointwise_construction(carrier):
+    points = tuple(range(carrier[0], carrier[1] + 1))
+    menu = _menu_predicates_finite(points)
+    assert [candidate.interp for candidate in menu] == _reference_menu_extensions(points)
+    for candidate in menu:
+        assert {(x, y) for x in points for y in points if candidate.fast(x, y)} == candidate.interp
 
 
 def _random_unconditional_ctrs(rng: random.Random) -> CTRS:
@@ -402,7 +424,14 @@ def test_ground_and_sort_headed_checks():
     assert not _compile_check(*sort_head)(env, (0, 1))
 
 
-# -- the memoizing search against the replaced one ------------------------------------
+# -- the backjumping search against the chronological one -----------------------------
+
+# Backjumping skips only subtrees that hold no complete candidate, so it hands
+# ``finish`` the reference's complete candidates in the same order: the same
+# certificate bytes and reasons, from at most as many nodes.
+
+_CAP = "budget exhausted: candidate cap"
+_WHOLE = SearchBudget(max_nodes=100_000, time_limit=3600.0)
 
 
 def _search_outcome(search, case, backend, budget):
@@ -415,6 +444,11 @@ def _search_outcome(search, case, backend, budget):
     return found, outcome.reason, outcome.nodes
 
 
+@functools.cache
+def _whole_reference(case, backend):
+    return _search_outcome(reference_finder._search, case, backend, _WHOLE)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(FINDER_CASES + FLAGSHIPS),
@@ -423,9 +457,15 @@ def _search_outcome(search, case, backend, budget):
 )
 def test_memoized_search_matches_the_reference_under_node_caps(case, backend, max_nodes):
     budget = SearchBudget(max_nodes=max_nodes, time_limit=3600.0)
-    assert _search_outcome(_search, case, backend, budget) == _search_outcome(
-        reference_finder._search, case, backend, budget
-    )
+    found, reason, nodes = _search_outcome(_search, case, backend, budget)
+    reference = _search_outcome(reference_finder._search, case, backend, budget)
+    assert nodes <= reference[2]
+    if reference[1] == _CAP and reason != _CAP:
+        # Fewer nodes reached past the reference's cap: to what the uncapped reference finds.
+        assert (found, reason) == _whole_reference(case, backend)[:2]
+        assert found is not None
+    else:
+        assert (found, reason) == reference[:2]
 
 
 @pytest.mark.parametrize("backend", ("finite", "symbolic"))
@@ -433,10 +473,66 @@ def test_memoized_search_matches_the_reference_under_node_caps(case, backend, ma
 def test_memoized_search_matches_the_reference_on_whole_searches(case, backend):
     # Every search here ends within 100,000 nodes, but the symbolic
     # non-looping-a, which would run on to the default cap of 2,000,000.
-    budget = SearchBudget(max_nodes=100_000, time_limit=3600.0)
-    assert _search_outcome(_search, case, backend, budget) == _search_outcome(
-        reference_finder._search, case, backend, budget
-    )
+    found, reason, nodes = _search_outcome(_search, case, backend, _WHOLE)
+    reference = _whole_reference(case, backend)
+    assert (found, reason) == reference[:2]
+    assert nodes <= reference[2]
+
+
+def _hashed_check(reads, salt, modulus):
+    """A check refuting a fixed pseudo-random share of the values of the slots it reads."""
+
+    def refuted(env, points):
+        return hash((salt, *(env[name] for name in reads))) % modulus == 0
+
+    return refuted
+
+
+@st.composite
+def _slot_systems(draw):
+    """Slots ``s0, s1, ...`` with menus of 0-3 integers, and checks each reading some of them."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    names = [f"s{i}" for i in range(len(sizes))]
+    slots = [_Slot(name, [_Candidate(v, v) for v in range(size)]) for name, size in zip(names, sizes)]
+    checks = []
+    for _ in range(draw(st.integers(0, 6))):
+        reads = sorted(draw(st.sets(st.sampled_from(names), min_size=1)))
+        salt, modulus = draw(st.integers(0, 1 << 16)), draw(st.integers(1, 4))
+        checks.append((set(reads), _hashed_check(reads, salt, modulus)))
+    return slots, checks
+
+
+def _complete_candidates(search, slots, checks):
+    """The complete candidates handed to a ``finish`` that rejects each, and the nodes."""
+    complete = []
+    state = _State.start(SearchBudget(), None)
+    assert search(slots, checks, state, (), lambda interps: complete.append(dict(interps))) is None
+    return complete, state.nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_systems())
+def test_backjumping_hands_finish_the_reference_sequence_of_complete_candidates(system):
+    complete, nodes = _complete_candidates(_search, *system)
+    reference, reference_nodes = _complete_candidates(reference_finder._search, *system)
+    assert complete == reference
+    assert nodes <= reference_nodes
+
+
+def test_a_dead_end_that_does_not_read_the_slot_before_it_skips_that_slot():
+    # Slots a, b, c.  While a is 0, a check reading a and c rejects every
+    # candidate of c whatever b is, so the search jumps from c back to a
+    # without trying b = 1 and b = 2 (three nodes each).
+    slots = [
+        _Slot(name, [_Candidate(v, v) for v in range(size)])
+        for name, size in (("a", 2), ("b", 3), ("c", 2))
+    ]
+    checks = [({"a", "c"}, lambda env, points: env["a"] == 0)]
+    complete, nodes = _complete_candidates(_search, slots, checks)
+    reference, reference_nodes = _complete_candidates(reference_finder._search, slots, checks)
+    assert complete == reference == [{"a": 1, "b": b, "c": c} for b in range(3) for c in range(2)]
+    assert reference_nodes == 26
+    assert nodes == reference_nodes - 2 * 3
 
 
 def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
