@@ -1,10 +1,12 @@
-"""Depth-first finder search without verdict memos, kept as the reference for ``finder``.
+"""Chronological finder search without verdict memos, kept as the reference for ``finder``.
 
-This is the ``_search`` that the memoizing search of
+This is the ``_search`` that the memoizing, backjumping search of
 ``countermodel.finder`` replaced, kept verbatim apart from this docstring
-and absolute imports.  It re-runs every attached check on every
-candidate.  Run in its place, it must give the same nodes, reasons and
-certificate bytes.
+and absolute imports.  It re-runs every attached check on every candidate
+and backtracks one slot at a time.  Run in its place, it must hand
+``finish`` the same complete candidates in the same order, so it gives the
+same certificate bytes and reasons from at least as many nodes (under a
+node cap, the backjumping search may get further).
 """
 from __future__ import annotations
 

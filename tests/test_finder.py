@@ -461,7 +461,8 @@ def test_memoized_search_matches_the_reference_under_node_caps(case, backend, ma
     reference = _search_outcome(reference_finder._search, case, backend, budget)
     assert nodes <= reference[2]
     if reference[1] == _CAP and reason != _CAP:
-        # Fewer nodes reached past the reference's cap: to what the uncapped reference finds.
+        # With fewer nodes the search got past the reference's cap, to what
+        # the uncapped reference finds.
         assert (found, reason) == _whole_reference(case, backend)[:2]
         assert found is not None
     else:
