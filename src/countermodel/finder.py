@@ -17,9 +17,20 @@ attached to the last slot interpreting one of its symbols and is used to
 prune partial assignments.  An obligation is a headless clause, so both
 are compiled by one function, once per search, into a Python function that
 evaluates the check at every valuation over the stage's grid (the whole
-finite carrier, or the first integers of a ray), calling the candidates'
-callables directly.  Every complete candidate is re-checked through the
-verifier, so no unverified structure is ever returned.
+finite carrier, or the first integers of a ray).  A clause with a sort head
+holds by construction of the candidates, so it is never attached.  Every
+complete candidate is re-checked through the verifier, so no unverified
+structure is ever returned.
+
+The compiled checks read the candidates' own data, and one generator
+spells it two ways.  A finite candidate is a table or a set of pairs, the
+very object that goes into the structure, so a finite check looks it up
+(``s0[(t0,)]``, ``(v0, t1) in s1``) with no Python call per application.
+A symbolic candidate is an affine function or relation on unbounded
+integers, so a symbolic check calls it (``s0(t0)``, ``s1(v0, t1)``).  A
+symbolic predicate candidate builds its ``PredicateInterp`` the first time
+it is read: the search reads interpretations only of complete candidates,
+so most are never built.
 
 A check's verdict depends only on the slots it reads, so the search keeps
 it, per check, keyed by the candidate index at the check's own slot.  The
@@ -128,10 +139,30 @@ class _Stop(Exception):
         self.reason = reason
 
 
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise _Stop("budget exhausted: time cap")
+
+
 @dataclass
 class _Candidate:
     interp: object  # what goes into the structure
-    fast: object  # int for constants, callable for functions/predicates
+    # What the compiled checks read: an int for a constant, else on finite
+    # stages the table or pair set itself, and on symbolic ones a callable.
+    fast: object
+
+
+class _RelationCandidate(_Candidate):
+    """A symbolic predicate candidate whose ``PredicateInterp`` is built when first read."""
+
+    def __init__(self, rel: str, payload: tuple[int, int, int] | None):
+        # No dataclass __init__: ``interp`` is the cached property below.
+        self.relation = (rel, payload)
+        self.fast = _relation_test(rel, payload)
+
+    @functools.cached_property
+    def interp(self) -> PredicateInterp:
+        return _relation_interp(*self.relation)
 
 
 @dataclass
@@ -152,13 +183,16 @@ class _State:
             deadline = time.monotonic() + budget.time_limit
         return cls(budget, deadline)
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
+    def count(self, nodes: int) -> None:
+        """Record ``nodes``; stop past the node cap, or past the deadline when ``nodes % 256 == 1``.
+
+        Node 1 is checked too, so a search begun past its deadline stops at once.
+        """
+        self.nodes = nodes
+        if nodes > self.budget.max_nodes:
             raise _Stop("budget exhausted: candidate cap")
-        # Node 1 is checked too, so a search begun past its deadline stops at once.
-        if self.nodes % 256 == 1 and time.monotonic() > self.deadline:
-            raise _Stop("budget exhausted: time cap")
+        if nodes % 256 == 1:
+            _check_deadline(self.deadline)
 
 
 def find_model(
@@ -173,7 +207,7 @@ def find_model(
     The search stops at ``deadline`` (a ``time.monotonic()`` value), by
     default ``budget.time_limit`` seconds from now.
     """
-    return _find(theory, obligations, budget, deadline, _finite_stages)
+    return _find(theory, obligations, budget, deadline, _finite_stages, tables=True)
 
 
 def find_symbolic_model(
@@ -184,7 +218,7 @@ def find_symbolic_model(
     deadline: float | None = None,
 ) -> FindOutcome:
     """Search ray carriers for a verified symbolic structure (``deadline`` as in find_model)."""
-    return _find(theory, obligations, budget, deadline, _symbolic_stages)
+    return _find(theory, obligations, budget, deadline, _symbolic_stages, tables=False)
 
 
 @dataclass(frozen=True)
@@ -202,17 +236,21 @@ def _find(
     obligations: Iterable[Obligation],
     budget: SearchBudget | None,
     deadline: float | None,
-    stages: Callable[[Signature, tuple[str, ...], SearchBudget], Iterator[_Stage]],
+    stages: Callable[[Signature, tuple[str, ...], _State], Iterator[_Stage]],
+    tables: bool,
 ) -> FindOutcome:
-    """Run the search over each stage in turn until one yields a verified structure."""
+    """Run the search over each stage in turn until one yields a verified structure.
+
+    ``tables``: the stages' candidates are tables and pair sets (see the module docstring).
+    """
     budget = budget or SearchBudget()
     obligations = tuple(obligations)
     sig = theory.signature
     predicates = required_predicates(theory, obligations)
-    checks = _compile_checks(theory, obligations)
+    checks = _compile_checks(theory, obligations, tables)
     state = _State.start(budget, deadline)
     try:
-        for stage in stages(sig, predicates, budget):
+        for stage in stages(sig, predicates, state):
             found = _search(
                 stage.slots,
                 checks,
@@ -231,18 +269,20 @@ def _find(
 
 
 def _finite_stages(
-    sig: Signature, predicates: tuple[str, ...], budget: SearchBudget
+    sig: Signature, predicates: tuple[str, ...], state: _State
 ) -> Iterator[_Stage]:
     """Per interval carrier: the template menus, then raw tables on tiny carriers."""
+    # Menus over a wide carrier can take longer to build than the time limit.
+    budget, deadline = state.budget, state.deadline
     for lo, hi in budget.carriers:
         carrier = tuple(range(lo, hi + 1))
         constants = [_Candidate({(): v}, v) for v in carrier]
         slots = _slots(
             sig,
             predicates,
-            _menu_predicates_finite(carrier),
+            _menu_predicates_finite(carrier, deadline),
             constants,
-            lambda arity: _template_tables(arity, carrier, budget),
+            lambda arity: _template_tables(arity, carrier, budget, deadline),
         )
         yield _Stage(slots, carrier, FiniteStructure, carrier)
         if len(carrier) <= budget.raw_table_max_size and all(
@@ -259,17 +299,18 @@ def _finite_stages(
             slots = _slots(
                 sig,
                 predicates,
-                _raw_predicates(carrier),
+                _raw_predicates(carrier, deadline),
                 constants,
-                lambda arity: _raw_tables(arity, carrier),
+                lambda arity: _raw_tables(arity, carrier, deadline),
             )
             yield _Stage(slots, carrier, FiniteStructure, carrier)
 
 
 def _symbolic_stages(
-    sig: Signature, predicates: tuple[str, ...], budget: SearchBudget
+    sig: Signature, predicates: tuple[str, ...], state: _State
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
+    budget = state.budget
     menu = _menu_predicates_symbolic()  # the same for every carrier
     for lo in budget.ray_carriers:
         constants = [
@@ -324,65 +365,79 @@ def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> Predicat
     return PredicateInterp(("x", "y"), constraints)
 
 
-def _menu_predicates_finite(carrier: tuple[int, ...]) -> list[_Candidate]:
-    """The extensions of the menu relations over ``carrier``, in menu order, each once."""
+def _menu_predicates_finite(carrier: tuple[int, ...], deadline: float) -> list[_Candidate]:
+    """The extensions of the menu relations over ``carrier``, in menu order, each once.
+
+    Each extension is first a bit mask over the points.  A pair template's
+    extensions for the constants ``c`` in ascending order are growing
+    prefixes of the points sorted by ``a*x + b*y``.
+    """
     points = [(x, y) for x in carrier for y in carrier]
-    extensions = [frozenset(p for p in points if _COMPARISONS[rel](*p)) for rel in BASE_RELATIONS]
+    masks = [
+        sum(1 << i for i, p in enumerate(points) if _COMPARISONS[rel](*p)) for rel in BASE_RELATIONS
+    ]
     for a, b in itertools.product(PAIR_COEFFS, repeat=2):
-        # Each point's value of a*x + b*y once, thresholded for every c.
-        values = [(a * x + b * y, (x, y)) for x, y in points]
-        extensions += [frozenset(p for v, p in values if v <= c) for c in PAIR_CONSTS]
-    seen: set[frozenset[tuple[int, int]]] = set()
-    out: list[_Candidate] = []
-    for extension in extensions:
-        if extension in seen:
-            continue
-        seen.add(extension)
-        out.append(_Candidate(extension, lambda x, y, e=extension: (x, y) in e))
+        _check_deadline(deadline)
+        values = [a * x + b * y for x, y in points]
+        ranked = sorted(range(len(points)), key=values.__getitem__)
+        mask, taken = 0, 0
+        for c in PAIR_CONSTS:
+            while taken < len(ranked) and values[ranked[taken]] <= c:
+                mask |= 1 << ranked[taken]
+                taken += 1
+            masks.append(mask)
+    out = []
+    for mask in dict.fromkeys(masks):  # first occurrences, in menu order
+        _check_deadline(deadline)
+        extension = frozenset(itertools.compress(points, map(int, reversed(f"{mask:b}"))))
+        out.append(_Candidate(extension, extension))
     return out
 
 
 def _menu_predicates_symbolic() -> list[_Candidate]:
-    out = []
-    for rel, payload in _menu_relations():
-        out.append(_Candidate(_relation_interp(rel, payload), _relation_test(rel, payload)))
-    return out
+    return [_RelationCandidate(rel, payload) for rel, payload in _menu_relations()]
 
 
-def _raw_predicates(carrier: tuple[int, ...]) -> list[_Candidate]:
+def _raw_predicates(carrier: tuple[int, ...], deadline: float) -> list[_Candidate]:
     pairs = sorted(itertools.product(carrier, repeat=2))
     out = []
     for mask in range(1 << len(pairs)):
+        _check_deadline(deadline)
         extension = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        out.append(_Candidate(extension, lambda x, y, e=extension: (x, y) in e))
+        out.append(_Candidate(extension, extension))
     return out
 
 
-def _template_tables(arity: int, carrier: tuple[int, ...], budget: SearchBudget) -> list[_Candidate]:
+def _template_tables(
+    arity: int, carrier: tuple[int, ...], budget: SearchBudget, deadline: float
+) -> list[_Candidate]:
     lo, hi = carrier[0], carrier[-1]
     rng = range(budget.coeff_min, budget.coeff_max + 1)
-    seen: set[tuple] = set()
+    seen: set[tuple[int, ...]] = set()
     out = []
     for coeffs in itertools.product(rng, repeat=arity):
         for b in rng:
+            _check_deadline(deadline)
             table = {}
             for point in itertools.product(carrier, repeat=arity):
                 value = sum(a * x for a, x in zip(coeffs, point)) + b
                 table[point] = min(max(value, lo), hi)
-            key = tuple(sorted(table.items()))
+            # Every table has its points in the same (product) order, so the values identify it.
+            key = tuple(table.values())
             if key in seen:
                 continue
             seen.add(key)
-            out.append(_Candidate(table, lambda *args, t=table: t[args]))
+            out.append(_Candidate(table, table))
     return out
 
 
-def _raw_tables(arity: int, carrier: tuple[int, ...]) -> list[_Candidate]:
+def _raw_tables(arity: int, carrier: tuple[int, ...], deadline: float) -> list[_Candidate]:
     keys = sorted(itertools.product(carrier, repeat=arity))
     out = []
     for values in itertools.product(carrier, repeat=len(keys)):
+        _check_deadline(deadline)
         table = dict(zip(keys, values))
-        out.append(_Candidate(table, lambda *args, t=table: t[args]))
+        out.append(_Candidate(table, table))
     return out
 
 
@@ -421,13 +476,24 @@ _Refuter = Callable[[Mapping[str, object], tuple[int, ...]], bool]
 
 
 def _compile_checks(
-    theory: Theory, obligations: tuple[Obligation, ...]
+    theory: Theory, obligations: tuple[Obligation, ...], tables: bool
 ) -> list[tuple[set[str], _Refuter]]:
-    """Each check with the symbols it mentions, obligations first."""
+    """Each check with the symbols it mentions, obligations first.
+
+    A clause with a sort head holds by construction of the candidates, so it
+    can never refute and is left out (the verifier still checks it).
+    """
     checks = [(ob.variables, ob.atoms, None) for ob in obligations]
-    checks += [(clause.variables, clause.body, clause.head) for clause in theory.clauses]
+    checks += [
+        (clause.variables, clause.body, clause.head)
+        for clause in theory.clauses
+        if sort_of_predicate(clause.head.predicate) is None
+    ]
     return [
-        (_check_symbols((*body, *(() if head is None else (head,)))), _compile_check(v, body, head))
+        (
+            _check_symbols((*body, *(() if head is None else (head,)))),
+            _compile_check(v, body, head, tables),
+        )
         for v, body, head in checks
     ]
 
@@ -461,7 +527,10 @@ def _search(
     ]
 
     env: dict[str, object] = {}
-    interps: dict[str, object] = {}
+    chosen: dict[str, _Candidate] = {}
+    # Nodes are counted in a local; ``state.count`` is the cap and deadline
+    # check, called only where it can stop the search.
+    nodes, max_nodes = state.nodes, state.budget.max_nodes
     # The walk keeps, per slot on the current path, its candidate iterator
     # and the conflict set gathered from its rejected candidates so far.
     remaining: list[Iterator[tuple[int, _Candidate]]] = [iter(())] * len(slots)
@@ -479,9 +548,12 @@ def _search(
         enter(0)
     while True:
         if index == len(slots):
-            state.tick()
-            found = finish(interps)
+            nodes += 1
+            if nodes > max_nodes or nodes % 256 == 1:
+                state.count(nodes)
+            found = finish({name: candidate.interp for name, candidate in chosen.items()})
             if found is not None:
+                state.nodes = nodes
                 return found
             failed = every  # a rejected complete candidate conflicts with every slot
         else:
@@ -490,7 +562,9 @@ def _search(
             gathered = conflicts[index]
             passed = None
             for k, candidate in remaining[index]:
-                state.tick()
+                nodes += 1
+                if nodes > max_nodes or nodes % 256 == 1:
+                    state.count(nodes)
                 env[name] = candidate.fast
                 for memo, refuted, reads in here:
                     verdict = memo.get(k)
@@ -504,7 +578,7 @@ def _search(
                     break
             conflicts[index] = gathered
             if passed is not None:
-                interps[name] = passed.interp
+                chosen[name] = passed
                 index += 1
                 if index < len(slots):
                     enter(index)
@@ -514,6 +588,7 @@ def _search(
         # after it can undo the failure.  Nothing in the set: the stage fails.
         index = failed.bit_length() - 1
         if index < 0:
+            state.nodes = nodes
             return None
         conflicts[index] |= failed ^ (1 << index)
 
@@ -547,24 +622,20 @@ def _latest_slot(position: Mapping[str, int], symbols: set[str]) -> int | None:
 _OWN_LOOPS = 16
 
 
-def _never_refuted(env: Mapping[str, object], points: tuple[int, ...]) -> bool:
-    return False
-
-
 def _compile_check(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
 ) -> _Refuter:
     """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
 
     The result decides exact grid falsification: whether some valuation of
     the variables over ``points`` makes every body atom true and the head
-    false.  Sort atoms hold by construction of the candidates, so they are
-    dropped, and a clause with a sort head is never refuted.
+    false.  Sort atoms in the body hold by construction of the candidates,
+    so they are dropped; the head is not a sort atom (see _compile_checks).
+    ``tables`` picks how slot values are read: looked up in finite tables
+    and pair sets, or called (see the module docstring).
     """
-    if head is not None and sort_of_predicate(head.predicate) is not None:
-        return _never_refuted
     namespace: dict[str, object] = {"product": itertools.product}
-    exec(compile(_check_source(variables, body, head), "<finder check>", "exec"), namespace)
+    exec(compile(_check_source(variables, body, head, tables), "<finder check>", "exec"), namespace)
     return namespace["refuted"]  # type: ignore[return-value]
 
 
@@ -572,15 +643,19 @@ def _atom_vars(atom: Atom) -> set[str]:
     return {v.name for arg in atom.args for v in term_vars(arg)}
 
 
-def _check_source(variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None) -> str:
+def _check_source(
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
+) -> str:
     """Source of ``refuted(env, points)`` for :func:`_compile_check`.
 
     Symbol names appear only as string literals (``s0 = env['f']``); the
     identifiers are generated: ``sK`` slot values, ``vK`` variables, ``tK``
     subterms.  Each distinct subterm is computed once, and each atom is
     tested, in the innermost loop binding its last variable; ground ones
-    before any loop.  Terms become temporaries, never nested calls, so depth
-    is not limited by the parser.
+    before any loop.  Terms become temporaries, never nested applications,
+    so depth is not limited by the parser.  With ``tables`` an application
+    is spelled ``s0[(t0,)]`` and an atom ``(v0, t1) in s1``, otherwise
+    ``s0(t0)`` and ``s1(v0, t1)``.
     """
     atoms = [a for a in body if sort_of_predicate(a.predicate) is None]
     tested = [*atoms, *(() if head is None else (head,))]
@@ -597,8 +672,14 @@ def _check_source(variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom
     def slot(symbol: str) -> str:
         return slots.setdefault(symbol, f"s{len(slots)}")
 
-    def call(symbol: str, values: list[tuple[str, int]]) -> tuple[str, int]:
-        text = f"{slot(symbol)}({', '.join(name for name, _ in values)})"
+    def apply(symbol: str, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
+        """(expression, level) of ``symbol`` applied to ``values``, in the stage's spelling."""
+        args = ", ".join(name for name, _ in values)
+        if not tables:
+            text = f"{slot(symbol)}({args})"
+        else:
+            key = f"({args},)" if len(values) == 1 else f"({args})"
+            text = f"{key} in {slot(symbol)}" if atom else f"{slot(symbol)}[{key}]"
         return text, max((lvl for _, lvl in values), default=0)
 
     def value(term: Term) -> tuple[str, int]:
@@ -615,7 +696,7 @@ def _check_source(variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom
                 todo.append((t, True))
                 todo.extend((a, False) for a in reversed(t.args))
             else:
-                text, lvl = call(t.symbol, done[-len(t.args):])
+                text, lvl = apply(t.symbol, done[-len(t.args):], atom=False)
                 del done[-len(t.args):]
                 if text not in temps:
                     temps[text] = (f"t{len(temps)}", lvl)
@@ -625,12 +706,12 @@ def _check_source(variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom
 
     # Lower-level atoms first, so they prune before deeper subterms are computed.
     for atom in sorted(atoms, key=lambda atom: max(map(level.get, _atom_vars(atom)), default=0)):
-        text, lvl = call(atom.predicate, [value(a) for a in atom.args])
+        text, lvl = apply(atom.predicate, [value(a) for a in atom.args], atom=True)
         lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
     if head is None:
         lines[depth].append("return True")
     else:
-        text, _ = call(head.predicate, [value(a) for a in head.args])
+        text, _ = apply(head.predicate, [value(a) for a in head.args], atom=True)
         lines[depth].append(f"if not {text}: return True")
 
     source = ["def refuted(env, points):"]

@@ -1,9 +1,10 @@
 """Chronological finder search without verdict memos, kept as the reference for ``finder``.
 
 This is the ``_search`` that the memoizing, backjumping search of
-``countermodel.finder`` replaced, kept verbatim apart from this docstring
-and absolute imports.  It re-runs every attached check on every candidate
-and backtracks one slot at a time.  Run in its place, it must hand
+``countermodel.finder`` replaced, kept verbatim apart from this docstring,
+absolute imports and its node count, which goes through ``_State.count``.
+It re-runs every attached check on every candidate and backtracks one slot
+at a time.  Run in its place, it must hand
 ``finish`` the same complete candidates in the same order, so it gives the
 same certificate bytes and reasons from at least as many nodes (under a
 node cap, the backjumping search may get further).
@@ -36,12 +37,12 @@ def _search(
 
     def descend(index: int) -> tuple[Structure, Certificate] | None:
         if index == len(slots):
-            state.tick()
+            state.count(state.nodes + 1)
             return finish(interps)
         slot = slots[index]
         attached = checks_by_slot[index]
         for candidate in slot.candidates:
-            state.tick()
+            state.count(state.nodes + 1)
             env[slot.name] = candidate.fast
             interps[slot.name] = candidate.interp
             for refuted in attached:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import ast
 import functools
 import itertools
+import math
 import random
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -20,6 +22,7 @@ from countermodel.finder import (
     _Candidate,
     _check_source,
     _compile_check,
+    _compile_checks,
     _menu_predicates_finite,
     _menu_predicates_symbolic,
     _menu_relations,
@@ -37,7 +40,7 @@ from countermodel.logic import Atom, sort_of_predicate
 from countermodel.pipeline import build_theory, theory_for_query
 from countermodel.queries import negate_to_obligations
 from countermodel.query_format import parse_query
-from countermodel.structures import FiniteStructure
+from countermodel.structures import AffineForm, FiniteStructure, PiecewiseFunction
 from countermodel.terms import CTRS, DEFAULT_SORT, App, ConditionalRule, Signature, Var
 from countermodel.trs_format import parse_ctrs
 from paperdata import FINDER_CASES, FinderCase, query_text, system
@@ -195,10 +198,66 @@ def _reference_menu_extensions(carrier):
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
 def test_finite_predicate_menu_matches_the_pointwise_construction(carrier):
     points = tuple(range(carrier[0], carrier[1] + 1))
-    menu = _menu_predicates_finite(points)
+    menu = _menu_predicates_finite(points, math.inf)
     assert [candidate.interp for candidate in menu] == _reference_menu_extensions(points)
     for candidate in menu:
-        assert {(x, y) for x in points for y in points if candidate.fast(x, y)} == candidate.interp
+        assert {(x, y) for x in points for y in points if (x, y) in candidate.fast} == candidate.interp
+
+
+def _reference_template_tables(arity, carrier, budget):
+    """``_template_tables`` as it deduplicated before: on the sorted items of each table."""
+    rng = range(budget.coeff_min, budget.coeff_max + 1)
+    seen, out = set(), []
+    for coeffs in itertools.product(rng, repeat=arity):
+        for b in rng:
+            table = {
+                point: min(max(sum(a * x for a, x in zip(coeffs, point)) + b, carrier[0]), carrier[-1])
+                for point in itertools.product(carrier, repeat=arity)
+            }
+            key = tuple(sorted(table.items()))
+            if key not in seen:
+                seen.add(key)
+                out.append(table)
+    return out
+
+
+@pytest.mark.parametrize("arity", (1, 2))
+@pytest.mark.parametrize("carrier", SearchBudget().carriers)
+def test_template_tables_match_the_sorted_items_deduplication(carrier, arity):
+    points = tuple(range(carrier[0], carrier[1] + 1))
+    menu = _template_tables(arity, points, _BUDGET, math.inf)
+    assert [candidate.interp for candidate in menu] == _reference_template_tables(arity, points, _BUDGET)
+    assert all(candidate.fast is candidate.interp for candidate in menu)
+
+
+def test_the_time_limit_covers_building_the_finite_menus():
+    # On 121 points the pair-template menu alone takes seconds to build.
+    theory, obligations = _setup(FinderCase("fig3-wide", "fig3.trs", "FEASIBLE(f(x) == x)", "finite"))
+    started = time.monotonic()
+    outcome = find_model(theory, obligations, SearchBudget(carriers=((0, 120),), time_limit=0.5))
+    assert outcome.reason == "budget exhausted: time cap"
+    assert time.monotonic() - started < 3
+
+
+def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidates(monkeypatch):
+    built, finished = [], []
+    relation_interp, finish = finder._relation_interp, finder._finish
+
+    def counted_interp(rel, payload):
+        built.append((rel, payload))
+        return relation_interp(rel, payload)
+
+    def recorded_finish(stage, sig, interps, *rest):
+        finished.append({name: interps[name] for name in ("->", "->*")})
+        return finish(stage, sig, interps, *rest)
+
+    monkeypatch.setattr(finder, "_relation_interp", counted_interp)
+    monkeypatch.setattr(finder, "_finish", recorded_finish)
+    theory, obligations = _setup(next(c for c in FINDER_CASES if c.name == "increasing-f"))
+    assert find_symbolic_model(theory, obligations).found
+    # Each distinct relation that reached the verifier is built once, and no other.
+    reached = {id(interp): interp for interps in finished for interp in interps.values()}
+    assert finished and len(built) == len(reached) == len(set(built))
 
 
 def _random_unconditional_ctrs(rng: random.Random) -> CTRS:
@@ -268,6 +327,17 @@ def _reference_term(env, valuation, term):
     return env[term.symbol](*(_reference_term(env, valuation, a) for a in term.args))
 
 
+def _reference_value(interp):
+    """An interpretation as the reference reads it: an int for a constant, else a callable."""
+    if isinstance(interp, frozenset):
+        return lambda *args: args in interp
+    if isinstance(interp, dict):
+        return interp[()] if () in interp else lambda *args: interp[args]
+    if isinstance(interp, PiecewiseFunction):
+        return interp.eval(()) if not interp.params else lambda *args: interp.eval(args)
+    return lambda *args: interp.holds(args)  # a PredicateInterp
+
+
 _ARITIES = {"a": 0, "b": 0, "f": 1, "g": 2}
 _VARS = (Var("x"), Var("y"), Var("z"))
 _BUDGET = SearchBudget()
@@ -278,18 +348,21 @@ def _menus(kind, param):
     """(points, predicate, constant and per-arity function candidates) of one finder menu."""
     if kind == "symbolic":
         points = tuple(range(param, param + 4))
-        consts = [_Candidate(v, v) for v in range(max(_BUDGET.coeff_min, param), _BUDGET.coeff_max + 1)]
+        consts = [
+            _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
+            for v in range(max(_BUDGET.coeff_min, param), _BUDGET.coeff_max + 1)
+        ]
         preds = _menu_predicates_symbolic()
         funcs = {n: _affine_candidates(n, param, _BUDGET) for n in (1, 2)}
     else:
         points = tuple(range(param[0], param[1] + 1))
-        consts = [_Candidate(v, v) for v in points]
+        consts = [_Candidate({(): v}, v) for v in points]
         if kind == "template":
-            preds = _menu_predicates_finite(points)
-            funcs = {n: _template_tables(n, points, _BUDGET) for n in (1, 2)}
+            preds = _menu_predicates_finite(points, math.inf)
+            funcs = {n: _template_tables(n, points, _BUDGET, math.inf) for n in (1, 2)}
         else:
-            preds = _raw_predicates(points)
-            funcs = {n: _raw_tables(n, points) for n in (1, 2)}
+            preds = _raw_predicates(points, math.inf)
+            funcs = {n: _raw_tables(n, points, math.inf) for n in (1, 2)}
     return points, preds, consts, funcs
 
 
@@ -301,11 +374,13 @@ _MENUS = [("template", c) for c in ((0, 1), (0, 2), (-1, 1))] + [
 
 @st.composite
 def _grid_envs(draw):
-    points, preds, consts, funcs = _menus(*draw(st.sampled_from(_MENUS)))
-    env = {p: draw(st.sampled_from(preds)).fast for p in ("->", "->*")}
+    """(candidates by symbol, points, tables): one draw from one menu, and its spelling."""
+    kind, param = draw(st.sampled_from(_MENUS))
+    points, preds, consts, funcs = _menus(kind, param)
+    chosen = {p: draw(st.sampled_from(preds)) for p in ("->", "->*")}
     for name, arity in _ARITIES.items():
-        env[name] = draw(st.sampled_from(funcs[arity] if arity else consts)).fast
-    return env, points
+        chosen[name] = draw(st.sampled_from(funcs[arity] if arity else consts))
+    return chosen, points, kind != "symbolic"
 
 
 _terms = st.recursive(
@@ -316,17 +391,20 @@ _terms = st.recursive(
     ),
     max_leaves=5,
 )
-_atoms = st.one_of(
-    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from(("->", "->*")), _terms, _terms),
-    st.builds(lambda t: Atom("S_s", (t,)), _terms),
+_relation_atoms = st.builds(
+    lambda p, s, t: Atom(p, (s, t)), st.sampled_from(("->", "->*")), _terms, _terms
 )
+_atoms = st.one_of(_relation_atoms, st.builds(lambda t: Atom("S_s", (t,)), _terms))
 
 
 @st.composite
 def _checks(draw):
-    """(variables, body, head): head None is an obligation; variables may include an unused one."""
+    """(variables, body, head): head None is an obligation; variables may include an unused one.
+
+    Sort atoms occur in the body only: a sort-headed clause is never compiled.
+    """
     body = tuple(draw(st.lists(_atoms, max_size=3)))
-    head = draw(st.one_of(st.none(), _atoms))
+    head = draw(st.one_of(st.none(), _relation_atoms))
     occurring = {v for atom in (*body, *([head] if head else [])) for v in atom.variables()}
     extra = [Var("w")] if draw(st.booleans()) else []
     variables = draw(st.permutations([v for v in _VARS if v in occurring] + extra))
@@ -336,10 +414,14 @@ def _checks(draw):
 @settings(max_examples=400, deadline=None)
 @given(_checks(), _grid_envs())
 def test_compiled_check_matches_reference(check, grid):
+    # The check reads the candidates' fast values in the menu's spelling;
+    # the reference evaluates their interpretations.
     variables, body, head = check
-    env, points = grid
-    assert _compile_check(variables, body, head)(env, points) == _reference_refuted(
-        env, points, variables, body, head
+    chosen, points, tables = grid
+    env = {name: candidate.fast for name, candidate in chosen.items()}
+    reference_env = {name: _reference_value(candidate.interp) for name, candidate in chosen.items()}
+    assert _compile_check(variables, body, head, tables)(env, points) == _reference_refuted(
+        reference_env, points, variables, body, head
     )
 
 
@@ -355,25 +437,35 @@ def test_symbol_names_enter_generated_source_only_as_literals():
     x, y = Var("x"), Var("y")
     body = (Atom("->", (App("f'", (x,)), App("a''"))),)
     head = Atom("->*", (App("f'", (App("f'", (x,)),)), y))
-    source = _check_source((x, y), body, head)
-    identifiers = _generated_identifiers(source)
-    assert all(re.fullmatch(r"[stv]\d+|env|points|product|refuted", n) for n in identifiers)
-    literals = {
-        node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)
+    for tables in (True, False):
+        source = _check_source((x, y), body, head, tables)
+        identifiers = _generated_identifiers(source)
+        assert all(re.fullmatch(r"[stv]\d+|env|points|product|refuted", n) for n in identifiers)
+        literals = {
+            node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)
+        }
+        assert {"f'", "a''", "->", "->*"} <= literals
+    grid = range(3)
+    interps = {
+        "f'": {(v,): min(v + 1, 2) for v in grid},
+        "a''": {(): 1},
+        "->": frozenset((s, t) for s in grid for t in grid if s <= t),
+        "->*": frozenset((v, v) for v in grid),
     }
-    assert {"f'", "a''", "->", "->*"} <= literals
-    env = {"f'": lambda v: min(v + 1, 2), "a''": 1, "->": lambda s, t: s <= t, "->*": lambda s, t: s == t}
-    for points in ((0, 1, 2), (0,), ()):
-        assert _compile_check((x, y), body, head)(env, points) == _reference_refuted(
-            env, points, (x, y), body, head
-        )
+    reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
+    for tables in (True, False):
+        env = {**(interps if tables else reference_env), "a''": 1}
+        for points in ((0, 1, 2), (0,), ()):
+            assert _compile_check((x, y), body, head, tables)(env, points) == _reference_refuted(
+                reference_env, points, (x, y), body, head
+            )
 
 
 def test_25_variable_clause_compiles_and_evaluates():
     xs = tuple(Var(f"x{i}") for i in range(25))
     body = tuple(Atom("->", (xs[i], xs[i + 1])) for i in range(24))
     head = Atom("->*", (xs[0], xs[-1]))
-    refuted = _compile_check(xs, body, head)
+    refuted = _compile_check(xs, body, head, False)
     le = lambda s, t: s <= t  # noqa: E731
     lt = lambda s, t: s < t  # noqa: E731
     eq = lambda s, t: s == t  # noqa: E731
@@ -384,7 +476,7 @@ def test_25_variable_clause_compiles_and_evaluates():
     # no strictly increasing chain of 24 steps over three points
     assert not refuted({"->": lt, "->*": eq}, (0, 1, 2))
     # obligation over the same chain; the reference is feasible on a single point
-    assert _compile_check(xs, body, None)({"->": le}, (0, 1))
+    assert _compile_check(xs, body, None, False)({"->": le}, (0, 1))
     env = {"->": le, "->*": lt}
     assert _reference_refuted(env, (5,), xs, body, head)
     assert refuted(env, (5,))
@@ -400,7 +492,7 @@ def test_250_deep_term_compiles_and_evaluates():
     for step in (lambda v: v, lambda v: min(v + 1, 3), lambda v: max(v - 1, 0)):
         env = {"f": step, "->": lambda s, t: s == t, "->*": lambda s, t: s <= t}
         for points in ((0, 1, 2, 3), (2,)):
-            assert _compile_check((x, y), body, head)(env, points) == _reference_refuted(
+            assert _compile_check((x, y), body, head, False)(env, points) == _reference_refuted(
                 env, points, (x, y), body, head
             )
 
@@ -410,18 +502,23 @@ def test_ground_and_sort_headed_checks():
     env = {"a": 0, "b": 1, "f": lambda v: 1 - v, "->": lambda s, t: s < t, "->*": lambda s, t: s <= t}
     ground = ((), (Atom("->", (App("a"), App("b"))),), Atom("->*", (App("f", (App("a"),)), App("b"))))
     unused = ((x,), *ground[1:])
-    sort_head = ((x,), (Atom("->", (x, App("b"))),), Atom("S_s", (App("f", (x,)),)))
     false_ground = ((), (Atom("->", (App("b"), App("a"))),), Atom("->*", (App("b"), App("a"))))
     refuted_ground = ((), (), Atom("->", (App("b"), App("a"))))
     refuted_unused = ((x,), *refuted_ground[1:])  # no valuation at all over no points
-    checks = (ground, unused, sort_head, false_ground, refuted_ground, refuted_unused)
+    checks = (ground, unused, false_ground, refuted_ground, refuted_unused)
     for variables, body, head in checks:
         for points in ((0, 1), ()):
-            assert _compile_check(variables, body, head)(env, points) == _reference_refuted(
+            assert _compile_check(variables, body, head, False)(env, points) == _reference_refuted(
                 env, points, variables, body, head
             )
-    assert _compile_check(*refuted_ground)(env, (0, 1))
-    assert not _compile_check(*sort_head)(env, (0, 1))
+    assert _compile_check(*refuted_ground, False)(env, (0, 1))
+    # A sort head holds of every candidate, so such a clause is never compiled;
+    # website's subsort clauses have them.
+    theory, obligations = _setup(FLAGSHIPS[1])
+    sort_headed = [c for c in theory.clauses if sort_of_predicate(c.head.predicate) is not None]
+    assert sort_headed
+    compiled = _compile_checks(theory, obligations, True)
+    assert len(compiled) == len(obligations) + len(theory.clauses) - len(sort_headed)
 
 
 # -- the backjumping search against the chronological one -----------------------------
