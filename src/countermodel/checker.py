@@ -8,10 +8,12 @@ exhaustive valuation enumeration in lexicographic order over the sorted
 carriers, so a failing check comes with the first counterexample
 valuation.  Symbolic structures are checked through the linear engine: a
 check holds when, for every combination of function guard cases and every
-goal, the system "carrier bounds and body constraints and goal" is
-infeasible; a clause has one goal per negated inequality of its head
-predicate, an obligation the single empty goal.  One rule decides every
-symbolic refutation: a feasible system refutes the check at the linear
+goal, the system "carrier bounds and guards and body constraints and goal"
+is infeasible; a clause has one goal per negated inequality of its head
+predicate, an obligation the single empty goal.  The combinations are
+walked as a tree that cuts every extension of an infeasible choice of
+cases, with no system built for them.  One rule decides every symbolic
+refutation: a feasible system refutes the check at the linear
 kernel's own integer witness, once direct evaluation confirms it there; a
 witness that evaluation cannot confirm yields "unknown" rather than
 "fails".  The checker never overclaims in either direction.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
-from .linear import LinearConstraint, integer_tighten, solve
+from .linear import LinearConstraint, drop_constant_rows, integer_tighten, solve
 from .logic import Atom, HornClause, Theory, format_clause
 from .queries import Obligation
 from .structures import (
@@ -163,28 +165,29 @@ def _check_symbolic(
     body: tuple[Atom, ...],
     head: Atom | None,
 ) -> Verdict:
-    """One system per guard-case choice and goal; the check holds when all are infeasible.
+    """One system per guard-case choice left and goal; the check holds when all are infeasible.
 
     An obligation has one empty goal; a clause has one goal per negated head
     inequality.  The body is lowered before the head, which numbers the
-    applications and so fixes the order of the choices; the systems follow
-    in that order, goal by goal within a choice.  A feasible system fails
-    the check at the kernel's integer witness once ``_refutes`` confirms
-    it there; a witness that evaluation cannot confirm leaves the check
-    "unknown".
+    applications and so fixes the order of the choices (``leaves``); the
+    systems follow in that order, goal by goal within a choice, and one
+    with a false constant row is infeasible without a solve.  A feasible
+    system fails the check at the kernel's integer witness once
+    ``_refutes`` confirms it there; a witness that evaluation cannot
+    confirm leaves the check "unknown".
     """
     lowering = ClauseLowering(structure, variables, body if head is None else (*body, head))
     unknown: Verdict | None = None
-    for choice in lowering.choices():
-        forms, guards = lowering.lower(choice)
-        body_constraints = guards + [
-            c for atom in body for c in lowering.atom_constraints(atom, forms)
-        ]
+    for forms, guards in lowering.leaves():
+        rows = drop_constant_rows(c for a in body for c in lowering.atom_constraints(a, forms))
+        if rows is None:
+            continue
         goals: list[list[LinearConstraint]] = [[]]
         if head is not None:  # no goal at all when the head is the trivially true relation
-            goals = [[c.negate()] for c in lowering.atom_constraints(head, forms)]
+            negated = (drop_constant_rows([c.negate()]) for c in lowering.atom_constraints(head, forms))
+            goals = [goal for goal in negated if goal is not None]
         for goal in goals:
-            outcome = solve(integer_tighten(lowering.system(body_constraints + goal)))
+            outcome = solve(integer_tighten(lowering.system(guards + rows + goal)))
             if outcome.status == "infeasible":
                 continue
             if outcome.status == "unknown":

@@ -66,9 +66,6 @@ class LinearConstraint:
                 bound //= g
         return LinearConstraint(terms, bound, strict)
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.terms)
-
     def coefficient(self, var: str) -> int:
         for v, c in self.terms:
             if v == var:
@@ -207,7 +204,7 @@ class ConstraintSystem:
     def __post_init__(self) -> None:
         declared = set(self.variables)
         for c in self.constraints:
-            for v in c.variables():
+            for v, _ in c.terms:
                 if v not in declared:
                     raise ValueError(f"constraint mentions undeclared variable '{v}'")
 
@@ -227,7 +224,8 @@ def solve(system: ConstraintSystem, *, max_constraints: int = DEFAULT_CONSTRAINT
 
     Each step eliminates the remaining variable with the fewest
     lower-times-upper bound combinations (a standard blowup heuristic),
-    the first declared on a tie, so the run is deterministic.
+    the first declared on a tie, so the run is deterministic; one pass over
+    the rows counts the bounds of every variable.
     """
     constraints = _dedupe(map(_tighten, system.constraints))
     if constraints is None:
@@ -236,7 +234,11 @@ def solve(system: ConstraintSystem, *, max_constraints: int = DEFAULT_CONSTRAINT
     frames: list[tuple[str, tuple[LinearConstraint, ...]]] = []
     remaining = list(system.variables)
     while remaining:
-        var = min(remaining, key=lambda v: _combination_count(constraints, v))
+        counts = {v: [0, 0] for v in remaining}  # rows bounding v from below, from above
+        for c in constraints:
+            for v, a in c.terms:
+                counts[v][a > 0] += 1
+        var = min(remaining, key=lambda v: counts[v][0] * counts[v][1])
         remaining.remove(var)
         lowers, uppers, rest = [], [], []
         for c in constraints:
@@ -261,17 +263,6 @@ def solve(system: ConstraintSystem, *, max_constraints: int = DEFAULT_CONSTRAINT
     outcome = _back_substitute(frames)
     assert outcome.witness is None or system.satisfied_by(outcome.witness), "internal error"
     return outcome
-
-
-def _combination_count(constraints: tuple[LinearConstraint, ...], var: str) -> int:
-    lowers = uppers = 0
-    for c in constraints:
-        a = c.coefficient(var)
-        if a > 0:
-            uppers += 1
-        elif a < 0:
-            lowers += 1
-    return lowers * uppers
 
 
 def _combine(lower: LinearConstraint, upper: LinearConstraint, var: str) -> LinearConstraint:
@@ -394,9 +385,23 @@ def _candidates(lo: int | None, hi: int | None, radius: int) -> tuple[Iterator[i
 
 
 def integer_tighten(system: ConstraintSystem) -> ConstraintSystem:
-    """The system with every constraint tight (``_tighten``).
+    """The system with every constraint tight (``_tighten``); the system itself if it is.
 
     The result has the same integer solutions and no more rational ones;
     ``solve`` tightens its input the same way, so the two decide alike.
     """
-    return ConstraintSystem(system.variables, tuple(map(_tighten, system.constraints)))
+    rows = tuple(map(_tighten, system.constraints))
+    if all(a is b for a, b in zip(rows, system.constraints)):
+        return system
+    return ConstraintSystem(system.variables, rows)
+
+
+def drop_constant_rows(constraints: Iterable[LinearConstraint]) -> list[LinearConstraint] | None:
+    """The rows that mention a variable; None when a constant row (``0 <= b``, ``0 < b``) is false."""
+    kept = []
+    for c in constraints:
+        if c.terms:
+            kept.append(c)
+        elif not c.satisfied_by({}):
+            return None
+    return kept

@@ -11,8 +11,9 @@ over the argument positions.
 Evaluation follows structural recursion; for symbolic backends the module
 also lowers atoms into exact linear constraint systems over the clause
 variables, choosing one guard case per function application and
-substituting its value, so the linear engine can decide them.  The
-affine arithmetic itself (``AffineForm``, comparisons, negation,
+substituting its value, so the linear engine can decide them; the choices
+are walked as a tree that cuts a subtree once its guards are infeasible.
+The affine arithmetic itself (``AffineForm``, comparisons, negation,
 substitution) belongs to ``linear``; ``AffineForm`` is re-exported here.
 """
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError
-from .linear import AffineForm, ConstraintSystem, LinearConstraint, integer_tighten, solve
+from .linear import AffineForm, ConstraintSystem, LinearConstraint, drop_constant_rows
+from .linear import integer_tighten, solve
 from .logic import Atom, sort_of_predicate
 from .terms import App, Signature, Term, Var
 
@@ -377,16 +379,16 @@ def tabulate(
 class ClauseLowering:
     """Translate the atoms of one clause into linear systems over its variables.
 
-    A choice picks one guard case for each distinct application of a
-    non-constant function in ``atoms``, numbered in post-order as first met,
+    The applications of non-constant functions in ``atoms`` are numbered in
+    post-order as first met, and ``leaves`` picks one guard case for each,
     the last varying fastest.  Under a choice an application's form is the
-    chosen case's value with the argument forms substituted, and the chosen
+    picked case's value with the argument forms substituted, and the picked
     guard, substituted the same way, joins the system.  Constants are
     inlined, so every system ranges over the clause variables only.
     """
 
     def __init__(
-        self, structure: SymbolicStructure, variables: tuple[Var, ...], atoms: Iterable[Atom]
+        self, structure: SymbolicStructure, variables: tuple[Var, ...], atoms: tuple[Atom, ...]
     ):
         self.structure = structure
         self.variables = tuple(v.name for v in variables)
@@ -399,6 +401,14 @@ class ClauseLowering:
         for atom in atoms:
             for arg in atom.args:
                 self._collect(arg)
+        for atom in atoms:  # an uninterpreted predicate is an error even when no leaf is left
+            if sort := sort_of_predicate(atom.predicate):
+                structure.carrier(sort)
+            elif atom.predicate not in structure.predicates:
+                raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
+        branching = {t: len(f.cases) > 1 for t, f in self.applications.items()}
+        feeds = {a for t in self.applications if branching[t] for a in t.args}
+        self._probes = [branching[t] and t in feeds for t in self.applications]
 
     def _collect(self, term: Term) -> None:
         if term in self._fixed or term in self.applications:
@@ -414,22 +424,56 @@ class ClauseLowering:
         else:
             self._fixed[term] = AffineForm.const(interp.eval(()))
 
-    def choices(self) -> Iterator[tuple[int, ...]]:
-        counts = (len(interp.cases) for interp in self.applications.values())
-        return itertools.product(*(range(n) for n in counts))
+    def leaves(self) -> Iterator[tuple[dict[Term, AffineForm], list[LinearConstraint]]]:
+        """The form of every term and the picked guards, for each choice that is left.
 
-    def lower(
-        self, choice: tuple[int, ...]
-    ) -> tuple[dict[Term, AffineForm], list[LinearConstraint]]:
-        """The form of every term under the choice, and the chosen guards."""
+        One explicit-stack walk shares one ``forms`` dict and one guard list,
+        so each pair holds only until the next is asked for.  A guard with a
+        false constant row cuts its case's subtree; true ones are dropped.
+        After a case of a multi-case application that feeds a later one
+        (``_probes``), the prefix is solved unless a known point of it
+        satisfies the new rows; an "infeasible" prefix cuts the subtree
+        ("unknown" keeps it).  A cut
+        leaf holds every row of its prefix, so it is infeasible; the others
+        come in the order of the full product of the cases.
+        """
+        applications = list(self.applications.items())
         forms = dict(self._fixed)
         guards: list[LinearConstraint] = []
-        for (term, interp), pick in zip(self.applications.items(), choice):
+        picks = [0] * len(applications)  # the next case to try at each depth
+        # per depth: len(guards) on entering it, and an integer point of the prefix or None
+        entered: list[tuple[int, Mapping[str, int] | None]] = [(0, None)] * (len(applications) + 1)
+        depth = 0
+        while depth >= 0:
+            if depth == len(applications):
+                yield forms, guards
+                depth -= 1
+                continue
+            term, interp = applications[depth]
+            pick = picks[depth]
+            if pick == len(interp.cases):
+                picks[depth] = 0
+                depth -= 1
+                continue
+            picks[depth] = pick + 1
+            mark, point = entered[depth]
+            del guards[mark:]
             case = interp.cases[pick]
             mapping = dict(zip(interp.params, (forms[a] for a in term.args)))
-            guards.extend(g.subst(mapping) for g in case.guard)
+            rows = drop_constant_rows(g.subst(mapping) for g in case.guard)
+            if rows is None:
+                continue
+            guards.extend(rows)
+            if rows and (point is None or not all(r.satisfied_by(point) for r in rows)):
+                point = None
+                if self._probes[depth]:
+                    outcome = solve(self.system(guards))
+                    if outcome.status == "infeasible":
+                        continue
+                    point = outcome.witness
             forms[term] = case.value.subst(mapping)
-        return forms, guards
+            depth += 1
+            entered[depth] = (len(guards), point)
 
     def atom_constraints(
         self, atom: Atom, forms: Mapping[Term, AffineForm]
@@ -438,9 +482,7 @@ class ClauseLowering:
         sort = sort_of_predicate(atom.predicate)
         if sort is not None:
             return carrier_constraints(self.structure.carrier(sort), forms[atom.args[0]])
-        interp = self.structure.predicates.get(atom.predicate)
-        if interp is None:
-            raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
+        interp = self.structure.predicates[atom.predicate]
         mapping = dict(zip(interp.params, (forms[a] for a in atom.args)))
         return [c.subst(mapping) for c in interp.constraints]
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import countermodel.checker as checker_module
+import countermodel.structures as structures_module
+import reference_checker
+from countermodel import cli
 
 from countermodel.checker import (
     FAILS,
@@ -15,10 +20,11 @@ from countermodel.checker import (
     check_obligation,
     verify,
 )
-from countermodel.linear import AffineForm, LinearConstraint
+from countermodel.linear import AffineForm, Feasibility, LinearConstraint
 from countermodel.logic import Atom, HornClause, Theory
 from countermodel.queries import Obligation
 from countermodel.structures import (
+    ClauseLowering,
     FiniteStructure,
     Interval,
     PiecewiseCase,
@@ -36,7 +42,7 @@ from countermodel.terms import (
     Var,
 )
 from comparisons import materialize
-from paperdata import paper_instance, paper_certificate
+from paperdata import CORPUS, paper_instance, paper_certificate
 
 A, B, C = App("a"), App("b"), App("c")
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -338,3 +344,128 @@ def test_symbolic_verdicts_agree_with_the_materialized_structure(structure, body
         valuation = dict(symbolic.witness)
         assert all(eval_atom(finite, valuation, a) for a in body)
         assert head is None or not eval_atom(finite, valuation, head)
+
+
+# -- the walk over guard-case choices against the full product ---------------------
+
+_small_terms = st.recursive(
+    st.sampled_from((X, Y, A, B)),
+    lambda inner: st.one_of(
+        st.builds(lambda t: App("f", (t,)), inner),
+        st.builds(lambda s, t: App("g", (s, t)), inner, inner),
+    ),
+    max_leaves=3,
+)
+_small_atoms = st.builds(
+    lambda p, s, t: Atom(p, (s, t)), st.sampled_from((ARROW, MANY_STEPS)), _small_terms, _small_terms
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symbolic_structures(), st.lists(_small_atoms, max_size=2), st.one_of(st.none(), _small_atoms))
+def test_the_guard_tree_returns_the_full_product_verdict_whenever_it_decides(structure, body, head):
+    body = tuple(body)
+    atoms = (*body, *([head] if head else []))
+    variables = tuple(v for v in (X, Y) if any(v in atom.variables() for atom in atoms))
+    expected = reference_checker.check_symbolic(structure, variables, body, head)
+    verdict = checker_module._check_symbolic(structure, variables, body, head)
+    if expected.status == UNKNOWN:
+        # A cut subtree holds only infeasible systems, though the product may
+        # have given up on one of them; and a failure would be in both.
+        assert verdict.status in (UNKNOWN, HOLDS)
+    else:
+        assert verdict == expected
+
+
+def _count_solves(monkeypatch) -> list[object]:
+    """Every system that ``checker`` or ``structures`` solves from now on."""
+    systems: list[object] = []
+    for module in (checker_module, structures_module):
+
+        def counting(system, _solve=module.solve, **kwargs):
+            systems.append(system)
+            return _solve(system, **kwargs)
+
+        monkeypatch.setattr(module, "solve", counting)
+    return systems
+
+
+def test_nested_sub_takes_few_solves(monkeypatch, capsys):
+    # Each two-case sub feeds the next, so the full product has 2^12 choices;
+    # the walk cuts each prefix whose guards are infeasible.
+    term = "sub(x, y)"
+    for _ in range(11):
+        term = f"sub({term}, y)"
+    systems = _count_solves(monkeypatch)
+    argv = [
+        "check",
+        str(CORPUS / "division.trs"),
+        "--model",
+        str(CORPUS / "models" / "division.model"),
+        "--query",
+        f"EXISTS x y . {term} ->* s(x)",
+    ]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == VERIFIED
+    assert len(systems) <= 200
+
+
+def _two_case_structure(threshold: int) -> SymbolicStructure:
+    """On [0, 3]: a = 1, f(p) = 0 when p <= threshold and p otherwise, g a min, ``->`` is ``x <= y``."""
+    p, q = AffineForm.variable("p"), AffineForm.variable("q")
+    f = PiecewiseFunction(
+        ("p",),
+        (
+            PiecewiseCase((p.le(threshold),), AffineForm.const(0)),
+            PiecewiseCase((p.negate().le(-threshold, strict=True),), p),
+        ),
+    )
+    g = PiecewiseFunction(
+        ("p", "q"),
+        (
+            PiecewiseCase((LinearConstraint.make({"p": 1, "q": -1}, 0),), p),
+            PiecewiseCase((LinearConstraint.make({"p": -1, "q": 1}, 0, strict=True),), q),
+        ),
+    )
+    functions = {
+        "a": PiecewiseFunction.affine((), AffineForm.const(1)),
+        "b": PiecewiseFunction.affine((), AffineForm.const(0)),
+        "f": f,
+        "g": g,
+    }
+    relation = PredicateInterp(("x", "y"), (LinearConstraint.make({"x": 1, "y": -1}, 0),))
+    return SymbolicStructure(
+        _SIG, {DEFAULT_SORT: Interval(0, 3)}, functions, {ARROW: relation, MANY_STEPS: relation}
+    )
+
+
+def test_a_guard_that_folds_to_a_false_constant_prunes_its_subtree_without_a_solve(monkeypatch):
+    # f(a) is f(1): its first case's guard is the constant row 1 <= 0, which
+    # cuts both cases of g below it; the second's, 1 > 0, is dropped.
+    structure = _two_case_structure(0)
+    atom = Atom(ARROW, (App("g", (App("f", (A,)), X)), X))
+    systems = _count_solves(monkeypatch)
+    lowering = ClauseLowering(structure, (X,), (atom,))
+    leaves = [(forms[App("f", (A,))], list(guards)) for forms, guards in lowering.leaves()]
+    assert systems == []
+    assert [form for form, _ in leaves] == [AffineForm.const(1)] * 2
+    assert [len(guards) for _, guards in leaves] == [1, 1]
+    assert len(list(reference_checker.choices(lowering))) == 4
+
+
+def test_a_prefix_whose_solve_is_unknown_never_prunes(monkeypatch):
+    # f(x) feeds g, so the walk solves the prefix after each case of f; its
+    # first case, x <= -1, is infeasible on [0, 3].
+    structure = _two_case_structure(-1)
+    atom = Atom(ARROW, (App("g", (App("f", (X,)), Y)), Y))
+    lowering = ClauseLowering(structure, (X, Y), (atom,))
+    assert len(list(lowering.leaves())) == 2
+    systems = []
+
+    def unknown(system, **kwargs):
+        systems.append(system)
+        return Feasibility("unknown", reason="budget exceeded (test)")
+
+    monkeypatch.setattr(structures_module, "solve", unknown)
+    assert len(list(lowering.leaves())) == 4
+    assert len(systems) == 2

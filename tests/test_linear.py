@@ -15,6 +15,7 @@ from countermodel.linear import (
     ConstraintSystem,
     LinearConstraint,
     compare,
+    drop_constant_rows,
     equality,
     integer_tighten,
     solve,
@@ -106,9 +107,22 @@ def test_tighten_scales_fractional_coefficients():
 
 def test_tighten_keeps_nonstrict_systems_unchanged():
     sys_ = system("xy", le({"x": 1, "y": 1}, 2), le({"x": -1}, 0))
-    tightened = integer_tighten(sys_)
-    assert tightened == sys_
-    assert all(a is b for a, b in zip(tightened.constraints, sys_.constraints))  # no new rows
+    assert integer_tighten(sys_) is sys_  # no second system is built
+    strict = system("xy", le({"x": 1, "y": 1}, 2), lt({"x": -1}, 0))
+    assert integer_tighten(strict) is not strict
+
+
+def test_a_system_rejects_a_row_over_an_undeclared_variable():
+    with pytest.raises(ValueError, match="^constraint mentions undeclared variable 'y'$"):
+        system("x", le({"x": 1}, 0), le({"x": 1, "y": 1}, 0))
+
+
+def test_constant_rows_are_dropped_when_true_and_reported_when_false():
+    row = le({"x": 1}, 2)
+    true_rows = [le({}, 0), lt({}, 1), row]
+    assert drop_constant_rows(true_rows) == [row]
+    assert drop_constant_rows([row, lt({}, 0)]) is None  # 0 < 0
+    assert drop_constant_rows([le({}, -1), row]) is None  # 0 <= -1
 
 
 def test_budget_exhaustion_reports_unknown_never_infeasible():

@@ -46,13 +46,12 @@ def test_eval_atom_on_restricted_intro_model():
 
 
 def lowered_systems(structure, atom):
-    """The system of ``atom`` holding, one per guard-case choice in ``choices`` order."""
+    """The system of ``atom`` holding, one per guard-case choice ``leaves`` keeps, in its order."""
     lowering = ClauseLowering(structure, atom.variables(), (atom,))
-    systems = []
-    for choice in lowering.choices():
-        forms, guards = lowering.lower(choice)
-        systems.append(lowering.system(guards + lowering.atom_constraints(atom, forms)))
-    return systems
+    return [
+        lowering.system(guards + lowering.atom_constraints(atom, forms))
+        for forms, guards in lowering.leaves()
+    ]
 
 
 def test_symbolic_atom_constraints_doubling():
