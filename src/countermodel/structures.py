@@ -406,9 +406,8 @@ class ClauseLowering:
                 structure.carrier(sort)
             elif atom.predicate not in structure.predicates:
                 raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
-        branching = {t: len(f.cases) > 1 for t, f in self.applications.items()}
-        feeds = {a for t in self.applications if branching[t] for a in t.args}
-        self._probes = [branching[t] and t in feeds for t in self.applications]
+        feeds = {a for t, f in self.applications.items() if len(f.cases) > 1 for a in t.args}
+        self._probes = [len(f.cases) > 1 and t in feeds for t, f in self.applications.items()]
 
     def _collect(self, term: Term) -> None:
         if term in self._fixed or term in self.applications:
