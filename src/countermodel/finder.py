@@ -23,34 +23,48 @@ complete candidate is re-checked through the verifier, so no unverified
 structure is ever returned.
 
 The compiled checks read the candidates' own data, and one generator
-spells it two ways.  A finite candidate is a table or a set of pairs, the
-very object that goes into the structure, so a finite check looks it up
-(``s0[(t0,)]``, ``(v0, t1) in s1``) with no Python call per application.
-A symbolic candidate is an affine function or relation on unbounded
-integers, so a symbolic check calls it (``s0(t0)``, ``s1(v0, t1)``).  A
-symbolic predicate candidate builds its ``PredicateInterp`` the first time
-it is read: the search reads interpretations only of complete candidates,
-so most are never built.
+spells it two ways.  A finite candidate keeps its table or pair set for the
+structure and gives the checks a form they can index with no Python call
+per application: a unary table keyed by the int itself (``s0[t0]``), a
+wider one by the tuple (``s0[(t0, t1)]``), a predicate as a successor map
+over the carrier, ``{x: frozenset(ys)}``, tested as ``t1 in s1[t0]``.  So
+a finite check can also drive a loop by a body atom ``P(t, v)`` whose
+``t`` is bound at a lower level, ``for v in s1[t]:``, in place of a loop
+over the grid and that atom's test; the grid is the stage carrier, so this
+tries exactly the valuations the test would pass (an indexed nested-loop
+join).  A symbolic candidate is an affine function or relation on
+unbounded integers, so a symbolic check calls it (``s0(t0)``,
+``s1(v0, t1)``).  A symbolic predicate candidate builds its
+``PredicateInterp`` the first time it is read: the search reads
+interpretations only of complete candidates, so most are never built.
 
-A check's verdict depends only on the slots it reads, so the search keeps
-it, per check, keyed by the candidate index at the check's own slot.  The
-memo stays valid while every earlier slot the check reads keeps its value;
-those values change only when the search re-enters the slot just after
-the latest of them, so that is where the memo is cleared (a check reading
-no earlier slot, such as reflexivity of ``->*``, is computed once per
-stage).  Each slot tries its checks longest-kept memo first, and within
-one reset level obligations before theory clauses, since they are usually
-the cheapest refuters.  The order cannot change which candidates survive.
+A check that reads no slot but its own, such as reflexivity of ``->*``,
+filters that slot's menu once per stage, the first time the slot is
+entered (node consistency, Mackworth 1977); the walk tries only the
+survivors.  A filtered candidate still counts as the node it was before,
+when the walk tried it and the check rejected it first: the walk adds each
+run of them to the node count at once, clamped so that a node cap inside a
+run stops the search at exactly ``max_nodes + 1``.  Node counts, and the
+complete candidates and their order, are as if every candidate were tried.
+Every other check's verdict depends only on the slots it reads, so the
+search keeps it, per check, keyed by the candidate index at the check's own
+slot.  The memo stays valid while every earlier slot the check reads keeps
+its value; those values change only when the search re-enters the slot
+just after the latest of them, so that is where the memo is cleared.  Each
+slot tries its checks longest-kept memo first, and within one reset level
+obligations before theory clauses, since they are usually the cheapest
+refuters.  The order cannot change which candidates survive.
 
 The search backjumps (conflict-directed backjumping, Prosser 1993).  When
 every candidate of a slot fails, the slot's conflict set names earlier
 slots whose values alone make it fail: the earlier slots read by each
-check that rejected a candidate, and the conflict set of each failed
-subtree below it, minus the slot itself.  A complete candidate that the
-verifier rejects conflicts with every slot.  The search returns to the
-latest slot in the set, merges the rest of the set into that slot's own,
-and tries its next candidate; the slots in between are left untried, since
-no value of theirs can undo the failure (an empty set ends the stage).
+check that rejected a candidate (none for the menu filter), and the
+conflict set of each failed subtree below it, minus the slot itself.  A
+complete candidate that the verifier rejects conflicts with every slot.
+The search returns to the latest slot in the set, merges the rest of the
+set into that slot's own, and tries its next candidate; the slots in
+between are left untried, since no value of theirs can undo the failure
+(an empty set ends the stage).
 So the skipped subtrees hold no complete candidate: the verifier sees the
 same complete candidates in the same order as in a chronological search,
 so the first verified model and its certificate are the same, reached in
@@ -148,7 +162,8 @@ def _check_deadline(deadline: float) -> None:
 class _Candidate:
     interp: object  # what goes into the structure
     # What the compiled checks read: an int for a constant, else on finite
-    # stages the table or pair set itself, and on symbolic ones a callable.
+    # stages a table (keyed by the int itself when unary) or a successor
+    # map, and on symbolic ones a callable.
     fast: object
 
 
@@ -176,6 +191,7 @@ class _State:
     budget: SearchBudget
     deadline: float  # time.monotonic() value at which the search stops
     nodes: int = 0
+    check_at: int = 1  # the node count at which the deadline is next checked
 
     @classmethod
     def start(cls, budget: SearchBudget, deadline: float | None) -> "_State":
@@ -183,16 +199,24 @@ class _State:
             deadline = time.monotonic() + budget.time_limit
         return cls(budget, deadline)
 
-    def count(self, nodes: int) -> None:
-        """Record ``nodes``; stop past the node cap, or past the deadline when ``nodes % 256 == 1``.
+    def count(self, nodes: int, stride: int = 256) -> int:
+        """Record ``nodes``; stop past the node cap, or past the deadline.
 
-        Node 1 is checked too, so a search begun past its deadline stops at once.
+        The deadline is checked at node 1, so a search begun past its deadline
+        stops at once, and again each time the count has grown by ``stride``.
+        A count past the cap is recorded as ``max_nodes + 1``, so a run of
+        candidates counted at once stops where counting them one by one
+        would.  Returns the count at which to call again.
         """
-        self.nodes = nodes
-        if nodes > self.budget.max_nodes:
+        cap = self.budget.max_nodes
+        if nodes > cap:
+            self.nodes = cap + 1
             raise _Stop("budget exhausted: candidate cap")
-        if nodes % 256 == 1:
+        self.nodes = nodes
+        if nodes >= self.check_at:
             _check_deadline(self.deadline)
+            self.check_at = nodes + stride
+        return min(self.check_at, cap + 1)
 
 
 def find_model(
@@ -390,7 +414,7 @@ def _menu_predicates_finite(carrier: tuple[int, ...], deadline: float) -> list[_
     for mask in dict.fromkeys(masks):  # first occurrences, in menu order
         _check_deadline(deadline)
         extension = frozenset(itertools.compress(points, map(int, reversed(f"{mask:b}"))))
-        out.append(_Candidate(extension, extension))
+        out.append(_pair_candidate(extension, carrier))
     return out
 
 
@@ -404,8 +428,21 @@ def _raw_predicates(carrier: tuple[int, ...], deadline: float) -> list[_Candidat
     for mask in range(1 << len(pairs)):
         _check_deadline(deadline)
         extension = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        out.append(_Candidate(extension, extension))
+        out.append(_pair_candidate(extension, carrier))
     return out
+
+
+def _pair_candidate(extension: frozenset[tuple[int, int]], carrier: tuple[int, ...]) -> _Candidate:
+    """A finite predicate candidate, read by the checks as ``{x: frozenset(ys)}`` over ``carrier``."""
+    successors: dict[int, list[int]] = {x: [] for x in carrier}
+    for x, y in extension:
+        successors[x].append(y)
+    return _Candidate(extension, {x: frozenset(ys) for x, ys in successors.items()})
+
+
+def _table_candidate(table: dict[tuple[int, ...], int], arity: int) -> _Candidate:
+    """A finite function candidate; the checks read a unary table keyed by the int itself."""
+    return _Candidate(table, {x: v for (x,), v in table.items()} if arity == 1 else table)
 
 
 def _template_tables(
@@ -427,7 +464,7 @@ def _template_tables(
             if key in seen:
                 continue
             seen.add(key)
-            out.append(_Candidate(table, table))
+            out.append(_table_candidate(table, arity))
     return out
 
 
@@ -436,8 +473,7 @@ def _raw_tables(arity: int, carrier: tuple[int, ...], deadline: float) -> list[_
     out = []
     for values in itertools.product(carrier, repeat=len(keys)):
         _check_deadline(deadline)
-        table = dict(zip(keys, values))
-        out.append(_Candidate(table, table))
+        out.append(_table_candidate(dict(zip(keys, values)), arity))
     return out
 
 
@@ -506,20 +542,27 @@ def _search(
     finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
-    # A check's memo maps a candidate index at its own slot to its verdict; it
-    # is cleared on entering ``level``, the slot after the latest earlier slot
-    # the check reads.  ``reads`` is the bit set of those earlier slots: the
-    # conflict a rejection by the check adds (see the module docstring).
+    # A check reading no slot but its own filters that slot's menu once
+    # (``own``).  Any other check's memo maps a candidate index at its own
+    # slot to its verdict; it is cleared on entering ``level``, the slot after
+    # the latest earlier slot the check reads.  ``reads`` is the bit set of
+    # those earlier slots: the conflict a rejection by the check adds (see
+    # the module docstring).
+    own: list[list[_Refuter]] = [[] for _ in slots]
     attached: list[list[tuple[int, dict[int, bool], _Refuter, int]]] = [[] for _ in slots]
     resets: list[list[dict[int, bool]]] = [[] for _ in slots]
     for symbols, refuted in checks:
         index = _latest_slot(position, symbols)
-        if index is not None:
-            earlier = {position[s] for s in symbols} - {index}
-            level = max(earlier, default=-1) + 1
-            memo: dict[int, bool] = {}
-            attached[index].append((level, memo, refuted, sum(1 << i for i in earlier)))
-            resets[level].append(memo)
+        if index is None:
+            continue
+        earlier = {position[s] for s in symbols} - {index}
+        if not earlier:
+            own[index].append(refuted)
+            continue
+        level = max(earlier) + 1
+        memo: dict[int, bool] = {}
+        attached[index].append((level, memo, refuted, sum(1 << i for i in earlier)))
+        resets[level].append(memo)
     # Longest-kept memos first; the sort is stable, so obligations stay first within a level.
     checks_by_slot = [
         [(memo, refuted, reads) for _, memo, refuted, reads in sorted(here, key=lambda c: c[0])]
@@ -528,19 +571,47 @@ def _search(
 
     env: dict[str, object] = {}
     chosen: dict[str, _Candidate] = {}
-    # Nodes are counted in a local; ``state.count`` is the cap and deadline
-    # check, called only where it can stop the search.
-    nodes, max_nodes = state.nodes, state.budget.max_nodes
-    # The walk keeps, per slot on the current path, its candidate iterator
+    # A node's checks loop over the grid, so a wide grid checks the deadline
+    # more often: every 256 nodes up to 4 points, every node from 64.
+    stride = max(1, min(256, 4096 // max(1, len(points)) ** 2))
+
+    def filtered(index: int) -> tuple[list[tuple[int, _Candidate, int]], int]:
+        """``(k, candidate, skipped)`` of each candidate no own-slot check refutes, and the tail.
+
+        ``skipped`` counts the refuted candidates just before the survivor, and
+        the tail those after the last one.
+        """
+        name, refuters = slots[index].name, own[index]
+        survivors, skipped = [], 0
+        for k, candidate in enumerate(slots[index].candidates):
+            if not k % stride:
+                _check_deadline(state.deadline)
+            env[name] = candidate.fast
+            if any(refuted(env, points) for refuted in refuters):
+                skipped += 1
+            else:
+                survivors.append((k, candidate, skipped))
+                skipped = 0
+        return survivors, skipped
+
+    kept: list[tuple[list[tuple[int, _Candidate, int]], int] | None] = [None] * len(slots)
+    # Nodes are counted in a local, a refuted candidate of the menu filter
+    # as one node each as if it were tried; ``state.count`` is the cap and
+    # deadline check, called only once ``nodes`` reaches ``limit``.
+    nodes = state.nodes
+    limit = min(state.check_at, state.budget.max_nodes + 1)
+    # The walk keeps, per slot on the current path, its survivor iterator
     # and the conflict set gathered from its rejected candidates so far.
-    remaining: list[Iterator[tuple[int, _Candidate]]] = [iter(())] * len(slots)
+    remaining: list[Iterator[tuple[int, _Candidate, int]]] = [iter(())] * len(slots)
     conflicts = [0] * len(slots)
     every = (1 << len(slots)) - 1
 
     def enter(index: int) -> None:
         for memo in resets[index]:
             memo.clear()
-        remaining[index] = enumerate(slots[index].candidates)
+        if kept[index] is None:
+            kept[index] = filtered(index)
+        remaining[index] = iter(kept[index][0])
         conflicts[index] = 0
 
     index = 0
@@ -549,8 +620,8 @@ def _search(
     while True:
         if index == len(slots):
             nodes += 1
-            if nodes > max_nodes or nodes % 256 == 1:
-                state.count(nodes)
+            if nodes >= limit:
+                limit = state.count(nodes, stride)
             found = finish({name: candidate.interp for name, candidate in chosen.items()})
             if found is not None:
                 state.nodes = nodes
@@ -561,10 +632,10 @@ def _search(
             here = checks_by_slot[index]
             gathered = conflicts[index]
             passed = None
-            for k, candidate in remaining[index]:
-                nodes += 1
-                if nodes > max_nodes or nodes % 256 == 1:
-                    state.count(nodes)
+            for k, candidate, skipped in remaining[index]:
+                nodes += skipped + 1
+                if nodes >= limit:
+                    limit = state.count(nodes, stride)
                 env[name] = candidate.fast
                 for memo, refuted, reads in here:
                     verdict = memo.get(k)
@@ -583,7 +654,11 @@ def _search(
                 if index < len(slots):
                     enter(index)
                 continue
-            failed = gathered  # every candidate of the slot is rejected
+            # Every candidate of the slot is rejected, the filtered tail too.
+            nodes += kept[index][1]
+            if nodes >= limit:
+                limit = state.count(nodes, stride)
+            failed = gathered
         # Back to the latest slot in the conflict set: no value of the slots
         # after it can undo the failure.  Nothing in the set: the stage fails.
         index = failed.bit_length() - 1
@@ -632,7 +707,10 @@ def _compile_check(
     false.  Sort atoms in the body hold by construction of the candidates,
     so they are dropped; the head is not a sort atom (see _compile_checks).
     ``tables`` picks how slot values are read: looked up in finite tables
-    and pair sets, or called (see the module docstring).
+    and successor maps, or called (see the module docstring).  With
+    ``tables`` the grid must be the whole carrier the candidates were built
+    over, since a driven loop (see _check_source) runs over a successor set
+    instead of ``points``.
     """
     namespace: dict[str, object] = {"product": itertools.product}
     exec(compile(_check_source(variables, body, head, tables), "<finder check>", "exec"), namespace)
@@ -654,8 +732,15 @@ def _check_source(
     tested, in the innermost loop binding its last variable; ground ones
     before any loop.  Terms become temporaries, never nested applications,
     so depth is not limited by the parser.  With ``tables`` an application
-    is spelled ``s0[(t0,)]`` and an atom ``(v0, t1) in s1``, otherwise
-    ``s0(t0)`` and ``s1(v0, t1)``.
+    is spelled ``s0[t0]`` (unary) or ``s0[(t0, t1)]`` and an atom
+    ``t1 in s1[t0]``, otherwise ``s0(t0)`` and ``s1(t0, t1)``.
+
+    With ``tables`` a loop binding one variable ``v`` is driven by the first
+    body atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
+    s1[t]:`` replaces ``for v in points:`` and that atom's test.  On the
+    stage carrier, which is the grid, ``s1[t]`` holds exactly the values of
+    ``v`` the test would pass.  ``P(v, v)``, the head and the shared
+    ``product`` loop never drive.
     """
     atoms = [a for a in body if sort_of_predicate(a.predicate) is None]
     tested = [*atoms, *(() if head is None else (head,))]
@@ -666,6 +751,7 @@ def _check_source(
     local = {name: f"v{i}" for i, name in enumerate(loop_names)}
     depth = min(len(loop_names), _OWN_LOOPS + 1)
     lines: list[list[str]] = [[] for _ in range(depth + 1)]  # 0 is before any loop
+    drivers: dict[int, str] = {}  # level -> the successor set its loop runs over
     slots: dict[str, str] = {}
     temps: dict[str, tuple[str, int]] = {}  # call text -> (temporary, level)
 
@@ -674,12 +760,14 @@ def _check_source(
 
     def apply(symbol: str, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
         """(expression, level) of ``symbol`` applied to ``values``, in the stage's spelling."""
-        args = ", ".join(name for name, _ in values)
+        args = [name for name, _ in values]
         if not tables:
-            text = f"{slot(symbol)}({args})"
+            text = f"{slot(symbol)}({', '.join(args)})"
+        elif atom:
+            text = f"{args[1]} in {slot(symbol)}[{args[0]}]"
         else:
-            key = f"({args},)" if len(values) == 1 else f"({args})"
-            text = f"{key} in {slot(symbol)}" if atom else f"{slot(symbol)}[{key}]"
+            key = args[0] if len(args) == 1 else f"({', '.join(args)})"
+            text = f"{slot(symbol)}[{key}]"
         return text, max((lvl for _, lvl in values), default=0)
 
     def value(term: Term) -> tuple[str, int]:
@@ -706,7 +794,13 @@ def _check_source(
 
     # Lower-level atoms first, so they prune before deeper subterms are computed.
     for atom in sorted(atoms, key=lambda atom: max(map(level.get, _atom_vars(atom)), default=0)):
-        text, lvl = apply(atom.predicate, [value(a) for a in atom.args], atom=True)
+        values = [value(a) for a in atom.args]
+        if tables and len(values) == 2 and isinstance(atom.args[1], Var):
+            k = level[atom.args[1].name]
+            if values[0][1] < k <= _OWN_LOOPS and k not in drivers:
+                drivers[k] = f"{slot(atom.predicate)}[{values[0][0]}]"
+                continue
+        text, lvl = apply(atom.predicate, values, atom=True)
         lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
     if head is None:
         lines[depth].append("return True")
@@ -722,7 +816,7 @@ def _check_source(
     for k in range(1, depth + 1):
         bound = [local[name] for name in loop_names if level[name] == k]
         if len(bound) == 1:
-            header = f"for {bound[0]} in points:"
+            header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
         else:
             header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
         source.append("    " * k + header)

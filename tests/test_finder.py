@@ -10,13 +10,14 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_finder
 from countermodel import finder
 from countermodel.certificates import serialize_certificate
 from countermodel.checker import VERIFIED, verify
 from countermodel.finder import (
+    _OWN_LOOPS,
     SearchBudget,
     _affine_candidates,
     _Candidate,
@@ -26,12 +27,14 @@ from countermodel.finder import (
     _menu_predicates_finite,
     _menu_predicates_symbolic,
     _menu_relations,
+    _pair_candidate,
     _raw_predicates,
     _raw_tables,
     _relation_test,
     _search,
     _Slot,
     _State,
+    _table_candidate,
     _template_tables,
     find_model,
     find_symbolic_model,
@@ -200,8 +203,11 @@ def test_finite_predicate_menu_matches_the_pointwise_construction(carrier):
     points = tuple(range(carrier[0], carrier[1] + 1))
     menu = _menu_predicates_finite(points, math.inf)
     assert [candidate.interp for candidate in menu] == _reference_menu_extensions(points)
+    # The checks read a successor map over the whole carrier.
     for candidate in menu:
-        assert {(x, y) for x in points for y in points if (x, y) in candidate.fast} == candidate.interp
+        assert set(candidate.fast) == set(points)
+        assert all(ys <= set(points) for ys in candidate.fast.values())
+        assert {(x, y) for x in points for y in points if y in candidate.fast[x]} == candidate.interp
 
 
 def _reference_template_tables(arity, carrier, budget):
@@ -227,7 +233,12 @@ def test_template_tables_match_the_sorted_items_deduplication(carrier, arity):
     points = tuple(range(carrier[0], carrier[1] + 1))
     menu = _template_tables(arity, points, _BUDGET, math.inf)
     assert [candidate.interp for candidate in menu] == _reference_template_tables(arity, points, _BUDGET)
-    assert all(candidate.fast is candidate.interp for candidate in menu)
+    # The checks read a unary table keyed by the int itself, a wider one as it is.
+    for candidate in menu:
+        if arity == 1:
+            assert {(x,): v for x, v in candidate.fast.items()} == candidate.interp
+        else:
+            assert candidate.fast is candidate.interp
 
 
 def test_the_time_limit_covers_building_the_finite_menus():
@@ -237,6 +248,19 @@ def test_the_time_limit_covers_building_the_finite_menus():
     outcome = find_model(theory, obligations, SearchBudget(carriers=((0, 120),), time_limit=0.5))
     assert outcome.reason == "budget exhausted: time cap"
     assert time.monotonic() - started < 3
+
+
+def test_the_time_limit_stops_a_search_on_a_wide_grid():
+    # On 61 points the menus take a fraction of the limit to build, and then
+    # each node's checks loop over the grid, so the deadline is checked
+    # every node rather than every 256.
+    theory, obligations = _setup(FinderCase("fig3-wide", "fig3.trs", "FEASIBLE(f(x) == x)", "finite"))
+    limit = 1.5
+    started = time.monotonic()
+    outcome = find_model(theory, obligations, SearchBudget(carriers=((0, 60),), time_limit=limit))
+    assert outcome.reason == "budget exhausted: time cap"
+    assert outcome.nodes > 0  # the search ran, so the menus were built within the limit
+    assert time.monotonic() - started < limit + 1
 
 
 def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidates(monkeypatch):
@@ -411,7 +435,76 @@ def _checks(draw):
     return tuple(variables), body, head
 
 
+def _example_grid(kind, param, arrow, star):
+    """A grid of one menu, ``arrow`` and ``star`` picking "->" and "->*" by (pair set, points)."""
+    points, preds, consts, funcs = _menus(kind, param)
+    chosen = {
+        "->": next(c for c in preds if arrow(c.interp, points)),
+        "->*": next(c for c in preds if star(c.interp, points)),
+        "a": consts[0],
+        "b": consts[-1],
+        "f": funcs[1][len(funcs[1]) // 2],
+        "g": funcs[2][len(funcs[2]) // 2],
+    }
+    return chosen, points, kind != "symbolic"
+
+
+def _f(t):
+    return App("f", (t,))
+
+
+_X, _Y, _Z = _VARS
+# Checks whose finite spelling drives loops by successor sets, or must not.
+_JOIN_CHECKS = (
+    # transitivity: two driven loops
+    (_VARS, (Atom("->*", (_X, _Y)), Atom("->*", (_Y, _Z))), Atom("->*", (_X, _Z))),
+    # congruence x -> y => f(x) -> f(y)
+    ((_X, _Y), (Atom("->", (_X, _Y)),), Atom("->", (_f(_X), _f(_Y)))),
+    # a driver with a ground first argument
+    ((_X,), (Atom("->", (App("a"), _X)),), Atom("->*", (_X, App("b")))),
+    # a driver whose first argument is a nested term
+    ((_X, _Y), (Atom("->", (App("g", (_f(_X), App("a"))), _Y)),), Atom("->*", (_Y, _X))),
+    # x -> x binds x at its own level, so it is a test, never a driver
+    ((_X,), (Atom("->", (_X, _X)),), Atom("->*", (_f(_X), _X))),
+)
+_FINITE_MENUS = [menu for menu in _MENUS if menu[0] != "symbolic"]
+_ABOUT_HALF = lambda pairs, points: len(pairs) >= len(points) ** 2 // 2  # noqa: E731
+
+
+def _not_transitive(pairs, points):
+    return any((x, z) not in pairs for x, y in pairs for w, z in pairs if y == w)
+
+
+# A chain of more than _OWN_LOOPS variables, so the last two share a product
+# loop.  The reference walks every valuation, 3 ** 18 of them on three
+# points, so there "->" holds at the first point and "->*" does not, and
+# the first valuation refutes; on two points both are equality, so the
+# check holds only if every atom of the chain is tested, and the reference
+# walks all 2 ** 18.
+_CHAIN = tuple(Var(f"w{i}") for i in range(_OWN_LOOPS + 2))
+_CHAIN_CHECK = (
+    _CHAIN,
+    tuple(Atom("->", pair) for pair in zip(_CHAIN, _CHAIN[1:])),
+    Atom("->*", (_CHAIN[0], _CHAIN[-1])),
+)
+_AT_FIRST = lambda pairs, points: (points[0], points[0]) in pairs  # noqa: E731
+_NOT_AT_FIRST = lambda pairs, points: (points[0], points[0]) not in pairs  # noqa: E731
+_EQUALITY = lambda pairs, points: pairs == {(x, x) for x in points}  # noqa: E731
+
+
+def _join_examples(test):
+    for menu in _FINITE_MENUS:
+        for check in _JOIN_CHECKS:
+            for arrow, star in ((_not_transitive, _ABOUT_HALF), (_ABOUT_HALF, _not_transitive)):
+                test = example(check, _example_grid(*menu, arrow, star))(test)
+        test = example(_CHAIN_CHECK, _example_grid(*menu, _AT_FIRST, _NOT_AT_FIRST))(test)
+        if len(_menus(*menu)[0]) == 2:
+            test = example(_CHAIN_CHECK, _example_grid(*menu, _EQUALITY, _EQUALITY))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
+@_join_examples
 @given(_checks(), _grid_envs())
 def test_compiled_check_matches_reference(check, grid):
     # The check reads the candidates' fast values in the menu's spelling;
@@ -453,8 +546,14 @@ def test_symbol_names_enter_generated_source_only_as_literals():
         "->*": frozenset((v, v) for v in grid),
     }
     reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
+    # The finite spelling reads each interpretation as the finder's candidates carry it.
+    fast = {
+        "f'": _table_candidate(interps["f'"], 1).fast,
+        "->": _pair_candidate(interps["->"], tuple(grid)).fast,
+        "->*": _pair_candidate(interps["->*"], tuple(grid)).fast,
+    }
     for tables in (True, False):
-        env = {**(interps if tables else reference_env), "a''": 1}
+        env = {**(fast if tables else reference_env), "a''": 1}
         for points in ((0, 1, 2), (0,), ()):
             assert _compile_check((x, y), body, head, tables)(env, points) == _reference_refuted(
                 reference_env, points, (x, y), body, head
@@ -631,6 +730,41 @@ def test_a_dead_end_that_does_not_read_the_slot_before_it_skips_that_slot():
     assert complete == reference == [{"a": 1, "b": b, "c": c} for b in range(3) for c in range(2)]
     assert reference_nodes == 26
     assert nodes == reference_nodes - 2 * 3
+
+
+def _capped_run(slots, checks, max_nodes):
+    """(reason, nodes, complete candidates handed to a rejecting ``finish``) under a node cap."""
+    complete = []
+    state = _State.start(SearchBudget(max_nodes=max_nodes), None)
+    try:
+        found = _search(slots, checks, state, (), lambda interps: complete.append(dict(interps)))
+    except finder._Stop as stop:
+        return stop.reason, state.nodes, complete
+    assert found is None
+    return None, state.nodes, complete
+
+
+def test_own_slot_refuted_runs_are_counted_in_bulk_as_one_by_one():
+    # Slot b's own check refutes runs at the start, middle and end of its
+    # menu, so the walk adds them to the node count at once; a cap falling
+    # inside any run must still stop at exactly max_nodes + 1.
+    slots = [
+        _Slot(name, [_Candidate(v, v) for v in range(size)])
+        for name, size in (("a", 3), ("b", 10), ("c", 3))
+    ]
+    checks = [
+        ({"b"}, lambda env, points: env["b"] in {0, 1, 4, 5, 8, 9}),
+        ({"a", "c"}, lambda env, points: (env["a"] + env["c"]) % 3 == 0),
+    ]
+    reason, total, every = _capped_run(slots, checks, 10_000)
+    assert reason is None and every
+    # the same nodes and candidates as the chronological search, which tries each
+    assert (every, total) == _complete_candidates(reference_finder._search, slots, checks)
+    for cap in range(1, total + 2):
+        reason, nodes, complete = _capped_run(slots, checks, cap)
+        assert (reason == _CAP) == (total > cap)
+        assert nodes == min(total, cap + 1)
+        assert complete == every[: len(complete)]
 
 
 def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
