@@ -39,9 +39,8 @@ unbounded integers, so a symbolic check calls it (``s0(t0)``,
 interpretations only of complete candidates, so most are never built.
 
 A check that reads no slot but its own, such as reflexivity of ``->*``,
-filters that slot's menu once per stage, the first time the slot is
-entered (node consistency, Mackworth 1977); the walk tries only the
-survivors.  A filtered candidate still counts as the node it was before,
+filters that slot's menu once per stage, as far as the walk reads it (node
+consistency, Mackworth 1977); the walk tries only the survivors.  A filtered candidate still counts as the node it was before,
 when the walk tried it and the check rejected it first: the walk adds each
 run of them to the node count at once, clamped so that a node cap inside a
 run stops the search at exactly ``max_nodes + 1``.  Node counts, and the
@@ -542,7 +541,7 @@ def _search(
     finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
-    # A check reading no slot but its own filters that slot's menu once
+    # A check reading no slot but its own filters that slot's menu
     # (``own``).  Any other check's memo maps a candidate index at its own
     # slot to its verdict; it is cleared on entering ``level``, the slot after
     # the latest earlier slot the check reads.  ``reads`` is the bit set of
@@ -575,14 +574,14 @@ def _search(
     # more often: every 256 nodes up to 4 points, every node from 64.
     stride = max(1, min(256, 4096 // max(1, len(points)) ** 2))
 
-    def filtered(index: int) -> tuple[list[tuple[int, _Candidate, int]], int]:
-        """``(k, candidate, skipped)`` of each candidate no own-slot check refutes, and the tail.
+    def filtered(index: int) -> Iterator[tuple[int, _Candidate, int]]:
+        """``(k, candidate, skipped)`` of each candidate no own-slot check refutes.
 
-        ``skipped`` counts the refuted candidates just before the survivor, and
-        the tail those after the last one.
+        ``skipped`` counts the refuted candidates just before the survivor;
+        once the menu is done, ``tails[index]`` counts those after the last.
         """
         name, refuters = slots[index].name, own[index]
-        survivors, skipped = [], 0
+        skipped = 0
         for k, candidate in enumerate(slots[index].candidates):
             if not k % stride:
                 _check_deadline(state.deadline)
@@ -590,11 +589,15 @@ def _search(
             if any(refuted(env, points) for refuted in refuters):
                 skipped += 1
             else:
-                survivors.append((k, candidate, skipped))
+                yield k, candidate, skipped
                 skipped = 0
-        return survivors, skipped
+        tails[index] = skipped
 
-    kept: list[tuple[list[tuple[int, _Candidate, int]], int] | None] = [None] * len(slots)
+    # Each slot's filtered menu is made once per stage, as far as the walk
+    # reads it: ``fresh`` gives each entry an iterator from the start, a copy
+    # of an unread ``tee`` that re-reads what earlier entries made.
+    fresh: list[Callable[[], Iterator[tuple[int, _Candidate, int]]] | None] = [None] * len(slots)
+    tails = [0] * len(slots)
     # Nodes are counted in a local, a refuted candidate of the menu filter
     # as one node each as if it were tried; ``state.count`` is the cap and
     # deadline check, called only once ``nodes`` reaches ``limit``.
@@ -609,9 +612,12 @@ def _search(
     def enter(index: int) -> None:
         for memo in resets[index]:
             memo.clear()
-        if kept[index] is None:
-            kept[index] = filtered(index)
-        remaining[index] = iter(kept[index][0])
+        if fresh[index] is None:
+            if own[index]:
+                fresh[index] = itertools.tee(filtered(index), 1)[0].__copy__
+            else:
+                fresh[index] = [(k, c, 0) for k, c in enumerate(slots[index].candidates)].__iter__
+        remaining[index] = fresh[index]()
         conflicts[index] = 0
 
     index = 0
@@ -655,7 +661,7 @@ def _search(
                     enter(index)
                 continue
             # Every candidate of the slot is rejected, the filtered tail too.
-            nodes += kept[index][1]
+            nodes += tails[index]
             if nodes >= limit:
                 limit = state.count(nodes, stride)
             failed = gathered
