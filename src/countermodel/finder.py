@@ -3,13 +3,14 @@
 Both backends run one driver, ``_find``, and differ only in the stages they
 yield.  A stage fixes the candidate menu of every slot, the grid the
 pruning checks run on, the structure class and the carrier every sort
-gets.  The finite finder's stages are interval carriers, interpreting
-constants as carrier elements, functions as carrier-clamped affine
-templates, and predicates from a template menu, with a raw-table stage
-after it on tiny domains.  The symbolic finder's stages are ray carriers
-with unclamped affine function templates (filtered for carrier closure)
-and the same predicate menu.  Each candidate carries its interpretation in
-the structure, so completing a candidate needs no backend branch.
+gets.  The finite finder's stages are interval carriers of at most
+``MAX_FINITE_CARRIER`` values, interpreting constants as carrier elements,
+functions as carrier-clamped affine templates, and predicates from a
+template menu, then raw tables on tiny domains, both built by one builder.
+The symbolic finder's stages are ray carriers with unclamped affine
+function templates (filtered for carrier closure) and the same predicate
+menu.  Menu builders check the deadline per entry.  Each candidate carries
+its interpretation in the structure, so completing one needs no backend branch.
 
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
@@ -27,12 +28,9 @@ spells it two ways.  A finite candidate keeps its table or pair set for the
 structure and gives the checks a form they can index with no Python call
 per application: a unary table keyed by the int itself (``s0[t0]``), a
 wider one by the tuple (``s0[(t0, t1)]``), a predicate as a successor map
-over the carrier, ``{x: frozenset(ys)}``, tested as ``t1 in s1[t0]``.  So
-a finite check can also drive a loop by a body atom ``P(t, v)`` whose
-``t`` is bound at a lower level, ``for v in s1[t]:``, in place of a loop
-over the grid and that atom's test; the grid is the stage carrier, so this
-tries exactly the valuations the test would pass (an indexed nested-loop
-join).  A symbolic candidate is an affine function or relation on
+over the carrier, ``{x: frozenset(ys)}``, tested as ``t1 in s1[t0]`` or
+iterated to drive a loop (an indexed nested-loop join; see _check_source).
+A symbolic candidate is an affine function or relation on
 unbounded integers, so a symbolic check calls it (``s0(t0)``,
 ``s1(v0, t1)``).  A symbolic predicate candidate builds its
 ``PredicateInterp`` the first time it is read: the search reads
@@ -40,11 +38,11 @@ interpretations only of complete candidates, so most are never built.
 
 A check that reads no slot but its own, such as reflexivity of ``->*``,
 filters that slot's menu once per stage, as far as the walk reads it (node
-consistency, Mackworth 1977); the walk tries only the survivors.  A filtered candidate still counts as the node it was before,
-when the walk tried it and the check rejected it first: the walk adds each
-run of them to the node count at once, clamped so that a node cap inside a
-run stops the search at exactly ``max_nodes + 1``.  Node counts, and the
-complete candidates and their order, are as if every candidate were tried.
+consistency, Mackworth 1977); the walk tries only the survivors, and adds
+each run of filtered candidates to the node count at once, clamped so that
+a node cap inside a run stops the search at exactly ``max_nodes + 1``.
+Node counts, and the complete candidates and their order, are as if every
+candidate were tried.
 Every other check's verdict depends only on the slots it reads, so the
 search keeps it, per check, keyed by the candidate index at the check's own
 slot.  The memo stays valid while every earlier slot the check reads keeps
@@ -84,6 +82,7 @@ from .checker import Certificate, VERIFIED, verify
 from .errors import OptionError
 from .linear import LinearConstraint, compare
 from .logic import Atom, Theory, sort_of_predicate
+from .model_format import MAX_FINITE_CARRIER
 from .queries import Obligation, required_predicates
 from .structures import (
     AffineForm,
@@ -94,7 +93,7 @@ from .structures import (
     Structure,
     SymbolicStructure,
 )
-from .terms import App, BUILTIN_PREDICATES, Signature, Term, Var, term_vars
+from .terms import BUILTIN_PREDICATES, Signature, Term, Var, term_vars
 
 
 # The predicate menu: the five comparisons, then every pair template
@@ -124,6 +123,9 @@ class SearchBudget:
         for lo, hi in self.carriers:
             if lo > hi:
                 raise OptionError(f"carriers: interval {lo}:{hi} is empty")
+            # Wider, and one pair template's sort alone outruns the deadline.
+            if hi - lo >= MAX_FINITE_CARRIER:
+                raise OptionError(f"--carriers: {lo}:{hi} exceeds {MAX_FINITE_CARRIER} values")
         if self.coeff_min > self.coeff_max:
             raise OptionError(f"coeff_min {self.coeff_min} exceeds coeff_max {self.coeff_max}")
         # A NaN time limit would make a deadline that never passes.
@@ -191,12 +193,6 @@ class _State:
     deadline: float  # time.monotonic() value at which the search stops
     nodes: int = 0
     check_at: int = 1  # the node count at which the deadline is next checked
-
-    @classmethod
-    def start(cls, budget: SearchBudget, deadline: float | None) -> "_State":
-        if deadline is None:
-            deadline = time.monotonic() + budget.time_limit
-        return cls(budget, deadline)
 
     def count(self, nodes: int, stride: int = 256) -> int:
         """Record ``nodes``; stop past the node cap, or past the deadline.
@@ -271,16 +267,13 @@ def _find(
     sig = theory.signature
     predicates = required_predicates(theory, obligations)
     checks = _compile_checks(theory, obligations, tables)
-    state = _State.start(budget, deadline)
+    if deadline is None:
+        deadline = time.monotonic() + budget.time_limit
+    state = _State(budget, deadline)
     try:
         for stage in stages(sig, predicates, state):
-            found = _search(
-                stage.slots,
-                checks,
-                state,
-                points=stage.grid,
-                finish=lambda interps: _finish(stage, sig, interps, theory, obligations),
-            )
+            finish = lambda interps: _finish(stage, sig, interps, theory, obligations)  # noqa: E731
+            found = _search(stage.slots, checks, state, stage.grid, finish)
             if found is not None:
                 return FindOutcome(found[0], found[1], None, state.nodes)
     except _Stop as stop:
@@ -291,58 +284,72 @@ def _find(
 # -- stages and slot construction -------------------------------------------------
 
 
-def _finite_stages(
-    sig: Signature, predicates: tuple[str, ...], state: _State
-) -> Iterator[_Stage]:
-    """Per interval carrier: the template menus, then raw tables on tiny carriers."""
+def _finite_stages(sig: Signature, predicates: tuple[str, ...], state: _State) -> Iterator[_Stage]:
+    """Per interval carrier: the template menus, then raw tables on tiny carriers.
+
+    ``stage`` builds both from 0/1 predicate selectors over ``points`` and,
+    per arity, table rows: a table's values at ``product(carrier, repeat=arity)``.
+    """
     # Menus over a wide carrier can take longer to build than the time limit.
     budget, deadline = state.budget, state.deadline
     for lo, hi in budget.carriers:
-        carrier = tuple(range(lo, hi + 1))
+        carrier, n = tuple(range(lo, hi + 1)), hi - lo + 1
+        points = list(itertools.product(carrier, repeat=2))
         constants = [_Candidate({(): v}, v) for v in carrier]
-        slots = _slots(
-            sig,
-            predicates,
-            _menu_predicates_finite(carrier, deadline),
-            constants,
-            lambda arity: _template_tables(arity, carrier, budget, deadline),
+
+        def stage(selectors: Iterable[bytes], rows: Callable[[int], Iterable[tuple]]) -> _Stage:
+            menu = []
+            for selector in selectors:
+                _check_deadline(deadline)
+                # The checks read a successor map: row i of the points has x = carrier[i].
+                successors = {
+                    x: frozenset(itertools.compress(carrier, selector[i * n : i * n + n]))
+                    for i, x in enumerate(carrier)
+                }
+                menu.append(_Candidate(frozenset(itertools.compress(points, selector)), successors))
+
+            def tables(arity: int) -> list[_Candidate]:
+                # The checks read a unary table keyed by the int itself.
+                keys = list(itertools.product(carrier, repeat=arity))
+                out = []
+                for row in rows(arity):
+                    _check_deadline(deadline)
+                    table = dict(zip(keys, row))
+                    out.append(_Candidate(table, dict(zip(carrier, row)) if arity == 1 else table))
+                return out
+
+            slots = _slots(sig, predicates, menu, constants, tables)
+            return _Stage(slots, carrier, FiniteStructure, carrier)
+
+        yield stage(
+            _template_selectors(points, deadline),
+            lambda arity: _template_rows(arity, carrier, budget, deadline),
         )
-        yield _Stage(slots, carrier, FiniteStructure, carrier)
-        if len(carrier) <= budget.raw_table_max_size and all(
+        if n <= budget.raw_table_max_size and all(
             len(args) <= RAW_TABLE_MAX_ARITY for args, _ in sig.functions.values()
         ):
             # A menu larger than the node cap could never be searched through,
             # and building it could exhaust memory first.
-            n = len(carrier)
             sizes = [n ** (n ** len(args)) for args, _ in sig.functions.values()]
             if predicates:
                 sizes.append(2 ** (n * n))
             if max(sizes, default=0) > budget.max_nodes:
                 raise _Stop("budget exhausted: candidate cap")
-            slots = _slots(
-                sig,
-                predicates,
-                _raw_predicates(carrier, deadline),
-                constants,
-                lambda arity: _raw_tables(arity, carrier, deadline),
+            yield stage(
+                (bytes(m >> i & 1 for i in range(len(points))) for m in range(1 << len(points))),
+                lambda arity: itertools.product(carrier, repeat=n**arity),
             )
-            yield _Stage(slots, carrier, FiniteStructure, carrier)
 
 
 def _symbolic_stages(
     sig: Signature, predicates: tuple[str, ...], state: _State
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
-    budget = state.budget
+    budget, deadline = state.budget, state.deadline
     menu = _menu_predicates_symbolic()  # the same for every carrier
     for lo in budget.ray_carriers:
-        constants = [
-            _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
-            for v in range(max(budget.coeff_min, lo), budget.coeff_max + 1)
-        ]
-        slots = _slots(
-            sig, predicates, menu, constants, lambda arity: _affine_candidates(arity, lo, budget)
-        )
+        functions = functools.partial(_affine_candidates, lo=lo, budget=budget, deadline=deadline)
+        slots = _slots(sig, predicates, menu, functions(0), functions)
         yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Ray(lo))
 
 
@@ -360,11 +367,6 @@ def _slots(
     slots += [_Slot(name, constant_candidates) for name, (args, _) in functions if not args]
     slots += [_Slot(name, function_candidates(len(args))) for name, (args, _) in functions if args]
     return slots
-
-
-def _menu_relations() -> list[tuple[str, tuple[int, int, int] | None]]:
-    pairs = itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)
-    return [(rel, None) for rel in BASE_RELATIONS] + [("pair", p) for p in pairs]
 
 
 _COMPARISONS = {
@@ -388,112 +390,82 @@ def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> Predicat
     return PredicateInterp(("x", "y"), constraints)
 
 
-def _menu_predicates_finite(carrier: tuple[int, ...], deadline: float) -> list[_Candidate]:
-    """The extensions of the menu relations over ``carrier``, in menu order, each once.
+def _template_selectors(points: list[tuple[int, int]], deadline: float) -> list[bytes]:
+    """The extensions of the menu relations over ``points``, in menu order, each once.
 
-    Each extension is first a bit mask over the points.  A pair template's
-    extensions for the constants ``c`` in ascending order are growing
-    prefixes of the points sorted by ``a*x + b*y``.
+    Each extension is a 0/1 selector over the points, built in time linear
+    in them, with the deadline checked between relations.  A pair
+    template's extensions for the constants ``c`` in ascending order are
+    growing prefixes of the points sorted by ``a*x + b*y``, so a selector
+    is copied out only when the prefix grows.
     """
-    points = [(x, y) for x in carrier for y in carrier]
-    masks = [
-        sum(1 << i for i, p in enumerate(points) if _COMPARISONS[rel](*p)) for rel in BASE_RELATIONS
-    ]
+    selectors = []
+    for rel in BASE_RELATIONS:
+        _check_deadline(deadline)
+        selectors.append(bytes(itertools.starmap(_COMPARISONS[rel], points)))
     for a, b in itertools.product(PAIR_COEFFS, repeat=2):
         _check_deadline(deadline)
         values = [a * x + b * y for x, y in points]
         ranked = sorted(range(len(points)), key=values.__getitem__)
-        mask, taken = 0, 0
+        prefix, taken, selector = bytearray(len(points)), 0, bytes(len(points))
         for c in PAIR_CONSTS:
+            start = taken
             while taken < len(ranked) and values[ranked[taken]] <= c:
-                mask |= 1 << ranked[taken]
+                prefix[ranked[taken]] = 1
                 taken += 1
-            masks.append(mask)
-    out = []
-    for mask in dict.fromkeys(masks):  # first occurrences, in menu order
-        _check_deadline(deadline)
-        extension = frozenset(itertools.compress(points, map(int, reversed(f"{mask:b}"))))
-        out.append(_pair_candidate(extension, carrier))
-    return out
+            if taken > start:
+                selector = bytes(prefix)
+            selectors.append(selector)
+    return list(dict.fromkeys(selectors))  # first occurrences, in menu order
 
 
 def _menu_predicates_symbolic() -> list[_Candidate]:
-    return [_RelationCandidate(rel, payload) for rel, payload in _menu_relations()]
+    pairs = itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)
+    return [_RelationCandidate(rel, None) for rel in BASE_RELATIONS] + [
+        _RelationCandidate("pair", p) for p in pairs
+    ]
 
 
-def _raw_predicates(carrier: tuple[int, ...], deadline: float) -> list[_Candidate]:
-    pairs = sorted(itertools.product(carrier, repeat=2))
-    out = []
-    for mask in range(1 << len(pairs)):
-        _check_deadline(deadline)
-        extension = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        out.append(_pair_candidate(extension, carrier))
-    return out
-
-
-def _pair_candidate(extension: frozenset[tuple[int, int]], carrier: tuple[int, ...]) -> _Candidate:
-    """A finite predicate candidate, read by the checks as ``{x: frozenset(ys)}`` over ``carrier``."""
-    successors: dict[int, list[int]] = {x: [] for x in carrier}
-    for x, y in extension:
-        successors[x].append(y)
-    return _Candidate(extension, {x: frozenset(ys) for x, ys in successors.items()})
-
-
-def _table_candidate(table: dict[tuple[int, ...], int], arity: int) -> _Candidate:
-    """A finite function candidate; the checks read a unary table keyed by the int itself."""
-    return _Candidate(table, {x: v for (x,), v in table.items()} if arity == 1 else table)
-
-
-def _template_tables(
+def _template_rows(
     arity: int, carrier: tuple[int, ...], budget: SearchBudget, deadline: float
-) -> list[_Candidate]:
+) -> list[tuple[int, ...]]:
+    """The rows of the carrier-clamped affine tables, in menu order, each once."""
     lo, hi = carrier[0], carrier[-1]
     rng = range(budget.coeff_min, budget.coeff_max + 1)
-    seen: set[tuple[int, ...]] = set()
-    out = []
+    keys = list(itertools.product(carrier, repeat=arity))
+    rows: dict[tuple[int, ...], None] = {}
     for coeffs in itertools.product(rng, repeat=arity):
         for b in rng:
             _check_deadline(deadline)
-            table = {}
-            for point in itertools.product(carrier, repeat=arity):
-                value = sum(a * x for a, x in zip(coeffs, point)) + b
-                table[point] = min(max(value, lo), hi)
-            # Every table has its points in the same (product) order, so the values identify it.
-            key = tuple(table.values())
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(_table_candidate(table, arity))
-    return out
+            row = tuple(min(max(sum(map(operator.mul, coeffs, key)) + b, lo), hi) for key in keys)
+            rows[row] = None  # a repeated row keeps its first place
+    return list(rows)
 
 
-def _raw_tables(arity: int, carrier: tuple[int, ...], deadline: float) -> list[_Candidate]:
-    keys = sorted(itertools.product(carrier, repeat=arity))
-    out = []
-    for values in itertools.product(carrier, repeat=len(keys)):
-        _check_deadline(deadline)
-        out.append(_table_candidate(dict(zip(keys, values)), arity))
-    return out
-
-
-def _affine_candidates(arity: int, lo: int, budget: SearchBudget) -> list[_Candidate]:
+def _affine_candidates(
+    arity: int, lo: int, budget: SearchBudget, deadline: float
+) -> list[_Candidate]:
+    """Affine functions that map the ray from ``lo`` into itself; constants at arity 0."""
     rng = range(budget.coeff_min, budget.coeff_max + 1)
+    params = tuple(f"x{i + 1}" for i in range(arity))
     out = []
     for coeffs in itertools.product(rng, repeat=arity):
         if any(a < 0 for a in coeffs):
             continue  # negative slope escapes a ray carrier
         for b in rng:
+            _check_deadline(deadline)
             if sum(a * lo for a in coeffs) + b < lo:
                 continue  # value at the carrier infimum must stay inside
-            params = tuple(f"x{i + 1}" for i in range(arity))
             form = AffineForm.make(dict(zip(params, coeffs)), b)
             interp = PiecewiseFunction.affine(params, form)
             out.append(_Candidate(interp, _affine_fast(coeffs, b)))
     return out
 
 
-def _affine_fast(coeffs: tuple[int, ...], b: int) -> Callable[..., int]:
-    """``sum(a * x) + b`` as a callable, with fixed arity for the common cases."""
+def _affine_fast(coeffs: tuple[int, ...], b: int) -> int | Callable[..., int]:
+    """``sum(a * x) + b`` as a callable, fixed arity for the common cases; a constant's value."""
+    if not coeffs:
+        return b
     if len(coeffs) == 1:
         (a,) = coeffs
         return lambda x: a * x + b
@@ -513,7 +485,7 @@ _Refuter = Callable[[Mapping[str, object], tuple[int, ...]], bool]
 def _compile_checks(
     theory: Theory, obligations: tuple[Obligation, ...], tables: bool
 ) -> list[tuple[set[str], _Refuter]]:
-    """Each check with the symbols it mentions, obligations first.
+    """Each check with the symbols its code reads, obligations first.
 
     A clause with a sort head holds by construction of the candidates, so it
     can never refute and is left out (the verifier still checks it).
@@ -524,13 +496,7 @@ def _compile_checks(
         for clause in theory.clauses
         if sort_of_predicate(clause.head.predicate) is None
     ]
-    return [
-        (
-            _check_symbols((*body, *(() if head is None else (head,)))),
-            _compile_check(v, body, head, tables),
-        )
-        for v, body, head in checks
-    ]
+    return [_compile_check(v, body, head, tables) for v, body, head in checks]
 
 
 def _search(
@@ -674,23 +640,6 @@ def _search(
         conflicts[index] |= failed ^ (1 << index)
 
 
-def _check_symbols(atoms: tuple[Atom, ...]) -> set[str]:
-    symbols: set[str] = set()
-    for atom in atoms:
-        if sort_of_predicate(atom.predicate) is None:
-            symbols.add(atom.predicate)
-        for arg in atom.args:
-            _term_symbols(arg, symbols)
-    return symbols
-
-
-def _term_symbols(term: Term, acc: set[str]) -> None:
-    if isinstance(term, App):
-        acc.add(term.symbol)
-        for a in term.args:
-            _term_symbols(a, acc)
-
-
 def _latest_slot(position: Mapping[str, int], symbols: set[str]) -> int | None:
     indices = [position[s] for s in symbols if s in position]
     if len(indices) < len(symbols):
@@ -705,7 +654,7 @@ _OWN_LOOPS = 16
 
 def _compile_check(
     variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> _Refuter:
+) -> tuple[set[str], _Refuter]:
     """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
 
     The result decides exact grid falsification: whether some valuation of
@@ -716,11 +665,12 @@ def _compile_check(
     and successor maps, or called (see the module docstring).  With
     ``tables`` the grid must be the whole carrier the candidates were built
     over, since a driven loop (see _check_source) runs over a successor set
-    instead of ``points``.
+    instead of ``points``.  Returns the symbols the code reads with it.
     """
+    source, symbols = _check_source(variables, body, head, tables)
     namespace: dict[str, object] = {"product": itertools.product}
-    exec(compile(_check_source(variables, body, head, tables), "<finder check>", "exec"), namespace)
-    return namespace["refuted"]  # type: ignore[return-value]
+    exec(compile(source, "<finder check>", "exec"), namespace)
+    return symbols, namespace["refuted"]  # type: ignore[return-value]
 
 
 def _atom_vars(atom: Atom) -> set[str]:
@@ -729,8 +679,8 @@ def _atom_vars(atom: Atom) -> set[str]:
 
 def _check_source(
     variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> str:
-    """Source of ``refuted(env, points)`` for :func:`_compile_check`.
+) -> tuple[str, set[str]]:
+    """Source of ``refuted(env, points)`` for :func:`_compile_check`, and the symbols it reads.
 
     Symbol names appear only as string literals (``s0 = env['f']``); the
     identifiers are generated: ``sK`` slot values, ``vK`` variables, ``tK``
@@ -828,7 +778,7 @@ def _check_source(
         source.append("    " * k + header)
         source += ["    " * (k + 1) + line for line in lines[k]]
     source.append("    return False")
-    return "\n".join(source) + "\n"
+    return "\n".join(source) + "\n", set(slots)
 
 
 # -- candidate completion -----------------------------------------------------------

@@ -363,6 +363,7 @@ def test_bad_piecewise_value_exits_input_error_with_its_span(value, expected, tm
         (["--ray-carriers="], "--ray-carriers: cannot read ''"),
         (["--coeff-range="], "--coeff-range: cannot read ''"),
         (["--raw-table-max", "-1"], "raw_table_max_size -1 is negative"),
+        (["--carriers", "0:1,0:1000"], "--carriers: 0:1000 exceeds 1000 values"),
     ],
 )
 def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):
@@ -394,6 +395,34 @@ def test_raw_table_menu_past_the_node_cap_ends_within_the_timeout(capsys):
     assert code == EXIT_UNKNOWN
     assert time.monotonic() - started < 2.5
     assert capsys.readouterr().err == "no countermodel: finite: budget exhausted: candidate cap\n"
+
+
+@pytest.mark.parametrize(
+    "interval, code, bound, message",
+    [
+        ("0:999", EXIT_UNKNOWN, 2.5, "no countermodel: finite: budget exhausted: time cap"),
+        ("0:1000000", EXIT_INPUT, 1.0, "error: --carriers: 0:1000000 exceeds 1000 values"),
+    ],
+    ids=["0:999", "0:1000000"],
+)
+def test_a_wide_carrier_ends_within_the_timeout_or_is_rejected(interval, code, bound, message):
+    # The whole process: a carrier of 1,000 values stops building its menus
+    # at the deadline, and a wider one is an input error before any is built.
+    root = CORPUS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["disprove", "corpus/intro.trs", "--query", "a -> b", "--backend", "finite"]
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "countermodel", *argv, "--timeout", "1", "--carriers", interval],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.monotonic() - started < bound
+    assert done.returncode == code
+    assert done.stderr == message + "\n"
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):

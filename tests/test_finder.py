@@ -24,18 +24,12 @@ from countermodel.finder import (
     _check_source,
     _compile_check,
     _compile_checks,
-    _menu_predicates_finite,
+    _finite_stages,
     _menu_predicates_symbolic,
-    _menu_relations,
-    _pair_candidate,
-    _raw_predicates,
-    _raw_tables,
     _relation_test,
     _search,
     _Slot,
     _State,
-    _table_candidate,
-    _template_tables,
     find_model,
     find_symbolic_model,
 )
@@ -135,31 +129,36 @@ def test_budget_rejects_nan_or_negative_limits(field, budget):
 def test_raw_menu_past_the_node_cap_stops_before_it_is_built(monkeypatch):
     # As in the raw-table fallback below, no template fits; on three points
     # the raw menu of the binary f holds 3 ** 9 tables, one past the cap.
-    monkeypatch.setattr(finder, "_raw_tables", None)  # building it would fail loudly
+    # The stage builder makes a stage's menus and then the stage, so only
+    # the template stage may be made.
+    made = []
+    stage = finder._Stage
+    monkeypatch.setattr(finder, "_Stage", lambda *fields: made.append(fields) or stage(*fields))
     ctrs = parse_ctrs("(RULES a -> b  b -> a  f(a, b) -> a)")
     query = parse_query("EXISTS . a -> a \\/ b -> b", ctrs.signature)
     budget = SearchBudget(carriers=((0, 2),), raw_table_max_size=3, max_nodes=3**9 - 1)
     outcome = find_model(build_theory(ctrs), negate_to_obligations(query), budget)
     assert outcome.reason == "budget exhausted: candidate cap"
     assert outcome.nodes < budget.max_nodes
+    assert len(made) == 1
 
 
 def test_function_menus_are_built_once_per_stage_and_arity(monkeypatch):
     calls = []
 
     def counted(build):
-        def run(arity, *args):
-            calls.append((build.__name__, arity, *args))
-            return build(arity, *args)
+        def run(arity, *args, **kwargs):
+            calls.append((build.__name__, arity, *args, *kwargs.values()))
+            return build(arity, *args, **kwargs)
 
         return run
 
-    for name in ("_template_tables", "_affine_candidates"):
+    for name in ("_template_rows", "_affine_candidates"):
         monkeypatch.setattr(finder, name, counted(getattr(finder, name)))
     theory, obligations = _setup(FLAGSHIPS[0])  # division: three functions of arity 2
     find_model(theory, obligations, SearchBudget(max_nodes=20_000))
     find_symbolic_model(theory, obligations, SearchBudget(max_nodes=20_000))
-    assert {name for name, *_ in calls} == {"_template_tables", "_affine_candidates"}
+    assert {name for name, *_ in calls} == {"_template_rows", "_affine_candidates"}
     assert len(calls) == len(set(calls))
 
 
@@ -187,11 +186,60 @@ def test_found_structures_interpret_only_needed_predicates():
     assert set(outcome.structure.predicates) == {"->", "->*"}
 
 
+def _finite_stage_menus(carrier, arities, raw=False):
+    """(grid, predicate, constant and per-arity function menus) of a finite stage on ``carrier``.
+
+    The stage is the template stage, or with ``raw`` the raw-table stage
+    after it, over a signature of one constant ``c`` and a function ``fK``
+    of each arity ``K``.
+    """
+    functions = {f"f{k}": ((DEFAULT_SORT,) * k, DEFAULT_SORT) for k in arities}
+    sig = Signature(functions={"c": ((), DEFAULT_SORT), **functions})
+    budget = SearchBudget(carriers=(carrier,), raw_table_max_size=3)
+    stages = _finite_stages(sig, ("->",), _State(budget, math.inf))
+    stage = next(stages)
+    if raw:
+        stage = next(stages)
+    menus = {slot.name: slot.candidates for slot in stage.slots}
+    return stage.grid, menus["->"], menus["c"], {k: menus[f"f{k}"] for k in arities}
+
+
+@pytest.mark.parametrize("arity", (1, 2, 3))
+@pytest.mark.parametrize("carrier", ((0, 1), (0, 2), (-1, 1)))
+def test_both_finite_stages_build_the_menus_of_the_builders_they_replace(
+    carrier, arity, monkeypatch
+):
+    monkeypatch.setattr(finder, "RAW_TABLE_MAX_ARITY", 3)  # a raw stage at arity 3 too
+    points = tuple(range(carrier[0], carrier[1] + 1))
+    grid, preds, consts, funcs = _finite_stage_menus(carrier, (arity,))
+    assert grid == points
+    assert consts == [_Candidate({(): v}, v) for v in points]
+    assert preds == reference_finder._menu_predicates_finite(points, math.inf)
+    assert funcs[arity] == reference_finder._template_tables(arity, points, _BUDGET, math.inf)
+    if len(points) ** len(points) ** arity > _BUDGET.max_nodes:
+        return  # no raw stage: its menu is past the node cap
+    grid, preds, consts, funcs = _finite_stage_menus(carrier, (arity,), raw=True)
+    assert grid == points
+    assert consts == [_Candidate({(): v}, v) for v in points]
+    assert preds == reference_finder._raw_predicates(points, math.inf)
+    assert funcs[arity] == reference_finder._raw_tables(arity, points, math.inf)
+
+
+@pytest.mark.parametrize("lo", SearchBudget().ray_carriers)
+def test_symbolic_constant_menu_is_the_affine_menu_at_arity_zero(lo):
+    # The constants as the symbolic stage built them before, apart.
+    constants = [
+        _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
+        for v in range(max(_BUDGET.coeff_min, lo), _BUDGET.coeff_max + 1)
+    ]
+    assert _affine_candidates(0, lo, _BUDGET, math.inf) == constants
+
+
 def _reference_menu_extensions(carrier):
-    """The construction ``_menu_predicates_finite`` replaced: each relation's test at each point."""
+    """The construction the template predicate menu replaced: each relation's test at each point."""
     extensions = []
-    for rel, payload in _menu_relations():
-        test = _relation_test(rel, payload)
+    for candidate in _menu_predicates_symbolic():
+        test = _relation_test(*candidate.relation)
         extension = frozenset((x, y) for x in carrier for y in carrier if test(x, y))
         if extension not in extensions:
             extensions.append(extension)
@@ -200,8 +248,7 @@ def _reference_menu_extensions(carrier):
 
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
 def test_finite_predicate_menu_matches_the_pointwise_construction(carrier):
-    points = tuple(range(carrier[0], carrier[1] + 1))
-    menu = _menu_predicates_finite(points, math.inf)
+    points, menu, _, _ = _finite_stage_menus(carrier, ())
     assert [candidate.interp for candidate in menu] == _reference_menu_extensions(points)
     # The checks read a successor map over the whole carrier.
     for candidate in menu:
@@ -211,7 +258,7 @@ def test_finite_predicate_menu_matches_the_pointwise_construction(carrier):
 
 
 def _reference_template_tables(arity, carrier, budget):
-    """``_template_tables`` as it deduplicated before: on the sorted items of each table."""
+    """The template function menu as it deduplicated before: on the sorted items of each table."""
     rng = range(budget.coeff_min, budget.coeff_max + 1)
     seen, out = set(), []
     for coeffs in itertools.product(rng, repeat=arity):
@@ -230,8 +277,8 @@ def _reference_template_tables(arity, carrier, budget):
 @pytest.mark.parametrize("arity", (1, 2))
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
 def test_template_tables_match_the_sorted_items_deduplication(carrier, arity):
-    points = tuple(range(carrier[0], carrier[1] + 1))
-    menu = _template_tables(arity, points, _BUDGET, math.inf)
+    points, _, _, menus = _finite_stage_menus(carrier, (arity,))
+    menu = menus[arity]
     assert [candidate.interp for candidate in menu] == _reference_template_tables(arity, points, _BUDGET)
     # The checks read a unary table keyed by the int itself, a wider one as it is.
     for candidate in menu:
@@ -242,12 +289,30 @@ def test_template_tables_match_the_sorted_items_deduplication(carrier, arity):
 
 
 def test_the_time_limit_covers_building_the_finite_menus():
-    # On 121 points the pair-template menu alone takes seconds to build.
+    # On 121 points the pair-template menu alone takes seconds to build; on
+    # 1,000, the widest carrier allowed, one pair template's sort takes most
+    # of a second, so the limit can be passed by at most that much.
     theory, obligations = _setup(FinderCase("fig3-wide", "fig3.trs", "FEASIBLE(f(x) == x)", "finite"))
+    for hi, limit, bound in ((120, 0.5, 3), (999, 1.0, 2.0)):
+        started = time.monotonic()
+        budget = SearchBudget(carriers=((0, hi),), time_limit=limit)
+        outcome = find_model(theory, obligations, budget)
+        assert outcome.reason == "budget exhausted: time cap"
+        assert time.monotonic() - started < bound
+
+
+def test_the_time_limit_covers_building_the_symbolic_menus():
+    # With coefficients in -90..90 the binary affine menu holds 1.5 million
+    # candidates, about 17 s to build.
+    theory, obligations = _setup(
+        FinderCase("pair-gf-wide", "pair_gf.trs", "FEASIBLE(g(x) == f(a, b))", "symbolic")
+    )
+    limit = 1.0
     started = time.monotonic()
-    outcome = find_model(theory, obligations, SearchBudget(carriers=((0, 120),), time_limit=0.5))
+    budget = SearchBudget(coeff_min=-90, coeff_max=90, time_limit=limit)
+    outcome = find_symbolic_model(theory, obligations, budget)
     assert outcome.reason == "budget exhausted: time cap"
-    assert time.monotonic() - started < 3
+    assert time.monotonic() - started < limit + 1
 
 
 def test_the_time_limit_stops_a_search_on_a_wide_grid():
@@ -362,6 +427,10 @@ def _reference_value(interp):
     return lambda *args: interp.holds(args)  # a PredicateInterp
 
 
+def _refuter(variables, body, head, tables):
+    return _compile_check(variables, body, head, tables)[1]
+
+
 _ARITIES = {"a": 0, "b": 0, "f": 1, "g": 2}
 _VARS = (Var("x"), Var("y"), Var("z"))
 _BUDGET = SearchBudget()
@@ -372,22 +441,11 @@ def _menus(kind, param):
     """(points, predicate, constant and per-arity function candidates) of one finder menu."""
     if kind == "symbolic":
         points = tuple(range(param, param + 4))
-        consts = [
-            _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
-            for v in range(max(_BUDGET.coeff_min, param), _BUDGET.coeff_max + 1)
-        ]
+        consts = _affine_candidates(0, param, _BUDGET, math.inf)
         preds = _menu_predicates_symbolic()
-        funcs = {n: _affine_candidates(n, param, _BUDGET) for n in (1, 2)}
-    else:
-        points = tuple(range(param[0], param[1] + 1))
-        consts = [_Candidate({(): v}, v) for v in points]
-        if kind == "template":
-            preds = _menu_predicates_finite(points, math.inf)
-            funcs = {n: _template_tables(n, points, _BUDGET, math.inf) for n in (1, 2)}
-        else:
-            preds = _raw_predicates(points, math.inf)
-            funcs = {n: _raw_tables(n, points, math.inf) for n in (1, 2)}
-    return points, preds, consts, funcs
+        funcs = {n: _affine_candidates(n, param, _BUDGET, math.inf) for n in (1, 2)}
+        return points, preds, consts, funcs
+    return _finite_stage_menus(param, (1, 2), raw=kind == "raw")
 
 
 _MENUS = [("template", c) for c in ((0, 1), (0, 2), (-1, 1))] + [
@@ -513,7 +571,7 @@ def test_compiled_check_matches_reference(check, grid):
     chosen, points, tables = grid
     env = {name: candidate.fast for name, candidate in chosen.items()}
     reference_env = {name: _reference_value(candidate.interp) for name, candidate in chosen.items()}
-    assert _compile_check(variables, body, head, tables)(env, points) == _reference_refuted(
+    assert _refuter(variables, body, head, tables)(env, points) == _reference_refuted(
         reference_env, points, variables, body, head
     )
 
@@ -531,7 +589,8 @@ def test_symbol_names_enter_generated_source_only_as_literals():
     body = (Atom("->", (App("f'", (x,)), App("a''"))),)
     head = Atom("->*", (App("f'", (App("f'", (x,)),)), y))
     for tables in (True, False):
-        source = _check_source((x, y), body, head, tables)
+        source, symbols = _check_source((x, y), body, head, tables)
+        assert symbols == {"f'", "a''", "->", "->*"}
         identifiers = _generated_identifiers(source)
         assert all(re.fullmatch(r"[stv]\d+|env|points|product|refuted", n) for n in identifiers)
         literals = {
@@ -548,14 +607,14 @@ def test_symbol_names_enter_generated_source_only_as_literals():
     reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
     # The finite spelling reads each interpretation as the finder's candidates carry it.
     fast = {
-        "f'": _table_candidate(interps["f'"], 1).fast,
-        "->": _pair_candidate(interps["->"], tuple(grid)).fast,
-        "->*": _pair_candidate(interps["->*"], tuple(grid)).fast,
+        "f'": reference_finder._table_candidate(interps["f'"], 1).fast,
+        "->": reference_finder._pair_candidate(interps["->"], tuple(grid)).fast,
+        "->*": reference_finder._pair_candidate(interps["->*"], tuple(grid)).fast,
     }
     for tables in (True, False):
         env = {**(fast if tables else reference_env), "a''": 1}
         for points in ((0, 1, 2), (0,), ()):
-            assert _compile_check((x, y), body, head, tables)(env, points) == _reference_refuted(
+            assert _refuter((x, y), body, head, tables)(env, points) == _reference_refuted(
                 reference_env, points, (x, y), body, head
             )
 
@@ -564,7 +623,7 @@ def test_25_variable_clause_compiles_and_evaluates():
     xs = tuple(Var(f"x{i}") for i in range(25))
     body = tuple(Atom("->", (xs[i], xs[i + 1])) for i in range(24))
     head = Atom("->*", (xs[0], xs[-1]))
-    refuted = _compile_check(xs, body, head, False)
+    refuted = _refuter(xs, body, head, False)
     le = lambda s, t: s <= t  # noqa: E731
     lt = lambda s, t: s < t  # noqa: E731
     eq = lambda s, t: s == t  # noqa: E731
@@ -575,7 +634,7 @@ def test_25_variable_clause_compiles_and_evaluates():
     # no strictly increasing chain of 24 steps over three points
     assert not refuted({"->": lt, "->*": eq}, (0, 1, 2))
     # obligation over the same chain; the reference is feasible on a single point
-    assert _compile_check(xs, body, None, False)({"->": le}, (0, 1))
+    assert _refuter(xs, body, None, False)({"->": le}, (0, 1))
     env = {"->": le, "->*": lt}
     assert _reference_refuted(env, (5,), xs, body, head)
     assert refuted(env, (5,))
@@ -591,7 +650,7 @@ def test_250_deep_term_compiles_and_evaluates():
     for step in (lambda v: v, lambda v: min(v + 1, 3), lambda v: max(v - 1, 0)):
         env = {"f": step, "->": lambda s, t: s == t, "->*": lambda s, t: s <= t}
         for points in ((0, 1, 2, 3), (2,)):
-            assert _compile_check((x, y), body, head, False)(env, points) == _reference_refuted(
+            assert _refuter((x, y), body, head, False)(env, points) == _reference_refuted(
                 env, points, (x, y), body, head
             )
 
@@ -607,10 +666,10 @@ def test_ground_and_sort_headed_checks():
     checks = (ground, unused, false_ground, refuted_ground, refuted_unused)
     for variables, body, head in checks:
         for points in ((0, 1), ()):
-            assert _compile_check(variables, body, head, False)(env, points) == _reference_refuted(
+            assert _refuter(variables, body, head, False)(env, points) == _reference_refuted(
                 env, points, variables, body, head
             )
-    assert _compile_check(*refuted_ground, False)(env, (0, 1))
+    assert _refuter(*refuted_ground, False)(env, (0, 1))
     # A sort head holds of every candidate, so such a clause is never compiled;
     # website's subsort clauses have them.
     theory, obligations = _setup(FLAGSHIPS[1])
@@ -618,6 +677,22 @@ def test_ground_and_sort_headed_checks():
     assert sort_headed
     compiled = _compile_checks(theory, obligations, True)
     assert len(compiled) == len(obligations) + len(theory.clauses) - len(sort_headed)
+
+
+@pytest.mark.parametrize("tables", (True, False))
+@pytest.mark.parametrize("case", FINDER_CASES + FLAGSHIPS, ids=lambda c: c.name)
+def test_each_check_reads_the_symbols_a_walk_of_its_atoms_finds(case, tables):
+    # The code generator reports the symbols it reads; sort atoms are
+    # dropped from the code, and the compiler puts only variables under them,
+    # so every check is attached where a walk of all its atoms puts it.
+    theory, obligations = _setup(case)
+    atoms = [ob.atoms for ob in obligations] + [
+        (*clause.body, clause.head)
+        for clause in theory.clauses
+        if sort_of_predicate(clause.head.predicate) is None
+    ]
+    compiled = _compile_checks(theory, obligations, tables)
+    assert [symbols for symbols, _ in compiled] == list(map(reference_finder._check_symbols, atoms))
 
 
 # -- the backjumping search against the chronological one -----------------------------
@@ -702,7 +777,7 @@ def _slot_systems(draw):
 def _complete_candidates(search, slots, checks):
     """The complete candidates handed to a ``finish`` that rejects each, and the nodes."""
     complete = []
-    state = _State.start(SearchBudget(), None)
+    state = _State(SearchBudget(), math.inf)
     assert search(slots, checks, state, (), lambda interps: complete.append(dict(interps))) is None
     return complete, state.nodes
 
@@ -735,7 +810,7 @@ def test_a_dead_end_that_does_not_read_the_slot_before_it_skips_that_slot():
 def _capped_run(slots, checks, max_nodes):
     """(reason, nodes, complete candidates handed to a rejecting ``finish``) under a node cap."""
     complete = []
-    state = _State.start(SearchBudget(max_nodes=max_nodes), None)
+    state = _State(SearchBudget(max_nodes=max_nodes), math.inf)
     try:
         found = _search(slots, checks, state, (), lambda interps: complete.append(dict(interps)))
     except finder._Stop as stop:
@@ -790,7 +865,7 @@ def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
     def run(search):
         calls.clear()
         complete = []
-        state = _State.start(SearchBudget(), None)
+        state = _State(SearchBudget(), math.inf)
         search(slots, checks, state, (), lambda interps: complete.append(dict(interps)))
         return complete, state.nodes, list(calls)
 
