@@ -8,9 +8,10 @@ gets.  The finite finder's stages are interval carriers of at most
 functions as carrier-clamped affine templates, and predicates from a
 template menu, then raw tables on tiny domains, both built by one builder.
 The symbolic finder's stages are ray carriers with unclamped affine
-function templates (filtered for carrier closure) and the same predicate
-menu.  Menu builders check the deadline per entry.  Each candidate carries
-its interpretation in the structure, so completing one needs no backend branch.
+function templates (those that keep the carrier closed) and the same
+predicate menu.  Menu builders check the deadline per entry.  Each
+candidate carries its interpretation in the structure, so completing one
+needs no backend branch.
 
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
@@ -23,8 +24,8 @@ holds by construction of the candidates, so it is never attached.  Every
 complete candidate is re-checked through the verifier, so no unverified
 structure is ever returned.
 
-The compiled checks read the candidates' own data, and one generator
-spells it two ways.  A finite candidate keeps its table or pair set for the
+The compiled checks read the candidates' data, and one generator spells
+it two ways.  A finite candidate keeps its table or pair set for the
 structure and gives the checks a form they can index with no Python call
 per application: a unary table keyed by the int itself (``s0[t0]``), a
 wider one by the tuple (``s0[(t0, t1)]``), a predicate as a successor map
@@ -36,32 +37,28 @@ unbounded integers, so a symbolic check calls it (``s0(t0)``,
 ``PredicateInterp`` the first time it is read: the search reads
 interpretations only of complete candidates, so most are never built.
 
-A check that reads no slot but its own, such as reflexivity of ``->*``,
-filters that slot's menu once per stage, as far as the walk reads it (node
-consistency, Mackworth 1977); the walk tries only the survivors, and adds
-each run of filtered candidates to the node count at once, clamped so that
-a node cap inside a run stops the search at exactly ``max_nodes + 1``.
-Node counts, and the complete candidates and their order, are as if every
-candidate were tried.
-Every other check's verdict depends only on the slots it reads, so the
-search keeps it, per check, keyed by the candidate index at the check's own
-slot.  The memo stays valid while every earlier slot the check reads keeps
-its value; those values change only when the search re-enters the slot
-just after the latest of them, so that is where the memo is cleared.  Each
-slot tries its checks longest-kept memo first, and within one reset level
-obligations before theory clauses, since they are usually the cheapest
-refuters.  The order cannot change which candidates survive.
+A check's verdict depends only on the slots it reads, so the search keeps
+it, per check, keyed by the candidate index at the check's slot.  The memo
+stays valid while every earlier slot the check reads keeps its value; those
+values change only when the search re-enters the slot just after the
+latest of them, so that is where the memo is cleared.  The memo of a check
+that reads no earlier slot, such as reflexivity of ``->*``, is cleared at
+slot 0, which is entered once per stage, so the check is computed at most
+once per candidate and stage.  Each slot tries its checks longest-kept
+memo first, and within one reset level obligations before theory clauses,
+since they are usually the cheapest refuters.  The order cannot change
+which candidates survive.
 
 The search backjumps (conflict-directed backjumping, Prosser 1993).  When
 every candidate of a slot fails, the slot's conflict set names earlier
 slots whose values alone make it fail: the earlier slots read by each
-check that rejected a candidate (none for the menu filter), and the
-conflict set of each failed subtree below it, minus the slot itself.  A
-complete candidate that the verifier rejects conflicts with every slot.
-The search returns to the latest slot in the set, merges the rest of the
-set into that slot's own, and tries its next candidate; the slots in
-between are left untried, since no value of theirs can undo the failure
-(an empty set ends the stage).
+check that rejected a candidate, and the conflict set of each failed
+subtree below it, minus the slot itself.  A complete candidate that the
+verifier rejects conflicts with every slot.  The search returns to the
+latest slot in the set, merges the rest of the set into that slot's
+conflict set, and tries its next candidate; the slots in between are left
+untried, since no value of theirs can undo the failure (an empty set ends
+the stage).
 So the skipped subtrees hold no complete candidate: the verifier sees the
 same complete candidates in the same order as in a chronological search,
 so the first verified model and its certificate are the same, reached in
@@ -199,15 +196,12 @@ class _State:
 
         The deadline is checked at node 1, so a search begun past its deadline
         stops at once, and again each time the count has grown by ``stride``.
-        A count past the cap is recorded as ``max_nodes + 1``, so a run of
-        candidates counted at once stops where counting them one by one
-        would.  Returns the count at which to call again.
+        Returns the count at which to call again.
         """
         cap = self.budget.max_nodes
-        if nodes > cap:
-            self.nodes = cap + 1
-            raise _Stop("budget exhausted: candidate cap")
         self.nodes = nodes
+        if nodes > cap:
+            raise _Stop("budget exhausted: candidate cap")
         if nodes >= self.check_at:
             _check_deadline(self.deadline)
             self.check_at = nodes + stride
@@ -507,27 +501,21 @@ def _search(
     finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
-    # A check reading no slot but its own filters that slot's menu
-    # (``own``).  Any other check's memo maps a candidate index at its own
-    # slot to its verdict; it is cleared on entering ``level``, the slot after
-    # the latest earlier slot the check reads.  ``reads`` is the bit set of
-    # those earlier slots: the conflict a rejection by the check adds (see
-    # the module docstring).
-    own: list[list[_Refuter]] = [[] for _ in slots]
+    # A check's memo maps a candidate index at its slot to its verdict; it
+    # is cleared on entering ``level``, the slot after the latest earlier slot
+    # the check reads (slot 0, entered once per stage, if it reads none).
+    # ``reads`` is the bit set of those earlier slots: the conflict a
+    # rejection by the check adds (see the module docstring).
     attached: list[list[tuple[int, dict[int, bool], _Refuter, int]]] = [[] for _ in slots]
     resets: list[list[dict[int, bool]]] = [[] for _ in slots]
     for symbols, refuted in checks:
         index = _latest_slot(position, symbols)
-        if index is None:
-            continue
-        earlier = {position[s] for s in symbols} - {index}
-        if not earlier:
-            own[index].append(refuted)
-            continue
-        level = max(earlier) + 1
-        memo: dict[int, bool] = {}
-        attached[index].append((level, memo, refuted, sum(1 << i for i in earlier)))
-        resets[level].append(memo)
+        if index is not None:
+            earlier = {position[s] for s in symbols} - {index}
+            level = max(earlier, default=-1) + 1
+            memo: dict[int, bool] = {}
+            attached[index].append((level, memo, refuted, sum(1 << i for i in earlier)))
+            resets[level].append(memo)
     # Longest-kept memos first; the sort is stable, so obligations stay first within a level.
     checks_by_slot = [
         [(memo, refuted, reads) for _, memo, refuted, reads in sorted(here, key=lambda c: c[0])]
@@ -539,51 +527,20 @@ def _search(
     # A node's checks loop over the grid, so a wide grid checks the deadline
     # more often: every 256 nodes up to 4 points, every node from 64.
     stride = max(1, min(256, 4096 // max(1, len(points)) ** 2))
-
-    def filtered(index: int) -> Iterator[tuple[int, _Candidate, int]]:
-        """``(k, candidate, skipped)`` of each candidate no own-slot check refutes.
-
-        ``skipped`` counts the refuted candidates just before the survivor;
-        once the menu is done, ``tails[index]`` counts those after the last.
-        """
-        name, refuters = slots[index].name, own[index]
-        skipped = 0
-        for k, candidate in enumerate(slots[index].candidates):
-            if not k % stride:
-                _check_deadline(state.deadline)
-            env[name] = candidate.fast
-            if any(refuted(env, points) for refuted in refuters):
-                skipped += 1
-            else:
-                yield k, candidate, skipped
-                skipped = 0
-        tails[index] = skipped
-
-    # Each slot's filtered menu is made once per stage, as far as the walk
-    # reads it: ``fresh`` gives each entry an iterator from the start, a copy
-    # of an unread ``tee`` that re-reads what earlier entries made.
-    fresh: list[Callable[[], Iterator[tuple[int, _Candidate, int]]] | None] = [None] * len(slots)
-    tails = [0] * len(slots)
-    # Nodes are counted in a local, a refuted candidate of the menu filter
-    # as one node each as if it were tried; ``state.count`` is the cap and
-    # deadline check, called only once ``nodes`` reaches ``limit``.
+    # Nodes are counted in a local; ``state.count`` is the cap and deadline
+    # check, called only once ``nodes`` reaches ``limit``.
     nodes = state.nodes
     limit = min(state.check_at, state.budget.max_nodes + 1)
-    # The walk keeps, per slot on the current path, its survivor iterator
+    # The walk keeps, per slot on the current path, its candidate iterator
     # and the conflict set gathered from its rejected candidates so far.
-    remaining: list[Iterator[tuple[int, _Candidate, int]]] = [iter(())] * len(slots)
+    remaining: list[Iterator[tuple[int, _Candidate]]] = [iter(())] * len(slots)
     conflicts = [0] * len(slots)
     every = (1 << len(slots)) - 1
 
     def enter(index: int) -> None:
         for memo in resets[index]:
             memo.clear()
-        if fresh[index] is None:
-            if own[index]:
-                fresh[index] = itertools.tee(filtered(index), 1)[0].__copy__
-            else:
-                fresh[index] = [(k, c, 0) for k, c in enumerate(slots[index].candidates)].__iter__
-        remaining[index] = fresh[index]()
+        remaining[index] = enumerate(slots[index].candidates)
         conflicts[index] = 0
 
     index = 0
@@ -604,19 +561,22 @@ def _search(
             here = checks_by_slot[index]
             gathered = conflicts[index]
             passed = None
-            for k, candidate, skipped in remaining[index]:
-                nodes += skipped + 1
+            for k, candidate in remaining[index]:
+                nodes += 1
                 if nodes >= limit:
                     limit = state.count(nodes, stride)
-                env[name] = candidate.fast
+                # ``env`` gets the candidate only for a check computed here,
+                # and for the slots after it once it passes.
                 for memo, refuted, reads in here:
                     verdict = memo.get(k)
                     if verdict is None:
+                        env[name] = candidate.fast
                         verdict = memo[k] = refuted(env, points)
                     if verdict:
                         gathered |= reads
                         break
                 else:
+                    env[name] = candidate.fast
                     passed = candidate
                     break
             conflicts[index] = gathered
@@ -626,11 +586,7 @@ def _search(
                 if index < len(slots):
                     enter(index)
                 continue
-            # Every candidate of the slot is rejected, the filtered tail too.
-            nodes += tails[index]
-            if nodes >= limit:
-                limit = state.count(nodes, stride)
-            failed = gathered
+            failed = gathered  # every candidate of the slot is rejected
         # Back to the latest slot in the conflict set: no value of the slots
         # after it can undo the failure.  Nothing in the set: the stage fails.
         index = failed.bit_length() - 1

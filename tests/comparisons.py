@@ -4,10 +4,12 @@
 compiler's output can be compared with clauses written out by hand.
 ``materialize`` evaluates a symbolic structure pointwise into a finite one,
 so the symbolic checks can be compared with the finite checks of the same
-structure.
+structure.  ``CheckCalls`` counts how often the finder's compiled checks
+run, so a search change can be shown to evaluate the same checks.
 """
 from __future__ import annotations
 
+from countermodel import finder
 from countermodel.logic import Atom, HornClause
 from countermodel.structures import FiniteStructure, SymbolicStructure, carrier_values, tabulate
 from countermodel.terms import Term, Var
@@ -56,3 +58,28 @@ def materialize(structure: SymbolicStructure) -> FiniteStructure:
     carriers = {sort: carrier_values(structure.carrier(sort)) for sort in sig.sorts}
     functions, predicates = tabulate(sig, carriers, structure.functions, structure.predicates)
     return FiniteStructure(sig, carriers, functions, predicates)
+
+
+class CheckCalls:
+    """A count of check calls: ``wrap`` one check, or ``install`` on every compiled one."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def wrap(self, refuted):
+        def counted(env, points):
+            self.calls += 1
+            return refuted(env, points)
+
+        return counted
+
+    def install(self, monkeypatch) -> "CheckCalls":
+        """Count every check that ``finder._compile_check`` compiles while patched."""
+        compile_check = finder._compile_check
+
+        def compiled(*args, **kwargs):
+            symbols, refuted = compile_check(*args, **kwargs)
+            return symbols, self.wrap(refuted)
+
+        monkeypatch.setattr(finder, "_compile_check", compiled)
+        return self

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_finder
+from comparisons import CheckCalls
 from countermodel import finder
 from countermodel.certificates import serialize_certificate
 from countermodel.checker import VERIFIED, verify
@@ -785,10 +786,29 @@ def _complete_candidates(search, slots, checks):
 @settings(max_examples=300, deadline=None)
 @given(_slot_systems())
 def test_backjumping_hands_finish_the_reference_sequence_of_complete_candidates(system):
-    complete, nodes = _complete_candidates(_search, *system)
-    reference, reference_nodes = _complete_candidates(reference_finder._search, *system)
+    slots, checks = system
+    position = {slot.name: index for index, slot in enumerate(slots)}
+
+    def level(check):
+        """The slot after the latest earlier slot the check reads, where its memo is cleared."""
+        reads = sorted(position[name] for name in check[0])
+        return reads[-2] + 1 if len(reads) > 1 else 0
+
+    # The reference tries each slot's checks in the walk's order, longest-kept
+    # memo first, so the walk's calls are the reference's minus memo hits and
+    # skipped subtrees.  (Neither's candidates depend on that order.)
+    counted, reference_counted = CheckCalls(), CheckCalls()
+    complete, nodes = _complete_candidates(
+        _search, slots, [(reads, counted.wrap(refuted)) for reads, refuted in checks]
+    )
+    reference, reference_nodes = _complete_candidates(
+        reference_finder._search,
+        slots,
+        [(reads, reference_counted.wrap(refuted)) for reads, refuted in sorted(checks, key=level)],
+    )
     assert complete == reference
     assert nodes <= reference_nodes
+    assert counted.calls <= reference_counted.calls
 
 
 def test_a_dead_end_that_does_not_read_the_slot_before_it_skips_that_slot():
@@ -821,8 +841,10 @@ def _capped_run(slots, checks, max_nodes):
 
 def test_own_slot_refuted_runs_are_counted_in_bulk_as_one_by_one():
     # Slot b's own check refutes runs at the start, middle and end of its
-    # menu, so the walk adds them to the node count at once; a cap falling
-    # inside any run must still stop at exactly max_nodes + 1.
+    # menu.  The walk counts each refuted candidate as one node, its verdict
+    # computed once per stage and read from the memo after that, so the
+    # runs count as if tried one by one, and a cap falling inside any run
+    # must stop at exactly max_nodes + 1.
     slots = [
         _Slot(name, [_Candidate(v, v) for v in range(size)])
         for name, size in (("a", 3), ("b", 10), ("c", 3))

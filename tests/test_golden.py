@@ -5,7 +5,8 @@ serialized certificate byte and every atom->depth map.  The digests below
 are SHA-256 of the serialized certificate (for each displayed paper
 structure and each finder case's ``disprove``) and of the sorted
 ``"atom\\tdepth"`` lines of a saturation.  The finder's node counts are
-pinned too: a search change may make nodes cheaper, not more numerous.
+pinned too: a search change may make nodes cheaper, not more numerous.  So
+are its compiled-check calls.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from countermodel.oracle import saturate
 from countermodel.pipeline import disprove
 from countermodel.query_format import parse_query
 from countermodel.trs_format import parse_ctrs
+from comparisons import CheckCalls
 from paperdata import FINDER_CASES, PAPER_CHECKS, paper_certificate, query_text, system
 
 CHECK_DIGESTS = {
@@ -63,6 +65,21 @@ DISPROVE_NODES = {
     "division-ccp": 2_002,
     "website-security": 2_002,
 }
+# Compiled-check calls over the same runs: a change to the walk's own
+# bookkeeping must evaluate the same checks.
+DISPROVE_CHECK_CALLS = {
+    "intro-one-step": 16,
+    "intro-reachability": 46,
+    "pair-gf-infeasible": 111,
+    "hg-infeasible": 22,
+    "fab-nonjoinable": 14,
+    "fab-infeasible": 14,
+    "non-looping-a": 240,
+    "increasing-f": 15_345,
+    "non-cycling": 5_336,
+    "division-ccp": 2_219,
+    "website-security": 1_500,
+}
 FLAGSHIPS = {
     "division-ccp": ("division.trs", "division_ccp.q"),
     "website-security": ("website.trs", "website.q"),
@@ -84,6 +101,7 @@ def test_digest_tables_cover_every_instance():
     assert set(CHECK_DIGESTS) == {c.name for c in PAPER_CHECKS}
     assert set(DISPROVE_DIGESTS) == {c.name for c in FINDER_CASES}
     assert set(DISPROVE_NODES) == set(DISPROVE_DIGESTS) | set(FLAGSHIPS)
+    assert set(DISPROVE_CHECK_CALLS) == set(DISPROVE_NODES)
 
 
 @pytest.mark.parametrize("check", PAPER_CHECKS, ids=lambda c: c.name)
@@ -102,6 +120,23 @@ def test_disprove_certificate_bytes(case):
     assert _sha256(serialize_certificate(result.certificate)) == DISPROVE_DIGESTS[case.name]
 
 
+def _disprove_case(name):
+    """``pipeline.disprove`` on a finder case or a capped flagship, as the benchmark runs it."""
+    if name in FLAGSHIPS:
+        source, query_file = FLAGSHIPS[name]
+        document = system(source)
+        query = parse_query(query_text(query_file), document.ctrs.signature, document.var_sorts)
+        budget = SearchBudget(max_nodes=FLAGSHIP_MAX_NODES)
+    else:
+        case = next(c for c in FINDER_CASES if c.name == name)
+        document = system(case.system)
+        query = parse_query(case.query, document.ctrs.signature, document.var_sorts)
+        budget = None
+    result = pipeline.disprove(document.ctrs, query, budget)
+    assert result.succeeded == (name not in FLAGSHIPS), result.reasons
+    return result
+
+
 @pytest.mark.parametrize("name", DISPROVE_NODES)
 def test_disprove_node_totals(name, monkeypatch):
     nodes = []
@@ -116,23 +151,19 @@ def test_disprove_node_totals(name, monkeypatch):
 
     monkeypatch.setattr(pipeline, "find_model", counted(pipeline.find_model))
     monkeypatch.setattr(pipeline, "find_symbolic_model", counted(pipeline.find_symbolic_model))
-    if name in FLAGSHIPS:
-        source, query_file = FLAGSHIPS[name]
-        document = system(source)
-        query = parse_query(query_text(query_file), document.ctrs.signature, document.var_sorts)
-        budget = SearchBudget(max_nodes=FLAGSHIP_MAX_NODES)
-    else:
-        case = next(c for c in FINDER_CASES if c.name == name)
-        document = system(case.system)
-        query = parse_query(case.query, document.ctrs.signature, document.var_sorts)
-        budget = None
-    result = pipeline.disprove(document.ctrs, query, budget)
-    assert result.succeeded == (name not in FLAGSHIPS), result.reasons
+    result = _disprove_case(name)
     assert sum(nodes) == DISPROVE_NODES[name]
     if name in FLAGSHIPS:
         # A pruning change that lets a flagship exhaust its space shows here first.
         assert len(result.reasons) == 2, result.reasons
         assert all(reason.endswith("candidate cap") for reason in result.reasons), result.reasons
+
+
+@pytest.mark.parametrize("name", DISPROVE_CHECK_CALLS)
+def test_disprove_check_calls(name, monkeypatch):
+    counter = CheckCalls().install(monkeypatch)
+    _disprove_case(name)
+    assert counter.calls == DISPROVE_CHECK_CALLS[name]
 
 
 @pytest.mark.parametrize(
