@@ -13,6 +13,12 @@ predicate menu.  Menu builders check the deadline per entry.  Each
 candidate carries its interpretation in the structure, so completing one
 needs no backend branch.
 
+A menu depends only on its carrier or ray, its arity and the budget's menu
+settings (carriers, rays, coefficient range, raw-table size), never on the
+input, so it is built once per process for each set of menu settings and
+kept for every later search (see _menu).  Searches share the candidates,
+so nothing mutates one: a structure copies the tables it is given.
+
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
 attached to the last slot interpreting one of its symbols and is used to
@@ -72,7 +78,7 @@ import functools
 import itertools
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .checker import Certificate, VERIFIED, verify
@@ -188,6 +194,8 @@ class _Slot:
 class _State:
     budget: SearchBudget
     deadline: float  # time.monotonic() value at which the search stops
+    # Finished menus by key, all built under ``budget``'s menu settings.
+    menus: dict[tuple, list[_Candidate]] = field(default_factory=dict)
     nodes: int = 0
     check_at: int = 1  # the node count at which the deadline is next checked
 
@@ -263,7 +271,7 @@ def _find(
     checks = _compile_checks(theory, obligations, tables)
     if deadline is None:
         deadline = time.monotonic() + budget.time_limit
-    state = _State(budget, deadline)
+    state = _State(budget, deadline, _menus_for(budget))
     try:
         for stage in stages(sig, predicates, state):
             finish = lambda interps: _finish(stage, sig, interps, theory, obligations)  # noqa: E731
@@ -277,48 +285,46 @@ def _find(
 
 # -- stages and slot construction -------------------------------------------------
 
+# The finished menus of the latest menu settings searched under.  A menu
+# depends only on its key and on those settings, so each is built once per
+# process for each set of them; other settings drop the menus first, so the
+# cache holds at most what one search built.
+_menu_cache: dict[tuple, dict[tuple, list[_Candidate]]] = {}
+
+
+def _menus_for(budget: SearchBudget) -> dict[tuple, list[_Candidate]]:
+    settings = (
+        budget.carriers,
+        budget.ray_carriers,
+        budget.coeff_min,
+        budget.coeff_max,
+        budget.raw_table_max_size,
+    )
+    if settings not in _menu_cache:
+        _menu_cache.clear()
+        _menu_cache[settings] = {}
+    return _menu_cache[settings]
+
+
+def _menu(state: _State, key: tuple, build: Callable[[], list[_Candidate]]) -> list[_Candidate]:
+    """The menu under ``key``, built on a miss and kept once it is complete.
+
+    ``build`` checks the deadline of the search running it; a build it
+    stops keeps nothing.  Menus are shared between searches, so nothing
+    may mutate a candidate.
+    """
+    menu = state.menus.get(key)
+    if menu is None:
+        menu = state.menus[key] = build()
+    return menu
+
 
 def _finite_stages(sig: Signature, predicates: tuple[str, ...], state: _State) -> Iterator[_Stage]:
-    """Per interval carrier: the template menus, then raw tables on tiny carriers.
-
-    ``stage`` builds both from 0/1 predicate selectors over ``points`` and,
-    per arity, table rows: a table's values at ``product(carrier, repeat=arity)``.
-    """
-    # Menus over a wide carrier can take longer to build than the time limit.
-    budget, deadline = state.budget, state.deadline
+    """Per interval carrier: the template menus, then raw tables on tiny carriers."""
+    budget = state.budget
     for lo, hi in budget.carriers:
         carrier, n = tuple(range(lo, hi + 1)), hi - lo + 1
-        points = list(itertools.product(carrier, repeat=2))
-        constants = [_Candidate({(): v}, v) for v in carrier]
-
-        def stage(selectors: Iterable[bytes], rows: Callable[[int], Iterable[tuple]]) -> _Stage:
-            menu = []
-            for selector in selectors:
-                _check_deadline(deadline)
-                # The checks read a successor map: row i of the points has x = carrier[i].
-                successors = {
-                    x: frozenset(itertools.compress(carrier, selector[i * n : i * n + n]))
-                    for i, x in enumerate(carrier)
-                }
-                menu.append(_Candidate(frozenset(itertools.compress(points, selector)), successors))
-
-            def tables(arity: int) -> list[_Candidate]:
-                # The checks read a unary table keyed by the int itself.
-                keys = list(itertools.product(carrier, repeat=arity))
-                out = []
-                for row in rows(arity):
-                    _check_deadline(deadline)
-                    table = dict(zip(keys, row))
-                    out.append(_Candidate(table, dict(zip(carrier, row)) if arity == 1 else table))
-                return out
-
-            slots = _slots(sig, predicates, menu, constants, tables)
-            return _Stage(slots, carrier, FiniteStructure, carrier)
-
-        yield stage(
-            _template_selectors(points, deadline),
-            lambda arity: _template_rows(arity, carrier, budget, deadline),
-        )
+        yield _finite_stage(sig, predicates, state, carrier, raw=False)
         if n <= budget.raw_table_max_size and all(
             len(args) <= RAW_TABLE_MAX_ARITY for args, _ in sig.functions.values()
         ):
@@ -329,22 +335,80 @@ def _finite_stages(sig: Signature, predicates: tuple[str, ...], state: _State) -
                 sizes.append(2 ** (n * n))
             if max(sizes, default=0) > budget.max_nodes:
                 raise _Stop("budget exhausted: candidate cap")
-            yield stage(
-                (bytes(m >> i & 1 for i in range(len(points))) for m in range(1 << len(points))),
-                lambda arity: itertools.product(carrier, repeat=n**arity),
+            yield _finite_stage(sig, predicates, state, carrier, raw=True)
+
+
+def _finite_stage(
+    sig: Signature, predicates: tuple[str, ...], state: _State, carrier: tuple[int, ...], raw: bool
+) -> _Stage:
+    """The template or, with ``raw``, the raw-table stage on ``carrier``.
+
+    Both are built the same way: from 0/1 predicate selectors over the
+    points of ``carrier`` squared and, per arity, table rows: a table's
+    values at ``product(carrier, repeat=arity)``.
+    """
+    # Menus over a wide carrier can take longer to build than the time limit.
+    budget, deadline, n = state.budget, state.deadline, len(carrier)
+    kind = "raw" if raw else "template"
+
+    def predicate_menu() -> list[_Candidate]:
+        points = list(itertools.product(carrier, repeat=2))
+        if raw:
+            selectors: Iterable[bytes] = (
+                bytes(m >> i & 1 for i in range(len(points))) for m in range(1 << len(points))
             )
+        else:
+            selectors = _template_selectors(points, deadline)
+        menu = []
+        for selector in selectors:
+            _check_deadline(deadline)
+            # The checks read a successor map: row i of the points has x = carrier[i].
+            successors = {
+                x: frozenset(itertools.compress(carrier, selector[i * n : i * n + n]))
+                for i, x in enumerate(carrier)
+            }
+            menu.append(_Candidate(frozenset(itertools.compress(points, selector)), successors))
+        return menu
+
+    def tables(arity: int) -> list[_Candidate]:
+        # The checks read a unary table keyed by the int itself.
+        keys = list(itertools.product(carrier, repeat=arity))
+        if raw:
+            rows: Iterable[tuple] = itertools.product(carrier, repeat=n**arity)
+        else:
+            rows = _template_rows(arity, carrier, budget, deadline)
+        out = []
+        for row in rows:
+            _check_deadline(deadline)
+            table = dict(zip(keys, row))
+            out.append(_Candidate(table, dict(zip(carrier, row)) if arity == 1 else table))
+        return out
+
+    slots = _slots(
+        sig,
+        predicates,
+        _menu(state, (kind, carrier), predicate_menu),
+        _menu(state, ("constants", carrier), lambda: [_Candidate({(): v}, v) for v in carrier]),
+        lambda arity: _menu(state, (kind, carrier, arity), functools.partial(tables, arity)),
+    )
+    return _Stage(slots, carrier, FiniteStructure, carrier)
 
 
 def _symbolic_stages(
     sig: Signature, predicates: tuple[str, ...], state: _State
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
-    budget, deadline = state.budget, state.deadline
-    menu = _menu_predicates_symbolic()  # the same for every carrier
-    for lo in budget.ray_carriers:
-        functions = functools.partial(_affine_candidates, lo=lo, budget=budget, deadline=deadline)
+    # The same for every carrier.
+    menu = _menu(state, ("symbolic",), _menu_predicates_symbolic)
+    for lo in state.budget.ray_carriers:
+        functions = functools.partial(_affine_menu, state, lo)
         slots = _slots(sig, predicates, menu, functions(0), functions)
         yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Ray(lo))
+
+
+def _affine_menu(state: _State, lo: int, arity: int) -> list[_Candidate]:
+    build = functools.partial(_affine_candidates, arity, lo, state.budget, state.deadline)
+    return _menu(state, ("affine", lo, arity), build)
 
 
 def _slots(
@@ -355,7 +419,6 @@ def _slots(
     function_candidates: Callable[[int], list[_Candidate]],
 ) -> list[_Slot]:
     """Slots in search order: predicates, then constants, then functions."""
-    function_candidates = functools.cache(function_candidates)  # one menu per arity
     functions = sig.functions.items()
     slots = [_Slot(name, predicate_candidates) for name in predicates]
     slots += [_Slot(name, constant_candidates) for name, (args, _) in functions if not args]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import itertools
 import math
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_finder
 from comparisons import CheckCalls
-from countermodel import finder
+from countermodel import finder, pipeline
 from countermodel.certificates import serialize_certificate
 from countermodel.checker import VERIFIED, verify
 from countermodel.finder import (
@@ -48,6 +49,12 @@ FLAGSHIPS = (
     FinderCase("division-ccp", "division.trs", query_text("division_ccp.q"), "symbolic"),
     FinderCase("website-security", "website.trs", query_text("website.q"), "symbolic"),
 )
+
+
+@pytest.fixture
+def empty_menu_cache(monkeypatch):
+    """A menu cache of the test's own, empty at its start; the process's is restored after."""
+    monkeypatch.setattr(finder, "_menu_cache", {})
 
 
 @functools.cache
@@ -144,7 +151,7 @@ def test_raw_menu_past_the_node_cap_stops_before_it_is_built(monkeypatch):
     assert len(made) == 1
 
 
-def test_function_menus_are_built_once_per_stage_and_arity(monkeypatch):
+def test_function_menus_are_built_once_per_stage_and_arity(empty_menu_cache, monkeypatch):
     calls = []
 
     def counted(build):
@@ -329,7 +336,9 @@ def test_the_time_limit_stops_a_search_on_a_wide_grid():
     assert time.monotonic() - started < limit + 1
 
 
-def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidates(monkeypatch):
+def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidates(
+    empty_menu_cache, monkeypatch
+):
     built, finished = [], []
     relation_interp, finish = finder._relation_interp, finder._finish
 
@@ -348,6 +357,119 @@ def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidat
     # Each distinct relation that reached the verifier is built once, and no other.
     reached = {id(interp): interp for interps in finished for interp in interps.values()}
     assert finished and len(built) == len(reached) == len(set(built))
+
+
+# Menus are kept between searches (see finder._menu).
+
+
+def _counted_find(find, nodes):
+    def run(*args, **kwargs):
+        outcome = find(*args, **kwargs)
+        nodes.append(outcome.nodes)
+        return outcome
+
+    return run
+
+
+def test_kept_menus_give_each_disprove_what_an_empty_cache_gives(monkeypatch):
+    # Each finder case at the default budget and each flagship capped at
+    # 1,000 nodes per backend, as the benchmark runs them: alone on an empty
+    # cache, then in two orders on one cache.  A kept menu that was built for
+    # another carrier, ray or arity than its key names shows here.
+    calls, nodes = CheckCalls().install(monkeypatch), []
+    for name in ("find_model", "find_symbolic_model"):
+        monkeypatch.setattr(pipeline, name, _counted_find(getattr(pipeline, name), nodes))
+
+    def run(case):
+        document = system(case.system)
+        query = parse_query(case.query, document.ctrs.signature, document.var_sorts)
+        budget = SearchBudget(max_nodes=1_000) if case in FLAGSHIPS else None
+        calls.calls, nodes[:] = 0, []
+        result = pipeline.disprove(document.ctrs, query, budget)
+        certificate = result.certificate and serialize_certificate(result.certificate)
+        return certificate, sum(nodes), calls.calls, result.reasons
+
+    cases = FINDER_CASES + FLAGSHIPS
+    alone = {}
+    for case in cases:
+        monkeypatch.setattr(finder, "_menu_cache", {})
+        alone[case] = run(case)
+    for order in (cases, cases[::-1]):
+        monkeypatch.setattr(finder, "_menu_cache", {})
+        for case in order:
+            assert run(case) == alone[case], case.name
+
+
+_MENU_BUILDERS = ("_template_selectors", "_template_rows", "_affine_candidates", "_menu_predicates_symbolic")
+
+
+def test_a_second_search_with_the_same_menu_settings_builds_no_menu(empty_menu_cache, monkeypatch):
+    # Increasing-f exhausts every finite stage, raw ones too, before the
+    # symbolic search finds its model.
+    theory, obligations = _setup(next(c for c in FINDER_CASES if c.name == "increasing-f"))
+    first = [find(theory, obligations) for find in (find_model, find_symbolic_model)]
+    built = []
+    for name in _MENU_BUILDERS:
+        monkeypatch.setattr(finder, name, lambda *args, name=name: built.append(name))
+    # The node cap and the time limit are no menu settings.
+    budget = SearchBudget(max_nodes=1_000_000, time_limit=600.0)
+    second = [find(theory, obligations, budget) for find in (find_model, find_symbolic_model)]
+    assert built == []
+    assert [(o.reason, o.nodes, o.certificate) for o in second] == [
+        (o.reason, o.nodes, o.certificate) for o in first
+    ]
+
+
+def _kept_menus():
+    """The kept menus by key; the cache holds those of one set of menu settings."""
+    (menus,) = finder._menu_cache.values()
+    return menus
+
+
+def test_a_menu_build_stopped_by_the_deadline_keeps_nothing(empty_menu_cache, monkeypatch):
+    theory, obligations = _setup(FINDER_CASES[0])  # intro: one constant, no function
+    outcome = find_model(theory, obligations, deadline=time.monotonic() - 1)
+    assert outcome.reason == "budget exhausted: time cap"
+    assert _kept_menus() == {}
+    # Stopped while the first table menu is built, after the predicate and
+    # constant menus are complete: only those two are kept.
+    theory, obligations = _setup(FINDER_CASES[2])  # pair-gf: unary g, binary f
+    stopped = mock.Mock(side_effect=finder._Stop("budget exhausted: time cap"))
+    with mock.patch.object(finder, "_template_rows", stopped):
+        outcome = find_model(theory, obligations)
+    assert outcome.reason == "budget exhausted: time cap"
+    assert set(_kept_menus()) == {("template", (0, 1)), ("constants", (0, 1))}
+    # A later search builds the rest and finds what an empty cache finds.
+    found = find_model(theory, obligations)
+    monkeypatch.setattr(finder, "_menu_cache", {})
+    assert found.certificate == find_model(theory, obligations).certificate
+
+
+def test_a_search_under_other_menu_settings_drops_the_kept_menus(empty_menu_cache):
+    theory, obligations = _setup(FINDER_CASES[2])
+    find_model(theory, obligations)
+    find_symbolic_model(theory, obligations)
+    assert ("affine", 0, 1) in _kept_menus()
+    narrow = SearchBudget(carriers=((0, 1),), ray_carriers=(0,))
+    assert find_model(theory, obligations, narrow).found
+    assert list(finder._menu_cache) == [
+        (((0, 1),), (0,), narrow.coeff_min, narrow.coeff_max, narrow.raw_table_max_size)
+    ]
+    assert {key[:2] for key in _kept_menus()} == {("template", (0, 1)), ("constants", (0, 1))}
+    # Each menu setting counts, and the node cap and time limit do not.
+    kept = _kept_menus()
+    find_model(theory, obligations, dataclasses.replace(narrow, max_nodes=9, time_limit=9.0))
+    assert _kept_menus() is kept
+    for other in (
+        dict(carriers=((0, 2),)),
+        dict(ray_carriers=(1,)),
+        dict(coeff_min=-1),
+        dict(coeff_max=3),
+        dict(raw_table_max_size=1),
+    ):
+        find_model(theory, obligations, dataclasses.replace(narrow, **other))
+        assert _kept_menus() is not kept
+        kept = _kept_menus()
 
 
 def _random_unconditional_ctrs(rng: random.Random) -> CTRS:
