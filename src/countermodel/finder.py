@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -399,7 +400,7 @@ def _symbolic_stages(
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
     # The same for every carrier.
-    menu = _menu(state, ("symbolic",), _menu_predicates_symbolic)
+    menu = _menu(state, ("symbolic",), functools.partial(_menu_predicates_symbolic, state.deadline))
     for lo in state.budget.ray_carriers:
         functions = functools.partial(_affine_menu, state, lo)
         slots = _slots(sig, predicates, menu, functions(0), functions)
@@ -476,11 +477,33 @@ def _template_selectors(points: list[tuple[int, int]], deadline: float) -> list[
     return list(dict.fromkeys(selectors))  # first occurrences, in menu order
 
 
-def _menu_predicates_symbolic() -> list[_Candidate]:
-    pairs = itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)
-    return [_RelationCandidate(rel, None) for rel in BASE_RELATIONS] + [
-        _RelationCandidate("pair", p) for p in pairs
-    ]
+# The order relations as pair templates ``a*x + b*y <= c`` over the integers.
+_PAIR_FORMS = {"<=": (1, -1, 0), ">=": (-1, 1, 0), "<": (1, -1, -1), ">": (-1, 1, -1)}
+
+
+def _menu_predicates_symbolic(deadline: float) -> list[_Candidate]:
+    """The menu relations in menu order, each relation over Z² once.
+
+    ``a*x + b*y <= c`` is the relation of ``a/g*x + b/g*y <= floor(c/g)``
+    for ``g = gcd(a, b)``, and ``0*x + 0*y <= c`` holds everywhere or
+    nowhere.  A later twin tests like the first on every grid and verifies
+    as it does, so dropping it cannot change the first verified candidate.
+    """
+    relations = [(rel, None) for rel in BASE_RELATIONS]
+    relations += [("pair", p) for p in itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)]
+    menu, seen = [], set()
+    for rel, payload in relations:
+        _check_deadline(deadline)
+        if rel == "=":
+            key: object = rel
+        else:
+            a, b, c = payload or _PAIR_FORMS[rel]
+            g = math.gcd(a, b)
+            key = (a // g, b // g, c // g) if g else c >= 0
+        if key not in seen:
+            seen.add(key)
+            menu.append(_RelationCandidate(rel, payload))
+    return menu
 
 
 def _template_rows(

@@ -246,12 +246,33 @@ def test_symbolic_constant_menu_is_the_affine_menu_at_arity_zero(lo):
 def _reference_menu_extensions(carrier):
     """The construction the template predicate menu replaced: each relation's test at each point."""
     extensions = []
-    for candidate in _menu_predicates_symbolic():
+    for candidate in _menu_predicates_symbolic(math.inf):
         test = _relation_test(*candidate.relation)
         extension = frozenset((x, y) for x in carrier for y in carrier if test(x, y))
         if extension not in extensions:
             extensions.append(extension)
     return extensions
+
+
+def test_symbolic_predicate_menu_keeps_the_first_of_each_relation_over_z2():
+    # Every relation of the full menu against the kept ones, by extension on
+    # a box wide enough to tell apart any two of these distinct relations.
+    box = range(-12, 13)
+
+    def extension(relation):
+        test = _relation_test(*relation)
+        return frozenset((x, y) for x in box for y in box if test(x, y))
+
+    full = [(rel, None) for rel in finder.BASE_RELATIONS] + [
+        ("pair", p)
+        for p in itertools.product(finder.PAIR_COEFFS, finder.PAIR_COEFFS, finder.PAIR_CONSTS)
+    ]
+    first = {}
+    for relation in full:
+        first.setdefault(extension(relation), relation)
+    kept = [candidate.relation for candidate in _menu_predicates_symbolic(math.inf)]
+    assert (len(full), len(kept)) == (610, 403)
+    assert kept == list(first.values())
 
 
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
@@ -565,7 +586,7 @@ def _menus(kind, param):
     if kind == "symbolic":
         points = tuple(range(param, param + 4))
         consts = _affine_candidates(0, param, _BUDGET, math.inf)
-        preds = _menu_predicates_symbolic()
+        preds = _menu_predicates_symbolic(math.inf)
         funcs = {n: _affine_candidates(n, param, _BUDGET, math.inf) for n in (1, 2)}
         return points, preds, consts, funcs
     return _finite_stage_menus(param, (1, 2), raw=kind == "raw")

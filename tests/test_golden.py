@@ -60,8 +60,8 @@ DISPROVE_NODES = {
     "fab-nonjoinable": 10,
     "fab-infeasible": 10,
     "non-looping-a": 518,
-    "increasing-f": 29_904,
-    "non-cycling": 17_092,
+    "increasing-f": 28_413,
+    "non-cycling": 16_471,
     "division-ccp": 2_002,
     "website-security": 2_002,
 }
@@ -75,8 +75,8 @@ DISPROVE_CHECK_CALLS = {
     "fab-nonjoinable": 14,
     "fab-infeasible": 14,
     "non-looping-a": 240,
-    "increasing-f": 15_345,
-    "non-cycling": 5_336,
+    "increasing-f": 14_009,
+    "non-cycling": 4_901,
     "division-ccp": 2_219,
     "website-security": 1_500,
 }
