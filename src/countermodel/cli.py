@@ -15,6 +15,7 @@ Run as ``countermodel`` or ``python -m countermodel``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .certificates import serialize_certificate
 from .checker import REFUTED, VERIFIED, verify
 from .errors import CountermodelError, OptionError
 from .finder import SearchBudget
-from .logic import format_theory
+from .logic import format_term, format_theory
 from .model_format import AUTO, FINITE, SYMBOLIC, parse_model
 from .oracle import saturate
 from .pipeline import (
@@ -246,7 +247,10 @@ def _run_disprove(args) -> int:
 def _run_derive(args) -> int:
     document = _load_system(args)
     atom_set = saturate(document.ctrs, args.size, args.depth)
-    lines = sorted(f"{atom}  [depth {depth}]" for atom, depth in atom_set.atoms.items())
+    term_text = functools.cache(format_term)  # a term occurs in many atoms
+    lines = sorted(
+        f"{atom.format(term_text)}  [depth {depth}]" for atom, depth in atom_set.atoms.items()
+    )
     for line in lines:
         print(line)
     print(f"{len(lines)} atoms (size <= {args.size}, depth <= {args.depth})", file=sys.stderr)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .terms import (
     BUILTIN_PREDICATES,
@@ -47,10 +48,14 @@ class Atom:
         return tuple(seen)
 
     def __str__(self) -> str:
+        return self.format(format_term)
+
+    def format(self, term_text: Callable[[Term], str]) -> str:
+        """The atom as ``str`` spells it, with ``term_text`` spelling each argument."""
         if self.predicate in BUILTIN_PREDICATES:
             left, right = self.args
-            return f"{format_term(left)} {self.predicate} {format_term(right)}"
-        inner = ", ".join(format_term(a) for a in self.args)
+            return f"{term_text(left)} {self.predicate} {term_text(right)}"
+        inner = ", ".join(term_text(a) for a in self.args)
         return f"{self.predicate}({inner})"
 
 

@@ -11,6 +11,7 @@ import pytest
 from countermodel import cli, query_format, trs_format
 from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, main
 from countermodel.lexer import MAX_NESTING
+from countermodel.oracle import saturate
 from paperdata import CORPUS
 
 
@@ -180,6 +181,14 @@ def test_derive_prints_sorted_atoms(capsys):
     assert "b -> a  [depth 1]" in lines
     assert lines == sorted(lines)
     assert not any("a -> b" in line for line in lines)
+
+
+def test_derive_spells_each_atom_as_str_does(capsys):
+    # derive formats each distinct term once; the lines are the atoms' own spelling.
+    assert main(["derive", corpus("division.trs"), "--size", "4", "--depth", "5"]) == 0
+    atoms = saturate(trs_format.parse_ctrs((CORPUS / "division.trs").read_text()), 4, 5).atoms
+    expected = sorted(f"{atom}  [depth {depth}]" for atom, depth in atoms.items())
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_disprove_writes_certificate_file(tmp_path, capsys):
