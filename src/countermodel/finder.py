@@ -286,21 +286,15 @@ def _find(
 
 # -- stages and slot construction -------------------------------------------------
 
-# The finished menus of the latest menu settings searched under.  A menu
-# depends only on its key and on those settings, so each is built once per
-# process for each set of them; other settings drop the menus first, so the
-# cache holds at most what one search built.
+# The finished menus under the latest menu settings a search ran with (see
+# the module docstring).  Other settings drop them first, so the cache holds
+# at most what one search built.
 _menu_cache: dict[tuple, dict[tuple, list[_Candidate]]] = {}
 
 
 def _menus_for(budget: SearchBudget) -> dict[tuple, list[_Candidate]]:
-    settings = (
-        budget.carriers,
-        budget.ray_carriers,
-        budget.coeff_min,
-        budget.coeff_max,
-        budget.raw_table_max_size,
-    )
+    b = budget
+    settings = (b.carriers, b.ray_carriers, b.coeff_min, b.coeff_max, b.raw_table_max_size)
     if settings not in _menu_cache:
         _menu_cache.clear()
         _menu_cache[settings] = {}
