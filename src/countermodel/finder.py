@@ -15,9 +15,12 @@ needs no backend branch.
 
 A menu depends only on its carrier or ray, its arity and the budget's menu
 settings (carriers, rays, coefficient range, raw-table size), never on the
-input, so it is built once per process for each set of menu settings and
-kept for every later search (see _menu).  Searches share the candidates,
-so nothing mutates one: a structure copies the tables it is given.
+input.  So the second of consecutive searches under the same menu
+settings keeps the menus it builds, and the searches after it reuse them
+(see _menus_for).  The first keeps none, so a one-shot run frees a
+carrier's menus once it moves past the carrier, as with no cache.
+Searches share kept candidates, so nothing mutates one: a structure copies
+the tables it is given.
 
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
@@ -79,7 +82,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .checker import Certificate, VERIFIED, verify
@@ -195,8 +198,9 @@ class _Slot:
 class _State:
     budget: SearchBudget
     deadline: float  # time.monotonic() value at which the search stops
-    # Finished menus by key, all built under ``budget``'s menu settings.
-    menus: dict[tuple, list[_Candidate]] = field(default_factory=dict)
+    # Finished menus by key, all built under ``budget``'s menu settings, or
+    # None for a search that keeps no menu (see _menus_for).
+    menus: dict[tuple, list[_Candidate]] | None = None
     nodes: int = 0
     check_at: int = 1  # the node count at which the deadline is next checked
 
@@ -286,28 +290,39 @@ def _find(
 
 # -- stages and slot construction -------------------------------------------------
 
-# The finished menus under the latest menu settings a search ran with (see
-# the module docstring).  Other settings drop them first, so the cache holds
-# at most what one search built.
-_menu_cache: dict[tuple, dict[tuple, list[_Candidate]]] = {}
+# The menu settings of the latest search, and the menus kept under them:
+# None until a second search runs under the same settings.
+_kept: tuple[tuple, dict[tuple, list[_Candidate]] | None] = ((), None)
 
 
-def _menus_for(budget: SearchBudget) -> dict[tuple, list[_Candidate]]:
+def _menus_for(budget: SearchBudget) -> dict[tuple, list[_Candidate]] | None:
+    """The menus a search under ``budget`` reuses and keeps, or None to keep none.
+
+    The menu settings key them; the node cap and time limit do not.  A
+    search under other settings than the latest search's drops the kept
+    menus and keeps none itself, as a one-shot run needs; the next search
+    under the same settings starts keeping them.  So the process holds at
+    most the menus of one set of settings.
+    """
+    global _kept
     b = budget
     settings = (b.carriers, b.ray_carriers, b.coeff_min, b.coeff_max, b.raw_table_max_size)
-    if settings not in _menu_cache:
-        _menu_cache.clear()
-        _menu_cache[settings] = {}
-    return _menu_cache[settings]
+    if _kept[0] != settings:
+        _kept = (settings, None)
+    elif _kept[1] is None:
+        _kept = (settings, {})
+    return _kept[1]
 
 
 def _menu(state: _State, key: tuple, build: Callable[[], list[_Candidate]]) -> list[_Candidate]:
-    """The menu under ``key``, built on a miss and kept once it is complete.
+    """The menu under ``key``, built on a miss; a search that keeps menus keeps it once complete.
 
     ``build`` checks the deadline of the search running it; a build it
-    stops keeps nothing.  Menus are shared between searches, so nothing
-    may mutate a candidate.
+    stops keeps nothing.  Kept menus are shared between searches, so
+    nothing may mutate a candidate.
     """
+    if state.menus is None:
+        return build()
     menu = state.menus.get(key)
     if menu is None:
         menu = state.menus[key] = build()
@@ -414,6 +429,7 @@ def _slots(
     function_candidates: Callable[[int], list[_Candidate]],
 ) -> list[_Slot]:
     """Slots in search order: predicates, then constants, then functions."""
+    function_candidates = functools.cache(function_candidates)  # one menu per arity
     functions = sig.functions.items()
     slots = [_Slot(name, predicate_candidates) for name in predicates]
     slots += [_Slot(name, constant_candidates) for name, (args, _) in functions if not args]

@@ -53,8 +53,8 @@ FLAGSHIPS = (
 
 @pytest.fixture
 def empty_menu_cache(monkeypatch):
-    """A menu cache of the test's own, empty at its start; the process's is restored after."""
-    monkeypatch.setattr(finder, "_menu_cache", {})
+    """No menu kept at the test's start; the process's kept menus are restored after."""
+    monkeypatch.setattr(finder, "_kept", ((), None))
 
 
 @functools.cache
@@ -413,10 +413,10 @@ def test_kept_menus_give_each_disprove_what_an_empty_cache_gives(monkeypatch):
     cases = FINDER_CASES + FLAGSHIPS
     alone = {}
     for case in cases:
-        monkeypatch.setattr(finder, "_menu_cache", {})
+        monkeypatch.setattr(finder, "_kept", ((), None))
         alone[case] = run(case)
     for order in (cases, cases[::-1]):
-        monkeypatch.setattr(finder, "_menu_cache", {})
+        monkeypatch.setattr(finder, "_kept", ((), None))
         for case in order:
             assert run(case) == alone[case], case.name
 
@@ -424,33 +424,54 @@ def test_kept_menus_give_each_disprove_what_an_empty_cache_gives(monkeypatch):
 _MENU_BUILDERS = ("_template_selectors", "_template_rows", "_affine_candidates", "_menu_predicates_symbolic")
 
 
-def test_a_second_search_with_the_same_menu_settings_builds_no_menu(empty_menu_cache, monkeypatch):
+def test_the_first_search_under_new_menu_settings_keeps_no_menu(empty_menu_cache):
+    # So a one-shot run frees a carrier's menus once it moves past the carrier.
+    theory, obligations = _setup(FINDER_CASES[2])  # pair-gf: unary g, binary f
+    assert find_model(theory, obligations).found
+    assert finder._kept == (_settings(SearchBudget()), None)
+    assert find_model(theory, obligations).found
+    assert {key[:2] for key in _kept_menus()} == {("template", (0, 1)), ("constants", (0, 1))}
+
+
+def test_searches_after_the_second_under_the_same_menu_settings_build_no_menu(
+    empty_menu_cache, monkeypatch
+):
     # Increasing-f exhausts every finite stage, raw ones too, before the
-    # symbolic search finds its model.
+    # symbolic search finds its model.  The first search keeps no menu, so
+    # two rounds of both searches build and keep every menu.
     theory, obligations = _setup(next(c for c in FINDER_CASES if c.name == "increasing-f"))
-    first = [find(theory, obligations) for find in (find_model, find_symbolic_model)]
+    for _ in range(2):
+        first = [find(theory, obligations) for find in (find_model, find_symbolic_model)]
     built = []
     for name in _MENU_BUILDERS:
         monkeypatch.setattr(finder, name, lambda *args, name=name: built.append(name))
     # The node cap and the time limit are no menu settings.
     budget = SearchBudget(max_nodes=1_000_000, time_limit=600.0)
-    second = [find(theory, obligations, budget) for find in (find_model, find_symbolic_model)]
+    later = [find(theory, obligations, budget) for find in (find_model, find_symbolic_model)]
     assert built == []
-    assert [(o.reason, o.nodes, o.certificate) for o in second] == [
+    assert [(o.reason, o.nodes, o.certificate) for o in later] == [
         (o.reason, o.nodes, o.certificate) for o in first
     ]
 
 
-def _kept_menus():
-    """The kept menus by key; the cache holds those of one set of menu settings."""
-    (menus,) = finder._menu_cache.values()
+def _settings(budget: SearchBudget) -> tuple:
+    """The budget fields that key the kept menus."""
+    b = budget
+    return (b.carriers, b.ray_carriers, b.coeff_min, b.coeff_max, b.raw_table_max_size)
+
+
+def _kept_menus(budget: SearchBudget = SearchBudget()) -> dict:
+    """The menus kept under ``budget``'s menu settings, which the latest search ran with."""
+    settings, menus = finder._kept
+    assert settings == _settings(budget) and menus is not None
     return menus
 
 
 def test_a_menu_build_stopped_by_the_deadline_keeps_nothing(empty_menu_cache, monkeypatch):
     theory, obligations = _setup(FINDER_CASES[0])  # intro: one constant, no function
-    outcome = find_model(theory, obligations, deadline=time.monotonic() - 1)
-    assert outcome.reason == "budget exhausted: time cap"
+    for _ in range(2):  # the second search keeps what it builds
+        outcome = find_model(theory, obligations, deadline=time.monotonic() - 1)
+        assert outcome.reason == "budget exhausted: time cap"
     assert _kept_menus() == {}
     # Stopped while the first table menu is built, after the predicate and
     # constant menus are complete: only those two are kept.
@@ -462,7 +483,7 @@ def test_a_menu_build_stopped_by_the_deadline_keeps_nothing(empty_menu_cache, mo
     assert set(_kept_menus()) == {("template", (0, 1)), ("constants", (0, 1))}
     # A later search builds the rest and finds what an empty cache finds.
     found = find_model(theory, obligations)
-    monkeypatch.setattr(finder, "_menu_cache", {})
+    monkeypatch.setattr(finder, "_kept", ((), None))
     assert found.certificate == find_model(theory, obligations).certificate
 
 
@@ -471,16 +492,16 @@ def test_a_search_under_other_menu_settings_drops_the_kept_menus(empty_menu_cach
     find_model(theory, obligations)
     find_symbolic_model(theory, obligations)
     assert ("affine", 0, 1) in _kept_menus()
+    # Other settings drop the kept menus, and their first search keeps none.
     narrow = SearchBudget(carriers=((0, 1),), ray_carriers=(0,))
     assert find_model(theory, obligations, narrow).found
-    assert list(finder._menu_cache) == [
-        (((0, 1),), (0,), narrow.coeff_min, narrow.coeff_max, narrow.raw_table_max_size)
-    ]
-    assert {key[:2] for key in _kept_menus()} == {("template", (0, 1)), ("constants", (0, 1))}
+    assert finder._kept == (_settings(narrow), None)
+    assert find_model(theory, obligations, narrow).found
+    assert {key[:2] for key in _kept_menus(narrow)} == {("template", (0, 1)), ("constants", (0, 1))}
     # Each menu setting counts, and the node cap and time limit do not.
-    kept = _kept_menus()
+    kept = _kept_menus(narrow)
     find_model(theory, obligations, dataclasses.replace(narrow, max_nodes=9, time_limit=9.0))
-    assert _kept_menus() is kept
+    assert _kept_menus(narrow) is kept
     for other in (
         dict(carriers=((0, 2),)),
         dict(ray_carriers=(1,)),
@@ -488,9 +509,9 @@ def test_a_search_under_other_menu_settings_drops_the_kept_menus(empty_menu_cach
         dict(coeff_max=3),
         dict(raw_table_max_size=1),
     ):
-        find_model(theory, obligations, dataclasses.replace(narrow, **other))
-        assert _kept_menus() is not kept
-        kept = _kept_menus()
+        budget = dataclasses.replace(narrow, **other)
+        find_model(theory, obligations, budget)
+        assert finder._kept == (_settings(budget), None)
 
 
 def _random_unconditional_ctrs(rng: random.Random) -> CTRS:
