@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -59,7 +60,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors exit as input errors, not with argparse's 2 ("unknown")."""
+    """A parser whose usage errors exit as input errors, not with argparse's 2 ("unknown").
+
+    A token that starts with ``-`` and a digit is read as a value, such as
+    ``--coeff-range -2:2``, since no option starts that way.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -161,9 +170,9 @@ def _load_system(args):
 def _load_query(args, document):
     source = None
     origin = None
-    if args.query:
+    if args.query is not None:
         source, origin = args.query, "<query>"
-    elif args.query_file:
+    elif args.query_file is not None:
         source, origin = Path(args.query_file).read_text(encoding="utf-8").strip(), args.query_file
     if source is None:
         return None

@@ -21,7 +21,6 @@ induced by subsort pairs and function ranks.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from .errors import EmptySortError
 from .logic import Atom, HornClause, Theory, sort_predicate
@@ -38,6 +37,7 @@ from .terms import (
     Term,
     Var,
     term_sort,
+    term_vars,
 )
 
 
@@ -96,12 +96,9 @@ def rule_clause(sig: Signature, rule: ConditionalRule, head_predicate: str, tag:
     """The clause ``s1 ->* t1 /\\ ... /\\ sn ->* tn => lhs -> rhs`` for one rule."""
     body = tuple(Atom(MANY_STEPS, pair) for pair in oriented_conditions(sig, rule))
     head = Atom(head_predicate, (rule.lhs, rule.rhs))
-    # Quantify in rule-reading order: lhs, rhs, then conditions.
-    ordered: dict[Var, None] = dict.fromkeys(rule.variables())
-    for atom in (*body, head):
-        for v in atom.variables():
-            ordered.setdefault(v)
-    return HornClause(tuple(ordered), body, head, tag=tag)
+    # Quantify in rule-reading order: lhs, rhs, conditions, then fresh join variables.
+    variables = term_vars(*rule.terms(), *(t for atom in body for t in atom.args))
+    return HornClause(variables, body, head, tag=tag)
 
 
 def oriented_conditions(sig: Signature, rule: ConditionalRule) -> tuple[tuple[Term, Term], ...]:
@@ -140,21 +137,14 @@ def rewrite_closure_sorts(ctrs: CTRS) -> tuple[str, ...]:
     sort; with no rules, all maximal sorts.
     """
     sig = ctrs.signature
-    if sig.single_sorted:
-        return sig.sorts
     if not ctrs.rules:
-        return _maximal_sorts(sig, sig.sorts)
-    return _maximal_sorts(sig, (term_sort(sig, rule.lhs) for rule in ctrs.rules))
-
-
-def _maximal_sorts(sig: Signature, sorts: Iterable[str]) -> tuple[str, ...]:
-    """Maximal sorts of the components of ``sorts``, in first-seen order, without repeats."""
-    return tuple(dict.fromkeys(m for sort in sorts for m in sig.maximal_sorts(sig.kind_of(sort))))
+        return sig.maximal_sorts(sig.sorts)
+    return sig.maximal_sorts(term_sort(sig, rule.lhs) for rule in ctrs.rules)
 
 
 def subterm_theory(sig: Signature) -> tuple[HornClause, ...]:
     """Reflexivity, transitivity, and per-argument projections for ``|>``."""
-    sorts = _maximal_sorts(sig, sig.sorts)
+    sorts = sig.maximal_sorts(sig.sorts)
     clauses = _closure_clauses(sorts, SUBTERM, SUBTERM, "Subterm", "Subterm")
     for name, (arg_sorts, _result) in sig.functions.items():
         xs = _parameters(arg_sorts)

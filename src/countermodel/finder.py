@@ -726,7 +726,7 @@ def _compile_check(
 
 
 def _atom_vars(atom: Atom) -> set[str]:
-    return {v.name for arg in atom.args for v in term_vars(arg)}
+    return {v.name for v in term_vars(*atom.args)}
 
 
 def _check_source(

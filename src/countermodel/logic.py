@@ -41,11 +41,7 @@ class Atom:
             raise ValueError("sort predicates are unary")
 
     def variables(self) -> tuple[Var, ...]:
-        seen: dict[Var, None] = {}
-        for t in self.args:
-            for v in term_vars(t):
-                seen.setdefault(v)
-        return tuple(seen)
+        return term_vars(*self.args)
 
     def __str__(self) -> str:
         return self.format(format_term)

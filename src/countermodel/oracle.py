@@ -17,10 +17,12 @@ depth exactly ``k - 1``, so it derives exactly the atoms of minimal depth
 there are at most ``depth_bound`` rounds.
 
 The work is done on numbered terms (``_Numbering``).  The ground terms
-within the bound are numbered once, in order of size, as they are
-enumerated; a term's number is looked up from its symbol and its
-arguments' numbers, its subterms are its own number plus its arguments'
-subterms, and an atom is a pair of numbers until the result is built.
+within the bound are enumerated and numbered once, in order of size: the
+terms of one size are built from the numbers of smaller terms in the
+numbering's own pools, so no term is hashed to find its number.  A term's
+number is looked up from its symbol and its arguments' numbers, its
+subterms are its own number plus its arguments' subterms, and an atom is
+a pair of numbers until the result is built.
 A term fits the size bound and the sorts exactly when it has a number.
 Each term keeps a use list, the applications that take it as an argument
 (Downey, Sethi and Tarjan 1980): a step ``s -> t`` is closed under
@@ -41,10 +43,11 @@ their sum, not their product.
 """
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .compiler import oriented_conditions
 from .errors import OptionError
@@ -55,11 +58,11 @@ from .terms import (
     MANY_STEPS,
     ROOT_STEP,
     SUBTERM,
+    App,
     ConditionalRule,
     Signature,
     Term,
     Var,
-    ground_terms_by_size,
     term_size,
     term_vars,
 )
@@ -182,14 +185,18 @@ def _key(args: tuple[int, ...]) -> Hashable:
 class _Numbering:
     """The ground terms within a size bound, numbered in order of size.
 
-    ``ground[i]`` is the term numbered ``i``; ``tables[f]`` maps the
-    numbers of ``f``'s arguments to the number of the application, keyed as
-    ``_key`` shapes them, so a lookup misses exactly when the application is
-    ill-sorted or over the bound; ``pools[sort][k]`` lists the terms of
-    size ``k`` whose sort is at most ``sort``; ``below[i]`` holds the
-    numbers of term ``i``'s subterms, ``i`` included; ``uses[i]`` lists the
-    applications that take term ``i`` as an argument, each as its number,
-    its symbol's table and the argument numbers before and after ``i``.
+    The terms of one size are the applications of each symbol, in
+    declaration order, to the argument numbers the pools of smaller sizes
+    give, numbered grouped by result sort in order of each group's first
+    term.  ``ground[i]`` is the term numbered ``i``; ``tables[f]`` maps
+    the numbers of ``f``'s arguments to the number of the application,
+    keyed as ``_key`` shapes them, so a lookup misses exactly when the
+    application is ill-sorted or over the bound; ``pools[sort][k]`` lists
+    the terms of size ``k`` whose sort is at most ``sort``; ``below[i]``
+    holds the numbers of term ``i``'s subterms, ``i`` included; ``uses[i]``
+    lists the applications that take term ``i`` as an argument, each as its
+    number, its symbol's table and the argument numbers before and after
+    ``i``.
     """
 
     __slots__ = ("ground", "tables", "pools", "below", "uses")
@@ -203,22 +210,38 @@ class _Numbering:
             sort: [[] for _ in range(size_bound + 1)] for sort in sig.sorts
         }
         uppers = {sort: [up for up in sig.sorts if sig.le(sort, up)] for sort in sig.sorts}
-        numbers: dict[Term, int] = {}
-        for size, by_sort in enumerate(ground_terms_by_size(sig, size_bound)):
+        for size in range(1, size_bound + 1):
+            # The applications of this size as symbols and argument numbers.
+            by_sort: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
+            for name, (arg_sorts, result) in sig.functions.items():
+                for split in _compositions(size - 1, len(arg_sorts)):
+                    pools = [self.pools[s][k] for s, k in zip(arg_sorts, split)]
+                    for args in itertools.product(*pools):
+                        by_sort.setdefault(result, []).append((name, args))
             for sort, group in by_sort.items():
                 pools = [self.pools[up][size] for up in uppers[sort]]
-                for t in group:
-                    i = numbers[t] = len(self.ground)
-                    args = tuple(numbers[a] for a in t.args)
-                    table = self.tables[t.symbol]
+                for name, args in group:
+                    i = len(self.ground)
+                    table = self.tables[name]
                     table[_key(args)] = i
                     for k, a in enumerate(args):
                         self.uses[a].append((i, table, args[:k], args[k + 1 :]))
                     self.below.append({i}.union(*(self.below[a] for a in args)))
                     self.uses.append([])
-                    self.ground.append(t)
+                    self.ground.append(App(name, tuple(self.ground[a] for a in args)))
                     for pool in pools:
                         pool.append(i)
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ways to write ``total`` as an ordered sum of ``parts`` positive integers."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 _Emit = Callable[[list[tuple[int, int]], list[set[tuple[int, int]]]], None]
@@ -256,8 +279,8 @@ def _compile(
     room = [size_bound - term_size(t) for t in rule_terms]
     if min(room) < 0:
         return None
-    head_vars = {*term_vars(rule.lhs), *term_vars(rule.rhs)}
-    condition_vars = {v for t in rule_terms[2:] for v in term_vars(t)}
+    head_vars = set(term_vars(rule.lhs, rule.rhs))
+    condition_vars = set(term_vars(*rule_terms[2:]))
     variables = sorted(
         rule.variables(), key=lambda v: (v not in condition_vars, v not in head_vars)
     )

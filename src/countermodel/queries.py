@@ -114,13 +114,8 @@ def template(sig: Signature, kind: str, *args) -> Query:
         conditions = args[0] if len(args) == 1 and isinstance(args[0], (list, tuple)) else args
         if not conditions:
             raise QueryError("feasibility needs at least one condition")
-        variables: dict[Var, None] = {}
-        atoms = []
-        for s, t in conditions:
-            for v in (*term_vars(s), *term_vars(t)):
-                variables.setdefault(v)
-            atoms.append(Atom(MANY_STEPS, (s, t)))
-        return Query(tuple(variables), (tuple(atoms),))
+        atoms = tuple(Atom(MANY_STEPS, (s, t)) for s, t in conditions)
+        return Query(term_vars(*(t for pair in conditions for t in pair)), (atoms,))
     if kind == JOINABLE:
         s, t = _ground_pair(kind, args)
         x = Var("x", _join_sort(sig, s, t))
@@ -180,9 +175,7 @@ def _join_sort(sig: Signature, s: Term, t: Term) -> str:
 
 
 def _system_sort(sig: Signature) -> str:
-    if sig.single_sorted:
-        return sig.sorts[0]
-    tops = sig.maximal_sorts(frozenset(sig.sorts))
+    tops = sig.maximal_sorts(sig.sorts)
     if len(tops) == 1:
         return tops[0]
     raise QueryError(

@@ -6,9 +6,8 @@ code path for sorted and unsorted systems.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import RuleError, SignatureError, SourceSpan, TermError
 
@@ -126,6 +125,13 @@ class Signature:
                 if s in le[t]:
                     raise SignatureError(f"subsort cycle between '{s}' and '{t}'")
         object.__setattr__(self, "_le", le)
+        # Kinds, the connected components of the subsort graph: the sorts of
+        # one kind share one frozenset.
+        kinds = {s: frozenset((s,)) for s in self.sorts}
+        for sub, sup in self.subsort_pairs:
+            kind = kinds[sub] | kinds[sup]
+            kinds.update(dict.fromkeys(kind, kind))
+        object.__setattr__(self, "_kinds", kinds)
 
     # -- sort order -------------------------------------------------------
 
@@ -141,40 +147,17 @@ class Signature:
 
     def same_kind(self, s: str, t: str) -> bool:
         """Whether two sorts lie in the same connected component of the subsort graph."""
-        return self.kind_of(s) == self.kind_of(t)
+        return self._kinds[s] == self._kinds[t]  # type: ignore[attr-defined]
 
-    def kind_of(self, sort: str) -> frozenset[str]:
-        comps = self._kind_components()
-        return comps[sort]
+    def maximal_sorts(self, sorts: Iterable[str]) -> tuple[str, ...]:
+        """The maximal sorts of the kinds of ``sorts``.
 
-    def _kind_components(self) -> dict[str, frozenset[str]]:
-        cached = getattr(self, "_kinds", None)
-        if cached is not None:
-            return cached
-        parent = {s: s for s in self.sorts}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for sub, sup in self.subsort_pairs:
-            parent[find(sub)] = find(sup)
-        groups: dict[str, set[str]] = {}
-        for s in self.sorts:
-            groups.setdefault(find(s), set()).add(s)
-        comps = {s: frozenset(groups[find(s)]) for s in self.sorts}
-        object.__setattr__(self, "_kinds", comps)
-        return comps
-
-    def maximal_sorts(self, component: frozenset[str]) -> tuple[str, ...]:
-        """Sorts of the component with no strict supersort, in declaration order."""
-        return tuple(
-            s
-            for s in self.sorts
-            if s in component and not any(t != s and self.le(s, t) for t in component)
-        )
+        Kinds come in the order ``sorts`` first reaches them, each kind's
+        maximal sorts in declaration order, and each sort once.
+        """
+        kinds = dict.fromkeys(self._kinds[s] for s in sorts)  # type: ignore[attr-defined]
+        le = self._le  # type: ignore[attr-defined]
+        return tuple(s for kind in kinds for s in self.sorts if s in kind and le[s] == {s})
 
     @property
     def single_sorted(self) -> bool:
@@ -204,8 +187,8 @@ def term_size(t: Term) -> int:
     return 1 + sum(term_size(a) for a in t.args)
 
 
-def term_vars(t: Term) -> tuple[Var, ...]:
-    """Variables of a term, in order of first occurrence."""
+def term_vars(*terms: Term) -> tuple[Var, ...]:
+    """Variables of the terms, in order of first occurrence, the terms read in argument order."""
     seen: dict[Var, None] = {}
 
     def walk(u: Term) -> None:
@@ -215,7 +198,8 @@ def term_vars(t: Term) -> tuple[Var, ...]:
             for a in u.args:
                 walk(a)
 
-    walk(t)
+    for t in terms:
+        walk(t)
     return tuple(seen)
 
 
@@ -240,7 +224,7 @@ def check_term(sig: Signature, t: Term, *, strict: bool = True) -> None:
     to a term of a sibling sort in order to state that no such value exists).
     """
     if isinstance(t, Var):
-        if t.sort not in sig._le:  # type: ignore[attr-defined]
+        if t.sort not in sig.sorts:
             raise TermError(f"variable '{t.name}' has undeclared sort '{t.sort}'")
         return
     if t.symbol not in sig.functions:
@@ -263,43 +247,6 @@ def check_term(sig: Signature, t: Term, *, strict: bool = True) -> None:
                 f"argument of '{t.symbol}' has sort '{actual}', "
                 f"unrelated to declared '{declared}'"
             )
-
-
-def ground_terms_by_size(sig: Signature, bound: int) -> list[dict[str, list[Term]]]:
-    """``by_size[k][s]``: the ground terms of ``k`` nodes whose declared sort is ``s``, each once.
-
-    ``k`` runs up to ``bound``; ``by_size[0]`` is empty.
-    """
-    by_size: list[dict[str, list[Term]]] = [dict() for _ in range(bound + 1)]
-
-    def terms_le(sort: str, size: int) -> list[Term]:
-        return [t for s, ts in by_size[size].items() if sig.le(s, sort) for t in ts]
-
-    for k in range(1, bound + 1):
-        for name, (arg_sorts, result) in sig.functions.items():
-            arity = len(arg_sorts)
-            if arity == 0:
-                if k == 1:
-                    by_size[k].setdefault(result, []).append(App(name))
-                continue
-            remaining = k - 1
-            if remaining < arity:
-                continue
-            for split in _compositions(remaining, arity):
-                pools = [terms_le(s, n) for s, n in zip(arg_sorts, split)]
-                for args in itertools.product(*pools):
-                    by_size[k].setdefault(result, []).append(App(name, args))
-    return by_size
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write ``total`` as an ordered sum of ``parts`` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
 
 
 # -- rules and systems --------------------------------------------------------
@@ -326,11 +273,7 @@ class ConditionalRule:
             raise RuleError(f"unknown condition semantics '{self.condition_semantics}'")
 
     def variables(self) -> tuple[Var, ...]:
-        seen: dict[Var, None] = {}
-        for t in self.terms():
-            for v in term_vars(t):
-                seen.setdefault(v)
-        return tuple(seen)
+        return term_vars(*self.terms())
 
     def terms(self) -> tuple[Term, ...]:
         out = [self.lhs, self.rhs]

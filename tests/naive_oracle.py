@@ -10,8 +10,8 @@ in ``_substitution_candidates``.
 
 The term helpers below are the reference's own: ``ground_terms``
 enumerates by a recursion on the size budget, not through the oracle's
-``ground_terms_by_size``, so a fault in that enumeration cannot show up
-on both sides of a comparison.
+numbering (``oracle._Numbering``), so a fault in that enumeration cannot
+show up on both sides of a comparison.
 """
 from __future__ import annotations
 

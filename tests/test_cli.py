@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -379,6 +381,72 @@ def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):
     code = main(["disprove", corpus("intro.trs"), "--query", "REACHABLE(a, b)", *flags])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", corpus("intro.trs"), "--model", corpus("models/intro_restricted.model")],
+        ["disprove", corpus("intro.trs")],
+    ],
+    ids=["check", "disprove"],
+)
+def test_an_empty_query_is_the_parse_error_of_an_empty_query_file(command, tmp_path, capsys):
+    empty = tmp_path / "empty.q"
+    empty.write_text("")
+    assert main([*command, "--query-file", str(empty)]) == EXIT_INPUT
+    from_file = capsys.readouterr()
+    assert main([*command, "--query", ""]) == EXIT_INPUT
+    inline = capsys.readouterr()
+    assert inline.out == from_file.out == ""
+    assert inline.err == from_file.err == "error: expected identifier, got 'end of input'\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, dest",
+    [
+        ("--coeff-range", "-2:2", "coeff_range"),
+        ("--carriers", "-1:1", "carriers"),
+        ("--ray-carriers", "-1,0", "ray_carriers"),
+    ],
+)
+def test_a_value_that_starts_with_a_minus_and_a_digit_is_the_flags_value(flag, value, dest, capsys):
+    # --timeout -1 still reaches its own message: see the budget errors above.
+    argv = ["disprove", corpus("intro.trs"), "--query", "a -> b", flag, value]
+    assert getattr(cli._build_parser().parse_args(argv), dest) == value
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "verified"
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("CYCLING()", "system-wide cycling/looping templates need a unique top sort"),
+        ("LOOPING()", "system-wide cycling/looping templates need a unique top sort"),
+        ("JOINABLE(a, b)", "joinability arguments have no common supersort"),
+    ],
+)
+def test_a_template_without_its_sort_exits_input_error(query, message, tmp_path, capsys):
+    two_tops = tmp_path / "two_tops.trs"
+    two_tops.write_text("(SORTS A B) (SIG a : -> A  b : -> B) (RULES)")
+    assert main(["disprove", str(two_tops), "--query", query]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_the_readme_flag_examples_parse_on_disprove():
+    # Each backticked ``--flag value`` span of the README, one argv per ``a|b`` choice.
+    text = (CORPUS.parent / "README.md").read_text(encoding="utf-8")
+    examples = [
+        list(choice)
+        for span in re.findall(r"`(--[a-z-]+ [^`]+)`", text)
+        for choice in itertools.product(*(token.split("|") for token in span.split()))
+    ]
+    assert ["--coeff-range", "-2:2"] in examples
+    assert ["--backend", "both"] in examples
+    parser = cli._build_parser()
+    for example in examples:
+        args = parser.parse_args(["disprove", corpus("intro.trs"), "--query", "a -> b", *example])
+        assert args.command == "disprove", example
 
 
 def test_raw_table_menu_past_the_node_cap_ends_within_the_timeout(capsys):

@@ -8,7 +8,7 @@ from countermodel.cli import EXIT_INPUT, main
 from countermodel.compiler import compile_ctrs
 from countermodel.errors import EmptySortError
 from countermodel.logic import Atom
-from countermodel.oracle import saturate
+from countermodel.oracle import _Numbering, saturate
 from countermodel.structures import eval_atom
 from countermodel.terms import (
     ARROW,
@@ -23,7 +23,6 @@ from countermodel.terms import (
     ConditionalRule,
     Signature,
     Var,
-    ground_terms_by_size,
     term_size,
 )
 from countermodel.trs_format import parse_ctrs
@@ -244,16 +243,13 @@ def test_the_naive_enumeration_equals_the_numbered_one(name, size):
     # The reference enumerates on its own; a term of sort s is one whose
     # declared sort is at most s.
     sig = (parse_ctrs(TERNARY) if name == "ternary" else system(name).ctrs).signature
-    by_size = ground_terms_by_size(sig, size)
+    numbering = _Numbering(sig, size)
+    assert len(set(numbering.ground)) == len(numbering.ground)
     for sort in sig.sorts:
-        numbered = [
-            t
-            for group in by_size
-            for declared, terms in group.items()
-            if sig.le(declared, sort)
-            for t in terms
-        ]
+        pools = numbering.pools[sort]
+        numbered = [numbering.ground[i] for pool in pools for i in pool]
         assert len(set(numbered)) == len(numbered)
+        assert all(term_size(numbering.ground[i]) == k for k, pool in enumerate(pools) for i in pool)
         assert naive_oracle.ground_terms(sig, sort, size) == set(numbered)
 
 

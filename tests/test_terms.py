@@ -170,6 +170,24 @@ def test_sorted_ground_terms_respect_subsorts():
 def test_term_vars_first_occurrence_order():
     term = App("f", (Y, App("g", (X,)), Y))
     assert term_vars(term) == (Y, X)
+    # Several terms are read in argument order.
+    assert term_vars(App("g", (X,)), Y, X) == (X, Y)
+    assert term_vars(Y, App("g", (X,))) == (Y, X)
+    assert term_vars() == ()
+
+
+def test_kinds_and_their_maximal_sorts():
+    # Two kinds, {A, B, C} with two tops and {D, E} with one.
+    sig = Signature(
+        sorts=("E", "A", "B", "D", "C"),
+        subsort_pairs=(("A", "B"), ("D", "E"), ("A", "C")),
+    )
+    assert sig.same_kind("B", "C") and sig.same_kind("D", "E")
+    assert not sig.same_kind("A", "D")
+    assert sig.maximal_sorts(("D", "C", "A")) == ("E", "B", "C")
+    assert sig.maximal_sorts(sig.sorts) == ("E", "B", "C")
+    assert sig.maximal_sorts(("B",)) == ("B", "C")
+    assert sig.maximal_sorts(()) == ()
 
 
 # -- the cached hash of App -----------------------------------------------------
