@@ -26,12 +26,17 @@ Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions; every theory clause and obligation is
 attached to the last slot interpreting one of its symbols and is used to
 prune partial assignments.  An obligation is a headless clause, so both
-are compiled by one function, once per search, into a Python function that
-evaluates the check at every valuation over the stage's grid (the whole
-finite carrier, or the first integers of a ray).  A clause with a sort head
-holds by construction of the candidates, so it is never attached.  Every
-complete candidate is re-checked through the verifier, so no unverified
-structure is ever returned.
+are compiled by one function into a Python function that evaluates the
+check at every valuation over the stage's grid (the whole finite carrier,
+or the first integers of a ray).  The generated source names no symbol: it
+defines a factory that takes the symbols and returns the check.  So checks
+of one shape over different symbols, such as the congruence clauses of the
+functions of one arity, share one source, which is compiled once per
+process (see _check_maker); each search only binds its checks to their
+symbols.  A clause with a sort head holds by construction of the
+candidates, so it is never attached.  Every complete candidate is
+re-checked through the verifier, so no unverified structure is ever
+returned.
 
 The compiled checks read the candidates' data, and one generator spells
 it two ways.  A finite candidate keeps its table or pair set for the
@@ -720,28 +725,37 @@ def _compile_check(
     instead of ``points``.  Returns the symbols the code reads with it.
     """
     source, symbols = _check_source(variables, body, head, tables)
+    return set(symbols), _check_maker(source)(*symbols)
+
+
+@functools.lru_cache
+def _check_maker(source: str) -> Callable[..., _Refuter]:
+    """The ``make`` that ``source`` defines, compiled once per process.
+
+    Checks of one shape over different symbols have one source, so they
+    share one code object; each ``make(*symbols)`` closes over its own.
+    """
     namespace: dict[str, object] = {"product": itertools.product}
     exec(compile(source, "<finder check>", "exec"), namespace)
-    return symbols, namespace["refuted"]  # type: ignore[return-value]
-
-
-def _atom_vars(atom: Atom) -> set[str]:
-    return {v.name for v in term_vars(*atom.args)}
+    return namespace["make"]  # type: ignore[return-value]
 
 
 def _check_source(
     variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> tuple[str, set[str]]:
-    """Source of ``refuted(env, points)`` for :func:`_compile_check`, and the symbols it reads.
+) -> tuple[str, tuple[str, ...]]:
+    """Source of ``make`` for :func:`_compile_check`, and the symbols it reads in slot order.
 
-    Symbol names appear only as string literals (``s0 = env['f']``); the
-    identifiers are generated: ``sK`` slot values, ``vK`` variables, ``tK``
-    subterms.  Each distinct subterm is computed once, and each atom is
-    tested, in the innermost loop binding its last variable; ground ones
-    before any loop.  Terms become temporaries, never nested applications,
-    so depth is not limited by the parser.  With ``tables`` an application
-    is spelled ``s0[t0]`` (unary) or ``s0[(t0, t1)]`` and an atom
-    ``t1 in s1[t0]``, otherwise ``s0(t0)`` and ``s1(t0, t1)``.
+    ``make(n0, n1, ...)`` takes the symbols and returns ``refuted(env,
+    points)``, which reads slot ``sK = env[nK]``.  No symbol name enters the
+    source, so checks that differ only in their symbols have one source.
+    The identifiers are generated: ``nK`` symbols, ``sK`` slot values,
+    ``vK`` variables, ``tK`` subterms.  Each distinct subterm is computed
+    once, and each atom is tested, in the innermost loop binding its last
+    variable; ground ones before any loop.  Terms become temporaries, never
+    nested applications, so depth is not limited by the parser.  With
+    ``tables`` an application is spelled ``s0[t0]`` (unary) or ``s0[(t0,
+    t1)]`` and an atom ``t1 in s1[t0]``, otherwise ``s0(t0)`` and ``s1(t0,
+    t1)``.
 
     With ``tables`` a loop binding one variable ``v`` is driven by the first
     body atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
@@ -752,7 +766,8 @@ def _check_source(
     """
     atoms = [a for a in body if sort_of_predicate(a.predicate) is None]
     tested = [*atoms, *(() if head is None else (head,))]
-    occurring = {name for atom in tested for name in _atom_vars(atom)}
+    tested_vars = [{v.name for v in term_vars(*atom.args)} for atom in tested]
+    occurring = set().union(*tested_vars)
     names = list(dict.fromkeys(v.name for v in variables))
     loop_names = [name for name in names if name in occurring]
     level = {name: min(i, _OWN_LOOPS) + 1 for i, name in enumerate(loop_names)}
@@ -800,8 +815,10 @@ def _check_source(
                 done.append(temps[text])
         return done[0]
 
-    # Lower-level atoms first, so they prune before deeper subterms are computed.
-    for atom in sorted(atoms, key=lambda atom: max(map(level.get, _atom_vars(atom)), default=0)):
+    # Lower-level atoms first, so they prune before deeper subterms are
+    # computed; zip stops before the head.
+    ordered = sorted(zip(atoms, tested_vars), key=lambda av: max(map(level.get, av[1]), default=0))
+    for atom, _ in ordered:
         values = [value(a) for a in atom.args]
         if tables and len(values) == 2 and isinstance(atom.args[1], Var):
             k = level[atom.args[1].name]
@@ -816,21 +833,22 @@ def _check_source(
         text, _ = apply(head.predicate, [value(a) for a in head.args], atom=True)
         lines[depth].append(f"if not {text}: return True")
 
-    source = ["def refuted(env, points):"]
-    source += [f"    {name} = env[{symbol!r}]" for symbol, name in slots.items()]
+    params = ", ".join(f"n{i}" for i in range(len(slots)))
+    source = [f"def make({params}):", "    def refuted(env, points):"]
+    source += [f"        {name} = env[n{i}]" for i, name in enumerate(slots.values())]
     if len(loop_names) < len(names):
-        source.append("    if not points: return False")  # an unused variable has no value
-    source += [f"    {line}" for line in lines[0]]
+        source.append("        if not points: return False")  # an unused variable has no value
+    source += [f"        {line}" for line in lines[0]]
     for k in range(1, depth + 1):
         bound = [local[name] for name in loop_names if level[name] == k]
         if len(bound) == 1:
             header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
         else:
             header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
-        source.append("    " * k + header)
-        source += ["    " * (k + 1) + line for line in lines[k]]
-    source.append("    return False")
-    return "\n".join(source) + "\n", set(slots)
+        source.append("    " * (k + 1) + header)
+        source += ["    " * (k + 2) + line for line in lines[k]]
+    source += ["        return False", "    return refuted"]
+    return "\n".join(source) + "\n", tuple(slots)
 
 
 # -- candidate completion -----------------------------------------------------------

@@ -53,8 +53,12 @@ FLAGSHIPS = (
 
 @pytest.fixture
 def empty_menu_cache(monkeypatch):
-    """No menu kept at the test's start; the process's kept menus are restored after."""
+    """No menu kept and no check source compiled at the test's start.
+
+    The process's kept menus are restored after; its compiled sources are not.
+    """
     monkeypatch.setattr(finder, "_kept", ((), None))
+    finder._check_maker.cache_clear()
 
 
 @functools.cache
@@ -749,19 +753,21 @@ def _generated_identifiers(source):
     return names
 
 
-def test_symbol_names_enter_generated_source_only_as_literals():
+def test_symbol_names_never_enter_generated_source():
     x, y = Var("x"), Var("y")
     body = (Atom("->", (App("f'", (x,)), App("a''"))),)
     head = Atom("->*", (App("f'", (App("f'", (x,)),)), y))
     for tables in (True, False):
         source, symbols = _check_source((x, y), body, head, tables)
-        assert symbols == {"f'", "a''", "->", "->*"}
+        # Slots are numbered in the order the generator first reads their symbols.
+        assert symbols == ("f'", "a''", "->", "->*")
+        assert not any(symbol in source for symbol in symbols)
         identifiers = _generated_identifiers(source)
-        assert all(re.fullmatch(r"[stv]\d+|env|points|product|refuted", n) for n in identifiers)
-        literals = {
-            node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)
-        }
-        assert {"f'", "a''", "->", "->*"} <= literals
+        assert all(re.fullmatch(r"[nstv]\d+|env|points|product|refuted|make", n) for n in identifiers)
+        tree = ast.parse(source)
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        (make,) = tree.body
+        assert [arg.arg for arg in make.args.args] == [f"n{i}" for i in range(len(symbols))]
     grid = range(3)
     interps = {
         "f'": {(v,): min(v + 1, 2) for v in grid},
@@ -782,6 +788,39 @@ def test_symbol_names_enter_generated_source_only_as_literals():
             assert _refuter((x, y), body, head, tables)(env, points) == _reference_refuted(
                 reference_env, points, (x, y), body, head
             )
+
+
+def test_checks_of_one_shape_share_one_code_object(empty_menu_cache):
+    # Congruence of "->" for two unary symbols: one source, two closures,
+    # each reading its own symbol from one env that binds both.
+    x, y = Var("x"), Var("y")
+    grid = range(3)
+    interps = {
+        "f'": {(v,): min(v + 1, 2) for v in grid},  # monotone: congruent
+        "g": {(v,): 2 - v for v in grid},  # antitone: refuted
+        "->": frozenset((s, t) for s in grid for t in grid if s <= t),
+    }
+    reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
+    fast = {
+        "f'": reference_finder._table_candidate(interps["f'"], 1).fast,
+        "g": reference_finder._table_candidate(interps["g"], 1).fast,
+        "->": reference_finder._pair_candidate(interps["->"], tuple(grid)).fast,
+    }
+    for tables in (True, False):
+        env = fast if tables else reference_env
+        verdicts = []
+        refuters = []
+        for symbol in ("f'", "g"):
+            body = (Atom("->", (x, y)),)
+            head = Atom("->", (App(symbol, (x,)), App(symbol, (y,))))
+            refuted = _refuter((x, y), body, head, tables)
+            refuters.append(refuted)
+            verdicts.append(refuted(env, tuple(grid)))
+            assert verdicts[-1] == _reference_refuted(reference_env, tuple(grid), (x, y), body, head)
+        assert refuters[0] is not refuters[1]
+        assert refuters[0].__code__ is refuters[1].__code__
+        assert verdicts == [False, True]
+    assert finder._check_maker.cache_info()[:2] == (2, 2)  # (hits, misses): one source per spelling
 
 
 def test_25_variable_clause_compiles_and_evaluates():

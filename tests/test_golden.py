@@ -6,7 +6,7 @@ are SHA-256 of the serialized certificate (for each displayed paper
 structure and each finder case's ``disprove``) and of the sorted
 ``"atom\\tdepth"`` lines of a saturation.  The finder's node counts are
 pinned too: a search change may make nodes cheaper, not more numerous.  So
-are its compiled-check calls.
+are its compiled-check calls and the distinct check sources it compiles.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import hashlib
 
 import pytest
 
-from countermodel import pipeline
+from countermodel import finder, pipeline
 from countermodel.certificates import serialize_certificate
 from countermodel.finder import SearchBudget
 from countermodel.oracle import saturate
@@ -79,6 +79,21 @@ DISPROVE_CHECK_CALLS = {
     "non-cycling": 4_901,
     "division-ccp": 2_219,
     "website-security": 1_500,
+}
+# Distinct check sources that the same runs compile from an empty cache:
+# checks that differ only in their symbols share one source.
+DISPROVE_CHECK_SHAPES = {
+    "intro-one-step": 5,
+    "intro-reachability": 5,
+    "pair-gf-infeasible": 8,
+    "hg-infeasible": 8,
+    "fab-nonjoinable": 5,
+    "fab-infeasible": 5,
+    "non-looping-a": 8,
+    "increasing-f": 14,
+    "non-cycling": 12,
+    "division-ccp": 26,
+    "website-security": 10,
 }
 FLAGSHIPS = {
     "division-ccp": ("division.trs", "division_ccp.q"),
@@ -164,6 +179,13 @@ def test_disprove_check_calls(name, monkeypatch):
     counter = CheckCalls().install(monkeypatch)
     _disprove_case(name)
     assert counter.calls == DISPROVE_CHECK_CALLS[name]
+
+
+@pytest.mark.parametrize("name", DISPROVE_NODES)
+def test_disprove_check_shapes(name):
+    finder._check_maker.cache_clear()
+    _disprove_case(name)
+    assert finder._check_maker.cache_info().misses == DISPROVE_CHECK_SHAPES[name]
 
 
 @pytest.mark.parametrize(
