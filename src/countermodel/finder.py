@@ -9,8 +9,10 @@ functions as carrier-clamped affine templates, and predicates from a
 template menu, then raw tables on tiny domains, both built by one builder.
 The symbolic finder's stages are ray carriers with unclamped affine
 function templates (those that keep the carrier closed) and the same
-predicate menu.  Menu builders check the deadline per entry.  Each
-candidate carries its interpretation in the structure, so completing one
+predicate menu.  Menu builders check the deadline per entry.  A menu keeps
+each candidate in one form, the one the compiled checks read, and says how
+candidate ``k`` becomes an interpretation in the structure; only a
+complete candidate is turned into one (see _finish), so completing one
 needs no backend branch.
 
 A menu depends only on its carrier or ray, its arity and the budget's menu
@@ -19,7 +21,7 @@ input.  So the second of consecutive searches under the same menu
 settings keeps the menus it builds, and the searches after it reuse them
 (see _menus_for).  The first keeps none, so a one-shot run frees a
 carrier's menus once it moves past the carrier, as with no cache.
-Searches share kept candidates, so nothing mutates one: a structure copies
+Searches share kept menus, so nothing mutates one: a structure copies
 the tables it is given.
 
 Search runs depth-first over interpretation slots ordered predicates,
@@ -39,17 +41,15 @@ re-checked through the verifier, so no unverified structure is ever
 returned.
 
 The compiled checks read the candidates' data, and one generator spells
-it two ways.  A finite candidate keeps its table or pair set for the
-structure and gives the checks a form they can index with no Python call
-per application: a unary table keyed by the int itself (``s0[t0]``), a
-wider one by the tuple (``s0[(t0, t1)]``), a predicate as a successor map
+it two ways.  A finite menu keeps what the checks can index with no Python
+call per application: a unary table keyed by the int itself (``s0[t0]``),
+a wider one by the tuple (``s0[(t0, t1)]``), a predicate as a successor map
 over the carrier, ``{x: frozenset(ys)}``, tested as ``t1 in s1[t0]`` or
 iterated to drive a loop (an indexed nested-loop join; see _check_source).
-A symbolic candidate is an affine function or relation on
-unbounded integers, so a symbolic check calls it (``s0(t0)``,
-``s1(v0, t1)``).  A symbolic predicate candidate builds its
-``PredicateInterp`` the first time it is read: the search reads
-interpretations only of complete candidates, so most are never built.
+A symbolic menu keeps affine functions and relations on unbounded
+integers as callables, so a symbolic check calls them (``s0(t0)``,
+``s1(v0, t1)``), and the coefficients _finish builds each one's
+interpretation from.
 
 A check's verdict depends only on the slots it reads, so the search keeps
 it, per check, keyed by the candidate index at the check's slot.  The memo
@@ -171,32 +171,19 @@ def _check_deadline(deadline: float) -> None:
         raise _Stop("budget exhausted: time cap")
 
 
-@dataclass
-class _Candidate:
-    interp: object  # what goes into the structure
-    # What the compiled checks read: an int for a constant, else on finite
-    # stages a table (keyed by the int itself when unary) or a successor
-    # map, and on symbolic ones a callable.
-    fast: object
-
-
-class _RelationCandidate(_Candidate):
-    """A symbolic predicate candidate whose ``PredicateInterp`` is built when first read."""
-
-    def __init__(self, rel: str, payload: tuple[int, int, int] | None):
-        # No dataclass __init__: ``interp`` is the cached property below.
-        self.relation = (rel, payload)
-        self.fast = _relation_test(rel, payload)
-
-    @functools.cached_property
-    def interp(self) -> PredicateInterp:
-        return _relation_interp(*self.relation)
+@dataclass(frozen=True)
+class _Menu:
+    # Candidate k as the compiled checks read it: an int for a constant,
+    # else on finite stages a table (keyed by the int itself when unary) or
+    # a successor map, and on symbolic ones a callable.
+    fast: list
+    interp: Callable[[int], object]  # candidate k's interpretation in the structure
 
 
 @dataclass
 class _Slot:
     name: str
-    candidates: list[_Candidate]
+    menu: _Menu
 
 
 @dataclass
@@ -205,7 +192,7 @@ class _State:
     deadline: float  # time.monotonic() value at which the search stops
     # Finished menus by key, all built under ``budget``'s menu settings, or
     # None for a search that keeps no menu (see _menus_for).
-    menus: dict[tuple, list[_Candidate]] | None = None
+    menus: dict[tuple, _Menu] | None = None
     nodes: int = 0
     check_at: int = 1  # the node count at which the deadline is next checked
 
@@ -272,7 +259,7 @@ def _find(
 ) -> FindOutcome:
     """Run the search over each stage in turn until one yields a verified structure.
 
-    ``tables``: the stages' candidates are tables and pair sets (see the module docstring).
+    ``tables``: the stages' menus hold tables and successor maps (see the module docstring).
     """
     budget = budget or SearchBudget()
     obligations = tuple(obligations)
@@ -284,7 +271,7 @@ def _find(
     state = _State(budget, deadline, _menus_for(budget))
     try:
         for stage in stages(sig, predicates, state):
-            finish = lambda interps: _finish(stage, sig, interps, theory, obligations)  # noqa: E731
+            finish = lambda chosen: _finish(stage, sig, chosen, theory, obligations)  # noqa: E731
             found = _search(stage.slots, checks, state, stage.grid, finish)
             if found is not None:
                 return FindOutcome(found[0], found[1], None, state.nodes)
@@ -297,10 +284,10 @@ def _find(
 
 # The menu settings of the latest search, and the menus kept under them:
 # None until a second search runs under the same settings.
-_kept: tuple[tuple, dict[tuple, list[_Candidate]] | None] = ((), None)
+_kept: tuple[tuple, dict[tuple, _Menu] | None] = ((), None)
 
 
-def _menus_for(budget: SearchBudget) -> dict[tuple, list[_Candidate]] | None:
+def _menus_for(budget: SearchBudget) -> dict[tuple, _Menu] | None:
     """The menus a search under ``budget`` reuses and keeps, or None to keep none.
 
     The menu settings key them; the node cap and time limit do not.  A
@@ -319,12 +306,12 @@ def _menus_for(budget: SearchBudget) -> dict[tuple, list[_Candidate]] | None:
     return _kept[1]
 
 
-def _menu(state: _State, key: tuple, build: Callable[[], list[_Candidate]]) -> list[_Candidate]:
+def _menu(state: _State, key: tuple, build: Callable[[], _Menu]) -> _Menu:
     """The menu under ``key``, built on a miss; a search that keeps menus keeps it once complete.
 
     ``build`` checks the deadline of the search running it; a build it
     stops keeps nothing.  Kept menus are shared between searches, so
-    nothing may mutate a candidate.
+    nothing may mutate one.
     """
     if state.menus is None:
         return build()
@@ -366,7 +353,7 @@ def _finite_stage(
     budget, deadline, n = state.budget, state.deadline, len(carrier)
     kind = "raw" if raw else "template"
 
-    def predicate_menu() -> list[_Candidate]:
+    def predicate_menu() -> _Menu:
         points = list(itertools.product(carrier, repeat=2))
         if raw:
             selectors: Iterable[bytes] = (
@@ -374,20 +361,19 @@ def _finite_stage(
             )
         else:
             selectors = _template_selectors(points, deadline)
-        menu = []
+        maps = []
         for selector in selectors:
             _check_deadline(deadline)
-            # The checks read a successor map: row i of the points has x = carrier[i].
-            successors = {
+            # A successor map: row i of the points has x = carrier[i].
+            maps.append({
                 x: frozenset(itertools.compress(carrier, selector[i * n : i * n + n]))
                 for i, x in enumerate(carrier)
-            }
-            menu.append(_Candidate(frozenset(itertools.compress(points, selector)), successors))
-        return menu
+            })
+        return _Menu(maps, lambda k: frozenset((x, y) for x, ys in maps[k].items() for y in ys))
 
-    def tables(arity: int) -> list[_Candidate]:
-        # The checks read a unary table keyed by the int itself.
-        keys = list(itertools.product(carrier, repeat=arity))
+    def tables(arity: int) -> _Menu:
+        # A unary table is keyed by the int itself, a wider one by the tuple.
+        keys = carrier if arity == 1 else list(itertools.product(carrier, repeat=arity))
         if raw:
             rows: Iterable[tuple] = itertools.product(carrier, repeat=n**arity)
         else:
@@ -395,15 +381,15 @@ def _finite_stage(
         out = []
         for row in rows:
             _check_deadline(deadline)
-            table = dict(zip(keys, row))
-            out.append(_Candidate(table, dict(zip(carrier, row)) if arity == 1 else table))
-        return out
+            out.append(dict(zip(keys, row)))
+        unary = lambda k: {(x,): v for x, v in out[k].items()}  # noqa: E731
+        return _Menu(out, unary if arity == 1 else out.__getitem__)
 
     slots = _slots(
         sig,
         predicates,
         _menu(state, (kind, carrier), predicate_menu),
-        _menu(state, ("constants", carrier), lambda: [_Candidate({(): v}, v) for v in carrier]),
+        _menu(state, ("constants", carrier), lambda: _Menu(list(carrier), lambda k: {(): carrier[k]})),
         lambda arity: _menu(state, (kind, carrier, arity), functools.partial(tables, arity)),
     )
     return _Stage(slots, carrier, FiniteStructure, carrier)
@@ -421,7 +407,7 @@ def _symbolic_stages(
         yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Ray(lo))
 
 
-def _affine_menu(state: _State, lo: int, arity: int) -> list[_Candidate]:
+def _affine_menu(state: _State, lo: int, arity: int) -> _Menu:
     build = functools.partial(_affine_candidates, arity, lo, state.budget, state.deadline)
     return _menu(state, ("affine", lo, arity), build)
 
@@ -429,16 +415,16 @@ def _affine_menu(state: _State, lo: int, arity: int) -> list[_Candidate]:
 def _slots(
     sig: Signature,
     predicates: tuple[str, ...],
-    predicate_candidates: list[_Candidate],
-    constant_candidates: list[_Candidate],
-    function_candidates: Callable[[int], list[_Candidate]],
+    predicate_menu: _Menu,
+    constant_menu: _Menu,
+    function_menu: Callable[[int], _Menu],
 ) -> list[_Slot]:
     """Slots in search order: predicates, then constants, then functions."""
-    function_candidates = functools.cache(function_candidates)  # one menu per arity
+    function_menu = functools.cache(function_menu)  # one menu per arity
     functions = sig.functions.items()
-    slots = [_Slot(name, predicate_candidates) for name in predicates]
-    slots += [_Slot(name, constant_candidates) for name, (args, _) in functions if not args]
-    slots += [_Slot(name, function_candidates(len(args))) for name, (args, _) in functions if args]
+    slots = [_Slot(name, predicate_menu) for name in predicates]
+    slots += [_Slot(name, constant_menu) for name, (args, _) in functions if not args]
+    slots += [_Slot(name, function_menu(len(args))) for name, (args, _) in functions if args]
     return slots
 
 
@@ -496,7 +482,7 @@ def _template_selectors(points: list[tuple[int, int]], deadline: float) -> list[
 _PAIR_FORMS = {"<=": (1, -1, 0), ">=": (-1, 1, 0), "<": (1, -1, -1), ">": (-1, 1, -1)}
 
 
-def _menu_predicates_symbolic(deadline: float) -> list[_Candidate]:
+def _menu_predicates_symbolic(deadline: float) -> _Menu:
     """The menu relations in menu order, each relation over Z² once.
 
     ``a*x + b*y <= c`` is the relation of ``a/g*x + b/g*y <= floor(c/g)``
@@ -506,7 +492,7 @@ def _menu_predicates_symbolic(deadline: float) -> list[_Candidate]:
     """
     relations = [(rel, None) for rel in BASE_RELATIONS]
     relations += [("pair", p) for p in itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)]
-    menu, seen = [], set()
+    kept, seen = [], set()
     for rel, payload in relations:
         _check_deadline(deadline)
         if rel == "=":
@@ -517,8 +503,8 @@ def _menu_predicates_symbolic(deadline: float) -> list[_Candidate]:
             key = (a // g, b // g, c // g) if g else c >= 0
         if key not in seen:
             seen.add(key)
-            menu.append(_RelationCandidate(rel, payload))
-    return menu
+            kept.append((rel, payload))
+    return _Menu([_relation_test(*r) for r in kept], lambda k: _relation_interp(*kept[k]))
 
 
 def _template_rows(
@@ -537,13 +523,11 @@ def _template_rows(
     return list(rows)
 
 
-def _affine_candidates(
-    arity: int, lo: int, budget: SearchBudget, deadline: float
-) -> list[_Candidate]:
+def _affine_candidates(arity: int, lo: int, budget: SearchBudget, deadline: float) -> _Menu:
     """Affine functions that map the ray from ``lo`` into itself; constants at arity 0."""
     rng = range(budget.coeff_min, budget.coeff_max + 1)
     params = tuple(f"x{i + 1}" for i in range(arity))
-    out = []
+    fast, forms = [], []
     for coeffs in itertools.product(rng, repeat=arity):
         if any(a < 0 for a in coeffs):
             continue  # negative slope escapes a ray carrier
@@ -551,10 +535,14 @@ def _affine_candidates(
             _check_deadline(deadline)
             if sum(a * lo for a in coeffs) + b < lo:
                 continue  # value at the carrier infimum must stay inside
-            form = AffineForm.make(dict(zip(params, coeffs)), b)
-            interp = PiecewiseFunction.affine(params, form)
-            out.append(_Candidate(interp, _affine_fast(coeffs, b)))
-    return out
+            fast.append(_affine_fast(coeffs, b))
+            forms.append((coeffs, b))
+
+    def interp(k: int) -> PiecewiseFunction:
+        coeffs, b = forms[k]
+        return PiecewiseFunction.affine(params, AffineForm.make(dict(zip(params, coeffs)), b))
+
+    return _Menu(fast, interp)
 
 
 def _affine_fast(coeffs: tuple[int, ...], b: int) -> int | Callable[..., int]:
@@ -599,8 +587,9 @@ def _search(
     checks: list[tuple[set[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
-    finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
+    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
+    """Hand ``finish`` each complete candidate, an index per slot, until it accepts one."""
     position = {slot.name: index for index, slot in enumerate(slots)}
     # A check's memo maps a candidate index at its slot to its verdict; it
     # is cleared on entering ``level``, the slot after the latest earlier slot
@@ -624,7 +613,7 @@ def _search(
     ]
 
     env: dict[str, object] = {}
-    chosen: dict[str, _Candidate] = {}
+    chosen: dict[str, int] = {}
     # A node's checks loop over the grid, so a wide grid checks the deadline
     # more often: every 256 nodes up to 4 points, every node from 64.
     stride = max(1, min(256, 4096 // max(1, len(points)) ** 2))
@@ -634,14 +623,14 @@ def _search(
     limit = min(state.check_at, state.budget.max_nodes + 1)
     # The walk keeps, per slot on the current path, its candidate iterator
     # and the conflict set gathered from its rejected candidates so far.
-    remaining: list[Iterator[tuple[int, _Candidate]]] = [iter(())] * len(slots)
+    remaining: list[Iterator[tuple[int, object]]] = [iter(())] * len(slots)
     conflicts = [0] * len(slots)
     every = (1 << len(slots)) - 1
 
     def enter(index: int) -> None:
         for memo in resets[index]:
             memo.clear()
-        remaining[index] = enumerate(slots[index].candidates)
+        remaining[index] = enumerate(slots[index].menu.fast)
         conflicts[index] = 0
 
     index = 0
@@ -652,7 +641,7 @@ def _search(
             nodes += 1
             if nodes >= limit:
                 limit = state.count(nodes, stride)
-            found = finish({name: candidate.interp for name, candidate in chosen.items()})
+            found = finish(chosen)
             if found is not None:
                 state.nodes = nodes
                 return found
@@ -662,7 +651,7 @@ def _search(
             here = checks_by_slot[index]
             gathered = conflicts[index]
             passed = None
-            for k, candidate in remaining[index]:
+            for k, fast in remaining[index]:
                 nodes += 1
                 if nodes >= limit:
                     limit = state.count(nodes, stride)
@@ -671,14 +660,14 @@ def _search(
                 for memo, refuted, reads in here:
                     verdict = memo.get(k)
                     if verdict is None:
-                        env[name] = candidate.fast
+                        env[name] = fast
                         verdict = memo[k] = refuted(env, points)
                     if verdict:
                         gathered |= reads
                         break
                 else:
-                    env[name] = candidate.fast
-                    passed = candidate
+                    env[name] = fast
+                    passed = k
                     break
             conflicts[index] = gathered
             if passed is not None:
@@ -857,11 +846,12 @@ def _check_source(
 def _finish(
     stage: _Stage,
     sig: Signature,
-    interps: Mapping[str, object],
+    chosen: Mapping[str, int],
     theory: Theory,
     obligations: tuple[Obligation, ...],
 ) -> tuple[Structure, Certificate] | None:
-    """The complete candidate as a structure, if the verifier accepts it."""
+    """``chosen`` as a structure, if the verifier accepts it: the only place interpretations are built."""
+    interps = {slot.name: slot.menu.interp(chosen[slot.name]) for slot in stage.slots}
     structure = stage.structure_class(
         sig,
         {sort: stage.carrier for sort in sig.sorts},

@@ -99,7 +99,7 @@ def parse_query(
 
 def _parse_template(stream: TokenStream, sig: Signature, declared: dict[str, str]) -> Query:
     name = stream.expect_ident().text.upper()
-    scope = _Scope(sig, declared, bound=None)
+    scope = _Scope(sig, declared, bound=None, ground=None if name == "FEASIBLE" else name)
     try:
         if name == "FEASIBLE":
             stream.expect("(")
@@ -138,7 +138,7 @@ def _parse_exists(stream: TokenStream, sig: Signature, declared: dict[str, str])
                 raise stream.error(f"variable '{name}' needs a sort annotation")
             bound[name] = sort
             order.append(Var(name, sort))
-    scope = _Scope(sig, declared, bound)
+    scope = _Scope(sig, declared, bound, ground=None)
 
     def conjunction(stream: TokenStream) -> tuple[Atom, ...]:
         return tuple(stream.separated(scope.atom, "/\\"))
@@ -164,11 +164,12 @@ class _Scope:
     """Resolution of identifiers to variables or signature symbols."""
 
     def __init__(
-        self, sig: Signature, declared: Mapping[str, str], bound: dict[str, str] | None
+        self, sig: Signature, declared: Mapping[str, str], bound: dict[str, str] | None, ground: str | None
     ):
         self.sig = sig
         self.declared = declared
         self.bound = bound  # None, as in templates, means variables bind implicitly
+        self.ground = ground  # the template, if it takes ground terms only
         self.seen: dict[str, Var] = {}
 
     def atom(self, stream: TokenStream) -> Atom:
@@ -198,6 +199,8 @@ class _Scope:
             return self._variable(name, self.declared[name], span)
         if name in self.sig.functions:
             return None
+        if stream.at("("):
+            raise ParseError(f"unknown function symbol '{name}'", span)
         if self.bound is None and self.sig.single_sorted:
             return self._variable(name, self.sig.sorts[0], span)
         raise ParseError(f"unknown symbol '{name}'", span)
@@ -212,6 +215,9 @@ class _Scope:
 
     def _variable(self, name: str, sort: str, span: SourceSpan) -> Var:
         """The variable ``name`` of ``sort``, occurring at ``span``."""
+        if self.ground is not None:
+            what = f"'{name}' is a variable, not a function symbol of the system"
+            raise ParseError(f"{self.ground} takes ground terms, but {what}", span)
         var = Var(name, sort)
         previous = self.seen.get(name)
         if previous is not None and previous.sort != sort:

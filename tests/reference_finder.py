@@ -2,8 +2,9 @@
 
 ``_search`` is the chronological search without verdict memos that the
 memoizing, backjumping search replaced, kept verbatim apart from absolute
-imports and its node count, which goes through ``_State.count``.
-It re-runs every attached check on every candidate and backtracks one slot
+imports, its node count, which goes through ``_State.count``, and what it
+hands ``finish``: the candidate index of each slot, as a slot's menu keeps
+its candidates in the form the checks read.  It re-runs every attached check on every candidate and backtracks one slot
 at a time.  Run in its place, it must hand
 ``finish`` the same complete candidates in the same order, so it gives the
 same certificate bytes and reasons from at least as many nodes (under a
@@ -12,8 +13,10 @@ node cap, the backjumping search may get further).
 The finite menu builders below are the template and raw stages' own copies
 that one stage builder replaced, and the walk that found the symbols each
 check reads before the code generator reported them; their bodies are
-verbatim.  Both stages must build the menus these build, in their order,
-and every check must read the symbols this walk finds.
+verbatim, but that each candidate is an ``(interpretation, check form)``
+pair.  Both stages must build the menus these build, in their order
+(candidate ``k`` of a menu is ``(menu.interp(k), menu.fast[k])``), and
+every check must read the symbols this walk finds.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from countermodel.finder import (
     PAIR_CONSTS,
     SearchBudget,
     _COMPARISONS,
-    _Candidate,
     _check_deadline,
     _latest_slot,
     _Refuter,
@@ -38,13 +40,15 @@ from countermodel.logic import Atom, sort_of_predicate
 from countermodel.structures import Structure
 from countermodel.terms import App, Term
 
+# A candidate as the menu builders below make it: (interpretation, what the checks read).
+_Candidate = tuple[object, object]
 
 def _search(
     slots: list[_Slot],
     checks: list[tuple[set[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
-    finish: Callable[[dict[str, object]], tuple[Structure, Certificate] | None],
+    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | None],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
     checks_by_slot: list[list[_Refuter]] = [[] for _ in slots]
@@ -54,18 +58,18 @@ def _search(
             checks_by_slot[index].append(refuted)
 
     env: dict[str, object] = {}
-    interps: dict[str, object] = {}
+    chosen: dict[str, int] = {}
 
     def descend(index: int) -> tuple[Structure, Certificate] | None:
         if index == len(slots):
             state.count(state.nodes + 1)
-            return finish(interps)
+            return finish(chosen)
         slot = slots[index]
         attached = checks_by_slot[index]
-        for candidate in slot.candidates:
+        for k, fast in enumerate(slot.menu.fast):
             state.count(state.nodes + 1)
-            env[slot.name] = candidate.fast
-            interps[slot.name] = candidate.interp
+            env[slot.name] = fast
+            chosen[slot.name] = k
             for refuted in attached:
                 if refuted(env, points):
                     break
@@ -74,7 +78,7 @@ def _search(
                 if result is not None:
                     return result
         env.pop(slot.name, None)
-        interps.pop(slot.name, None)
+        chosen.pop(slot.name, None)
         return None
 
     return descend(0)
@@ -124,12 +128,12 @@ def _pair_candidate(extension: frozenset[tuple[int, int]], carrier: tuple[int, .
     successors: dict[int, list[int]] = {x: [] for x in carrier}
     for x, y in extension:
         successors[x].append(y)
-    return _Candidate(extension, {x: frozenset(ys) for x, ys in successors.items()})
+    return extension, {x: frozenset(ys) for x, ys in successors.items()}
 
 
 def _table_candidate(table: dict[tuple[int, ...], int], arity: int) -> _Candidate:
     """A finite function candidate; the checks read a unary table keyed by the int itself."""
-    return _Candidate(table, {x: v for (x,), v in table.items()} if arity == 1 else table)
+    return table, {x: v for (x,), v in table.items()} if arity == 1 else table
 
 
 def _template_tables(

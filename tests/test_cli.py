@@ -175,6 +175,21 @@ def test_query_sort_errors_exit_three_with_the_annotation_span(system, model, qu
     assert capsys.readouterr().err == f"error: <query>:{expected}\n"
 
 
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("REACHABLE(a, g(b))", "1:14-1:15: unknown function symbol 'g'"),
+        ("REACHABLE(a, g)", "1:14-1:15: REACHABLE takes ground terms, but 'g' is a variable, not a function symbol of the system"),
+        ("JOINABLE(a, zz)", "1:13-1:15: JOINABLE takes ground terms, but 'zz' is a variable, not a function symbol of the system"),
+    ],
+    ids=["unknown-function", "reachable-unknown-name", "joinable-unknown-name"],
+)
+def test_a_query_naming_a_symbol_the_system_lacks_exits_three_naming_it(query, expected, capsys):
+    code = main(["disprove", corpus("intro.trs"), "--query", query])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: <query>:{expected}\n"
+
+
 def test_derive_prints_sorted_atoms(capsys):
     code = main(["derive", corpus("intro.trs"), "--size", "1", "--depth", "5"])
     captured = capsys.readouterr()

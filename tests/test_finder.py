@@ -22,11 +22,11 @@ from countermodel.finder import (
     _OWN_LOOPS,
     SearchBudget,
     _affine_candidates,
-    _Candidate,
     _check_source,
     _compile_check,
     _compile_checks,
     _finite_stages,
+    _Menu,
     _menu_predicates_symbolic,
     _relation_test,
     _search,
@@ -212,8 +212,13 @@ def _finite_stage_menus(carrier, arities, raw=False):
     stage = next(stages)
     if raw:
         stage = next(stages)
-    menus = {slot.name: slot.candidates for slot in stage.slots}
+    menus = {slot.name: _entries(slot.menu) for slot in stage.slots}
     return stage.grid, menus["->"], menus["c"], {k: menus[f"f{k}"] for k in arities}
+
+
+def _entries(menu):
+    """A menu's candidates as (interpretation, what the checks read) pairs, in menu order."""
+    return [(menu.interp(k), fast) for k, fast in enumerate(menu.fast)]
 
 
 @pytest.mark.parametrize("arity", (1, 2, 3))
@@ -225,14 +230,14 @@ def test_both_finite_stages_build_the_menus_of_the_builders_they_replace(
     points = tuple(range(carrier[0], carrier[1] + 1))
     grid, preds, consts, funcs = _finite_stage_menus(carrier, (arity,))
     assert grid == points
-    assert consts == [_Candidate({(): v}, v) for v in points]
+    assert consts == [({(): v}, v) for v in points]
     assert preds == reference_finder._menu_predicates_finite(points, math.inf)
     assert funcs[arity] == reference_finder._template_tables(arity, points, _BUDGET, math.inf)
     if len(points) ** len(points) ** arity > _BUDGET.max_nodes:
         return  # no raw stage: its menu is past the node cap
     grid, preds, consts, funcs = _finite_stage_menus(carrier, (arity,), raw=True)
     assert grid == points
-    assert consts == [_Candidate({(): v}, v) for v in points]
+    assert consts == [({(): v}, v) for v in points]
     assert preds == reference_finder._raw_predicates(points, math.inf)
     assert funcs[arity] == reference_finder._raw_tables(arity, points, math.inf)
 
@@ -241,21 +246,26 @@ def test_both_finite_stages_build_the_menus_of_the_builders_they_replace(
 def test_symbolic_constant_menu_is_the_affine_menu_at_arity_zero(lo):
     # The constants as the symbolic stage built them before, apart.
     constants = [
-        _Candidate(PiecewiseFunction.affine((), AffineForm.const(v)), v)
+        (PiecewiseFunction.affine((), AffineForm.const(v)), v)
         for v in range(max(_BUDGET.coeff_min, lo), _BUDGET.coeff_max + 1)
     ]
-    assert _affine_candidates(0, lo, _BUDGET, math.inf) == constants
+    assert _entries(_affine_candidates(0, lo, _BUDGET, math.inf)) == constants
 
 
 def _reference_menu_extensions(carrier):
     """The construction the template predicate menu replaced: each relation's test at each point."""
     extensions = []
-    for candidate in _menu_predicates_symbolic(math.inf):
-        test = _relation_test(*candidate.relation)
+    for test in _menu_predicates_symbolic(math.inf).fast:  # each relation's test
         extension = frozenset((x, y) for x in carrier for y in carrier if test(x, y))
         if extension not in extensions:
             extensions.append(extension)
     return extensions
+
+
+def _kept_relations(menu):
+    """The ``(rel, payload)`` each candidate of the symbolic predicate menu is built from."""
+    with mock.patch.object(finder, "_relation_interp", lambda *relation: relation):
+        return [menu.interp(k) for k in range(len(menu.fast))]
 
 
 def test_symbolic_predicate_menu_keeps_the_first_of_each_relation_over_z2():
@@ -274,20 +284,25 @@ def test_symbolic_predicate_menu_keeps_the_first_of_each_relation_over_z2():
     first = {}
     for relation in full:
         first.setdefault(extension(relation), relation)
-    kept = [candidate.relation for candidate in _menu_predicates_symbolic(math.inf)]
+    menu = _menu_predicates_symbolic(math.inf)
+    kept = _kept_relations(menu)
     assert (len(full), len(kept)) == (610, 403)
     assert kept == list(first.values())
+    # Each candidate's test and interpretation are those of its relation.
+    for k, relation in enumerate(kept):
+        assert extension(relation) == frozenset((x, y) for x in box for y in box if menu.fast[k](x, y))
+        assert menu.interp(k) == finder._relation_interp(*relation)
 
 
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
 def test_finite_predicate_menu_matches_the_pointwise_construction(carrier):
     points, menu, _, _ = _finite_stage_menus(carrier, ())
-    assert [candidate.interp for candidate in menu] == _reference_menu_extensions(points)
+    assert [interp for interp, _ in menu] == _reference_menu_extensions(points)
     # The checks read a successor map over the whole carrier.
-    for candidate in menu:
-        assert set(candidate.fast) == set(points)
-        assert all(ys <= set(points) for ys in candidate.fast.values())
-        assert {(x, y) for x in points for y in points if y in candidate.fast[x]} == candidate.interp
+    for interp, fast in menu:
+        assert set(fast) == set(points)
+        assert all(ys <= set(points) for ys in fast.values())
+        assert {(x, y) for x in points for y in points if y in fast[x]} == interp
 
 
 def _reference_template_tables(arity, carrier, budget):
@@ -312,13 +327,13 @@ def _reference_template_tables(arity, carrier, budget):
 def test_template_tables_match_the_sorted_items_deduplication(carrier, arity):
     points, _, _, menus = _finite_stage_menus(carrier, (arity,))
     menu = menus[arity]
-    assert [candidate.interp for candidate in menu] == _reference_template_tables(arity, points, _BUDGET)
+    assert [interp for interp, _ in menu] == _reference_template_tables(arity, points, _BUDGET)
     # The checks read a unary table keyed by the int itself, a wider one as it is.
-    for candidate in menu:
+    for interp, fast in menu:
         if arity == 1:
-            assert {(x,): v for x, v in candidate.fast.items()} == candidate.interp
+            assert {(x,): v for x, v in fast.items()} == interp
         else:
-            assert candidate.fast is candidate.interp
+            assert fast is interp
 
 
 def test_the_time_limit_covers_building_the_finite_menus():
@@ -366,22 +381,59 @@ def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidat
 ):
     built, finished = [], []
     relation_interp, finish = finder._relation_interp, finder._finish
+    relations = _kept_relations(_menu_predicates_symbolic(math.inf))
 
     def counted_interp(rel, payload):
         built.append((rel, payload))
         return relation_interp(rel, payload)
 
-    def recorded_finish(stage, sig, interps, *rest):
-        finished.append({name: interps[name] for name in ("->", "->*")})
-        return finish(stage, sig, interps, *rest)
+    def recorded_finish(stage, sig, chosen, *rest):
+        predicates = [slot.name for slot in stage.slots if slot.name in ("->", "->*")]
+        finished.extend(relations[chosen[name]] for name in predicates)
+        return finish(stage, sig, chosen, *rest)
 
     monkeypatch.setattr(finder, "_relation_interp", counted_interp)
     monkeypatch.setattr(finder, "_finish", recorded_finish)
     theory, obligations = _setup(next(c for c in FINDER_CASES if c.name == "increasing-f"))
     assert find_symbolic_model(theory, obligations).found
-    # Each distinct relation that reached the verifier is built once, and no other.
-    reached = {id(interp): interp for interps in finished for interp in interps.values()}
-    assert finished and len(built) == len(reached) == len(set(built))
+    # The relation of each predicate slot of each complete candidate, and no other.
+    assert finished and built == finished
+
+
+@pytest.mark.parametrize("find", (find_model, find_symbolic_model))
+@pytest.mark.parametrize("case", FINDER_CASES, ids=lambda c: c.name)
+def test_interpretations_are_built_only_by_finish_for_the_candidates_it_verifies(
+    case, find, monkeypatch
+):
+    # Each slot's menu counts its interp calls and whether _finish is running.
+    calls, verified, finishing = [], [], []
+    stage, finish, verify_ = finder._Stage, finder._finish, finder.verify
+
+    def counted(interp):
+        return lambda k: calls.append(bool(finishing)) or interp(k)
+
+    def counted_stage(slots, *rest):
+        return stage([_Slot(s.name, _Menu(s.menu.fast, counted(s.menu.interp))) for s in slots], *rest)
+
+    def flagged_finish(*args):
+        finishing.append(True)
+        try:
+            return finish(*args)
+        finally:
+            finishing.pop()
+
+    def counted_verify(theory, obligations, structure):
+        verified.append(len(structure.functions) + len(structure.predicates))  # the slots
+        return verify_(theory, obligations, structure)
+
+    monkeypatch.setattr(finder, "_Stage", counted_stage)
+    monkeypatch.setattr(finder, "_finish", flagged_finish)
+    monkeypatch.setattr(finder, "verify", counted_verify)
+    theory, obligations = _setup(case)
+    outcome = find(theory, obligations, SearchBudget(max_nodes=100_000))
+    assert verified or not outcome.found
+    assert all(calls)
+    assert len(calls) == sum(verified)
 
 
 # Menus are kept between searches (see finder._menu).
@@ -607,12 +659,15 @@ _BUDGET = SearchBudget()
 
 @functools.cache
 def _menus(kind, param):
-    """(points, predicate, constant and per-arity function candidates) of one finder menu."""
+    """(points, predicate, constant and per-arity function candidates) of one finder menu.
+
+    A candidate is an (interpretation, what the checks read) pair.
+    """
     if kind == "symbolic":
         points = tuple(range(param, param + 4))
-        consts = _affine_candidates(0, param, _BUDGET, math.inf)
-        preds = _menu_predicates_symbolic(math.inf)
-        funcs = {n: _affine_candidates(n, param, _BUDGET, math.inf) for n in (1, 2)}
+        consts = _entries(_affine_candidates(0, param, _BUDGET, math.inf))
+        preds = _entries(_menu_predicates_symbolic(math.inf))
+        funcs = {n: _entries(_affine_candidates(n, param, _BUDGET, math.inf)) for n in (1, 2)}
         return points, preds, consts, funcs
     return _finite_stage_menus(param, (1, 2), raw=kind == "raw")
 
@@ -666,8 +721,8 @@ def _example_grid(kind, param, arrow, star):
     """A grid of one menu, ``arrow`` and ``star`` picking "->" and "->*" by (pair set, points)."""
     points, preds, consts, funcs = _menus(kind, param)
     chosen = {
-        "->": next(c for c in preds if arrow(c.interp, points)),
-        "->*": next(c for c in preds if star(c.interp, points)),
+        "->": next(c for c in preds if arrow(c[0], points)),
+        "->*": next(c for c in preds if star(c[0], points)),
         "a": consts[0],
         "b": consts[-1],
         "f": funcs[1][len(funcs[1]) // 2],
@@ -738,8 +793,8 @@ def test_compiled_check_matches_reference(check, grid):
     # the reference evaluates their interpretations.
     variables, body, head = check
     chosen, points, tables = grid
-    env = {name: candidate.fast for name, candidate in chosen.items()}
-    reference_env = {name: _reference_value(candidate.interp) for name, candidate in chosen.items()}
+    env = {name: fast for name, (_, fast) in chosen.items()}
+    reference_env = {name: _reference_value(interp) for name, (interp, _) in chosen.items()}
     assert _refuter(variables, body, head, tables)(env, points) == _reference_refuted(
         reference_env, points, variables, body, head
     )
@@ -778,9 +833,9 @@ def test_symbol_names_never_enter_generated_source():
     reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
     # The finite spelling reads each interpretation as the finder's candidates carry it.
     fast = {
-        "f'": reference_finder._table_candidate(interps["f'"], 1).fast,
-        "->": reference_finder._pair_candidate(interps["->"], tuple(grid)).fast,
-        "->*": reference_finder._pair_candidate(interps["->*"], tuple(grid)).fast,
+        "f'": reference_finder._table_candidate(interps["f'"], 1)[1],
+        "->": reference_finder._pair_candidate(interps["->"], tuple(grid))[1],
+        "->*": reference_finder._pair_candidate(interps["->*"], tuple(grid))[1],
     }
     for tables in (True, False):
         env = {**(fast if tables else reference_env), "a''": 1}
@@ -802,9 +857,9 @@ def test_checks_of_one_shape_share_one_code_object(empty_menu_cache):
     }
     reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
     fast = {
-        "f'": reference_finder._table_candidate(interps["f'"], 1).fast,
-        "g": reference_finder._table_candidate(interps["g"], 1).fast,
-        "->": reference_finder._pair_candidate(interps["->"], tuple(grid)).fast,
+        "f'": reference_finder._table_candidate(interps["f'"], 1)[1],
+        "g": reference_finder._table_candidate(interps["g"], 1)[1],
+        "->": reference_finder._pair_candidate(interps["->"], tuple(grid))[1],
     }
     for tables in (True, False):
         env = fast if tables else reference_env
@@ -955,6 +1010,11 @@ def test_memoized_search_matches_the_reference_on_whole_searches(case, backend):
     assert nodes <= reference[2]
 
 
+def _int_slot(name, size):
+    """A slot whose candidates are the ints below ``size``; each index is its candidate."""
+    return _Slot(name, _Menu(list(range(size)), lambda k: k))
+
+
 def _hashed_check(reads, salt, modulus):
     """A check refuting a fixed pseudo-random share of the values of the slots it reads."""
 
@@ -969,7 +1029,7 @@ def _slot_systems(draw):
     """Slots ``s0, s1, ...`` with menus of 0-3 integers, and checks each reading some of them."""
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     names = [f"s{i}" for i in range(len(sizes))]
-    slots = [_Slot(name, [_Candidate(v, v) for v in range(size)]) for name, size in zip(names, sizes)]
+    slots = [_int_slot(name, size) for name, size in zip(names, sizes)]
     checks = []
     for _ in range(draw(st.integers(0, 6))):
         reads = sorted(draw(st.sets(st.sampled_from(names), min_size=1)))
@@ -1018,10 +1078,7 @@ def test_a_dead_end_that_does_not_read_the_slot_before_it_skips_that_slot():
     # Slots a, b, c.  While a is 0, a check reading a and c rejects every
     # candidate of c whatever b is, so the search jumps from c back to a
     # without trying b = 1 and b = 2 (three nodes each).
-    slots = [
-        _Slot(name, [_Candidate(v, v) for v in range(size)])
-        for name, size in (("a", 2), ("b", 3), ("c", 2))
-    ]
+    slots = [_int_slot(name, size) for name, size in (("a", 2), ("b", 3), ("c", 2))]
     checks = [({"a", "c"}, lambda env, points: env["a"] == 0)]
     complete, nodes = _complete_candidates(_search, slots, checks)
     reference, reference_nodes = _complete_candidates(reference_finder._search, slots, checks)
@@ -1048,10 +1105,7 @@ def test_own_slot_refuted_runs_are_counted_in_bulk_as_one_by_one():
     # computed once per stage and read from the memo after that, so the
     # runs count as if tried one by one, and a cap falling inside any run
     # must stop at exactly max_nodes + 1.
-    slots = [
-        _Slot(name, [_Candidate(v, v) for v in range(size)])
-        for name, size in (("a", 3), ("b", 10), ("c", 3))
-    ]
+    slots = [_int_slot(name, size) for name, size in (("a", 3), ("b", 10), ("c", 3))]
     checks = [
         ({"b"}, lambda env, points: env["b"] in {0, 1, 4, 5, 8, 9}),
         ({"a", "c"}, lambda env, points: (env["a"] + env["c"]) % 3 == 0),
@@ -1071,10 +1125,7 @@ def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
     # Slots a, b, c.  One check reads a and c: its latest earlier slot is
     # two back, so its verdicts hold while b varies and must be recomputed
     # once a changes.  The other reads c only and is computed once.
-    slots = [
-        _Slot(name, [_Candidate(v, v) for v in range(size)])
-        for name, size in (("a", 3), ("b", 2), ("c", 3))
-    ]
+    slots = [_int_slot(name, size) for name, size in (("a", 3), ("b", 2), ("c", 3))]
     calls = []
 
     def a_plus_c(env, points):

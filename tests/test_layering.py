@@ -15,8 +15,8 @@ a demo or a benchmark workload: each is named somewhere in the package
 itself (outside ``__init__.py``), in ``demos/`` or in ``bench/``.  A helper
 only tests use belongs next to those tests.
 
-Every finder function that builds a candidate menu (returns
-``list[_Candidate]``) in a ``for`` loop checks the deadline.
+Every finder function that builds a candidate menu (returns a ``_Menu``)
+in a ``for`` loop checks the deadline.
 """
 from __future__ import annotations
 
@@ -172,7 +172,7 @@ def test_a_definition_only_exports_or_tests_name_would_be_flagged():
 
 
 def unchecked_menu_builders(source: str) -> list[str]:
-    """Functions returning ``list[_Candidate]`` with a ``for`` loop but no ``_check_deadline`` call.
+    """Functions returning ``_Menu`` with a ``for`` loop but no ``_check_deadline`` call.
 
     A menu can take longer to build than the whole time limit, so each loop
     building one checks the deadline.
@@ -181,7 +181,7 @@ def unchecked_menu_builders(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.returns is None:
             continue
-        if ast.unparse(node.returns) != "list[_Candidate]":
+        if ast.unparse(node.returns) != "_Menu":
             continue
         inside = list(ast.walk(node))
         loops = any(isinstance(n, (ast.For, ast.AsyncFor)) for n in inside)
@@ -198,32 +198,36 @@ def unchecked_menu_builders(source: str) -> list[str]:
 
 def test_every_finder_menu_builder_checks_the_deadline():
     source = (PACKAGE / "finder.py").read_text()
-    assert "list[_Candidate]" in source
+    assert "-> _Menu:" in source
     assert unchecked_menu_builders(source) == []
 
 
 def test_a_menu_builder_that_never_checks_the_deadline_would_be_flagged():
     # The symbolic function menu as it was before it checked the deadline.
     unchecked = '''
-def _affine_candidates(arity: int, lo: int, budget: SearchBudget) -> list[_Candidate]:
+def _affine_candidates(arity: int, lo: int, budget: SearchBudget) -> _Menu:
     rng = range(budget.coeff_min, budget.coeff_max + 1)
-    out = []
+    params = tuple(f"x{i + 1}" for i in range(arity))
+    fast, forms = [], []
     for coeffs in itertools.product(rng, repeat=arity):
         if any(a < 0 for a in coeffs):
             continue  # negative slope escapes a ray carrier
         for b in rng:
             if sum(a * lo for a in coeffs) + b < lo:
                 continue  # value at the carrier infimum must stay inside
-            params = tuple(f"x{i + 1}" for i in range(arity))
-            form = AffineForm.make(dict(zip(params, coeffs)), b)
-            interp = PiecewiseFunction.affine(params, form)
-            out.append(_Candidate(interp, _affine_fast(coeffs, b)))
-    return out
+            fast.append(_affine_fast(coeffs, b))
+            forms.append((coeffs, b))
+
+    def interp(k: int) -> PiecewiseFunction:
+        coeffs, b = forms[k]
+        return PiecewiseFunction.affine(params, AffineForm.make(dict(zip(params, coeffs)), b))
+
+    return _Menu(fast, interp)
 '''
     assert unchecked_menu_builders(unchecked) == ["_affine_candidates"]
     # A comprehension is no ``for`` statement, and another return type is not a menu.
-    comprehension = "def m() -> list[_Candidate]:\n    return [c for c in x]\n"
+    comprehension = "def m() -> _Menu:\n    return _Menu([c for c in x], f)\n"
     assert unchecked_menu_builders(comprehension) == []
     assert unchecked_menu_builders("def m() -> list[int]:\n    for c in x:\n        pass\n") == []
-    nested = "def f():\n    def m() -> list[_Candidate]:\n        for c in x:\n            pass\n"
+    nested = "def f():\n    def m() -> _Menu:\n        for c in x:\n            pass\n"
     assert unchecked_menu_builders(nested) == ["m"]

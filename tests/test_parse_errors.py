@@ -62,6 +62,7 @@ CASES = [
     ("query-trailing-input", "query", "a -> b extra", "<input>:1:8-1:13: trailing input after query"),
     ("query-feasible-empty", "query", "FEASIBLE()", "<input>:1:10-1:11: FEASIBLE needs at least one condition"),
     ("query-template-error", "query", "REACHABLE(a)", "template Reach takes 2 term(s)"),
+    ("query-template-variable", "query", "JOINABLE(a, zz)", "<input>:1:13-1:15: JOINABLE takes ground terms, but 'zz' is a variable, not a function symbol of the system"),
     ("query-template-two-sorts", "web-query", "FEASIBLE(login(v:User) == login(v:RegUser))", "<input>:1:33-1:42: variable 'v' used with two sorts"),
     ("query-exists-two-sorts", "web-query", "EXISTS v:User . login(v:User) -> login(v:RegUser)", "<input>:1:40-1:49: variable 'v' used with two sorts"),
     ("query-undeclared-sort-prefix", "query", "EXISTS x:Foo . x -> a", "<input>:1:8-1:13: variable 'x' has undeclared sort 'Foo'"),
@@ -74,6 +75,7 @@ CASES = [
     ("query-nested-quantifier", "query", "EXISTS x . EXISTS y . x -> y", "<input>:1:12-1:18: unsupported fragment: nested quantifiers are not allowed"),
     ("query-atom-operator", "query", "a == b", "<input>:1:3-1:5: expected one of '->', '->*', '->^', '|>' in atom"),
     ("query-unknown-symbol", "query", "a -> c", "<input>:1:6-1:7: unknown symbol 'c'"),
+    ("query-unknown-function", "query", "REACHABLE(a, g(b))", "<input>:1:14-1:15: unknown function symbol 'g'"),
     ("query-check-term", "query", "f(a, b) -> a", "<input>:1:1-1:2: 'f' expects 1 argument(s), got 2"),
     # model_format
     ("model-missing-function", "model", "(DOMAIN {0, 1}) (FUN a = 0) (FUN b = 1) " + PREDS, "missing interpretation of function 'f'"),
