@@ -3,30 +3,32 @@
 An obligation is a headless clause ``body => false`` (the negation of one
 disjunct of an existential positive query), so clauses and obligations go
 through one check, ``_check(structure, variables, body, head)`` with
-``head=None`` for an obligation.  Finite structures are checked by
-exhaustive valuation enumeration in lexicographic order over the sorted
-carriers, so a failing check comes with the first counterexample
-valuation.  Symbolic structures are checked through the linear engine: a
-check holds when, for every combination of function guard cases and every
-goal, the system "carrier bounds and guards and body constraints and goal"
-is infeasible; a clause has one goal per negated inequality of its head
-predicate, an obligation the single empty goal.  The combinations are
-walked as a tree that cuts every extension of an infeasible choice of
-cases, with no system built for them.  One rule decides every symbolic
-refutation: a feasible system refutes the check at the linear
-kernel's own integer witness, once direct evaluation confirms it there; a
-witness that evaluation cannot confirm yields "unknown" rather than
-"fails".  The checker never overclaims in either direction.
+``head=None`` for an obligation.  A candidate valuation fails a check only
+once direct evaluation confirms it (``_refutation``); one it cannot
+confirm yields "unknown", so the checker never overclaims either way.
+
+A finite check is compiled to Python (see _check_source), as the finder's
+pruning checks are: each variable loops over the sorted union of the
+carriers and is first tested for its sort, so the first refuting valuation
+is the lexicographically first over the per-sort carriers.  A table that
+misses (a kind-level term outside its domain) makes the check "unknown".
+A symbolic check holds when, for every choice of function guard cases and
+every goal, the system "carrier bounds and guards and body constraints and
+goal" is infeasible: one goal per negated inequality of a clause's head,
+the single empty goal for an obligation.  The choices are walked as a
+tree that cuts every extension of an infeasible one; a feasible system
+proposes the linear kernel's integer witness.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ModelError
 from .linear import LinearConstraint, drop_constant_rows, integer_tighten, solve
-from .logic import Atom, HornClause, Theory, format_clause
+from .logic import Atom, HornClause, Theory, format_clause, sort_of_predicate, sort_predicate
 from .queries import Obligation
 from .structures import (
     ClauseLowering,
@@ -36,8 +38,10 @@ from .structures import (
     SymbolicStructure,
     closure_check,
     eval_atom,
+    interpretation,
+    table_value,
 )
-from .terms import Var
+from .terms import Term, Var, term_vars
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -104,10 +108,7 @@ def verify(
     clause_verdicts = tuple(check_clause(structure, c) for c in theory.clauses)
     obligation_verdicts = tuple(check_obligation(structure, ob) for ob in obligations)
     statuses = [v.status for v in (*clause_verdicts, *obligation_verdicts)]
-    if violations or FAILS in statuses or UNKNOWN in statuses:
-        overall = REFUTED if FAILS in statuses else UNKNOWN
-    else:
-        overall = VERIFIED
+    overall = REFUTED if FAILS in statuses else UNKNOWN if violations or UNKNOWN in statuses else VERIFIED
     return Certificate(
         theory, obligations, structure, violations, clause_verdicts, obligation_verdicts, overall
     )
@@ -133,12 +134,16 @@ def _refutes(
     )
 
 
-def _valuations(
-    structure: FiniteStructure, variables: tuple[Var, ...]
-) -> Iterator[dict[str, int]]:
-    pools = [structure.carrier(v.sort) for v in variables]
-    for values in itertools.product(*pools):
-        yield dict(zip((v.name for v in variables), values))
+def _refutation(
+    structure: Structure, witness: tuple, body: tuple[Atom, ...], head: Atom | None, proposer: str
+) -> Verdict:
+    """The check fails at the candidate ``witness`` once evaluation confirms it there."""
+    try:
+        if _refutes(structure, dict(witness), body, head):
+            return Verdict(FAILS, witness=witness)
+    except ModelError:
+        pass  # e.g. a guard gap outside the declared carriers: not confirmed
+    return Verdict(UNKNOWN, reason=f"{proposer} not confirmed by evaluation")
 
 
 def _check(
@@ -146,24 +151,38 @@ def _check(
 ) -> Verdict:
     if not isinstance(structure, FiniteStructure):
         return _check_symbolic(structure, variables, body, head)
+    # Each variable is tested for its sort before anything else at its loop.
+    tests = tuple(dict.fromkeys((*(Atom(sort_predicate(v.sort), (v,)) for v in variables), *body)))
+    symbols, names, refuted = _compile_check(variables, tests, head, tables=False)
+    predicates = {a.predicate for a in (*tests, *(() if head is None else (head,)))}
+    points = tuple(sorted(set().union(*structure.carriers.values())))
     try:
-        for valuation in _valuations(structure, variables):
-            if _refutes(structure, valuation, body, head):
-                return Verdict(FAILS, witness=tuple(valuation.items()))
-    except ModelError as exc:
-        # A table can be silent on kind-level terms outside its rank domain.
+        env = {s: _finite_value(structure, s, s in predicates) for s in symbols}
+        found = refuted(env, points)
+    except ModelError as exc:  # a table silent on a kind-level term
         return Verdict(UNKNOWN, reason=str(exc))
-    return Verdict(HOLDS)
+    if found is False:
+        return Verdict(HOLDS)
+    return _refutation(structure, tuple(zip(names, found)) if names else (), body, head, "valuation")
+
+
+def _finite_value(structure: FiniteStructure, symbol: str, predicate: bool) -> object:
+    """What a compiled check in the call spelling reads for ``symbol``."""
+    if predicate and (sort := sort_of_predicate(symbol)) is not None:
+        return frozenset(structure.carrier(sort)).__contains__
+    found = interpretation(structure, symbol, "predicate" if predicate else "function")
+    if predicate:
+        return lambda *args: args in found
+    if structure.signature.functions[symbol][0]:
+        return lambda *args: table_value(symbol, found, args)
+    return table_value(symbol, found, ())  # a constant is read, not called
 
 
 # -- symbolic backend ------------------------------------------------------------
 
 
 def _check_symbolic(
-    structure: SymbolicStructure,
-    variables: tuple[Var, ...],
-    body: tuple[Atom, ...],
-    head: Atom | None,
+    structure: SymbolicStructure, variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
 ) -> Verdict:
     """One system per guard-case choice left and goal; the check holds when all are infeasible.
 
@@ -172,9 +191,7 @@ def _check_symbolic(
     applications and so fixes the order of the choices (``leaves``); the
     systems follow in that order, goal by goal within a choice, and one
     with a false constant row is infeasible without a solve.  A feasible
-    system fails the check at the kernel's integer witness once
-    ``_refutes`` confirms it there; a witness that evaluation cannot
-    confirm leaves the check "unknown".
+    system proposes the kernel's integer witness to ``_refutation``.
     """
     lowering = ClauseLowering(structure, variables, body if head is None else (*body, head))
     unknown: Verdict | None = None
@@ -193,11 +210,156 @@ def _check_symbolic(
             if outcome.status == "unknown":
                 unknown = unknown or Verdict(UNKNOWN, reason=outcome.reason)
                 continue
-            try:
-                if _refutes(structure, outcome.witness, body, head):
-                    return Verdict(FAILS, witness=tuple(sorted(outcome.witness.items())))
-            except ModelError:
-                pass  # e.g. a guard gap outside the declared carriers: not confirmed
-            unconfirmed = "kernel witness not confirmed by evaluation"
-            unknown = unknown or Verdict(UNKNOWN, reason=unconfirmed)
+            witness = tuple(sorted(outcome.witness.items()))
+            verdict = _refutation(structure, witness, body, head, "kernel witness")
+            if verdict.status == FAILS:
+                return verdict
+            unknown = unknown or verdict
     return unknown or Verdict(HOLDS)
+
+
+# -- compiled checks ------------------------------------------------------------
+
+# refuted(env, points): the first valuation over the grid refuting the check
+# under the slot values in env, as its loop variables' values (True with none), or False.
+_Refuter = Callable[[Mapping[str, object], tuple[int, ...]], "tuple[int, ...] | bool"]
+
+# Python rejects more than 20 statically nested blocks, so variables past
+# this many share one ``product`` loop.
+_OWN_LOOPS = 16
+
+
+def _compile_check(
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
+) -> tuple[set[str], tuple[str, ...], _Refuter]:
+    """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
+
+    The result decides exact grid falsification.  With ``tables`` the grid
+    must be the whole carrier the candidates were built over, since a driven
+    loop (see _check_source) runs over a successor set instead of
+    ``points``.  Returns the symbols the code reads and its loop variables.
+    """
+    source, symbols, names = _check_source(variables, body, head, tables)
+    return set(symbols), names, _check_maker(source)(*symbols)
+
+
+@functools.lru_cache
+def _check_maker(source: str) -> Callable[..., _Refuter]:
+    """The ``make`` of ``source``, compiled once per process; each call binds its own symbols."""
+    namespace: dict[str, object] = {"product": itertools.product}
+    exec(compile(source, "<compiled check>", "exec"), namespace)
+    return namespace["make"]  # type: ignore[return-value]
+
+
+# Keyed on the check, so a warm process only binds it; a corpus pass has over 128 checks.
+@functools.lru_cache(maxsize=1024)
+def _check_source(
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
+) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """Source of ``make`` for :func:`_compile_check`, its symbols in slot order and its loop variables.
+
+    ``make(n0, n1, ...)`` takes the symbols and returns ``refuted(env,
+    points)``, which reads slot ``sK = env[nK]``.  No symbol name enters the
+    source, so checks that differ only in their symbols have one source.
+    The identifiers are generated: ``nK`` symbols, ``sK`` slot values,
+    ``vK`` variables, ``tK`` subterms.  Each distinct subterm is computed
+    once, and each atom is tested, in the innermost loop binding its last
+    variable; ground ones before any loop.  Terms become temporaries, never
+    nested applications, so depth is not limited by the parser.  With
+    ``tables`` (the finder's finite candidates: tables and successor maps
+    ``{x: frozenset(ys)}``) an application is spelled ``s0[t0]`` (unary) or
+    ``s0[(t0, t1)]`` and an atom ``t1 in s1[t0]``; otherwise every slot is
+    called, ``s0(t0)`` and ``s1(t0, t1)``, and sort atoms are tested too.
+
+    With ``tables`` a loop binding one variable ``v`` is driven by the first
+    body atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
+    s1[t]:`` replaces ``for v in points:`` and that atom's test.  On the
+    stage carrier, which is the grid, ``s1[t]`` holds exactly the values of
+    ``v`` the test would pass.  ``P(v, v)``, the head and the shared
+    ``product`` loop never drive.
+    """
+    tested = [*body, *(() if head is None else (head,))]
+    tested_vars = [{v.name for v in term_vars(*atom.args)} for atom in tested]
+    occurring = set().union(*tested_vars)
+    names = list(dict.fromkeys(v.name for v in variables))
+    loop_names = [name for name in names if name in occurring]
+    level = {name: min(i, _OWN_LOOPS) + 1 for i, name in enumerate(loop_names)}
+    local = {name: f"v{i}" for i, name in enumerate(loop_names)}
+    depth = min(len(loop_names), _OWN_LOOPS + 1)
+    lines: list[list[str]] = [[] for _ in range(depth + 1)]  # 0 is before any loop
+    drivers: dict[int, str] = {}  # level -> the successor set its loop runs over
+    slots: dict[str, str] = {}
+    temps: dict[str, tuple[str, int]] = {}  # call text -> (temporary, level)
+
+    def slot(symbol: str) -> str:
+        return slots.setdefault(symbol, f"s{len(slots)}")
+
+    def apply(symbol: str, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
+        """(expression, level) of ``symbol`` applied to ``values``, in the stage's spelling."""
+        args = [name for name, _ in values]
+        if not tables:
+            text = f"{slot(symbol)}({', '.join(args)})"
+        elif atom:
+            text = f"{args[1]} in {slot(symbol)}[{args[0]}]"
+        else:
+            key = args[0] if len(args) == 1 else f"({', '.join(args)})"
+            text = f"{slot(symbol)}[{key}]"
+        return text, max((lvl for _, lvl in values), default=0)
+
+    def value(term: Term) -> tuple[str, int]:
+        """(expression, level) of a term, walked without recursion so depth is unbounded."""
+        done: list[tuple[str, int]] = []
+        todo: list[tuple[Term, bool]] = [(term, False)]
+        while todo:
+            t, expanded = todo.pop()
+            if isinstance(t, Var):
+                done.append((local[t.name], level[t.name]))
+            elif not t.args:
+                done.append((slot(t.symbol), 0))
+            elif not expanded:
+                todo.append((t, True))
+                todo.extend((a, False) for a in reversed(t.args))
+            else:
+                text, lvl = apply(t.symbol, done[-len(t.args):], atom=False)
+                del done[-len(t.args):]
+                if text not in temps:
+                    temps[text] = (f"t{len(temps)}", lvl)
+                    lines[lvl].append(f"{temps[text][0]} = {text}")
+                done.append(temps[text])
+        return done[0]
+
+    # Lower-level atoms first, so they prune before deeper subterms are
+    # computed; zip stops before the head.
+    ordered = sorted(zip(body, tested_vars), key=lambda av: max(map(level.get, av[1]), default=0))
+    for atom, _ in ordered:
+        values = [value(a) for a in atom.args]
+        if tables and len(values) == 2 and isinstance(atom.args[1], Var):
+            k = level[atom.args[1].name]
+            if values[0][1] < k <= _OWN_LOOPS and k not in drivers:
+                drivers[k] = f"{slot(atom.predicate)}[{values[0][0]}]"
+                continue
+        text, lvl = apply(atom.predicate, values, atom=True)
+        lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
+    found = f"({', '.join(local[name] for name in loop_names)},)" if loop_names else "True"
+    if head is None:
+        lines[depth].append(f"return {found}")
+    else:
+        text, _ = apply(head.predicate, [value(a) for a in head.args], atom=True)
+        lines[depth].append(f"if not {text}: return {found}")
+
+    params = ", ".join(f"n{i}" for i in range(len(slots)))
+    source = [f"def make({params}):", "    def refuted(env, points):"]
+    source += [f"        {name} = env[n{i}]" for i, name in enumerate(slots.values())]
+    if len(loop_names) < len(names):
+        source.append("        if not points: return False")  # an unused variable has no value
+    source += [f"        {line}" for line in lines[0]]
+    for k in range(1, depth + 1):
+        bound = [local[name] for name in loop_names if level[name] == k]
+        if len(bound) == 1:
+            header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
+        else:
+            header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
+        source.append("    " * (k + 1) + header)
+        source += ["    " * (k + 2) + line for line in lines[k]]
+    source += ["        return False", "    return refuted"]
+    return "\n".join(source) + "\n", tuple(slots), tuple(loop_names)

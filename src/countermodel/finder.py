@@ -25,31 +25,14 @@ Searches share kept menus, so nothing mutates one: a structure copies
 the tables it is given.
 
 Search runs depth-first over interpretation slots ordered predicates,
-then constants, then functions; every theory clause and obligation is
-attached to the last slot interpreting one of its symbols and is used to
-prune partial assignments.  An obligation is a headless clause, so both
-are compiled by one function into a Python function that evaluates the
-check at every valuation over the stage's grid (the whole finite carrier,
-or the first integers of a ray).  The generated source names no symbol: it
-defines a factory that takes the symbols and returns the check.  So checks
-of one shape over different symbols, such as the congruence clauses of the
-functions of one arity, share one source, which is compiled once per
-process (see _check_maker); each search only binds its checks to their
-symbols.  A clause with a sort head holds by construction of the
-candidates, so it is never attached.  Every complete candidate is
+then constants, then functions.  Every theory clause and obligation
+prunes partial assignments at the last slot interpreting one of its
+symbols, as a check the verifier's generator compiles over the stage's
+grid (the whole finite carrier, or the first integers of a ray).  Sort
+atoms hold by construction of the candidates, so they are dropped and a
+clause with a sort head is never attached.  Every complete candidate is
 re-checked through the verifier, so no unverified structure is ever
 returned.
-
-The compiled checks read the candidates' data, and one generator spells
-it two ways.  A finite menu keeps what the checks can index with no Python
-call per application: a unary table keyed by the int itself (``s0[t0]``),
-a wider one by the tuple (``s0[(t0, t1)]``), a predicate as a successor map
-over the carrier, ``{x: frozenset(ys)}``, tested as ``t1 in s1[t0]`` or
-iterated to drive a loop (an indexed nested-loop join; see _check_source).
-A symbolic menu keeps affine functions and relations on unbounded
-integers as callables, so a symbolic check calls them (``s0(t0)``,
-``s1(v0, t1)``), and the coefficients _finish builds each one's
-interpretation from.
 
 A check's verdict depends only on the slots it reads, so the search keeps
 it, per check, keyed by the candidate index at the check's slot.  The memo
@@ -90,10 +73,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .checker import Certificate, VERIFIED, verify
+from .checker import VERIFIED, Certificate, _compile_check, _Refuter, verify
 from .errors import OptionError
 from .linear import LinearConstraint, compare
-from .logic import Atom, Theory, sort_of_predicate
+from .logic import Theory, sort_of_predicate
 from .model_format import MAX_FINITE_CARRIER
 from .queries import Obligation, required_predicates
 from .structures import (
@@ -105,7 +88,7 @@ from .structures import (
     Structure,
     SymbolicStructure,
 )
-from .terms import BUILTIN_PREDICATES, Signature, Term, Var, term_vars
+from .terms import BUILTIN_PREDICATES, Signature
 
 
 # The predicate menu: the five comparisons, then every pair template
@@ -173,9 +156,8 @@ def _check_deadline(deadline: float) -> None:
 
 @dataclass(frozen=True)
 class _Menu:
-    # Candidate k as the compiled checks read it: an int for a constant,
-    # else on finite stages a table (keyed by the int itself when unary) or
-    # a successor map, and on symbolic ones a callable.
+    # Candidate k as the compiled checks read it: an int for a constant, else on finite
+    # stages a table (keyed by the int itself when unary) or a successor map, else a callable.
     fast: list
     interp: Callable[[int], object]  # candidate k's interpretation in the structure
 
@@ -362,13 +344,12 @@ def _finite_stage(
         else:
             selectors = _template_selectors(points, deadline)
         maps = []
+        # Rows repeat across candidates, so each distinct row has one successor set.
+        successors = functools.cache(lambda row: frozenset(itertools.compress(carrier, row)))
         for selector in selectors:
             _check_deadline(deadline)
             # A successor map: row i of the points has x = carrier[i].
-            maps.append({
-                x: frozenset(itertools.compress(carrier, selector[i * n : i * n + n]))
-                for i, x in enumerate(carrier)
-            })
+            maps.append({x: successors(selector[i * n : i * n + n]) for i, x in enumerate(carrier)})
         return _Menu(maps, lambda k: frozenset((x, y) for x, ys in maps[k].items() for y in ys))
 
     def tables(arity: int) -> _Menu:
@@ -560,26 +541,24 @@ def _affine_fast(coeffs: tuple[int, ...], b: int) -> int | Callable[..., int]:
 
 # -- staged depth-first search ----------------------------------------------------
 
-# A compiled check: refuted(env, points) is true when some valuation over the
-# grid makes the body true and the head false under the slot values in env.
-_Refuter = Callable[[Mapping[str, object], tuple[int, ...]], bool]
-
 
 def _compile_checks(
     theory: Theory, obligations: tuple[Obligation, ...], tables: bool
 ) -> list[tuple[set[str], _Refuter]]:
     """Each check with the symbols its code reads, obligations first.
 
-    A clause with a sort head holds by construction of the candidates, so it
-    can never refute and is left out (the verifier still checks it).
+    Sort atoms hold by construction of the candidates: they are dropped from
+    bodies, and a clause with a sort head can never refute, so it is left
+    out (the verifier still checks both).
     """
-    checks = [(ob.variables, ob.atoms, None) for ob in obligations]
+    untyped = lambda atoms: tuple(a for a in atoms if sort_of_predicate(a.predicate) is None)  # noqa: E731
+    checks = [(ob.variables, untyped(ob.atoms), None) for ob in obligations]
     checks += [
-        (clause.variables, clause.body, clause.head)
+        (clause.variables, untyped(clause.body), clause.head)
         for clause in theory.clauses
         if sort_of_predicate(clause.head.predicate) is None
     ]
-    return [_compile_check(v, body, head, tables) for v, body, head in checks]
+    return [(symbols, refuted) for symbols, _, refuted in (_compile_check(*c, tables) for c in checks)]
 
 
 def _search(
@@ -691,153 +670,6 @@ def _latest_slot(position: Mapping[str, int], symbols: set[str]) -> int | None:
     if len(indices) < len(symbols):
         return None  # mentions a symbol the search does not interpret
     return max(indices) if indices else None
-
-
-# Python rejects more than 20 statically nested blocks, so variables past
-# this many share one ``product`` loop.
-_OWN_LOOPS = 16
-
-
-def _compile_check(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> tuple[set[str], _Refuter]:
-    """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
-
-    The result decides exact grid falsification: whether some valuation of
-    the variables over ``points`` makes every body atom true and the head
-    false.  Sort atoms in the body hold by construction of the candidates,
-    so they are dropped; the head is not a sort atom (see _compile_checks).
-    ``tables`` picks how slot values are read: looked up in finite tables
-    and successor maps, or called (see the module docstring).  With
-    ``tables`` the grid must be the whole carrier the candidates were built
-    over, since a driven loop (see _check_source) runs over a successor set
-    instead of ``points``.  Returns the symbols the code reads with it.
-    """
-    source, symbols = _check_source(variables, body, head, tables)
-    return set(symbols), _check_maker(source)(*symbols)
-
-
-@functools.lru_cache
-def _check_maker(source: str) -> Callable[..., _Refuter]:
-    """The ``make`` that ``source`` defines, compiled once per process.
-
-    Checks of one shape over different symbols have one source, so they
-    share one code object; each ``make(*symbols)`` closes over its own.
-    """
-    namespace: dict[str, object] = {"product": itertools.product}
-    exec(compile(source, "<finder check>", "exec"), namespace)
-    return namespace["make"]  # type: ignore[return-value]
-
-
-def _check_source(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> tuple[str, tuple[str, ...]]:
-    """Source of ``make`` for :func:`_compile_check`, and the symbols it reads in slot order.
-
-    ``make(n0, n1, ...)`` takes the symbols and returns ``refuted(env,
-    points)``, which reads slot ``sK = env[nK]``.  No symbol name enters the
-    source, so checks that differ only in their symbols have one source.
-    The identifiers are generated: ``nK`` symbols, ``sK`` slot values,
-    ``vK`` variables, ``tK`` subterms.  Each distinct subterm is computed
-    once, and each atom is tested, in the innermost loop binding its last
-    variable; ground ones before any loop.  Terms become temporaries, never
-    nested applications, so depth is not limited by the parser.  With
-    ``tables`` an application is spelled ``s0[t0]`` (unary) or ``s0[(t0,
-    t1)]`` and an atom ``t1 in s1[t0]``, otherwise ``s0(t0)`` and ``s1(t0,
-    t1)``.
-
-    With ``tables`` a loop binding one variable ``v`` is driven by the first
-    body atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
-    s1[t]:`` replaces ``for v in points:`` and that atom's test.  On the
-    stage carrier, which is the grid, ``s1[t]`` holds exactly the values of
-    ``v`` the test would pass.  ``P(v, v)``, the head and the shared
-    ``product`` loop never drive.
-    """
-    atoms = [a for a in body if sort_of_predicate(a.predicate) is None]
-    tested = [*atoms, *(() if head is None else (head,))]
-    tested_vars = [{v.name for v in term_vars(*atom.args)} for atom in tested]
-    occurring = set().union(*tested_vars)
-    names = list(dict.fromkeys(v.name for v in variables))
-    loop_names = [name for name in names if name in occurring]
-    level = {name: min(i, _OWN_LOOPS) + 1 for i, name in enumerate(loop_names)}
-    local = {name: f"v{i}" for i, name in enumerate(loop_names)}
-    depth = min(len(loop_names), _OWN_LOOPS + 1)
-    lines: list[list[str]] = [[] for _ in range(depth + 1)]  # 0 is before any loop
-    drivers: dict[int, str] = {}  # level -> the successor set its loop runs over
-    slots: dict[str, str] = {}
-    temps: dict[str, tuple[str, int]] = {}  # call text -> (temporary, level)
-
-    def slot(symbol: str) -> str:
-        return slots.setdefault(symbol, f"s{len(slots)}")
-
-    def apply(symbol: str, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
-        """(expression, level) of ``symbol`` applied to ``values``, in the stage's spelling."""
-        args = [name for name, _ in values]
-        if not tables:
-            text = f"{slot(symbol)}({', '.join(args)})"
-        elif atom:
-            text = f"{args[1]} in {slot(symbol)}[{args[0]}]"
-        else:
-            key = args[0] if len(args) == 1 else f"({', '.join(args)})"
-            text = f"{slot(symbol)}[{key}]"
-        return text, max((lvl for _, lvl in values), default=0)
-
-    def value(term: Term) -> tuple[str, int]:
-        """(expression, level) of a term, walked without recursion so depth is unbounded."""
-        done: list[tuple[str, int]] = []
-        todo: list[tuple[Term, bool]] = [(term, False)]
-        while todo:
-            t, expanded = todo.pop()
-            if isinstance(t, Var):
-                done.append((local[t.name], level[t.name]))
-            elif not t.args:
-                done.append((slot(t.symbol), 0))
-            elif not expanded:
-                todo.append((t, True))
-                todo.extend((a, False) for a in reversed(t.args))
-            else:
-                text, lvl = apply(t.symbol, done[-len(t.args):], atom=False)
-                del done[-len(t.args):]
-                if text not in temps:
-                    temps[text] = (f"t{len(temps)}", lvl)
-                    lines[lvl].append(f"{temps[text][0]} = {text}")
-                done.append(temps[text])
-        return done[0]
-
-    # Lower-level atoms first, so they prune before deeper subterms are
-    # computed; zip stops before the head.
-    ordered = sorted(zip(atoms, tested_vars), key=lambda av: max(map(level.get, av[1]), default=0))
-    for atom, _ in ordered:
-        values = [value(a) for a in atom.args]
-        if tables and len(values) == 2 and isinstance(atom.args[1], Var):
-            k = level[atom.args[1].name]
-            if values[0][1] < k <= _OWN_LOOPS and k not in drivers:
-                drivers[k] = f"{slot(atom.predicate)}[{values[0][0]}]"
-                continue
-        text, lvl = apply(atom.predicate, values, atom=True)
-        lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
-    if head is None:
-        lines[depth].append("return True")
-    else:
-        text, _ = apply(head.predicate, [value(a) for a in head.args], atom=True)
-        lines[depth].append(f"if not {text}: return True")
-
-    params = ", ".join(f"n{i}" for i in range(len(slots)))
-    source = [f"def make({params}):", "    def refuted(env, points):"]
-    source += [f"        {name} = env[n{i}]" for i, name in enumerate(slots.values())]
-    if len(loop_names) < len(names):
-        source.append("        if not points: return False")  # an unused variable has no value
-    source += [f"        {line}" for line in lines[0]]
-    for k in range(1, depth + 1):
-        bound = [local[name] for name in loop_names if level[name] == k]
-        if len(bound) == 1:
-            header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
-        else:
-            header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
-        source.append("    " * (k + 1) + header)
-        source += ["    " * (k + 2) + line for line in lines[k]]
-    source += ["        return False", "    return refuted"]
-    return "\n".join(source) + "\n", tuple(slots)
 
 
 # -- candidate completion -----------------------------------------------------------

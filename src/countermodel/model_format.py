@@ -375,7 +375,7 @@ def _assemble_finite(
                 f"{MAX_FINITE_CARRIER}; use --backend symbolic"
             )
         values[sort] = carrier_values(carrier) if isinstance(carrier, Interval) else carrier
-    universe = sorted({v for vs in values.values() for v in vs})
+    universe = {v for vs in values.values() for v in vs}
     if len(universe) > MAX_FINITE_CARRIER:
         raise ParseError(
             f"the carriers of sorts {', '.join(values)} hold {len(universe)} values together, "
@@ -389,13 +389,14 @@ def _assemble_finite(
         for key, value in function.items():
             for v, s in zip(key, arg_sorts):
                 if v not in values[s]:
-                    raise ParseError(
-                        f"table key {key} of '{name}' is outside the declared carrier"
-                    )
+                    raise ParseError(f"table key {key} of '{name}' is outside the declared carrier")
             if value not in values[result]:
                 raise ParseError(f"table value {value} of '{name}' is outside the declared carrier")
         tables[name] = function
     pairs = {n: p for n, p in predicates.items() if isinstance(p, frozenset)}
+    for name, p in pairs.items():
+        if outside := sorted(t for t in p if not universe.issuperset(t)):
+            raise ParseError(f"pair {outside[0]} of '{name}' is outside the declared carriers")
     piecewise = {n: f for n, f in functions.items() if isinstance(f, PiecewiseFunction)}
     linear = {n: p for n, p in predicates.items() if isinstance(p, PredicateInterp)}
     try:

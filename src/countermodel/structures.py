@@ -192,6 +192,22 @@ Structure = FiniteStructure | SymbolicStructure
 # -- evaluation ----------------------------------------------------------------
 
 
+def interpretation(structure: Structure, symbol: str, kind: str) -> object:
+    """The interpretation of ``symbol``, a "function" or a "predicate" by ``kind``."""
+    found = (structure.functions if kind == "function" else structure.predicates).get(symbol)
+    if found is None:
+        raise ModelError(f"structure does not interpret {kind} '{symbol}'")
+    return found
+
+
+def table_value(symbol: str, table: Mapping[tuple[int, ...], int], args: tuple[int, ...]) -> int:
+    """A finite function's value at ``args``; a table can be silent on kind-level terms."""
+    try:
+        return table[args]
+    except KeyError:
+        raise ModelError(f"table of '{symbol}' has no entry at {args}") from None
+
+
 def eval_term(structure: Structure, valuation: Mapping[str, int], term: Term) -> int:
     """Value of a term under a valuation keyed by variable name."""
     if isinstance(term, Var):
@@ -200,16 +216,9 @@ def eval_term(structure: Structure, valuation: Mapping[str, int], term: Term) ->
         except KeyError:
             raise ModelError(f"valuation does not cover variable '{term.name}'") from None
     args = tuple(eval_term(structure, valuation, a) for a in term.args)
-    interp = structure.functions.get(term.symbol)
-    if interp is None:
-        raise ModelError(f"structure does not interpret function '{term.symbol}'")
+    interp = interpretation(structure, term.symbol, "function")
     if isinstance(structure, FiniteStructure):
-        try:
-            return interp[args]
-        except KeyError:
-            raise ModelError(
-                f"table of '{term.symbol}' has no entry at {args}"
-            ) from None
+        return table_value(term.symbol, interp, args)
     return interp.eval(args)
 
 
@@ -221,9 +230,7 @@ def eval_atom(structure: Structure, valuation: Mapping[str, int], atom: Atom) ->
             return value in structure.carrier(sort)
         return carrier_contains(structure.carrier(sort), value)
     values = tuple(eval_term(structure, valuation, a) for a in atom.args)
-    interp = structure.predicates.get(atom.predicate)
-    if interp is None:
-        raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
+    interp = interpretation(structure, atom.predicate, "predicate")
     if isinstance(structure, FiniteStructure):
         return values in interp
     return interp.holds(values)
@@ -404,8 +411,8 @@ class ClauseLowering:
         for atom in atoms:  # an uninterpreted predicate is an error even when no leaf is left
             if sort := sort_of_predicate(atom.predicate):
                 structure.carrier(sort)
-            elif atom.predicate not in structure.predicates:
-                raise ModelError(f"structure does not interpret predicate '{atom.predicate}'")
+            else:
+                interpretation(structure, atom.predicate, "predicate")
         feeds = {a for t, f in self.applications.items() if len(f.cases) > 1 for a in t.args}
         self._probes = [len(f.cases) > 1 and t in feeds for t, f in self.applications.items()]
 
@@ -415,9 +422,7 @@ class ClauseLowering:
         assert isinstance(term, App)
         for arg in term.args:
             self._collect(arg)
-        interp = self.structure.functions.get(term.symbol)
-        if interp is None:
-            raise ModelError(f"structure does not interpret function '{term.symbol}'")
+        interp = interpretation(self.structure, term.symbol, "function")
         if term.args:
             self.applications[term] = interp
         else:

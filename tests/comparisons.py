@@ -74,12 +74,16 @@ class CheckCalls:
         return counted
 
     def install(self, monkeypatch) -> "CheckCalls":
-        """Count every check that ``finder._compile_check`` compiles while patched."""
+        """Count every check the finder compiles while patched, and none that ``verify`` does.
+
+        The finder calls the generator through its own name for it,
+        ``finder._compile_check``, so ``checker._check`` is left uncounted.
+        """
         compile_check = finder._compile_check
 
         def compiled(*args, **kwargs):
-            symbols, refuted = compile_check(*args, **kwargs)
-            return symbols, self.wrap(refuted)
+            symbols, names, refuted = compile_check(*args, **kwargs)
+            return symbols, names, self.wrap(refuted)
 
         monkeypatch.setattr(finder, "_compile_check", compiled)
         return self

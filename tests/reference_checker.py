@@ -1,9 +1,18 @@
-"""The full-product symbolic check, kept as the reference for ``checker._check_symbolic``.
+"""Reference checkers: the evaluators the package's checks replaced, kept to compare with.
 
-This is the ``_check_symbolic`` that the walk over a tree of guard-case
-choices (``ClauseLowering.leaves``) replaced, kept as it was apart from
-this docstring, absolute imports and the two ``ClauseLowering`` methods it
-used, ``choices`` and ``lower``, which live on here as functions.  It
+``check_finite`` is the finite branch of ``checker._check`` as it was
+before finite checks were compiled: it enumerates ``carrier^vars`` in
+lexicographic order over each variable's own sort and tree-walks
+``eval_atom`` at each valuation.  Where no table lookup misses, the
+compiled check must return the same ``Verdict``; where one misses (a
+kind-level term outside a table's domain), the two may meet the miss at
+different valuations, so one may be "unknown" where the other decides,
+but they never contradict.
+
+``check_symbolic`` is the full-product symbolic check that the walk over a
+tree of guard-case choices (``ClauseLowering.leaves``) replaced, kept as
+it was apart from absolute imports and the two ``ClauseLowering`` methods
+it used, ``choices`` and ``lower``, which live on here as functions.  It
 builds and solves one system for every guard-case choice and goal, with
 no constant row dropped and no prefix solved.  Whenever it decides (holds
 or fails), the checker must return the same ``Verdict``: the walk cuts
@@ -19,8 +28,30 @@ from countermodel.checker import FAILS, HOLDS, UNKNOWN, Verdict, _refutes
 from countermodel.errors import ModelError
 from countermodel.linear import AffineForm, LinearConstraint, integer_tighten, solve
 from countermodel.logic import Atom
-from countermodel.structures import ClauseLowering, SymbolicStructure
+from countermodel.structures import ClauseLowering, FiniteStructure, SymbolicStructure
 from countermodel.terms import Term, Var
+
+
+def check_finite(
+    structure: FiniteStructure, variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
+) -> Verdict:
+    """Every valuation over the variables' carriers in lexicographic order; the first refuting one fails."""
+    try:
+        for valuation in _valuations(structure, variables):
+            if _refutes(structure, valuation, body, head):
+                return Verdict(FAILS, witness=tuple(valuation.items()))
+    except ModelError as exc:
+        # A table can be silent on kind-level terms outside its rank domain.
+        return Verdict(UNKNOWN, reason=str(exc))
+    return Verdict(HOLDS)
+
+
+def _valuations(
+    structure: FiniteStructure, variables: tuple[Var, ...]
+) -> Iterator[dict[str, int]]:
+    pools = [structure.carrier(v.sort) for v in variables]
+    for values in itertools.product(*pools):
+        yield dict(zip((v.name for v in variables), values))
 
 
 def choices(lowering: ClauseLowering) -> Iterator[tuple[int, ...]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from countermodel.checker import Certificate
+from countermodel.checker import Certificate, _Refuter
 from countermodel.finder import (
     BASE_RELATIONS,
     PAIR_COEFFS,
@@ -32,7 +32,6 @@ from countermodel.finder import (
     _COMPARISONS,
     _check_deadline,
     _latest_slot,
-    _Refuter,
     _Slot,
     _State,
 )

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 import countermodel.checker as checker_module
 import countermodel.structures as structures_module
@@ -22,7 +23,7 @@ from countermodel.checker import (
     verify,
 )
 from countermodel.linear import AffineForm, Feasibility, LinearConstraint
-from countermodel.logic import Atom, HornClause, Theory
+from countermodel.logic import Atom, HornClause, Theory, sort_predicate
 from countermodel.queries import Obligation
 from countermodel.structures import (
     ClauseLowering,
@@ -485,3 +486,119 @@ def test_a_prefix_whose_solve_is_unknown_never_prunes(monkeypatch):
     monkeypatch.setattr(structures_module, "solve", unknown)
     assert len(list(lowering.leaves())) == 4
     assert len(systems) == 2
+
+
+# -- compiled finite checks against the tree walk ------------------------------------
+
+_UNIVERSE = range(-2, 3)
+_SORTED = ("A", "B", "C")
+# Terms over placeholder variables; a draw gives each name its sort.
+_shapes = st.recursive(
+    st.sampled_from((X, Y, Z, Var("w"), A)),
+    lambda inner: st.one_of(
+        st.builds(lambda t: App("f", (t,)), inner),
+        st.builds(lambda s, t: App("g", (s, t)), inner, inner),
+    ),
+    max_leaves=3,
+)
+_shape_atoms = st.one_of(
+    st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from((ARROW, MANY_STEPS)), _shapes, _shapes),
+    st.builds(lambda s, t: Atom(sort_predicate(s), (t,)), st.sampled_from(_SORTED), _shapes),
+)
+
+
+def _sorted_atom(atom, sorts, sort_of):
+    """``atom`` with each variable given its sort, and each sort atom one of ``sorts``."""
+
+    def term(t):
+        return Var(t.name, sort_of[t.name]) if isinstance(t, Var) else App(t.symbol, tuple(map(term, t.args)))
+
+    predicate = atom.predicate
+    if predicate not in (ARROW, MANY_STEPS):
+        predicate = sort_predicate(sorts[_SORTED.index(predicate[2:]) % len(sorts)])
+    return Atom(predicate, tuple(map(term, atom.args)))
+
+
+@st.composite
+def _finite_checks(draw):
+    """(structure, variables, body, head, total): 1-3 sorts, "A" a subsort of "B" when both occur.
+
+    With ``total`` every table is defined on the whole universe, so no
+    lookup can miss; otherwise each is defined on its declared argument
+    sorts only, and kind-level terms can miss.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    sorts = _SORTED[: rnd.randint(1, 3)]
+    carriers = {s: sorted(rnd.sample(_UNIVERSE, rnd.randint(1, len(_UNIVERSE)))) for s in sorts}
+    if len(sorts) > 1:
+        carriers["A"] = sorted(rnd.sample(carriers["B"], rnd.randint(1, len(carriers["B"]))))
+    universe = sorted(set().union(*carriers.values()))
+    ranks = {"a": (), "f": (rnd.choice(sorts),), "g": (rnd.choice(sorts), rnd.choice(sorts))}
+    sig = Signature(
+        sorts=sorts,
+        subsort_pairs=(("A", "B"),) if len(sorts) > 1 else (),
+        functions={name: (args, rnd.choice(sorts)) for name, args in ranks.items()},
+    )
+    total = rnd.random() < 0.5
+    tables = {}
+    for name, (args, result) in sig.functions.items():
+        keys = itertools.product(*([universe] * len(args) if total else [carriers[s] for s in args]))
+        tables[name] = {key: rnd.choice(carriers[result]) for key in keys}
+    squares = list(itertools.product(universe, repeat=2))
+    relations = {p: rnd.sample(squares, rnd.randint(0, len(squares))) for p in (ARROW, MANY_STEPS)}
+    structure = FiniteStructure(sig, carriers, tables, relations)
+
+    sort_of = {name: rnd.choice(sorts) for name in "xyzw"}
+    body = [_sorted_atom(a, sorts, sort_of) for a in draw(st.lists(_shape_atoms, max_size=3))]
+    head = draw(st.one_of(st.none(), _shape_atoms))
+    head = head and _sorted_atom(head, sorts, sort_of)
+    occurring = {v for atom in (*body, *([head] if head else [])) for v in atom.variables()}
+    extra = {Var("w", sort_of["w"])} if rnd.random() < 0.3 else set()  # maybe unused
+    variables = sorted(occurring | extra, key=lambda v: v.name)
+    rnd.shuffle(variables)
+    if rnd.random() < 0.5:  # relativized, as the compiler writes clause bodies
+        body = [Atom(sort_predicate(v.sort), (v,)) for v in variables] + body
+    return structure, tuple(variables), tuple(body), head, total
+
+
+@seed(20261020)
+@settings(max_examples=250, deadline=None)
+@given(_finite_checks())
+def test_compiled_finite_checks_match_the_tree_walk(check):
+    structure, variables, body, head, total = check
+    if head is None:
+        verdict = check_obligation(structure, Obligation(variables, body))
+    else:
+        verdict = check_clause(structure, HornClause(variables, body, head))
+    expected = reference_checker.check_finite(structure, variables, body, head)
+    if total:
+        assert UNKNOWN not in (verdict.status, expected.status)
+    # A lookup that misses may be met at different valuations, or by one
+    # evaluator only; two decided verdicts are always the same.
+    if UNKNOWN not in (verdict.status, expected.status):
+        assert verdict == expected
+
+
+def test_a_wide_structure_verifies_without_evaluating_an_atom(monkeypatch):
+    # The model that `disprove corpus/intro.trs --query 'a -> b' --backend
+    # finite --carriers 0:99` finds: both relations are <= on 100 points.
+    # Walking its transitivity clause alone evaluates 10^6 valuations.
+    document, theory, obligations, _ = paper_instance("intro-restricted")
+    points = range(100)
+    order = frozenset((x, y) for x in points for y in points if x <= y)
+    structure = FiniteStructure(
+        document.ctrs.signature,
+        {DEFAULT_SORT: tuple(points)},
+        {"a": {(): 1}, "b": {(): 0}, "c": {(): 1}},
+        {ARROW: order, MANY_STEPS: order},
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return eval_atom(*args)
+
+    monkeypatch.setattr(checker_module, "eval_atom", counted)
+    certificate = verify(theory, obligations, structure)
+    assert certificate.overall == VERIFIED
+    assert len(calls) == 0

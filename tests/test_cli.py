@@ -142,6 +142,21 @@ def test_parse_error_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_pair_outside_the_carriers_is_a_parse_error(tmp_path, capsys):
+    # Every valuation ranges over the carriers, so (0, 7) was never read,
+    # and the model verified with that pair printed in its certificate.
+    model = tmp_path / "outside.model"
+    model.write_text(
+        "(DOMAIN {0, 1}) (FUN a = 0) (FUN b = 1) (FUN c = 0)\n"
+        "(PRED -> = pairs (1, 0) (0, 7)) (PRED ->* = pairs (0, 0) (1, 1) (1, 0))\n"
+    )
+    code = main(["check", corpus("intro.trs"), "--model", str(model), "--query", "a -> b"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "pair (0, 7) of '->' is outside the declared carriers" in captured.err
+
+
 def test_unsupported_fragment_exit_three(capsys):
     code = main(
         ["disprove", corpus("intro.trs"), "--query", "EXISTS x . a -> x /\\ ~(x -> a)"]

@@ -17,6 +17,11 @@ only tests use belongs next to those tests.
 
 Every finder function that builds a candidate menu (returns a ``_Menu``)
 in a ``for`` loop checks the deadline.
+
+Exactly one module runs generated source (``exec``, ``eval`` or
+``compile``), and it is ``checker.py``: the finder's pruning checks and
+the verifier's finite checks come from its one generator, so a second
+evaluator cannot come back as a fork.
 """
 from __future__ import annotations
 
@@ -231,3 +236,36 @@ def _affine_candidates(arity: int, lo: int, budget: SearchBudget) -> _Menu:
     assert unchecked_menu_builders("def m() -> list[int]:\n    for c in x:\n        pass\n") == []
     nested = "def f():\n    def m() -> _Menu:\n        for c in x:\n            pass\n"
     assert unchecked_menu_builders(nested) == ["m"]
+
+
+# -- one module runs generated source ------------------------------------------
+
+CODE_RUNNERS = {"exec", "eval", "compile"}
+
+
+def compiling_modules(modules: dict[str, str]) -> list[str]:
+    """The modules, by name, whose source calls ``exec``, ``eval`` or ``compile``."""
+    return [
+        name
+        for name, source in sorted(modules.items())
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in CODE_RUNNERS
+            for node in ast.walk(ast.parse(source))
+        )
+    ]
+
+
+def test_only_the_checker_runs_generated_source():
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert compiling_modules(modules) == ["checker.py"]
+
+
+def test_a_second_module_running_generated_source_would_be_flagged():
+    checker = (PACKAGE / "checker.py").read_text()
+    fork = 'namespace = {}\nexec(compile(source, "<check>", "exec"), namespace)\n'
+    assert compiling_modules({"checker.py": checker, "finder.py": fork}) == ["checker.py", "finder.py"]
+    assert compiling_modules({"finder.py": "value = eval(text)\n"}) == ["finder.py"]
+    # A method named like one, such as a compiled pattern's, runs no generated source.
+    assert compiling_modules({"lexer.py": "pattern = re.compile(text)\n"}) == []
