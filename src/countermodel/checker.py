@@ -153,11 +153,10 @@ def _check(
         return _check_symbolic(structure, variables, body, head)
     # Each variable is tested for its sort before anything else at its loop.
     tests = tuple(dict.fromkeys((*(Atom(sort_predicate(v.sort), (v,)) for v in variables), *body)))
-    symbols, names, refuted = _compile_check(variables, tests, head, tables=False)
-    predicates = {a.predicate for a in (*tests, *(() if head is None else (head,)))}
+    keys, names, refuted = _compile_check(variables, tests, head, tables=False)
     points = tuple(sorted(set().union(*structure.carriers.values())))
     try:
-        env = {s: _finite_value(structure, s, s in predicates) for s in symbols}
+        env = {key: _finite_value(structure, key) for key in keys}
         found = refuted(env, points)
     except ModelError as exc:  # a table silent on a kind-level term
         return Verdict(UNKNOWN, reason=str(exc))
@@ -166,16 +165,17 @@ def _check(
     return _refutation(structure, tuple(zip(names, found)) if names else (), body, head, "valuation")
 
 
-def _finite_value(structure: FiniteStructure, symbol: str, predicate: bool) -> object:
-    """What a compiled check in the call spelling reads for ``symbol``."""
-    if predicate and (sort := sort_of_predicate(symbol)) is not None:
-        return frozenset(structure.carrier(sort)).__contains__
-    found = interpretation(structure, symbol, "predicate" if predicate else "function")
-    if predicate:
-        return lambda *args: args in found
-    if structure.signature.functions[symbol][0]:
-        return lambda *args: table_value(symbol, found, args)
-    return table_value(symbol, found, ())  # a constant is read, not called
+def _finite_value(structure: FiniteStructure, key: object) -> object:
+    """What a compiled check in the call spelling reads for slot ``key``."""
+    if isinstance(key, tuple):  # (SORT, sort): a sort test reads the carrier
+        return frozenset(structure.carrier(key[1])).__contains__
+    if key in structure.signature.functions:
+        table = interpretation(structure, key, "function")
+        if not structure.signature.functions[key][0]:
+            return table_value(key, table, ())  # a constant is read, not called
+        return lambda *args: table_value(key, table, args)
+    pairs = interpretation(structure, key, "predicate")
+    return lambda *args: args in pairs
 
 
 # -- symbolic backend ------------------------------------------------------------
@@ -222,54 +222,50 @@ def _check_symbolic(
 
 # refuted(env, points): the first valuation over the grid refuting the check
 # under the slot values in env, as its loop variables' values (True with none), or False.
-_Refuter = Callable[[Mapping[str, object], tuple[int, ...]], "tuple[int, ...] | bool"]
+_Refuter = Callable[[Mapping[object, object], tuple[int, ...]], "tuple[int, ...] | bool"]
+
+# A slot key says what it reads: a function's or rewriting predicate's name, or (SORT, sort).
+SORT = "sort"
 
 # Python rejects more than 20 statically nested blocks, so variables past
 # this many share one ``product`` loop.
 _OWN_LOOPS = 16
 
 
+# Keyed on the check, so a warm process only looks it up; a corpus pass has over 128 checks.
+@functools.lru_cache(maxsize=1024)
 def _compile_check(
     variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> tuple[set[str], tuple[str, ...], _Refuter]:
+) -> tuple[frozenset[object], tuple[str, ...], _Refuter]:
     """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
 
     The result decides exact grid falsification.  With ``tables`` the grid
     must be the whole carrier the candidates were built over, since a driven
     loop (see _check_source) runs over a successor set instead of
-    ``points``.  Returns the symbols the code reads and its loop variables.
+    ``points``.  Returns the slot keys the code reads, its loop variables and ``refuted``.
     """
-    source, symbols, names = _check_source(variables, body, head, tables)
-    return set(symbols), names, _check_maker(source)(*symbols)
-
-
-@functools.lru_cache
-def _check_maker(source: str) -> Callable[..., _Refuter]:
-    """The ``make`` of ``source``, compiled once per process; each call binds its own symbols."""
-    namespace: dict[str, object] = {"product": itertools.product}
+    source, keys, names = _check_source(variables, body, head, tables)
+    namespace = {"product": itertools.product, **{f"n{i}": key for i, key in enumerate(keys)}}
     exec(compile(source, "<compiled check>", "exec"), namespace)
-    return namespace["make"]  # type: ignore[return-value]
+    return frozenset(keys), names, namespace["refuted"]  # type: ignore[return-value]
 
 
-# Keyed on the check, so a warm process only binds it; a corpus pass has over 128 checks.
-@functools.lru_cache(maxsize=1024)
 def _check_source(
     variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
-) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
-    """Source of ``make`` for :func:`_compile_check`, its symbols in slot order and its loop variables.
+) -> tuple[str, tuple[object, ...], tuple[str, ...]]:
+    """The source of ``refuted`` for :func:`_compile_check`, its slot keys in order and its loop variables.
 
-    ``make(n0, n1, ...)`` takes the symbols and returns ``refuted(env,
-    points)``, which reads slot ``sK = env[nK]``.  No symbol name enters the
-    source, so checks that differ only in their symbols have one source.
-    The identifiers are generated: ``nK`` symbols, ``sK`` slot values,
-    ``vK`` variables, ``tK`` subterms.  Each distinct subterm is computed
-    once, and each atom is tested, in the innermost loop binding its last
-    variable; ground ones before any loop.  Terms become temporaries, never
-    nested applications, so depth is not limited by the parser.  With
-    ``tables`` (the finder's finite candidates: tables and successor maps
-    ``{x: frozenset(ys)}``) an application is spelled ``s0[t0]`` (unary) or
-    ``s0[(t0, t1)]`` and an atom ``t1 in s1[t0]``; otherwise every slot is
-    called, ``s0(t0)`` and ``s1(t0, t1)``, and sort atoms are tested too.
+    ``refuted(env, points)`` reads slot ``sK = env[nK]``, the global ``nK``
+    being its key, so no symbol name enters the source.  The identifiers are
+    generated: ``nK`` keys, ``sK`` slot values, ``vK`` variables, ``tK``
+    subterms.  Each distinct subterm is computed once, and each atom is
+    tested, in the innermost loop binding its last variable; ground ones
+    before any loop.  Terms become temporaries, never nested applications,
+    so depth is not limited by the parser.  With ``tables`` (the finder's
+    finite candidates: tables and successor maps ``{x: frozenset(ys)}``) an
+    application is spelled ``s0[t0]`` (unary) or ``s0[(t0, t1)]`` and an atom
+    ``t1 in s1[t0]``; otherwise every slot is called, ``s0(t0)`` and
+    ``s1(t0, t1)``, and sort atoms are tested too.
 
     With ``tables`` a loop binding one variable ``v`` is driven by the first
     body atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
@@ -288,22 +284,26 @@ def _check_source(
     depth = min(len(loop_names), _OWN_LOOPS + 1)
     lines: list[list[str]] = [[] for _ in range(depth + 1)]  # 0 is before any loop
     drivers: dict[int, str] = {}  # level -> the successor set its loop runs over
-    slots: dict[str, str] = {}
+    slots: dict[object, str] = {}  # slot key -> its local, sK
     temps: dict[str, tuple[str, int]] = {}  # call text -> (temporary, level)
 
-    def slot(symbol: str) -> str:
-        return slots.setdefault(symbol, f"s{len(slots)}")
+    def slot(key: object) -> str:
+        return slots.setdefault(key, f"s{len(slots)}")
 
-    def apply(symbol: str, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
-        """(expression, level) of ``symbol`` applied to ``values``, in the stage's spelling."""
+    def test(predicate: str) -> object:  # the slot key of an atom's predicate
+        sort = sort_of_predicate(predicate)
+        return predicate if sort is None else (SORT, sort)
+
+    def apply(key: object, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
+        """(expression, level) of slot ``key`` applied to ``values``, in the stage's spelling."""
         args = [name for name, _ in values]
         if not tables:
-            text = f"{slot(symbol)}({', '.join(args)})"
+            text = f"{slot(key)}({', '.join(args)})"
         elif atom:
-            text = f"{args[1]} in {slot(symbol)}[{args[0]}]"
+            text = f"{args[1]} in {slot(key)}[{args[0]}]"
         else:
-            key = args[0] if len(args) == 1 else f"({', '.join(args)})"
-            text = f"{slot(symbol)}[{key}]"
+            index = args[0] if len(args) == 1 else f"({', '.join(args)})"
+            text = f"{slot(key)}[{index}]"
         return text, max((lvl for _, lvl in values), default=0)
 
     def value(term: Term) -> tuple[str, int]:
@@ -336,30 +336,29 @@ def _check_source(
         if tables and len(values) == 2 and isinstance(atom.args[1], Var):
             k = level[atom.args[1].name]
             if values[0][1] < k <= _OWN_LOOPS and k not in drivers:
-                drivers[k] = f"{slot(atom.predicate)}[{values[0][0]}]"
+                drivers[k] = f"{slot(test(atom.predicate))}[{values[0][0]}]"
                 continue
-        text, lvl = apply(atom.predicate, values, atom=True)
+        text, lvl = apply(test(atom.predicate), values, atom=True)
         lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
     found = f"({', '.join(local[name] for name in loop_names)},)" if loop_names else "True"
     if head is None:
         lines[depth].append(f"return {found}")
     else:
-        text, _ = apply(head.predicate, [value(a) for a in head.args], atom=True)
+        text, _ = apply(test(head.predicate), [value(a) for a in head.args], atom=True)
         lines[depth].append(f"if not {text}: return {found}")
 
-    params = ", ".join(f"n{i}" for i in range(len(slots)))
-    source = [f"def make({params}):", "    def refuted(env, points):"]
-    source += [f"        {name} = env[n{i}]" for i, name in enumerate(slots.values())]
+    source = ["def refuted(env, points):"]
+    source += [f"    {name} = env[n{i}]" for i, name in enumerate(slots.values())]
     if len(loop_names) < len(names):
-        source.append("        if not points: return False")  # an unused variable has no value
-    source += [f"        {line}" for line in lines[0]]
+        source.append("    if not points: return False")  # an unused variable has no value
+    source += [f"    {line}" for line in lines[0]]
     for k in range(1, depth + 1):
         bound = [local[name] for name in loop_names if level[name] == k]
         if len(bound) == 1:
             header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
         else:
             header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
-        source.append("    " * (k + 1) + header)
-        source += ["    " * (k + 2) + line for line in lines[k]]
-    source += ["        return False", "    return refuted"]
+        source.append("    " * k + header)
+        source += ["    " * (k + 1) + line for line in lines[k]]
+    source.append("    return False")
     return "\n".join(source) + "\n", tuple(slots), tuple(loop_names)

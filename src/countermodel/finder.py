@@ -544,7 +544,7 @@ def _affine_fast(coeffs: tuple[int, ...], b: int) -> int | Callable[..., int]:
 
 def _compile_checks(
     theory: Theory, obligations: tuple[Obligation, ...], tables: bool
-) -> list[tuple[set[str], _Refuter]]:
+) -> list[tuple[frozenset[str], _Refuter]]:
     """Each check with the symbols its code reads, obligations first.
 
     Sort atoms hold by construction of the candidates: they are dropped from
@@ -563,7 +563,7 @@ def _compile_checks(
 
 def _search(
     slots: list[_Slot],
-    checks: list[tuple[set[str], _Refuter]],
+    checks: list[tuple[frozenset[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
     finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | None],

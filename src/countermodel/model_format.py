@@ -1,7 +1,8 @@
 """Parser and serializer for structure (model) files.
 
 A structure document lists one DOMAIN block per sort, one FUN block per
-function symbol, and one PRED block per predicate::
+function symbol, and one PRED block per rewriting predicate (``->``,
+``->*``, ``->^`` or ``|>``; a sort test reads its carrier)::
 
     (DOMAIN >= -1)                ; ray; sort name required when sorted
     (DOMAIN User [0, 3])          ; interval
@@ -233,7 +234,9 @@ def _parse_case_value(
 
 def _parse_pred(stream: TokenStream) -> tuple[str, frozenset[tuple[int, ...]] | PredicateInterp]:
     token = stream.peek()
-    if token is None or not (token.kind == "ident" or token.kind in BUILTIN_PREDICATES):
+    if token is not None and token.kind == "ident":  # a sort test reads its carrier
+        raise stream.error(f"unknown predicate '{token.text}' (a PRED block interprets ->, ->*, ->^ or |>)")
+    if token is None or token.kind not in BUILTIN_PREDICATES:
         raise stream.error("expected a predicate name")
     stream.next()
     name = token.text
@@ -466,9 +469,7 @@ def serialize_model(structure: Structure) -> str:
 
 
 def _predicate_order(predicates: Mapping[str, object]) -> list[str]:
-    order = [p for p in BUILTIN_PREDICATES if p in predicates]
-    order.extend(sorted(p for p in predicates if p not in BUILTIN_PREDICATES))
-    return order
+    return [p for p in BUILTIN_PREDICATES if p in predicates]
 
 
 def _domain_line(sig: Signature, sort: str, spec: str) -> str:

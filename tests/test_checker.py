@@ -507,11 +507,13 @@ _shape_atoms = st.one_of(
 )
 
 
-def _sorted_atom(atom, sorts, sort_of):
-    """``atom`` with each variable given its sort, and each sort atom one of ``sorts``."""
+def _sorted_atom(atom, sorts, sort_of, unary):
+    """``atom`` with each variable given its sort, each sort atom one of ``sorts`` and "f" named ``unary``."""
 
     def term(t):
-        return Var(t.name, sort_of[t.name]) if isinstance(t, Var) else App(t.symbol, tuple(map(term, t.args)))
+        if isinstance(t, Var):
+            return Var(t.name, sort_of[t.name])
+        return App(unary if t.symbol == "f" else t.symbol, tuple(map(term, t.args)))
 
     predicate = atom.predicate
     if predicate not in (ARROW, MANY_STEPS):
@@ -525,7 +527,9 @@ def _finite_checks(draw):
 
     With ``total`` every table is defined on the whole universe, so no
     lookup can miss; otherwise each is defined on its declared argument
-    sorts only, and kind-level terms can miss.
+    sorts only, and kind-level terms can miss.  The unary function is
+    sometimes named like the sort test of a drawn sort, which it must not
+    be read as.
     """
     rnd = draw(st.randoms(use_true_random=False))
     sorts = _SORTED[: rnd.randint(1, 3)]
@@ -533,7 +537,8 @@ def _finite_checks(draw):
     if len(sorts) > 1:
         carriers["A"] = sorted(rnd.sample(carriers["B"], rnd.randint(1, len(carriers["B"]))))
     universe = sorted(set().union(*carriers.values()))
-    ranks = {"a": (), "f": (rnd.choice(sorts),), "g": (rnd.choice(sorts), rnd.choice(sorts))}
+    unary = rnd.choice(("f", sort_predicate(rnd.choice(sorts))))
+    ranks = {"a": (), unary: (rnd.choice(sorts),), "g": (rnd.choice(sorts), rnd.choice(sorts))}
     sig = Signature(
         sorts=sorts,
         subsort_pairs=(("A", "B"),) if len(sorts) > 1 else (),
@@ -549,9 +554,9 @@ def _finite_checks(draw):
     structure = FiniteStructure(sig, carriers, tables, relations)
 
     sort_of = {name: rnd.choice(sorts) for name in "xyzw"}
-    body = [_sorted_atom(a, sorts, sort_of) for a in draw(st.lists(_shape_atoms, max_size=3))]
+    body = [_sorted_atom(a, sorts, sort_of, unary) for a in draw(st.lists(_shape_atoms, max_size=3))]
     head = draw(st.one_of(st.none(), _shape_atoms))
-    head = head and _sorted_atom(head, sorts, sort_of)
+    head = head and _sorted_atom(head, sorts, sort_of, unary)
     occurring = {v for atom in (*body, *([head] if head else [])) for v in atom.variables()}
     extra = {Var("w", sort_of["w"])} if rnd.random() < 0.3 else set()  # maybe unused
     variables = sorted(occurring | extra, key=lambda v: v.name)

@@ -157,6 +157,73 @@ def test_a_pair_outside_the_carriers_is_a_parse_error(tmp_path, capsys):
     assert "pair (0, 7) of '->' is outside the declared carriers" in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra", ["(PRED foo = pairs (1, 2))", "(PRED S_term = empty)"], ids=["other-name", "sort-test-name"]
+)
+def test_a_pred_block_for_no_rewriting_predicate_exits_input_error(extra, tmp_path, capsys):
+    # No check reads either block (a sort test reads its carrier), yet both
+    # were printed into the certificate's structure.
+    model = tmp_path / "extra.model"
+    model.write_text((CORPUS / "models" / "intro_restricted.model").read_text() + extra + "\n")
+    code = main(["check", corpus("intro.trs"), "--model", str(model), "--query", "a -> b"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    name = extra.split()[1]
+    assert f"8:7-8:{7 + len(name)}: unknown predicate '{name}'" in captured.err
+
+
+# A function named like the sort test of its own sort: S_term(x) -> a fails
+# at x = 1, where the table sends 1 to 0 and 0 -> 0 does not hold.
+CLASH_TABLE = (
+    "(DOMAIN{sort} {{0, 1}}) (FUN {f} = table (0) -> 1 | (1) -> 0) (FUN {a} = 0)\n"
+    "(PRED -> = pairs (1, 0) (1, 1)) (PRED ->* = pairs (0, 0) (1, 1) (1, 0))\n"
+)
+CLASH_INTERVAL = (
+    "(DOMAIN [0, 1]) (FUN S_term(x) = 1 - x) (FUN a = 0)\n"
+    "(PRED -> (x, y) = x - y >= 0 /\\ x >= 1) (PRED ->* (x, y) = x - y >= 0)\n"
+)
+CLASH_CASES = [
+    pytest.param(
+        "(VAR x) (RULES S_term(x) -> a)",
+        CLASH_TABLE.format(sort="", f="S_term", a="a"),
+        "a -> S_term(a)",
+        ("finite",),
+        id="untyped-table",
+    ),
+    pytest.param(
+        "(VAR x) (RULES S_term(x) -> a)",
+        CLASH_INTERVAL,
+        "a -> S_term(a)",
+        ("finite", "symbolic", "both"),
+        id="untyped-interval",
+    ),
+    pytest.param(
+        "(SORTS Nat) (SIG S_Nat : Nat -> Nat  z : -> Nat) (VAR x:Nat) (RULES S_Nat(x) -> z)",
+        CLASH_TABLE.format(sort=" Nat", f="S_Nat", a="z"),
+        "z -> S_Nat(z)",
+        ("finite",),
+        id="sorted-table",
+    ),
+]
+
+
+@pytest.mark.parametrize("system, model, query, backends", CLASH_CASES)
+def test_a_function_named_like_a_sort_test_is_not_read_as_one(system, model, query, backends, tmp_path, capsys):
+    (tmp_path / "s.trs").write_text(system)
+    (tmp_path / "m.model").write_text(model)
+    argv = ["check", str(tmp_path / "s.trs"), "--model", str(tmp_path / "m.model"), "--query", query]
+    for backend in backends:
+        assert main([*argv, "--backend", backend]) == EXIT_REFUTED, backend
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["overall"] == "refuted"
+        congruence, rule = payload["clause_verdicts"][2:]
+        assert payload["first_failure"].startswith("clause [C(S_")
+        if backend == "finite":  # the witnesses of the reference tree walk
+            assert congruence == {"status": "fails", "witness": {"x": 1, "y": 0}}
+            assert rule == {"status": "fails", "witness": {"x": 1}}
+
+
 def test_unsupported_fragment_exit_three(capsys):
     code = main(
         ["disprove", corpus("intro.trs"), "--query", "EXISTS x . a -> x /\\ ~(x -> a)"]

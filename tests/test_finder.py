@@ -18,7 +18,7 @@ from comparisons import CheckCalls
 from countermodel import finder, pipeline
 from countermodel.certificates import serialize_certificate
 from countermodel import checker
-from countermodel.checker import _OWN_LOOPS, VERIFIED, _check_source, _compile_check, verify
+from countermodel.checker import _OWN_LOOPS, SORT, VERIFIED, _check_source, _compile_check, verify
 from countermodel.finder import (
     SearchBudget,
     _affine_candidates,
@@ -51,12 +51,12 @@ FLAGSHIPS = (
 
 @pytest.fixture
 def empty_menu_cache(monkeypatch):
-    """No menu kept and no check source compiled at the test's start.
+    """No menu kept and no check compiled at the test's start.
 
-    The process's kept menus are restored after; its compiled sources are not.
+    The process's kept menus are restored after; its compiled checks are not.
     """
     monkeypatch.setattr(finder, "_kept", ((), None))
-    checker._check_maker.cache_clear()
+    checker._compile_check.cache_clear()
 
 
 @functools.cache
@@ -830,17 +830,18 @@ def test_symbol_names_never_enter_generated_source():
     body = (Atom("->", (App("f'", (x,)), App("a''"))),)
     head = Atom("->*", (App("f'", (App("f'", (x,)),)), y))
     for tables in (True, False):
-        source, symbols, names = _check_source((x, y), body, head, tables)
+        source, keys, names = _check_source((x, y), body, head, tables)
         assert names == ("x", "y")
         # Slots are numbered in the order the generator first reads their symbols.
-        assert symbols == ("f'", "a''", "->", "->*")
-        assert not any(symbol in source for symbol in symbols)
+        assert keys == ("f'", "a''", "->", "->*")
+        assert not any(key in source for key in keys)
         identifiers = _generated_identifiers(source)
-        assert all(re.fullmatch(r"[nstv]\d+|env|points|product|refuted|make", n) for n in identifiers)
+        assert all(re.fullmatch(r"[nstv]\d+|env|points|product|refuted", n) for n in identifiers)
+        assert {n for n in identifiers if n.startswith("n")} == {f"n{i}" for i in range(len(keys))}
         tree = ast.parse(source)
         assert not [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
-        (make,) = tree.body
-        assert [arg.arg for arg in make.args.args] == [f"n{i}" for i in range(len(symbols))]
+        (refuted,) = tree.body
+        assert [arg.arg for arg in refuted.args.args] == ["env", "points"]
     grid = range(3)
     interps = {
         "f'": {(v,): min(v + 1, 2) for v in grid},
@@ -861,38 +862,19 @@ def test_symbol_names_never_enter_generated_source():
             assert _agrees(((x, y), body, head), env, points, reference_env, tables)
 
 
-def test_checks_of_one_shape_share_one_code_object(empty_menu_cache):
-    # Congruence of "->" for two unary symbols: one source, two closures,
-    # each reading its own symbol from one env that binds both.
-    x, y = Var("x"), Var("y")
-    grid = range(3)
-    interps = {
-        "f'": {(v,): min(v + 1, 2) for v in grid},  # monotone: congruent
-        "g": {(v,): 2 - v for v in grid},  # antitone: refuted
-        "->": frozenset((s, t) for s in grid for t in grid if s <= t),
-    }
-    reference_env = {name: _reference_value(interp) for name, interp in interps.items()}
-    fast = {
-        "f'": reference_finder._table_candidate(interps["f'"], 1)[1],
-        "g": reference_finder._table_candidate(interps["g"], 1)[1],
-        "->": reference_finder._pair_candidate(interps["->"], tuple(grid))[1],
-    }
-    for tables in (True, False):
-        env = fast if tables else reference_env
-        verdicts = []
-        refuters = []
-        for symbol in ("f'", "g"):
-            body = (Atom("->", (x, y)),)
-            head = Atom("->", (App(symbol, (x,)), App(symbol, (y,))))
-            refuted = _refuter((x, y), body, head, tables)
-            refuters.append(refuted)
-            verdicts.append(bool(refuted(env, tuple(grid))))
-            assert _agrees(((x, y), body, head), env, tuple(grid), reference_env, tables)
-        assert refuters[0] is not refuters[1]
-        assert refuters[0].__code__ is refuters[1].__code__
-        assert verdicts == [False, True]
-    # (hits, misses): one source per spelling, and the _agrees calls hit it
-    assert checker._check_maker.cache_info()[:2] == (6, 2)
+def test_a_function_named_like_a_sort_test_reads_its_own_slot():
+    # S_term(x) in the body is x's sort test; S_term(x) in the head applies
+    # the function S_term.  Each slot key says which one it reads.
+    x = Var("x")
+    body = (Atom("S_term", (x,)),)
+    head = Atom("->", (App("S_term", (x,)), App("a")))
+    _, keys, _ = _check_source((x,), body, head, False)
+    assert keys == ((SORT, "term"), "S_term", "a", "->")
+    refuted = _refuter((x,), body, head, False)
+    env = {"S_term": lambda v: 1 - v, "a": 0, "->": lambda s, t: s == t + 1}
+    # x = 1 refutes the check, once it is inside the sort's carrier
+    assert not refuted({**env, (SORT, "term"): {0}.__contains__}, (0, 1))
+    assert refuted({**env, (SORT, "term"): {0, 1}.__contains__}, (0, 1)) == (1,)
 
 
 def test_25_variable_clause_compiles_and_evaluates():

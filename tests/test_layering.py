@@ -21,7 +21,9 @@ in a ``for`` loop checks the deadline.
 Exactly one module runs generated source (``exec``, ``eval`` or
 ``compile``), and it is ``checker.py``: the finder's pruning checks and
 the verifier's finite checks come from its one generator, so a second
-evaluator cannot come back as a fork.
+evaluator cannot come back as a fork.  ``checker.py`` keeps exactly one
+``functools`` cache, the compiled checks keyed on the check, so a second
+cache or factory for the same job cannot come back either.
 """
 from __future__ import annotations
 
@@ -269,3 +271,46 @@ def test_a_second_module_running_generated_source_would_be_flagged():
     assert compiling_modules({"finder.py": "value = eval(text)\n"}) == ["finder.py"]
     # A method named like one, such as a compiled pattern's, runs no generated source.
     assert compiling_modules({"lexer.py": "pattern = re.compile(text)\n"}) == []
+
+
+# -- one cache of compiled checks ----------------------------------------------
+
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def functools_caches(source: str) -> list[str]:
+    """``line N: name`` for each ``functools`` cache a module's source applies."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHES
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = node.attr if node.value.id == "functools" and node.attr in CACHES else None
+        else:
+            name = imported.get(node.id) if isinstance(node, ast.Name) else None
+        if name is not None:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_the_checker_keeps_one_cache():
+    assert len(functools_caches((PACKAGE / "checker.py").read_text())) == 1
+
+
+def test_a_second_cache_in_the_checker_would_be_flagged():
+    checker = (PACKAGE / "checker.py").read_text()
+    # the per-shape factory cache that the per-check cache replaced
+    shape_cache = "\n@functools.lru_cache\ndef _check_maker(source):\n    return source\n"
+    assert len(functools_caches(checker + shape_cache)) == 2
+    assert functools_caches("from functools import cache as memo\n@memo\ndef f(): pass\n") == [
+        "line 2: cache"
+    ]
+    assert functools_caches("make = functools.lru_cache(maxsize=8)(build)\n") == ["line 1: lru_cache"]
+    # a name that is no functools cache is not one
+    assert functools_caches("cache = {}\ncache.clear()\nitertools.cache\n") == []

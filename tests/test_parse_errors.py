@@ -94,6 +94,7 @@ CASES = [
     ("model-table-key-arity", "model", "(FUN f = table (0, 1) -> 0)", "<input>:1:27-1:28: table key arity mismatch for 'f'"),
     ("model-table-repeated-key", "model", "(FUN f = table (0) -> 0 | (0) -> 1)", "<input>:1:35-1:36: table of 'f' repeats the key (0,)"),
     ("model-predicate-name", "model", "(PRED 3 = empty)", "<input>:1:7-1:8: expected a predicate name"),
+    ("model-unknown-predicate", "model", "(PRED S_term = empty)", "<input>:1:7-1:13: unknown predicate 'S_term' (a PRED block interprets ->, ->*, ->^ or |>)"),
     ("model-predicate-arity", "model", "(PRED -> (x) = x <= 1)", "<input>:1:14-1:15: predicate '->' takes 2 parameters, got 1"),
     ("model-pairs-shape", "model", "(PRED -> = pairs (0, 1, 2))", "<input>:1:27-1:28: predicate '->' holds pairs, got (0, 1, 2)"),
     ("model-repeated-parameter", "model", "(FUN f(x, x) = x)", "<input>:1:14-1:15: 'f' repeats a parameter name in ('x', 'x')"),
