@@ -51,15 +51,20 @@ every candidate of a slot fails, the slot's conflict set names earlier
 slots whose values alone make it fail: the earlier slots read by each
 check that rejected a candidate, and the conflict set of each failed
 subtree below it, minus the slot itself.  A complete candidate that the
-verifier rejects conflicts with every slot.  The search returns to the
-latest slot in the set, merges the rest of the set into that slot's
-conflict set, and tries its next candidate; the slots in between are left
-untried, since no value of theirs can undo the failure (an empty set ends
-the stage).
-So the skipped subtrees hold no complete candidate: the verifier sees the
-same complete candidates in the same order as in a chronological search,
-so the first verified model and its certificate are the same, reached in
-at most as many nodes; under a node cap the search can only get further.
+verifier rejects conflicts with the slots one failed check reads (see
+_finish).  The search returns to the latest slot in the set, merges the
+rest of the set into that slot's conflict set, and tries its next
+candidate; the slots in between are left untried, since no value of
+theirs can undo the failure (an empty set ends the stage).  The set is a
+nogood, so the search also learns it (Dechter 1990): that slot rejects
+its candidate again, adding the rest of the set, while the slots up to
+the latest of the rest keep their values; the record is kept as a verdict
+is, in a memo cleared on entering the slot after that one.
+So the skipped subtrees hold no complete candidate the verifier accepts:
+it sees the complete candidates of a chronological search in their order,
+less some that fail a check an earlier one failed, so the first verified
+model and its certificate are the same, reached in at most as many nodes;
+under a node cap the search can only get further.
 The walk keeps an explicit stack, so a search of more slots than Python's
 recursion limit runs like any other.
 """
@@ -73,7 +78,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .checker import VERIFIED, Certificate, _compile_check, _Refuter, verify
+from .checker import HOLDS, VERIFIED, Certificate, _compile_check, _Refuter, verify
 from .errors import OptionError
 from .linear import LinearConstraint, compare
 from .logic import Theory, sort_of_predicate
@@ -566,9 +571,12 @@ def _search(
     checks: list[tuple[frozenset[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
-    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | None],
+    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | frozenset[str]],
 ) -> tuple[Structure, Certificate] | None:
-    """Hand ``finish`` each complete candidate, an index per slot, until it accepts one."""
+    """Hand ``finish`` each complete candidate, an index per slot, until it accepts one.
+
+    ``finish`` returns what it accepts, or the slots its rejection conflicts with.
+    """
     position = {slot.name: index for index, slot in enumerate(slots)}
     # A check's memo maps a candidate index at its slot to its verdict; it
     # is cleared on entering ``level``, the slot after the latest earlier slot
@@ -576,7 +584,7 @@ def _search(
     # ``reads`` is the bit set of those earlier slots: the conflict a
     # rejection by the check adds (see the module docstring).
     attached: list[list[tuple[int, dict[int, bool], _Refuter, int]]] = [[] for _ in slots]
-    resets: list[list[dict[int, bool]]] = [[] for _ in slots]
+    resets: list[list[dict]] = [[] for _ in slots]  # check memos and learned nogoods
     for symbols, refuted in checks:
         index = _latest_slot(position, symbols)
         if index is not None:
@@ -604,7 +612,9 @@ def _search(
     # and the conflict set gathered from its rejected candidates so far.
     remaining: list[Iterator[tuple[int, object]]] = [iter(())] * len(slots)
     conflicts = [0] * len(slots)
-    every = (1 << len(slots)) - 1
+    # A slot's learned nogoods, per reset level: candidate index -> the conflict
+    # bits its backjump left, kept as a verdict of a check reading those slots.
+    learned: list[dict[int, dict[int, int]]] = [{} for _ in slots]
 
     def enter(index: int) -> None:
         for memo in resets[index]:
@@ -621,33 +631,40 @@ def _search(
             if nodes >= limit:
                 limit = state.count(nodes, stride)
             found = finish(chosen)
-            if found is not None:
+            if isinstance(found, tuple):
                 state.nodes = nodes
                 return found
-            failed = every  # a rejected complete candidate conflicts with every slot
+            failed = sum(1 << position[name] for name in found)
         else:
             name = slots[index].name
             here = checks_by_slot[index]
+            nogoods = learned[index].values()
             gathered = conflicts[index]
             passed = None
             for k, fast in remaining[index]:
                 nodes += 1
                 if nodes >= limit:
                     limit = state.count(nodes, stride)
-                # ``env`` gets the candidate only for a check computed here,
-                # and for the slots after it once it passes.
-                for memo, refuted, reads in here:
-                    verdict = memo.get(k)
-                    if verdict is None:
-                        env[name] = fast
-                        verdict = memo[k] = refuted(env, points)
-                    if verdict:
-                        gathered |= reads
+                for memo in nogoods:
+                    bits = memo.get(k)
+                    if bits is not None:
+                        gathered |= bits
                         break
                 else:
-                    env[name] = fast
-                    passed = k
-                    break
+                    # ``env`` gets the candidate only for a check computed here,
+                    # and for the slots after it once it passes.
+                    for memo, refuted, reads in here:
+                        verdict = memo.get(k)
+                        if verdict is None:
+                            env[name] = fast
+                            verdict = memo[k] = refuted(env, points)
+                        if verdict:
+                            gathered |= reads
+                            break
+                    else:
+                        env[name] = fast
+                        passed = k
+                        break
             conflicts[index] = gathered
             if passed is not None:
                 chosen[name] = passed
@@ -662,7 +679,18 @@ def _search(
         if index < 0:
             state.nodes = nodes
             return None
-        conflicts[index] |= failed ^ (1 << index)
+        rest = failed ^ (1 << index)
+        conflicts[index] |= rest
+        # The set is a nogood: learn the slot's candidate as rejected while the
+        # slots up to the latest in ``rest`` keep their values.  At the slot's
+        # own level it would be dropped on its next entry anyway.
+        level = rest.bit_length()
+        if level < index:
+            records = learned[index].get(level)
+            if records is None:
+                records = learned[index][level] = {}
+                resets[level].append(records)
+            records[chosen[slots[index].name]] = rest
 
 
 def _latest_slot(position: Mapping[str, int], symbols: set[str]) -> int | None:
@@ -681,8 +709,15 @@ def _finish(
     chosen: Mapping[str, int],
     theory: Theory,
     obligations: tuple[Obligation, ...],
-) -> tuple[Structure, Certificate] | None:
-    """``chosen`` as a structure, if the verifier accepts it: the only place interpretations are built."""
+) -> tuple[Structure, Certificate] | frozenset[str]:
+    """``chosen`` as a structure, if the verifier accepts it: the only place interpretations are built.
+
+    Otherwise the slots read by one check that did not hold: a closure
+    violation reads its function, a clause or obligation the slot keys of
+    its compiled code.  A symbol that is not a slot, such as a sort test's
+    carrier, is fixed for the stage.  Of those checks, the one whose latest
+    slot comes first is taken, the first in ``verify``'s order among ties.
+    """
     interps = {slot.name: slot.menu.interp(chosen[slot.name]) for slot in stage.slots}
     structure = stage.structure_class(
         sig,
@@ -693,4 +728,11 @@ def _finish(
     certificate = verify(theory, obligations, structure)
     if certificate.overall == VERIFIED:
         return structure, certificate
-    return None
+    position = {slot.name: index for index, slot in enumerate(stage.slots)}
+    checks = [(cl.variables, cl.body, cl.head) for cl in theory.clauses]
+    checks += [(ob.variables, ob.atoms, None) for ob in obligations]
+    verdicts = (*certificate.clause_verdicts, *certificate.obligation_verdicts)
+    failed = [{v.symbol} for v in certificate.closure_violations]
+    failed += [_compile_check(*check, False)[0] for check, v in zip(checks, verdicts) if v.status != HOLDS]
+    reads = [position.keys() & symbols for symbols in failed]
+    return frozenset(min(reads, key=lambda slots: max(map(position.get, slots), default=-1)))

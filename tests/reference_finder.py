@@ -1,14 +1,18 @@
 """Finder code that ``countermodel.finder`` replaced, kept as its reference.
 
 ``_search`` is the chronological search without verdict memos that the
-memoizing, backjumping search replaced, kept verbatim apart from absolute
-imports, its node count, which goes through ``_State.count``, and what it
-hands ``finish``: the candidate index of each slot, as a slot's menu keeps
-its candidates in the form the checks read.  It re-runs every attached check on every candidate and backtracks one slot
-at a time.  Run in its place, it must hand
-``finish`` the same complete candidates in the same order, so it gives the
-same certificate bytes and reasons from at least as many nodes (under a
-node cap, the backjumping search may get further).
+memoizing, backjumping, learning search replaced, kept verbatim apart from
+absolute imports, its node count, which goes through ``_State.count``,
+what it hands ``finish``: the candidate index of each slot, as a slot's
+menu keeps its candidates in the form the checks read, and what it takes
+back: a structure and certificate, or, for a rejection, the slots it
+conflicts with, which it ignores.  It re-runs every attached check on
+every candidate and backtracks one slot at a time.  Run in its place, it
+must hand ``finish`` a superset of the same complete candidates in the
+same order: the learning search skips only those failing a check that
+rejected an earlier one.  So it gives the same certificate bytes and
+reasons from at least as many nodes (under a node cap, the learning
+search may get further).
 
 The finite menu builders below are the template and raw stages' own copies
 that one stage builder replaced, and the walk that found the symbols each
@@ -47,7 +51,7 @@ def _search(
     checks: list[tuple[set[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
-    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | None],
+    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | frozenset[str]],
 ) -> tuple[Structure, Certificate] | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
     checks_by_slot: list[list[_Refuter]] = [[] for _ in slots]
@@ -62,7 +66,8 @@ def _search(
     def descend(index: int) -> tuple[Structure, Certificate] | None:
         if index == len(slots):
             state.count(state.nodes + 1)
-            return finish(chosen)
+            found = finish(chosen)
+            return found if isinstance(found, tuple) else None
         slot = slots[index]
         attached = checks_by_slot[index]
         for k, fast in enumerate(slot.menu.fast):

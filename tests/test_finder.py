@@ -334,11 +334,17 @@ def test_template_tables_match_the_sorted_items_deduplication(carrier, arity):
             assert fast is interp
 
 
-def test_the_time_limit_covers_building_the_finite_menus():
-    # On 121 points the pair-template menu alone takes seconds to build; on
+# Searches that outlast the limits below: the finite search for a cycle of
+# loop_cb runs for seconds on 0..120 (4.4 million nodes).  Each builds its
+# menus from an empty cache.
+_CYCLING_WIDE = FinderCase("cycling-wide", "loop_cb.trs", "CYCLING()", "finite")
+
+
+def test_the_time_limit_covers_building_the_finite_menus(empty_menu_cache):
+    # On 121 points the menus take most of the first limit to build; on
     # 1,000, the widest carrier allowed, one pair template's sort takes most
     # of a second, so the limit can be passed by at most that much.
-    theory, obligations = _setup(FinderCase("fig3-wide", "fig3.trs", "FEASIBLE(f(x) == x)", "finite"))
+    theory, obligations = _setup(_CYCLING_WIDE)
     for hi, limit, bound in ((120, 0.5, 3), (999, 1.0, 2.0)):
         started = time.monotonic()
         budget = SearchBudget(carriers=((0, hi),), time_limit=limit)
@@ -361,14 +367,15 @@ def test_the_time_limit_covers_building_the_symbolic_menus():
     assert time.monotonic() - started < limit + 1
 
 
-def test_the_time_limit_stops_a_search_on_a_wide_grid():
-    # On 61 points the menus take a fraction of the limit to build, and then
+def test_the_time_limit_stops_a_search_on_a_wide_grid(empty_menu_cache):
+    # On 121 points the menus take a fraction of the limit to build, and then
     # each node's checks loop over the grid, so the deadline is checked
-    # every node rather than every 256.
-    theory, obligations = _setup(FinderCase("fig3-wide", "fig3.trs", "FEASIBLE(f(x) == x)", "finite"))
+    # every node rather than every 256.  No node cap ends the search first.
+    theory, obligations = _setup(_CYCLING_WIDE)
     limit = 1.5
     started = time.monotonic()
-    outcome = find_model(theory, obligations, SearchBudget(carriers=((0, 60),), time_limit=limit))
+    budget = SearchBudget(carriers=((0, 120),), time_limit=limit, max_nodes=10**9)
+    outcome = find_model(theory, obligations, budget)
     assert outcome.reason == "budget exhausted: time cap"
     assert outcome.nodes > 0  # the search ran, so the menus were built within the limit
     assert time.monotonic() - started < limit + 1
@@ -1021,30 +1028,45 @@ def _hashed_check(reads, salt, modulus):
 
 @st.composite
 def _slot_systems(draw):
-    """Slots ``s0, s1, ...`` with menus of 0-3 integers, and checks each reading some of them."""
+    """Slots ``s0, s1, ...`` with menus of 0-3 integers, checks each reading some of them, and a rejection.
+
+    The rejection is a hashed check over drawn slots, possibly none: a
+    ``finish`` rejecting a candidate it refutes conflicts with those slots.
+    """
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     names = [f"s{i}" for i in range(len(sizes))]
     slots = [_int_slot(name, size) for name, size in zip(names, sizes)]
-    checks = []
-    for _ in range(draw(st.integers(0, 6))):
-        reads = sorted(draw(st.sets(st.sampled_from(names), min_size=1)))
+
+    def hashed(min_size):
+        reads = sorted(draw(st.sets(st.sampled_from(names), min_size=min_size)))
         salt, modulus = draw(st.integers(0, 1 << 16)), draw(st.integers(1, 4))
-        checks.append((set(reads), _hashed_check(reads, salt, modulus)))
-    return slots, checks
+        return set(reads), _hashed_check(reads, salt, modulus)
+
+    checks = [hashed(1) for _ in range(draw(st.integers(0, 6)))]
+    return slots, checks, hashed(0)
 
 
-def _complete_candidates(search, slots, checks):
-    """The complete candidates handed to a ``finish`` that rejects each, and the nodes."""
+def _complete_candidates(search, slots, checks, conflict=set):
+    """The complete candidates handed to a ``finish`` that rejects each, and the nodes.
+
+    ``conflict(chosen)`` names the slots each rejection conflicts with: by
+    default every slot, as for a candidate rejected whatever its slots hold.
+    """
     complete = []
     state = _State(SearchBudget(), math.inf)
-    assert search(slots, checks, state, (), lambda interps: complete.append(dict(interps))) is None
+
+    def finish(chosen):
+        complete.append(dict(chosen))
+        return frozenset(conflict(chosen))
+
+    assert search(slots, checks, state, (), finish) is None
     return complete, state.nodes
 
 
 @settings(max_examples=300, deadline=None)
 @given(_slot_systems())
 def test_backjumping_hands_finish_the_reference_sequence_of_complete_candidates(system):
-    slots, checks = system
+    slots, checks, _ = system
     position = {slot.name: index for index, slot in enumerate(slots)}
 
     def level(check):
@@ -1082,12 +1104,178 @@ def test_a_dead_end_that_does_not_read_the_slot_before_it_skips_that_slot():
     assert nodes == reference_nodes - 2 * 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(_slot_systems())
+def test_a_rejection_by_finish_skips_later_candidates_only_where_they_agree_with_it(system):
+    # ``finish`` rejects every candidate: one its hashed check refutes with
+    # the conflict of that check's slots, any other with every slot.  A
+    # rejection's conflict set is a nogood, so the walk hands ``finish`` the
+    # reference's candidates minus some that agree on those slots with an
+    # earlier refuted one.  It keeps the nogood at the conflict's latest slot
+    # while the slots up to its second latest keep their values, so it skips
+    # at least every candidate agreeing with an earlier refuted one on those
+    # slots and on the latest.
+    slots, checks, (reads, refuted) = system
+    position = {slot.name: index for index, slot in enumerate(slots)}
+    names = [slot.name for slot in slots]
+    indices = sorted(position[name] for name in reads)
+    kept = {names[i] for i in range(indices[-2] + 1 if len(indices) > 1 else 0)}
+    kept |= {names[indices[-1]]} if indices else set()
+
+    def conflict(chosen):
+        return reads if refuted(chosen, ()) else chosen
+
+    complete, nodes = _complete_candidates(_search, slots, checks, conflict)
+    reference, reference_nodes = _complete_candidates(reference_finder._search, slots, checks)
+    assert nodes <= reference_nodes
+    values = lambda candidate, on: tuple(candidate[name] for name in sorted(on))  # noqa: E731
+    handed = {values(c, names) for c in complete}
+    # handed in the reference's order, each at most once
+    assert complete == [c for c in reference if values(c, names) in handed]
+    rejected: list[dict] = []  # the handed candidates refuted so far
+    for candidate in reference:
+        agrees = lambda on: any(values(candidate, on) == values(r, on) for r in rejected)  # noqa: E731
+        if values(candidate, names) in handed:
+            assert not agrees(kept)
+            if refuted(candidate, ()):
+                rejected.append(candidate)
+        else:
+            assert agrees(reads)
+
+
+def test_a_dead_end_is_learned_and_skipped_under_the_next_value_of_an_earlier_slot():
+    # Slots a, b, c.  While b is 0, a check reading b and c rejects every
+    # candidate of c, so under a = 0 the walk learns that b = 0 fails
+    # whatever a holds, and under a = 1 rejects b = 0 as one node without
+    # entering c (three nodes).
+    slots = [_int_slot(name, size) for name, size in (("a", 2), ("b", 2), ("c", 3))]
+    checks = [({"b", "c"}, lambda env, points: env["b"] == 0)]
+    complete, nodes = _complete_candidates(_search, slots, checks)
+    reference, reference_nodes = _complete_candidates(reference_finder._search, slots, checks)
+    assert complete == reference == [{"a": a, "b": 1, "c": c} for a in range(2) for c in range(3)]
+    assert reference_nodes == 24
+    assert nodes == reference_nodes - 3
+
+
+def test_a_learned_nogood_is_dropped_when_an_earlier_slot_in_its_set_changes():
+    # Slots a, b, c, d.  A check reading a, c and d rejects every d while
+    # a = c = 0.  Under a = 0 the walk learns that c = 0 fails while a holds
+    # its value, so under b = 1 it rejects c = 0 without entering d (two
+    # nodes); once a changes the nogood is dropped, and c = 0 is entered
+    # under both values of b.
+    slots = [_int_slot(name, 2) for name in "abcd"]
+    calls = []
+
+    def a_and_c_zero(env, points):
+        calls.append((env["a"], env["b"], env["c"], env["d"]))
+        return env["a"] == env["c"] == 0
+
+    checks = [({"a", "c", "d"}, a_and_c_zero)]
+
+    def run(search):
+        calls.clear()
+        complete, nodes = _complete_candidates(search, slots, checks)
+        return complete, nodes, list(calls)
+
+    complete, nodes, walk_calls = run(_search)
+    reference, reference_nodes, _ = run(reference_finder._search)
+    assert complete == reference
+    assert reference_nodes == 42
+    assert nodes == reference_nodes - 2
+    # d's check runs under (a, c) = (0, 0) for b = 0 only, and under a = 1 for every b and c
+    assert [call for call in walk_calls if call[0] == 0 and call[2] == 0] == [(0, 0, 0, 0), (0, 0, 0, 1)]
+    assert [call[1:3] for call in walk_calls if call[0] == 1 and call[3] == 0] == [
+        (b, c) for b in range(2) for c in range(2)
+    ]
+
+
+def _handed(case, budget, search):
+    """The outcome of a symbolic search with ``search`` as its walk, and what ``_finish`` was handed.
+
+    Each handed candidate is its index per slot, with the slots a rejection
+    conflicts with, or None once accepted.
+    """
+    theory, obligations = _setup(case)
+    handed, finish = [], finder._finish
+
+    def recorded_finish(stage, sig, chosen, *rest):
+        found = finish(stage, sig, chosen, *rest)
+        handed.append((dict(chosen), None if isinstance(found, tuple) else found))
+        return found
+
+    with mock.patch.object(finder, "_finish", recorded_finish), mock.patch.object(finder, "_search", search):
+        outcome = find_symbolic_model(theory, obligations, budget)
+    return outcome, handed
+
+
+def test_a_verifier_rejection_skips_only_candidates_failing_the_check_it_names():
+    # On the ray from -1 the grid is -1..2, so candidates holding there can
+    # fail transitivity of ->* (reading -> and ->*) or its reflexivity
+    # (->* alone) at 3 or beyond.  The walk skips only later candidates that
+    # agree with a rejected one on the slots its failed check reads.
+    case = FinderCase("fab-reaches-a", "fab.trs", "REACHABLE(f(a), a)", "symbolic")
+    budget = SearchBudget(ray_carriers=(-1,), coeff_min=0, coeff_max=2, time_limit=3600.0)
+    outcome, handed = _handed(case, budget, _search)
+    reference, reference_handed = _handed(case, budget, reference_finder._search)
+    assert (outcome.found, outcome.reason) == (reference.found, reference.reason)
+    assert outcome.nodes <= reference.nodes
+    assert {conflict for _, conflict in handed} == {frozenset({"->", "->*"}), frozenset({"->*"})}
+    walk = [candidate for candidate, _ in handed]
+    assert walk == [c for c, _ in reference_handed if c in walk]
+    assert len(walk) < len(reference_handed)
+    earlier: list[tuple] = []  # the walk's rejections so far
+    for candidate, _ in reference_handed:
+        if candidate in walk:
+            earlier.append(handed[walk.index(candidate)])
+        else:
+            assert any(all(candidate[s] == e[s] for s in conflict) for e, conflict in earlier)
+
+
+_ONE_STEP = next(c for c in FINDER_CASES if c.name == "intro-one-step")
+_FULL = frozenset(itertools.product((0, 1), repeat=2))
+_INTRO_CONSTANTS = {"a": {(): 0}, "b": {(): 1}, "c": {(): 0}}
+
+
+def _finish_conflict(interps):
+    """What ``_finish`` returns on carrier 0..1 for the theory of intro's ``a -> b`` (clauses
+    reflexivity and transitivity of ->*, ``b -> a`` and ``c ->* b => a -> b``; obligation
+    ``NOT (a -> b)``), with one candidate per slot, in the order of ``interps``.
+    """
+    theory, obligations = _setup(_ONE_STEP)
+    slots = [_Slot(name, _Menu([None], lambda k, v=interp: v)) for name, interp in interps.items()]
+    stage = finder._Stage(slots, (0, 1), FiniteStructure, (0, 1))
+    return finder._finish(stage, theory.signature, dict.fromkeys(interps, 0), theory, obligations)
+
+
+def test_a_rejection_by_a_clause_conflicts_with_the_slots_it_reads():
+    # Both relations empty: reflexivity of ->* fails, reading ->* alone, and
+    # so does ``b -> a``, reading ->, a and b; ->* is the earlier slot.
+    assert _finish_conflict({"->": frozenset(), "->*": frozenset(), **_INTRO_CONSTANTS}) == {"->*"}
+    # With the constants first, ``b -> a``'s latest slot, b, comes before ->*.
+    constants_first = {**_INTRO_CONSTANTS, "->": frozenset(), "->*": frozenset()}
+    assert _finish_conflict(constants_first) == {"->", "a", "b"}
+    # ->* = {(1, 1)} and -> = {(0, 1)}: reflexivity and transitivity both
+    # fail with ->* their latest slot; reflexivity comes first in verify's order.
+    assert _finish_conflict({"->": {(0, 1)}, "->*": {(1, 1)}, **_INTRO_CONSTANTS}) == {"->*"}
+
+
+def test_a_rejection_by_an_obligation_conflicts_with_the_slots_it_reads():
+    # Both relations full: every clause holds and NOT (a -> b) fails.
+    assert _finish_conflict({"->": _FULL, "->*": _FULL, **_INTRO_CONSTANTS}) == {"->", "a", "b"}
+
+
+def test_a_certain_closure_violation_conflicts_with_its_function_alone():
+    out_of_carrier = {"->": _FULL, "->*": _FULL, **_INTRO_CONSTANTS, "c": {(): 5}}
+    assert _finish_conflict(out_of_carrier) == {"c"}
+
+
 def _capped_run(slots, checks, max_nodes):
     """(reason, nodes, complete candidates handed to a rejecting ``finish``) under a node cap."""
     complete = []
     state = _State(SearchBudget(max_nodes=max_nodes), math.inf)
     try:
-        found = _search(slots, checks, state, (), lambda interps: complete.append(dict(interps)))
+        rejecting = lambda chosen: complete.append(dict(chosen)) or set(chosen)  # noqa: E731
+        found = _search(slots, checks, state, (), rejecting)
     except finder._Stop as stop:
         return stop.reason, state.nodes, complete
     assert found is None
@@ -1137,7 +1325,7 @@ def test_verdict_memo_is_dropped_when_an_earlier_slot_it_reads_changes():
         calls.clear()
         complete = []
         state = _State(SearchBudget(), math.inf)
-        search(slots, checks, state, (), lambda interps: complete.append(dict(interps)))
+        search(slots, checks, state, (), lambda chosen: complete.append(dict(chosen)) or set(chosen))
         return complete, state.nodes, list(calls)
 
     complete, nodes, memo_calls = run(_search)
