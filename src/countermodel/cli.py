@@ -160,9 +160,9 @@ def _common_inputs(cmd: argparse.ArgumentParser, query: bool = True) -> None:
 
 
 def _load_system(args):
-    text = Path(args.system).read_text(encoding="utf-8")
+    text = Path(args.system).read_text(encoding="utf-8-sig")
     document = parse_ctrs_document(text, file=args.system)
-    if getattr(args, "sorted", False) and document.ctrs.signature.single_sorted:
+    if getattr(args, "sorted", False) and not document.declares_sorts:
         raise CountermodelError("--sorted was given but the input declares no sorts")
     return document
 
@@ -173,7 +173,7 @@ def _load_query(args, document):
     if args.query is not None:
         source, origin = args.query, "<query>"
     elif args.query_file is not None:
-        source, origin = Path(args.query_file).read_text(encoding="utf-8").strip(), args.query_file
+        source, origin = Path(args.query_file).read_text(encoding="utf-8-sig").strip(), args.query_file
     if source is None:
         return None
     return parse_query(source, document.ctrs.signature, document.var_sorts, file=origin)
@@ -201,7 +201,7 @@ def _run_check(args) -> int:
         theory = theory_for_query(ctrs, query, **extensions)
         obligations = negate_to_obligations(query)
     required = required_predicates(theory, tuple(obligations))
-    model_text = Path(args.model).read_text(encoding="utf-8")
+    model_text = Path(args.model).read_text(encoding="utf-8-sig")
     backend = args.backend
     if backend == BOTH:
         finite = parse_model(model_text, ctrs.signature, FINITE, required, file=args.model)

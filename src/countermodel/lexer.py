@@ -1,18 +1,18 @@
 """The one reader shared by the system, query and structure file formats.
 
-``tokenize`` scans a text with one compiled pattern.  ``TokenStream`` is the
-cursor the three parsers read from: besides single tokens it reads the
-shapes the formats share, ``item SEP item ...`` (``separated``), a bracketed
-comma list (``items``), the ``(KEYWORD ...)`` blocks of a document
-(``blocks``) and the raw tokens of a balanced block (``balanced``).
+``tokenize`` scans a text with one compiled pattern, one match per token.
+``TokenStream`` is the cursor the three parsers read from: besides single
+tokens it reads the shapes the formats share, ``item SEP item ...``
+(``separated``), a bracketed comma list (``items``), the ``(KEYWORD ...)``
+blocks of a document (``blocks``) and the raw tokens of a balanced block
+(``balanced``).
 ``read_term`` reads ``name`` and ``name(term, ..., term)``; each format says
 through two callbacks what a name stands for.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import ParseError, SourceSpan
 
@@ -24,50 +24,24 @@ T = TypeVar("T")
 # recursion limit: deeper input is an input error, never a crash.
 MAX_NESTING = 256
 
-# Longest match first.
-_OPERATORS = (
-    "->*",
-    "->^",
-    "->",
-    "|>",
-    "\\/",
-    "/\\",
-    "==",
-    "=>",
-    "<=",
-    ">=",
-    "<",
-    ">",
-    "=",
-    "|",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ":",
-    ".",
-    "+",
-    "-",
-    "*",
-    "~",
-    "!",
-)
-
-# One alternative per token class, tried in order.  ``\w`` is exactly
-# ``str.isalnum()`` plus '_', and ``\d`` the decimal digits that ``int()``
-# reads.  ``[^\W\d]`` also admits a digit that is not decimal, such as '²',
-# so ``tokenize`` checks that an identifier starts with a letter or '_'.
+# One alternative per token class, each after the blanks that lead it, so
+# that every token is one match; the classes start with distinct characters,
+# the commonest first.  The operators are the longer ones first, then one
+# class of single characters.  Line ends are their own alternative, so lines
+# and columns stay exact, and ``skip`` is a comment or the end of the text,
+# which takes the trailing blanks.  Every position starts a match and
+# ``other`` takes no blank, so the blanks never give a character back.
+# ``\w`` is exactly ``str.isalnum()`` plus '_', and ``\d`` the decimal digits
+# that ``int()`` reads.  ``[^\W\d]`` also admits a digit that is not decimal,
+# such as '²', so ``tokenize`` checks that an identifier starts with a letter
+# or '_'.
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r]+|;[^\n]*)|(?P<newline>\n)|(?P<ident>[^\W\d][\w']*)|(?P<int>\d+)"
-    f"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<other>.)"
+    r"[ \t\r]*(?:(?P<ident>[^\W\d][\w']*)|(?P<op>->[*^]?|\|>|\\/|/\\|==|=>|<=|>=|[<>=|()\[\]{},:.+\-*~!])"
+    r"|(?P<newline>\n)|(?P<int>\d+)|(?P<skip>;[^\n]*|\Z)|(?P<other>[^ \t\r]))"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", or the operator text
     text: str
     line: int
@@ -75,6 +49,10 @@ class Token:
 
     def span(self, file: str | None = None) -> SourceSpan:
         return SourceSpan(file, self.line, self.column, self.line, self.column + len(self.text))
+
+
+# Builds a Token without the Python frame of its generated ``__new__``.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str, file: str | None = None) -> list[Token]:
@@ -89,8 +67,8 @@ def tokenize(text: str, file: str | None = None) -> list[Token]:
             line += 1
             line_start = match.end()
             continue
-        value = match.group()
-        column = match.start() - line_start + 1
+        value = match[kind]
+        column = match.start(kind) - line_start + 1
         if kind == "op":
             kind = value
             nesting += (value == "(") - (value == ")")
@@ -104,7 +82,7 @@ def tokenize(text: str, file: str | None = None) -> list[Token]:
                 f"unexpected character {value[0]!r}",
                 SourceSpan(file, line, column, line, column + 1),
             )
-        tokens.append(Token(kind, value, line, column))
+        tokens.append(_new_token(Token, (kind, value, line, column)))
     return tokens
 
 
@@ -116,44 +94,47 @@ class TokenStream:
         self.file = file
         self.index = 0
 
-    def peek(self, offset: int = 0) -> Token | None:
-        index = self.index + offset
-        return self.tokens[index] if index < len(self.tokens) else None
+    def peek(self) -> Token | None:
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
 
     def at(self, kind: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token is not None and token.kind == kind
+        index = self.index + offset
+        return index < len(self.tokens) and self.tokens[index].kind == kind
 
     def at_ident(self, text: str) -> bool:
         token = self.peek()
         return token is not None and token.kind == "ident" and token.text == text
 
     def next(self) -> Token:
-        token = self.peek()
-        if token is None:
+        index = self.index
+        if index >= len(self.tokens):
             raise self.error("unexpected end of input")
-        self.index += 1
-        return token
+        self.index = index + 1
+        return self.tokens[index]
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         """The next token when it has ``kind`` (and ``text``, if given), consumed."""
-        token = self.peek()
-        if token is None or token.kind != kind or (text is not None and token.text != text):
-            return None
-        self.index += 1
-        return token
+        index = self.index
+        if index < len(self.tokens):
+            token = self.tokens[index]
+            if token.kind == kind and (text is None or token.text == text):
+                self.index = index + 1
+                return token
+        return None
 
     def expect(self, kind: str) -> Token:
-        token = self.accept(kind)
-        if token is None:
-            raise self.error(f"expected '{kind}', got '{self._got()}'")
-        return token
+        index = self.index
+        if index < len(self.tokens) and self.tokens[index].kind == kind:
+            self.index = index + 1
+            return self.tokens[index]
+        raise self.error(f"expected '{kind}', got '{self._got()}'")
 
     def expect_ident(self) -> Token:
-        token = self.accept("ident")
-        if token is None:
-            raise self.error(f"expected identifier, got '{self._got()}'")
-        return token
+        index = self.index
+        if index < len(self.tokens) and self.tokens[index].kind == "ident":
+            self.index = index + 1
+            return self.tokens[index]
+        raise self.error(f"expected identifier, got '{self._got()}'")
 
     def separated(self, item: Callable[[TokenStream], T], sep: str) -> list[T]:
         """``item sep item ... sep item``: one item or more."""
@@ -182,11 +163,15 @@ class TokenStream:
 
     def balanced(self) -> list[Token]:
         """The tokens up to the next unmatched ')', which is left unread."""
-        start, depth = self.index, 0
-        while depth or not self.at(")"):
-            kind = self.next().kind
+        tokens, start, depth = self.tokens, self.index, 0
+        for index in range(start, len(tokens)):
+            kind = tokens[index].kind
+            if kind == ")" and not depth:
+                self.index = index
+                return tokens[start:index]
             depth += (kind == "(") - (kind == ")")
-        return self.tokens[start : self.index]
+        self.index = len(tokens)
+        raise self.error("unexpected end of input")
 
     def done(self) -> bool:
         return self.index >= len(self.tokens)

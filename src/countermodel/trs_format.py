@@ -44,6 +44,7 @@ class CTRSDocument:
     ctrs: CTRS
     var_sorts: dict[str, str] = field(default_factory=dict)
     condition_type: str = ORIENTED
+    declares_sorts: bool = False  # whether a SORTS block was read
 
 
 def parse_ctrs(text: str, file: str | None = None) -> CTRS:
@@ -135,7 +136,7 @@ def parse_ctrs_document(text: str, file: str | None = None) -> CTRSDocument:
         ctrs = CTRS(signature, tuple(rules))
     except TermError as exc:  # sort errors surfaced with the rule's span
         raise ParseError(str(exc)) from exc
-    return CTRSDocument(ctrs, var_sorts, condition_type)
+    return CTRSDocument(ctrs, var_sorts, condition_type, sorts is not None)
 
 
 def _parse_rules(

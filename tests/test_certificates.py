@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 
-from countermodel.certificates import serialize_certificate
+from hypothesis import example, given, seed, settings, strategies as st
+
+from countermodel.certificates import _json, serialize_certificate
 from countermodel.checker import verify
 from countermodel.logic import Theory
 from countermodel.model_format import parse_model
@@ -72,3 +74,25 @@ def test_failed_certificate_reports_first_failure():
     payload = json.loads(serialize_certificate(cert))
     assert payload["overall"] == "refuted"
     assert payload["first_failure"]
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII letters
+# (symbol names may be non-ASCII identifiers), besides any character at all.
+_TEXT = st.text(
+    st.one_of(st.sampled_from(list('"\\\n\t\x00\x1f\x7f aZ_é中ß\u2028\ufeff')), st.characters()),
+    max_size=10,
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**20), max_value=10**20) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(_JSON)
+@example({"status": "fails", "witness": {"y": -1, "x": 2, "X": 0}, "reason": None})
+@example({"b": [], "a": {}, "c": [{}, [], [[]]], "d": [True, False, None, -0]})
+def test_the_writer_prints_what_json_dumps_prints(value):
+    assert _json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)

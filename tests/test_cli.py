@@ -321,6 +321,76 @@ def test_sorted_flag_rejects_unsorted_input(capsys):
     assert code == 3
 
 
+_ONE_SORT_MODEL = """(DOMAIN {0, 1})
+(FUN zero = 0)
+(FUN s = table (0) -> 1 | (1) -> 0)
+(PRED -> = pairs (0, 0) (1, 1))
+(PRED ->* = pairs (0, 0) (1, 1))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("compile", []),
+        ("check", ["--model", "one_sort.model", "--query", "s(zero) ->* zero"]),
+        ("disprove", ["--query", "s(zero) ->* zero"]),
+    ],
+    ids=["compile", "check", "disprove"],
+)
+def test_sorted_flag_accepts_a_system_that_declares_one_sort(command, extra, tmp_path, capsys):
+    system = tmp_path / "one_sort.trs"
+    system.write_text("(SORTS Nat) (SIG zero : -> Nat  s : Nat -> Nat) (VAR x:Nat) (RULES s(s(x)) -> x)\n")
+    (tmp_path / "one_sort.model").write_text(_ONE_SORT_MODEL)
+    extra = [str(tmp_path / arg) if arg.endswith(".model") else arg for arg in extra]
+    code = main([command, str(system), *extra, "--sorted"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    if command != "compile":
+        assert json.loads(captured.out)["overall"] == "verified"
+
+
+_BOM = "\ufeff"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["disprove", "{intro.trs}", "--query", "a -> b"],
+        ["disprove", corpus("intro.trs"), "--query-file", "{a_to_b.q}"],
+        ["check", corpus("intro.trs"), "--model", "{intro.model}", "--query", "a -> b"],
+    ],
+    ids=["system", "query-file", "model"],
+)
+def test_a_byte_order_mark_at_the_start_of_a_file_is_read_past(command, tmp_path, capsys):
+    texts = {
+        "intro.trs": (CORPUS / "intro.trs").read_text(encoding="utf-8"),
+        "a_to_b.q": "a -> b\n",
+        "intro.model": (CORPUS / "models/intro_restricted.model").read_text(encoding="utf-8"),
+    }
+    runs = []
+    for prefix in ("", _BOM):
+        folder = tmp_path / ("bom" if prefix else "plain")
+        folder.mkdir()
+        argv = []
+        for arg in command:
+            if arg.startswith("{"):
+                path = folder / arg.strip("{}")
+                path.write_text(prefix + texts[path.name], encoding="utf-8")
+                arg = str(path)
+            argv.append(arg)
+        runs.append((main(argv), capsys.readouterr().out))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+def test_a_byte_order_mark_inside_a_file_is_an_input_error(tmp_path, capsys):
+    system = tmp_path / "intro.trs"
+    system.write_text("(VAR x)\n(RULES b -> " + _BOM + "a)\n", encoding="utf-8")
+    assert main(["compile", str(system)]) == EXIT_INPUT
+    assert "2:13-2:14: unexpected character '\\ufeff'" in capsys.readouterr().err
+
+
 def test_deeply_nested_query_never_exits_refuted(capsys):
     deep = "f(" * 3000 + "a" + ")" * 3000
     code = main(["disprove", corpus("root_f.trs"), "--query", f"REACHABLE({deep}, a)"])

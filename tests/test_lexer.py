@@ -34,6 +34,15 @@ def test_every_corpus_file_tokenizes_as_before():
 @settings(max_examples=400, deadline=None)
 @given(st.text(st.one_of(_ALPHABET, st.characters()), max_size=80))
 @example("a\t->\rb ; note at end of file")
+@example(" \t\r  ")
+@example("f(x) -> a  ")
+@example("f(x) -> a\t")
+@example("f(x) -> a\r")
+@example("(VAR x)\r\n(RULES\r\n  f(x) -> x ; rule\r\n)\r\n")
+@example("a -> b\n; last line, no newline")
+@example("a ->  \t #")
+@example("a\n \t\r\f b")
+@example("(" * 256)
 @example("(" * 257)
 @example("))(((")
 @example("x' _y2 é٣ 12٣")
