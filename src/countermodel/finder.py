@@ -264,7 +264,7 @@ def _find(
                 return FindOutcome(found[0], found[1], None, state.nodes)
     except _Stop as stop:
         return FindOutcome(None, None, stop.reason, state.nodes)
-    return FindOutcome(None, None, "budget exhausted: search space", state.nodes)
+    return FindOutcome(None, None, "no model among the stages' candidates", state.nodes)
 
 
 # -- stages and slot construction -------------------------------------------------

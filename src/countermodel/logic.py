@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .terms import (
     BUILTIN_PREDICATES,
@@ -29,16 +30,43 @@ def sort_of_predicate(pred: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Atom:
+class _AtomFields(NamedTuple):
     predicate: str
     args: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if self.predicate in BUILTIN_PREDICATES and len(self.args) != 2:
-            raise ValueError(f"predicate '{self.predicate}' is binary")
-        if sort_of_predicate(self.predicate) is not None and len(self.args) != 1:
+
+class Atom(_AtomFields):
+    """A predicate applied to argument terms, stored as the tuple ``(predicate, args)``.
+
+    A tuple, so that hashing and comparing an atom take no Python frame of
+    its own: the oracle keys a map by thousands per saturation.
+    ``Atom(...)`` checks the arity of a rewriting or sort predicate;
+    :meth:`binary` checks its predicate once for a whole stream of pairs
+    and builds each atom with no Python frame either.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: tuple[Term, ...]) -> Atom:
+        if predicate in BUILTIN_PREDICATES and len(args) != 2:
+            raise ValueError(f"predicate '{predicate}' is binary")
+        if sort_of_predicate(predicate) is not None and len(args) != 1:
             raise ValueError("sort predicates are unary")
+        return tuple.__new__(cls, (predicate, args))
+
+    @classmethod
+    def binary(
+        cls, predicate: str, lefts: Iterable[Term], rights: Iterable[Term]
+    ) -> Iterator[Atom]:
+        """The atoms ``predicate(l, r)`` of a rewriting predicate, ``lefts`` zipped with ``rights``.
+
+        Zipping gives every atom exactly two arguments, so the arity is
+        checked once, not per atom, and the atoms are built with no Python
+        call each.
+        """
+        if predicate not in BUILTIN_PREDICATES:
+            raise ValueError(f"predicate '{predicate}' is not a rewriting predicate")
+        return map(tuple.__new__, repeat(cls), zip(repeat(predicate), zip(lefts, rights)))
 
     def variables(self) -> tuple[Var, ...]:
         return term_vars(*self.args)

@@ -40,6 +40,15 @@ conditions per assignment of the condition-only variables.  No term reads
 variables of both kinds, so each head pairs with each group, and a batch
 fires as soon as one of its groups is derived: the size of the work is
 their sum, not their product.
+
+The result, a map from ``Atom`` to depth, is built once the rounds end.
+Each table of number pairs streams into ``Atom.binary`` as a column of
+left terms and a column of right terms, looked up by number; the predicate
+is checked once per table, and each atom is a tuple built in C.  So no
+Python code runs to build or check an atom (hashing one reads its terms'
+kept hashes), and no list of every pair is made.  The keys come in a
+fixed order: each term's subterm atoms, in numbering order, then the
+``->``, ``->^`` and ``->*`` atoms, each in the order of their depths.
 """
 from __future__ import annotations
 
@@ -165,15 +174,16 @@ def saturate(ctrs: CTRS, size_bound: int, depth_bound: int) -> AtomSet:
                 if (s, u) not in many:
                     new_many.add((s, u))
 
-    # The subterm relation is a depth-1 fact, and no rule has it as a premise.
-    ground = numbering.ground
-    atoms = {
-        Atom(SUBTERM, (ground[i], ground[j])): 1
-        for i, below in enumerate(numbering.below)
-        for j in below
-    }
+    # The subterm relation is a depth-1 fact, and no rule has it as a
+    # premise: term ``i`` stands left of each of its subterms.
+    term = numbering.ground.__getitem__
+    flat = itertools.chain.from_iterable
+    lefts = flat(map(itertools.repeat, numbering.ground, map(len, numbering.below)))
+    atoms = dict.fromkeys(Atom.binary(SUBTERM, lefts, map(term, flat(numbering.below))), 1)
     for predicate, table in ((ARROW, steps), (ROOT_STEP, root_steps), (MANY_STEPS, many)):
-        atoms.update((Atom(predicate, (ground[i], ground[j])), d) for (i, j), d in table.items())
+        lefts = map(term, map(itemgetter(0), table))
+        rights = map(term, map(itemgetter(1), table))
+        atoms.update(zip(Atom.binary(predicate, lefts, rights), table.values()))
     return AtomSet(atoms)
 
 

@@ -128,6 +128,18 @@ def test_disprove_budget_exhausted_exit_two(capsys):
     assert "no countermodel" in captured.err
 
 
+def test_an_exhausted_search_space_is_not_reported_as_an_exhausted_budget(capsys):
+    # Every stage of both backends runs to its end within the default
+    # budget: the answer is unknown, and the reason says why.
+    argv = ["disprove", corpus("intro.trs"), "--query", "JOINABLE(b, a)"]
+    code = main([*argv, "--carriers", "0:1", "--ray-carriers", "0"])
+    assert code == EXIT_UNKNOWN
+    assert capsys.readouterr().err == (
+        "no countermodel: finite: no model among the stages' candidates\n"
+        "no countermodel: symbolic: no model among the stages' candidates\n"
+    )
+
+
 def test_input_error_exit_three(capsys):
     code = main(["compile", corpus("does_not_exist.trs")])
     assert code == 3

@@ -112,7 +112,7 @@ def test_exhausted_budget_reports_reason():
     starved = SearchBudget(carriers=(), raw_table_max_size=0)
     outcome = find_model(theory, obligations, starved)
     assert not outcome.found
-    assert "budget exhausted" in outcome.reason
+    assert outcome.reason == "no model among the stages' candidates"
 
 
 def test_candidate_cap_reports_reason():

@@ -3,10 +3,12 @@
 Refactors of the checker, finder, compiler and oracle must keep every
 serialized certificate byte and every atom->depth map.  The digests below
 are SHA-256 of the serialized certificate (for each displayed paper
-structure and each finder case's ``disprove``) and of the sorted
-``"atom\\tdepth"`` lines of a saturation.  The finder's node counts are
-pinned too: a search change may make nodes cheaper, not more numerous.  So
-are its compiled-check calls and the distinct check sources it compiles.
+structure and each finder case's ``disprove``), of the sorted
+``"atom\\tdepth"`` lines of a saturation and of those lines in the map's
+insertion order, and of ``derive``'s standard output.  The finder's node
+counts are pinned too: a search change may make nodes cheaper, not more
+numerous.  So are its compiled-check calls and the distinct check sources
+it compiles.
 """
 from __future__ import annotations
 
@@ -17,13 +19,22 @@ import pytest
 from countermodel import checker, pipeline
 from countermodel.certificates import serialize_certificate
 from countermodel.checker import verify
+from countermodel.cli import main
 from countermodel.finder import SearchBudget
 from countermodel.oracle import saturate
 from countermodel.pipeline import disprove
 from countermodel.query_format import parse_query
 from countermodel.trs_format import parse_ctrs
 from comparisons import CheckCalls
-from paperdata import FINDER_CASES, PAPER_CHECKS, paper_certificate, paper_instance, query_text, system
+from paperdata import (
+    CORPUS,
+    FINDER_CASES,
+    PAPER_CHECKS,
+    paper_certificate,
+    paper_instance,
+    query_text,
+    system,
+)
 
 CHECK_DIGESTS = {
     "intro-restricted": "2529aa7fe7d8e44c7a92df4b0030d54bf23f2e4e8ccd87865a785ee6c06017dd",
@@ -209,32 +220,71 @@ def test_a_second_pass_compiles_nothing():
     assert checker._compile_check.cache_info().misses == compiled
 
 
+# Each saturation's atom count, the digest of its sorted atom->depth lines,
+# and the digest of the same lines in the map's insertion order.  The
+# division-4, hg-5, fig3-5 and pair-gf-5 rows are the benchmark's
+# saturations that division-3 and division-5 do not already cover.
 @pytest.mark.parametrize(
-    "ctrs, size, depth, count, digest",
+    "ctrs, size, depth, count, digest, order",
     [
         pytest.param(
             lambda: parse_ctrs(JOIN_SYSTEM), 1, 6, 19,
             "5ac59c9001130c23c9bdde48c321a34a3077d3e0565a8082c23bc188123bcd6d",
+            "4776fe0d0562e5126285f47297f75b47a7cb715ce8894eb50b7d44f27d52fe4c",
             id="join",
         ),
         pytest.param(
             lambda: system("division.trs").ctrs, 3, 5, 103,
             "7e3837a9d1930bf4c73ea5e75a314e524469729b39f997e8d4f3e0e8f44999fd",
+            "01a7863d77775e1aa19a53ac5ec42299bf065fe29f1fb543ca01e777a92d55b8",
             id="division-3",
+        ),
+        pytest.param(
+            lambda: system("division.trs").ctrs, 4, 5, 423,
+            "75ec65cb6bb10b7ce44c88f56d2a6de07dbf862f49d581e0040654ec471254c9",
+            "689770d0e1460198a5812c13be675b2abb82a30bcdb763995f44142c9d174aa6",
+            id="division-4",
         ),
         pytest.param(
             lambda: system("division.trs").ctrs, 5, 5, 3475,
             "175ecdb65cf888291084f9f8e3064aeb1926fb7ff537252e63b65d3d5ee4e29a",
+            "fde76991fd8706e56fb6efed6bd3435ba0f6585961f202ed359daf00e6de168a",
             id="division-5",
         ),
         pytest.param(
             lambda: system("division.trs").ctrs, 6, 5, 18303,
             "cc11ee1ce03ab85e55b7d3b20855120af071ac30e3e9e4608bca6119845664a0",
+            "30467512eba15b505fd3ea427cf6e8deb490a75457364c1c3420b1beb29a65d1",
             id="division-6",
+        ),
+        pytest.param(
+            lambda: system("hg.trs").ctrs, 5, 5, 1259,
+            "168813640afd021690148b751248374a7366e51bbec92df93c34333d7678d65d",
+            "29f192c25608b8c956987a82569ed0058d4ecb152ddb661149473de76766bef5",
+            id="hg-5",
+        ),
+        pytest.param(
+            lambda: system("fig3.trs").ctrs, 5, 5, 398,
+            "62c463eb8c73d4f24a8016da9354c94c2fdd94764d3f7956e061d06e8a35d682",
+            "e8db8ef7dc2cbc60f548aa5713df617cf19c74cc6bb4380dabbf31ae1819100a",
+            id="fig3-5",
+        ),
+        pytest.param(
+            lambda: system("pair_gf.trs").ctrs, 5, 5, 350,
+            "b7c4af8ce4cfc3aa6887d1dc60d4f4631e1f92c1b1c8f0487773feefc575df62",
+            "36234ea61e503955c883271f864ded686988c4ec046ac0af8e38f1b578348047",
+            id="pair-gf-5",
         ),
     ],
 )
-def test_saturation_atom_depths(ctrs, size, depth, count, digest):
+def test_saturation_atom_depths(ctrs, size, depth, count, digest, order):
     atoms = saturate(ctrs(), size, depth)
     assert len(atoms) == count
     assert _saturation_digest(atoms) == digest
+    assert _sha256("\n".join(f"{atom}\t{d}" for atom, d in atoms.atoms.items())) == order
+
+
+def test_derive_output_bytes(capsys):
+    assert main(["derive", str(CORPUS / "division.trs"), "--size", "5", "--depth", "5"]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == "761592ec4bcdcd114cc4a03a70915261c8e7176d2e15e8bd74f6ce970f6a5f4f"

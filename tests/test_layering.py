@@ -24,6 +24,10 @@ the verifier's finite checks come from its one generator, so a second
 evaluator cannot come back as a fork.  ``checker.py`` keeps exactly one
 ``functools`` cache, the compiled checks keyed on the check, so a second
 cache or factory for the same job cannot come back either.
+
+Only ``logic.py`` builds an ``Atom`` past its arity check (through
+``tuple.__new__`` or ``Atom._make``), in ``Atom.binary``, which checks its
+predicate once for a whole stream of pairs.
 """
 from __future__ import annotations
 
@@ -314,3 +318,48 @@ def test_a_second_cache_in_the_checker_would_be_flagged():
     assert functools_caches("make = functools.lru_cache(maxsize=8)(build)\n") == ["line 1: lru_cache"]
     # a name that is no functools cache is not one
     assert functools_caches("cache = {}\ncache.clear()\nitertools.cache\n") == []
+
+
+# -- atoms are built through their check ---------------------------------------
+
+UNCHECKED_BUILDERS = {("tuple", "__new__"), ("Atom", "_make")}
+
+
+def unchecked_atom_builders(source: str) -> list[str]:
+    """``line N: name`` for each way past ``Atom.__new__`` in a source that names ``Atom``.
+
+    ``tuple.__new__`` and the named tuple's ``_make`` build an ``Atom``
+    without its arity check, so only ``logic.py`` may use them on atoms:
+    there ``Atom.binary`` checks its predicate once for a stream of pairs.
+    A module that names no ``Atom`` may build its own tuples that way.
+    """
+    if "Atom" not in referenced_names(source):
+        return []
+    return [
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in UNCHECKED_BUILDERS
+    ]
+
+
+def test_only_logic_builds_atoms_past_their_check():
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [name for name, source in sorted(modules.items()) if unchecked_atom_builders(source)] == [
+        "logic.py"
+    ]
+
+
+def test_an_atom_built_past_its_check_would_be_flagged():
+    oracle = (PACKAGE / "oracle.py").read_text()
+    per_pair = "\natoms = dict(zip(map(tuple.__new__, repeat(Atom), pairs), depths))\n"
+    assert unchecked_atom_builders(oracle) == []
+    assert len(unchecked_atom_builders(oracle + per_pair)) == 1
+    assert unchecked_atom_builders(
+        "from .logic import Atom\nnew = tuple.__new__\natom = Atom._make((p, args))\n"
+    ) == ["line 2: tuple.__new__", "line 3: Atom._make"]
+    # The lexer builds its tokens that way, and names no atom.
+    lexer = (PACKAGE / "lexer.py").read_text()
+    assert "tuple.__new__" in lexer
+    assert unchecked_atom_builders(lexer) == []

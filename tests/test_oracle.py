@@ -69,6 +69,15 @@ def test_zero_rule_system_yields_only_reflexive_atoms():
     }
 
 
+def test_every_saturated_key_is_an_atom():
+    # The keys are built past ``Atom.__new__``; they must still be Atoms,
+    # of all four rewriting predicates.
+    atoms = saturate(system("division.trs").ctrs, 4, 5)
+    assert {type(key) for key in atoms.atoms} == {Atom}
+    assert {key.predicate for key in atoms.atoms} == {ARROW, MANY_STEPS, ROOT_STEP, SUBTERM}
+    assert all(len(key.args) == 2 for key in atoms.atoms)
+
+
 def test_derivable_examples():
     ctrs = system("intro.trs").ctrs
     assert Atom(ARROW, (B, A)) in saturate(ctrs, 1, 2)
