@@ -3,11 +3,11 @@
 The package compiles a (possibly many-sorted, conditional) rewrite system
 into a Horn theory over the predicates ``->``, ``->*``, ``->^`` and
 ``|>``, negates an existential positive property into per-disjunct
-infeasibility obligations, and then either checks a given structure or
-searches for one.  A verified certificate shows the property fails for
-actual rewriting, because satisfaction of existential positive sentences
-is preserved along the homomorphism from the least Herbrand model into any
-model of the theory.
+obligations (headless Horn clauses), and then either checks a given
+structure or searches for one.  A verified certificate shows the property
+fails for actual rewriting, because satisfaction of existential positive
+sentences is preserved along the homomorphism from the least Herbrand
+model into any model of the theory.
 """
 from .checker import Certificate, Verdict, check_clause, check_obligation, verify
 from .certificates import serialize_certificate
@@ -45,7 +45,7 @@ from .pipeline import (
     oracle_cross_check,
     theory_for_query,
 )
-from .queries import Obligation, Query, negate_to_obligations, template
+from .queries import Query, negate_to_obligations, template
 from .query_format import parse_query
 from .structures import (
     ClosureViolation,

@@ -2,10 +2,9 @@
 
 An obligation is a headless clause ``body => false`` (the negation of one
 disjunct of an existential positive query), so clauses and obligations go
-through one check, ``_check(structure, variables, body, head)`` with
-``head=None`` for an obligation.  A candidate valuation fails a check only
-once direct evaluation confirms it (``_refutation``); one it cannot
-confirm yields "unknown", so the checker never overclaims either way.
+through one check, ``_check(structure, clause)``.  A candidate valuation
+fails a check only once direct evaluation confirms it (``_refutation``);
+one it cannot confirm yields "unknown", so the checker never overclaims.
 
 A finite check is compiled to Python (see _check_source), as the finder's
 pruning checks are: each variable loops over the sorted union of the
@@ -28,8 +27,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import ModelError
 from .linear import LinearConstraint, drop_constant_rows, integer_tighten, solve
-from .logic import Atom, HornClause, Theory, format_clause, sort_of_predicate, sort_predicate
-from .queries import Obligation
+from .logic import Atom, HornClause, Theory, sort_of_predicate, sort_predicate
 from .structures import (
     ClauseLowering,
     ClosureViolation,
@@ -76,7 +74,7 @@ class Certificate:
     """
 
     theory: Theory
-    obligations: tuple[Obligation, ...]
+    obligations: tuple[HornClause, ...]
     structure: Structure
     closure_violations: tuple[ClosureViolation, ...]
     clause_verdicts: tuple[Verdict, ...]
@@ -88,17 +86,16 @@ class Certificate:
         for violation in self.closure_violations:
             if violation.certain:
                 return f"closure: {violation}"
-        for clause, verdict in zip(self.theory.clauses, self.clause_verdicts):
+        checks = (*self.theory.clauses, *self.obligations)
+        for clause, verdict in zip(checks, (*self.clause_verdicts, *self.obligation_verdicts)):
             if verdict.status == FAILS:
-                return f"clause [{clause.tag}] {format_clause(clause)}: {verdict}"
-        for obligation, verdict in zip(self.obligations, self.obligation_verdicts):
-            if verdict.status == FAILS:
-                return f"obligation {obligation}: {verdict}"
+                kind = "obligation" if clause.head is None else f"clause [{clause.tag}]"
+                return f"{kind} {clause}: {verdict}"
         return None
 
 
 def verify(
-    theory: Theory, obligations: Iterable[Obligation], structure: Structure
+    theory: Theory, obligations: Iterable[HornClause], structure: Structure
 ) -> Certificate:
     """Closure check, then every clause, then every obligation."""
     obligations = tuple(obligations)
@@ -114,46 +111,41 @@ def verify(
     )
 
 
-# -- one check for clauses and obligations (head=None) ------------------------------
+# -- one check for clauses and obligations (headless clauses) ------------------------
 
 
 def check_clause(structure: Structure, clause: HornClause) -> Verdict:
-    return _check(structure, clause.variables, clause.body, clause.head)
+    return _check(structure, clause)
 
 
-def check_obligation(structure: Structure, obligation: Obligation) -> Verdict:
-    return _check(structure, obligation.variables, obligation.atoms, None)
+def check_obligation(structure: Structure, obligation: HornClause) -> Verdict:
+    return _check(structure, obligation)
 
 
-def _refutes(
-    structure: Structure, valuation: Mapping[str, int], body: tuple[Atom, ...], head: Atom | None
-) -> bool:
+def _refutes(structure: Structure, valuation: Mapping[str, int], clause: HornClause) -> bool:
     """Whether the valuation makes every body atom true and the head (if any) false."""
-    return all(eval_atom(structure, valuation, a) for a in body) and (
-        head is None or not eval_atom(structure, valuation, head)
+    return all(eval_atom(structure, valuation, a) for a in clause.body) and (
+        clause.head is None or not eval_atom(structure, valuation, clause.head)
     )
 
 
-def _refutation(
-    structure: Structure, witness: tuple, body: tuple[Atom, ...], head: Atom | None, proposer: str
-) -> Verdict:
+def _refutation(structure: Structure, witness: tuple, clause: HornClause, proposer: str) -> Verdict:
     """The check fails at the candidate ``witness`` once evaluation confirms it there."""
     try:
-        if _refutes(structure, dict(witness), body, head):
+        if _refutes(structure, dict(witness), clause):
             return Verdict(FAILS, witness=witness)
     except ModelError:
         pass  # e.g. a guard gap outside the declared carriers: not confirmed
     return Verdict(UNKNOWN, reason=f"{proposer} not confirmed by evaluation")
 
 
-def _check(
-    structure: Structure, variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
-) -> Verdict:
+def _check(structure: Structure, clause: HornClause) -> Verdict:
     if not isinstance(structure, FiniteStructure):
-        return _check_symbolic(structure, variables, body, head)
+        return _check_symbolic(structure, clause)
     # Each variable is tested for its sort before anything else at its loop.
-    tests = tuple(dict.fromkeys((*(Atom(sort_predicate(v.sort), (v,)) for v in variables), *body)))
-    keys, names, refuted = _compile_check(variables, tests, head, tables=False)
+    sorts = (Atom(sort_predicate(v.sort), (v,)) for v in clause.variables)
+    tests = tuple(dict.fromkeys((*sorts, *clause.body)))
+    keys, names, refuted = _compile_check(clause.variables, tests, clause.head, tables=False)
     points = tuple(sorted(set().union(*structure.carriers.values())))
     try:
         env = {key: _finite_value(structure, key) for key in keys}
@@ -162,7 +154,7 @@ def _check(
         return Verdict(UNKNOWN, reason=str(exc))
     if found is False:
         return Verdict(HOLDS)
-    return _refutation(structure, tuple(zip(names, found)) if names else (), body, head, "valuation")
+    return _refutation(structure, tuple(zip(names, found)) if names else (), clause, "valuation")
 
 
 def _finite_value(structure: FiniteStructure, key: object) -> object:
@@ -181,9 +173,7 @@ def _finite_value(structure: FiniteStructure, key: object) -> object:
 # -- symbolic backend ------------------------------------------------------------
 
 
-def _check_symbolic(
-    structure: SymbolicStructure, variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None
-) -> Verdict:
+def _check_symbolic(structure: SymbolicStructure, clause: HornClause) -> Verdict:
     """One system per guard-case choice left and goal; the check holds when all are infeasible.
 
     An obligation has one empty goal; a clause has one goal per negated head
@@ -193,7 +183,8 @@ def _check_symbolic(
     with a false constant row is infeasible without a solve.  A feasible
     system proposes the kernel's integer witness to ``_refutation``.
     """
-    lowering = ClauseLowering(structure, variables, body if head is None else (*body, head))
+    body, head = clause.body, clause.head
+    lowering = ClauseLowering(structure, clause.variables, body if head is None else (*body, head))
     unknown: Verdict | None = None
     for forms, guards in lowering.leaves():
         rows = drop_constant_rows(c for a in body for c in lowering.atom_constraints(a, forms))
@@ -211,7 +202,7 @@ def _check_symbolic(
                 unknown = unknown or Verdict(UNKNOWN, reason=outcome.reason)
                 continue
             witness = tuple(sorted(outcome.witness.items()))
-            verdict = _refutation(structure, witness, body, head, "kernel witness")
+            verdict = _refutation(structure, witness, clause, "kernel witness")
             if verdict.status == FAILS:
                 return verdict
             unknown = unknown or verdict

@@ -81,9 +81,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .checker import HOLDS, VERIFIED, Certificate, _compile_check, _Refuter, verify
 from .errors import OptionError
 from .linear import LinearConstraint, compare
-from .logic import Theory, sort_of_predicate
+from .logic import HornClause, Theory, sort_of_predicate
 from .model_format import MAX_FINITE_CARRIER
-from .queries import Obligation, required_predicates
+from .queries import required_predicates
 from .structures import (
     AffineForm,
     FiniteStructure,
@@ -202,7 +202,7 @@ class _State:
 
 def find_model(
     theory: Theory,
-    obligations: Iterable[Obligation],
+    obligations: Iterable[HornClause],
     budget: SearchBudget | None = None,
     *,
     deadline: float | None = None,
@@ -217,7 +217,7 @@ def find_model(
 
 def find_symbolic_model(
     theory: Theory,
-    obligations: Iterable[Obligation],
+    obligations: Iterable[HornClause],
     budget: SearchBudget | None = None,
     *,
     deadline: float | None = None,
@@ -238,7 +238,7 @@ class _Stage:
 
 def _find(
     theory: Theory,
-    obligations: Iterable[Obligation],
+    obligations: Iterable[HornClause],
     budget: SearchBudget | None,
     deadline: float | None,
     stages: Callable[[Signature, tuple[str, ...], _State], Iterator[_Stage]],
@@ -548,7 +548,7 @@ def _affine_fast(coeffs: tuple[int, ...], b: int) -> int | Callable[..., int]:
 
 
 def _compile_checks(
-    theory: Theory, obligations: tuple[Obligation, ...], tables: bool
+    theory: Theory, obligations: tuple[HornClause, ...], tables: bool
 ) -> list[tuple[frozenset[str], _Refuter]]:
     """Each check with the symbols its code reads, obligations first.
 
@@ -556,12 +556,10 @@ def _compile_checks(
     bodies, and a clause with a sort head can never refute, so it is left
     out (the verifier still checks both).
     """
-    untyped = lambda atoms: tuple(a for a in atoms if sort_of_predicate(a.predicate) is None)  # noqa: E731
-    checks = [(ob.variables, untyped(ob.atoms), None) for ob in obligations]
-    checks += [
-        (clause.variables, untyped(clause.body), clause.head)
-        for clause in theory.clauses
-        if sort_of_predicate(clause.head.predicate) is None
+    checks = [
+        (c.variables, tuple(a for a in c.body if sort_of_predicate(a.predicate) is None), c.head)
+        for c in (*obligations, *theory.clauses)
+        if c.head is None or sort_of_predicate(c.head.predicate) is None
     ]
     return [(symbols, refuted) for symbols, _, refuted in (_compile_check(*c, tables) for c in checks)]
 
@@ -708,7 +706,7 @@ def _finish(
     sig: Signature,
     chosen: Mapping[str, int],
     theory: Theory,
-    obligations: tuple[Obligation, ...],
+    obligations: tuple[HornClause, ...],
 ) -> tuple[Structure, Certificate] | frozenset[str]:
     """``chosen`` as a structure, if the verifier accepts it: the only place interpretations are built.
 
@@ -729,10 +727,9 @@ def _finish(
     if certificate.overall == VERIFIED:
         return structure, certificate
     position = {slot.name: index for index, slot in enumerate(stage.slots)}
-    checks = [(cl.variables, cl.body, cl.head) for cl in theory.clauses]
-    checks += [(ob.variables, ob.atoms, None) for ob in obligations]
     verdicts = (*certificate.clause_verdicts, *certificate.obligation_verdicts)
+    checks = zip((*theory.clauses, *obligations), verdicts)
     failed = [{v.symbol} for v in certificate.closure_violations]
-    failed += [_compile_check(*check, False)[0] for check, v in zip(checks, verdicts) if v.status != HOLDS]
+    failed += [_compile_check(c.variables, c.body, c.head, False)[0] for c, v in checks if v.status != HOLDS]
     reads = [position.keys() & symbols for symbols in failed]
     return frozenset(min(reads, key=lambda slots: max(map(position.get, slots), default=-1)))

@@ -7,6 +7,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .terms import (
     BUILTIN_PREDICATES,
+    DEFAULT_SORT,
     Signature,
     Term,
     Var,
@@ -84,11 +85,22 @@ class Atom(_AtomFields):
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol
-    return f"{t.symbol}({', '.join(format_term(a) for a in t.args)})"
+    """``f(a, x)``, spelled from a stack so that a derived term of any depth can be printed."""
+    out, todo = [], [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif isinstance(s, Var):
+            out.append(s.name)
+        else:
+            out.append(s.symbol)
+            if s.args:  # pushed in reverse: "(", first argument, ", ", second, ..., ")"
+                todo.append(")")
+                for a in s.args[:0:-1]:
+                    todo += (a, ", ")
+                todo += (s.args[0], "(")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -96,19 +108,20 @@ class HornClause:
     """A universally quantified implication ``body => head``.
 
     Every variable occurring in ``body`` or ``head`` must be listed in
-    ``variables``; an empty body makes the clause a fact.  The tag records
-    the clause's provenance (Rf, T, C(f,i), Rp(i), Subterm, Root(i),
-    SortMembership).
+    ``variables``; an empty body makes the clause a fact.  A clause with no
+    head (``None``) is an obligation, ``body => false``: the negation of one
+    disjunct of a query.  The tag records the clause's provenance (Rf, T,
+    C(f,i), Rp(i), Subterm, Root(i), SortMembership).
     """
 
     variables: tuple[Var, ...]
     body: tuple[Atom, ...]
-    head: Atom
+    head: Atom | None
     tag: str = ""
 
     def __post_init__(self) -> None:
         quantified = set(self.variables)
-        for atom in (*self.body, self.head):
+        for atom in self.body if self.head is None else (*self.body, self.head):
             for v in atom.variables():
                 if v not in quantified:
                     raise ValueError(f"variable '{v.name}' not in quantifier prefix")
@@ -118,20 +131,22 @@ class HornClause:
 
 
 def format_clause(clause: HornClause) -> str:
-    show_sorts = any(v.sort != clause.variables[0].sort for v in clause.variables) or any(
-        sort_of_predicate(a.predicate) for a in (*clause.body, clause.head)
-    )
-    parts = []
-    if clause.variables:
-        names = ", ".join(
-            f"{v.name}:{v.sort}" if show_sorts else v.name for v in clause.variables
+    """``FORALL x, y . a /\\ b => c``, or ``FORALL x, u:User . NOT (a /\\ b)`` without a head.
+
+    A headless clause names each sort but the default one; one with a head names all or none.
+    """
+    body = " /\\ ".join(map(str, clause.body))
+    if clause.head is None:
+        names = [v.name if v.sort == DEFAULT_SORT else f"{v.name}:{v.sort}" for v in clause.variables]
+        parts = [f"NOT ({body})"]
+    else:
+        show_sorts = any(v.sort != clause.variables[0].sort for v in clause.variables) or any(
+            sort_of_predicate(a.predicate) for a in (*clause.body, clause.head)
         )
-        parts.append(f"FORALL {names} .")
-    if clause.body:
-        parts.append(" /\\ ".join(str(a) for a in clause.body))
-        parts.append("=>")
-    parts.append(str(clause.head))
-    return " ".join(parts)
+        names = [f"{v.name}:{v.sort}" if show_sorts else v.name for v in clause.variables]
+        parts = [body, "=>", str(clause.head)] if clause.body else [str(clause.head)]
+    prefix = f"FORALL {', '.join(names)} . " if names else ""
+    return prefix + " ".join(parts)
 
 
 @dataclass(frozen=True)

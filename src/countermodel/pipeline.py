@@ -126,7 +126,7 @@ def _oracle_violations(certificate: Certificate, atoms: AtomSet):
     for obligation in certificate.obligations:
         if obligation.variables:
             continue
-        if all(a.predicate in interpreted for a in obligation.atoms) and all(
-            a in atoms for a in obligation.atoms
+        if all(a.predicate in interpreted for a in obligation.body) and all(
+            a in atoms for a in obligation.body
         ):
             yield f"obligation {obligation} is witnessed by the oracle"

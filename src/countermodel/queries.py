@@ -4,15 +4,16 @@ A query is a disjunction of conjunctions of atoms under a block of sorted
 existential quantifiers.  Templates build the standard property shapes
 (reachability, feasibility, joinability, reducibility, convertibility,
 cycling and looping of a term or of the whole system).  Negating a query
-yields one universal infeasibility obligation per disjunct: the conjunction
-must have no satisfying valuation in the structure under scrutiny.
+yields one obligation per disjunct, a headless Horn clause ``disjunct =>
+false``: the conjunction must have no satisfying valuation in the
+structure under scrutiny.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import QueryError
-from .logic import Atom, Theory
+from .logic import Atom, HornClause, Theory
 from .terms import (
     ARROW,
     BUILTIN_PREDICATES,
@@ -58,28 +59,8 @@ class Query:
         return frozenset(a.predicate for d in self.disjuncts for a in d)
 
 
-@dataclass(frozen=True)
-class Obligation:
-    """A conjunction of atoms that must be unsatisfiable for all valuations."""
-
-    variables: tuple[Var, ...]
-    atoms: tuple[Atom, ...]
-
-    def __str__(self) -> str:
-        from .terms import DEFAULT_SORT
-
-        inner = " /\\ ".join(str(a) for a in self.atoms)
-        if self.variables:
-            names = ", ".join(
-                v.name if v.sort == DEFAULT_SORT else f"{v.name}:{v.sort}"
-                for v in self.variables
-            )
-            return f"FORALL {names} . NOT ({inner})"
-        return f"NOT ({inner})"
-
-
-def negate_to_obligations(query: Query) -> tuple[Obligation, ...]:
-    """One obligation per disjunct of the query.
+def negate_to_obligations(query: Query) -> tuple[HornClause, ...]:
+    """One obligation per disjunct of the query: the headless clause ``disjunct => false``.
 
     Each obligation universally quantifies the existential variables that
     occur in its disjunct; sorted variables keep their sorts, which the
@@ -89,14 +70,14 @@ def negate_to_obligations(query: Query) -> tuple[Obligation, ...]:
     for disjunct in query.disjuncts:
         occurring = {v for atom in disjunct for v in atom.variables()}
         variables = tuple(v for v in query.variables if v in occurring)
-        obligations.append(Obligation(variables, disjunct))
+        obligations.append(HornClause(variables, disjunct, None))
     return tuple(obligations)
 
 
-def required_predicates(theory: Theory, obligations: tuple[Obligation, ...]) -> tuple[str, ...]:
+def required_predicates(theory: Theory, obligations: tuple[HornClause, ...]) -> tuple[str, ...]:
     """The rewriting predicates a structure must interpret, in canonical order."""
     used = set(theory.predicates())
-    used.update(a.predicate for ob in obligations for a in ob.atoms)
+    used.update(a.predicate for ob in obligations for a in ob.body)
     return tuple(p for p in BUILTIN_PREDICATES if p in used)
 
 

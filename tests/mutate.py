@@ -7,8 +7,7 @@ import random
 
 from countermodel.errors import ModelError
 from countermodel.linear import LinearConstraint
-from countermodel.logic import Theory
-from countermodel.queries import Obligation
+from countermodel.logic import HornClause, Theory
 from countermodel.structures import (
     FiniteStructure,
     PiecewiseCase,
@@ -113,7 +112,7 @@ def _sample_points(structure: Structure, sort: str) -> tuple[int, ...]:
 
 
 def sampled_violation(
-    theory: Theory, obligations: tuple[Obligation, ...], structure: Structure
+    theory: Theory, obligations: tuple[HornClause, ...], structure: Structure
 ) -> str | None:
     """A concrete breakage found by direct evaluation on sample points.
 
@@ -151,7 +150,7 @@ def sampled_violation(
             pools = [_sample_points(structure, v.sort) for v in obligation.variables]
             for values in itertools.product(*pools):
                 valuation = dict(zip(names, values))
-                if all(eval_atom(structure, valuation, a) for a in obligation.atoms):
+                if all(eval_atom(structure, valuation, a) for a in obligation.body):
                     return f"obligation at {valuation}"
     except ModelError as exc:
         return f"evaluation breakage: {exc}"

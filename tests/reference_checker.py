@@ -9,6 +9,9 @@ kind-level term outside a table's domain), the two may meet the miss at
 different valuations, so one may be "unknown" where the other decides,
 but they never contradict.
 
+Both take a check as ``variables, body, head``, ``head`` None for an
+obligation, and hand ``checker._refutes`` the ``HornClause`` they make of it.
+
 ``check_symbolic`` is the full-product symbolic check that the walk over a
 tree of guard-case choices (``ClauseLowering.leaves``) replaced, kept as
 it was apart from absolute imports and the two ``ClauseLowering`` methods
@@ -27,7 +30,7 @@ from typing import Iterator
 from countermodel.checker import FAILS, HOLDS, UNKNOWN, Verdict, _refutes
 from countermodel.errors import ModelError
 from countermodel.linear import AffineForm, LinearConstraint, integer_tighten, solve
-from countermodel.logic import Atom
+from countermodel.logic import Atom, HornClause
 from countermodel.structures import ClauseLowering, FiniteStructure, SymbolicStructure
 from countermodel.terms import Term, Var
 
@@ -38,7 +41,7 @@ def check_finite(
     """Every valuation over the variables' carriers in lexicographic order; the first refuting one fails."""
     try:
         for valuation in _valuations(structure, variables):
-            if _refutes(structure, valuation, body, head):
+            if _refutes(structure, valuation, HornClause(variables, body, head)):
                 return Verdict(FAILS, witness=tuple(valuation.items()))
     except ModelError as exc:
         # A table can be silent on kind-level terms outside its rank domain.
@@ -98,7 +101,7 @@ def check_symbolic(
                 unknown = unknown or Verdict(UNKNOWN, reason=outcome.reason)
                 continue
             try:
-                if _refutes(structure, outcome.witness, body, head):
+                if _refutes(structure, outcome.witness, HornClause(variables, body, head)):
                     return Verdict(FAILS, witness=tuple(sorted(outcome.witness.items())))
             except ModelError:
                 pass  # e.g. a guard gap outside the declared carriers: not confirmed

@@ -185,8 +185,8 @@ def test_criterion_5_oracle_bridge():
         for obligation in cert.obligations:
             if obligation.variables:
                 continue
-            if all(a.predicate in interpreted for a in obligation.atoms) and all(
-                a in atoms for a in obligation.atoms
+            if all(a.predicate in interpreted for a in obligation.body) and all(
+                a in atoms for a in obligation.body
             ):
                 failures.append(f"{name}: disproved atom(s) derived: {obligation}")
     _report(5, "oracle bridge", failures)

@@ -24,7 +24,6 @@ from countermodel.checker import (
 )
 from countermodel.linear import AffineForm, Feasibility, LinearConstraint
 from countermodel.logic import Atom, HornClause, Theory, sort_predicate
-from countermodel.queries import Obligation
 from countermodel.structures import (
     ClauseLowering,
     FiniteStructure,
@@ -169,7 +168,7 @@ def test_finite_table_miss_on_kind_level_term_is_unknown_not_a_crash():
         {MANY_STEPS: frozenset({(0, 0), (5, 5)})},
     )
     x = Var("x", "B")
-    obligation = Obligation((x,), (Atom(MANY_STEPS, (App("f", (x,)), x)),))
+    obligation = HornClause((x,), (Atom(MANY_STEPS, (App("f", (x,)), x)),), None)
     verdict = check_obligation(structure, obligation)
     assert verdict.status == UNKNOWN
     assert "no entry" in verdict.reason
@@ -198,9 +197,9 @@ def test_symbolic_systems_range_over_the_clause_variables_only(name, monkeypatch
     declared: list[tuple[str, ...]] = []
     check_symbolic, solve = checker_module._check_symbolic, checker_module.solve
 
-    def recording_check(structure, variables, body, head):
-        checked.append(tuple(v.name for v in variables))
-        return check_symbolic(structure, variables, body, head)
+    def recording_check(structure, clause):
+        checked.append(tuple(v.name for v in clause.variables))
+        return check_symbolic(structure, clause)
 
     def recording_solve(system, **kwargs):
         declared.append(system.variables)
@@ -225,7 +224,7 @@ def _one_relation_structure(*constraints: LinearConstraint) -> SymbolicStructure
     )
 
 
-_EXISTS_STEP = Obligation((X, Y), (Atom(ARROW, (X, Y)),))
+_EXISTS_STEP = HornClause((X, Y), (Atom(ARROW, (X, Y)),), None)
 
 
 def test_a_triangle_with_no_integer_point_holds():
@@ -334,7 +333,7 @@ def test_symbolic_verdicts_agree_with_the_materialized_structure(structure, body
     atoms = (*body, *([head] if head else []))
     variables = tuple(v for v in (X, Y) if any(v in atom.variables() for atom in atoms))
     if head is None:
-        check, item = check_obligation, Obligation(variables, body)
+        check, item = check_obligation, HornClause(variables, body, None)
     else:
         check, item = check_clause, HornClause(variables, body, head)
     finite = materialize(structure)
@@ -385,7 +384,7 @@ def _guard_case_checks(draw):
 def test_the_guard_tree_returns_the_full_product_verdict_whenever_it_decides(check):
     structure, variables, body, head = check
     expected = reference_checker.check_symbolic(structure, variables, body, head)
-    verdict = checker_module._check_symbolic(structure, variables, body, head)
+    verdict = checker_module._check_symbolic(structure, HornClause(variables, body, head))
     if expected.status == UNKNOWN:
         # A cut subtree holds only infeasible systems, though the product may
         # have given up on one of them; and a failure would be in both.
@@ -572,7 +571,7 @@ def _finite_checks(draw):
 def test_compiled_finite_checks_match_the_tree_walk(check):
     structure, variables, body, head, total = check
     if head is None:
-        verdict = check_obligation(structure, Obligation(variables, body))
+        verdict = check_obligation(structure, HornClause(variables, body, None))
     else:
         verdict = check_clause(structure, HornClause(variables, body, head))
     expected = reference_checker.check_finite(structure, variables, body, head)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -300,6 +301,23 @@ def test_derive_spells_each_atom_as_str_does(capsys):
     atoms = saturate(trs_format.parse_ctrs((CORPUS / "division.trs").read_text()), 4, 5).atoms
     expected = sorted(f"{atom}  [depth {depth}]" for atom, depth in atoms.items())
     assert capsys.readouterr().out.splitlines() == expected
+
+
+# s(x) -> x derives s(...s(z)...) -> s(...(z)...) at any size: derived terms
+# are not bounded by the reader's nesting cap.
+_PEEL = "(VAR x) (RULES s(x) -> x) (RULES z -> z)"
+
+
+def test_derive_prints_terms_deeper_than_the_recursion_limit(tmp_path, capsys):
+    (tmp_path / "peel.trs").write_text(_PEEL)
+    code = main(["derive", str(tmp_path / "peel.trs"), "--size", "335", "--depth", "1"])
+    assert "internal error" not in capsys.readouterr().err
+    assert code == 0
+    assert main(["derive", str(tmp_path / "peel.trs"), "--size", "60", "--depth", "1"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 2010
+    digest = "67cd292b615183f7b20f944d4cd3eaf57bb9d1880a44c564d25a97de6f600286"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_disprove_writes_certificate_file(tmp_path, capsys):

@@ -947,7 +947,7 @@ def test_each_check_reads_the_symbols_a_walk_of_its_atoms_finds(case, tables):
     # dropped from the code, and the compiler puts only variables under them,
     # so every check is attached where a walk of all its atoms puts it.
     theory, obligations = _setup(case)
-    atoms = [ob.atoms for ob in obligations] + [
+    atoms = [ob.body for ob in obligations] + [
         (*clause.body, clause.head)
         for clause in theory.clauses
         if sort_of_predicate(clause.head.predicate) is None

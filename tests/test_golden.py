@@ -288,3 +288,42 @@ def test_derive_output_bytes(capsys):
     assert main(["derive", str(CORPUS / "division.trs"), "--size", "5", "--depth", "5"]) == 0
     out = capsys.readouterr().out
     assert _sha256(out) == "761592ec4bcdcd114cc4a03a70915261c8e7176d2e15e8bd74f6ce970f6a5f4f"
+
+
+# ``check`` stdout for certificates an obligation refutes (each exits 1), so
+# that the obligation's spelling and ``first_failure`` stay byte for byte.
+REFUTED_CHECKS = {
+    "intro-exists-step": (
+        ["intro.trs", "--model", "intro_restricted.model", "--query", "EXISTS x . b -> x"],
+        "4ca6b5445e9717f4b825ebe802468804a2b19db019708c327edd5e9c3b420869",
+    ),
+    "intro-ground": (
+        ["intro.trs", "--model", "intro_restricted.model", "--query", "b ->* b"],
+        "a0335bd3d96637350dd96365bdc75b203919edee915a9cdc816a591754725b40",
+    ),
+    "fig3-two-disjuncts": (
+        ["fig3.trs", "--model", "fig3_feas.model", "--query", "EXISTS x . f(x) ->* x \\/ a ->* x"],
+        "55702ca9b9d85dfb4f373c44e3f4dc4f0c2fa140645447d209712ecb0b9b0924",
+    ),
+    "website-one-sort": (
+        ["website.trs", "--model", "website.model", "--sorted", "--query", "EXISTS u:User . u ->* u"],
+        "8ba92e6a0e67dfab436abbdf213e24f2166ff43f613fd3ec8b133d123016c313",
+    ),
+    "website-two-sorts": (
+        [
+            "website.trs", "--model", "website.model", "--sorted", "--query",
+            "EXISTS u:EventualUser r:RegUser . submit(r) ->* submit(r) /\\ u ->* u",
+        ],
+        "de582cb858ab1c5d57fb01107006243d2bd0c462a2a7706db92f56408ede106d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTED_CHECKS))
+def test_certificates_refuted_by_an_obligation(name, capsys):
+    (system_file, _, model, *rest), digest = REFUTED_CHECKS[name]
+    args = ["check", str(CORPUS / system_file), "--model", str(CORPUS / "models" / model), *rest]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert '"first_failure": "obligation ' in out
+    assert _sha256(out) == digest

@@ -28,6 +28,10 @@ cache or factory for the same job cannot come back either.
 Only ``logic.py`` builds an ``Atom`` past its arity check (through
 ``tuple.__new__`` or ``Atom._make``), in ``Atom.binary``, which checks its
 predicate once for a whole stream of pairs.
+
+Every name a module of the package imports is used in it, unless its line
+says ``# noqa: F401`` (a re-export).  ``__init__.py`` imports only to
+export.
 """
 from __future__ import annotations
 
@@ -363,3 +367,49 @@ def test_an_atom_built_past_its_check_would_be_flagged():
     lexer = (PACKAGE / "lexer.py").read_text()
     assert "tuple.__new__" in lexer
     assert unchecked_atom_builders(lexer) == []
+
+
+# -- every import is used ---------------------------------------------------------
+
+REEXPORT = "# noqa: F401"
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line N: name`` for each name the source imports and never reads, outside re-export lines."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"line {alias.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [alias.asname or alias.name.partition(".")[0]]
+        if name not in read and REEXPORT not in lines[alias.lineno - 1]
+    ]
+
+
+def test_every_import_of_the_package_is_used():
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert {name: unused_imports(source) for name, source in sorted(modules.items())} == {
+        name: [] for name in sorted(modules)
+    }
+    assert [name for name, source in sorted(modules.items()) if REEXPORT in source] == ["pipeline.py"]
+
+
+def test_an_unused_import_would_be_flagged():
+    checker = (PACKAGE / "checker.py").read_text()
+    # an import left behind when the code that used the name is gone
+    assert unused_imports(checker + "from .queries import Obligation\n") == [
+        f"line {len(checker.splitlines()) + 1}: Obligation"
+    ]
+    # A name counts at its own line; ``import a.b`` binds ``a``; ``annotations`` is a directive.
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import (\n    b,\n    c as d,\n)\n"
+        "d()\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 4: b"]
+    assert unused_imports("import os.path\nos.path.join\n") == []
+    assert unused_imports("from a import b  # noqa: F401 (re-exported)\n") == []

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from countermodel.errors import QueryError
-from countermodel.logic import Atom
+from countermodel.logic import Atom, HornClause
 from countermodel.queries import (
     CONVERTIBLE,
     CYCLING_SYSTEM,
@@ -82,13 +82,13 @@ def test_negate_ground_atom_query():
     obligations = negate_to_obligations(q)
     assert len(obligations) == 1
     assert obligations[0].variables == ()
-    assert obligations[0].atoms == (Atom(MANY_STEPS, (A, B)),)
+    assert obligations[0].body == (Atom(MANY_STEPS, (A, B)),)
 
 
 def test_negate_convertible_gives_two_ground_obligations():
     obligations = negate_to_obligations(template(SIG, CONVERTIBLE, A, B))
     assert [ob.variables for ob in obligations] == [(), ()]
-    assert [ob.atoms for ob in obligations] == [
+    assert [ob.body for ob in obligations] == [
         (Atom(ARROW, (A, B)),),
         (Atom(ARROW, (B, A)),),
     ]
@@ -102,8 +102,17 @@ def test_negate_division_ccp_has_four_universals():
         document.var_sorts,
     )
     (obligation,) = negate_to_obligations(q)
-    assert len(obligation.atoms) == 3
+    assert len(obligation.body) == 3
     assert sorted(v.name for v in obligation.variables) == ["w", "x", "y", "z"]
+
+
+def test_obligations_are_headless_clauses_spelled_as_negations():
+    u = Var("u", "User")
+    query = Query((X, u, Y), ((Atom(ARROW, (X, u)),), (Atom(MANY_STEPS, (A, B)), Atom(ARROW, (B, A)))))
+    first, second = negate_to_obligations(query)
+    assert (type(first), first.head, first.variables) == (HornClause, None, (X, u))
+    assert str(first) == "FORALL x, u:User . NOT (x -> u)"
+    assert str(second) == "NOT (a ->* b /\\ b -> a)"
 
 
 def test_query_requires_bound_variables():
@@ -161,7 +170,7 @@ def test_obligations_equivalent_to_negated_query_on_finite_structures(seed):
     for ob in obligations:
         names = [v.name for v in ob.variables]
         satisfied = any(
-            all(eval_atom(structure, dict(zip(names, vals)), atom) for atom in ob.atoms)
+            all(eval_atom(structure, dict(zip(names, vals)), atom) for atom in ob.body)
             for vals in itertools.product(structure.carrier(DEFAULT_SORT), repeat=len(names))
         )
         if satisfied:
