@@ -306,3 +306,7 @@ def _ints(flag: str, text: str, sep: str, count: int | None = None) -> tuple[int
     except ValueError:
         pass
     raise OptionError(f"{flag}: cannot read {text!r}")
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -5,15 +5,16 @@ yield.  A stage fixes the candidate menu of every slot, the grid the
 pruning checks run on, the structure class and the carrier every sort
 gets.  The finite finder's stages are interval carriers of at most
 ``MAX_FINITE_CARRIER`` values, interpreting constants as carrier elements,
-functions as carrier-clamped affine templates, and predicates from a
-template menu, then raw tables on tiny domains, both built by one builder.
+functions as carrier-clamped affine templates, and predicates as the
+distinct extensions on the carrier of the symbolic stages' relations, in
+their order, then raw tables on tiny domains, both built by one builder.
 The symbolic finder's stages are ray carriers with unclamped affine
-function templates (those that keep the carrier closed) and the same
-predicate menu.  Menu builders check the deadline per entry.  A menu keeps
-each candidate in one form, the one the compiled checks read, and says how
-candidate ``k`` becomes an interpretation in the structure; only a
-complete candidate is turned into one (see _finish), so completing one
-needs no backend branch.
+function templates (those that keep the carrier closed) and the relations
+of one predicate menu.  Menu builders check the deadline per entry.
+A menu keeps each candidate in one form, the one the compiled checks
+read, and says how candidate ``k`` becomes an interpretation in the
+structure; only a complete candidate is turned into one (see _finish), so
+completing one needs no backend branch.
 
 A menu depends only on its carrier or ray, its arity and the budget's menu
 settings (carriers, rays, coefficient range, raw-table size), never on the
@@ -35,7 +36,8 @@ re-checked through the verifier, so no unverified structure is ever
 returned.
 
 A check's verdict depends only on the slots it reads, so the search keeps
-it, per check, keyed by the candidate index at the check's slot.  The memo
+a record of it, per check, keyed by the candidate index at the check's
+slot: the conflict a rejection adds (see below), or a pass.  The memo
 stays valid while every earlier slot the check reads keeps its value; those
 values change only when the search re-enters the slot just after the
 latest of them, so that is where the memo is cleared.  The memo of a check
@@ -56,10 +58,11 @@ _finish).  The search returns to the latest slot in the set, merges the
 rest of the set into that slot's conflict set, and tries its next
 candidate; the slots in between are left untried, since no value of
 theirs can undo the failure (an empty set ends the stage).  The set is a
-nogood, so the search also learns it (Dechter 1990): that slot rejects
-its candidate again, adding the rest of the set, while the slots up to
-the latest of the rest keep their values; the record is kept as a verdict
-is, in a memo cleared on entering the slot after that one.
+nogood, so the search also learns it (Dechter 1990), as one more memo of
+that slot with no check behind it, tried before the slot's checks: the
+slot rejects its candidate again, adding the rest of the set, while the
+slots up to the latest of the rest keep their values, so the memo is
+cleared on entering the slot after that one.
 So the skipped subtrees hold no complete candidate the verifier accepts:
 it sees the complete candidates of a chronological search in their order,
 less some that fail a check an earlier one failed, so the first verified
@@ -332,9 +335,9 @@ def _finite_stage(
 ) -> _Stage:
     """The template or, with ``raw``, the raw-table stage on ``carrier``.
 
-    Both are built the same way: from 0/1 predicate selectors over the
-    points of ``carrier`` squared and, per arity, table rows: a table's
-    values at ``product(carrier, repeat=arity)``.
+    Both are built the same way: from distinct 0/1 predicate selectors
+    over the points of ``carrier`` squared and, per arity, table rows: a
+    table's values at ``product(carrier, repeat=arity)``.
     """
     # Menus over a wide carrier can take longer to build than the time limit.
     budget, deadline, n = state.budget, state.deadline, len(carrier)
@@ -347,12 +350,17 @@ def _finite_stage(
                 bytes(m >> i & 1 for i in range(len(points))) for m in range(1 << len(points))
             )
         else:
-            selectors = _template_selectors(points, deadline)
-        maps = []
+            # The symbolic relations' extensions; a Z² twin has its twin's on every carrier.
+            tests = _menu_predicates_symbolic(deadline).fast
+            selectors = (bytes(itertools.starmap(test, points)) for test in tests)
+        maps, seen = [], set()
         # Rows repeat across candidates, so each distinct row has one successor set.
         successors = functools.cache(lambda row: frozenset(itertools.compress(carrier, row)))
         for selector in selectors:
             _check_deadline(deadline)
+            if selector in seen:
+                continue  # an extension keeps its first place
+            seen.add(selector)
             # A successor map: row i of the points has x = carrier[i].
             maps.append({x: successors(selector[i * n : i * n + n]) for i, x in enumerate(carrier)})
         return _Menu(maps, lambda k: frozenset((x, y) for x, ys in maps[k].items() for y in ys))
@@ -433,35 +441,6 @@ def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> Predicat
         a, b, c = payload
         constraints = (LinearConstraint.make({"x": a, "y": b}, c),)
     return PredicateInterp(("x", "y"), constraints)
-
-
-def _template_selectors(points: list[tuple[int, int]], deadline: float) -> list[bytes]:
-    """The extensions of the menu relations over ``points``, in menu order, each once.
-
-    Each extension is a 0/1 selector over the points, built in time linear
-    in them, with the deadline checked between relations.  A pair
-    template's extensions for the constants ``c`` in ascending order are
-    growing prefixes of the points sorted by ``a*x + b*y``, so a selector
-    is copied out only when the prefix grows.
-    """
-    selectors = []
-    for rel in BASE_RELATIONS:
-        _check_deadline(deadline)
-        selectors.append(bytes(itertools.starmap(_COMPARISONS[rel], points)))
-    for a, b in itertools.product(PAIR_COEFFS, repeat=2):
-        _check_deadline(deadline)
-        values = [a * x + b * y for x, y in points]
-        ranked = sorted(range(len(points)), key=values.__getitem__)
-        prefix, taken, selector = bytearray(len(points)), 0, bytes(len(points))
-        for c in PAIR_CONSTS:
-            start = taken
-            while taken < len(ranked) and values[ranked[taken]] <= c:
-                prefix[ranked[taken]] = 1
-                taken += 1
-            if taken > start:
-                selector = bytes(prefix)
-            selectors.append(selector)
-    return list(dict.fromkeys(selectors))  # first occurrences, in menu order
 
 
 # The order relations as pair templates ``a*x + b*y <= c`` over the integers.
@@ -576,26 +555,28 @@ def _search(
     ``finish`` returns what it accepts, or the slots its rejection conflicts with.
     """
     position = {slot.name: index for index, slot in enumerate(slots)}
-    # A check's memo maps a candidate index at its slot to its verdict; it
-    # is cleared on entering ``level``, the slot after the latest earlier slot
-    # the check reads (slot 0, entered once per stage, if it reads none).
-    # ``reads`` is the bit set of those earlier slots: the conflict a
-    # rejection by the check adds (see the module docstring).
-    attached: list[list[tuple[int, dict[int, bool], _Refuter, int]]] = [[] for _ in slots]
-    resets: list[list[dict]] = [[] for _ in slots]  # check memos and learned nogoods
+    # A check's memo maps a candidate index at its slot to the conflict bits a
+    # rejection adds, ``reads``, the bit set of the earlier slots the check
+    # reads, or to -1 for a pass.  It is cleared on entering ``level``, the
+    # slot after the latest of them (slot 0, entered once per stage, if none).
+    attached: list[list[tuple[int, dict[int, int], _Refuter, int]]] = [[] for _ in slots]
+    resets: list[list[dict]] = [[] for _ in slots]  # the memos each slot's entry clears
     for symbols, refuted in checks:
         index = _latest_slot(position, symbols)
         if index is not None:
             earlier = {position[s] for s in symbols} - {index}
             level = max(earlier, default=-1) + 1
-            memo: dict[int, bool] = {}
+            memo: dict[int, int] = {}
             attached[index].append((level, memo, refuted, sum(1 << i for i in earlier)))
             resets[level].append(memo)
     # Longest-kept memos first; the sort is stable, so obligations stay first within a level.
-    checks_by_slot = [
+    checks_by_slot: list[list[tuple[dict[int, int], _Refuter | None, int]]] = [
         [(memo, refuted, reads) for _, memo, refuted, reads in sorted(here, key=lambda c: c[0])]
         for here in attached
     ]
+    # A slot's learned nogoods by reset level: memos with no check behind them,
+    # ahead of its checks in the order they were made.
+    learned: list[dict[int, dict[int, int]]] = [{} for _ in slots]
 
     env: dict[str, object] = {}
     chosen: dict[str, int] = {}
@@ -610,9 +591,6 @@ def _search(
     # and the conflict set gathered from its rejected candidates so far.
     remaining: list[Iterator[tuple[int, object]]] = [iter(())] * len(slots)
     conflicts = [0] * len(slots)
-    # A slot's learned nogoods, per reset level: candidate index -> the conflict
-    # bits its backjump left, kept as a verdict of a check reading those slots.
-    learned: list[dict[int, dict[int, int]]] = [{} for _ in slots]
 
     def enter(index: int) -> None:
         for memo in resets[index]:
@@ -636,33 +614,28 @@ def _search(
         else:
             name = slots[index].name
             here = checks_by_slot[index]
-            nogoods = learned[index].values()
             gathered = conflicts[index]
             passed = None
             for k, fast in remaining[index]:
                 nodes += 1
                 if nodes >= limit:
                     limit = state.count(nodes, stride)
-                for memo in nogoods:
+                # ``env`` gets the candidate only for a check computed here,
+                # and for the slots after it once it passes.
+                for memo, refuted, reads in here:
                     bits = memo.get(k)
-                    if bits is not None:
+                    if bits is None:
+                        if refuted is None:
+                            continue  # a nogood that does not name the candidate
+                        env[name] = fast
+                        bits = memo[k] = reads if refuted(env, points) else -1
+                    if bits >= 0:
                         gathered |= bits
                         break
                 else:
-                    # ``env`` gets the candidate only for a check computed here,
-                    # and for the slots after it once it passes.
-                    for memo, refuted, reads in here:
-                        verdict = memo.get(k)
-                        if verdict is None:
-                            env[name] = fast
-                            verdict = memo[k] = refuted(env, points)
-                        if verdict:
-                            gathered |= reads
-                            break
-                    else:
-                        env[name] = fast
-                        passed = k
-                        break
+                    env[name] = fast
+                    passed = k
+                    break
             conflicts[index] = gathered
             if passed is not None:
                 chosen[name] = passed
@@ -687,6 +660,7 @@ def _search(
             records = learned[index].get(level)
             if records is None:
                 records = learned[index][level] = {}
+                checks_by_slot[index].insert(len(learned[index]) - 1, (records, None, 0))
                 resets[level].append(records)
             records[chosen[slots[index].name]] = rest
 

@@ -162,13 +162,6 @@ class Theory:
     clauses: tuple[HornClause, ...]
     relativized: bool = field(default=False, compare=False)
 
-    def predicates(self) -> tuple[str, ...]:
-        """Predicates occurring in the clauses, in canonical builtin order first."""
-        used = {a.predicate for c in self.clauses for a in (*c.body, c.head)}
-        ordered = [p for p in BUILTIN_PREDICATES if p in used]
-        ordered.extend(sorted(p for p in used if p not in BUILTIN_PREDICATES))
-        return tuple(ordered)
-
 
 def format_theory(theory: Theory) -> str:
     lines = []

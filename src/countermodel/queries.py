@@ -76,8 +76,8 @@ def negate_to_obligations(query: Query) -> tuple[HornClause, ...]:
 
 def required_predicates(theory: Theory, obligations: tuple[HornClause, ...]) -> tuple[str, ...]:
     """The rewriting predicates a structure must interpret, in canonical order."""
-    used = set(theory.predicates())
-    used.update(a.predicate for ob in obligations for a in ob.body)
+    clauses = (*theory.clauses, *obligations)
+    used = {a.predicate for c in clauses for a in (*c.body, c.head) if a is not None}
     return tuple(p for p in BUILTIN_PREDICATES if p in used)
 
 

@@ -20,7 +20,10 @@ check reads before the code generator reported them; their bodies are
 verbatim, but that each candidate is an ``(interpretation, check form)``
 pair.  Both stages must build the menus these build, in their order
 (candidate ``k`` of a menu is ``(menu.interp(k), menu.fast[k])``), and
-every check must read the symbols this walk finds.
+every check must read the symbols this walk finds.  The template stage now
+takes its predicates from the symbolic relations, so
+``_menu_predicates_finite``, which ranks the points of each pair template
+and takes growing prefixes, is an independent computation of that menu.
 """
 from __future__ import annotations
 

@@ -817,3 +817,23 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "[Rf]" in done.stdout
+
+
+@pytest.mark.parametrize("module", ["countermodel", "countermodel.cli"])
+def test_both_module_spellings_run_the_cli(module):
+    # ``-m countermodel.cli`` once printed nothing and exited 0, the verified code.
+    root = CORPUS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["check", "corpus/intro.trs", "--model", "corpus/models/intro_restricted.model"]
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv, "--query", "b ->* b"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_REFUTED, done.stderr
+    # the stdout pinned in test_golden.REFUTED_CHECKS["intro-ground"]
+    digest = hashlib.sha256(done.stdout.encode("utf-8")).hexdigest()
+    assert digest == "a0335bd3d96637350dd96365bdc75b203919edee915a9cdc816a591754725b40"

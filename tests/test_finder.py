@@ -220,7 +220,7 @@ def _entries(menu):
 
 
 @pytest.mark.parametrize("arity", (1, 2, 3))
-@pytest.mark.parametrize("carrier", ((0, 1), (0, 2), (-1, 1)))
+@pytest.mark.parametrize("carrier", ((0, 1), (0, 2), (0, 3), (-1, 1), (-3, 3)))
 def test_both_finite_stages_build_the_menus_of_the_builders_they_replace(
     carrier, arity, monkeypatch
 ):
@@ -231,8 +231,8 @@ def test_both_finite_stages_build_the_menus_of_the_builders_they_replace(
     assert consts == [({(): v}, v) for v in points]
     assert preds == reference_finder._menu_predicates_finite(points, math.inf)
     assert funcs[arity] == reference_finder._template_tables(arity, points, _BUDGET, math.inf)
-    if len(points) ** len(points) ** arity > _BUDGET.max_nodes:
-        return  # no raw stage: its menu is past the node cap
+    if len(points) > 3 or len(points) ** len(points) ** arity > _BUDGET.max_nodes:
+        return  # no raw stage: more values than raw_table_max_size, or a menu past the node cap
     grid, preds, consts, funcs = _finite_stage_menus(carrier, (arity,), raw=True)
     assert grid == points
     assert consts == [({(): v}, v) for v in points]
@@ -482,7 +482,7 @@ def test_kept_menus_give_each_disprove_what_an_empty_cache_gives(monkeypatch):
             assert run(case) == alone[case], case.name
 
 
-_MENU_BUILDERS = ("_template_selectors", "_template_rows", "_affine_candidates", "_menu_predicates_symbolic")
+_MENU_BUILDERS = ("_template_rows", "_affine_candidates", "_menu_predicates_symbolic")
 
 
 def test_the_first_search_under_new_menu_settings_keeps_no_menu(empty_menu_cache):

@@ -25,6 +25,12 @@ evaluator cannot come back as a fork.  ``checker.py`` keeps exactly one
 ``functools`` cache, the compiled checks keyed on the check, so a second
 cache or factory for the same job cannot come back either.
 
+One function of ``finder.py`` reads the predicate menu's constants
+(``BASE_RELATIONS``, ``PAIR_COEFFS``, ``PAIR_CONSTS``): the symbolic
+relation builder, whose relations the finite stages restrict to their
+carriers, so a second enumeration of the relations cannot come back as a
+fork either.
+
 Only ``logic.py`` builds an ``Atom`` past its arity check (through
 ``tuple.__new__`` or ``Atom._make``), in ``Atom.binary``, which checks its
 predicate once for a whole stream of pairs.
@@ -322,6 +328,45 @@ def test_a_second_cache_in_the_checker_would_be_flagged():
     assert functools_caches("make = functools.lru_cache(maxsize=8)(build)\n") == ["line 1: lru_cache"]
     # a name that is no functools cache is not one
     assert functools_caches("cache = {}\ncache.clear()\nitertools.cache\n") == []
+
+
+# -- one enumeration of the predicate relations ----------------------------------
+
+RELATION_CONSTANTS = {"BASE_RELATIONS", "PAIR_COEFFS", "PAIR_CONSTS"}
+
+
+def relation_readers(source: str) -> list[str]:
+    """The top-level definitions, by name, that read a relation constant; ``<module>`` for other code."""
+    readers = set()
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        if any(
+            isinstance(n, ast.Name) and n.id in RELATION_CONSTANTS and isinstance(n.ctx, ast.Load)
+            for n in ast.walk(node)
+        ):
+            readers.add(name)
+    return sorted(readers)
+
+
+def test_one_finder_function_enumerates_the_predicate_relations():
+    assert relation_readers((PACKAGE / "finder.py").read_text()) == ["_menu_predicates_symbolic"]
+
+
+def test_a_second_reader_of_the_relation_constants_would_be_flagged():
+    finder = (PACKAGE / "finder.py").read_text()
+    # the finite stages' own enumeration that the symbolic relations replaced
+    fork = (
+        "\ndef _template_selectors(points, deadline):\n"
+        "    selectors = [bytes(itertools.starmap(_COMPARISONS[rel], points)) for rel in BASE_RELATIONS]\n"
+        "    for a, b in itertools.product(PAIR_COEFFS, repeat=2):\n"
+        "        selectors += [bytes(a * x + b * y <= c for x, y in points) for c in PAIR_CONSTS]\n"
+        "    return list(dict.fromkeys(selectors))\n"
+    )
+    assert relation_readers(finder + fork) == ["_menu_predicates_symbolic", "_template_selectors"]
+    # Code outside a function counts too; defining a constant is no read.
+    assert relation_readers("WIDE = PAIR_CONSTS\n") == ["<module>"]
+    assert relation_readers("PAIR_CONSTS = range(-2, 3)\n") == []
+    assert relation_readers("class C:\n    def m(self):\n        return BASE_RELATIONS\n") == ["C"]
 
 
 # -- atoms are built through their check ---------------------------------------
