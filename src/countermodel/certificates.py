@@ -25,6 +25,8 @@ def serialize_certificate(cert: Certificate) -> str:
     clauses = list(map(format_clause, cert.theory.clauses))
     obligations = list(map(str, cert.obligations))
     structure_doc = serialize_model(cert.structure)
+    verdicts = list(map(_verdict_json, cert.verdicts))
+    split = len(cert.theory.clauses)
     payload: dict[str, Any] = {
         "format": FORMAT,
         "inputs": {
@@ -38,8 +40,8 @@ def serialize_certificate(cert: Certificate) -> str:
         "obligations": obligations,
         "structure": structure_doc,
         "closure_violations": list(map(str, cert.closure_violations)),
-        "clause_verdicts": list(map(_verdict_json, cert.clause_verdicts)),
-        "obligation_verdicts": list(map(_verdict_json, cert.obligation_verdicts)),
+        "clause_verdicts": verdicts[:split],
+        "obligation_verdicts": verdicts[split:],
         "overall": cert.overall,
         "first_failure": cert.first_failure(),
     }

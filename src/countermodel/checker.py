@@ -2,7 +2,7 @@
 
 An obligation is a headless clause ``body => false`` (the negation of one
 disjunct of an existential positive query), so clauses and obligations go
-through one check, ``_check(structure, clause)``.  A candidate valuation
+through one check, ``check_clause(structure, clause)``.  A candidate valuation
 fails a check only once direct evaluation confirms it (``_refutation``);
 one it cannot confirm yields "unknown", so the checker never overclaims.
 
@@ -68,17 +68,16 @@ class Verdict:
 class Certificate:
     """A re-checkable record of one verification run.
 
-    ``overall`` is "verified" only when closure holds and every clause and
-    obligation verdict is "holds"; any failure makes it "refuted" and any
-    unresolved check makes it "unknown".
+    ``verdicts`` has one per clause, then one per obligation.  ``overall`` is
+    "verified" only when closure holds and every verdict is "holds"; any
+    failure makes it "refuted" and any unresolved check makes it "unknown".
     """
 
     theory: Theory
     obligations: tuple[HornClause, ...]
     structure: Structure
     closure_violations: tuple[ClosureViolation, ...]
-    clause_verdicts: tuple[Verdict, ...]
-    obligation_verdicts: tuple[Verdict, ...]
+    verdicts: tuple[Verdict, ...]
     overall: str
 
     def first_failure(self) -> str | None:
@@ -86,8 +85,7 @@ class Certificate:
         for violation in self.closure_violations:
             if violation.certain:
                 return f"closure: {violation}"
-        checks = (*self.theory.clauses, *self.obligations)
-        for clause, verdict in zip(checks, (*self.clause_verdicts, *self.obligation_verdicts)):
+        for clause, verdict in zip((*self.theory.clauses, *self.obligations), self.verdicts):
             if verdict.status == FAILS:
                 kind = "obligation" if clause.head is None else f"clause [{clause.tag}]"
                 return f"{kind} {clause}: {verdict}"
@@ -101,25 +99,15 @@ def verify(
     obligations = tuple(obligations)
     violations = closure_check(structure)
     if any(v.certain for v in violations):
-        return Certificate(theory, obligations, structure, violations, (), (), REFUTED)
-    clause_verdicts = tuple(check_clause(structure, c) for c in theory.clauses)
-    obligation_verdicts = tuple(check_obligation(structure, ob) for ob in obligations)
-    statuses = [v.status for v in (*clause_verdicts, *obligation_verdicts)]
+        return Certificate(theory, obligations, structure, violations, (), REFUTED)
+    clauses = [check_clause(structure, c) for c in theory.clauses]
+    verdicts = (*clauses, *(check_obligation(structure, ob) for ob in obligations))
+    statuses = [v.status for v in verdicts]
     overall = REFUTED if FAILS in statuses else UNKNOWN if violations or UNKNOWN in statuses else VERIFIED
-    return Certificate(
-        theory, obligations, structure, violations, clause_verdicts, obligation_verdicts, overall
-    )
+    return Certificate(theory, obligations, structure, violations, verdicts, overall)
 
 
 # -- one check for clauses and obligations (headless clauses) ------------------------
-
-
-def check_clause(structure: Structure, clause: HornClause) -> Verdict:
-    return _check(structure, clause)
-
-
-def check_obligation(structure: Structure, obligation: HornClause) -> Verdict:
-    return _check(structure, obligation)
 
 
 def _refutes(structure: Structure, valuation: Mapping[str, int], clause: HornClause) -> bool:
@@ -139,7 +127,8 @@ def _refutation(structure: Structure, witness: tuple, clause: HornClause, propos
     return Verdict(UNKNOWN, reason=f"{proposer} not confirmed by evaluation")
 
 
-def _check(structure: Structure, clause: HornClause) -> Verdict:
+def check_clause(structure: Structure, clause: HornClause) -> Verdict:
+    """Whether ``clause``, or an obligation as a headless clause, holds in ``structure``."""
     if not isinstance(structure, FiniteStructure):
         return _check_symbolic(structure, clause)
     # Each variable is tested for its sort before anything else at its loop.
@@ -155,6 +144,9 @@ def _check(structure: Structure, clause: HornClause) -> Verdict:
     if found is False:
         return Verdict(HOLDS)
     return _refutation(structure, tuple(zip(names, found)) if names else (), clause, "valuation")
+
+
+check_obligation = check_clause  # the name ``verify`` checks obligations under
 
 
 def _finite_value(structure: FiniteStructure, key: object) -> object:

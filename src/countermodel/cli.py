@@ -202,22 +202,16 @@ def _run_check(args) -> int:
         obligations = negate_to_obligations(query)
     required = required_predicates(theory, tuple(obligations))
     model_text = Path(args.model).read_text(encoding="utf-8-sig")
-    backend = args.backend
-    if backend == BOTH:
-        finite = parse_model(model_text, ctrs.signature, FINITE, required, file=args.model)
-        symbolic = parse_model(model_text, ctrs.signature, SYMBOLIC, required, file=args.model)
-        cert = verify(theory, obligations, finite)
-        cert_symbolic = verify(theory, obligations, symbolic)
-        if cert.overall != cert_symbolic.overall:
+    backends = (FINITE, SYMBOLIC) if args.backend == BOTH else (args.backend,)
+    readings = [parse_model(model_text, ctrs.signature, b, required, file=args.model) for b in backends]
+    cert, *others = (verify(theory, obligations, structure) for structure in readings)
+    for other in others:
+        if other.overall != cert.overall:
             print(
-                "error: finite and symbolic backends disagree "
-                f"({cert.overall} vs {cert_symbolic.overall})",
+                f"error: finite and symbolic backends disagree ({cert.overall} vs {other.overall})",
                 file=sys.stderr,
             )
             return EXIT_UNKNOWN
-    else:
-        structure = parse_model(model_text, ctrs.signature, backend, required, file=args.model)
-        cert = verify(theory, obligations, structure)
     return _emit_certificate(cert, args.output)
 
 

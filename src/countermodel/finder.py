@@ -313,21 +313,25 @@ def _menu(state: _State, key: tuple, build: Callable[[], _Menu]) -> _Menu:
 
 def _finite_stages(sig: Signature, predicates: tuple[str, ...], state: _State) -> Iterator[_Stage]:
     """Per interval carrier: the template menus, then raw tables on tiny carriers."""
-    budget = state.budget
+    budget, skipped = state.budget, False
     for lo, hi in budget.carriers:
         carrier, n = tuple(range(lo, hi + 1)), hi - lo + 1
         yield _finite_stage(sig, predicates, state, carrier, raw=False)
         if n <= budget.raw_table_max_size and all(
             len(args) <= RAW_TABLE_MAX_ARITY for args, _ in sig.functions.values()
         ):
-            # A menu larger than the node cap could never be searched through,
-            # and building it could exhaust memory first.
+            # A menu larger than the node cap could never be searched through, and
+            # building it could exhaust memory first: its stage is skipped, and the
+            # search ends at the cap once the later carriers have been searched.
             sizes = [n ** (n ** len(args)) for args, _ in sig.functions.values()]
             if predicates:
                 sizes.append(2 ** (n * n))
             if max(sizes, default=0) > budget.max_nodes:
-                raise _Stop("budget exhausted: candidate cap")
+                skipped = True
+                continue
             yield _finite_stage(sig, predicates, state, carrier, raw=True)
+    if skipped:
+        raise _Stop("budget exhausted: candidate cap")
 
 
 def _finite_stage(
@@ -701,8 +705,7 @@ def _finish(
     if certificate.overall == VERIFIED:
         return structure, certificate
     position = {slot.name: index for index, slot in enumerate(stage.slots)}
-    verdicts = (*certificate.clause_verdicts, *certificate.obligation_verdicts)
-    checks = zip((*theory.clauses, *obligations), verdicts)
+    checks = zip((*theory.clauses, *obligations), certificate.verdicts)
     failed = [{v.symbol} for v in certificate.closure_violations]
     failed += [_compile_check(c.variables, c.body, c.head, False)[0] for c, v in checks if v.status != HOLDS]
     reads = [position.keys() & symbols for symbols in failed]

@@ -82,16 +82,13 @@ def disprove(
     theory = theory_for_query(ctrs, query, with_subterm=with_subterm, with_root=with_root)
     obligations = negate_to_obligations(query)
     reasons = []
-    if backend in (FINITE, BOTH):
-        outcome = find_model(theory, obligations, budget, deadline=deadline)
+    for name, find in ((FINITE, find_model), (SYMBOLIC, find_symbolic_model)):
+        if backend not in (name, BOTH):
+            continue
+        outcome = find(theory, obligations, budget, deadline=deadline)
         if outcome.found:
-            return Disproof(outcome.certificate, FINITE, ())
-        reasons.append(f"finite: {outcome.reason}")
-    if backend in (SYMBOLIC, BOTH):
-        outcome = find_symbolic_model(theory, obligations, budget, deadline=deadline)
-        if outcome.found:
-            return Disproof(outcome.certificate, SYMBOLIC, ())
-        reasons.append(f"symbolic: {outcome.reason}")
+            return Disproof(outcome.certificate, name, ())
+        reasons.append(f"{name}: {outcome.reason}")
     return Disproof(None, None, tuple(reasons))
 
 

@@ -53,7 +53,10 @@ class Interval:
 Carrier = Ray | Interval
 
 
-def carrier_contains(carrier: Carrier, value: int) -> bool:
+def carrier_contains(carrier: Carrier | tuple[int, ...], value: int) -> bool:
+    """Membership in a symbolic carrier or in a finite structure's value tuple."""
+    if isinstance(carrier, tuple):
+        return value in carrier
     if isinstance(carrier, Ray):
         return value >= carrier.lo
     return carrier.lo <= value <= carrier.hi
@@ -225,10 +228,7 @@ def eval_term(structure: Structure, valuation: Mapping[str, int], term: Term) ->
 def eval_atom(structure: Structure, valuation: Mapping[str, int], atom: Atom) -> bool:
     sort = sort_of_predicate(atom.predicate)
     if sort is not None:
-        value = eval_term(structure, valuation, atom.args[0])
-        if isinstance(structure, FiniteStructure):
-            return value in structure.carrier(sort)
-        return carrier_contains(structure.carrier(sort), value)
+        return carrier_contains(structure.carrier(sort), eval_term(structure, valuation, atom.args[0]))
     values = tuple(eval_term(structure, valuation, a) for a in atom.args)
     interp = interpretation(structure, atom.predicate, "predicate")
     if isinstance(structure, FiniteStructure):

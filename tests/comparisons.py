@@ -77,7 +77,7 @@ class CheckCalls:
         """Count every check the finder compiles while patched, and none that ``verify`` does.
 
         The finder calls the generator through its own name for it,
-        ``finder._compile_check``, so ``checker._check`` is left uncounted.
+        ``finder._compile_check``, so ``checker.check_clause`` is left uncounted.
         """
         compile_check = finder._compile_check
 

@@ -1,6 +1,6 @@
 """Reference checkers: the evaluators the package's checks replaced, kept to compare with.
 
-``check_finite`` is the finite branch of ``checker._check`` as it was
+``check_finite`` is the finite branch of ``checker.check_clause`` as it was
 before finite checks were compiled: it enumerates ``carrier^vars`` in
 lexicographic order over each variable's own sort and tree-walks
 ``eval_atom`` at each valuation.  Where no table lookup misses, the

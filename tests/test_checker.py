@@ -118,7 +118,7 @@ def test_root_mutation_f_to_zero_is_refuted_with_pinpointed_failure():
     assert cert.overall == REFUTED
     assert cert.first_failure() is not None
     assert "->^" in cert.first_failure()
-    (verdict,) = cert.obligation_verdicts
+    (verdict,) = cert.verdicts[len(theory.clauses):]
     assert verdict.status == FAILS and verdict.witness == (("x", -1), ("y", -1))
 
 
@@ -127,7 +127,7 @@ def test_empty_theory_and_obligations_verify():
     structure = FiniteStructure(sig, {DEFAULT_SORT: (0,)}, {"a": {(): 0}}, {})
     cert = verify(Theory(sig, ()), (), structure)
     assert cert.overall == VERIFIED
-    assert cert.clause_verdicts == () and cert.obligation_verdicts == ()
+    assert cert.verdicts == ()
 
 
 def test_closure_violation_short_circuits_to_refuted():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,6 +16,7 @@ from countermodel import cli, query_format, trs_format
 from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, main
 from countermodel.lexer import MAX_NESTING
 from countermodel.oracle import saturate
+from countermodel.structures import SymbolicStructure
 from paperdata import CORPUS
 
 
@@ -105,6 +107,62 @@ def test_check_cross_backend_agreement(capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["overall"] == "verified"
+
+
+def test_check_cross_backend_disagreement_exits_unknown(monkeypatch, capsys):
+    verify = cli.verify
+
+    def symbolic_refuted(theory, obligations, structure):
+        cert = verify(theory, obligations, structure)
+        return dataclasses.replace(cert, overall="refuted") if isinstance(structure, SymbolicStructure) else cert
+
+    monkeypatch.setattr(cli, "verify", symbolic_refuted)
+    code = main(
+        [
+            "check",
+            corpus("root_f.trs"),
+            "--model",
+            corpus("models/root_irred.model"),
+            "--query",
+            "EXISTS x y . f(x) ->^ y",
+            "--backend",
+            "both",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_UNKNOWN
+    assert captured.out == ""
+    assert captured.err == "error: finite and symbolic backends disagree (verified vs refuted)\n"
+
+
+@pytest.mark.parametrize(
+    "system, query, flags, err",
+    [
+        # Obligations with variables: the cross-check runs only when forced.
+        ("fig3.trs", "FEASIBLE(f(x) == x)", [], ""),
+        ("fig3.trs", "FEASIBLE(f(x) == x)", ["--oracle-check"], "oracle cross-check passed\n"),
+        # Ground obligations: it runs unless switched off.
+        ("intro.trs", "a -> b", ["--no-oracle-check"], ""),
+    ],
+)
+def test_oracle_cross_check_flags(system, query, flags, err, capsys):
+    code = main(["disprove", corpus(system), "--query", query, *flags])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["overall"] == "verified"
+    assert captured.err == err
+
+
+def test_a_failed_oracle_cross_check_exits_refuted_after_the_certificate(monkeypatch, capsys):
+    argv = ["disprove", corpus("intro.trs"), "--query", "a -> b"]
+    assert main([*argv, "--no-oracle-check"]) == 0
+    certificate = capsys.readouterr().out
+    monkeypatch.setattr(cli, "oracle_cross_check", lambda ctrs, certificate: ("planted",))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_REFUTED
+    assert captured.err == "oracle cross-check FAILED: planted\n"
+    assert captured.out == certificate
 
 
 def test_disprove_budget_exhausted_exit_two(capsys):
@@ -669,6 +727,18 @@ def test_raw_table_menu_past_the_node_cap_ends_within_the_timeout(capsys):
     assert code == EXIT_UNKNOWN
     assert time.monotonic() - started < 2.5
     assert capsys.readouterr().err == "no countermodel: finite: budget exhausted: candidate cap\n"
+
+
+def test_a_raw_menu_past_the_node_cap_leaves_the_later_carriers_searched(tmp_path, capsys):
+    # On 0:3 the raw menu of the binary h holds 4 ** 16 tables, past the node
+    # cap, so that stage is skipped; the raw stage on 0:1 still finds h (xor).
+    (tmp_path / "h.trs").write_text("(RULES a -> b  b -> a  a -> h(a, b))\n")
+    query = "EXISTS . a -> a \\/ b -> b"
+    argv = ["disprove", str(tmp_path / "h.trs"), "--query", query, "--backend", "finite", "--carriers", "0:3,0:1"]
+    assert main(argv) == 0
+    certificate = capsys.readouterr().out
+    assert main([*argv, "--raw-table-max", "4"]) == 0
+    assert capsys.readouterr().out == certificate
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,9 @@ bounds and witnesses are ints throughout.
 Every function, class and method the package defines is run by a command,
 a demo or a benchmark workload: each is named somewhere in the package
 itself (outside ``__init__.py``), in ``demos/`` or in ``bench/``.  A helper
-only tests use belongs next to those tests.
+only tests use belongs next to those tests.  Likewise every field of a
+dataclass or NamedTuple the package defines is read as an attribute there:
+state only tests read is not kept.
 
 Every finder function that builds a candidate menu (returns a ``_Menu``)
 in a ``for`` loop checks the deadline.
@@ -187,6 +189,68 @@ def test_a_definition_only_exports_or_tests_name_would_be_flagged():
         "m.C.method",
     ]
     assert unreferenced({"m": module}, ["used(); unused; C().method()\n"]) == []
+
+
+def record_fields(source: str) -> list[str]:
+    """``Class.field`` for each annotated field of a dataclass or NamedTuple in a source."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {ast.unparse(d).partition("(")[0].rpartition(".")[2] for d in node.decorator_list}
+        bases = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+        if "dataclass" in decorators or "NamedTuple" in bases:
+            fields.extend(
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return fields
+
+
+def unread_fields(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.Class.field`` for each record field that no user source reads as an attribute.
+
+    The rule matches by name, so a field escapes it when any attribute of
+    that name is read: ``ConditionalRule.span`` does, since ``span`` is also
+    a ``Token`` method.
+    """
+    read = {
+        node.attr
+        for source in users
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{field}"
+        for module, source in sorted(modules.items())
+        for field in record_fields(source)
+        if field.rpartition(".")[2] not in read
+    ]
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    package = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = {p.stem: p.read_text() for p in package}
+    users = package + sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    assert unread_fields(modules, [p.read_text() for p in users]) == []
+
+
+def test_a_field_only_tests_read_would_be_flagged():
+    module = (
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    read: int\n"
+        "    written: int = 0\n"
+        "class N(typing.NamedTuple):\n"
+        "    kept: str\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    assert record_fields(module) == ["D.read", "D.written", "N.kept"]
+    user = "d.read + n.kept\nD(written=1).written = 2\nsetattr(d, 'written', 3)\n"
+    assert unread_fields({"m": module}, [user]) == ["m.D.written"]
+    assert unread_fields({"m": module}, [user + "d.written\n"]) == []
 
 
 # -- menu builders honour the deadline ----------------------------------------

@@ -101,7 +101,6 @@ def test_oracle_cross_check_flags_fabricated_certificates():
         obligations,
         genuine.certificate.structure,
         (),
-        (),
         (Verdict("holds"),),
         VERIFIED,
     )
@@ -121,7 +120,7 @@ def test_default_cross_check_sees_size_four_terms():
         " (PRED -> (x, y) = x > y) (PRED ->* (x, y) = x >= y)",
         ctrs.signature,
     )
-    forged = Certificate(build_theory(ctrs), (), structure, (), (), (), VERIFIED)
+    forged = Certificate(build_theory(ctrs), (), structure, (), (), VERIFIED)
     violations = oracle_cross_check(ctrs, forged)
     assert "derived atom a -> f(f(f(b))) is false in the structure" in violations
     assert oracle_cross_check(ctrs, forged, size_bound=3) == ()

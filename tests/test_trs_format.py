@@ -48,9 +48,8 @@ def test_variable_cannot_take_arguments():
 
 def test_condition_type_join_recorded():
     document = parse_ctrs_document("(CONDITIONTYPE JOIN) (VAR x) (RULES a -> b | c == b)")
-    assert document.condition_type == JOIN
     assert document.ctrs.rules[0].condition_semantics == JOIN
-    assert parse_ctrs_document("(RULES )").condition_type == ORIENTED
+    assert parse_ctrs("(VAR x) (RULES a -> b | c == b)").rules[0].condition_semantics == ORIENTED
 
 
 def test_sorted_input_round_trips_declarations():
