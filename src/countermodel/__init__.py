@@ -54,7 +54,6 @@ from .structures import (
     PiecewiseCase,
     PiecewiseFunction,
     PredicateInterp,
-    Ray,
     Structure,
     SymbolicStructure,
     closure_check,

@@ -90,9 +90,9 @@ from .queries import required_predicates
 from .structures import (
     AffineForm,
     FiniteStructure,
+    Interval,
     PiecewiseFunction,
     PredicateInterp,
-    Ray,
     Structure,
     SymbolicStructure,
 )
@@ -402,7 +402,7 @@ def _symbolic_stages(
     for lo in state.budget.ray_carriers:
         functions = functools.partial(_affine_menu, state, lo)
         slots = _slots(sig, predicates, menu, functions(0), functions)
-        yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Ray(lo))
+        yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Interval(lo))
 
 
 def _affine_menu(state: _State, lo: int, arity: int) -> _Menu:

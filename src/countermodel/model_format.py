@@ -4,8 +4,8 @@ A structure document lists one DOMAIN block per sort, one FUN block per
 function symbol, and one PRED block per rewriting predicate (``->``,
 ``->*``, ``->^`` or ``|>``; a sort test reads its carrier)::
 
-    (DOMAIN >= -1)                ; ray; sort name required when sorted
-    (DOMAIN User [0, 3])          ; interval
+    (DOMAIN >= -1)                ; ray: an interval with no upper end
+    (DOMAIN User [0, 3])          ; interval; sort name required when sorted
     (DOMAIN Flag {0, 1})          ; explicit finite set
     (FUN a = 1)
     (FUN c(x) = 2*x + 2)
@@ -22,14 +22,15 @@ for the complement of the previous guards and is accepted only when that
 complement is itself a single conjunction (every previous guard must be a
 single inequality).
 
-Each block is read straight into its interpretation: a DOMAIN into a
-``Ray``, an ``Interval`` or the sorted values of a set; a FUN into a table
-or a ``PiecewiseFunction`` (``clamp`` expanded into three guard cases,
-``otherwise`` resolved as the cases are read); a PRED into a set of pairs
-or a ``PredicateInterp``.  The backend, unless requested, is chosen once
-the document is read: symbolic when a carrier is a ray, finite otherwise.
-The finite backend rejects rays and tabulates the piecewise parts; the
-symbolic one rejects tables, pair sets and non-contiguous sets.
+Each block is read straight into its interpretation: a DOMAIN into an
+``Interval`` (``>= lo`` leaves ``hi`` unset) or the sorted values of a set;
+a FUN into a table or a ``PiecewiseFunction`` (``clamp`` expanded into
+three guard cases, ``otherwise`` resolved as the cases are read); a PRED
+into a set of pairs or a ``PredicateInterp``.  The backend, unless
+requested, is chosen once the document is read: symbolic when an interval
+has no ``hi``, finite otherwise.  The finite backend rejects those and
+tabulates the piecewise parts; the symbolic one rejects tables, pair sets
+and non-contiguous sets.
 """
 from __future__ import annotations
 
@@ -46,16 +47,13 @@ from .linear import (
     format_constraint,
 )
 from .structures import (
-    Carrier,
     FiniteStructure,
     Interval,
     PiecewiseCase,
     PiecewiseFunction,
     PredicateInterp,
-    Ray,
     Structure,
     SymbolicStructure,
-    carrier_values,
     tabulate,
 )
 from .terms import ARROW, BUILTIN_PREDICATES, MANY_STEPS, Signature
@@ -89,7 +87,8 @@ def parse_model(
     if backend not in (AUTO, FINITE, SYMBOLIC):
         raise ValueError(f"unknown backend '{backend}'")
     if backend == AUTO:
-        backend = SYMBOLIC if any(isinstance(c, Ray) for c in carriers.values()) else FINITE
+        unbounded = any(isinstance(c, Interval) and c.hi is None for c in carriers.values())
+        backend = SYMBOLIC if unbounded else FINITE
 
     for name in sig.functions:
         if name not in functions:
@@ -108,7 +107,7 @@ def parse_model(
 
 def _parse_document(text: str, sig: Signature, file: str | None):
     stream = TokenStream(tokenize(text, file), file)
-    carriers: dict[str, Ray | Interval | tuple[int, ...]] = {}
+    carriers: dict[str, Interval | tuple[int, ...]] = {}
     functions: dict[str, dict[tuple[int, ...], int] | PiecewiseFunction] = {}
     predicates: dict[str, frozenset[tuple[int, ...]] | PredicateInterp] = {}
     for keyword in stream.blocks():
@@ -135,8 +134,8 @@ def _parse_document(text: str, sig: Signature, file: str | None):
     return carriers, functions, predicates
 
 
-def _parse_domain(stream: TokenStream) -> tuple[str | None, Ray | Interval | tuple[int, ...]]:
-    """The sort name, if given, and a ray, an interval or the sorted values of a set."""
+def _parse_domain(stream: TokenStream) -> tuple[str | None, Interval | tuple[int, ...]]:
+    """The sort name, if given, and an interval (unbounded above for ``>=``) or a set's values."""
     token = stream.accept("ident")
     sort = token.text if token else None
     if stream.at("{"):
@@ -153,7 +152,7 @@ def _parse_domain(stream: TokenStream) -> tuple[str | None, Ray | Interval | tup
             raise stream.error(f"empty interval [{lo}, {hi}]")
         return sort, Interval(lo, hi)
     if stream.accept(">="):
-        return sort, Ray(_parse_int(stream))
+        return sort, Interval(_parse_int(stream))
     raise stream.error("expected '{', '[', or '>=' in DOMAIN")
 
 
@@ -334,11 +333,11 @@ def _parse_constraints(stream: TokenStream, params: Iterable[str]) -> list[Linea
 
 def _assemble_symbolic(
     sig: Signature,
-    carriers: Mapping[str, Ray | Interval | tuple[int, ...]],
+    carriers: Mapping[str, Interval | tuple[int, ...]],
     functions: Mapping[str, dict[tuple[int, ...], int] | PiecewiseFunction],
     predicates: Mapping[str, frozenset[tuple[int, ...]] | PredicateInterp],
 ) -> SymbolicStructure:
-    ranges: dict[str, Carrier] = {}
+    ranges: dict[str, Interval] = {}
     for sort, carrier in carriers.items():
         if isinstance(carrier, tuple):
             if carrier != tuple(range(carrier[0], carrier[-1] + 1)):
@@ -363,21 +362,23 @@ def _assemble_symbolic(
 
 def _assemble_finite(
     sig: Signature,
-    carriers: Mapping[str, Ray | Interval | tuple[int, ...]],
+    carriers: Mapping[str, Interval | tuple[int, ...]],
     functions: Mapping[str, dict[tuple[int, ...], int] | PiecewiseFunction],
     predicates: Mapping[str, frozenset[tuple[int, ...]] | PredicateInterp],
 ) -> FiniteStructure:
     values: dict[str, tuple[int, ...]] = {}
     for sort, carrier in carriers.items():
-        if isinstance(carrier, Ray):
+        if isinstance(carrier, Interval) and carrier.hi is None:
             raise ParseError(f"sort '{sort}' has an infinite carrier; use the symbolic backend")
         size = carrier.hi - carrier.lo + 1 if isinstance(carrier, Interval) else len(carrier)
-        if size > MAX_FINITE_CARRIER:
+        if size > MAX_FINITE_CARRIER:  # before an interval is enumerated
             raise ParseError(
                 f"sort '{sort}' has {size} carrier values, more than the finite backend's "
                 f"{MAX_FINITE_CARRIER}; use --backend symbolic"
             )
-        values[sort] = carrier_values(carrier) if isinstance(carrier, Interval) else carrier
+        values[sort] = (
+            tuple(range(carrier.lo, carrier.hi + 1)) if isinstance(carrier, Interval) else carrier
+        )
     universe = {v for vs in values.values() for v in vs}
     if len(universe) > MAX_FINITE_CARRIER:
         raise ParseError(
@@ -440,10 +441,8 @@ def serialize_model(structure: Structure) -> str:
         return "\n".join(lines) + "\n"
     for sort in sig.sorts:
         carrier = structure.carrier(sort)
-        if isinstance(carrier, Ray):
-            lines.append(_domain_line(sig, sort, f">= {carrier.lo}"))
-        else:
-            lines.append(_domain_line(sig, sort, f"[{carrier.lo}, {carrier.hi}]"))
+        spec = f">= {carrier.lo}" if carrier.hi is None else f"[{carrier.lo}, {carrier.hi}]"
+        lines.append(_domain_line(sig, sort, spec))
     for name in sig.functions:
         interp = structure.functions[name]
         params = ", ".join(interp.params)

@@ -2,11 +2,14 @@
 
 A finite structure interprets each sort as an explicit finite set of
 integers, each function symbol as a total table, and each predicate as an
-explicit set of tuples.  A symbolic structure interprets sorts as integer
-rays ``{v >= lo}`` or intervals ``[lo, hi]``, functions as guarded
-piecewise-affine mappings (with clamping expanded into guard cases at
-construction time), and predicates as conjunctions of linear inequalities
-over the argument positions.
+explicit set of tuples.  A symbolic structure interprets each sort as an
+``Interval``: the integers ``[lo, hi]``, or with no ``hi`` the ray
+``{v >= lo}``; functions as guarded piecewise-affine mappings (with
+clamping expanded into guard cases at construction time); and predicates
+as conjunctions of linear inequalities over the argument positions.
+Either carrier, a value tuple or an interval, answers ``value in carrier``.
+``closure_check`` is one skeleton for both: the carrier and subsort tests
+are shared, and only the check of each function is per backend.
 
 Evaluation follows structural recursion; for symbolic backends the module
 also lowers atoms into exact linear constraint systems over the clause
@@ -32,54 +35,31 @@ from .terms import App, Signature, Term, Var
 
 
 @dataclass(frozen=True)
-class Ray:
-    """The integers >= lo."""
-
-    lo: int
-
-
-@dataclass(frozen=True)
 class Interval:
-    """The integers from lo to hi inclusive."""
+    """The integers from lo to hi inclusive; with no hi, the ray of integers >= lo."""
 
     lo: int
-    hi: int
+    hi: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if self.hi is not None and self.lo > self.hi:
             raise ModelError(f"empty interval carrier [{self.lo}, {self.hi}]")
 
-
-Carrier = Ray | Interval
-
-
-def carrier_contains(carrier: Carrier | tuple[int, ...], value: int) -> bool:
-    """Membership in a symbolic carrier or in a finite structure's value tuple."""
-    if isinstance(carrier, tuple):
-        return value in carrier
-    if isinstance(carrier, Ray):
-        return value >= carrier.lo
-    return carrier.lo <= value <= carrier.hi
+    def __contains__(self, value: int) -> bool:
+        return self.lo <= value and (self.hi is None or value <= self.hi)
 
 
-def carrier_values(carrier: Carrier) -> tuple[int, ...]:
-    if isinstance(carrier, Ray):
-        raise ModelError("a ray carrier cannot be enumerated")
-    return tuple(range(carrier.lo, carrier.hi + 1))
+def carrier_subset(inner: Interval | tuple[int, ...], outer: Interval | tuple[int, ...]) -> bool:
+    """Whether one carrier lies in another: two intervals, or two finite value tuples."""
+    if isinstance(inner, tuple):
+        return set(inner) <= set(outer)
+    return inner.lo in outer and (outer.hi is None if inner.hi is None else inner.hi in outer)
 
 
-def carrier_subset(inner: Carrier, outer: Carrier) -> bool:
-    if isinstance(outer, Ray):
-        return inner.lo >= outer.lo
-    if isinstance(inner, Ray):
-        return False
-    return inner.lo >= outer.lo and inner.hi <= outer.hi
-
-
-def carrier_constraints(carrier: Carrier, form: AffineForm) -> list[LinearConstraint]:
+def carrier_constraints(carrier: Interval, form: AffineForm) -> list[LinearConstraint]:
     """Linear constraints stating that the affine form lies in the carrier."""
     out = [form.negate().le(-carrier.lo)]
-    if isinstance(carrier, Interval):
+    if carrier.hi is not None:
         out.append(form.le(carrier.hi))
     return out
 
@@ -174,7 +154,7 @@ class FiniteStructure:
 @dataclass(frozen=True)
 class SymbolicStructure:
     signature: Signature
-    carriers: Mapping[str, Carrier]
+    carriers: Mapping[str, Interval]
     functions: Mapping[str, PiecewiseFunction]
     predicates: Mapping[str, PredicateInterp]
 
@@ -183,7 +163,7 @@ class SymbolicStructure:
         object.__setattr__(self, "functions", dict(self.functions))
         object.__setattr__(self, "predicates", dict(self.predicates))
 
-    def carrier(self, sort: str) -> Carrier:
+    def carrier(self, sort: str) -> Interval:
         if sort not in self.carriers:
             raise ModelError(f"no carrier for sort '{sort}'")
         return self.carriers[sort]
@@ -228,7 +208,7 @@ def eval_term(structure: Structure, valuation: Mapping[str, int], term: Term) ->
 def eval_atom(structure: Structure, valuation: Mapping[str, int], atom: Atom) -> bool:
     sort = sort_of_predicate(atom.predicate)
     if sort is not None:
-        return carrier_contains(structure.carrier(sort), eval_term(structure, valuation, atom.args[0]))
+        return eval_term(structure, valuation, atom.args[0]) in structure.carrier(sort)
     values = tuple(eval_term(structure, valuation, a) for a in atom.args)
     interp = interpretation(structure, atom.predicate, "predicate")
     if isinstance(structure, FiniteStructure):
@@ -252,102 +232,94 @@ class ClosureViolation:
 
 
 def closure_check(structure: Structure) -> tuple[ClosureViolation, ...]:
-    """Totality and carrier closure of every function interpretation.
+    """Non-empty carriers, subsort inclusion, and totality and carrier closure of every function.
 
-    Finite structures are checked exhaustively; symbolic ones with one
-    linear feasibility query per guard case (plus guard disjointness and
-    coverage).
+    A finite function is checked point by point over its argument carriers;
+    a symbolic one with one linear feasibility query per guard case (plus
+    guard disjointness and coverage).  A symbolic carrier is never empty.
     """
-    if isinstance(structure, FiniteStructure):
-        return _closure_finite(structure)
-    return _closure_symbolic(structure)
-
-
-def _closure_finite(structure: FiniteStructure) -> tuple[ClosureViolation, ...]:
     sig = structure.signature
-    violations: list[ClosureViolation] = []
-    for sort in sig.sorts:
-        if not structure.carrier(sort):
-            violations.append(ClosureViolation(sort, "empty carrier"))
-    for sub, sup in sig.subsort_pairs:
-        if not set(structure.carrier(sub)) <= set(structure.carrier(sup)):
-            violations.append(ClosureViolation(sub, f"carrier not included in '{sup}'"))
-    for name, (arg_sorts, result) in sig.functions.items():
-        table = structure.functions.get(name)
-        if table is None:
-            violations.append(ClosureViolation(name, "missing interpretation"))
-            continue
-        result_carrier = set(structure.carrier(result))
-        for point in itertools.product(*(structure.carrier(s) for s in arg_sorts)):
-            if point not in table:
-                violations.append(ClosureViolation(name, "table has no entry", point))
-            elif table[point] not in result_carrier:
-                violations.append(
-                    ClosureViolation(name, f"value {table[point]} outside carrier of '{result}'", point)
-                )
-    return tuple(violations)
-
-
-def _closure_symbolic(structure: SymbolicStructure) -> tuple[ClosureViolation, ...]:
-    sig = structure.signature
-    violations: list[ClosureViolation] = []
+    finite = isinstance(structure, FiniteStructure)
+    violations = [
+        ClosureViolation(sort, "empty carrier")
+        for sort in (sig.sorts if finite else ())
+        if not structure.carrier(sort)
+    ]
     for sub, sup in sig.subsort_pairs:
         if not carrier_subset(structure.carrier(sub), structure.carrier(sup)):
             violations.append(ClosureViolation(sub, f"carrier not included in '{sup}'"))
-    for name, (arg_sorts, result) in sig.functions.items():
+    per_function = _closure_finite if finite else _closure_symbolic
+    for name in sig.functions:
         interp = structure.functions.get(name)
         if interp is None:
             violations.append(ClosureViolation(name, "missing interpretation"))
-            continue
-        params = interp.params
-        bounds = tuple(
-            c
-            for p, s in zip(params, arg_sorts)
-            for c in carrier_constraints(structure.carrier(s), AffineForm.variable(p))
-        )
-
-        def probe(extra, detail, unknown_prefix="", at_point=True) -> tuple[ClosureViolation, ...]:
-            """A certain violation at the kernel's integer witness of the bounds and ``extra``.
-
-            An "unknown" system gives an uncertain violation naming the reason.
-            """
-            outcome = solve(integer_tighten(ConstraintSystem(params, bounds + extra)))
-            if outcome.status == "feasible":
-                at = tuple(outcome.witness[p] for p in params) if at_point else None
-                return (ClosureViolation(name, detail, at),)
-            if outcome.status == "unknown":
-                return (ClosureViolation(name, f"{unknown_prefix}{outcome.reason}", certain=False),)
-            return ()
-
-        # Each case's value must lie in the result carrier over its guard.
-        for index, case in enumerate(interp.cases):
-            for requirement in carrier_constraints(structure.carrier(result), case.value):
-                violations.extend(
-                    probe(
-                        case.guard + (requirement.negate(),),
-                        f"case {index + 1} can leave the carrier of '{result}'",
-                        f"case {index + 1}: ",
-                    )
-                )
-        # Pairwise disjointness of guards.
-        for i, j in itertools.combinations(range(len(interp.cases)), 2):
-            violations.extend(
-                probe(
-                    interp.cases[i].guard + interp.cases[j].guard,
-                    f"guards of cases {i + 1} and {j + 1} overlap",
-                    at_point=False,
-                )
-            )
-        # Coverage: no point of the carrier product may escape every guard.
-        # A case with an empty guard covers everything, making the product
-        # below empty, so the loop is skipped.
-        for chosen in itertools.product(*(range(len(c.guard)) for c in interp.cases)):
-            negated = tuple(case.guard[pick].negate() for case, pick in zip(interp.cases, chosen))
-            found = probe(negated, "guards do not cover the carrier")
-            violations.extend(found)
-            if found:
-                break
+        else:
+            violations.extend(per_function(structure, name, interp))
     return tuple(violations)
+
+
+def _closure_finite(
+    structure: FiniteStructure, name: str, table: Mapping[tuple[int, ...], int]
+) -> Iterator[ClosureViolation]:
+    """Each point of the argument carriers has a table entry in the result carrier."""
+    arg_sorts, result = structure.signature.functions[name]
+    result_carrier = set(structure.carrier(result))
+    for point in itertools.product(*(structure.carrier(s) for s in arg_sorts)):
+        if point not in table:
+            yield ClosureViolation(name, "table has no entry", point)
+        elif table[point] not in result_carrier:
+            yield ClosureViolation(name, f"value {table[point]} outside carrier of '{result}'", point)
+
+
+def _closure_symbolic(
+    structure: SymbolicStructure, name: str, interp: PiecewiseFunction
+) -> Iterator[ClosureViolation]:
+    """Each guard case stays in the result carrier, no two overlap, and together they cover."""
+    arg_sorts, result = structure.signature.functions[name]
+    params = interp.params
+    bounds = tuple(
+        c
+        for p, s in zip(params, arg_sorts)
+        for c in carrier_constraints(structure.carrier(s), AffineForm.variable(p))
+    )
+
+    def probe(extra, detail, unknown_prefix="", at_point=True) -> tuple[ClosureViolation, ...]:
+        """A certain violation at the kernel's integer witness of the bounds and ``extra``.
+
+        An "unknown" system gives an uncertain violation naming the reason.
+        """
+        outcome = solve(integer_tighten(ConstraintSystem(params, bounds + extra)))
+        if outcome.status == "feasible":
+            at = tuple(outcome.witness[p] for p in params) if at_point else None
+            return (ClosureViolation(name, detail, at),)
+        if outcome.status == "unknown":
+            return (ClosureViolation(name, f"{unknown_prefix}{outcome.reason}", certain=False),)
+        return ()
+
+    # Each case's value must lie in the result carrier over its guard.
+    for index, case in enumerate(interp.cases):
+        for requirement in carrier_constraints(structure.carrier(result), case.value):
+            yield from probe(
+                case.guard + (requirement.negate(),),
+                f"case {index + 1} can leave the carrier of '{result}'",
+                f"case {index + 1}: ",
+            )
+    # Pairwise disjointness of guards.
+    for i, j in itertools.combinations(range(len(interp.cases)), 2):
+        yield from probe(
+            interp.cases[i].guard + interp.cases[j].guard,
+            f"guards of cases {i + 1} and {j + 1} overlap",
+            at_point=False,
+        )
+    # Coverage: no point of the carrier product may escape every guard.
+    # A case with an empty guard covers everything, making the product
+    # below empty, so the loop is skipped.
+    for chosen in itertools.product(*(range(len(c.guard)) for c in interp.cases)):
+        negated = tuple(case.guard[pick].negate() for case, pick in zip(interp.cases, chosen))
+        found = probe(negated, "guards do not cover the carrier")
+        yield from found
+        if found:
+            break
 
 
 def tabulate(

@@ -133,8 +133,13 @@ def parse_ctrs_document(text: str, file: str | None = None) -> CTRSDocument:
 
     try:
         ctrs = CTRS(signature, tuple(rules))
-    except TermError as exc:  # sort errors surfaced with the rule's span
-        raise ParseError(str(exc)) from exc
+    except TermError:  # a sort error, raised again with the span of the first rule failing alone
+        for rule in rules:
+            try:
+                CTRS(signature, (rule,))
+            except TermError as exc:
+                raise ParseError(str(exc), rule.span) from exc
+        raise
     return CTRSDocument(ctrs, var_sorts, sorts is not None)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from countermodel import finder
 from countermodel.logic import Atom, HornClause
-from countermodel.structures import FiniteStructure, SymbolicStructure, carrier_values, tabulate
+from countermodel.errors import ModelError
+from countermodel.structures import FiniteStructure, SymbolicStructure, tabulate
 from countermodel.terms import Term, Var
 
 
@@ -55,7 +56,12 @@ def alpha_key(clause: HornClause) -> tuple:
 def materialize(structure: SymbolicStructure) -> FiniteStructure:
     """Evaluate a symbolic structure with finite interval carriers pointwise."""
     sig = structure.signature
-    carriers = {sort: carrier_values(structure.carrier(sort)) for sort in sig.sorts}
+    carriers = {}
+    for sort in sig.sorts:
+        carrier = structure.carrier(sort)
+        if carrier.hi is None:
+            raise ModelError("a ray carrier cannot be enumerated")
+        carriers[sort] = tuple(range(carrier.lo, carrier.hi + 1))
     functions, predicates = tabulate(sig, carriers, structure.functions, structure.predicates)
     return FiniteStructure(sig, carriers, functions, predicates)
 

@@ -13,10 +13,8 @@ from countermodel.structures import (
     PiecewiseCase,
     PiecewiseFunction,
     PredicateInterp,
-    Ray,
     Structure,
     SymbolicStructure,
-    carrier_contains,
     eval_atom,
 )
 
@@ -106,7 +104,7 @@ def _sample_points(structure: Structure, sort: str) -> tuple[int, ...]:
     if isinstance(structure, FiniteStructure):
         return structure.carrier(sort)
     carrier = structure.carrier(sort)
-    if isinstance(carrier, Ray):
+    if carrier.hi is None:
         return tuple(range(carrier.lo, carrier.lo + 6))
     return tuple(range(carrier.lo, carrier.hi + 1))
 
@@ -134,7 +132,7 @@ def sampled_violation(
                         return f"closure: {name}{point} = {value}"
                 else:
                     value = interp.eval(point)
-                    if not carrier_contains(structure.carrier(result), value):
+                    if value not in structure.carrier(result):
                         return f"closure: {name}{point} = {value}"
         for clause in theory.clauses:
             names = [v.name for v in clause.variables]

@@ -188,6 +188,43 @@ def test_unknown_overall_when_any_check_unknown():
     assert cert.overall == UNKNOWN
 
 
+_EXHAUSTED = Feasibility("unknown", reason="budget exceeded (test)")
+
+
+def test_a_check_whose_solve_gives_up_is_unknown_and_never_holds(monkeypatch):
+    # Never "infeasible" from an exhausted FM budget: a check that made any
+    # solve holds only when it made none (its rows folded to false constants).
+    _doc, theory, obligations, s = paper_instance("division-ccp")
+    solves = []
+
+    def exhausted(system, **kwargs):
+        solves.append(system)
+        return _EXHAUSTED
+
+    monkeypatch.setattr(checker_module, "solve", exhausted)
+    statuses = set()
+    for clause in (*theory.clauses, *obligations):
+        before = len(solves)
+        verdict = check_clause(s, clause)
+        statuses.add(verdict.status)
+        if len(solves) > before:
+            assert (verdict.status, verdict.reason) == (UNKNOWN, "budget exceeded (test)"), clause
+        else:
+            assert verdict.status == HOLDS, clause
+    assert statuses == {HOLDS, UNKNOWN}
+    assert check_obligation(s, obligations[0]).reason == "budget exceeded (test)"
+
+
+def test_a_closure_probe_that_gives_up_leaves_the_certificate_unknown(monkeypatch):
+    _doc, theory, obligations, s = paper_instance("division-ccp")
+    monkeypatch.setattr(structures_module, "solve", lambda system, **kwargs: _EXHAUSTED)
+    cert = verify(theory, obligations, s)
+    assert cert.closure_violations
+    assert not any(v.certain for v in cert.closure_violations)
+    assert all(v.detail.endswith("budget exceeded (test)") for v in cert.closure_violations)
+    assert cert.overall == UNKNOWN
+
+
 @pytest.mark.parametrize("name", ["division-ccp", "website-security"])
 def test_symbolic_systems_range_over_the_clause_variables_only(name, monkeypatch):
     # No lowering step may add a variable: every system the checker solves

@@ -213,6 +213,30 @@ def test_parse_error_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (
+            "(SORTS A B) (SIG f : A -> B  a : -> B) (RULES f(a) -> a)",
+            "1:47-1:48",
+            "argument of 'f' has sort 'B', needs <= 'A'",
+        ),
+        ("(VAR x:Foo) (RULES f(x) -> x)", "1:20-1:21", "variable 'x' has undeclared sort 'Foo'"),
+        (
+            "(SORTS A B) (SIG f : A -> B  a : -> B)\n(RULES a -> a\n  f(a) -> a)",
+            "3:3-3:4",
+            "argument of 'f' has sort 'B', needs <= 'A'",
+        ),
+    ],
+    ids=["argument-sort", "undeclared-variable-sort", "second-rule"],
+)
+def test_a_sort_error_in_a_rule_names_the_rule_position(text, where, message, tmp_path, capsys):
+    system = tmp_path / "sorts.trs"
+    system.write_text(text)
+    assert main(["compile", str(system)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {system}:{where}: {message}\n"
+
+
 def test_a_pair_outside_the_carriers_is_a_parse_error(tmp_path, capsys):
     # Every valuation ranges over the carriers, so (0, 7) was never read,
     # and the model verified with that pair printed in its certificate.

@@ -40,6 +40,11 @@ predicate once for a whole stream of pairs.
 Every name a module of the package imports is used in it, unless its line
 says ``# noqa: F401`` (a re-export).  ``__init__.py`` imports only to
 export.
+
+The backends are told apart in a fixed set of functions: only
+``checker.check_clause``, ``structures.eval_term``, ``eval_atom``,
+``closure_check`` and ``model_format.serialize_model`` test whether a
+structure is finite or symbolic, so a backend difference cannot spread.
 """
 from __future__ import annotations
 
@@ -212,8 +217,7 @@ def unread_fields(modules: dict[str, str], users: list[str]) -> list[str]:
     """``module.Class.field`` for each record field that no user source reads as an attribute.
 
     The rule matches by name, so a field escapes it when any attribute of
-    that name is read: ``ConditionalRule.span`` does, since ``span`` is also
-    a ``Token`` method.
+    that name is read, such as a method of another class with the same name.
     """
     read = {
         node.attr
@@ -522,3 +526,81 @@ def test_an_unused_import_would_be_flagged():
     assert unused_imports(source) == ["line 2: os", "line 4: b"]
     assert unused_imports("import os.path\nos.path.join\n") == []
     assert unused_imports("from a import b  # noqa: F401 (re-exported)\n") == []
+
+
+# -- backends are told apart in few places ------------------------------------------
+
+STRUCTURE_CLASSES = {"FiniteStructure", "SymbolicStructure"}
+BACKEND_SITES = [
+    "checker.check_clause",
+    "model_format.serialize_model",
+    "structures.closure_check",
+    "structures.eval_atom",
+    "structures.eval_term",
+]
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names and attribute names read anywhere in ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _called(node: ast.AST, *functions: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions
+
+
+def _tests_a_structure_class(node: ast.AST) -> bool:
+    """``isinstance``/``issubclass`` against a structure class, or ``type(...)`` compared with one."""
+    if _called(node, "isinstance", "issubclass") and len(node.args) == 2:
+        return bool(_names(node.args[1]) & STRUCTURE_CLASSES)
+    if isinstance(node, ast.Compare):
+        sides = (node.left, *node.comparators)
+        named = set().union(*map(_names, sides))
+        return any(_called(n, "type") for n in sides) and bool(named & STRUCTURE_CLASSES)
+    return False
+
+
+def _scopes(tree: ast.Module):
+    """(name, node): each top-level function, each method as ``Class.method``, other code as ``<module>``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                yield (f"{top.name}.{item.name}" if isinstance(item, functions) else top.name), item
+        else:
+            yield (top.name if isinstance(top, functions) else "<module>"), top
+
+
+def structure_class_tests(modules: dict[str, str]) -> list[str]:
+    """``module.name`` for each definition (see ``_scopes``) that tests a structure's class."""
+    return sorted(
+        {
+            f"{module}.{name}"
+            for module, source in modules.items()
+            for name, scope in _scopes(ast.parse(source))
+            if any(map(_tests_a_structure_class, ast.walk(scope)))
+        }
+    )
+
+
+def test_the_backends_are_told_apart_in_five_functions():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert structure_class_tests(modules) == BACKEND_SITES
+
+
+def test_a_sixth_place_telling_the_backends_apart_would_be_flagged():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    # a sixth function dispatching on the structure's class
+    fork = "\ndef _closure(structure):\n    return isinstance(structure, (FiniteStructure,))\n"
+    planted = {**modules, "structures": modules["structures"] + fork}
+    assert structure_class_tests(planted) == sorted([*BACKEND_SITES, "structures._closure"])
+    method = "class C:\n    def f(self, s):\n        return type(s) is m.SymbolicStructure\n"
+    assert structure_class_tests({"m": method}) == ["m.C.f"]
+    assert structure_class_tests({"m": "finite = isinstance(s, FiniteStructure)\n"}) == ["m.<module>"]
+    # Building a structure, or testing another class, tells nothing apart.
+    builds = "def f(c):\n    return SymbolicStructure(c) if isinstance(c, tuple) else c\n"
+    assert structure_class_tests({"m": builds}) == []

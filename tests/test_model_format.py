@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from countermodel.errors import CountermodelError, ParseError
 from countermodel.model_format import MAX_FINITE_CARRIER, parse_model, serialize_model
-from countermodel.structures import FiniteStructure, Interval, Ray, SymbolicStructure
+from countermodel.structures import FiniteStructure, Interval, SymbolicStructure
 from countermodel.trs_format import parse_ctrs_document
 from paperdata import PAPER_CHECKS, model_text, paper_instance, system
 
@@ -24,7 +24,7 @@ def test_ray_model_parses_to_symbolic():
     loop_sig = system("loop_cb.trs").ctrs.signature
     structure = parse_model(model_text("loop_noncycl.model"), loop_sig)
     assert isinstance(structure, SymbolicStructure)
-    assert structure.carrier("term") == Ray(-1)
+    assert structure.carrier("term") == Interval(-1)
 
 
 def test_interval_model_parses_to_either_backend():
@@ -206,6 +206,18 @@ def test_round_trip_on_whole_corpus(check):
     assert again == structure
 
 
+def test_an_empty_relation_round_trips():
+    structure = FiniteStructure(
+        SIG,
+        {"term": (0, 1)},
+        {"a": {(): 0}, "b": {(): 1}, "f": {(0,): 0, (1,): 1}},
+        {"->": frozenset(), "->*": frozenset({(0, 0), (1, 1)})},
+    )
+    text = serialize_model(structure)
+    assert "(PRED -> = empty)" in text.splitlines()
+    assert parse_model(text, SIG, "finite") == structure
+
+
 def test_serialization_is_deterministic():
     _doc, _theory, _obligations, structure = paper_instance("division-ccp")
     assert serialize_model(structure) == serialize_model(structure)
@@ -215,7 +227,7 @@ def test_sorted_domains_require_sort_names():
     web = system("website.trs").ctrs.signature
     structure = parse_model(model_text("website.model"), web)
     assert structure.carrier("RegUser") == Interval(1, 1)
-    assert structure.carrier("User") == Ray(-1)
+    assert structure.carrier("User") == Interval(-1)
 
 
 def test_non_decimal_digit_is_a_spanned_parse_error():

@@ -50,7 +50,7 @@ CASES = [
     ("trs-sorts-needs-sig", "trs", "(SORTS A)", "a SORTS block requires a SIG block"),
     ("trs-sig-needs-sorts", "trs", "(SIG c : -> A)", "a SIG block requires a SORTS block"),
     ("trs-variable-needs-sort", "trs", SORTED + " (VAR x)", "variable 'x' needs a sort annotation in sorted input"),
-    ("trs-sort-error", "trs", SORTED + " (RULES h(d) -> d)", "argument of 'h' has sort 'B', needs <= 'A'"),
+    ("trs-sort-error", "trs", SORTED + " (RULES h(d) -> d)", "<input>:1:57-1:58: argument of 'h' has sort 'B', needs <= 'A'"),
     ("trs-rule-error", "trs", "(VAR x) (RULES x -> a)", "<input>:1:16-1:17: left-hand side of a rule must not be a variable"),
     ("trs-variable-arguments", "trs", "(VAR x) (RULES f(x(a)) -> a)", "<input>:1:18-1:19: variable 'x' cannot take arguments"),
     ("trs-undeclared-symbol", "trs", SORTED + " (RULES h(e) -> d)", "<input>:1:59-1:60: undeclared symbol 'e'"),

@@ -7,6 +7,7 @@ import pytest
 from countermodel.checker import VERIFIED
 from countermodel.finder import SearchBudget
 from countermodel.logic import Atom
+from countermodel.model_format import serialize_model
 from countermodel.pipeline import (
     build_theory,
     disprove,
@@ -52,6 +53,18 @@ def test_disprove_prefers_finite_then_symbolic():
     assert result.succeeded and result.backend == "finite"
     symbolic_only = disprove(ctrs, query, backend="symbolic")
     assert symbolic_only.succeeded and symbolic_only.backend == "symbolic"
+
+
+def test_symbolic_disprove_with_a_ternary_function():
+    # Past two arguments the finder's affine candidates take any arity.
+    ctrs = parse_ctrs_document(
+        "(VAR x y z) (RULES f(x, y, z) -> g(z, y, x)  g(x, y, z) -> x  a -> a  b -> b  c -> c)"
+    ).ctrs
+    query = parse_query("REACHABLE(f(a, b, c), b)", ctrs.signature)
+    result = disprove(ctrs, query, backend="symbolic")
+    assert result.succeeded and result.certificate.overall == VERIFIED
+    assert "(FUN f(x1, x2, x3) = x3)" in serialize_model(result.certificate.structure).splitlines()
+    assert oracle_cross_check(ctrs, result.certificate) == ()
 
 
 def test_disprove_falls_through_to_symbolic_when_no_finite_model_exists():

@@ -10,6 +10,7 @@ from countermodel.logic import Atom, HornClause
 from countermodel.queries import (
     CONVERTIBLE,
     CYCLING_SYSTEM,
+    CYCLING_TERM,
     FEAS,
     JOINABLE,
     LOOPING_SYSTEM,
@@ -184,6 +185,7 @@ def test_template_round_trips_through_parser():
         ("REACHABLE(a, b)", template(SIG, REACH, A, B)),
         ("CONVERTIBLE(a, b)", template(SIG, CONVERTIBLE, A, B)),
         ("REDUCIBLE(a)", template(SIG, REDUCIBLE, A)),
+        ("CYCLING(a)", template(SIG, CYCLING_TERM, A)),
         ("CYCLING()", template(SIG, CYCLING_SYSTEM)),
         ("LOOPING(a)", template(SIG, LOOPING_TERM, A)),
         ("LOOPING()", template(SIG, LOOPING_SYSTEM)),

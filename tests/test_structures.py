@@ -1,25 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 from countermodel.errors import ModelError
 from countermodel.linear import solve, integer_tighten
-from countermodel.logic import Atom
+from countermodel.logic import Atom, sort_predicate
+from countermodel.model_format import parse_model
 from countermodel.structures import (
     AffineForm,
     ClauseLowering,
     FiniteStructure,
     Interval,
     PiecewiseFunction,
+    SymbolicStructure,
     closure_check,
     eval_atom,
     eval_term,
 )
-from countermodel.terms import ARROW, MANY_STEPS, ROOT_STEP, App, Var
+from countermodel.terms import ARROW, MANY_STEPS, ROOT_STEP, App, Signature, Var
 from comparisons import materialize
-from paperdata import paper_instance
+from paperdata import model_text, paper_instance, system
 
 A, B, C = App("a"), App("b"), App("c")
 X, Y = Var("x"), Var("y")
@@ -206,6 +209,71 @@ def test_closure_symbolic_catches_uncovered_guards():
     funcs["le"] = gappy
     broken = SymbolicStructure(s.signature, s.carriers, funcs, s.predicates)
     assert any("cover" in v.detail for v in closure_check(broken))
+
+
+def _low_high(low: Interval, high: Interval) -> SymbolicStructure:
+    """Sorts ``Low <= High`` on the given carriers, with one constant ``a = 0`` of sort ``Low``."""
+    sig = Signature(("Low", "High"), (("Low", "High"),), {"a": ((), "Low")})
+    carriers = {"Low": low, "High": high}
+    return SymbolicStructure(sig, carriers, {"a": PiecewiseFunction.affine((), AffineForm.const(0))}, {})
+
+
+def test_a_sort_atom_reads_both_ends_of_an_interval_and_the_lower_end_of_a_ray():
+    s = _low_high(Interval(0, 3), Interval(-1))
+    cases = [
+        ("Low", -1, False),
+        ("Low", 0, True),
+        ("Low", 3, True),
+        ("Low", 4, False),
+        ("High", -2, False),
+        ("High", -1, True),
+        ("High", 10**30, True),
+    ]
+    for sort, value, inside in cases:
+        assert eval_atom(s, {"x": value}, Atom(sort_predicate(sort), (X,))) is inside, (sort, value)
+        assert (value in s.carrier(sort)) is inside
+    finite = materialize(_low_high(Interval(0, 3), Interval(-1, 5)))
+    low = Atom(sort_predicate("Low"), (X,))
+    assert [eval_atom(finite, {"x": v}, low) for v in (-1, 0, 3, 4)] == [False, True, True, False]
+
+
+@pytest.mark.parametrize(
+    "low, high, included",
+    [
+        (Interval(0), Interval(-5, 5), False),  # a ray lies in no bounded interval
+        (Interval(0, 6), Interval(-5, 5), False),
+        (Interval(-6, 0), Interval(-5, 5), False),
+        (Interval(-5, 5), Interval(-5, 5), True),
+        (Interval(0), Interval(-1), True),
+        (Interval(0, 9), Interval(0), True),
+        (Interval(-1), Interval(0), False),
+    ],
+)
+def test_subsort_inclusion_of_intervals_and_rays(low, high, included):
+    expected = [] if included else ["Low: carrier not included in 'High'"]
+    assert [str(v) for v in closure_check(_low_high(low, high))] == expected
+
+
+def test_both_backends_report_the_shared_closure_violations_in_one_order():
+    # User no longer holds RegUser or EventualUser, and two functions lose
+    # their interpretations; every function that is left maps into its carrier.
+    sig = system("website.trs").ctrs.signature
+    text = (
+        model_text("website.model")
+        .replace("(DOMAIN User >= -1)", "(DOMAIN User [-1, 0])")
+        .replace("(DOMAIN EventualUser [-1, -1])", "(DOMAIN EventualUser [-2, -1])")
+    )
+    expected = [
+        "RegUser: carrier not included in 'User'",
+        "EventualUser: carrier not included in 'User'",
+        "sbmlink: missing interpretation",
+        "submit: missing interpretation",
+    ]
+    for backend in ("finite", "symbolic"):
+        structure = parse_model(text, sig, backend)
+        functions = {n: f for n, f in structure.functions.items() if n not in ("sbmlink", "submit")}
+        broken = dataclasses.replace(structure, functions=functions)
+        assert [str(v) for v in closure_check(broken)] == expected, backend
 
 
 def test_materialize_agrees_with_symbolic_evaluation_pointwise():
