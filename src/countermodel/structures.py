@@ -242,8 +242,8 @@ def closure_check(structure: Structure) -> tuple[ClosureViolation, ...]:
     finite = isinstance(structure, FiniteStructure)
     violations = [
         ClosureViolation(sort, "empty carrier")
-        for sort in (sig.sorts if finite else ())
-        if not structure.carrier(sort)
+        for sort in sig.sorts
+        if finite and not structure.carrier(sort)
     ]
     for sub, sup in sig.subsort_pairs:
         if not carrier_subset(structure.carrier(sub), structure.carrier(sup)):
