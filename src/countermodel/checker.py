@@ -134,7 +134,7 @@ def check_clause(structure: Structure, clause: HornClause) -> Verdict:
     # Each variable is tested for its sort before anything else at its loop.
     sorts = (Atom(sort_predicate(v.sort), (v,)) for v in clause.variables)
     tests = tuple(dict.fromkeys((*sorts, *clause.body)))
-    keys, names, refuted = _compile_check(clause.variables, tests, clause.head, tables=False)
+    keys, names, refuted = _compile_check(clause.variables, tests, clause.head, CALL)
     points = tuple(sorted(set().union(*structure.carriers.values())))
     try:
         env = {key: _finite_value(structure, key) for key in keys}
@@ -210,6 +210,9 @@ _Refuter = Callable[[Mapping[object, object], tuple[int, ...]], "tuple[int, ...]
 # A slot key says what it reads: a function's or rewriting predicate's name, or (SORT, sort).
 SORT = "sort"
 
+# How a compiled check reads its slots (see _check_source).
+TABLES, CALL, INLINE = "tables", "call", "inline"
+
 # Python rejects more than 20 statically nested blocks, so variables past
 # this many share one ``product`` loop.
 _OWN_LOOPS = 16
@@ -218,23 +221,23 @@ _OWN_LOOPS = 16
 # Keyed on the check, so a warm process only looks it up; a corpus pass has over 128 checks.
 @functools.lru_cache(maxsize=1024)
 def _compile_check(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, spelling: str
 ) -> tuple[frozenset[object], tuple[str, ...], _Refuter]:
     """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
 
-    The result decides exact grid falsification.  With ``tables`` the grid
+    The result decides exact grid falsification.  Spelled ``TABLES``, the grid
     must be the whole carrier the candidates were built over, since a driven
     loop (see _check_source) runs over a successor set instead of
     ``points``.  Returns the slot keys the code reads, its loop variables and ``refuted``.
     """
-    source, keys, names = _check_source(variables, body, head, tables)
+    source, keys, names = _check_source(variables, body, head, spelling)
     namespace = {"product": itertools.product, **{f"n{i}": key for i, key in enumerate(keys)}}
     exec(compile(source, "<compiled check>", "exec"), namespace)
     return frozenset(keys), names, namespace["refuted"]  # type: ignore[return-value]
 
 
 def _check_source(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, tables: bool
+    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, spelling: str
 ) -> tuple[str, tuple[object, ...], tuple[str, ...]]:
     """The source of ``refuted`` for :func:`_compile_check`, its slot keys in order and its loop variables.
 
@@ -244,18 +247,21 @@ def _check_source(
     subterms.  Each distinct subterm is computed once, and each atom is
     tested, in the innermost loop binding its last variable; ground ones
     before any loop.  Terms become temporaries, never nested applications,
-    so depth is not limited by the parser.  With ``tables`` (the finder's
-    finite candidates: tables and successor maps ``{x: frozenset(ys)}``) an
-    application is spelled ``s0[t0]`` (unary) or ``s0[(t0, t1)]`` and an atom
-    ``t1 in s1[t0]``; otherwise every slot is called, ``s0(t0)`` and
-    ``s1(t0, t1)``, and sort atoms are tested too.
+    so depth is not limited by the parser.  A constant's slot is its value;
+    the ``spelling`` says how the others are read:
 
-    With ``tables`` a loop binding one variable ``v`` is driven by the first
-    body atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
-    s1[t]:`` replaces ``for v in points:`` and that atom's test.  On the
-    stage carrier, which is the grid, ``s1[t]`` holds exactly the values of
-    ``v`` the test would pass.  ``P(v, v)``, the head and the shared
-    ``product`` loop never drive.
+    - ``CALL``: called, ``s0(t0)`` and ``s1(t0, t1)``; sort atoms are tested too.
+    - ``TABLES`` (the finder's finite candidates, tables and successor maps
+      ``{x: frozenset(ys)}``): ``s0[t0]`` or ``s0[(t0, t1)]``, and ``t1 in
+      s1[t0]``.  A loop binding one variable ``v`` is driven by the first body
+      atom ``P(t, v)`` whose ``t`` is bound at a lower level: ``for v in
+      s1[t]:`` replaces ``for v in points:`` and that atom's test, exact on
+      the stage carrier.  ``P(v, v)``, the head and ``product`` never drive.
+    - ``INLINE`` (the finder's symbolic candidates, ``(a1, ..., an, b)`` for
+      ``a1*x1 + ... + an*xn + b``, ``(e, a, b, c)`` for ``x = y`` if ``e``,
+      else ``a*x + b*y <= c``), unpacked once before the loops (``s0_0, s0_k
+      = env[n0]``): ``s0_0 * t0 + s0_k`` and ``(t0 == t1 if s1_e else s1_a *
+      t0 + s1_b * t1 <= s1_c)``.
     """
     tested = [*body, *(() if head is None else (head,))]
     tested_vars = [{v.name for v in term_vars(*atom.args)} for atom in tested]
@@ -268,6 +274,7 @@ def _check_source(
     lines: list[list[str]] = [[] for _ in range(depth + 1)]  # 0 is before any loop
     drivers: dict[int, str] = {}  # level -> the successor set its loop runs over
     slots: dict[object, str] = {}  # slot key -> its local, sK
+    unpacked: dict[str, str] = {}  # an INLINE slot's local -> the names it is unpacked to
     temps: dict[str, tuple[str, int]] = {}  # call text -> (temporary, level)
 
     def slot(key: object) -> str:
@@ -279,14 +286,21 @@ def _check_source(
 
     def apply(key: object, values: list[tuple[str, int]], atom: bool) -> tuple[str, int]:
         """(expression, level) of slot ``key`` applied to ``values``, in the stage's spelling."""
-        args = [name for name, _ in values]
-        if not tables:
-            text = f"{slot(key)}({', '.join(args)})"
+        args, s = [name for name, _ in values], slot(key)
+        if spelling == CALL:
+            text = f"{s}({', '.join(args)})"
+        elif spelling == INLINE and atom:
+            unpacked[s] = f"{s}_e, {s}_a, {s}_b, {s}_c"
+            x, y = args
+            text = f"({x} == {y} if {s}_e else {s}_a * {x} + {s}_b * {y} <= {s}_c)"
+        elif spelling == INLINE:
+            unpacked[s] = ", ".join([*(f"{s}_{i}" for i in range(len(args))), f"{s}_k"])
+            text = " + ".join([*(f"{s}_{i} * {arg}" for i, arg in enumerate(args)), f"{s}_k"])
         elif atom:
-            text = f"{args[1]} in {slot(key)}[{args[0]}]"
+            text = f"{args[1]} in {s}[{args[0]}]"
         else:
             index = args[0] if len(args) == 1 else f"({', '.join(args)})"
-            text = f"{slot(key)}[{index}]"
+            text = f"{s}[{index}]"
         return text, max((lvl for _, lvl in values), default=0)
 
     def value(term: Term) -> tuple[str, int]:
@@ -316,7 +330,7 @@ def _check_source(
     ordered = sorted(zip(body, tested_vars), key=lambda av: max(map(level.get, av[1]), default=0))
     for atom, _ in ordered:
         values = [value(a) for a in atom.args]
-        if tables and len(values) == 2 and isinstance(atom.args[1], Var):
+        if spelling == TABLES and len(values) == 2 and isinstance(atom.args[1], Var):
             k = level[atom.args[1].name]
             if values[0][1] < k <= _OWN_LOOPS and k not in drivers:
                 drivers[k] = f"{slot(test(atom.predicate))}[{values[0][0]}]"
@@ -331,7 +345,7 @@ def _check_source(
         lines[depth].append(f"if not {text}: return {found}")
 
     source = ["def refuted(env, points):"]
-    source += [f"    {name} = env[n{i}]" for i, name in enumerate(slots.values())]
+    source += [f"    {unpacked.get(name, name)} = env[n{i}]" for i, name in enumerate(slots.values())]
     if len(loop_names) < len(names):
         source.append("    if not points: return False")  # an unused variable has no value
     source += [f"    {line}" for line in lines[0]]

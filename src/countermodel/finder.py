@@ -3,27 +3,25 @@
 Both backends run one driver, ``_find``, and differ only in the stages they
 yield.  A stage fixes the candidate menu of every slot, the grid the
 pruning checks run on, the structure class and the carrier every sort
-gets.  The finite finder's stages are interval carriers of at most
+gets.  Both draw functions from one generator of affine template terms.
+The finite finder's stages are interval carriers of at most
 ``MAX_FINITE_CARRIER`` values, interpreting constants as carrier elements,
-functions as carrier-clamped affine templates, and predicates as the
+functions as the terms' carrier-clamped tables, and predicates as the
 distinct extensions on the carrier of the symbolic stages' relations, in
 their order, then raw tables on tiny domains, both built by one builder.
-The symbolic finder's stages are ray carriers with unclamped affine
-function templates (those that keep the carrier closed) and the relations
-of one predicate menu.  Menu builders check the deadline per entry.
-A menu keeps each candidate in one form, the one the compiled checks
-read, and says how candidate ``k`` becomes an interpretation in the
-structure; only a complete candidate is turned into one (see _finish), so
-completing one needs no backend branch.
+The symbolic finder's stages are ray carriers with the terms that keep the
+carrier closed and the relations of one predicate menu, both as data the
+checks apply inline.  Menu builders check the deadline per entry.  A menu
+keeps each candidate in the one form the checks read (see _Menu), and says
+how candidate ``k`` becomes an interpretation; only a complete candidate
+is turned into one (see _finish), so completing one needs no backend branch.
 
 A menu depends only on its carrier or ray, its arity and the budget's menu
-settings (carriers, rays, coefficient range, raw-table size), never on the
-input.  So the second of consecutive searches under the same menu
-settings keeps the menus it builds, and the searches after it reuse them
-(see _menus_for).  The first keeps none, so a one-shot run frees a
-carrier's menus once it moves past the carrier, as with no cache.
-Searches share kept menus, so nothing mutates one: a structure copies
-the tables it is given.
+settings, never on the input.  So the second of consecutive searches under
+the same menu settings keeps the menus it builds, and the searches after it
+reuse them (see _menus_for).  The first keeps none, so a one-shot run frees
+a carrier's menus once it moves past it.  Searches share kept menus, so
+nothing mutates one: a structure copies the tables it is given.
 
 Search runs depth-first over interpretation slots ordered predicates,
 then constants, then functions.  Every theory clause and obligation
@@ -78,12 +76,12 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .checker import HOLDS, VERIFIED, Certificate, _compile_check, _Refuter, verify
+from .checker import CALL, HOLDS, INLINE, TABLES, VERIFIED, Certificate, _compile_check, _Refuter, verify
 from .errors import OptionError
-from .linear import LinearConstraint, compare
+from .linear import compare
 from .logic import HornClause, Theory, sort_of_predicate
 from .model_format import MAX_FINITE_CARRIER
 from .queries import required_predicates
@@ -126,7 +124,7 @@ class SearchBudget:
         for lo, hi in self.carriers:
             if lo > hi:
                 raise OptionError(f"carriers: interval {lo}:{hi} is empty")
-            # Wider, and one pair template's sort alone outruns the deadline.
+            # Wider, and the menus built over it outgrow the time limit and memory.
             if hi - lo >= MAX_FINITE_CARRIER:
                 raise OptionError(f"--carriers: {lo}:{hi} exceeds {MAX_FINITE_CARRIER} values")
         if self.coeff_min > self.coeff_max:
@@ -164,8 +162,8 @@ def _check_deadline(deadline: float) -> None:
 
 @dataclass(frozen=True)
 class _Menu:
-    # Candidate k as the compiled checks read it: an int for a constant, else on finite
-    # stages a table (keyed by the int itself when unary) or a successor map, else a callable.
+    # Candidate k as the compiled checks read it: an int for a constant, else a table (keyed by
+    # the int itself when unary), a successor map, or ``(*coeffs, b)`` or ``(e, a, b, c)`` data.
     fast: list
     interp: Callable[[int], object]  # candidate k's interpretation in the structure
 
@@ -187,11 +185,10 @@ class _State:
     check_at: int = 1  # the node count at which the deadline is next checked
 
     def count(self, nodes: int, stride: int = 256) -> int:
-        """Record ``nodes``; stop past the node cap, or past the deadline.
+        """Record ``nodes``; stop past the node cap or the deadline; return when to call again.
 
-        The deadline is checked at node 1, so a search begun past its deadline
-        stops at once, and again each time the count has grown by ``stride``.
-        Returns the count at which to call again.
+        The deadline is checked at node 1, so a search begun past it stops at
+        once, and again each time the count has grown by ``stride``.
         """
         cap = self.budget.max_nodes
         self.nodes = nodes
@@ -215,7 +212,7 @@ def find_model(
     The search stops at ``deadline`` (a ``time.monotonic()`` value), by
     default ``budget.time_limit`` seconds from now.
     """
-    return _find(theory, obligations, budget, deadline, _finite_stages, tables=True)
+    return _find(theory, obligations, budget, deadline, _finite_stages, TABLES)
 
 
 def find_symbolic_model(
@@ -226,7 +223,7 @@ def find_symbolic_model(
     deadline: float | None = None,
 ) -> FindOutcome:
     """Search ray carriers for a verified symbolic structure (``deadline`` as in find_model)."""
-    return _find(theory, obligations, budget, deadline, _symbolic_stages, tables=False)
+    return _find(theory, obligations, budget, deadline, _symbolic_stages, INLINE)
 
 
 @dataclass(frozen=True)
@@ -245,17 +242,14 @@ def _find(
     budget: SearchBudget | None,
     deadline: float | None,
     stages: Callable[[Signature, tuple[str, ...], _State], Iterator[_Stage]],
-    tables: bool,
+    spelling: str,
 ) -> FindOutcome:
-    """Run the search over each stage in turn until one yields a verified structure.
-
-    ``tables``: the stages' menus hold tables and successor maps (see the module docstring).
-    """
+    """Search each stage in turn until one yields a verified structure; ``spelling`` reads its menus."""
     budget = budget or SearchBudget()
     obligations = tuple(obligations)
     sig = theory.signature
     predicates = required_predicates(theory, obligations)
-    checks = _compile_checks(theory, obligations, tables)
+    checks = _compile_checks(theory, obligations, spelling)
     if deadline is None:
         deadline = time.monotonic() + budget.time_limit
     state = _State(budget, deadline, _menus_for(budget))
@@ -274,21 +268,19 @@ def _find(
 
 # The menu settings of the latest search, and the menus kept under them:
 # None until a second search runs under the same settings.
-_kept: tuple[tuple, dict[tuple, _Menu] | None] = ((), None)
+_kept: tuple[object, dict[tuple, _Menu] | None] = ((), None)
 
 
 def _menus_for(budget: SearchBudget) -> dict[tuple, _Menu] | None:
     """The menus a search under ``budget`` reuses and keeps, or None to keep none.
 
-    The menu settings key them; the node cap and time limit do not.  A
-    search under other settings than the latest search's drops the kept
-    menus and keeps none itself, as a one-shot run needs; the next search
-    under the same settings starts keeping them.  So the process holds at
-    most the menus of one set of settings.
+    The menu settings, every field but the node cap and time limit, key them.
+    A search under other settings than the latest search's drops the kept
+    menus and keeps none itself; the next one under the same settings starts
+    keeping them.  So the process holds the menus of one set of settings.
     """
     global _kept
-    b = budget
-    settings = (b.carriers, b.ray_carriers, b.coeff_min, b.coeff_max, b.raw_table_max_size)
+    settings = replace(budget, time_limit=0.0, max_nodes=0)
     if _kept[0] != settings:
         _kept = (settings, None)
     elif _kept[1] is None:
@@ -299,9 +291,7 @@ def _menus_for(budget: SearchBudget) -> dict[tuple, _Menu] | None:
 def _menu(state: _State, key: tuple, build: Callable[[], _Menu]) -> _Menu:
     """The menu under ``key``, built on a miss; a search that keeps menus keeps it once complete.
 
-    ``build`` checks the deadline of the search running it; a build it
-    stops keeps nothing.  Kept menus are shared between searches, so
-    nothing may mutate one.
+    ``build`` checks the search's deadline; a build it stops keeps nothing.
     """
     if state.menus is None:
         return build()
@@ -337,36 +327,33 @@ def _finite_stages(sig: Signature, predicates: tuple[str, ...], state: _State) -
 def _finite_stage(
     sig: Signature, predicates: tuple[str, ...], state: _State, carrier: tuple[int, ...], raw: bool
 ) -> _Stage:
-    """The template or, with ``raw``, the raw-table stage on ``carrier``.
+    """The template or, with ``raw``, the raw-table stage on ``carrier``, built the same way.
 
-    Both are built the same way: from distinct 0/1 predicate selectors
-    over the points of ``carrier`` squared and, per arity, table rows: a
-    table's values at ``product(carrier, repeat=arity)``.
+    From distinct predicate selectors, a row of successor indices per value of
+    ``carrier``, and per arity table rows, values at ``product(carrier, repeat=arity)``.
     """
     # Menus over a wide carrier can take longer to build than the time limit.
     budget, deadline, n = state.budget, state.deadline, len(carrier)
     kind = "raw" if raw else "template"
 
     def predicate_menu() -> _Menu:
-        points = list(itertools.product(carrier, repeat=2))
         if raw:
-            selectors: Iterable[bytes] = (
-                bytes(m >> i & 1 for i in range(len(points))) for m in range(1 << len(points))
+            selectors: Iterable[tuple] = (
+                tuple(tuple(j for j in range(n) if m >> (i * n + j) & 1) for i in range(n))
+                for m in range(1 << n * n)
             )
         else:
             # The symbolic relations' extensions; a Z² twin has its twin's on every carrier.
-            tests = _menu_predicates_symbolic(deadline).fast
-            selectors = (bytes(itertools.starmap(test, points)) for test in tests)
+            relations = _menu_predicates_symbolic(deadline).fast
+            selectors = (_relation_rows(relation, carrier) for relation in relations)
         maps, seen = [], set()
         # Rows repeat across candidates, so each distinct row has one successor set.
-        successors = functools.cache(lambda row: frozenset(itertools.compress(carrier, row)))
+        successors = functools.cache(lambda row: frozenset(carrier[j] for j in row))
         for selector in selectors:
             _check_deadline(deadline)
-            if selector in seen:
-                continue  # an extension keeps its first place
-            seen.add(selector)
-            # A successor map: row i of the points has x = carrier[i].
-            maps.append({x: successors(selector[i * n : i * n + n]) for i, x in enumerate(carrier)})
+            if selector not in seen:  # an extension keeps its first place
+                seen.add(selector)
+                maps.append({x: successors(row) for x, row in zip(carrier, selector)})
         return _Menu(maps, lambda k: frozenset((x, y) for x, ys in maps[k].items() for y in ys))
 
     def tables(arity: int) -> _Menu:
@@ -426,54 +413,63 @@ def _slots(
     return slots
 
 
-_COMPARISONS = {
-    "=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt
-}
-
-
-def _relation_test(rel: str, payload: tuple[int, int, int] | None) -> Callable[[int, int], bool]:
-    if rel in _COMPARISONS:
-        return _COMPARISONS[rel]
-    a, b, c = payload  # type: ignore[misc]
-    return lambda x, y: a * x + b * y <= c
-
-
-def _relation_interp(rel: str, payload: tuple[int, int, int] | None) -> PredicateInterp:
-    if payload is None:
-        constraints = compare(AffineForm.variable("x"), rel, AffineForm.variable("y"))
-    else:
-        a, b, c = payload
-        constraints = (LinearConstraint.make({"x": a, "y": b}, c),)
-    return PredicateInterp(("x", "y"), constraints)
-
-
 # The order relations as pair templates ``a*x + b*y <= c`` over the integers.
 _PAIR_FORMS = {"<=": (1, -1, 0), ">=": (-1, 1, 0), "<": (1, -1, -1), ">": (-1, 1, -1)}
+_ORDER_RELATIONS = {form: rel for rel, form in _PAIR_FORMS.items()}
 
 
 def _menu_predicates_symbolic(deadline: float) -> _Menu:
-    """The menu relations in menu order, each relation over Z² once.
+    """The menu relations ``(e, a, b, c)``, ``x = y`` if ``e`` else ``a*x + b*y <= c``, each over Z² once.
 
     ``a*x + b*y <= c`` is the relation of ``a/g*x + b/g*y <= floor(c/g)``
     for ``g = gcd(a, b)``, and ``0*x + 0*y <= c`` holds everywhere or
     nowhere.  A later twin tests like the first on every grid and verifies
     as it does, so dropping it cannot change the first verified candidate.
     """
-    relations = [(rel, None) for rel in BASE_RELATIONS]
-    relations += [("pair", p) for p in itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)]
-    kept, seen = [], set()
-    for rel, payload in relations:
+    relations = [(rel == "=", *_PAIR_FORMS.get(rel, (0, 0, 0))) for rel in BASE_RELATIONS]
+    relations += [(False, *p) for p in itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)]
+    first: dict[object, tuple] = {}
+    for e, a, b, c in relations:
         _check_deadline(deadline)
-        if rel == "=":
-            key: object = rel
-        else:
-            a, b, c = payload or _PAIR_FORMS[rel]
-            g = math.gcd(a, b)
-            key = (a // g, b // g, c // g) if g else c >= 0
-        if key not in seen:
-            seen.add(key)
-            kept.append((rel, payload))
-    return _Menu([_relation_test(*r) for r in kept], lambda k: _relation_interp(*kept[k]))
+        g = math.gcd(a, b)
+        first.setdefault("=" if e else (a // g, b // g, c // g) if g else c >= 0, (e, a, b, c))
+    kept = list(first.values())
+    return _Menu(kept, lambda k: _relation_interp(kept[k]))
+
+
+def _relation_interp(relation: tuple[bool, int, int, int]) -> PredicateInterp:
+    """A menu relation as an interpretation; one with an order relation's template is that relation."""
+    e, a, b, c = relation
+    x, y = AffineForm.variable("x"), AffineForm.variable("y")
+    rel = "=" if e else _ORDER_RELATIONS.get((a, b, c))  # the order relations come first
+    if rel is None:
+        x, rel, y = AffineForm.make({"x": a, "y": b}), "<=", AffineForm.const(c)
+    return PredicateInterp(("x", "y"), compare(x, rel, y))
+
+
+def _relation_rows(relation: tuple[bool, int, int, int], carrier: tuple[int, ...]) -> tuple[range, ...]:
+    """A menu relation on an interval carrier by rows: per ``x``, the indices of its ``y``.
+
+    Those are one point for ``x = y``, else a prefix, a suffix, all or none.
+    """
+    e, a, b, c = relation
+    lo, n = carrier[0], len(carrier)
+    if e:
+        return tuple(range(i, i + 1) for i in range(n))
+    if b > 0:  # y <= (c - a*x) / b
+        return tuple(range(min(max((c - a * x) // b - lo + 1, 0), n)) for x in carrier)
+    if b < 0:  # y >= (c - a*x) / b
+        return tuple(range(min(max(-((c - a * x) // -b) - lo, 0), n), n) for x in carrier)
+    return tuple(range(n if a * x <= c else 0) for x in carrier)
+
+
+def _template_terms(arity: int, budget: SearchBudget, deadline: float) -> Iterator[tuple]:
+    """The affine template terms of ``arity``, ``sum(coeffs[i] * x_i) + b`` as ``(coeffs, b)``."""
+    rng = range(budget.coeff_min, budget.coeff_max + 1)
+    for coeffs in itertools.product(rng, repeat=arity):
+        for b in rng:
+            _check_deadline(deadline)
+            yield coeffs, b
 
 
 def _template_rows(
@@ -481,70 +477,47 @@ def _template_rows(
 ) -> list[tuple[int, ...]]:
     """The rows of the carrier-clamped affine tables, in menu order, each once."""
     lo, hi = carrier[0], carrier[-1]
-    rng = range(budget.coeff_min, budget.coeff_max + 1)
     keys = list(itertools.product(carrier, repeat=arity))
     rows: dict[tuple[int, ...], None] = {}
-    for coeffs in itertools.product(rng, repeat=arity):
-        for b in rng:
-            _check_deadline(deadline)
-            row = tuple(min(max(sum(map(operator.mul, coeffs, key)) + b, lo), hi) for key in keys)
-            rows[row] = None  # a repeated row keeps its first place
+    for coeffs, b in _template_terms(arity, budget, deadline):
+        row = tuple(min(max(sum(map(operator.mul, coeffs, key)) + b, lo), hi) for key in keys)
+        rows[row] = None  # a repeated row keeps its first place
     return list(rows)
 
 
 def _affine_candidates(arity: int, lo: int, budget: SearchBudget, deadline: float) -> _Menu:
     """Affine functions that map the ray from ``lo`` into itself; constants at arity 0."""
-    rng = range(budget.coeff_min, budget.coeff_max + 1)
+    # No negative slope, and the value at the ray's infimum stays inside.
+    fast = [
+        (*coeffs, b) if arity else b for coeffs, b in _template_terms(arity, budget, deadline)
+        if min(coeffs, default=0) >= 0 and sum(coeffs) * lo + b >= lo
+    ]
     params = tuple(f"x{i + 1}" for i in range(arity))
-    fast, forms = [], []
-    for coeffs in itertools.product(rng, repeat=arity):
-        if any(a < 0 for a in coeffs):
-            continue  # negative slope escapes a ray carrier
-        for b in rng:
-            _check_deadline(deadline)
-            if sum(a * lo for a in coeffs) + b < lo:
-                continue  # value at the carrier infimum must stay inside
-            fast.append(_affine_fast(coeffs, b))
-            forms.append((coeffs, b))
 
     def interp(k: int) -> PiecewiseFunction:
-        coeffs, b = forms[k]
+        *coeffs, b = fast[k] if arity else (fast[k],)
         return PiecewiseFunction.affine(params, AffineForm.make(dict(zip(params, coeffs)), b))
 
     return _Menu(fast, interp)
-
-
-def _affine_fast(coeffs: tuple[int, ...], b: int) -> int | Callable[..., int]:
-    """``sum(a * x) + b`` as a callable, fixed arity for the common cases; a constant's value."""
-    if not coeffs:
-        return b
-    if len(coeffs) == 1:
-        (a,) = coeffs
-        return lambda x: a * x + b
-    if len(coeffs) == 2:
-        a1, a2 = coeffs
-        return lambda x, y: a1 * x + a2 * y + b
-    return lambda *args: sum(a * x for a, x in zip(coeffs, args)) + b
 
 
 # -- staged depth-first search ----------------------------------------------------
 
 
 def _compile_checks(
-    theory: Theory, obligations: tuple[HornClause, ...], tables: bool
+    theory: Theory, obligations: tuple[HornClause, ...], spelling: str
 ) -> list[tuple[frozenset[str], _Refuter]]:
-    """Each check with the symbols its code reads, obligations first.
+    """Each check with the symbols its code reads, obligations first, less its sort atoms.
 
-    Sort atoms hold by construction of the candidates: they are dropped from
-    bodies, and a clause with a sort head can never refute, so it is left
-    out (the verifier still checks both).
+    They hold by construction of the candidates, so a clause with a sort head,
+    which can never refute, is left out (the verifier still checks both).
     """
     checks = [
         (c.variables, tuple(a for a in c.body if sort_of_predicate(a.predicate) is None), c.head)
         for c in (*obligations, *theory.clauses)
         if c.head is None or sort_of_predicate(c.head.predicate) is None
     ]
-    return [(symbols, refuted) for symbols, _, refuted in (_compile_check(*c, tables) for c in checks)]
+    return [(symbols, refuted) for symbols, _, refuted in (_compile_check(*c, spelling) for c in checks)]
 
 
 def _search(
@@ -585,8 +558,12 @@ def _search(
     env: dict[str, object] = {}
     chosen: dict[str, int] = {}
     # A node's checks loop over the grid, so a wide grid checks the deadline
-    # more often: every 256 nodes up to 4 points, every node from 64.
+    # more often: every 256 nodes up to 4 points, every node from 64, and
+    # from 64 also at each value a check's loop takes from the grid.
     stride = max(1, min(256, 4096 // max(1, len(points)) ** 2))
+    if stride == 1:
+        points = _TimedGrid(points)
+        points.deadline = state.deadline
     # Nodes are counted in a local; ``state.count`` is the cap and deadline
     # check, called only once ``nodes`` reaches ``limit``.
     nodes = state.nodes
@@ -669,6 +646,15 @@ def _search(
             records[chosen[slots[index].name]] = rest
 
 
+class _TimedGrid(tuple):
+    """A wide grid that checks ``deadline`` at each value it yields, so one long check call stops."""
+
+    def __iter__(self) -> Iterator[int]:
+        for value in tuple.__iter__(self):
+            _check_deadline(self.deadline)  # type: ignore[attr-defined]
+            yield value
+
+
 def _latest_slot(position: Mapping[str, int], symbols: set[str]) -> int | None:
     indices = [position[s] for s in symbols if s in position]
     if len(indices) < len(symbols):
@@ -707,6 +693,6 @@ def _finish(
     position = {slot.name: index for index, slot in enumerate(stage.slots)}
     checks = zip((*theory.clauses, *obligations), certificate.verdicts)
     failed = [{v.symbol} for v in certificate.closure_violations]
-    failed += [_compile_check(c.variables, c.body, c.head, False)[0] for c, v in checks if v.status != HOLDS]
+    failed += [_compile_check(c.variables, c.body, c.head, CALL)[0] for c, v in checks if v.status != HOLDS]
     reads = [position.keys() & symbols for symbols in failed]
     return frozenset(min(reads, key=lambda slots: max(map(position.get, slots), default=-1)))

@@ -28,6 +28,7 @@ and takes growing prefixes, is an independent computation of that menu.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable
 
 from countermodel.checker import Certificate, _Refuter
@@ -36,7 +37,6 @@ from countermodel.finder import (
     PAIR_COEFFS,
     PAIR_CONSTS,
     SearchBudget,
-    _COMPARISONS,
     _check_deadline,
     _latest_slot,
     _Slot,
@@ -48,6 +48,10 @@ from countermodel.terms import App, Term
 
 # A candidate as the menu builders below make it: (interpretation, what the checks read).
 _Candidate = tuple[object, object]
+
+_COMPARISONS = {
+    "=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt
+}
 
 def _search(
     slots: list[_Slot],

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 import time
@@ -18,7 +19,17 @@ from comparisons import CheckCalls
 from countermodel import finder, pipeline
 from countermodel.certificates import serialize_certificate
 from countermodel import checker
-from countermodel.checker import _OWN_LOOPS, SORT, VERIFIED, _check_source, _compile_check, verify
+from countermodel.checker import (
+    _OWN_LOOPS,
+    CALL,
+    INLINE,
+    SORT,
+    TABLES,
+    VERIFIED,
+    _check_source,
+    _compile_check,
+    verify,
+)
 from countermodel.finder import (
     SearchBudget,
     _affine_candidates,
@@ -26,7 +37,6 @@ from countermodel.finder import (
     _finite_stages,
     _Menu,
     _menu_predicates_symbolic,
-    _relation_test,
     _search,
     _Slot,
     _State,
@@ -37,7 +47,8 @@ from countermodel.logic import Atom, sort_of_predicate
 from countermodel.pipeline import build_theory, theory_for_query
 from countermodel.queries import negate_to_obligations
 from countermodel.query_format import parse_query
-from countermodel.structures import AffineForm, FiniteStructure, PiecewiseFunction
+from countermodel.linear import LinearConstraint, compare
+from countermodel.structures import AffineForm, FiniteStructure, PiecewiseFunction, PredicateInterp
 from countermodel.terms import CTRS, DEFAULT_SORT, App, ConditionalRule, Signature, Var
 from countermodel.trs_format import parse_ctrs
 from paperdata import FINDER_CASES, FinderCase, query_text, system
@@ -250,46 +261,56 @@ def test_symbolic_constant_menu_is_the_affine_menu_at_arity_zero(lo):
     assert _entries(_affine_candidates(0, lo, _BUDGET, math.inf)) == constants
 
 
+_COMPARISONS = {
+    "=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt
+}
+
+
+def _holds(relation, x, y):
+    """Whether a menu relation ``(e, a, b, c)`` holds at ``(x, y)``: ``x = y`` if ``e``, else ``a*x + b*y <= c``."""
+    e, a, b, c = relation
+    return x == y if e else a * x + b * y <= c
+
+
 def _reference_menu_extensions(carrier):
     """The construction the template predicate menu replaced: each relation's test at each point."""
     extensions = []
-    for test in _menu_predicates_symbolic(math.inf).fast:  # each relation's test
-        extension = frozenset((x, y) for x in carrier for y in carrier if test(x, y))
+    for relation in _menu_predicates_symbolic(math.inf).fast:
+        extension = frozenset((x, y) for x in carrier for y in carrier if _holds(relation, x, y))
         if extension not in extensions:
             extensions.append(extension)
     return extensions
 
 
-def _kept_relations(menu):
-    """The ``(rel, payload)`` each candidate of the symbolic predicate menu is built from."""
-    with mock.patch.object(finder, "_relation_interp", lambda *relation: relation):
-        return [menu.interp(k) for k in range(len(menu.fast))]
-
-
 def test_symbolic_predicate_menu_keeps_the_first_of_each_relation_over_z2():
-    # Every relation of the full menu against the kept ones, by extension on
-    # a box wide enough to tell apart any two of these distinct relations.
+    # Every relation of the full menu, as the comparisons and pair templates
+    # it was built from, against the kept ones, by extension on a box wide
+    # enough to tell apart any two of these distinct relations.
     box = range(-12, 13)
 
-    def extension(relation):
-        test = _relation_test(*relation)
+    def extension(test):
         return frozenset((x, y) for x in box for y in box if test(x, y))
 
-    full = [(rel, None) for rel in finder.BASE_RELATIONS] + [
-        ("pair", p)
-        for p in itertools.product(finder.PAIR_COEFFS, finder.PAIR_COEFFS, finder.PAIR_CONSTS)
+    def pair(a, b, c):
+        return lambda x, y: a * x + b * y <= c
+
+    x, y = AffineForm.variable("x"), AffineForm.variable("y")
+    full = [
+        (_COMPARISONS[rel], PredicateInterp(("x", "y"), compare(x, rel, y)))
+        for rel in finder.BASE_RELATIONS
+    ] + [
+        (pair(a, b, c), PredicateInterp(("x", "y"), (LinearConstraint.make({"x": a, "y": b}, c),)))
+        for a, b, c in itertools.product(finder.PAIR_COEFFS, finder.PAIR_COEFFS, finder.PAIR_CONSTS)
     ]
     first = {}
-    for relation in full:
-        first.setdefault(extension(relation), relation)
+    for test, interp in full:
+        first.setdefault(extension(test), interp)
     menu = _menu_predicates_symbolic(math.inf)
-    kept = _kept_relations(menu)
-    assert (len(full), len(kept)) == (610, 403)
-    assert kept == list(first.values())
-    # Each candidate's test and interpretation are those of its relation.
-    for k, relation in enumerate(kept):
-        assert extension(relation) == frozenset((x, y) for x in box for y in box if menu.fast[k](x, y))
-        assert menu.interp(k) == finder._relation_interp(*relation)
+    assert (len(full), len(menu.fast)) == (610, 403)
+    # Each kept relation holds where the first of its extension holds, and
+    # prints as that one: the comparisons as comparisons.
+    assert [extension(functools.partial(_holds, relation)) for relation in menu.fast] == list(first)
+    assert [menu.interp(k) for k in range(len(menu.fast))] == list(first.values())
 
 
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
@@ -386,11 +407,11 @@ def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidat
 ):
     built, finished = [], []
     relation_interp, finish = finder._relation_interp, finder._finish
-    relations = _kept_relations(_menu_predicates_symbolic(math.inf))
+    relations = _menu_predicates_symbolic(math.inf).fast
 
-    def counted_interp(rel, payload):
-        built.append((rel, payload))
-        return relation_interp(rel, payload)
+    def counted_interp(relation):
+        built.append(relation)
+        return relation_interp(relation)
 
     def recorded_finish(stage, sig, chosen, *rest):
         predicates = [slot.name for slot in stage.slots if slot.name in ("->", "->*")]
@@ -515,10 +536,9 @@ def test_searches_after_the_second_under_the_same_menu_settings_build_no_menu(
     ]
 
 
-def _settings(budget: SearchBudget) -> tuple:
-    """The budget fields that key the kept menus."""
-    b = budget
-    return (b.carriers, b.ray_carriers, b.coeff_min, b.coeff_max, b.raw_table_max_size)
+def _settings(budget: SearchBudget) -> SearchBudget:
+    """What keys the kept menus: the budget less its node cap and time limit."""
+    return dataclasses.replace(budget, time_limit=0.0, max_nodes=0)
 
 
 def _kept_menus(budget: SearchBudget = SearchBudget()) -> dict:
@@ -631,20 +651,20 @@ def _reference_refuted(env, points, variables, body, head):
     return None
 
 
-def _agrees(check, env, points, reference_env, tables):
+def _agrees(check, env, points, reference_env, spelling):
     """Whether the compiled check, as the finder compiles it, gives the reference's result.
 
-    In the call spelling it must return the reference's first refuting
-    valuation (the values of its loop variables, True with none) or False.
-    In the table spelling only whether one exists is compared: a driven
-    loop iterates a frozenset, whose order is not ascending.
+    In the call and inline spellings it must return the reference's first
+    refuting valuation (the values of its loop variables, True with none)
+    or False.  In the table spelling only whether one exists is compared: a
+    driven loop iterates a frozenset, whose order is not ascending.
     """
     variables, body, head = check
     body = tuple(a for a in body if sort_of_predicate(a.predicate) is None)
-    _, names, refuted = _compile_check(variables, body, head, tables)
+    _, names, refuted = _compile_check(variables, body, head, spelling)
     found = refuted(env, points)
     valuation = _reference_refuted(reference_env, points, *check)
-    if tables:
+    if spelling == TABLES:
         return bool(found) == (valuation is not None)
     return found == (valuation is not None and (tuple(valuation[n] for n in names) or True))
 
@@ -674,8 +694,8 @@ def _reference_value(interp):
     return lambda *args: interp.holds(args)  # a PredicateInterp
 
 
-def _refuter(variables, body, head, tables):
-    return _compile_check(variables, body, head, tables)[2]
+def _refuter(variables, body, head, spelling):
+    return _compile_check(variables, body, head, spelling)[2]
 
 
 _ARITIES = {"a": 0, "b": 0, "f": 1, "g": 2}
@@ -706,13 +726,13 @@ _MENUS = [("template", c) for c in ((0, 1), (0, 2), (-1, 1))] + [
 
 @st.composite
 def _grid_envs(draw):
-    """(candidates by symbol, points, tables): one draw from one menu, and its spelling."""
+    """(candidates by symbol, points, spelling): one draw from one menu, and its spelling."""
     kind, param = draw(st.sampled_from(_MENUS))
     points, preds, consts, funcs = _menus(kind, param)
     chosen = {p: draw(st.sampled_from(preds)) for p in ("->", "->*")}
     for name, arity in _ARITIES.items():
         chosen[name] = draw(st.sampled_from(funcs[arity] if arity else consts))
-    return chosen, points, kind != "symbolic"
+    return chosen, points, INLINE if kind == "symbolic" else TABLES
 
 
 _terms = st.recursive(
@@ -754,7 +774,7 @@ def _example_grid(kind, param, arrow, star):
         "f": funcs[1][len(funcs[1]) // 2],
         "g": funcs[2][len(funcs[2]) // 2],
     }
-    return chosen, points, kind != "symbolic"
+    return chosen, points, INLINE if kind == "symbolic" else TABLES
 
 
 def _f(t):
@@ -818,10 +838,10 @@ def test_compiled_check_matches_reference(check, grid):
     # The check reads the candidates' fast values in the menu's spelling;
     # the reference evaluates their interpretations.
     variables, body, head = check
-    chosen, points, tables = grid
+    chosen, points, spelling = grid
     env = {name: fast for name, (_, fast) in chosen.items()}
     reference_env = {name: _reference_value(interp) for name, (interp, _) in chosen.items()}
-    assert _agrees(check, env, points, reference_env, tables)
+    assert _agrees(check, env, points, reference_env, spelling)
 
 
 def _generated_identifiers(source):
@@ -836,14 +856,15 @@ def test_symbol_names_never_enter_generated_source():
     x, y = Var("x"), Var("y")
     body = (Atom("->", (App("f'", (x,)), App("a''"))),)
     head = Atom("->*", (App("f'", (App("f'", (x,)),)), y))
-    for tables in (True, False):
-        source, keys, names = _check_source((x, y), body, head, tables)
+    for spelling in (TABLES, CALL, INLINE):
+        source, keys, names = _check_source((x, y), body, head, spelling)
         assert names == ("x", "y")
         # Slots are numbered in the order the generator first reads their symbols.
         assert keys == ("f'", "a''", "->", "->*")
         assert not any(key in source for key in keys)
         identifiers = _generated_identifiers(source)
-        assert all(re.fullmatch(r"[nstv]\d+|env|points|product|refuted", n) for n in identifiers)
+        pattern = r"[nstv]\d+|s\d+_(\d+|[kabce])|env|points|product|refuted"
+        assert all(re.fullmatch(pattern, n) for n in identifiers)
         assert {n for n in identifiers if n.startswith("n")} == {f"n{i}" for i in range(len(keys))}
         tree = ast.parse(source)
         assert not [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
@@ -863,10 +884,10 @@ def test_symbol_names_never_enter_generated_source():
         "->": reference_finder._pair_candidate(interps["->"], tuple(grid))[1],
         "->*": reference_finder._pair_candidate(interps["->*"], tuple(grid))[1],
     }
-    for tables in (True, False):
-        env = {**(fast if tables else reference_env), "a''": 1}
+    for spelling in (TABLES, CALL):
+        env = {**(fast if spelling == TABLES else reference_env), "a''": 1}
         for points in ((0, 1, 2), (0,), ()):
-            assert _agrees(((x, y), body, head), env, points, reference_env, tables)
+            assert _agrees(((x, y), body, head), env, points, reference_env, spelling)
 
 
 def test_a_function_named_like_a_sort_test_reads_its_own_slot():
@@ -875,9 +896,9 @@ def test_a_function_named_like_a_sort_test_reads_its_own_slot():
     x = Var("x")
     body = (Atom("S_term", (x,)),)
     head = Atom("->", (App("S_term", (x,)), App("a")))
-    _, keys, _ = _check_source((x,), body, head, False)
+    _, keys, _ = _check_source((x,), body, head, CALL)
     assert keys == ((SORT, "term"), "S_term", "a", "->")
-    refuted = _refuter((x,), body, head, False)
+    refuted = _refuter((x,), body, head, CALL)
     env = {"S_term": lambda v: 1 - v, "a": 0, "->": lambda s, t: s == t + 1}
     # x = 1 refutes the check, once it is inside the sort's carrier
     assert not refuted({**env, (SORT, "term"): {0}.__contains__}, (0, 1))
@@ -888,7 +909,7 @@ def test_25_variable_clause_compiles_and_evaluates():
     xs = tuple(Var(f"x{i}") for i in range(25))
     body = tuple(Atom("->", (xs[i], xs[i + 1])) for i in range(24))
     head = Atom("->*", (xs[0], xs[-1]))
-    refuted = _refuter(xs, body, head, False)
+    refuted = _refuter(xs, body, head, CALL)
     le = lambda s, t: s <= t  # noqa: E731
     lt = lambda s, t: s < t  # noqa: E731
     eq = lambda s, t: s == t  # noqa: E731
@@ -899,7 +920,7 @@ def test_25_variable_clause_compiles_and_evaluates():
     # no strictly increasing chain of 24 steps over three points
     assert not refuted({"->": lt, "->*": eq}, (0, 1, 2))
     # obligation over the same chain; the reference is feasible on a single point
-    assert _refuter(xs, body, None, False)({"->": le}, (0, 1))
+    assert _refuter(xs, body, None, CALL)({"->": le}, (0, 1))
     env = {"->": le, "->*": lt}
     assert _reference_refuted(env, (5,), xs, body, head) == {x.name: 5 for x in xs}
     assert refuted(env, (5,)) == (5,) * 25
@@ -915,7 +936,7 @@ def test_250_deep_term_compiles_and_evaluates():
     for step in (lambda v: v, lambda v: min(v + 1, 3), lambda v: max(v - 1, 0)):
         env = {"f": step, "->": lambda s, t: s == t, "->*": lambda s, t: s <= t}
         for points in ((0, 1, 2, 3), (2,)):
-            assert _agrees(((x, y), body, head), env, points, env, False)
+            assert _agrees(((x, y), body, head), env, points, env, CALL)
 
 
 def test_ground_and_sort_headed_checks():
@@ -929,14 +950,14 @@ def test_ground_and_sort_headed_checks():
     checks = (ground, unused, false_ground, refuted_ground, refuted_unused)
     for variables, body, head in checks:
         for points in ((0, 1), ()):
-            assert _agrees((variables, body, head), env, points, env, False)
-    assert _refuter(*refuted_ground, False)(env, (0, 1))
+            assert _agrees((variables, body, head), env, points, env, CALL)
+    assert _refuter(*refuted_ground, CALL)(env, (0, 1))
     # A sort head holds of every candidate, so such a clause is never compiled;
     # website's subsort clauses have them.
     theory, obligations = _setup(FLAGSHIPS[1])
     sort_headed = [c for c in theory.clauses if sort_of_predicate(c.head.predicate) is not None]
     assert sort_headed
-    compiled = _compile_checks(theory, obligations, True)
+    compiled = _compile_checks(theory, obligations, TABLES)
     assert len(compiled) == len(obligations) + len(theory.clauses) - len(sort_headed)
 
 
@@ -952,8 +973,23 @@ def test_each_check_reads_the_symbols_a_walk_of_its_atoms_finds(case, tables):
         for clause in theory.clauses
         if sort_of_predicate(clause.head.predicate) is None
     ]
-    compiled = _compile_checks(theory, obligations, tables)
+    compiled = _compile_checks(theory, obligations, TABLES if tables else INLINE)
     assert [symbols for symbols, _ in compiled] == list(map(reference_finder._check_symbols, atoms))
+
+
+@pytest.mark.parametrize("case", FINDER_CASES + FLAGSHIPS, ids=lambda c: c.name)
+def test_a_symbolic_stage_check_calls_no_slot(case):
+    # The inline spelling applies each candidate's data in place: the only
+    # call left in a symbolic stage's check is the shared ``product`` loop.
+    theory, obligations = _setup(case)
+    for clause in (*obligations, *theory.clauses):
+        if clause.head is not None and sort_of_predicate(clause.head.predicate) is not None:
+            continue
+        body = tuple(a for a in clause.body if sort_of_predicate(a.predicate) is None)
+        source, _, _ = _check_source(clause.variables, body, clause.head, INLINE)
+        assert not re.search(r"\bs\d+\(", source)
+        calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+        assert all(isinstance(f, ast.Name) and f.id == "product" for f in calls)
 
 
 # -- the backjumping search against the chronological one -----------------------------

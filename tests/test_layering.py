@@ -31,7 +31,9 @@ One function of ``finder.py`` reads the predicate menu's constants
 (``BASE_RELATIONS``, ``PAIR_COEFFS``, ``PAIR_CONSTS``): the symbolic
 relation builder, whose relations the finite stages restrict to their
 carriers, so a second enumeration of the relations cannot come back as a
-fork either.
+fork either.  Likewise one ``finder.py`` function reads the coefficient
+range (``coeff_min``, ``coeff_max``): the generator of the affine template
+terms that both backends' function menus are built from.
 
 Only ``logic.py`` builds an ``Atom`` past its arity check (through
 ``tuple.__new__`` or ``Atom._make``), in ``Atom.binary``, which checks its
@@ -435,6 +437,43 @@ def test_a_second_reader_of_the_relation_constants_would_be_flagged():
     assert relation_readers("WIDE = PAIR_CONSTS\n") == ["<module>"]
     assert relation_readers("PAIR_CONSTS = range(-2, 3)\n") == []
     assert relation_readers("class C:\n    def m(self):\n        return BASE_RELATIONS\n") == ["C"]
+
+
+# -- one enumeration of the affine template terms --------------------------------
+
+COEFFICIENT_RANGE = {"coeff_min", "coeff_max"}
+
+
+def coefficient_range_readers(source: str) -> list[str]:
+    """The top-level functions, by name, that read ``.coeff_min`` or ``.coeff_max``."""
+    return sorted(
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(n, ast.Attribute) and n.attr in COEFFICIENT_RANGE and isinstance(n.ctx, ast.Load)
+            for n in ast.walk(node)
+        )
+    )
+
+
+def test_one_finder_function_enumerates_the_template_terms():
+    assert coefficient_range_readers((PACKAGE / "finder.py").read_text()) == ["_template_terms"]
+
+
+def test_a_second_reader_of_the_coefficient_range_would_be_flagged():
+    finder = (PACKAGE / "finder.py").read_text()
+    # the symbolic function menu's own enumeration that the one generator replaced
+    fork = (
+        "\ndef _affine_forms(arity, budget):\n"
+        "    rng = range(budget.coeff_min, budget.coeff_max + 1)\n"
+        "    return list(itertools.product(rng, repeat=arity + 1))\n"
+    )
+    assert coefficient_range_readers(finder + fork) == ["_affine_forms", "_template_terms"]
+    # The budget's own validation is no enumeration, and setting a field is no read.
+    source = "class B:\n    def check(self):\n        return self.coeff_min\n"
+    assert coefficient_range_readers(source) == []
+    assert coefficient_range_readers("def f(b):\n    b.coeff_min = 0\n") == []
 
 
 # -- atoms are built through their check ---------------------------------------
