@@ -53,6 +53,7 @@ _COMPARISONS = {
     "=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt
 }
 
+
 def _search(
     slots: list[_Slot],
     checks: list[tuple[set[str], _Refuter]],

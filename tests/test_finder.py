@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 import random
 import re
 import time
@@ -261,11 +260,6 @@ def test_symbolic_constant_menu_is_the_affine_menu_at_arity_zero(lo):
     assert _entries(_affine_candidates(0, lo, _BUDGET, math.inf)) == constants
 
 
-_COMPARISONS = {
-    "=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt
-}
-
-
 def _holds(relation, x, y):
     """Whether a menu relation ``(e, a, b, c)`` holds at ``(x, y)``: ``x = y`` if ``e``, else ``a*x + b*y <= c``."""
     e, a, b, c = relation
@@ -296,7 +290,7 @@ def test_symbolic_predicate_menu_keeps_the_first_of_each_relation_over_z2():
 
     x, y = AffineForm.variable("x"), AffineForm.variable("y")
     full = [
-        (_COMPARISONS[rel], PredicateInterp(("x", "y"), compare(x, rel, y)))
+        (reference_finder._COMPARISONS[rel], PredicateInterp(("x", "y"), compare(x, rel, y)))
         for rel in finder.BASE_RELATIONS
     ] + [
         (pair(a, b, c), PredicateInterp(("x", "y"), (LinearConstraint.make({"x": a, "y": b}, c),)))
