@@ -36,7 +36,6 @@ from .structures import (
     SymbolicStructure,
     closure_check,
     eval_atom,
-    interpretation,
     table_value,
 )
 from .terms import Term, Var, term_vars
@@ -154,11 +153,11 @@ def _finite_value(structure: FiniteStructure, key: object) -> object:
     if isinstance(key, tuple):  # (SORT, sort): a sort test reads the carrier
         return frozenset(structure.carrier(key[1])).__contains__
     if key in structure.signature.functions:
-        table = interpretation(structure, key, "function")
+        table = structure.interp(key, "function")
         if not structure.signature.functions[key][0]:
             return table_value(key, table, ())  # a constant is read, not called
         return lambda *args: table_value(key, table, args)
-    pairs = interpretation(structure, key, "predicate")
+    pairs = structure.interp(key, "predicate")
     return lambda *args: args in pairs
 
 

@@ -283,8 +283,6 @@ def _budget_from_args(args) -> SearchBudget:
     if args.coeff_range is not None:
         kwargs["coeff_min"], kwargs["coeff_max"] = _ints("--coeff-range", args.coeff_range, ":", 2)
     if args.timeout is not None:
-        if not args.timeout >= 0:  # NaN too
-            raise OptionError(f"--timeout: {args.timeout} is not a number of seconds >= 0")
         kwargs["time_limit"] = args.timeout
     if args.raw_table_max is not None:
         kwargs["raw_table_max_size"] = args.raw_table_max

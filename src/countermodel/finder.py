@@ -5,16 +5,18 @@ yield.  A stage fixes the candidate menu of every slot, the grid the
 pruning checks run on, the structure class and the carrier every sort
 gets.  Both draw functions from one generator of affine template terms.
 The finite finder's stages are interval carriers of at most
-``MAX_FINITE_CARRIER`` values, interpreting constants as carrier elements,
-functions as the terms' carrier-clamped tables, and predicates as the
-distinct extensions on the carrier of the symbolic stages' relations, in
-their order, then raw tables on tiny domains, both built by one builder.
-The symbolic finder's stages are ray carriers with the terms that keep the
-carrier closed and the relations of one predicate menu, both as data the
-checks apply inline.  Menu builders check the deadline per entry.  A menu
-keeps each candidate in the one form the checks read (see _Menu), and says
-how candidate ``k`` becomes an interpretation; only a complete candidate
-is turned into one (see _finish), so completing one needs no backend branch.
+``MAX_FINITE_CARRIER`` values, interpreting constants as carrier elements
+(the constant menu is the carrier), functions as the terms' carrier-clamped
+tables, and predicates as the distinct extensions on the carrier of the
+relations, in their order, then raw tables on tiny domains, both built by
+one builder.  The symbolic finder's stages are ray carriers with the terms
+that keep the carrier closed and the relations, both as data the checks
+apply inline.  The relations read no input, so their list is built once
+per process (``_relations``); other menu builders check the deadline per
+entry.  A menu keeps each candidate in the one form the checks read (see
+_Menu), and says how candidate ``k`` becomes an interpretation; only a
+complete candidate is turned into one (see _finish), so completing one
+needs no backend branch.
 
 A menu depends only on its carrier or ray, its arity and the budget's menu
 settings, never on the input.  So the second of consecutive searches under
@@ -77,7 +79,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import CALL, HOLDS, INLINE, TABLES, VERIFIED, Certificate, _compile_check, _Refuter, verify
 from .errors import OptionError
@@ -126,7 +128,7 @@ class SearchBudget:
                 raise OptionError(f"carriers: interval {lo}:{hi} is empty")
             # Wider, and the menus built over it outgrow the time limit and memory.
             if hi - lo >= MAX_FINITE_CARRIER:
-                raise OptionError(f"--carriers: {lo}:{hi} exceeds {MAX_FINITE_CARRIER} values")
+                raise OptionError(f"carriers: {lo}:{hi} exceeds {MAX_FINITE_CARRIER} values")
         if self.coeff_min > self.coeff_max:
             raise OptionError(f"coeff_min {self.coeff_min} exceeds coeff_max {self.coeff_max}")
         # A NaN time limit would make a deadline that never passes.
@@ -164,7 +166,7 @@ def _check_deadline(deadline: float) -> None:
 class _Menu:
     # Candidate k as the compiled checks read it: an int for a constant, else a table (keyed by
     # the int itself when unary), a successor map, or ``(*coeffs, b)`` or ``(e, a, b, c)`` data.
-    fast: list
+    fast: Sequence
     interp: Callable[[int], object]  # candidate k's interpretation in the structure
 
 
@@ -344,8 +346,7 @@ def _finite_stage(
             )
         else:
             # The symbolic relations' extensions; a Z² twin has its twin's on every carrier.
-            relations = _menu_predicates_symbolic(deadline).fast
-            selectors = (_relation_rows(relation, carrier) for relation in relations)
+            selectors = (_relation_rows(relation, carrier) for relation in _relations())
         maps, seen = [], set()
         # Rows repeat across candidates, so each distinct row has one successor set.
         successors = functools.cache(lambda row: frozenset(carrier[j] for j in row))
@@ -374,7 +375,7 @@ def _finite_stage(
         sig,
         predicates,
         _menu(state, (kind, carrier), predicate_menu),
-        _menu(state, ("constants", carrier), lambda: _Menu(list(carrier), lambda k: {(): carrier[k]})),
+        _Menu(carrier, lambda k: {(): carrier[k]}),
         lambda arity: _menu(state, (kind, carrier, arity), functools.partial(tables, arity)),
     )
     return _Stage(slots, carrier, FiniteStructure, carrier)
@@ -384,17 +385,14 @@ def _symbolic_stages(
     sig: Signature, predicates: tuple[str, ...], state: _State
 ) -> Iterator[_Stage]:
     """Per ray carrier: unclamped affine functions, checked on the ray's first integers."""
-    # The same for every carrier.
-    menu = _menu(state, ("symbolic",), functools.partial(_menu_predicates_symbolic, state.deadline))
+    relations = _relations()  # the same predicate menu for every carrier
+    menu = _Menu(relations, lambda k: _relation_interp(relations[k]))
     for lo in state.budget.ray_carriers:
-        functions = functools.partial(_affine_menu, state, lo)
+        def functions(arity: int) -> _Menu:  # kept per ray and arity
+            build = functools.partial(_affine_candidates, arity, lo, state.budget, state.deadline)
+            return _menu(state, ("affine", lo, arity), build)
         slots = _slots(sig, predicates, menu, functions(0), functions)
         yield _Stage(slots, tuple(range(lo, lo + 4)), SymbolicStructure, Interval(lo))
-
-
-def _affine_menu(state: _State, lo: int, arity: int) -> _Menu:
-    build = functools.partial(_affine_candidates, arity, lo, state.budget, state.deadline)
-    return _menu(state, ("affine", lo, arity), build)
 
 
 def _slots(
@@ -418,7 +416,8 @@ _PAIR_FORMS = {"<=": (1, -1, 0), ">=": (-1, 1, 0), "<": (1, -1, -1), ">": (-1, 1
 _ORDER_RELATIONS = {form: rel for rel, form in _PAIR_FORMS.items()}
 
 
-def _menu_predicates_symbolic(deadline: float) -> _Menu:
+@functools.cache
+def _relations() -> tuple[tuple[bool, int, int, int], ...]:
     """The menu relations ``(e, a, b, c)``, ``x = y`` if ``e`` else ``a*x + b*y <= c``, each over Z² once.
 
     ``a*x + b*y <= c`` is the relation of ``a/g*x + b/g*y <= floor(c/g)``
@@ -430,11 +429,9 @@ def _menu_predicates_symbolic(deadline: float) -> _Menu:
     relations += [(False, *p) for p in itertools.product(PAIR_COEFFS, PAIR_COEFFS, PAIR_CONSTS)]
     first: dict[object, tuple] = {}
     for e, a, b, c in relations:
-        _check_deadline(deadline)
         g = math.gcd(a, b)
         first.setdefault("=" if e else (a // g, b // g, c // g) if g else c >= 0, (e, a, b, c))
-    kept = list(first.values())
-    return _Menu(kept, lambda k: _relation_interp(kept[k]))
+    return tuple(first.values())
 
 
 def _relation_interp(relation: tuple[bool, int, int, int]) -> PredicateInterp:

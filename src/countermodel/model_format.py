@@ -14,6 +14,7 @@ function symbol, and one PRED block per rewriting predicate (``->``,
     (FUN f = table (0, 0) -> 0 | (0, 1) -> 1)
     (PRED -> (x, y) = x < y)
     (PRED ->* = pairs (0, 0) (1, 1))
+    (PRED |> = empty)             ; holds nowhere
 
 Every predicate is binary: a PRED takes two parameters and lists pairs.
 Parameter names are distinct and table keys do not repeat.
@@ -30,7 +31,8 @@ into a set of pairs or a ``PredicateInterp``.  The backend, unless
 requested, is chosen once the document is read: symbolic when an interval
 has no ``hi``, finite otherwise.  The finite backend rejects those and
 tabulates the piecewise parts; the symbolic one rejects tables, pair sets
-and non-contiguous sets.
+that list a pair and non-contiguous sets, and reads ``empty`` (or
+``pairs`` with none) as the false row ``0 <= -1``.
 """
 from __future__ import annotations
 
@@ -349,15 +351,13 @@ def _assemble_symbolic(
         ranges[sort] = carrier
     for name, function in functions.items():
         if isinstance(function, dict):
-            raise ParseError(
-                f"'{name}': explicit tables are not supported by the symbolic backend"
-            )
+            raise ParseError(f"'{name}': explicit tables are not supported by the symbolic backend")
     for name, predicate in predicates.items():
-        if isinstance(predicate, frozenset):
-            raise ParseError(
-                f"'{name}': explicit pair sets are not supported by the symbolic backend"
-            )
-    return SymbolicStructure(sig, ranges, functions, predicates)
+        if isinstance(predicate, frozenset) and predicate:
+            raise ParseError(f"'{name}': explicit pair sets are not supported by the symbolic backend")
+    empty = PredicateInterp(("x", "y"), (LinearConstraint.make({}, -1),))  # the false row
+    relations = {name: empty if p == frozenset() else p for name, p in predicates.items()}
+    return SymbolicStructure(sig, ranges, functions, relations)
 
 
 def _assemble_finite(

@@ -1,15 +1,19 @@
 """Finite and symbolic piecewise-affine structures over the integers.
 
-A finite structure interprets each sort as an explicit finite set of
-integers, each function symbol as a total table, and each predicate as an
-explicit set of tuples.  A symbolic structure interprets each sort as an
-``Interval``: the integers ``[lo, hi]``, or with no ``hi`` the ray
-``{v >= lo}``; functions as guarded piecewise-affine mappings (with
-clamping expanded into guard cases at construction time); and predicates
-as conjunctions of linear inequalities over the argument positions.
-Either carrier, a value tuple or an interval, answers ``value in carrier``.
-``closure_check`` is one skeleton for both: the carrier and subsort tests
-are shared, and only the check of each function is per backend.
+A structure is one record, ``Structure``: a signature, carriers for its
+sorts and interpretations for its symbols, with one lookup of each that
+names what is missing.  Its two subclasses differ only in what they hold
+and how they normalise it.  A finite structure interprets each sort as an
+explicit finite set of integers, each function symbol as a total table,
+and each predicate as an explicit set of tuples.  A symbolic structure
+interprets each sort as an ``Interval``: the integers ``[lo, hi]``, or
+with no ``hi`` the ray ``{v >= lo}``; functions as guarded piecewise-affine
+mappings (with clamping expanded into guard cases at construction time);
+and predicates as conjunctions of linear inequalities over the argument
+positions.  Either carrier, a value tuple or an interval, answers
+``value in carrier``.  ``closure_check`` is one skeleton for both: the
+carrier and subsort tests are shared, and only the check of each function
+is per backend.
 
 Evaluation follows structural recursion; for symbolic backends the module
 also lowers atoms into exact linear constraint systems over the clause
@@ -126,15 +130,37 @@ class PredicateInterp:
         return all(c.satisfied_by(assignment) for c in self.constraints)
 
 
-# -- the two structure classes -------------------------------------------------
+# -- the structure record --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FiniteStructure:
+class Structure:
+    """Carriers for the sorts and interpretations for the symbols.
+
+    A subclass per backend says what the mappings hold and normalises them.
+    """
+
     signature: Signature
-    carriers: Mapping[str, tuple[int, ...]]
-    functions: Mapping[str, Mapping[tuple[int, ...], int]]
-    predicates: Mapping[str, frozenset[tuple[int, ...]]]
+    carriers: Mapping[str, Interval | tuple[int, ...]]
+    functions: Mapping[str, object]
+    predicates: Mapping[str, object]
+
+    def carrier(self, sort: str) -> Interval | tuple[int, ...]:
+        if sort not in self.carriers:
+            raise ModelError(f"no carrier for sort '{sort}'")
+        return self.carriers[sort]
+
+    def interp(self, symbol: str, kind: str) -> object:
+        """The interpretation of ``symbol``, a "function" or a "predicate" by ``kind``."""
+        found = (self.functions if kind == "function" else self.predicates).get(symbol)
+        if found is None:
+            raise ModelError(f"structure does not interpret {kind} '{symbol}'")
+        return found
+
+
+@dataclass(frozen=True)
+class FiniteStructure(Structure):
+    """Sorted value tuples as carriers, total tables as functions and sets of pairs as predicates."""
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -145,42 +171,18 @@ class FiniteStructure:
             self, "predicates", {p: frozenset(t) for p, t in self.predicates.items()}
         )
 
-    def carrier(self, sort: str) -> tuple[int, ...]:
-        if sort not in self.carriers:
-            raise ModelError(f"no carrier for sort '{sort}'")
-        return self.carriers[sort]
-
 
 @dataclass(frozen=True)
-class SymbolicStructure:
-    signature: Signature
-    carriers: Mapping[str, Interval]
-    functions: Mapping[str, PiecewiseFunction]
-    predicates: Mapping[str, PredicateInterp]
+class SymbolicStructure(Structure):
+    """``Interval`` carriers, ``PiecewiseFunction`` functions and ``PredicateInterp`` predicates."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "carriers", dict(self.carriers))
         object.__setattr__(self, "functions", dict(self.functions))
         object.__setattr__(self, "predicates", dict(self.predicates))
 
-    def carrier(self, sort: str) -> Interval:
-        if sort not in self.carriers:
-            raise ModelError(f"no carrier for sort '{sort}'")
-        return self.carriers[sort]
-
-
-Structure = FiniteStructure | SymbolicStructure
-
 
 # -- evaluation ----------------------------------------------------------------
-
-
-def interpretation(structure: Structure, symbol: str, kind: str) -> object:
-    """The interpretation of ``symbol``, a "function" or a "predicate" by ``kind``."""
-    found = (structure.functions if kind == "function" else structure.predicates).get(symbol)
-    if found is None:
-        raise ModelError(f"structure does not interpret {kind} '{symbol}'")
-    return found
 
 
 def table_value(symbol: str, table: Mapping[tuple[int, ...], int], args: tuple[int, ...]) -> int:
@@ -199,7 +201,7 @@ def eval_term(structure: Structure, valuation: Mapping[str, int], term: Term) ->
         except KeyError:
             raise ModelError(f"valuation does not cover variable '{term.name}'") from None
     args = tuple(eval_term(structure, valuation, a) for a in term.args)
-    interp = interpretation(structure, term.symbol, "function")
+    interp = structure.interp(term.symbol, "function")
     if isinstance(structure, FiniteStructure):
         return table_value(term.symbol, interp, args)
     return interp.eval(args)
@@ -210,7 +212,7 @@ def eval_atom(structure: Structure, valuation: Mapping[str, int], atom: Atom) ->
     if sort is not None:
         return eval_term(structure, valuation, atom.args[0]) in structure.carrier(sort)
     values = tuple(eval_term(structure, valuation, a) for a in atom.args)
-    interp = interpretation(structure, atom.predicate, "predicate")
+    interp = structure.interp(atom.predicate, "predicate")
     if isinstance(structure, FiniteStructure):
         return values in interp
     return interp.holds(values)
@@ -236,19 +238,14 @@ def closure_check(structure: Structure) -> tuple[ClosureViolation, ...]:
 
     A finite function is checked point by point over its argument carriers;
     a symbolic one with one linear feasibility query per guard case (plus
-    guard disjointness and coverage).  A symbolic carrier is never empty.
+    guard disjointness and coverage).  An interval carrier is never empty, so it is always true.
     """
     sig = structure.signature
-    finite = isinstance(structure, FiniteStructure)
-    violations = [
-        ClosureViolation(sort, "empty carrier")
-        for sort in sig.sorts
-        if finite and not structure.carrier(sort)
-    ]
+    violations = [ClosureViolation(s, "empty carrier") for s in sig.sorts if not structure.carrier(s)]
     for sub, sup in sig.subsort_pairs:
         if not carrier_subset(structure.carrier(sub), structure.carrier(sup)):
             violations.append(ClosureViolation(sub, f"carrier not included in '{sup}'"))
-    per_function = _closure_finite if finite else _closure_symbolic
+    per_function = _closure_finite if isinstance(structure, FiniteStructure) else _closure_symbolic
     for name in sig.functions:
         interp = structure.functions.get(name)
         if interp is None:
@@ -384,7 +381,7 @@ class ClauseLowering:
             if sort := sort_of_predicate(atom.predicate):
                 structure.carrier(sort)
             else:
-                interpretation(structure, atom.predicate, "predicate")
+                structure.interp(atom.predicate, "predicate")
         feeds = {a for t, f in self.applications.items() if len(f.cases) > 1 for a in t.args}
         self._probes = [len(f.cases) > 1 and t in feeds for t, f in self.applications.items()]
 
@@ -394,7 +391,7 @@ class ClauseLowering:
         assert isinstance(term, App)
         for arg in term.args:
             self._collect(arg)
-        interp = interpretation(self.structure, term.symbol, "function")
+        interp = self.structure.interp(term.symbol, "function")
         if term.args:
             self.applications[term] = interp
         else:

@@ -10,7 +10,6 @@ from countermodel.model_format import parse_model
 from countermodel.pipeline import required_predicates, theory_for_query
 from countermodel.queries import negate_to_obligations
 from countermodel.query_format import parse_query
-from countermodel.structures import Structure
 from countermodel.trs_format import CTRSDocument, parse_ctrs_document
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

@@ -647,13 +647,13 @@ def test_bad_piecewise_value_exits_input_error_with_its_span(value, expected, tm
         (["--carriers", "0:1:2"], "--carriers: cannot read '0:1:2'"),
         (["--ray-carriers", "0,x"], "--ray-carriers: cannot read '0,x'"),
         (["--coeff-range", "1"], "--coeff-range: cannot read '1'"),
-        (["--timeout", "nan"], "--timeout: nan is not a number of seconds >= 0"),
-        (["--timeout", "-1"], "--timeout: -1.0 is not a number of seconds >= 0"),
+        (["--timeout", "nan"], "time_limit nan is not a number of seconds >= 0"),
+        (["--timeout", "-1"], "time_limit -1.0 is not a number of seconds >= 0"),
         (["--carriers="], "--carriers: cannot read ''"),
         (["--ray-carriers="], "--ray-carriers: cannot read ''"),
         (["--coeff-range="], "--coeff-range: cannot read ''"),
         (["--raw-table-max", "-1"], "raw_table_max_size -1 is negative"),
-        (["--carriers", "0:1,0:1000"], "--carriers: 0:1000 exceeds 1000 values"),
+        (["--carriers", "0:1,0:1000"], "carriers: 0:1000 exceeds 1000 values"),
     ],
 )
 def test_empty_or_malformed_budget_exits_input_error(flags, named, capsys):
@@ -690,7 +690,7 @@ def test_an_empty_query_is_the_parse_error_of_an_empty_query_file(command, tmp_p
     ],
 )
 def test_a_value_that_starts_with_a_minus_and_a_digit_is_the_flags_value(flag, value, dest, capsys):
-    # --timeout -1 still reaches its own message: see the budget errors above.
+    # --timeout -1 still reaches the budget's time_limit message: see the budget errors above.
     argv = ["disprove", corpus("intro.trs"), "--query", "a -> b", flag, value]
     assert getattr(cli._build_parser().parse_args(argv), dest) == value
     assert main(argv) == 0
@@ -769,7 +769,7 @@ def test_a_raw_menu_past_the_node_cap_leaves_the_later_carriers_searched(tmp_pat
     "interval, code, bound, message",
     [
         ("0:999", EXIT_UNKNOWN, 2.5, "no countermodel: finite: budget exhausted: time cap"),
-        ("0:1000000", EXIT_INPUT, 1.0, "error: --carriers: 0:1000000 exceeds 1000 values"),
+        ("0:1000000", EXIT_INPUT, 1.0, "error: carriers: 0:1000000 exceeds 1000 values"),
     ],
     ids=["0:999", "0:1000000"],
 )

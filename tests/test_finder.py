@@ -35,7 +35,8 @@ from countermodel.finder import (
     _compile_checks,
     _finite_stages,
     _Menu,
-    _menu_predicates_symbolic,
+    _relation_interp,
+    _relations,
     _search,
     _Slot,
     _State,
@@ -139,10 +140,12 @@ def test_candidate_cap_reports_reason():
         ("time_limit", dict(time_limit=-1.0)),
         ("max_nodes", dict(max_nodes=-1)),
         ("raw_table_max_size", dict(raw_table_max_size=-1)),
+        ("carriers", dict(carriers=((0, 1), (0, 1000)))),  # past MAX_FINITE_CARRIER values
     ],
 )
 def test_budget_rejects_nan_or_negative_limits(field, budget):
-    with pytest.raises(ValueError, match=field):
+    # Each message begins with the field it rejects, not with a command-line flag.
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
         SearchBudget(**budget)
 
 
@@ -269,7 +272,7 @@ def _holds(relation, x, y):
 def _reference_menu_extensions(carrier):
     """The construction the template predicate menu replaced: each relation's test at each point."""
     extensions = []
-    for relation in _menu_predicates_symbolic(math.inf).fast:
+    for relation in _relations():
         extension = frozenset((x, y) for x in carrier for y in carrier if _holds(relation, x, y))
         if extension not in extensions:
             extensions.append(extension)
@@ -299,12 +302,12 @@ def test_symbolic_predicate_menu_keeps_the_first_of_each_relation_over_z2():
     first = {}
     for test, interp in full:
         first.setdefault(extension(test), interp)
-    menu = _menu_predicates_symbolic(math.inf)
-    assert (len(full), len(menu.fast)) == (610, 403)
+    relations = _relations()
+    assert (len(full), len(relations)) == (610, 403)
     # Each kept relation holds where the first of its extension holds, and
     # prints as that one: the comparisons as comparisons.
-    assert [extension(functools.partial(_holds, relation)) for relation in menu.fast] == list(first)
-    assert [menu.interp(k) for k in range(len(menu.fast))] == list(first.values())
+    assert [extension(functools.partial(_holds, relation)) for relation in relations] == list(first)
+    assert [_relation_interp(relation) for relation in relations] == list(first.values())
 
 
 @pytest.mark.parametrize("carrier", SearchBudget().carriers)
@@ -401,7 +404,7 @@ def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidat
 ):
     built, finished = [], []
     relation_interp, finish = finder._relation_interp, finder._finish
-    relations = _menu_predicates_symbolic(math.inf).fast
+    relations = _relations()
 
     def counted_interp(relation):
         built.append(relation)
@@ -497,7 +500,7 @@ def test_kept_menus_give_each_disprove_what_an_empty_cache_gives(monkeypatch):
             assert run(case) == alone[case], case.name
 
 
-_MENU_BUILDERS = ("_template_rows", "_affine_candidates", "_menu_predicates_symbolic")
+_MENU_BUILDERS = ("_template_rows", "_affine_candidates")
 
 
 def test_the_first_search_under_new_menu_settings_keeps_no_menu(empty_menu_cache):
@@ -506,7 +509,7 @@ def test_the_first_search_under_new_menu_settings_keeps_no_menu(empty_menu_cache
     assert find_model(theory, obligations).found
     assert finder._kept == (_settings(SearchBudget()), None)
     assert find_model(theory, obligations).found
-    assert {key[:2] for key in _kept_menus()} == {("template", (0, 1)), ("constants", (0, 1))}
+    assert {key[:2] for key in _kept_menus()} == {("template", (0, 1))}
 
 
 def test_searches_after_the_second_under_the_same_menu_settings_build_no_menu(
@@ -530,6 +533,18 @@ def test_searches_after_the_second_under_the_same_menu_settings_build_no_menu(
     ]
 
 
+def test_the_relation_list_is_enumerated_once_per_process(empty_menu_cache):
+    # Increasing-f exhausts every finite stage, so each carrier builds its
+    # predicate menu from the list, and the symbolic search reads it too.
+    theory, obligations = _setup(next(c for c in FINDER_CASES if c.name == "increasing-f"))
+    finder._relations.cache_clear()
+    budget = SearchBudget(carriers=((0, 1), (0, 2)))
+    assert not find_model(theory, obligations, budget).found
+    assert find_symbolic_model(theory, obligations, budget).found
+    info = finder._relations.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def _settings(budget: SearchBudget) -> SearchBudget:
     """What keys the kept menus: the budget less its node cap and time limit."""
     return dataclasses.replace(budget, time_limit=0.0, max_nodes=0)
@@ -548,14 +563,14 @@ def test_a_menu_build_stopped_by_the_deadline_keeps_nothing(empty_menu_cache, mo
         outcome = find_model(theory, obligations, deadline=time.monotonic() - 1)
         assert outcome.reason == "budget exhausted: time cap"
     assert _kept_menus() == {}
-    # Stopped while the first table menu is built, after the predicate and
-    # constant menus are complete: only those two are kept.
+    # Stopped while the first table menu is built, after the predicate menu
+    # is complete: only it is kept (the constant menu is the carrier, never kept).
     theory, obligations = _setup(FINDER_CASES[2])  # pair-gf: unary g, binary f
     stopped = mock.Mock(side_effect=finder._Stop("budget exhausted: time cap"))
     with mock.patch.object(finder, "_template_rows", stopped):
         outcome = find_model(theory, obligations)
     assert outcome.reason == "budget exhausted: time cap"
-    assert set(_kept_menus()) == {("template", (0, 1)), ("constants", (0, 1))}
+    assert set(_kept_menus()) == {("template", (0, 1))}
     # A later search builds the rest and finds what an empty cache finds.
     found = find_model(theory, obligations)
     monkeypatch.setattr(finder, "_kept", ((), None))
@@ -572,7 +587,7 @@ def test_a_search_under_other_menu_settings_drops_the_kept_menus(empty_menu_cach
     assert find_model(theory, obligations, narrow).found
     assert finder._kept == (_settings(narrow), None)
     assert find_model(theory, obligations, narrow).found
-    assert {key[:2] for key in _kept_menus(narrow)} == {("template", (0, 1)), ("constants", (0, 1))}
+    assert {key[:2] for key in _kept_menus(narrow)} == {("template", (0, 1))}
     # Each menu setting counts, and the node cap and time limit do not.
     kept = _kept_menus(narrow)
     find_model(theory, obligations, dataclasses.replace(narrow, max_nodes=9, time_limit=9.0))
@@ -706,7 +721,7 @@ def _menus(kind, param):
     if kind == "symbolic":
         points = tuple(range(param, param + 4))
         consts = _entries(_affine_candidates(0, param, _BUDGET, math.inf))
-        preds = _entries(_menu_predicates_symbolic(math.inf))
+        preds = [(_relation_interp(relation), relation) for relation in _relations()]
         funcs = {n: _entries(_affine_candidates(n, param, _BUDGET, math.inf)) for n in (1, 2)}
         return points, preds, consts, funcs
     return _finite_stage_menus(param, (1, 2), raw=kind == "raw")

@@ -28,20 +28,21 @@ evaluator cannot come back as a fork.  ``checker.py`` keeps exactly one
 cache or factory for the same job cannot come back either.
 
 One function of ``finder.py`` reads the predicate menu's constants
-(``BASE_RELATIONS``, ``PAIR_COEFFS``, ``PAIR_CONSTS``): the symbolic
-relation builder, whose relations the finite stages restrict to their
-carriers, so a second enumeration of the relations cannot come back as a
-fork either.  Likewise one ``finder.py`` function reads the coefficient
-range (``coeff_min``, ``coeff_max``): the generator of the affine template
-terms that both backends' function menus are built from.
+(``BASE_RELATIONS``, ``PAIR_COEFFS``, ``PAIR_CONSTS``): ``_relations``,
+the one list of relations, which the symbolic stages read as it is and the
+finite stages restrict to their carriers, so a second enumeration of the
+relations cannot come back as a fork either.  Likewise one ``finder.py``
+function reads the coefficient range (``coeff_min``, ``coeff_max``): the
+generator of the affine template terms that both backends' function menus
+are built from.
 
 Only ``logic.py`` builds an ``Atom`` past its arity check (through
 ``tuple.__new__`` or ``Atom._make``), in ``Atom.binary``, which checks its
 predicate once for a whole stream of pairs.
 
-Every name a module of the package imports is used in it, unless its line
-says ``# noqa: F401`` (a re-export).  ``__init__.py`` imports only to
-export.
+Every name a module of the package, of ``tests/`` or of ``demos/``
+imports is used in it, unless its line says ``# noqa: F401`` (a
+re-export).  ``__init__.py`` imports only to export.
 
 The backends are told apart in a fixed set of functions: only
 ``checker.check_clause``, ``structures.eval_term``, ``eval_atom``,
@@ -419,7 +420,7 @@ def relation_readers(source: str) -> list[str]:
 
 
 def test_one_finder_function_enumerates_the_predicate_relations():
-    assert relation_readers((PACKAGE / "finder.py").read_text()) == ["_menu_predicates_symbolic"]
+    assert relation_readers((PACKAGE / "finder.py").read_text()) == ["_relations"]
 
 
 def test_a_second_reader_of_the_relation_constants_would_be_flagged():
@@ -432,7 +433,7 @@ def test_a_second_reader_of_the_relation_constants_would_be_flagged():
         "        selectors += [bytes(a * x + b * y <= c for x, y in points) for c in PAIR_CONSTS]\n"
         "    return list(dict.fromkeys(selectors))\n"
     )
-    assert relation_readers(finder + fork) == ["_menu_predicates_symbolic", "_template_selectors"]
+    assert relation_readers(finder + fork) == ["_relations", "_template_selectors"]
     # Code outside a function counts too; defining a constant is no read.
     assert relation_readers("WIDE = PAIR_CONSTS\n") == ["<module>"]
     assert relation_readers("PAIR_CONSTS = range(-2, 3)\n") == []
@@ -547,6 +548,15 @@ def test_every_import_of_the_package_is_used():
         name: [] for name in sorted(modules)
     }
     assert [name for name, source in sorted(modules.items()) if REEXPORT in source] == ["pipeline.py"]
+
+
+@pytest.mark.parametrize("folder", ("tests", "demos"))
+def test_every_import_of_the_tests_and_demos_is_used(folder):
+    modules = {p.name: p.read_text() for p in (ROOT / folder).glob("*.py")}
+    assert modules
+    assert {name: unused_imports(source) for name, source in sorted(modules.items())} == {
+        name: [] for name in sorted(modules)
+    }
 
 
 def test_an_unused_import_would_be_flagged():

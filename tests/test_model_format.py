@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from countermodel.cli import EXIT_REFUTED, main
 from countermodel.errors import CountermodelError, ParseError
 from countermodel.model_format import MAX_FINITE_CARRIER, parse_model, serialize_model
 from countermodel.structures import FiniteStructure, Interval, SymbolicStructure
@@ -124,7 +127,7 @@ _BOTH = ("finite", "symbolic")
         ("(FUN f(x, y) = x)", "(FUN f(x, x) = x)", "f", _BOTH),
         ("(PRED -> (x, y) = x = y)", "(PRED -> = pairs (0, 1, 1))", "->", ("finite",)),
         ("(PRED ->* (x, y) = x = y)", "(PRED ->* = pairs (0, 0) (1))", "->*", ("finite",)),
-        ("(PRED -> (x, y) = x = y)", "(PRED -> (x) = empty)", "->", ("finite",)),
+        ("(PRED -> (x, y) = x = y)", "(PRED -> (x) = empty)", "->", _BOTH),
         ("(FUN g(x) = x)", "(FUN g = table (0) -> 0 | (0) -> 1 | (1) -> 1)", "g", ("finite",)),
     ],
     ids=[
@@ -148,6 +151,25 @@ def test_wrongly_shaped_interpretations_rejected(block, replacement, symbol, bac
         with pytest.raises(ParseError) as info:
             parse_model(_WELL_SHAPED.replace(block, replacement), sig, backend)
         assert f"'{symbol}'" in str(info.value)
+
+
+@pytest.mark.parametrize("relation", ("empty", "pairs"))
+def test_a_relation_with_no_pair_is_the_false_row_on_the_symbolic_backend(relation, tmp_path, capsys):
+    rules = tmp_path / "ab.trs"
+    rules.write_text("(RULES a -> b)")
+    sig = parse_ctrs_document(rules.read_text()).ctrs.signature
+    text = f"(DOMAIN >= 0) (FUN a = 0) (FUN b = 1) (PRED -> = {relation}) (PRED ->* (x, y) = x = y)"
+    for backend in ("auto", "symbolic"):
+        structure = parse_model(text, sig, backend)
+        assert isinstance(structure, SymbolicStructure)
+        printed = serialize_model(structure)
+        assert "(PRED -> (x, y) = 0 <= -1)\n" in printed
+        assert serialize_model(parse_model(printed, sig, backend)) == printed
+    # The rule ``a -> b`` does not hold where ``->`` holds nowhere.
+    model = tmp_path / "empty.model"
+    model.write_text(text)
+    assert main(["check", str(rules), "--model", str(model)]) == EXIT_REFUTED
+    assert json.loads(capsys.readouterr().out)["overall"] == "refuted"
 
 
 def test_non_contiguous_carrier_rejected_for_symbolic():

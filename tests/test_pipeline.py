@@ -2,11 +2,8 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from countermodel.checker import VERIFIED
 from countermodel.finder import SearchBudget
-from countermodel.logic import Atom
 from countermodel.model_format import serialize_model
 from countermodel.pipeline import (
     build_theory,
@@ -15,7 +12,6 @@ from countermodel.pipeline import (
     theory_for_query,
 )
 from countermodel.query_format import parse_query
-from countermodel.terms import ARROW, MANY_STEPS
 from countermodel.trs_format import parse_ctrs_document
 from paperdata import query_text, system
 

@@ -332,3 +332,27 @@ def test_clamped_cases_partition_and_bound():
 def test_interval_carrier_rejects_empty():
     with pytest.raises(ModelError):
         Interval(2, 1)
+
+
+_SILENT = Signature(functions={"f": (("term",), "term")})
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [FiniteStructure(_SILENT, {}, {}, {}), SymbolicStructure(_SILENT, {}, {}, {})],
+    ids=["finite", "symbolic"],
+)
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        (Atom(sort_predicate("X"), (X,)), "no carrier for sort 'X'"),
+        (Atom(ARROW, (App("f", (X,)), X)), "structure does not interpret function 'f'"),
+        (Atom(ARROW, (X, X)), "structure does not interpret predicate '->'"),
+    ],
+    ids=["carrier", "function", "predicate"],
+)
+def test_the_record_names_a_missing_carrier_or_interpretation(structure, atom, message):
+    # Evaluation on either backend looks carriers and interpretations up through the record.
+    with pytest.raises(ModelError) as info:
+        eval_atom(structure, {"x": 0}, atom)
+    assert str(info.value) == message
