@@ -93,7 +93,6 @@ from .structures import (
     Interval,
     PiecewiseFunction,
     PredicateInterp,
-    Structure,
     SymbolicStructure,
 )
 from .terms import BUILTIN_PREDICATES, Signature
@@ -142,14 +141,13 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class FindOutcome:
-    structure: Structure | None
-    certificate: Certificate | None
+    certificate: Certificate | None  # handed back only verified
     reason: str | None
     nodes: int
 
     @property
     def found(self) -> bool:
-        return self.structure is not None
+        return self.certificate is not None
 
 
 class _Stop(Exception):
@@ -260,10 +258,10 @@ def _find(
             finish = lambda chosen: _finish(stage, sig, chosen, theory, obligations)  # noqa: E731
             found = _search(stage.slots, checks, state, stage.grid, finish)
             if found is not None:
-                return FindOutcome(found[0], found[1], None, state.nodes)
+                return FindOutcome(found, None, state.nodes)
     except _Stop as stop:
-        return FindOutcome(None, None, stop.reason, state.nodes)
-    return FindOutcome(None, None, "no model among the stages' candidates", state.nodes)
+        return FindOutcome(None, stop.reason, state.nodes)
+    return FindOutcome(None, "no model among the stages' candidates", state.nodes)
 
 
 # -- stages and slot construction -------------------------------------------------
@@ -522,8 +520,8 @@ def _search(
     checks: list[tuple[frozenset[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
-    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | frozenset[str]],
-) -> tuple[Structure, Certificate] | None:
+    finish: Callable[[dict[str, int]], Certificate | frozenset[str]],
+) -> Certificate | None:
     """Hand ``finish`` each complete candidate, an index per slot, until it accepts one.
 
     ``finish`` returns what it accepts, or the slots its rejection conflicts with.
@@ -585,7 +583,7 @@ def _search(
             if nodes >= limit:
                 limit = state.count(nodes, stride)
             found = finish(chosen)
-            if isinstance(found, tuple):
+            if isinstance(found, Certificate):
                 state.nodes = nodes
                 return found
             failed = sum(1 << position[name] for name in found)
@@ -668,8 +666,8 @@ def _finish(
     chosen: Mapping[str, int],
     theory: Theory,
     obligations: tuple[HornClause, ...],
-) -> tuple[Structure, Certificate] | frozenset[str]:
-    """``chosen`` as a structure, if the verifier accepts it: the only place interpretations are built.
+) -> Certificate | frozenset[str]:
+    """``chosen``'s certificate, if the verifier accepts it: the only place interpretations are built.
 
     Otherwise the slots read by one check that did not hold: a closure
     violation reads its function, a clause or obligation the slot keys of
@@ -686,7 +684,7 @@ def _finish(
     )
     certificate = verify(theory, obligations, structure)
     if certificate.overall == VERIFIED:
-        return structure, certificate
+        return certificate
     position = {slot.name: index for index, slot in enumerate(stage.slots)}
     checks = zip((*theory.clauses, *obligations), certificate.verdicts)
     failed = [{v.symbol} for v in certificate.closure_violations]

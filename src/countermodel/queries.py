@@ -3,7 +3,9 @@
 A query is a disjunction of conjunctions of atoms under a block of sorted
 existential quantifiers.  Templates build the standard property shapes
 (reachability, feasibility, joinability, reducibility, convertibility,
-cycling and looping of a term or of the whole system).  Negating a query
+cycling and looping of a term or of the whole system); ``TEMPLATES`` keys
+them by the names a query writes, and a system form is its term form at a
+fresh variable of the unique top sort.  Negating a query
 yields one obligation per disjunct, a headless Horn clause ``disjunct =>
 false``: the conjunction must have no satisfying valuation in the
 structure under scrutiny.
@@ -27,15 +29,17 @@ from .terms import (
     term_vars,
 )
 
-REACH = "Reach"
-FEAS = "Feas"
-JOINABLE = "Join"
-REDUCIBLE = "Red"
-CONVERTIBLE = "Conv"
-CYCLING_TERM = "CyclTerm"
-CYCLING_SYSTEM = "CyclSys"
-LOOPING_TERM = "LoopTerm"
-LOOPING_SYSTEM = "LoopSys"
+# The template names a query writes, each with the numbers of terms it takes;
+# FEASIBLE takes condition pairs instead.
+TEMPLATES = {
+    "REACHABLE": (2,),
+    "FEASIBLE": (),
+    "JOINABLE": (2,),
+    "REDUCIBLE": (1,),
+    "CONVERTIBLE": (2,),
+    "CYCLING": (0, 1),
+    "LOOPING": (0, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -81,71 +85,51 @@ def required_predicates(theory: Theory, obligations: tuple[HornClause, ...]) -> 
     return tuple(p for p in BUILTIN_PREDICATES if p in used)
 
 
-def template(sig: Signature, kind: str, *args) -> Query:
-    """Build one of the standard property queries.
+def template(sig: Signature, name: str, *args) -> Query:
+    """Build the standard property query ``name``, a key of ``TEMPLATES``.
 
-    Ground terms are required wherever the property shape demands them;
-    feasibility takes a list of condition pairs whose variables become the
-    existential prefix.
+    Every template but FEASIBLE takes ground terms; feasibility takes a list
+    of condition pairs whose variables become the existential prefix.
     """
-    if kind == REACH:
-        s, t = _ground_pair(kind, args)
-        return Query((), ((Atom(MANY_STEPS, (s, t)),),))
-    if kind == FEAS:
+    counts = TEMPLATES.get(name)
+    if counts is None:
+        raise QueryError(f"unknown query template '{name}'")
+    if name == "FEASIBLE":
         conditions = args[0] if len(args) == 1 and isinstance(args[0], (list, tuple)) else args
         if not conditions:
-            raise QueryError("feasibility needs at least one condition")
+            raise QueryError("FEASIBLE needs at least one condition")
         atoms = tuple(Atom(MANY_STEPS, (s, t)) for s, t in conditions)
         return Query(term_vars(*(t for pair in conditions for t in pair)), (atoms,))
-    if kind == JOINABLE:
-        s, t = _ground_pair(kind, args)
+    if len(args) not in counts:
+        raise QueryError(f"{name} takes {' or '.join(map(str, counts))} term(s)")
+    if not all(map(is_ground, args)):
+        raise QueryError(f"{name} requires ground terms")
+    if name == "REACHABLE":
+        return Query((), ((Atom(MANY_STEPS, args),),))
+    if name == "CONVERTIBLE":
+        s, t = args
+        return Query((), ((Atom(ARROW, (s, t)),), (Atom(ARROW, (t, s)),)))
+    if name == "JOINABLE":
+        s, t = args
         x = Var("x", _join_sort(sig, s, t))
         return Query((x,), ((Atom(MANY_STEPS, (s, x)), Atom(MANY_STEPS, (t, x))),))
-    if kind == REDUCIBLE:
-        (t,) = _ground_terms(kind, args, 1)
-        x = Var("x", term_sort(sig, t))
-        return Query((x,), ((Atom(ARROW, (t, x)),),))
-    if kind == CONVERTIBLE:
-        s, t = _ground_pair(kind, args)
-        return Query((), ((Atom(ARROW, (s, t)),), (Atom(ARROW, (t, s)),)))
-    if kind == CYCLING_TERM:
-        (t,) = _ground_terms(kind, args, 1)
-        x = Var("x", term_sort(sig, t))
-        return Query((x,), ((Atom(ARROW, (t, x)), Atom(MANY_STEPS, (x, t))),))
-    if kind == CYCLING_SYSTEM:
-        sort = _system_sort(sig)
-        x, y = Var("x", sort), Var("y", sort)
-        return Query((x, y), ((Atom(ARROW, (x, y)), Atom(MANY_STEPS, (y, x))),))
-    if kind == LOOPING_TERM:
-        (t,) = _ground_terms(kind, args, 1)
-        sort = term_sort(sig, t)
-        x, y = Var("x", sort), Var("y", sort)
-        return Query(
-            (x, y),
-            ((Atom(ARROW, (t, x)), Atom(MANY_STEPS, (x, y)), Atom(SUBTERM, (y, t))),),
-        )
-    if kind == LOOPING_SYSTEM:
-        sort = _system_sort(sig)
-        x, y, z = Var("x", sort), Var("y", sort), Var("z", sort)
-        return Query(
-            (x, y, z),
-            ((Atom(ARROW, (x, y)), Atom(MANY_STEPS, (y, z)), Atom(SUBTERM, (z, x))),),
-        )
-    raise QueryError(f"unknown query template '{kind}'")
-
-
-def _ground_terms(kind: str, args: tuple, count: int) -> tuple[Term, ...]:
-    if len(args) != count:
-        raise QueryError(f"template {kind} takes {count} term(s)")
-    for t in args:
-        if not is_ground(t):
-            raise QueryError(f"template {kind} requires ground terms")
-    return tuple(args)
-
-
-def _ground_pair(kind: str, args: tuple) -> tuple[Term, Term]:
-    s, t = _ground_terms(kind, args, 2)
-    return s, t
+    if name == "REDUCIBLE":
+        x = Var("x", term_sort(sig, args[0]))
+        return Query((x,), ((Atom(ARROW, (args[0], x)),),))
+    # CYCLING and LOOPING: the term form at t, or at a fresh x of the unique
+    # top sort, where the term form's own variables move up one name.
+    if args:
+        (t,) = args
+        sort, names = term_sort(sig, t), ("x", "y")
+    else:
+        sort, names = _system_sort(sig), ("y", "z")
+        t = Var("x", sort)
+    u, v = (Var(n, sort) for n in names)
+    if name == "CYCLING":
+        atoms = (Atom(ARROW, (t, u)), Atom(MANY_STEPS, (u, t)))
+    else:
+        atoms = (Atom(ARROW, (t, u)), Atom(MANY_STEPS, (u, v)), Atom(SUBTERM, (v, t)))
+    return Query(term_vars(*(atom.args[0] for atom in atoms)), (atoms,))
 
 
 def _join_sort(sig: Signature, s: Term, t: Term) -> str:

@@ -4,11 +4,12 @@ Two input shapes are accepted: the explicit existential form ::
 
     EXISTS x:Sort y . s -> x /\\ x ->* y \\/ t ->^ y
 
-and the template forms REACHABLE(s, t), FEASIBLE(s1 == t1, ...),
-JOINABLE(s, t), REDUCIBLE(t), CONVERTIBLE(s, t), CYCLING(), CYCLING(t),
-LOOPING(), LOOPING(t).  Anything outside the existential positive fragment
-(negation, universal quantification, implication, nested quantifiers) is
-rejected with an unsupported-fragment error.
+and the template forms of ``queries.TEMPLATES``, REACHABLE(s, t),
+FEASIBLE(s1 == t1, ...), JOINABLE(s, t), REDUCIBLE(t), CONVERTIBLE(s, t),
+CYCLING(), CYCLING(t), LOOPING(), LOOPING(t), their names read in any case
+unless the signature declares them.  Anything outside the existential
+positive fragment (negation, universal quantification, implication, nested
+quantifiers) is rejected with an unsupported-fragment error.
 
 Terms and lists are read with the shared reader in ``lexer``; this module
 decides what a name stands for.  Identifiers resolve to variables when bound
@@ -23,19 +24,7 @@ from typing import Mapping
 from .errors import ParseError, QueryError, SourceSpan, TermError, UnsupportedFragmentError
 from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
 from .logic import Atom
-from .queries import (
-    CONVERTIBLE,
-    CYCLING_SYSTEM,
-    CYCLING_TERM,
-    FEAS,
-    JOINABLE,
-    LOOPING_SYSTEM,
-    LOOPING_TERM,
-    Query,
-    REACH,
-    REDUCIBLE,
-    template,
-)
+from .queries import TEMPLATES, Query, template
 from .terms import (
     ARROW,
     MANY_STEPS,
@@ -50,18 +39,9 @@ from .terms import (
 
 _ATOM_OPERATORS = (ARROW, MANY_STEPS, ROOT_STEP, SUBTERM)
 
-_TEMPLATES = {
-    "REACHABLE": REACH,
-    "FEASIBLE": FEAS,
-    "JOINABLE": JOINABLE,
-    "REDUCIBLE": REDUCIBLE,
-    "CONVERTIBLE": CONVERTIBLE,
-    "CYCLING": None,  # arity decides between term and system form
-    "LOOPING": None,
-}
-
-_REJECTED_TOKENS = {"~": "negation", "!": "negation", "=>": "implication"}
-_REJECTED_WORDS = {"FORALL": "universal quantification", "ALL": "universal quantification", "NOT": "negation"}
+# The constructs outside the fragment, by operator token or upper-cased word.
+_REJECTED = {"~": "negation", "!": "negation", "NOT": "negation", "=>": "implication",
+             "FORALL": "universal quantification", "ALL": "universal quantification"}
 
 
 def parse_query(
@@ -72,15 +52,10 @@ def parse_query(
 ) -> Query:
     tokens = tokenize(text, file)
     for token in tokens:
-        if token.kind in _REJECTED_TOKENS:
+        rejected = _REJECTED.get(token.text.upper() if token.kind == "ident" else token.kind)
+        if rejected is not None:
             raise UnsupportedFragmentError(
-                f"unsupported fragment: {_REJECTED_TOKENS[token.kind]} is not allowed "
-                "(queries are existential closures of positive atom combinations)",
-                token.span(file),
-            )
-        if token.kind == "ident" and token.text.upper() in _REJECTED_WORDS:
-            raise UnsupportedFragmentError(
-                f"unsupported fragment: {_REJECTED_WORDS[token.text.upper()]} is not allowed "
+                f"unsupported fragment: {rejected} is not allowed "
                 "(queries are existential closures of positive atom combinations)",
                 token.span(file),
             )
@@ -88,7 +63,8 @@ def parse_query(
     declared = dict(var_sorts) if var_sorts else {}
 
     head = stream.peek()
-    if head is not None and head.kind == "ident" and head.text.upper() in _TEMPLATES and stream.at("(", 1):
+    call = head is not None and head.kind == "ident" and stream.at("(", 1)
+    if call and head.text.upper() in TEMPLATES and head.text not in sig.functions:
         query = _parse_template(stream, sig, declared)
     else:
         query = _parse_exists(stream, sig, declared)
@@ -98,24 +74,21 @@ def parse_query(
 
 
 def _parse_template(stream: TokenStream, sig: Signature, declared: dict[str, str]) -> Query:
-    name = stream.expect_ident().text.upper()
+    head = stream.expect_ident()
+    name = head.text.upper()
     scope = _Scope(sig, declared, bound=None, ground=None if name == "FEASIBLE" else name)
-    try:
-        if name == "FEASIBLE":
-            stream.expect("(")
-            if stream.at(")"):
-                raise stream.error("FEASIBLE needs at least one condition")
-            conditions = read_conditions(stream, scope.term)
-            stream.expect(")")
-            return template(sig, FEAS, conditions)
+    if name == "FEASIBLE":
+        stream.expect("(")
+        if stream.at(")"):
+            raise stream.error("FEASIBLE needs at least one condition")
+        args = (read_conditions(stream, scope.term),)
+        stream.expect(")")
+    else:
         args = stream.items(scope.term)
-        if name == "CYCLING":
-            return template(sig, CYCLING_TERM if args else CYCLING_SYSTEM, *args)
-        if name == "LOOPING":
-            return template(sig, LOOPING_TERM if args else LOOPING_SYSTEM, *args)
-        return template(sig, _TEMPLATES[name], *args)
+    try:
+        return template(sig, name, *args)
     except QueryError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), head.span(stream.file)) from exc
 
 
 def _parse_exists(stream: TokenStream, sig: Signature, declared: dict[str, str]) -> Query:

@@ -5,8 +5,8 @@ memoizing, backjumping, learning search replaced, kept verbatim apart from
 absolute imports, its node count, which goes through ``_State.count``,
 what it hands ``finish``: the candidate index of each slot, as a slot's
 menu keeps its candidates in the form the checks read, and what it takes
-back: a structure and certificate, or, for a rejection, the slots it
-conflicts with, which it ignores.  It re-runs every attached check on
+back: a certificate, or, for a rejection, the slots it conflicts with,
+which it ignores.  It re-runs every attached check on
 every candidate and backtracks one slot at a time.  Run in its place, it
 must hand ``finish`` a superset of the same complete candidates in the
 same order: the learning search skips only those failing a check that
@@ -43,7 +43,6 @@ from countermodel.finder import (
     _State,
 )
 from countermodel.logic import Atom, sort_of_predicate
-from countermodel.structures import Structure
 from countermodel.terms import App, Term
 
 # A candidate as the menu builders below make it: (interpretation, what the checks read).
@@ -59,8 +58,8 @@ def _search(
     checks: list[tuple[set[str], _Refuter]],
     state: _State,
     points: tuple[int, ...],
-    finish: Callable[[dict[str, int]], tuple[Structure, Certificate] | frozenset[str]],
-) -> tuple[Structure, Certificate] | None:
+    finish: Callable[[dict[str, int]], Certificate | frozenset[str]],
+) -> Certificate | None:
     position = {slot.name: index for index, slot in enumerate(slots)}
     checks_by_slot: list[list[_Refuter]] = [[] for _ in slots]
     for symbols, refuted in checks:
@@ -71,11 +70,11 @@ def _search(
     env: dict[str, object] = {}
     chosen: dict[str, int] = {}
 
-    def descend(index: int) -> tuple[Structure, Certificate] | None:
+    def descend(index: int) -> Certificate | None:
         if index == len(slots):
             state.count(state.nodes + 1)
             found = finish(chosen)
-            return found if isinstance(found, tuple) else None
+            return found if isinstance(found, Certificate) else None
         slot = slots[index]
         attached = checks_by_slot[index]
         for k, fast in enumerate(slot.menu.fast):

@@ -16,6 +16,7 @@ from countermodel import cli, query_format, trs_format
 from countermodel.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, main
 from countermodel.lexer import MAX_NESTING
 from countermodel.oracle import saturate
+from countermodel.queries import TEMPLATES
 from countermodel.structures import SymbolicStructure
 from paperdata import CORPUS
 
@@ -709,7 +710,9 @@ def test_a_template_without_its_sort_exits_input_error(query, message, tmp_path,
     two_tops = tmp_path / "two_tops.trs"
     two_tops.write_text("(SORTS A B) (SIG a : -> A  b : -> B) (RULES)")
     assert main(["disprove", str(two_tops), "--query", query]) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    # The error carries the span of the template's name.
+    span = f"<query>:1:1-1:{query.index('(') + 1}"
+    assert capsys.readouterr().err.startswith(f"error: {span}: {message}")
 
 
 def test_the_readme_flag_examples_parse_on_disprove():
@@ -726,6 +729,22 @@ def test_the_readme_flag_examples_parse_on_disprove():
     for example in examples:
         args = parser.parse_args(["disprove", corpus("intro.trs"), "--query", "a -> b", *example])
         assert args.command == "disprove", example
+
+
+def test_the_readme_template_forms_are_the_template_table():
+    # Each backticked ``NAME(`` call form of the README's query section, by name.
+    text = (CORPUS.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("**Queries**") : text.index("**Structures**")]
+    assert set(re.findall(r"`([A-Z]+)\(", section)) == set(TEMPLATES)
+
+
+def test_a_function_symbol_named_like_a_template_is_that_symbol(tmp_path, capsys):
+    # ``reducible(a) -> a`` is an atom over the declared ``reducible``, not the template.
+    shadowed = tmp_path / "shadowed.trs"
+    shadowed.write_text("(VAR x) (RULES reducible(x) -> x  a -> a)")
+    for query in ("reducible(a) -> a", "EXISTS . reducible(a) -> a"):
+        assert main(["disprove", str(shadowed), "--query", query]) == EXIT_UNKNOWN, query
+        assert not capsys.readouterr().err.startswith("error:")
 
 
 def test_raw_table_menu_past_the_node_cap_ends_within_the_timeout(capsys):

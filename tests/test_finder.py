@@ -85,7 +85,7 @@ def test_finite_finder_succeeds_with_default_budget(case):
     assert outcome.found, outcome.reason
     assert outcome.certificate.overall == VERIFIED
     # the returned structure re-verifies from scratch
-    assert verify(theory, obligations, outcome.structure).overall == VERIFIED
+    assert verify(theory, obligations, outcome.certificate.structure).overall == VERIFIED
 
 
 @pytest.mark.parametrize("case", [c for c in FINDER_CASES if c.backend == "symbolic"], ids=lambda c: c.name)
@@ -94,7 +94,7 @@ def test_symbolic_finder_succeeds_with_default_budget(case):
     outcome = find_symbolic_model(theory, obligations)
     assert outcome.found, outcome.reason
     assert outcome.certificate.overall == VERIFIED
-    assert verify(theory, obligations, outcome.structure).overall == VERIFIED
+    assert verify(theory, obligations, outcome.certificate.structure).overall == VERIFIED
 
 
 def test_finder_is_deterministic():
@@ -102,7 +102,7 @@ def test_finder_is_deterministic():
     theory, obligations = _setup(case)
     first = find_model(theory, obligations)
     second = find_model(theory, obligations)
-    assert first.structure == second.structure
+    assert first.certificate.structure == second.certificate.structure
 
 
 def test_budget_enlargement_keeps_success():
@@ -206,7 +206,7 @@ def test_raw_table_fallback_finds_non_convex_relation():
 def test_found_structures_interpret_only_needed_predicates():
     theory, obligations = _setup(FINDER_CASES[0])
     outcome = find_model(theory, obligations)
-    assert set(outcome.structure.predicates) == {"->", "->*"}
+    assert set(outcome.certificate.structure.predicates) == {"->", "->*"}
 
 
 def _finite_stage_menus(carrier, arities, raw=False):
@@ -634,12 +634,12 @@ def test_fuzzed_searches_never_return_unverified_structures(seed):
     budget = SearchBudget(carriers=((0, 1), (0, 2)), max_nodes=60_000)
     outcome = find_model(theory, obligations, budget)
     if outcome.found:
-        assert verify(theory, obligations, outcome.structure).overall == VERIFIED
+        assert verify(theory, obligations, outcome.certificate.structure).overall == VERIFIED
     symbolic = find_symbolic_model(
         theory, obligations, SearchBudget(ray_carriers=(0,), max_nodes=60_000)
     )
     if symbolic.found:
-        assert verify(theory, obligations, symbolic.structure).overall == VERIFIED
+        assert verify(theory, obligations, symbolic.certificate.structure).overall == VERIFIED
 
 
 # -- compiled checks against the tree-walking reference -------------------------------
@@ -1245,7 +1245,7 @@ def _handed(case, budget, search):
 
     def recorded_finish(stage, sig, chosen, *rest):
         found = finish(stage, sig, chosen, *rest)
-        handed.append((dict(chosen), None if isinstance(found, tuple) else found))
+        handed.append((dict(chosen), found if isinstance(found, frozenset) else None))
         return found
 
     with mock.patch.object(finder, "_finish", recorded_finish), mock.patch.object(finder, "_search", search):

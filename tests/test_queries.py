@@ -7,20 +7,7 @@ import pytest
 
 from countermodel.errors import QueryError
 from countermodel.logic import Atom, HornClause
-from countermodel.queries import (
-    CONVERTIBLE,
-    CYCLING_SYSTEM,
-    CYCLING_TERM,
-    FEAS,
-    JOINABLE,
-    LOOPING_SYSTEM,
-    LOOPING_TERM,
-    Query,
-    REACH,
-    REDUCIBLE,
-    negate_to_obligations,
-    template,
-)
+from countermodel.queries import Query, negate_to_obligations, template
 from countermodel.query_format import parse_query
 from countermodel.structures import FiniteStructure, eval_atom
 from countermodel.terms import (
@@ -40,13 +27,13 @@ X, Y = Var("x"), Var("y")
 
 
 def test_joinable_template():
-    q = template(SIG, JOINABLE, A, B)
+    q = template(SIG, "JOINABLE", A, B)
     assert q.variables == (X,)
     assert q.disjuncts == ((Atom(MANY_STEPS, (A, X)), Atom(MANY_STEPS, (B, X))),)
 
 
 def test_looping_term_template():
-    q = template(SIG, LOOPING_TERM, A)
+    q = template(SIG, "LOOPING", A)
     assert q.variables == (X, Y)
     assert q.disjuncts == (
         (Atom(ARROW, (A, X)), Atom(MANY_STEPS, (X, Y)), Atom(SUBTERM, (Y, A))),
@@ -54,32 +41,39 @@ def test_looping_term_template():
 
 
 def test_convertible_template_has_two_disjuncts():
-    q = template(SIG, CONVERTIBLE, A, B)
+    q = template(SIG, "CONVERTIBLE", A, B)
     assert q.disjuncts == ((Atom(ARROW, (A, B)),), (Atom(ARROW, (B, A)),))
 
 
 def test_cycling_system_template():
-    q = template(SIG, CYCLING_SYSTEM)
+    q = template(SIG, "CYCLING")
+    assert q.variables == (X, Y)
     assert q.disjuncts == ((Atom(ARROW, (X, Y)), Atom(MANY_STEPS, (Y, X))),)
 
 
 def test_looping_system_template():
-    q = template(SIG, LOOPING_SYSTEM)
+    q = template(SIG, "LOOPING")
     z = Var("z")
+    assert q.variables == (X, Y, z)
     assert q.disjuncts == (
         (Atom(ARROW, (X, Y)), Atom(MANY_STEPS, (Y, z)), Atom(SUBTERM, (z, X))),
     )
 
 
+def test_an_unknown_template_name_is_a_query_error():
+    with pytest.raises(QueryError, match="unknown query template 'NOPE'"):
+        template(SIG, "NOPE")
+
+
 def test_ground_templates_reject_variables():
     with pytest.raises(QueryError):
-        template(SIG, REACH, X, B)
+        template(SIG, "REACHABLE", X, B)
     with pytest.raises(QueryError):
-        template(SIG, REDUCIBLE, App("f", (X,)))
+        template(SIG, "REDUCIBLE", App("f", (X,)))
 
 
 def test_negate_ground_atom_query():
-    q = template(SIG, REACH, A, B)
+    q = template(SIG, "REACHABLE", A, B)
     obligations = negate_to_obligations(q)
     assert len(obligations) == 1
     assert obligations[0].variables == ()
@@ -87,7 +81,7 @@ def test_negate_ground_atom_query():
 
 
 def test_negate_convertible_gives_two_ground_obligations():
-    obligations = negate_to_obligations(template(SIG, CONVERTIBLE, A, B))
+    obligations = negate_to_obligations(template(SIG, "CONVERTIBLE", A, B))
     assert [ob.variables for ob in obligations] == [(), ()]
     assert [ob.body for ob in obligations] == [
         (Atom(ARROW, (A, B)),),
@@ -122,7 +116,7 @@ def test_query_requires_bound_variables():
 
 
 def test_feasibility_template_binds_in_occurrence_order():
-    q = template(SIG, FEAS, [(App("f", (Y,)), X), (X, A)])
+    q = template(SIG, "FEASIBLE", [(App("f", (Y,)), X), (X, A)])
     assert q.variables == (Y, X)
 
 
@@ -157,15 +151,15 @@ def test_obligations_equivalent_to_negated_query_on_finite_structures(seed):
     structure = random_finite_structure(rng)
     kind = rng.choice(["join", "loopsys", "cyclsys", "conv", "feas"])
     if kind == "join":
-        query = template(SIG, JOINABLE, A, B)
+        query = template(SIG, "JOINABLE", A, B)
     elif kind == "loopsys":
-        query = template(SIG, LOOPING_SYSTEM)
+        query = template(SIG, "LOOPING")
     elif kind == "cyclsys":
-        query = template(SIG, CYCLING_SYSTEM)
+        query = template(SIG, "CYCLING")
     elif kind == "conv":
-        query = template(SIG, CONVERTIBLE, A, B)
+        query = template(SIG, "CONVERTIBLE", A, B)
     else:
-        query = template(SIG, FEAS, [(App("f", (X,)), X), (X, B)])
+        query = template(SIG, "FEASIBLE", [(App("f", (X,)), X), (X, B)])
     obligations = negate_to_obligations(query)
     all_hold = True
     for ob in obligations:
@@ -181,14 +175,14 @@ def test_obligations_equivalent_to_negated_query_on_finite_structures(seed):
 
 def test_template_round_trips_through_parser():
     cases = [
-        ("JOINABLE(a, b)", template(SIG, JOINABLE, A, B)),
-        ("REACHABLE(a, b)", template(SIG, REACH, A, B)),
-        ("CONVERTIBLE(a, b)", template(SIG, CONVERTIBLE, A, B)),
-        ("REDUCIBLE(a)", template(SIG, REDUCIBLE, A)),
-        ("CYCLING(a)", template(SIG, CYCLING_TERM, A)),
-        ("CYCLING()", template(SIG, CYCLING_SYSTEM)),
-        ("LOOPING(a)", template(SIG, LOOPING_TERM, A)),
-        ("LOOPING()", template(SIG, LOOPING_SYSTEM)),
+        ("JOINABLE(a, b)", template(SIG, "JOINABLE", A, B)),
+        ("REACHABLE(a, b)", template(SIG, "REACHABLE", A, B)),
+        ("CONVERTIBLE(a, b)", template(SIG, "CONVERTIBLE", A, B)),
+        ("REDUCIBLE(a)", template(SIG, "REDUCIBLE", A)),
+        ("CYCLING(a)", template(SIG, "CYCLING", A)),
+        ("CYCLING()", template(SIG, "CYCLING")),
+        ("LOOPING(a)", template(SIG, "LOOPING", A)),
+        ("LOOPING()", template(SIG, "LOOPING")),
     ]
     for text, expected in cases:
         assert parse_query(text, SIG) == expected

@@ -54,6 +54,22 @@ def test_unknown_symbol_rejected():
         parse_query("REACHABLE(a, q(b))", SIG)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("REACHABLE(a)", "<input>:1:1-1:10: REACHABLE takes 2 term(s)"),
+        ("CONVERTIBLE(a)", "<input>:1:1-1:12: CONVERTIBLE takes 2 term(s)"),
+        ("REDUCIBLE()", "<input>:1:1-1:10: REDUCIBLE takes 1 term(s)"),
+        ("CYCLING(a, b)", "<input>:1:1-1:8: CYCLING takes 0 or 1 term(s)"),
+        ("LOOPING(a, b)", "<input>:1:1-1:8: LOOPING takes 0 or 1 term(s)"),
+    ],
+)
+def test_a_template_error_names_the_template_at_its_name(text, expected):
+    with pytest.raises(ParseError) as info:
+        parse_query(text, SIG)
+    assert str(info.value) == expected
+
+
 def test_bare_ground_atom_query():
     query = parse_query("a -> b", SIG)
     assert query.variables == ()
