@@ -38,13 +38,7 @@ from .linear import (
 from .logic import Atom, HornClause, Theory, format_clause, format_theory
 from .model_format import parse_model, serialize_model
 from .oracle import AtomSet, saturate
-from .pipeline import (
-    Disproof,
-    build_theory,
-    disprove,
-    oracle_cross_check,
-    theory_for_query,
-)
+from .pipeline import Disproof, disprove, oracle_cross_check, theory_for_query
 from .queries import Query, negate_to_obligations, template
 from .query_format import parse_query
 from .structures import (

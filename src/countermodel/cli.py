@@ -29,7 +29,6 @@ from .model_format import AUTO, FINITE, SYMBOLIC, parse_model
 from .oracle import saturate
 from .pipeline import (
     BOTH,
-    build_theory,
     disprove,
     oracle_cross_check,
     required_predicates,
@@ -181,10 +180,8 @@ def _load_query(args, document):
 
 def _run_compile(args) -> int:
     document = _load_system(args)
-    theory = build_theory(
-        document.ctrs,
-        with_subterm=args.with_subterm_theory,
-        with_root=args.with_root_theory,
+    theory = theory_for_query(
+        document.ctrs, with_subterm=args.with_subterm_theory, with_root=args.with_root_theory
     )
     print(format_theory(theory))
     return EXIT_VERIFIED
@@ -194,13 +191,11 @@ def _run_check(args) -> int:
     document = _load_system(args)
     query = _load_query(args, document)
     ctrs = document.ctrs
-    extensions = dict(with_subterm=args.with_subterm_theory, with_root=args.with_root_theory)
-    if query is None:
-        theory, obligations = build_theory(ctrs, **extensions), ()
-    else:
-        theory = theory_for_query(ctrs, query, **extensions)
-        obligations = negate_to_obligations(query)
-    required = required_predicates(theory, tuple(obligations))
+    theory = theory_for_query(
+        ctrs, query, with_subterm=args.with_subterm_theory, with_root=args.with_root_theory
+    )
+    obligations = negate_to_obligations(query) if query is not None else ()
+    required = required_predicates(theory, obligations)
     model_text = Path(args.model).read_text(encoding="utf-8-sig")
     backends = (FINITE, SYMBOLIC) if args.backend == BOTH else (args.backend,)
     readings = [parse_model(model_text, ctrs.signature, b, required, file=args.model) for b in backends]

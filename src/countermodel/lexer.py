@@ -7,7 +7,8 @@ tokens it reads the shapes the formats share, ``item SEP item ...``
 blocks of a document (``blocks``) and the raw tokens of a balanced block
 (``balanced``).
 ``read_term`` reads ``name`` and ``name(term, ..., term)``; each format says
-through two callbacks what a name stands for.
+through two callbacks what a name stands for.  ``read_condition`` reads one
+``s == t``, of a rule or of FEASIBLE.
 """
 from __future__ import annotations
 
@@ -217,12 +218,8 @@ def read_term(
     return application(stream, token, args)
 
 
-def read_conditions(stream: TokenStream, term: Callable[[TokenStream], T]) -> list[tuple[T, T]]:
-    """``s1 == t1, ..., sn == tn``: the conditions of a rule or of FEASIBLE."""
-
-    def condition(stream: TokenStream) -> tuple[T, T]:
-        left = term(stream)
-        stream.expect("==")
-        return left, term(stream)
-
-    return stream.separated(condition, ",")
+def read_condition(stream: TokenStream, term: Callable[[TokenStream], T]) -> tuple[T, T]:
+    """``s == t``: one condition of a rule or of FEASIBLE."""
+    left = term(stream)
+    stream.expect("==")
+    return left, term(stream)

@@ -1,10 +1,10 @@
 """End-to-end wiring: theory assembly, disproof search, oracle cross-checks.
 
-A disproof of a property works in three steps: compile the system to its
-Horn theory (plus the subterm or root-step theory when the property
-mentions those predicates - without them a countermodel would be
-meaningless), negate the query into per-disjunct obligations, and check or
-synthesize a structure satisfying theory and obligations.  A verified
+A disproof of a property works in three steps: build the system's Horn
+theory with ``theory_for_query`` (adding the subterm or root-step theory
+when the property mentions those predicates - without them a countermodel
+would be meaningless), negate the query into per-disjunct obligations, and
+check or synthesize a structure satisfying theory and obligations.  A verified
 certificate witnesses that the property fails in the least Herbrand model,
 i.e. for actual rewriting.
 """
@@ -29,27 +29,17 @@ ORACLE_SIZE_BOUND = 4
 ORACLE_DEPTH_BOUND = 5
 
 
-def build_theory(ctrs: CTRS, *, with_subterm: bool = False, with_root: bool = False) -> Theory:
-    """Compile and extend a system's theory, relativizing sorts when present."""
-    base = compile_ctrs(ctrs)
-    clauses = list(base.clauses)
-    if with_subterm:
+def theory_for_query(
+    ctrs: CTRS, query: Query | None = None, *, with_subterm: bool = False, with_root: bool = False
+) -> Theory:
+    """Compile the system, add the theories asked for or used by the query, relativize sorts."""
+    predicates = query.predicates() if query is not None else frozenset()
+    clauses = list(compile_ctrs(ctrs).clauses)
+    if with_subterm or SUBTERM in predicates:
         clauses.extend(subterm_theory(ctrs.signature))
-    if with_root:
+    if with_root or ROOT_STEP in predicates:
         clauses.extend(root_theory(ctrs))
     return relativize_sorts(Theory(ctrs.signature, tuple(clauses)))
-
-
-def theory_for_query(
-    ctrs: CTRS, query: Query, *, with_subterm: bool = False, with_root: bool = False
-) -> Theory:
-    """Like :func:`build_theory`, forcing in the theories the query relies on."""
-    predicates = query.predicates()
-    return build_theory(
-        ctrs,
-        with_subterm=with_subterm or SUBTERM in predicates,
-        with_root=with_root or ROOT_STEP in predicates,
-    )
 
 
 @dataclass(frozen=True)

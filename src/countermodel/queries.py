@@ -4,7 +4,8 @@ A query is a disjunction of conjunctions of atoms under a block of sorted
 existential quantifiers.  Templates build the standard property shapes
 (reachability, feasibility, joinability, reducibility, convertibility,
 cycling and looping of a term or of the whole system); ``TEMPLATES`` keys
-them by the names a query writes, and a system form is its term form at a
+them by the names a query writes, each takes one term (FEASIBLE: one
+condition pair) per argument, and a system form is its term form at a
 fresh variable of the unique top sort.  Negating a query
 yields one obligation per disjunct, a headless Horn clause ``disjunct =>
 false``: the conjunction must have no satisfying valuation in the
@@ -88,18 +89,21 @@ def required_predicates(theory: Theory, obligations: tuple[HornClause, ...]) -> 
 def template(sig: Signature, name: str, *args) -> Query:
     """Build the standard property query ``name``, a key of ``TEMPLATES``.
 
-    Every template but FEASIBLE takes ground terms; feasibility takes a list
-    of condition pairs whose variables become the existential prefix.
+    Every template but FEASIBLE takes one ground term per argument;
+    FEASIBLE takes one condition pair ``(s, t)`` per argument, and the
+    variables of its conditions become the existential prefix.
     """
     counts = TEMPLATES.get(name)
     if counts is None:
         raise QueryError(f"unknown query template '{name}'")
     if name == "FEASIBLE":
-        conditions = args[0] if len(args) == 1 and isinstance(args[0], (list, tuple)) else args
-        if not conditions:
+        if not args:
             raise QueryError("FEASIBLE needs at least one condition")
-        atoms = tuple(Atom(MANY_STEPS, (s, t)) for s, t in conditions)
-        return Query(term_vars(*(t for pair in conditions for t in pair)), (atoms,))
+        try:
+            atoms = tuple(Atom(MANY_STEPS, (s, t)) for s, t in args)
+        except (TypeError, ValueError) as exc:
+            raise QueryError("FEASIBLE takes one (s, t) pair per condition") from exc
+        return Query(term_vars(*(t for atom in atoms for t in atom.args)), (atoms,))
     if len(args) not in counts:
         raise QueryError(f"{name} takes {' or '.join(map(str, counts))} term(s)")
     if not all(map(is_ground, args)):

@@ -7,9 +7,11 @@ Two input shapes are accepted: the explicit existential form ::
 and the template forms of ``queries.TEMPLATES``, REACHABLE(s, t),
 FEASIBLE(s1 == t1, ...), JOINABLE(s, t), REDUCIBLE(t), CONVERTIBLE(s, t),
 CYCLING(), CYCLING(t), LOOPING(), LOOPING(t), their names read in any case
-unless the signature declares them.  Anything outside the existential
+unless the signature declares them; each reads one list of conditions or
+terms for ``template`` to check.  Anything outside the existential
 positive fragment (negation, universal quantification, implication, nested
-quantifiers) is rejected with an unsupported-fragment error.
+quantifiers) is rejected with an unsupported-fragment error; a word the
+signature declares, such as ``not``, is its function symbol instead.
 
 Terms and lists are read with the shared reader in ``lexer``; this module
 decides what a name stands for.  Identifiers resolve to variables when bound
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import ParseError, QueryError, SourceSpan, TermError, UnsupportedFragmentError
-from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
+from .lexer import Token, TokenStream, read_condition, read_term, tokenize
 from .logic import Atom
 from .queries import TEMPLATES, Query, template
 from .terms import (
@@ -53,7 +55,7 @@ def parse_query(
     tokens = tokenize(text, file)
     for token in tokens:
         rejected = _REJECTED.get(token.text.upper() if token.kind == "ident" else token.kind)
-        if rejected is not None:
+        if rejected is not None and token.text not in sig.functions:
             raise UnsupportedFragmentError(
                 f"unsupported fragment: {rejected} is not allowed "
                 "(queries are existential closures of positive atom combinations)",
@@ -77,14 +79,7 @@ def _parse_template(stream: TokenStream, sig: Signature, declared: dict[str, str
     head = stream.expect_ident()
     name = head.text.upper()
     scope = _Scope(sig, declared, bound=None, ground=None if name == "FEASIBLE" else name)
-    if name == "FEASIBLE":
-        stream.expect("(")
-        if stream.at(")"):
-            raise stream.error("FEASIBLE needs at least one condition")
-        args = (read_conditions(stream, scope.term),)
-        stream.expect(")")
-    else:
-        args = stream.items(scope.term)
+    args = stream.items(scope.condition if name == "FEASIBLE" else scope.term)
     try:
         return template(sig, name, *args)
     except QueryError as exc:
@@ -159,6 +154,9 @@ class _Scope:
 
     def term(self, stream: TokenStream) -> Term:
         return read_term(stream, self._resolve, self._application)
+
+    def condition(self, stream: TokenStream) -> tuple[Term, Term]:
+        return read_condition(stream, self.term)
 
     def _resolve(self, stream: TokenStream, token: Token) -> Var | None:
         """The variable ``token`` names, or None for a signature symbol."""

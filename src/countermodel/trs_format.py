@@ -20,10 +20,11 @@ are rejected with the offending span.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import ParseError, RuleError, TermError
-from .lexer import Token, TokenStream, read_conditions, read_term, tokenize
+from .lexer import Token, TokenStream, read_condition, read_term, tokenize
 from .terms import (
     CTRS,
     DEFAULT_SORT,
@@ -183,6 +184,7 @@ def _parse_rules(
     def term(stream: TokenStream) -> Term:
         return read_term(stream, variable, application)
 
+    condition = functools.partial(read_condition, term=term)
     stream = TokenStream(body, file)
     rules: list[ConditionalRule] = []
     while not stream.done():
@@ -190,7 +192,7 @@ def _parse_rules(
         lhs = term(stream)
         stream.expect("->")
         rhs = term(stream)
-        conditions = read_conditions(stream, term) if stream.accept("|") else []
+        conditions = stream.separated(condition, ",") if stream.accept("|") else []
         span = start.span(file) if start else None
         try:
             rules.append(

@@ -24,6 +24,10 @@ from countermodel.checker import (
 )
 from countermodel.linear import AffineForm, Feasibility, LinearConstraint
 from countermodel.logic import Atom, HornClause, Theory, sort_predicate
+from countermodel.model_format import parse_model
+from countermodel.pipeline import theory_for_query
+from countermodel.queries import negate_to_obligations
+from countermodel.query_format import parse_query
 from countermodel.structures import (
     ClauseLowering,
     FiniteStructure,
@@ -42,6 +46,7 @@ from countermodel.terms import (
     Signature,
     Var,
 )
+from countermodel.trs_format import parse_ctrs
 from comparisons import materialize
 from paperdata import CORPUS, paper_instance, paper_certificate
 
@@ -213,6 +218,27 @@ def test_a_check_whose_solve_gives_up_is_unknown_and_never_holds(monkeypatch):
             assert verdict.status == HOLDS, clause
     assert statuses == {HOLDS, UNKNOWN}
     assert check_obligation(s, obligations[0]).reason == "budget exceeded (test)"
+
+
+def test_a_kernel_witness_evaluation_does_not_confirm_is_unknown_never_fails():
+    # Never "fails" without a confirmed witness.  The overlapping guards let
+    # the lowering choose f(x) = 0, so the kernel proposes x = 0 for
+    # f(x) ->* b; evaluation takes the first case, f(0) = 1, and 1 ->* 0 is false.
+    ctrs = parse_ctrs("(VAR x) (RULES f(a) -> a  b -> b)")
+    structure = parse_model(
+        "(DOMAIN >= 0) (FUN a = 0) (FUN b = 0) (FUN f(x) = cases x >= 0 -> 1 | x >= 0 -> 0)"
+        " (PRED -> (x, y) = x >= y + 1 /\\ x <= y - 1) (PRED ->* (x, y) = x = y)",
+        ctrs.signature,
+    )
+    query = parse_query("EXISTS x . f(x) ->* b", ctrs.signature)
+    (obligation,) = negate_to_obligations(query)
+    verdict = check_clause(structure, obligation)
+    assert (verdict.status, verdict.reason) == (UNKNOWN, "kernel witness not confirmed by evaluation")
+    # verify never gets that far: the overlap is a certain closure violation.
+    cert = verify(theory_for_query(ctrs, query), (obligation,), structure)
+    assert cert.overall == REFUTED
+    assert [v.detail for v in cert.closure_violations if v.certain] == ["guards of cases 1 and 2 overlap"]
+    assert cert.verdicts == ()
 
 
 def test_a_closure_probe_that_gives_up_leaves_the_certificate_unknown(monkeypatch):

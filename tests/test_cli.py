@@ -93,6 +93,31 @@ def test_check_refuted_model_exit_one(capsys):
     assert payload["first_failure"].startswith("closure")
 
 
+def test_check_of_a_model_whose_table_has_a_gap_exits_unknown(tmp_path, capsys):
+    # On User = [-1, 1] the finite reading of submit(x) = -x has no entry at -1.
+    text = (CORPUS / "models" / "website.model").read_text()
+    model = tmp_path / "website.model"
+    model.write_text(text.replace("(DOMAIN User >= -1)", "(DOMAIN User [-1, 1])"))
+    code = main(
+        [
+            "check",
+            corpus("website.trs"),
+            "--query-file",
+            corpus("queries/website.q"),
+            "--model",
+            str(model),
+            "--backend",
+            "finite",
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNKNOWN
+    assert payload["overall"] == "unknown"
+    verdicts = payload["clause_verdicts"] + payload["obligation_verdicts"]
+    reasons = [v.get("reason") for v in verdicts]
+    assert "table of 'submit' has no entry at (-1,)" in reasons
+
+
 def test_check_cross_backend_agreement(capsys):
     code = main(
         [
@@ -204,6 +229,11 @@ def test_input_error_exit_three(capsys):
     code = main(["compile", corpus("does_not_exist.trs")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_disprove_without_a_query_exits_input_error(capsys):
+    assert main(["disprove", corpus("intro.trs")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: disprove needs a --query or --query-file\n"
 
 
 def test_parse_error_exit_three(tmp_path, capsys):
@@ -747,6 +777,16 @@ def test_a_function_symbol_named_like_a_template_is_that_symbol(tmp_path, capsys
         assert not capsys.readouterr().err.startswith("error:")
 
 
+def test_a_function_symbol_named_like_a_rejected_word_is_that_symbol(tmp_path, capsys):
+    # ``not`` is declared, so ``not(true)`` is a term; the undeclared ``NOT`` is still negation.
+    negation = tmp_path / "not.trs"
+    negation.write_text("(RULES not(true) -> false  not(false) -> true)")
+    assert main(["disprove", str(negation), "--query", "REACHABLE(not(true), true)"]) == 0
+    assert "oracle cross-check passed" in capsys.readouterr().err
+    assert main(["disprove", str(negation), "--query", "NOT (a -> b)"]) == EXIT_INPUT
+    assert "unsupported fragment: negation is not allowed" in capsys.readouterr().err
+
+
 def test_raw_table_menu_past_the_node_cap_ends_within_the_timeout(capsys):
     # On the carrier 0..3 the raw arity-2 menu holds 4 ** 16 tables, far past
     # the node cap: the search must stop before building it.
@@ -848,7 +888,7 @@ def test_a_value_error_inside_a_callee_exits_internal(monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise ValueError("constraint mentions undeclared variable 'x'")
 
-    monkeypatch.setattr(cli, "build_theory", crash)
+    monkeypatch.setattr(cli, "theory_for_query", crash)
     assert main(["compile", corpus("intro.trs")]) == EXIT_INTERNAL
     assert capsys.readouterr().err == (
         "internal error: ValueError: constraint mentions undeclared variable 'x'\n"

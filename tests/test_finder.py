@@ -44,7 +44,7 @@ from countermodel.finder import (
     find_symbolic_model,
 )
 from countermodel.logic import Atom, sort_of_predicate
-from countermodel.pipeline import build_theory, theory_for_query
+from countermodel.pipeline import theory_for_query
 from countermodel.queries import negate_to_obligations
 from countermodel.query_format import parse_query
 from countermodel.linear import LinearConstraint, compare
@@ -160,7 +160,7 @@ def test_raw_menu_past_the_node_cap_stops_before_it_is_built(monkeypatch):
     ctrs = parse_ctrs("(RULES a -> b  b -> a  f(a, b) -> a)")
     query = parse_query("EXISTS . a -> a \\/ b -> b", ctrs.signature)
     budget = SearchBudget(carriers=((0, 2),), raw_table_max_size=3, max_nodes=3**9 - 1)
-    outcome = find_model(build_theory(ctrs), negate_to_obligations(query), budget)
+    outcome = find_model(theory_for_query(ctrs), negate_to_obligations(query), budget)
     assert outcome.reason == "budget exhausted: candidate cap"
     assert outcome.nodes < budget.max_nodes
     assert len(made) == 1
@@ -190,7 +190,7 @@ def test_raw_table_fallback_finds_non_convex_relation():
     # one-step relation to relate exactly the two distinct points; no single
     # linear inequality over {0, 1} does that, so raw tables must kick in.
     ctrs = parse_ctrs("(RULES a -> b  b -> a)")
-    theory = build_theory(ctrs)
+    theory = theory_for_query(ctrs)
     query = parse_query("REACHABLE(a, a)", ctrs.signature)
     # obligation: a ->* a must fail... which contradicts reflexivity, so use
     # one-step loops instead: neither a -> a nor b -> b.
@@ -628,7 +628,7 @@ def _random_unconditional_ctrs(rng: random.Random) -> CTRS:
 def test_fuzzed_searches_never_return_unverified_structures(seed):
     rng = random.Random(seed)
     ctrs = _random_unconditional_ctrs(rng)
-    theory = build_theory(ctrs)
+    theory = theory_for_query(ctrs)
     query = parse_query(rng.choice(["REACHABLE(a, b)", "JOINABLE(a, b)", "REDUCIBLE(b)"]), ctrs.signature)
     obligations = negate_to_obligations(query)
     budget = SearchBudget(carriers=((0, 1), (0, 2)), max_nodes=60_000)

@@ -36,6 +36,11 @@ function reads the coefficient range (``coeff_min``, ``coeff_max``): the
 generator of the affine template terms that both backends' function menus
 are built from.
 
+The front end has one builder per product: only ``queries.template`` and
+``query_format._parse_exists`` construct a ``Query``, and only
+``pipeline.theory_for_query`` calls ``relativize_sorts``, so a new command
+cannot bring a second query path or a second theory builder.
+
 Only ``logic.py`` builds an ``Atom`` past its arity check (through
 ``tuple.__new__`` or ``Atom._make``), in ``Atom.binary``, which checks its
 predicate once for a whole stream of pairs.
@@ -475,6 +480,48 @@ def test_a_second_reader_of_the_coefficient_range_would_be_flagged():
     source = "class B:\n    def check(self):\n        return self.coeff_min\n"
     assert coefficient_range_readers(source) == []
     assert coefficient_range_readers("def f(b):\n    b.coeff_min = 0\n") == []
+
+
+# -- one builder per front-end product -------------------------------------------
+
+
+def callers(modules: dict[str, str], callee: str) -> list[str]:
+    """``module.definition`` for each top-level definition that calls ``callee``; ``<module>`` for other code."""
+    found = set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if any(
+                isinstance(n, ast.Call)
+                and callee in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                for n in ast.walk(node)
+            ):
+                found.add(f"{module.removesuffix('.py')}.{getattr(node, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_one_function_builds_each_front_end_product():
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert callers(modules, "Query") == ["queries.template", "query_format._parse_exists"]
+    assert callers(modules, "relativize_sorts") == ["pipeline.theory_for_query"]
+
+
+def test_a_second_builder_would_be_flagged():
+    pipeline = (PACKAGE / "pipeline.py").read_text()
+    # the second theory builder that theory_for_query replaced
+    fork = (
+        "\ndef build_theory(ctrs):\n"
+        "    return relativize_sorts(Theory(ctrs.signature, compile_ctrs(ctrs).clauses))\n"
+    )
+    assert callers({"pipeline.py": pipeline + fork}, "relativize_sorts") == [
+        "pipeline.build_theory",
+        "pipeline.theory_for_query",
+    ]
+    # a command's own query for the conditions of a critical pair
+    ccp = "def ccp_query(atoms):\n    return queries.Query(term_vars(*atoms), (atoms,))\n"
+    assert callers({"cli.py": ccp}, "Query") == ["cli.ccp_query"]
+    # Naming a builder is no call; a call outside a function counts too.
+    assert callers({"m.py": "build = relativize_sorts\n"}, "relativize_sorts") == []
+    assert callers({"m.py": "THEORY = relativize_sorts(t)\n"}, "relativize_sorts") == ["m.<module>"]
 
 
 # -- atoms are built through their check ---------------------------------------

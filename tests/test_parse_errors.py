@@ -60,7 +60,7 @@ CASES = [
     ("query-rejected-token", "query", "a -> b /\\ ~ b -> a", "<input>:1:11-1:12: unsupported fragment: negation is not allowed (queries are existential closures of positive atom combinations)"),
     ("query-rejected-word", "query", "FORALL x . f(x) -> a", "<input>:1:1-1:7: unsupported fragment: universal quantification is not allowed (queries are existential closures of positive atom combinations)"),
     ("query-trailing-input", "query", "a -> b extra", "<input>:1:8-1:13: trailing input after query"),
-    ("query-feasible-empty", "query", "FEASIBLE()", "<input>:1:10-1:11: FEASIBLE needs at least one condition"),
+    ("query-feasible-empty", "query", "FEASIBLE()", "<input>:1:1-1:9: FEASIBLE needs at least one condition"),
     ("query-template-error", "query", "REACHABLE(a)", "<input>:1:1-1:10: REACHABLE takes 2 term(s)"),
     ("query-template-variable", "query", "JOINABLE(a, zz)", "<input>:1:13-1:15: JOINABLE takes ground terms, but 'zz' is a variable, not a function symbol of the system"),
     ("query-template-two-sorts", "web-query", "FEASIBLE(login(v:User) == login(v:RegUser))", "<input>:1:33-1:42: variable 'v' used with two sorts"),

@@ -5,12 +5,7 @@ import time
 from countermodel.checker import VERIFIED
 from countermodel.finder import SearchBudget
 from countermodel.model_format import serialize_model
-from countermodel.pipeline import (
-    build_theory,
-    disprove,
-    oracle_cross_check,
-    theory_for_query,
-)
+from countermodel.pipeline import disprove, oracle_cross_check, theory_for_query
 from countermodel.query_format import parse_query
 from countermodel.trs_format import parse_ctrs_document
 from paperdata import query_text, system
@@ -34,7 +29,7 @@ def test_query_mentioning_root_step_pulls_in_root_theory():
 
 def test_build_theory_orders_extensions_after_base():
     ctrs = system("root_f.trs").ctrs
-    theory = build_theory(ctrs, with_subterm=True, with_root=True)
+    theory = theory_for_query(ctrs, with_subterm=True, with_root=True)
     tags = [c.tag for c in theory.clauses]
     base_end = max(i for i, t in enumerate(tags) if t.startswith(("Rf", "T", "C(", "Rp(")))
     subterm_span = [i for i, t in enumerate(tags) if t == "Subterm"]
@@ -129,7 +124,7 @@ def test_default_cross_check_sees_size_four_terms():
         " (PRED -> (x, y) = x > y) (PRED ->* (x, y) = x >= y)",
         ctrs.signature,
     )
-    forged = Certificate(build_theory(ctrs), (), structure, (), (), VERIFIED)
+    forged = Certificate(theory_for_query(ctrs), (), structure, (), (), VERIFIED)
     violations = oracle_cross_check(ctrs, forged)
     assert "derived atom a -> f(f(f(b))) is false in the structure" in violations
     assert oracle_cross_check(ctrs, forged, size_bound=3) == ()

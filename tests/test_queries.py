@@ -116,8 +116,20 @@ def test_query_requires_bound_variables():
 
 
 def test_feasibility_template_binds_in_occurrence_order():
-    q = template(SIG, "FEASIBLE", [(App("f", (Y,)), X), (X, A)])
+    q = template(SIG, "FEASIBLE", (App("f", (Y,)), X), (X, A))
     assert q.variables == (Y, X)
+
+
+def test_a_lone_feasibility_pair_is_one_condition():
+    q = template(SIG, "FEASIBLE", (App("f", (X,)), X))
+    assert q == Query((X,), ((Atom(MANY_STEPS, (App("f", (X,)), X)),),))
+    assert q == parse_query("FEASIBLE(f(x) == x)", SIG)
+
+
+@pytest.mark.parametrize("args", [(A,), ((A, B), B), ((A, B, A),), ([(A, B)],), ()])
+def test_a_feasibility_argument_that_is_not_a_pair_is_a_query_error(args):
+    with pytest.raises(QueryError, match="FEASIBLE"):
+        template(SIG, "FEASIBLE", *args)
 
 
 def random_finite_structure(rng: random.Random) -> FiniteStructure:
@@ -159,7 +171,7 @@ def test_obligations_equivalent_to_negated_query_on_finite_structures(seed):
     elif kind == "conv":
         query = template(SIG, "CONVERTIBLE", A, B)
     else:
-        query = template(SIG, "FEASIBLE", [(App("f", (X,)), X), (X, B)])
+        query = template(SIG, "FEASIBLE", (App("f", (X,)), X), (X, B))
     obligations = negate_to_obligations(query)
     all_hold = True
     for ob in obligations:

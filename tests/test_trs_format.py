@@ -3,9 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from countermodel.compiler import compile_ctrs
 from countermodel.errors import CountermodelError, ParseError
+from countermodel.logic import format_theory
 from countermodel.terms import App, JOIN, ORIENTED, Var
 from countermodel.trs_format import parse_ctrs, parse_ctrs_document
+from paperdata import CORPUS
 
 A, B, C = App("a"), App("b"), App("c")
 X = Var("x")
@@ -50,6 +53,13 @@ def test_condition_type_join_recorded():
     document = parse_ctrs_document("(CONDITIONTYPE JOIN) (VAR x) (RULES a -> b | c == b)")
     assert document.ctrs.rules[0].condition_semantics == JOIN
     assert parse_ctrs("(VAR x) (RULES a -> b | c == b)").rules[0].condition_semantics == ORIENTED
+
+
+def test_condition_type_oriented_compiles_as_the_default():
+    text = (CORPUS / "division.trs").read_text()
+    oriented = parse_ctrs("(CONDITIONTYPE ORIENTED)\n" + text)
+    assert oriented == parse_ctrs(text)
+    assert format_theory(compile_ctrs(oriented)) == format_theory(compile_ctrs(parse_ctrs(text)))
 
 
 def test_sorted_input_round_trips_declarations():
