@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -216,27 +217,42 @@ TABLES, CALL, INLINE = "tables", "call", "inline"
 # this many share one ``product`` loop.
 _OWN_LOOPS = 16
 
+# A generated name a line reads: a slot value (an INLINE slot's unpacked
+# names read as their slot's), a variable or a temporary.
+_NAME = re.compile(r"\b[stv]\d+")
 
-# Keyed on the check, so a warm process only looks it up; a corpus pass has over 128 checks.
+
+# Keyed on the check and slot order, so a warm process only looks it up; a corpus pass has
+# over 128 checks.
 @functools.lru_cache(maxsize=1024)
 def _compile_check(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, spelling: str
+    variables: tuple[Var, ...],
+    body: tuple[Atom, ...],
+    head: Atom | None,
+    spelling: str,
+    order: tuple[str, ...] = (),
 ) -> tuple[frozenset[object], tuple[str, ...], _Refuter]:
     """Compile the check ``body => head`` (``head=None``: an obligation) to Python.
 
     The result decides exact grid falsification.  Spelled ``TABLES``, the grid
     must be the whole carrier the candidates were built over, since a driven
     loop (see _check_source) runs over a successor set instead of
-    ``points``.  Returns the slot keys the code reads, its loop variables and ``refuted``.
+    ``points``.  ``order`` is the finder's slot order, which fixes where the
+    check is staged (see _check_source); the checker passes none.  Returns
+    the slot keys the code reads, its loop variables and ``refuted``.
     """
-    source, keys, names = _check_source(variables, body, head, spelling)
+    source, keys, names = _check_source(variables, body, head, spelling, order)
     namespace = {"product": itertools.product, **{f"n{i}": key for i, key in enumerate(keys)}}
     exec(compile(source, "<compiled check>", "exec"), namespace)
     return frozenset(keys), names, namespace["refuted"]  # type: ignore[return-value]
 
 
 def _check_source(
-    variables: tuple[Var, ...], body: tuple[Atom, ...], head: Atom | None, spelling: str
+    variables: tuple[Var, ...],
+    body: tuple[Atom, ...],
+    head: Atom | None,
+    spelling: str,
+    order: tuple[str, ...] = (),
 ) -> tuple[str, tuple[object, ...], tuple[str, ...]]:
     """The source of ``refuted`` for :func:`_compile_check`, its slot keys in order and its loop variables.
 
@@ -261,6 +277,22 @@ def _check_source(
       else ``a*x + b*y <= c``), unpacked once before the loops (``s0_0, s0_k
       = env[n0]``): ``s0_0 * t0 + s0_k`` and ``(t0 == t1 if s1_e else s1_a *
       t0 + s1_b * t1 <= s1_c)``.
+
+    A check is staged at its own slot, the latest of its slots in ``order``:
+    cut before the first level whose header or lines read it, and before
+    the levels just above it that read nothing, when the levels from the
+    cut on read exactly one value of the earlier ones, a subterm (no
+    variable bound before the cut).  The earlier levels become
+    a generator, ``prefix(env, points)``, of that subterm's distinct values
+    in order of first occurrence, each with the first values of the
+    earlier loops' variables.  ``refuted(env, points, rows=None)`` then
+    loops over those rows, ``prefix``'s unless given, in place of the
+    earlier loops, and carries ``prefix`` as ``refuted.prefix``.  Each row
+    stands for every earlier valuation with its value, and none before its
+    first refutes if the first does not, so the first refuting valuation is
+    unchanged.  ``prefix`` reads no slot at or after the own slot, so the
+    finder computes its rows once per verdict memo.  Any other check is
+    one function, ``refuted(env, points)``.
     """
     tested = [*body, *(() if head is None else (head,))]
     tested_vars = [{v.name for v in term_vars(*atom.args)} for atom in tested]
@@ -337,24 +369,55 @@ def _check_source(
         text, lvl = apply(test(atom.predicate), values, atom=True)
         lines[lvl].append(f"if not {text}: " + ("continue" if lvl else "return False"))
     found = f"({', '.join(local[name] for name in loop_names)},)" if loop_names else "True"
-    if head is None:
-        lines[depth].append(f"return {found}")
-    else:
-        text, _ = apply(test(head.predicate), [value(a) for a in head.args], atom=True)
-        lines[depth].append(f"if not {text}: return {found}")
+    head_test = ""
+    if head is not None:
+        head_test, _ = apply(test(head.predicate), [value(a) for a in head.args], atom=True)
+    # The names each level's header and lines read, less the valuation returned.
+    reads = [set(_NAME.findall(" ".join([drivers.get(k, ""), *lines[k]]))) for k in range(depth + 1)]
+    reads[depth].update(_NAME.findall(head_test))
+    lines[depth].append(f"if not {head_test}: return {found}" if head is not None else f"return {found}")
 
-    source = ["def refuted(env, points):"]
-    source += [f"    {unpacked.get(name, name)} = env[n{i}]" for i, name in enumerate(slots.values())]
-    if len(loop_names) < len(names):
-        source.append("    if not points: return False")  # an unused variable has no value
-    source += [f"    {line}" for line in lines[0]]
-    for k in range(1, depth + 1):
-        bound = [local[name] for name in loop_names if level[name] == k]
-        if len(bound) == 1:
-            header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
-        else:
-            header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
-        source.append("    " * k + header)
-        source += ["    " * (k + 1) + line for line in lines[k]]
-    source.append("    return False")
+    # Staging: cut before the first level reading the own slot, the latest slot in
+    # ``order``, and before the levels just above it that read nothing.
+    own = slots.get(max((key for key in slots if key in order), key=order.index, default=None))
+    cut = next((k for k in range(depth + 1) if own in reads[k]), 0)
+    while cut > 1 and not reads[cut - 1]:
+        cut -= 1
+    outer = [local[name] for name in loop_names if level[name] < cut]
+    computed = {t for t, lvl in temps.values() if 0 < lvl < cut}
+    later = set().union(*reads[cut:])
+    carried = later & computed if not later & set(outer) else set()
+
+    def unpack(levels: Iterable[int]) -> list[str]:
+        used = set().union(*(reads[k] for k in levels))
+        return [f"    {unpacked.get(s, s)} = env[n{i}]" for i, s in enumerate(slots.values()) if s in used]
+
+    def nest(first: int, last: int, indent: int) -> list[str]:
+        """Levels ``first`` to ``last`` of the loop nest, the first one's header at ``indent``."""
+        out = []
+        for k in range(first, last + 1):
+            bound = [local[name] for name in loop_names if level[name] == k]
+            if len(bound) == 1:
+                header = f"for {bound[0]} in {drivers.get(k, 'points')}:"
+            else:
+                header = f"for {', '.join(bound)} in product(points, repeat={len(bound)}):"
+            pad = "    " * (indent + k - first)
+            out += [pad + header, *(f"{pad}    {line}" for line in lines[k])]
+        return out
+
+    # An unused variable has no value on an empty grid.
+    unused = ["    if not points: return False"] if len(loop_names) < len(names) else []
+    ground = [f"    {line}" for line in lines[0]]
+    if len(carried) != 1:
+        source = ["def refuted(env, points):", *unpack(range(depth + 1)), *unused, *ground]
+        source += [*nest(1, depth, 1), "    return False"]
+    else:
+        (kept,) = carried
+        row, pad = ", ".join([kept, *outer]), "    " * cut
+        source = ["def refuted(env, points, rows=None):", *unpack([0, *range(cut, depth + 1)]), *unused, *ground]
+        source += ["    if rows is None: rows = prefix(env, points)", f"    for {row} in rows:"]
+        source += [*nest(cut, depth, 2), "    return False"]
+        source += ["def prefix(env, points):", *unpack(range(cut)), *ground, "    seen = set()", *nest(1, cut - 1, 1)]
+        source += [f"{pad}if {kept} not in seen:", f"{pad}    seen.add({kept})", f"{pad}    yield {row}"]
+        source.append("refuted.prefix = prefix")
     return "\n".join(source) + "\n", tuple(slots), tuple(loop_names)

@@ -73,10 +73,13 @@ class CheckCalls:
         self.calls = 0
 
     def wrap(self, refuted):
-        def counted(env, points):
-            self.calls += 1
-            return refuted(env, points)
+        """``refuted`` counted; a staged check keeps its prefix and takes its rows."""
 
+        def counted(env, points, *rows):
+            self.calls += 1
+            return refuted(env, points, *rows)
+
+        counted.prefix = getattr(refuted, "prefix", None)
         return counted
 
     def install(self, monkeypatch) -> "CheckCalls":

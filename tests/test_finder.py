@@ -31,6 +31,7 @@ from countermodel.checker import (
 )
 from countermodel.finder import (
     SearchBudget,
+    _TimedGrid,
     _affine_candidates,
     _compile_checks,
     _finite_stages,
@@ -39,13 +40,14 @@ from countermodel.finder import (
     _relations,
     _search,
     _Slot,
+    _staged,
     _State,
     find_model,
     find_symbolic_model,
 )
 from countermodel.logic import Atom, sort_of_predicate
 from countermodel.pipeline import theory_for_query
-from countermodel.queries import negate_to_obligations
+from countermodel.queries import negate_to_obligations, required_predicates
 from countermodel.query_format import parse_query
 from countermodel.linear import LinearConstraint, compare
 from countermodel.structures import AffineForm, FiniteStructure, PiecewiseFunction, PredicateInterp
@@ -76,6 +78,11 @@ def _setup(case):
     query = parse_query(case.query, document.ctrs.signature, document.var_sorts)
     theory = theory_for_query(document.ctrs, query)
     return theory, negate_to_obligations(query)
+
+
+def _order(theory, obligations):
+    """The finder's slot order for ``theory`` and ``obligations``."""
+    return finder._slot_order(theory.signature, required_predicates(theory, obligations))
 
 
 @pytest.mark.parametrize("case", [c for c in FINDER_CASES if c.backend == "finite"], ids=lambda c: c.name)
@@ -385,18 +392,35 @@ def test_the_time_limit_covers_building_the_symbolic_menus():
     assert time.monotonic() - started < limit + 1
 
 
-def test_the_time_limit_stops_a_search_on_a_wide_grid(empty_menu_cache):
-    # On 121 points the menus take a fraction of the limit to build, and then
-    # each node's checks loop over the grid, so the deadline is checked
-    # every node rather than every 256.  No node cap ends the search first.
-    theory, obligations = _setup(_CYCLING_WIDE)
-    limit = 1.5
-    started = time.monotonic()
-    budget = SearchBudget(carriers=((0, 120),), time_limit=limit, max_nodes=10**9)
-    outcome = find_model(theory, obligations, budget)
-    assert outcome.reason == "budget exhausted: time cap"
-    assert outcome.nodes > 0  # the search ran, so the menus were built within the limit
-    assert time.monotonic() - started < limit + 1
+def test_the_time_limit_stops_a_search_on_a_wide_grid(empty_menu_cache, monkeypatch):
+    # On 121 points, and on 64 for division-ccp, the menus take a fraction
+    # of the limit to build, and then each node's checks loop over the grid,
+    # so the deadline is checked every node rather than every 256.  No node
+    # cap ends the search first.  Division-ccp's obligation is staged, so
+    # its prefix loops over the timed grid and its rows check the deadline too.
+    timed = []
+
+    def staged(refuted, memo, grid):
+        check = _staged(refuted, memo, grid)
+
+        def run(env, points):
+            found = check(env, points)
+            timed.append(isinstance(points, _TimedGrid) and isinstance(memo[None], _TimedGrid))
+            return found
+
+        return run
+
+    monkeypatch.setattr(finder, "_staged", staged)
+    for case, hi in ((_CYCLING_WIDE, 120), (FLAGSHIPS[0], 63)):
+        theory, obligations = _setup(case)
+        limit = 1.5
+        started = time.monotonic()
+        budget = SearchBudget(carriers=((0, hi),), time_limit=limit, max_nodes=10**9)
+        outcome = find_model(theory, obligations, budget)
+        assert outcome.reason == "budget exhausted: time cap"
+        assert outcome.nodes > 0  # the search ran, so the menus were built within the limit
+        assert time.monotonic() - started < limit + 1
+    assert timed and all(timed)
 
 
 def test_symbolic_predicate_interpretations_are_built_only_for_complete_candidates(
@@ -833,24 +857,78 @@ def _join_examples(test):
     for menu in _FINITE_MENUS:
         for check in _JOIN_CHECKS:
             for arrow, star in ((_not_transitive, _ABOUT_HALF), (_ABOUT_HALF, _not_transitive)):
-                test = example(check, _example_grid(*menu, arrow, star))(test)
-        test = example(_CHAIN_CHECK, _example_grid(*menu, _AT_FIRST, _NOT_AT_FIRST))(test)
+                test = example(check, _example_grid(*menu, arrow, star), ())(test)
+        test = example(_CHAIN_CHECK, _example_grid(*menu, _AT_FIRST, _NOT_AT_FIRST), ())(test)
         if len(_menus(*menu)[0]) == 2:
-            test = example(_CHAIN_CHECK, _example_grid(*menu, _EQUALITY, _EQUALITY))(test)
+            test = example(_CHAIN_CHECK, _example_grid(*menu, _EQUALITY, _EQUALITY), ())(test)
     return test
 
 
+def _pairs(interp, points):
+    holds = _reference_value(interp)
+    return {(s, t) for s in points for t in points if holds(s, t)}
+
+
+def _division_grid(kind, param, star, spelling):
+    """A grid of one menu for division's symbols, ``star`` picking "->*" by (pairs on the grid, points)."""
+    points, preds, consts, funcs = _menus(kind, param)
+    binary = funcs[2]
+    chosen = {
+        "->": preds[0],
+        "->*": next(c for c in preds if star(_pairs(c[0], points), points)),
+        "zero": consts[0],
+        "true": consts[-1],
+        "s": funcs[1][len(funcs[1]) // 2],
+    }
+    for i, name in enumerate(("le", "gt", "sub", "div", "pair")):
+        chosen[name] = binary[len(binary) * (i + 1) // 6]
+    return chosen, points, spelling
+
+
+def _division_checks():
+    """The division obligation and the division rule clause with a condition, and the finder's slot order.
+
+    The obligation is staged at its own slot, pair: its prefix loops over x
+    and w and keeps the distinct values of div(sub(w, x), x).  The clause
+    reads more than one value of its earlier loops at pair's level, so it
+    is not staged.
+    """
+    theory, obligations = _setup(FLAGSHIPS[0])
+    rule = next(c for c in theory.clauses if "pair(s(q), r)" in str(c))
+    checks = [(c.variables, c.body, c.head) for c in (obligations[0], rule)]
+    return checks, _order(theory, obligations)
+
+
+def _division_examples(test):
+    checks, order = _division_checks()
+    for check in checks:
+        for kind, param in _MENUS:
+            native = INLINE if kind == "symbolic" else TABLES
+            for star in (_ABOUT_HALF, _not_transitive):
+                for spelling in (native, CALL):
+                    test = example(check, _division_grid(kind, param, star, spelling), order)(test)
+    return test
+
+
+# Slot orders over the symbols of ``_checks``: a check that none of them
+# stages compiles as with no order.
+_ORDERS = st.permutations(("->", "->*", *_ARITIES)).map(tuple)
+
+
 @settings(max_examples=400, deadline=None)
+@_division_examples
 @_join_examples
-@given(_checks(), _grid_envs())
-def test_compiled_check_matches_reference(check, grid):
-    # The check reads the candidates' fast values in the menu's spelling;
-    # the reference evaluates their interpretations.
-    variables, body, head = check
+@given(_checks(), _grid_envs(), _ORDERS)
+def test_compiled_check_matches_reference(check, grid, order):
+    # The check reads the candidates' fast values in the menu's spelling, or
+    # calls their interpretations; the reference evaluates the interpretations.
+    # ``_agrees`` compiles through this module's name for the generator, so
+    # binding that name to ``order`` stages the check at its own slot.
     chosen, points, spelling = grid
-    env = {name: fast for name, (_, fast) in chosen.items()}
     reference_env = {name: _reference_value(interp) for name, (interp, _) in chosen.items()}
-    assert _agrees(check, env, points, reference_env, spelling)
+    env = reference_env if spelling == CALL else {name: fast for name, (_, fast) in chosen.items()}
+    with mock.patch.dict(globals(), _compile_check=functools.partial(_compile_check, order=order)):
+        assert _agrees(check, env, points, reference_env, spelling)
 
 
 def _generated_identifiers(source):
@@ -897,6 +975,131 @@ def test_symbol_names_never_enter_generated_source():
         env = {**(fast if spelling == TABLES else reference_env), "a''": 1}
         for points in ((0, 1, 2), (0,), ()):
             assert _agrees(((x, y), body, head), env, points, reference_env, spelling)
+
+
+# An order over the symbols of ``_checks`` whose last slot, g, is the own slot of each check below.
+_ALPHABET_ORDER = ("->", "->*", "a", "b", "f", "g")
+
+
+def test_a_check_whose_later_levels_read_two_earlier_values_is_not_staged():
+    # g(y, y) is first read at y's level.  From there on, the staged check
+    # reads one value of x's level, f(f(x)); the others read two, f(x) and
+    # f(f(x)), or f(f(x)) and x, and compile as they do with no slot order.
+    x, y = Var("x"), Var("y")
+    gyy = App("g", (y, y))
+    one = ((x, y), (Atom("->*", (_f(_f(x)), gyy)),), None)
+    subterms = ((x, y), (Atom("->", (_f(x), gyy)), Atom("->*", (_f(_f(x)), gyy))), None)
+    with_x = ((x, y), (Atom("->", (x, gyy)), Atom("->*", (_f(_f(x)), gyy))), None)
+    division_checks, order = _division_checks()
+    for spelling in (TABLES, CALL, INLINE):
+        assert "def prefix" in _check_source(*one, spelling, _ALPHABET_ORDER)[0]
+        for two in (subterms, with_x):
+            assert _check_source(*two, spelling, _ALPHABET_ORDER) == _check_source(*two, spelling)
+        for variables, body, head in division_checks:
+            body = tuple(a for a in body if sort_of_predicate(a.predicate) is None)
+            staged = _check_source(variables, body, head, spelling, order)
+            unstaged = _check_source(variables, body, head, spelling)
+            assert ("def prefix" in staged[0]) == (head is None)  # the obligation only
+            assert staged[1:] == unstaged[1:]
+            assert head is None or staged == unstaged
+
+
+def test_a_staged_check_is_a_prefix_and_a_loop_over_its_rows():
+    x, y = Var("x"), Var("y")
+    check = ((x, y), (Atom("->*", (_f(_f(x)), App("g", (y, y)))),), None)
+    for spelling in (TABLES, CALL, INLINE):
+        source, keys, names = _check_source(*check, spelling, _ALPHABET_ORDER)
+        assert names == ("x", "y") and keys == ("f", "g", "->*")
+        identifiers = _generated_identifiers(source)
+        pattern = r"[nstv]\d+|s\d+_(\d+|[kabce])|env|points|product|refuted|prefix|rows|seen|set"
+        assert all(re.fullmatch(pattern, n) for n in identifiers)
+        refuted, prefix, _ = ast.parse(source).body
+        assert [arg.arg for arg in refuted.args.args] == ["env", "points", "rows"]
+        assert [arg.arg for arg in prefix.args.args] == ["env", "points"]
+        # The prefix reads f and the rest g and ->*; neither reads a slot it does not use.
+        assert re.findall(r"env\[(n\d)\]", ast.unparse(prefix)) == ["n0"]
+        assert re.findall(r"env\[(n\d)\]", ast.unparse(refuted)) == ["n1", "n2"]
+
+
+def test_a_staged_check_refutes_at_the_first_row_that_refutes():
+    # div(sub(w, x), x) is (w - x) mod 4, and pair(y, z) = y + z + 2 meets
+    # only 2 and 3, so the rows of values 0 and 1 do not refute; the first
+    # valuation that does is x = 0, w = 2, as without staging.
+    (obligation, _), order = _division_checks()
+    variables, body, head = obligation
+    body = tuple(a for a in body if sort_of_predicate(a.predicate) is None)
+    env = {
+        "->*": lambda s, t: s == t,
+        "true": 1,
+        "le": lambda x, w: 1,
+        "gt": lambda x, w: 1,
+        "sub": lambda w, x: (w - x) % 4,
+        "div": lambda d, x: d,
+        "pair": lambda y, z: y + z + 2,
+    }
+    points = (0, 1, 2, 3)
+    _, names, refuted = _compile_check(variables, body, head, CALL, order)
+    assert list(refuted.prefix(env, points)) == [(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3)]
+    assert names == ("x", "w", "y", "z")
+    assert refuted(env, points) == (0, 2, 0, 0) == _refuter(variables, body, head, CALL)(env, points)
+    assert _reference_refuted(env, points, *obligation) == dict(zip(names, (0, 2, 0, 0)))
+
+
+def test_a_staged_check_checks_the_deadline_in_its_prefix_and_in_its_rows():
+    (obligation, _), order = _division_checks()
+    variables, body, head = obligation
+    body = tuple(a for a in body if sort_of_predicate(a.predicate) is None)
+    env = {"->*": lambda s, t: True, "true": 1, **dict.fromkeys(("le", "gt", "sub", "div", "pair"), max)}
+    refuted = _compile_check(variables, body, head, CALL, order)[2]
+    points = (0, 1, 2)
+    passed = functools.partial(_TimedGrid, deadline=-math.inf)
+    # a grid past its deadline stops the prefix's loops
+    with pytest.raises(finder._Stop):
+        _staged(refuted, {}, tuple)(env, passed(points))
+    # rows past their deadline stop the loop over them
+    memo = {}
+    with pytest.raises(finder._Stop):
+        _staged(refuted, memo, passed)(env, points)
+    assert memo[None] == ((0, 0, 0), (1, 0, 1), (2, 0, 2))
+    assert _staged(refuted, {}, tuple)(env, points) == (0, 0, 0, 0)
+
+
+def test_a_staged_prefix_runs_once_per_memo_lifetime(monkeypatch):
+    # In the capped division-ccp disprove, the division obligation's check
+    # runs 839 times in the finite search and 835 in the symbolic one.  Its
+    # prefix loops over x and w and reads no slot from pair on, so its rows
+    # are computed only at the first call after the check's verdict memo is
+    # cleared: 60 and 31 times.  No other check is staged.
+    (obligation, _), _ = _division_checks()
+    staged_bodies, runs, calls = set(), {TABLES: 0, INLINE: 0}, {TABLES: 0, INLINE: 0}
+    compile_check = finder._compile_check
+
+    def compiled(variables, body, head, spelling, order):
+        keys, names, refuted = compile_check(variables, body, head, spelling, order)
+        prefix = getattr(refuted, "prefix", None)
+        if prefix is None:
+            return keys, names, refuted
+        staged_bodies.add(body)
+
+        def counted(env, points, rows=None):
+            calls[spelling] += 1
+            return refuted(env, points, rows)
+
+        def counted_prefix(env, points):
+            runs[spelling] += 1
+            return prefix(env, points)
+
+        counted.prefix = counted_prefix
+        return keys, names, counted
+
+    monkeypatch.setattr(finder, "_compile_check", compiled)
+    document = system(FLAGSHIPS[0].system)
+    query = parse_query(FLAGSHIPS[0].query, document.ctrs.signature, document.var_sorts)
+    result = pipeline.disprove(document.ctrs, query, SearchBudget(max_nodes=1000))
+    assert all(reason.endswith("candidate cap") for reason in result.reasons)
+    assert staged_bodies == {tuple(a for a in obligation[1] if sort_of_predicate(a.predicate) is None)}
+    assert calls == {TABLES: 839, INLINE: 835}
+    assert runs == {TABLES: 60, INLINE: 31}
 
 
 def test_a_function_named_like_a_sort_test_reads_its_own_slot():
@@ -966,7 +1169,7 @@ def test_ground_and_sort_headed_checks():
     theory, obligations = _setup(FLAGSHIPS[1])
     sort_headed = [c for c in theory.clauses if sort_of_predicate(c.head.predicate) is not None]
     assert sort_headed
-    compiled = _compile_checks(theory, obligations, TABLES)
+    compiled = _compile_checks(theory, obligations, TABLES, _order(theory, obligations))
     assert len(compiled) == len(obligations) + len(theory.clauses) - len(sort_headed)
 
 
@@ -982,23 +1185,24 @@ def test_each_check_reads_the_symbols_a_walk_of_its_atoms_finds(case, tables):
         for clause in theory.clauses
         if sort_of_predicate(clause.head.predicate) is None
     ]
-    compiled = _compile_checks(theory, obligations, TABLES if tables else INLINE)
+    compiled = _compile_checks(theory, obligations, TABLES if tables else INLINE, _order(theory, obligations))
     assert [symbols for symbols, _ in compiled] == list(map(reference_finder._check_symbols, atoms))
 
 
 @pytest.mark.parametrize("case", FINDER_CASES + FLAGSHIPS, ids=lambda c: c.name)
 def test_a_symbolic_stage_check_calls_no_slot(case):
     # The inline spelling applies each candidate's data in place: the only
-    # call left in a symbolic stage's check is the shared ``product`` loop.
+    # calls left in a symbolic stage's check are the shared ``product`` loop
+    # and, in a staged one, its prefix and the set of values it has seen.
     theory, obligations = _setup(case)
     for clause in (*obligations, *theory.clauses):
         if clause.head is not None and sort_of_predicate(clause.head.predicate) is not None:
             continue
         body = tuple(a for a in clause.body if sort_of_predicate(a.predicate) is None)
-        source, _, _ = _check_source(clause.variables, body, clause.head, INLINE)
+        source, _, _ = _check_source(clause.variables, body, clause.head, INLINE, _order(theory, obligations))
         assert not re.search(r"\bs\d+\(", source)
-        calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
-        assert all(isinstance(f, ast.Name) and f.id == "product" for f in calls)
+        calls = [ast.unparse(n.func) for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+        assert set(calls) <= {"product", "prefix", "set", "seen.add"}
 
 
 # -- the backjumping search against the chronological one -----------------------------
